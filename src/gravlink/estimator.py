@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import SingularFit
-from .interferometer import fit_phase, fringe_scan
+from .interferometer import _wrap_phase, fit_phase, fringe_scan
 from .kinematics import LinkGeometry, build_link_geometry
 from .link_model import (
     OpticalConfig,
@@ -225,13 +225,6 @@ class ForecastResult:
         return self.photon_budget * (self.sigma_alpha_analytic / target_sigma) ** 2
 
 
-def _wrap_to_halfopen(phi: float) -> float:
-    wrapped = math.remainder(phi, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 def run_forecast_trial(
     truth: Sequence[PhasePair],
     model_pairs: Sequence[PhasePair],
@@ -263,7 +256,7 @@ def run_forecast_trial(
                     dark_rate=scenario.dark_rate,
                 )
                 fit = fit_phase(scan)
-                phi_abs = phi_model + _wrap_to_halfopen(fit.phi_hat - phi_model)
+                phi_abs = phi_model + _wrap_phase(fit.phi_hat - phi_model)
                 fitted.append((phi_abs, fit.sigma_phi))
             else:
                 fitted.append((phi_true, _NOISELESS_SIGMA))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import DegenerateVisibility, FitDiverged, InsufficientScan
 
@@ -211,69 +210,65 @@ def _wrap_phase(phi: float) -> float:
 def fit_phase(scan: Sequence[DetectionHistogram]) -> PhaseFit:
     """Extract the fringe phase from a scan of central-peak counts.
 
-    Weighted nonlinear least squares of counts against
-    A (1 + V cos(phi + offset)), seeded by the closed-form linear fit in
-    (A, A V cos phi, A V sin phi). Count weights are Poissonian,
-    sigma = sqrt(max(counts, 1)).
+    The model A (1 + V cos(phi + offset)) is linear in
+    (a0, a1, a2) = (A, A V cos phi, -A V sin phi) against the columns
+    (1, cos offset, sin offset): the three-parameter sine fit of IEEE Std
+    1057. One weighted linear least-squares solve therefore gives the
+    optimum without iteration, and V = hypot(a1, a2) / a0,
+    phi = atan2(-a2, a1). Each count is binomial(n_sent, p), since
+    simulate_counts draws a multinomial, so it is weighted by
+    1 / max(c (1 - c / n_sent), 1).
 
-    Returns phi wrapped to (-pi, pi], its 1-sigma uncertainty from the fit
-    covariance, and the visibility estimate.
+    Returns phi wrapped to (-pi, pi], its 1-sigma uncertainty propagated
+    from the coefficient covariance (delta method), and the visibility
+    estimate.
 
     Raises
     ------
-    InsufficientScan, DegenerateVisibility (fitted |V| < 0.05),
-    FitDiverged (optimizer failure; message carries the residuals).
+    InsufficientScan, DegenerateVisibility (no counts, non-positive
+    baseline, or fitted V < 0.05), FitDiverged (singular design or
+    unusable covariance; message carries the residuals).
     """
     offsets = _check_scan_offsets([h.phase_setting for h in scan])
     counts = np.array([h.counts_central for h in scan], dtype=float)
     if counts.sum() <= 0:
         raise DegenerateVisibility("no central-peak counts; phase unidentifiable")
 
-    # linear pre-fit: counts ~ a0 + a1 cos(offset) + a2 sin(offset)
     design = np.column_stack([np.ones_like(offsets), np.cos(offsets), np.sin(offsets)])
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    a0, a1, a2 = coef
+    n_sent = np.array([h.n_sent for h in scan], dtype=float)
+    # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
+    root_w = 1.0 / np.sqrt(np.maximum(counts * (1.0 - counts / n_sent), 1.0))
+    # whitened least squares by SVD: coef = V S^-1 U^T (root_w counts),
+    # covariance (D^T W D)^-1 = V S^-2 V^T
+    u, s, vt = np.linalg.svd(root_w[:, None] * design, full_matrices=False)
+    if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
+        coef = np.linalg.lstsq(design, counts, rcond=None)[0]
+        raise FitDiverged(
+            "singular fringe-fit normal matrix; residuals: "
+            f"{(counts - design @ coef).tolist()}"
+        )
+    coef = vt.T @ ((u.T @ (root_w * counts)) / s)
+    a0, a1, a2 = (float(c) for c in coef)
     if a0 <= 0.0:
         raise DegenerateVisibility(f"non-positive fringe baseline {a0:.3g}")
-    v0 = min(math.hypot(a1, a2) / a0, 1.0)
-    phi0 = math.atan2(-a2, a1)
-
-    def model(x, amp, vis, phi):
-        return amp * (1.0 + vis * np.cos(phi + x))
-
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    try:
-        popt, pcov = curve_fit(
-            model,
-            offsets,
-            counts,
-            p0=[a0, max(v0, 1e-3), phi0],
-            sigma=sigma,
-            absolute_sigma=True,
-            maxfev=10000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        residuals = counts - model(offsets, a0, v0, phi0)
-        raise FitDiverged(
-            f"fringe fit failed ({exc}); pre-fit residuals: {residuals.tolist()}"
-        ) from None
-
-    amp_hat, vis_hat, phi_hat = popt
-    # sign gauge: keep V >= 0 by absorbing a flip into the phase
-    if vis_hat < 0.0:
-        vis_hat = -vis_hat
-        phi_hat += math.pi
+    amp = math.hypot(a1, a2)
+    vis_hat = amp / a0
     if vis_hat < _MIN_VISIBILITY:
         raise DegenerateVisibility(
             f"fitted visibility {vis_hat:.3f} < {_MIN_VISIBILITY}; phase unidentifiable"
         )
-    sigma_phi = float(math.sqrt(max(pcov[2, 2], 0.0)))
+    # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2)
+    grad = (vt[:, 1] * a2 - vt[:, 2] * a1) / (amp * amp * s)
+    sigma_phi = math.sqrt(float(grad @ grad))
     if not math.isfinite(sigma_phi) or sigma_phi <= 0.0:
-        raise FitDiverged(f"fit covariance unusable: sigma_phi = {sigma_phi}")
+        raise FitDiverged(
+            f"fit covariance unusable: sigma_phi = {sigma_phi}; residuals: "
+            f"{(counts - design @ coef).tolist()}"
+        )
     return PhaseFit(
-        phi_hat=_wrap_phase(float(phi_hat)),
+        phi_hat=_wrap_phase(math.atan2(-a2, a1)),
         sigma_phi=sigma_phi,
-        visibility_hat=float(vis_hat),
+        visibility_hat=vis_hat,
     )
 
 

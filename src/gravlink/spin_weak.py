@@ -37,8 +37,6 @@ _PAULI = {
 _ID2 = np.eye(2, dtype=complex)
 _HERMITICITY_TOL = 1e-10
 _ORTHOGONALITY_TOL = 1e-12
-_GRID_POINTS_PER_WIDTH = 64
-_GRID_HALF_WIDTHS = 10.0
 
 
 def pauli(axis: int) -> np.ndarray:
@@ -267,10 +265,12 @@ def meter_shift(
 
     The exact value expands the kicked joint state in the eigenbasis of
     the observable: the post-selected pointer wave is a finite sum of
-    displaced Gaussians sum_a <f|a><a|i> psi(x - q a), whose mean is taken
-    by quadrature. The weak-regime prediction is q*Re(A_w); their
-    difference is O((q/width)^2) for small q and order-unity once q
-    reaches the meter width.
+    displaced Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The
+    product of two of them is a Gaussian centred at mean + q (a + b) / 2
+    scaled by exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are
+    exact sums over eigenvalue pairs. The weak-regime prediction is
+    q*Re(A_w); their difference is O((q/width)^2) for small q and
+    order-unity once q reaches the meter width.
     """
     a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
     a = np.asarray(a_op, dtype=complex)
@@ -278,22 +278,14 @@ def meter_shift(
     weights = (s_f.amplitudes.conj() @ eigvecs) * (
         eigvecs.conj().T @ s_i.amplitudes
     )
-
-    lo = meter.mean + q * float(eigvals.min()) - _GRID_HALF_WIDTHS * meter.width
-    hi = meter.mean + q * float(eigvals.max()) + _GRID_HALF_WIDTHS * meter.width
-    n_points = int((hi - lo) / meter.width * _GRID_POINTS_PER_WIDTH)
-    n_points = min(max(n_points, 801), 60001) | 1
-    x = np.linspace(lo, hi, n_points)
-    wave = np.zeros_like(x, dtype=complex)
-    for w, val in zip(weights, eigvals):
-        wave += w * meter.wavefunction(x - q * float(val.real))
-    density = np.abs(wave) ** 2
-    prob = float(np.trapezoid(density, x))
+    gap = q * (eigvals[:, None] - eigvals[None, :]) / meter.width
+    pairs = (weights.conj()[:, None] * weights[None, :]).real * np.exp(-gap * gap / 8.0)
+    prob = float(pairs.sum())
     if prob <= 0.0:
         raise OrthogonalSelection("post-selected pointer state has zero weight")
-    mean_x = float(np.trapezoid(x * density, x)) / prob
+    pair_shifts = 0.5 * q * (eigvals[:, None] + eigvals[None, :])
     return MeterShift(
-        shift_exact=mean_x - meter.mean,
+        shift_exact=float((pairs * pair_shifts).sum()) / prob,
         shift_weak=q * a_w.real,
         postselection_prob=prob,
     )
@@ -358,9 +350,9 @@ def amplification_scan(
     rows = []
     for theta in theta_values:
         s_f = qubit(theta)
+        a_w = weak_value(sx, s_i, s_f)
         for q in q_values:
             shift = meter_shift(q, sx, s_i, s_f, meter)
-            a_w = weak_value(sx, s_i, s_f)
             rows.append(
                 (
                     float(theta),

@@ -1,11 +1,15 @@
 """Scenario config validation and the command-line front end."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravlink
 from gravlink import __version__
 from gravlink.cli import main
 from gravlink.config import load_config, validate_config
@@ -244,6 +248,18 @@ class TestCliBasics:
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2
         assert "error[FileUnreadable]" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_unloaded(self):
+        # numpy and PyYAML are the only runtime dependencies
+        code = "import sys, gravlink, gravlink.cli; assert 'scipy' not in sys.modules"
+        src = str(Path(gravlink.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestCliRuns:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gravlink.errors import DegenerateVisibility, InsufficientScan
+from gravlink.errors import DegenerateVisibility, FitDiverged, InsufficientScan
 from gravlink.interferometer import (
     DetectionHistogram,
     PeakIntensities,
@@ -18,6 +18,33 @@ from gravlink.interferometer import (
 )
 
 FULL_SCAN = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+EIGHT_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+
+
+def binomial_root_weights(scan):
+    """sqrt of the documented fit weights 1 / max(c (1 - c / n_sent), 1)."""
+    counts = np.array([h.counts_central for h in scan], dtype=float)
+    n_sent = np.array([h.n_sent for h in scan], dtype=float)
+    return counts, 1.0 / np.sqrt(np.maximum(counts * (1.0 - counts / n_sent), 1.0))
+
+
+def profile_chi2(phi, offsets, counts, root_w):
+    """Weighted chi^2 of A (1 + V cos(phi + offset)) minimised over A and
+    A V at fixed phi: a two-parameter linear fit."""
+    design = np.column_stack([np.ones_like(offsets), np.cos(phi + offsets)])
+    _, resid, _, _ = np.linalg.lstsq(root_w[:, None] * design, root_w * counts, rcond=None)
+    return float(resid[0])
+
+
+def crossing(f, target, inside, outside, iterations=60):
+    """Bisect for f(phi) = target between f(inside) < target < f(outside)."""
+    for _ in range(iterations):
+        mid = 0.5 * (inside + outside)
+        if f(mid) < target:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
 
 
 class TestCascadeIntensities:
@@ -204,10 +231,7 @@ class TestFitPhase:
         large = mean_sigma(10**6, range(200, 212))
         assert small / large == pytest.approx(10.0, rel=0.3)
 
-    @pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
     def test_zero_visibility_degenerate(self):
-        # the flat fringe leaves the covariance unestimable on the way to
-        # the DegenerateVisibility check
         scan = noiseless_scan(FULL_SCAN, 0.0, 0.0, 10**6)
         with pytest.raises(DegenerateVisibility):
             fit_phase(scan)
@@ -239,6 +263,55 @@ class TestFitPhase:
             sigmas.append(fit.sigma_phi)
         spread = float(np.std(errors, ddof=1))
         assert float(np.mean(sigmas)) == pytest.approx(spread, rel=0.35)
+
+    def test_pulls_calibrated_with_binomial_weights(self):
+        # multinomial counts have variance n p (1 - p); Poisson weights
+        # leave these pulls at a std of about 0.96 at efficiency 1
+        n_scans = 2000
+        pulls = []
+        for k in range(n_scans):
+            base = -math.pi + 2.0 * math.pi * (k + 0.5) / n_scans
+            fit = fit_phase(fringe_scan(FULL_SCAN, base, 1.0, 20000, 1.0, seed=(31, k)))
+            pulls.append(math.remainder(fit.phi_hat - base, 2.0 * math.pi) / fit.sigma_phi)
+        assert 0.97 <= float(np.std(pulls, ddof=1)) <= 1.03
+
+    @pytest.mark.parametrize(
+        "offsets, n_per_point, visibility, efficiency",
+        [
+            (EIGHT_POINT_SCAN, 40000, 1.0, 1.0),
+            (FULL_SCAN, 5000, 0.8, 0.5),
+            (np.linspace(0.0, 1.2 * math.pi, 6), 200000, 0.6, 0.9),
+        ],
+    )
+    def test_fit_is_profile_chi2_optimum(self, offsets, n_per_point, visibility, efficiency):
+        for k in range(10):
+            base = -3.0 + 0.6 * k
+            scan = fringe_scan(offsets, base, visibility, n_per_point, efficiency, seed=(41, k))
+            fit = fit_phase(scan)
+            counts, root_w = binomial_root_weights(scan)
+
+            def chi2(phi):
+                return profile_chi2(phi, offsets, counts, root_w)
+
+            # vertex of the parabola through three points about phi_hat
+            h = 0.01 * fit.sigma_phi
+            lo, mid, hi = chi2(fit.phi_hat - h), chi2(fit.phi_hat), chi2(fit.phi_hat + h)
+            vertex = fit.phi_hat - 0.5 * h * (hi - lo) / (hi - 2.0 * mid + lo)
+            assert abs(vertex - fit.phi_hat) <= 1e-6
+            target = mid + 1.0
+            reach = 5.0 * fit.sigma_phi
+            left = crossing(chi2, target, fit.phi_hat, fit.phi_hat - reach)
+            right = crossing(chi2, target, fit.phi_hat, fit.phi_hat + reach)
+            assert 0.5 * (right - left) == pytest.approx(fit.sigma_phi, rel=0.01)
+
+    def test_singular_design_diverges_with_residuals(self):
+        offsets = [0.0, 0.0, math.pi, math.pi]
+        scan = [
+            DetectionHistogram(100, c, 100, 10**4, offset)
+            for c, offset in zip((900, 880, 120, 130), offsets)
+        ]
+        with pytest.raises(FitDiverged, match="residuals"):
+            fit_phase(scan)
 
 
 class TestSerializeScan:

@@ -297,6 +297,10 @@ class TestWeakValue:
             weak_value(np.eye(4), ket0, ket0)
 
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
 def closed_form_shift(theta, q, width):
     """Two displaced Gaussians with overlap exp(-q^2/2s^2): post-selected
     mean q*sin(2 theta)/(1 + G cos(2 theta)), derived independently."""
@@ -366,6 +370,48 @@ class TestMeterShift:
         assert all(p <= 1.0 for p in products)
         assert all(a < b for a, b in zip(amps, amps[1:]))
         assert all(a > b for a, b in zip(probs, probs[1:]))
+
+    @staticmethod
+    def quadrature_shift(q, a_op, s_i, s_f, meter):
+        """Mean and norm of the post-selected pointer density on a grid."""
+        eigvals, eigvecs = np.linalg.eigh(a_op)
+        weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
+        span = 12.0 * meter.width
+        x = np.linspace(
+            meter.mean + q * eigvals.min() - span, meter.mean + q * eigvals.max() + span, 200001
+        )
+        wave = sum(w * meter.wavefunction(x - q * a) for w, a in zip(weights, eigvals))
+        density = np.abs(wave) ** 2
+        prob = np.trapezoid(density, x)
+        return np.trapezoid(x * density, x) / prob - meter.mean, prob
+
+    def test_closed_form_matches_quadrature(self):
+        # a generic complex observable with four distinct eigenvalues and
+        # complex pre- and post-selections
+        rng = np.random.default_rng(17)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a_op = raw + raw.conj().T
+        s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        meter = GaussianMeter(mean=0.7, width=1.3)
+        for q in (0.0, 1e-3, 0.2, 1.0, 4.0):
+            shift = meter_shift(q, a_op, s_i, s_f, meter)
+            mean_ref, prob_ref = self.quadrature_shift(q, a_op, s_i, s_f, meter)
+            assert shift.shift_exact == pytest.approx(mean_ref, rel=1e-9, abs=1e-12)
+            assert shift.postselection_prob == pytest.approx(prob_ref, rel=1e-9)
+
+    def test_zero_kick(self):
+        # no kick: the pointer stays put and the post-selection probability
+        # is |<f|i>|^2
+        s_i = QuantumState(_unit(np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])))
+        s_f = QuantumState(_unit(np.array([0.4j, 1.0, 0.2, -0.6])))
+        a_op = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
+        a_op[0, 2] = a_op[2, 0] = 0.3
+        shift = meter_shift(0.0, a_op, s_i, s_f, GaussianMeter(mean=2.0, width=0.5))
+        assert shift.shift_exact == 0.0
+        assert shift.shift_weak == 0.0
+        overlap = abs(np.vdot(s_f.amplitudes, s_i.amplitudes)) ** 2
+        assert shift.postselection_prob == pytest.approx(overlap, rel=1e-12)
 
     def test_meter_wavefunction_normalized(self):
         meter = GaussianMeter(mean=0.4, width=2.0)
