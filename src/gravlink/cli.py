@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, load_config, validate_config
+from .config import ScenarioConfig, ephemeris_orbit, load_config, validate_config
 from .constants import G_STD, R_EARTH
-from .ephemeris import EphemerisTrajectory, parse_cpf
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
 from .estimator import ForecastScenario, precision_forecast, serialize_trials, build_pass
 from .interferometer import fit_phase, fringe_scan, serialize_scan
@@ -46,26 +44,11 @@ from .spin_weak import (
 )
 
 
-def _resolve(path: str, config_path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
-
-
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from None
-
-
 def _build_trajectories(cfg: ScenarioConfig, config_path: str):
     station = GroundStation(cfg.station.latitude, cfg.station.longitude,
                             cfg.station.altitude)
     if cfg.orbit.ephemeris_path is not None:
-        table = parse_cpf(_read_file(_resolve(cfg.orbit.ephemeris_path, config_path)))
-        orbit = EphemerisTrajectory(table)
+        orbit = ephemeris_orbit(cfg, config_path)
     else:
         orbit = CircularOrbit(cfg.orbit.semi_major_axis, cfg.orbit.inclination,
                               cfg.orbit.raan, cfg.orbit.phase)
@@ -319,6 +302,14 @@ def _run(config_path: str) -> int:
     return _run_constants(cfg)
 
 
+def _validate(config_path: str) -> int:
+    problems = validate_config(config_path)
+    if problems:
+        raise ConfigInvalid(problems)
+    print("config valid")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gravlink",
@@ -338,21 +329,8 @@ def main(argv=None) -> int:
     if args.command == "constants":
         return _run_constants(None)
 
-    if args.command == "validate":
-        try:
-            problems = validate_config(args.config)
-        except FileUnreadable as exc:
-            print(f"error[FileUnreadable]: {exc}", file=sys.stderr)
-            return 2
-        if problems:
-            for p in problems:
-                print(f"violation: {p}", file=sys.stderr)
-            return 2
-        print("config valid")
-        return 0
-
     try:
-        return _run(args.config)
+        return _validate(args.config) if args.command == "validate" else _run(args.config)
     except (ConfigInvalid, FileUnreadable) as exc:
         if isinstance(exc, ConfigInvalid):
             for p in exc.violations:
@@ -360,7 +338,9 @@ def main(argv=None) -> int:
         else:
             print(f"error[FileUnreadable]: {exc}", file=sys.stderr)
         return 2
-    except GravlinkError as exc:
+    except (GravlinkError, ValueError, OverflowError) as exc:
+        # ValueError: library argument checks and numpy's LinAlgError;
+        # OverflowError: integers beyond numpy's int64
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 

@@ -1,22 +1,26 @@
 """Scenario configuration: YAML loading, validation, typed views.
 
-Validation collects every violation instead of stopping at the first;
-load_config raises ConfigInvalid carrying the full list. Units in config
-files are SI with the unit in the key name, except angles, which are
-degrees (converted to radians here).
+One walk over one field table (_FIELDS) collects every violation instead of
+stopping at the first and builds the typed config; defaults live on the spec
+dataclasses. Units in config files are SI with the unit in the key name,
+except angles, which are degrees (converted to radians here).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid, FileUnreadable
+from .constants import C_LIGHT, R_EARTH
+from .ephemeris import EphemerisTrajectory, parse_cpf
+from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
 from .link_model import OpticalConfig, RedshiftParams
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
@@ -93,13 +97,13 @@ class SpinSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     mode: str
-    seed: Optional[int]
-    output_dir: str
+    seed: Optional[int] = None
+    output_dir: str = "gravlink-out"
     orbit: Optional[OrbitSpec] = None
     station: Optional[StationSpec] = None
     optical: Optional[OpticalConfig] = None
     sweep: Optional[SweepSpec] = None
-    redshift: RedshiftParams = RedshiftParams(0.0)
+    redshift: RedshiftParams = RedshiftParams()
     noise: Optional[NoiseSpec] = None
     forecast: Optional[ForecastSpec] = None
     fringe: Optional[FringeSpec] = None
@@ -111,351 +115,206 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             return fh.read()
     except OSError as exc:
-        raise FileUnreadable(f"cannot read config {path}: {exc}") from None
+        raise FileUnreadable(f"cannot read {path}: {exc}") from None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# YAML 1.1 floats need a dot and a sign on any exponent: PyYAML reads 6.771e6 as a string
+_EXPONENT = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]\+?(-?\d+)\s*")
 
 
-def _get_number(section: dict, key: str, problems: list, prefix: str,
-                required: bool = True, default=None):
-    if key not in section:
-        if required:
-            problems.append(f"{prefix}.{key}: required field missing")
-        return default
-    value = section[key]
-    if not _is_number(value):
-        problems.append(f"{prefix}.{key}: expected a number, got {value!r}")
-        return default
-    return float(value)
+def _number(value, name) -> float:
+    """A finite int or float; a bool is not a number."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # also rejects nan
+        return float(value)
+    match = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
+    hint = "" if match is None else (" (read as a string: PyYAML floats need a dot and a signed "
+                                     f"exponent; write {float(match[1])!r}e{int(match[2]):+d})")
+    raise ConfigInvalid([f"{name}: expected a finite number, got {value!r}{hint}"])
 
 
-def _validate_tree(cfg: dict) -> list[str]:
-    problems: list[str] = []
+def _degrees(value, name) -> float:
+    return math.radians(_number(value, name))
 
-    mode = cfg.get("mode")
-    if mode is None:
-        problems.append("mode: required field missing")
-    elif mode not in MODES:
-        problems.append(f"mode: '{mode}' not one of {', '.join(MODES)}")
 
-    seed = cfg.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        problems.append(f"seed: expected an integer, got {seed!r}")
-    if mode in STOCHASTIC_MODES and seed is None:
+def _typed(kind: type, what: str):
+    """Parser that passes an instance of kind through; bools and "" are rejected."""
+    def parse(value, name):
+        if isinstance(value, kind) and not isinstance(value, bool) and value != "":
+            return value
+        raise ConfigInvalid([f"{name}: expected {what}, got {value!r}"])
+    return parse
+
+
+_integer, _text = _typed(int, "an integer"), _typed(str, "a non-empty string")
+
+
+def _numbers(value, name) -> tuple:
+    if isinstance(value, list) and value:
+        return tuple(_number(v, name) for v in value)
+    raise ConfigInvalid([f"{name}: expected a non-empty list of numbers, got {value!r}"])
+
+
+def _theta_grid(value, name) -> tuple:
+    """Degrees as a list, or an even grid as {start, stop, num}; radians out."""
+    if isinstance(value, dict):
+        grid, problems = _walk(value, name)
+        if problems:
+            raise ConfigInvalid(problems)
+        value = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
+    return tuple(math.radians(v) for v in _numbers(value, name))
+
+
+def _at_least(lo):
+    return (lambda x: x >= lo, f"must be >= {lo}")
+
+
+_POSITIVE = (lambda x: x > 0.0, "must be > 0")
+_FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
+
+# section (None: top level), YAML key, attribute, parser, bound (test, text), required.
+# A parser takes (value, name) and raises ConfigInvalid; the bound tests its result.
+_FIELDS = (
+    (None, "mode", "mode", _text, (lambda m: m in MODES, f"not one of {', '.join(MODES)}"),
+     True),
+    (None, "seed", "seed", _integer, _at_least(0), False),
+    (None, "output_dir", "output_dir", _text, None, False),
+    ("orbit", "semi_major_axis_m", "semi_major_axis", _number,
+     (lambda a: 6.5e6 <= a <= 5.0e7, "outside [6.5e6, 5e7] m"), False),
+    ("orbit", "inclination_deg", "inclination", _degrees, None, False),
+    ("orbit", "raan_deg", "raan", _degrees, None, False),
+    ("orbit", "phase_deg", "phase", _degrees, None, False),
+    ("orbit", "ephemeris_path", "ephemeris_path", _text, None, False),
+    ("station", "latitude_deg", "latitude", _degrees,
+     (lambda x: abs(x) <= math.radians(90.0), "outside [-90, 90]"), True),
+    ("station", "longitude_deg", "longitude", _degrees, None, True),
+    ("station", "altitude_m", "altitude", _number, _at_least(0), False),
+    ("optical", "wavelength_m", "lambda0", _number, _POSITIVE, True),
+    ("optical", "delay_length_m", "delay_length", _number, _POSITIVE, True),
+    ("optical", "group_index", "group_index", _number, _at_least(1), False),
+    ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, False),
+    ("sweep", "t_start_s", "t_start", _number, None, True),
+    ("sweep", "t_end_s", "t_end", _number, None, True),
+    ("sweep", "n_epochs", "n_epochs", _integer, _at_least(2), True),
+    ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"), False),
+    ("noise", "photon_budget", "photon_budget", _integer, _at_least(0), False),
+    ("noise", "efficiency", "efficiency", _number, _FRACTION, False),
+    ("noise", "dark_rate", "dark_rate", _number, _at_least(0), False),
+    ("noise", "visibility", "visibility", _number, _FRACTION, False),
+    ("forecast", "trials", "trials", _integer, _at_least(10), True),
+    ("forecast", "scan_points", "scan_points", _integer, _at_least(4), False),
+    ("forecast", "target_sigma_alpha", "target_sigma_alpha", _number, _POSITIVE, False),
+    ("fringe", "base_phase_rad", "base_phase", _number, None, False),
+    ("fringe", "scan_points", "scan_points", _integer, _at_least(4), False),
+    ("fringe", "n_per_point", "n_per_point", _integer, _at_least(1), False),
+    ("spin", "gravity_mps2", "gravity", _number, _POSITIVE, False),
+    ("spin", "rotation_rad_per_s", "rotation", _numbers,
+     (lambda v: len(v) == 3, "must have 3 components"), False),
+    ("spin", "coupling_k", "coupling_k", _number, None, False),
+    ("spin", "exchange_joule", "exchange", _number, None, False),
+    ("spin", "duration_s", "duration", _number, _POSITIVE, False),
+    ("spin", "meter_width", "meter_width", _number, _POSITIVE, False),
+    ("spin", "theta_grid_deg", "theta_grid", _theta_grid, None, True),
+    ("spin", "q_grid", "q_grid", _numbers, (lambda q: min(q) > 0.0, "must all be > 0"), True),
+    ("spin.theta_grid_deg", "start", "start", _number, None, True),
+    ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
+    ("spin.theta_grid_deg", "num", "num", _integer, _at_least(1), True),
+)
+_SPECS = {"orbit": OrbitSpec, "station": StationSpec, "optical": OpticalConfig,
+          "sweep": SweepSpec, "redshift": RedshiftParams, "noise": NoiseSpec,
+          "forecast": ForecastSpec, "fringe": FringeSpec, "spin": SpinSpec}
+
+
+def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
+    """({attribute: value}, violations) of one section; absent optional keys are left out."""
+    values, problems = {}, []
+    for key, attr, parse, bound, required in (row[1:] for row in _FIELDS if row[0] == section):
+        name = f"{section}.{key}" if section else key
+        if key not in tree:
+            if required:
+                problems.append(f"{name}: required field missing")
+            continue
+        try:
+            value = parse(tree[key], name)
+            if bound is not None and not bound[0](value):
+                raise ConfigInvalid([f"{name}: {tree[key]} {bound[1]}"])
+            values[attr] = value
+        except ConfigInvalid as exc:
+            problems.extend(exc.violations)
+    return values, problems
+
+
+def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
+    """Read, parse and walk the config once; the config is None on any violation."""
+    try:
+        tree = yaml.safe_load(_read_text(path))
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: impossible dates
+        return None, [f"config is not valid YAML: {exc}"]
+    if not isinstance(tree, dict):
+        return None, [f"config top level must be a mapping, got {type(tree).__name__}"]
+    top, problems = _walk(tree, None)
+    mode = top.get("mode")
+    if mode in STOCHASTIC_MODES and "seed" not in tree:
         problems.append(f"seed: required for stochastic mode '{mode}'")
+    values, specs = {}, {}
+    for section, spec in _SPECS.items():
+        if isinstance(tree.get(section), dict):
+            values[section], found = _walk(tree[section], section)
+            problems += found
+            if not found:
+                specs[section] = spec(**values[section])
+        elif section in _SECTION_BY_MODE.get(mode, ()):
+            problems.append(f"{section}: expected a mapping" if section in tree
+                            else f"{section}: section required for mode '{mode}'")
+    orbit = tree.get("orbit")
+    if isinstance(orbit, dict) and ("semi_major_axis_m" in orbit) == ("ephemeris_path" in orbit):
+        problems.append("orbit: semi_major_axis_m and ephemeris_path are exclusive; set one")
+    sweep = values.get("sweep", {})
+    if sweep.get("t_start", -math.inf) >= sweep.get("t_end", math.inf):
+        problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
+    noise = specs.get("noise")
+    # The largest window-probability sum cascade_intensities and simulate_counts reach.
+    if noise and noise.efficiency * (0.25 + 0.125 * noise.visibility) + 3 * noise.dark_rate > 1:
+        problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate must be <= 1")
+    orbit, station = specs.get("orbit"), specs.get("station")
+    if (orbit and orbit.semi_major_axis and station
+            and station.altitude >= orbit.semi_major_axis - R_EARTH):
+        problems.append(f"station.altitude_m: {station.altitude} must be below the orbit")
+    if problems:
+        return None, problems
+    if "GRAVLINK_OUTPUT_DIR" in os.environ:
+        top["output_dir"] = os.environ["GRAVLINK_OUTPUT_DIR"]
+    return ScenarioConfig(**top, **specs), []
 
-    out_dir = cfg.get("output_dir", "gravlink-out")
-    if not isinstance(out_dir, str) or not out_dir:
-        problems.append(f"output_dir: expected a non-empty string, got {out_dir!r}")
 
-    for section in _SECTION_BY_MODE.get(mode, ()):
-        if section not in cfg:
-            problems.append(f"{section}: section required for mode '{mode}'")
-        elif not isinstance(cfg[section], dict):
-            problems.append(f"{section}: expected a mapping")
+def ephemeris_orbit(cfg: ScenarioConfig, config_path: str) -> EphemerisTrajectory:
+    """The trajectory in the config's ephemeris file (relative to the config).
 
-    def section_of(name):
-        s = cfg.get(name)
-        return s if isinstance(s, dict) else None
-
-    orbit = section_of("orbit")
-    if orbit is not None:
-        has_analytic = "semi_major_axis_m" in orbit
-        has_file = "ephemeris_path" in orbit
-        if has_analytic and has_file:
-            problems.append(
-                "orbit: semi_major_axis_m and ephemeris_path are exclusive; set one"
-            )
-        elif not has_analytic and not has_file:
-            problems.append("orbit: set either semi_major_axis_m or ephemeris_path")
-        if has_analytic:
-            a = _get_number(orbit, "semi_major_axis_m", problems, "orbit")
-            if a is not None and not 6.5e6 <= a <= 5.0e7:
-                problems.append(
-                    f"orbit.semi_major_axis_m: {a} outside [6.5e6, 5e7] m"
-                )
-            for key in ("inclination_deg", "raan_deg", "phase_deg"):
-                _get_number(orbit, key, problems, "orbit", required=False)
-        if has_file and not isinstance(orbit["ephemeris_path"], str):
-            problems.append("orbit.ephemeris_path: expected a string path")
-
-    station = section_of("station")
-    if station is not None:
-        lat = _get_number(station, "latitude_deg", problems, "station")
-        if lat is not None and abs(lat) > 90.0:
-            problems.append(f"station.latitude_deg: {lat} outside [-90, 90]")
-        _get_number(station, "longitude_deg", problems, "station")
-        alt = _get_number(station, "altitude_m", problems, "station",
-                          required=False, default=0.0)
-        if alt is not None and alt < 0.0:
-            problems.append(f"station.altitude_m: {alt} must be >= 0")
-
-    optical = section_of("optical")
-    if optical is not None:
-        wavelength = _get_number(optical, "wavelength_m", problems, "optical")
-        if wavelength is not None and wavelength <= 0.0:
-            problems.append(f"optical.wavelength_m: {wavelength} must be > 0")
-        delay = _get_number(optical, "delay_length_m", problems, "optical")
-        if delay is not None and delay <= 0.0:
-            problems.append(f"optical.delay_length_m: {delay} must be > 0")
-        group = _get_number(optical, "group_index", problems, "optical",
-                            required=False, default=1.0)
-        if group is not None and group < 1.0:
-            problems.append(f"optical.group_index: {group} must be >= 1")
-        tau = _get_number(optical, "tau_l_s", problems, "optical",
-                          required=False)
-        if tau is not None and tau <= 0.0:
-            problems.append(f"optical.tau_l_s: {tau} must be > 0")
-
-    sweep = section_of("sweep")
-    if sweep is not None:
-        t0 = _get_number(sweep, "t_start_s", problems, "sweep")
-        t1 = _get_number(sweep, "t_end_s", problems, "sweep")
-        if t0 is not None and t1 is not None and t0 >= t1:
-            problems.append(f"sweep: t_start_s {t0} must be < t_end_s {t1}")
-        n = sweep.get("n_epochs")
-        if n is None:
-            problems.append("sweep.n_epochs: required field missing")
-        elif not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            problems.append(f"sweep.n_epochs: expected an integer >= 2, got {n!r}")
-
-    redshift = section_of("redshift")
-    if redshift is not None:
-        alpha = _get_number(redshift, "alpha", problems, "redshift",
-                            required=False, default=0.0)
-        if alpha is not None and abs(alpha) >= 1.0:
-            problems.append(f"redshift.alpha: |{alpha}| must be < 1")
-
-    noise = section_of("noise")
-    if noise is not None:
-        budget = noise.get("photon_budget", 0)
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-            problems.append(
-                f"noise.photon_budget: expected a non-negative integer, got {budget!r}"
-            )
-        eff = _get_number(noise, "efficiency", problems, "noise",
-                          required=False, default=1.0)
-        if eff is not None and not 0.0 <= eff <= 1.0:
-            problems.append(f"noise.efficiency: {eff} outside [0, 1]")
-        dark = _get_number(noise, "dark_rate", problems, "noise",
-                           required=False, default=0.0)
-        if dark is not None and dark < 0.0:
-            problems.append(f"noise.dark_rate: {dark} must be >= 0")
-        vis = _get_number(noise, "visibility", problems, "noise",
-                          required=False, default=1.0)
-        if vis is not None and not 0.0 <= vis <= 1.0:
-            problems.append(f"noise.visibility: {vis} outside [0, 1]")
-
-    forecast = section_of("forecast")
-    if forecast is not None:
-        trials = forecast.get("trials")
-        if trials is None:
-            problems.append("forecast.trials: required field missing")
-        elif not isinstance(trials, int) or isinstance(trials, bool) or trials < 10:
-            problems.append(f"forecast.trials: expected an integer >= 10, got {trials!r}")
-        points = forecast.get("scan_points", 8)
-        if not isinstance(points, int) or isinstance(points, bool) or points < 4:
-            problems.append(
-                f"forecast.scan_points: expected an integer >= 4, got {points!r}"
-            )
-        target = _get_number(forecast, "target_sigma_alpha", problems, "forecast",
-                             required=False, default=1e-5)
-        if target is not None and target <= 0.0:
-            problems.append(f"forecast.target_sigma_alpha: {target} must be > 0")
-
-    fringe = section_of("fringe")
-    if fringe is not None:
-        _get_number(fringe, "base_phase_rad", problems, "fringe",
-                    required=False, default=0.0)
-        points = fringe.get("scan_points", 16)
-        if not isinstance(points, int) or isinstance(points, bool) or points < 4:
-            problems.append(
-                f"fringe.scan_points: expected an integer >= 4, got {points!r}"
-            )
-        n_pp = fringe.get("n_per_point", 1000000)
-        if not isinstance(n_pp, int) or isinstance(n_pp, bool) or n_pp < 1:
-            problems.append(
-                f"fringe.n_per_point: expected a positive integer, got {n_pp!r}"
-            )
-
-    spin = section_of("spin")
-    if spin is not None:
-        grav = _get_number(spin, "gravity_mps2", problems, "spin",
-                           required=False, default=9.80665)
-        if grav is not None and grav <= 0.0:
-            problems.append(f"spin.gravity_mps2: {grav} must be > 0")
-        rotation = spin.get("rotation_rad_per_s", (0.0, 0.0, 7.2921159e-5))
-        if not (isinstance(rotation, (list, tuple)) and len(rotation) == 3
-                and all(_is_number(v) for v in rotation)):
-            problems.append(
-                f"spin.rotation_rad_per_s: expected a 3-vector of numbers, got {rotation!r}"
-            )
-        _get_number(spin, "coupling_k", problems, "spin", required=False, default=1.0)
-        _get_number(spin, "exchange_joule", problems, "spin", required=False, default=0.0)
-        duration = _get_number(spin, "duration_s", problems, "spin",
-                               required=False, default=1.0)
-        if duration is not None and duration <= 0.0:
-            problems.append(f"spin.duration_s: {duration} must be > 0")
-        width = _get_number(spin, "meter_width", problems, "spin",
-                            required=False, default=1.0)
-        if width is not None and width <= 0.0:
-            problems.append(f"spin.meter_width: {width} must be > 0")
-        theta = spin.get("theta_grid_deg")
-        if theta is None:
-            problems.append("spin.theta_grid_deg: required field missing")
-        elif isinstance(theta, dict):
-            for key in ("start", "stop", "num"):
-                if key not in theta:
-                    problems.append(f"spin.theta_grid_deg.{key}: required field missing")
-            num = theta.get("num")
-            if num is not None and (not isinstance(num, int) or num < 1):
-                problems.append(f"spin.theta_grid_deg.num: expected integer >= 1, got {num!r}")
-        elif isinstance(theta, (list, tuple)):
-            if not theta or not all(_is_number(v) for v in theta):
-                problems.append("spin.theta_grid_deg: expected a non-empty list of numbers")
-        else:
-            problems.append(
-                "spin.theta_grid_deg: expected a list or {start, stop, num} mapping"
-            )
-        q_grid = spin.get("q_grid")
-        if q_grid is None:
-            problems.append("spin.q_grid: required field missing")
-        elif not (isinstance(q_grid, (list, tuple)) and q_grid
-                  and all(_is_number(v) and v > 0 for v in q_grid)):
-            problems.append("spin.q_grid: expected a non-empty list of positive numbers")
-
-    return problems
+    Raises FileUnreadable, the parse_cpf errors, InsufficientRecords, or
+    OutOfRange when the sweep plus the longest light time leaves the table.
+    """
+    path = os.path.join(os.path.dirname(os.path.abspath(config_path)), cfg.orbit.ephemeris_path)
+    orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
+    reach = (max(math.hypot(*r.position) for r in orbit.table.records)
+             + R_EARTH + cfg.station.altitude) / C_LIGHT
+    if cfg.sweep.t_start < 0.0 or cfg.sweep.t_end + reach > orbit.table.span_seconds:
+        raise OutOfRange(f"sweep [{cfg.sweep.t_start:g}, {cfg.sweep.t_end:g}] s plus {reach:.3f} s "
+                         f"of light time leaves the table span [0, {orbit.table.span_seconds:g}] s")
+    return orbit
 
 
 def validate_config(path: str) -> list[str]:
-    """Full list of violations for the config at path; empty means valid."""
-    text = _read_text(path)
-    try:
-        tree = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        return [f"config is not valid YAML: {exc}"]
-    if not isinstance(tree, dict):
-        return [f"config top level must be a mapping, got {type(tree).__name__}"]
-    return _validate_tree(tree)
+    """Full list of violations for the config at path; empty means valid.
 
-
-def _build(tree: dict) -> ScenarioConfig:
-    mode = tree["mode"]
-    deg = math.radians
-
-    orbit = None
-    if isinstance(tree.get("orbit"), dict):
-        o = tree["orbit"]
-        orbit = OrbitSpec(
-            semi_major_axis=(float(o["semi_major_axis_m"])
-                             if "semi_major_axis_m" in o else None),
-            inclination=deg(float(o.get("inclination_deg", 0.0))),
-            raan=deg(float(o.get("raan_deg", 0.0))),
-            phase=deg(float(o.get("phase_deg", 0.0))),
-            ephemeris_path=o.get("ephemeris_path"),
-        )
-
-    station = None
-    if isinstance(tree.get("station"), dict):
-        s = tree["station"]
-        station = StationSpec(
-            latitude=deg(float(s["latitude_deg"])),
-            longitude=deg(float(s["longitude_deg"])),
-            altitude=float(s.get("altitude_m", 0.0)),
-        )
-
-    optical = None
-    if isinstance(tree.get("optical"), dict):
-        o = tree["optical"]
-        optical = OpticalConfig(
-            lambda0=float(o["wavelength_m"]),
-            delay_length=float(o["delay_length_m"]),
-            group_index=float(o.get("group_index", 1.0)),
-            tau_l=(float(o["tau_l_s"]) if o.get("tau_l_s") is not None else None),
-        )
-
-    sweep = None
-    if isinstance(tree.get("sweep"), dict):
-        s = tree["sweep"]
-        sweep = SweepSpec(
-            t_start=float(s["t_start_s"]),
-            t_end=float(s["t_end_s"]),
-            n_epochs=int(s["n_epochs"]),
-        )
-
-    redshift = RedshiftParams(0.0)
-    if isinstance(tree.get("redshift"), dict):
-        redshift = RedshiftParams(float(tree["redshift"].get("alpha", 0.0)))
-
-    noise = None
-    if isinstance(tree.get("noise"), dict):
-        n = tree["noise"]
-        noise = NoiseSpec(
-            photon_budget=int(n.get("photon_budget", 0)),
-            efficiency=float(n.get("efficiency", 1.0)),
-            dark_rate=float(n.get("dark_rate", 0.0)),
-            visibility=float(n.get("visibility", 1.0)),
-        )
-
-    forecast = None
-    if isinstance(tree.get("forecast"), dict):
-        f = tree["forecast"]
-        forecast = ForecastSpec(
-            trials=int(f["trials"]),
-            scan_points=int(f.get("scan_points", 8)),
-            target_sigma_alpha=float(f.get("target_sigma_alpha", 1e-5)),
-        )
-
-    fringe = None
-    if isinstance(tree.get("fringe"), dict):
-        f = tree["fringe"]
-        fringe = FringeSpec(
-            base_phase=float(f.get("base_phase_rad", 0.0)),
-            scan_points=int(f.get("scan_points", 16)),
-            n_per_point=int(f.get("n_per_point", 1000000)),
-        )
-
-    spin = None
-    if isinstance(tree.get("spin"), dict):
-        s = tree["spin"]
-        theta = s["theta_grid_deg"]
-        if isinstance(theta, dict):
-            theta_grid = tuple(
-                deg(v) for v in np.linspace(
-                    float(theta["start"]), float(theta["stop"]), int(theta["num"])
-                )
-            )
-        else:
-            theta_grid = tuple(deg(float(v)) for v in theta)
-        spin = SpinSpec(
-            gravity=float(s.get("gravity_mps2", 9.80665)),
-            rotation=tuple(float(v) for v in s.get("rotation_rad_per_s",
-                                                   (0.0, 0.0, 7.2921159e-5))),
-            coupling_k=float(s.get("coupling_k", 1.0)),
-            exchange=float(s.get("exchange_joule", 0.0)),
-            duration=float(s.get("duration_s", 1.0)),
-            theta_grid=theta_grid,
-            q_grid=tuple(float(v) for v in s["q_grid"]),
-            meter_width=float(s.get("meter_width", 1.0)),
-        )
-
-    return ScenarioConfig(
-        mode=mode,
-        seed=tree.get("seed"),
-        output_dir=os.environ.get("GRAVLINK_OUTPUT_DIR",
-                                  tree.get("output_dir", "gravlink-out")),
-        orbit=orbit,
-        station=station,
-        optical=optical,
-        sweep=sweep,
-        redshift=redshift,
-        noise=noise,
-        forecast=forecast,
-        fringe=fringe,
-        spin=spin,
-    )
+    An ephemeris orbit's file is read and checked as run does (ephemeris_orbit).
+    """
+    cfg, problems = _load(path)
+    if cfg and "orbit" in _SECTION_BY_MODE[cfg.mode] and cfg.orbit.ephemeris_path:
+        try:
+            ephemeris_orbit(cfg, path)
+        except GravlinkError as exc:
+            problems.append(f"orbit.ephemeris_path: {type(exc).__name__}: {exc}")
+    return problems
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -463,10 +322,9 @@ def load_config(path: str) -> ScenarioConfig:
 
     Raises FileUnreadable or ConfigInvalid (with the complete violation
     list). The GRAVLINK_OUTPUT_DIR environment variable overrides the
-    configured output directory.
+    configured output directory. The ephemeris file is not read here.
     """
-    problems = validate_config(path)
+    cfg, problems = _load(path)
     if problems:
         raise ConfigInvalid(problems)
-    tree = yaml.safe_load(_read_text(path))
-    return _build(tree)
+    return cfg

@@ -1,15 +1,24 @@
 """Scenario config validation and the command-line front end."""
 
+import contextlib
+import copy
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gravlink
+import gravlink.config
 from gravlink import __version__
 from gravlink.cli import main
 from gravlink.config import load_config, validate_config
@@ -103,6 +112,45 @@ spin:
   q_grid: [1.0e-3, 1.0e-1]
 """
 
+SMALL_EPHEMERIS = """
+mode: redshift-pass
+output_dir: {out}
+orbit:
+  ephemeris_path: {cpf}
+station:
+  latitude_deg: 0.0
+  longitude_deg: 0.0
+optical:
+  wavelength_m: 800.0e-9
+  delay_length_m: 6000.0
+sweep:
+  t_start_s: 300.0
+  t_end_s: {t_end}
+  n_epochs: 6
+"""
+SAMPLE_CPF = SCENARIOS / "leo_sample.cpf"  # 41 records, 60 s apart: span 2400 s
+
+# Inputs that validate once accepted and run then crashed or misbehaved on;
+# each is a config problem, so both commands exit 2.
+DEFECTS = [
+    ("theta_string", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     'theta_grid_deg: {start: "x", stop: 85.0, num: 4}', "spin.theta_grid_deg.start:"),
+    ("theta_num_bool", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: {start: 0.0, stop: 85.0, num: true}", "spin.theta_grid_deg.num:"),
+    ("dark_rate", SMALL_FRINGE, "visibility: 1.0", "visibility: 1.0\n  dark_rate: 0.6",
+     "noise:"),
+    ("station_above_orbit", SMALL_PASS, "longitude_deg: 0.0",
+     "longitude_deg: 0.0\n  altitude_m: 5.0e+5", "station.altitude_m:"),
+    ("nan", SMALL_PASS, "t_end_s: 60.0", "t_end_s: .nan", "sweep.t_end_s:"),
+    ("inf", SMALL_PASS, "delay_length_m: 6000.0", "delay_length_m: .inf",
+     "optical.delay_length_m:"),
+    ("minus_inf", SMALL_PASS, "longitude_deg: 0.0", "longitude_deg: -.inf",
+     "station.longitude_deg:"),
+    ("exponent_string", SMALL_PASS, "6.771e+6", "6.771e6", "orbit.semi_major_axis_m:"),
+    ("nan_rotation", SMALL_WEAKVALUE, "q_grid:",
+     "rotation_rad_per_s: [.nan, 0.0, 1.0e-4]\n  q_grid:", "spin.rotation_rad_per_s:"),
+]
+
 
 class TestValidateConfig:
     @pytest.mark.parametrize(
@@ -162,6 +210,61 @@ spin:
         text = "\n".join(problems)
         assert "theta_grid_deg.num" in text
         assert "q_grid" in text
+
+    @pytest.mark.parametrize("dark_rate, valid", [("0.2", True), ("0.21", False)])
+    def test_noise_window_probability_at_most_one(self, tmp_path, dark_rate, valid):
+        # efficiency 1, visibility 1: 0.375 + 3 * dark_rate must stay <= 1
+        cfg = SMALL_FRINGE.format(out="out", vis="1.0") + f"  dark_rate: {dark_rate}\n"
+        problems = validate_config(write_yaml(tmp_path, cfg))
+        assert [p.split(":")[0] for p in problems] == ([] if valid else ["noise"])
+
+    @pytest.mark.parametrize("altitude, valid", [("3.0e+5", True), ("4.0e+5", False)])
+    def test_station_below_analytic_orbit(self, tmp_path, altitude, valid):
+        # semi_major_axis_m 6.771e6 sits 4.0e5 m above R_EARTH = 6.371e6 m
+        cfg = SMALL_PASS.format(out="out").replace(
+            "longitude_deg: 0.0", f"longitude_deg: 0.0\n  altitude_m: {altitude}")
+        problems = validate_config(write_yaml(tmp_path, cfg))
+        assert [p.split(":")[0] for p in problems] == ([] if valid else ["station.altitude_m"])
+
+    def test_exponent_without_dot_names_the_yaml_rule(self, tmp_path):
+        cfg = SMALL_PASS.format(out="out").replace("6.771e+6", "6.771e6")
+        (problem,) = validate_config(write_yaml(tmp_path, cfg))
+        assert problem.startswith("orbit.semi_major_axis_m: expected a finite number")
+        assert "PyYAML" in problem and "write 6.771e+6" in problem
+
+    def test_negative_seed_rejected(self, tmp_path):
+        cfg = SMALL_FRINGE.format(out="out", vis="1.0").replace("seed: 7", "seed: -7")
+        assert validate_config(write_yaml(tmp_path, cfg))[0].startswith("seed:")
+
+    @pytest.mark.parametrize("records, t_end, error", [
+        (None, "900.0", "FileUnreadable"),
+        (0, "900.0", "EmptyEphemeris"),
+        (3, "100.0", "InsufficientRecords"),
+        (41, "2400.0", "OutOfRange"),
+    ], ids=["missing", "empty", "three_records", "past_span"])
+    def test_validate_reads_the_ephemeris(self, tmp_path, capsys, records, t_end, error):
+        cpf = tmp_path / "orbit.cpf"
+        if records is not None:
+            lines = SAMPLE_CPF.read_text(encoding="utf-8").splitlines()
+            cpf.write_text("\n".join(lines[2:2 + records]), encoding="utf-8")
+        cfg = SMALL_EPHEMERIS.format(out="out", cpf=cpf.name, t_end=t_end)
+        cfg = cfg.replace("t_start_s: 300.0", "t_start_s: 0.0")
+        assert main(["validate", write_yaml(tmp_path, cfg)]) == 2
+        assert f"violation: orbit.ephemeris_path: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, template, old, new, prefix", DEFECTS,
+                             ids=[d[0] for d in DEFECTS])
+    def test_defect_inputs_exit_two(self, tmp_path, monkeypatch, capsys,
+                                    name, template, old, new, prefix):
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        text = template.format(out="ignored", vis="1.0")
+        assert old in text
+        path = write_yaml(tmp_path, text.replace(old, new))
+        assert main(["validate", path]) == 2
+        assert f"violation: {prefix}" in capsys.readouterr().err
+        assert main(["run", path]) == 2
+        assert f"violation: {prefix}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestLoadConfig:
@@ -337,3 +440,89 @@ class TestCliRuns:
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
         assert main(["run", path]) == 3
         assert "error[EmptyEphemeris]" in capsys.readouterr().err
+
+    def test_sweep_past_ephemeris_span_fails_before_output(self, tmp_path, monkeypatch,
+                                                           capsys):
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="2400.0")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", write_yaml(tmp_path, cfg)]) == 3
+        assert "error[OutOfRange]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_parses_the_ephemeris_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = gravlink.config.parse_cpf
+        monkeypatch.setattr(gravlink.config, "parse_cpf",
+                            lambda text: calls.append(1) or parse(text))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="900.0")
+        assert main(["run", write_yaml(tmp_path, cfg)]) == 0
+        assert len(calls) == 1
+
+    def test_library_value_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(gravlink.cli, "amplification_scan", diverge)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        path = write_yaml(tmp_path, SMALL_WEAKVALUE.format(out="ignored"))
+        assert main(["run", path]) == 3
+        assert "error[LinAlgError]: Eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_integer_beyond_int64_exits_three(self, tmp_path, monkeypatch, capsys):
+        cfg = SMALL_FRINGE.format(out="ignored", vis="1.0").replace(
+            "n_per_point: 20000", f"n_per_point: {10**30}")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", write_yaml(tmp_path, cfg)]) == 3
+        assert "error[OverflowError]" in capsys.readouterr().err
+
+
+def _leaves(node, path=()):
+    """Key paths to every scalar in a parsed YAML tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+CONTRACT_TREES = [yaml.safe_load(text) for text in (
+    SMALL_PASS.format(out="ignored"),
+    SMALL_FORECAST.format(out="ignored"),
+    SMALL_FRINGE.format(out="ignored", vis="1.0"),
+    SMALL_WEAKVALUE.format(out="ignored"),
+    SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="900.0"),
+)]
+HOSTILE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, "x", True, None, [], {}, "6.771e6"]),
+    st.floats(min_value=-1e6, max_value=-1e-6),
+    st.integers(min_value=-3, max_value=12),  # capped so that every run stays short
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_hostile_leaf(self, data):
+        tree = copy.deepcopy(data.draw(st.sampled_from(CONTRACT_TREES)))
+        *parents, last = data.draw(st.sampled_from(_leaves(tree)))
+        node = tree
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(HOSTILE)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(tree, fh)
+            err = io.StringIO()
+            with (mock.patch.dict(os.environ, {"GRAVLINK_OUTPUT_DIR": os.path.join(tmp, "out")}),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                validated = main(["validate", path])
+                ran = main(["run", path])
+        assert validated in (0, 2)
+        assert ran in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if validated == 0:
+            assert ran != 2, err.getvalue()
