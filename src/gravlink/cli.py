@@ -15,6 +15,7 @@ columnar outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from pathlib import Path
@@ -81,37 +82,27 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
     station, orbit = _build_trajectories(cfg, config_path)
     optics, red = cfg.optical, cfg.redshift
     scale = optics.phase_scale
-    epochs, geoms = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end,
-                               cfg.sweep.n_epochs)
-
-    rows = ["# t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad "
-            "expanded_s_rad residual_rad"]
-    max_doppler = 0.0
-    max_gravity = 0.0
-    max_resid = 0.0
-    beta_max = 0.0
-    for t, geom in zip(epochs, geoms):
-        pair = phase_pair(geom, optics, red)
-        du = geom.U2 - geom.U1
-        doppler_phase = scale * first_order_doppler_shift(geom)
-        expanded = scale * expanded_signal(geom, red)
-        resid = pair.s_signal - expanded
-        max_doppler = max(max_doppler, abs(doppler_phase))
-        max_gravity = max(max_gravity, abs(scale * du))
-        max_resid = max(max_resid, abs(resid))
-        beta_max = max(beta_max, float(np.linalg.norm(geom.beta2)),
-                       float(np.linalg.norm(geom.beta1)))
-        rows.append(
-            f"{t:.12e} {du:.12e} {pair.phi_sc:.12e} {pair.phi_gs:.12e} "
-            f"{pair.s_signal:.12e} {doppler_phase:.12e} {expanded:.12e} "
-            f"{resid:.12e}"
-        )
-
+    epochs, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end,
+                              cfg.sweep.n_epochs)
+    pair = phase_pair(geom, optics, red)
+    du = geom.U2 - geom.U1
+    doppler_phase = scale * first_order_doppler_shift(geom)
+    expanded = scale * expanded_signal(geom, red)
+    resid = pair.s_signal - expanded
+    columns = np.stack([epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal, doppler_phase,
+                        expanded, resid], axis=1)
+    table = io.StringIO()
+    np.savetxt(table, columns, fmt="%.12e", comments="# ",
+               header="t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad "
+                      "expanded_s_rad residual_rad")
     out_dir = Path(cfg.output_dir)
-    _write(out_dir, "pass_sweep.txt", "\n".join(rows) + "\n")
+    _write(out_dir, "pass_sweep.txt", table.getvalue())
 
-    mean_orbit_radius = float(np.mean([np.linalg.norm(
-        orbit.state(t).position) for t in epochs]))
+    max_doppler = float(np.max(np.abs(doppler_phase)))
+    max_gravity = float(np.max(np.abs(scale * du)))
+    max_resid = float(np.max(np.abs(resid)))
+    beta_max = float(np.max(np.linalg.norm([geom.beta1, geom.beta2], axis=-1)))
+    mean_orbit_radius = float(np.mean(np.linalg.norm(orbit.states(epochs)[0], axis=-1)))
     height = mean_orbit_radius - (R_EARTH + cfg.station.altitude)
     phi_uniform = gravitational_phase(optics, G_STD, height, red.alpha)
     ratio = max_doppler / max_gravity if max_gravity > 0 else math.inf
@@ -338,9 +329,10 @@ def main(argv=None) -> int:
         else:
             print(f"error[FileUnreadable]: {exc}", file=sys.stderr)
         return 2
-    except (GravlinkError, ValueError, OverflowError) as exc:
+    except (GravlinkError, ValueError, OverflowError, MemoryError) as exc:
         # ValueError: library argument checks and numpy's LinAlgError;
-        # OverflowError: integers beyond numpy's int64
+        # OverflowError: integers beyond numpy's int64; MemoryError: an epoch
+        # batch too large to allocate
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 

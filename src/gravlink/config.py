@@ -169,6 +169,11 @@ def _at_least(lo):
     return (lambda x: x >= lo, f"must be >= {lo}")
 
 
+def _count(lo, hi=2**31 - 1):
+    """Bound of an integer size: sizes past hi would only exhaust memory or time."""
+    return (lambda x: lo <= x <= hi, f"must be in [{lo}, {hi}]")
+
+
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
@@ -195,18 +200,18 @@ _FIELDS = (
     ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, False),
     ("sweep", "t_start_s", "t_start", _number, None, True),
     ("sweep", "t_end_s", "t_end", _number, None, True),
-    ("sweep", "n_epochs", "n_epochs", _integer, _at_least(2), True),
+    ("sweep", "n_epochs", "n_epochs", _integer, _count(2), True),
     ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"), False),
-    ("noise", "photon_budget", "photon_budget", _integer, _at_least(0), False),
+    ("noise", "photon_budget", "photon_budget", _integer, _count(0), False),
     ("noise", "efficiency", "efficiency", _number, _FRACTION, False),
     ("noise", "dark_rate", "dark_rate", _number, _at_least(0), False),
     ("noise", "visibility", "visibility", _number, _FRACTION, False),
-    ("forecast", "trials", "trials", _integer, _at_least(10), True),
-    ("forecast", "scan_points", "scan_points", _integer, _at_least(4), False),
+    ("forecast", "trials", "trials", _integer, _count(10), True),
+    ("forecast", "scan_points", "scan_points", _integer, _count(4), False),
     ("forecast", "target_sigma_alpha", "target_sigma_alpha", _number, _POSITIVE, False),
     ("fringe", "base_phase_rad", "base_phase", _number, None, False),
-    ("fringe", "scan_points", "scan_points", _integer, _at_least(4), False),
-    ("fringe", "n_per_point", "n_per_point", _integer, _at_least(1), False),
+    ("fringe", "scan_points", "scan_points", _integer, _count(4), False),
+    ("fringe", "n_per_point", "n_per_point", _integer, _count(1), False),
     ("spin", "gravity_mps2", "gravity", _number, _POSITIVE, False),
     ("spin", "rotation_rad_per_s", "rotation", _numbers,
      (lambda v: len(v) == 3, "must have 3 components"), False),
@@ -218,7 +223,8 @@ _FIELDS = (
     ("spin", "q_grid", "q_grid", _numbers, (lambda q: min(q) > 0.0, "must all be > 0"), True),
     ("spin.theta_grid_deg", "start", "start", _number, None, True),
     ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
-    ("spin.theta_grid_deg", "num", "num", _integer, _at_least(1), True),
+    # validate builds the grid itself, so its size stays far below the other counts
+    ("spin.theta_grid_deg", "num", "num", _integer, _count(1, 10**6), True),
 )
 _SPECS = {"orbit": OrbitSpec, "station": StationSpec, "optical": OpticalConfig,
           "sweep": SweepSpec, "redshift": RedshiftParams, "noise": NoiseSpec,
@@ -241,6 +247,9 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
             values[attr] = value
         except ConfigInvalid as exc:
             problems.extend(exc.violations)
+    known = {row[1] for row in _FIELDS if row[0] == section} | (set() if section else set(_SPECS))
+    problems += [f"{section}.{key}: unknown key" if section else f"{key}: unknown key"
+                 for key in tree if key not in known]
     return values, problems
 
 
@@ -290,16 +299,20 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
 def ephemeris_orbit(cfg: ScenarioConfig, config_path: str) -> EphemerisTrajectory:
     """The trajectory in the config's ephemeris file (relative to the config).
 
-    Raises FileUnreadable, the parse_cpf errors, InsufficientRecords, or
-    OutOfRange when the sweep plus the longest light time leaves the table.
+    Raises FileUnreadable, the parse_cpf errors, InsufficientRecords,
+    OutOfRange when the sweep plus the longest light time leaves the table,
+    or ConfigInvalid when the station is not below every record.
     """
     path = os.path.join(os.path.dirname(os.path.abspath(config_path)), cfg.orbit.ephemeris_path)
     orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
-    reach = (max(math.hypot(*r.position) for r in orbit.table.records)
-             + R_EARTH + cfg.station.altitude) / C_LIGHT
+    radii = np.linalg.norm(orbit.table.positions, axis=1)
+    reach = (radii.max() + R_EARTH + cfg.station.altitude) / C_LIGHT
     if cfg.sweep.t_start < 0.0 or cfg.sweep.t_end + reach > orbit.table.span_seconds:
         raise OutOfRange(f"sweep [{cfg.sweep.t_start:g}, {cfg.sweep.t_end:g}] s plus {reach:.3f} s "
                          f"of light time leaves the table span [0, {orbit.table.span_seconds:g}] s")
+    if cfg.station.altitude >= radii.min() - R_EARTH:
+        raise ConfigInvalid([f"station.altitude_m: {cfg.station.altitude} must be below the "
+                             f"orbit (lowest record {radii.min() - R_EARTH:.6g} m up)"])
     return orbit
 
 
@@ -312,6 +325,8 @@ def validate_config(path: str) -> list[str]:
     if cfg and "orbit" in _SECTION_BY_MODE[cfg.mode] and cfg.orbit.ephemeris_path:
         try:
             ephemeris_orbit(cfg, path)
+        except ConfigInvalid as exc:
+            problems += exc.violations
         except GravlinkError as exc:
             problems.append(f"orbit.ephemeris_path: {type(exc).__name__}: {exc}")
     return problems

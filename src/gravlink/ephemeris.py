@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     NonMonotonicTime,
     OutOfRange,
 )
-from .kinematics import StateVector
+from .kinematics import StateVector, Trajectory, _epochs, _reject, earth_rotation_vector, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -81,9 +82,23 @@ class EphemerisTable:
         return self.records[-1].epoch_seconds() - self.records[0].epoch_seconds()
 
     def relative_epochs(self) -> np.ndarray:
-        """Record epochs in seconds since the first record."""
+        """Record epochs in seconds since the first record (cached, read-only)."""
+        return self._relative_epochs
+
+    @cached_property
+    def _relative_epochs(self) -> np.ndarray:
         t0 = self.records[0].epoch_seconds()
-        return np.array([r.epoch_seconds() - t0 for r in self.records])
+        return _read_only(np.array([r.epoch_seconds() - t0 for r in self.records]))
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Earth-fixed record positions (n_records, 3) [m] (cached, read-only)."""
+        return _read_only(np.array([r.position for r in self.records], dtype=float))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def parse_cpf(text: str) -> EphemerisTable:
@@ -182,45 +197,50 @@ def validate_table(table: EphemerisTable) -> list[str]:
     return problems
 
 
-def _lagrange_weights(nodes: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange basis values and first derivatives at t over the nodes."""
-    n = len(nodes)
-    values = np.empty(n)
-    derivs = np.empty(n)
-    for i in range(n):
-        others = np.delete(nodes, i)
-        denom = np.prod(nodes[i] - others)
-        values[i] = np.prod(t - others) / denom
-        # d/dt prod_j (t - t_j) = sum_k prod_{j != k} (t - t_j)
-        dsum = 0.0
-        for k in range(n - 1):
-            dsum += np.prod(np.delete(t - others, k))
-        derivs[i] = dsum / denom
-    return values, derivs
+def _lagrange_basis(t: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange basis values and first derivatives at t (N,) over node windows (N, w).
+
+    First barycentric form L_j(t) = w_j prod_{k != j} (t - x_k) with weights
+    w_j = 1 / prod_{k != j} (x_j - x_k) (Berrut & Trefethen, SIAM Review 46,
+    501, 2004), and L_j' by the product rule. Nothing divides by t - x_j, so
+    a query next to a node keeps full accuracy; on a node x_j the two
+    products of L_j are the same, so the basis is exactly the unit vector.
+    """
+    offsets = t[:, None] - nodes
+    values = np.ones_like(offsets)
+    derivs = np.zeros_like(offsets)
+    denoms = np.ones_like(offsets)
+    for k in range(nodes.shape[1]):
+        j = np.arange(nodes.shape[1]) != k
+        derivs[:, j] = derivs[:, j] * offsets[:, k, None] + values[:, j]
+        values[:, j] *= offsets[:, k, None]
+        denoms[:, j] *= nodes[:, j] - nodes[:, k, None]
+    return values / denoms, derivs / denoms
 
 
 def interpolate_state(table: EphemerisTable, t) -> StateVector:
-    """Interpolated inertial-frame state at epoch t.
+    """Interpolated inertial-frame state(s) at epoch(s) t.
 
     Parameters
     ----------
     table : EphemerisTable
-    t : (mjd, sod) pair or float
-        Absolute epoch, or seconds relative to the first record.
+    t : (mjd, sod) pair, float, or array of floats
+        Absolute epoch, or seconds relative to the first record; an array
+        gives one row per epoch.
 
     Returns
     -------
     StateVector
-        Inertial-frame state. The inertial frame is aligned with the
-        Earth-fixed frame at the first record's epoch; `epoch` is seconds
-        since that alignment.
+        Inertial-frame state, (N, 3) rows for an array of epochs. The
+        inertial frame is aligned with the Earth-fixed frame at the first
+        record's epoch; `epoch` is seconds since that alignment.
 
     Raises
     ------
     InsufficientRecords
         Fewer than 4 records.
     OutOfRange
-        Epoch outside the tabulated span.
+        An epoch outside the tabulated span (the first one is named).
 
     Notes
     -----
@@ -235,42 +255,34 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
         raise InsufficientRecords(
             f"interpolation needs >= 4 records, table has {table.n_records}"
         )
-    t0 = table.records[0].epoch_seconds()
     if isinstance(t, (tuple, list)):
         mjd, sod = t
-        t_rel = mjd * SECONDS_PER_DAY + sod - t0
-    else:
-        t_rel = float(t)
+        t = mjd * SECONDS_PER_DAY + sod - table.records[0].epoch_seconds()
+    t_rel = _epochs(t)
     epochs = table.relative_epochs()
-    if t_rel < epochs[0] or t_rel > epochs[-1]:
-        raise OutOfRange(
-            f"t = {t_rel:.3f} s outside table span [0, {epochs[-1]:.3f}] s"
-        )
+    _reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), t_rel, OutOfRange,
+            f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s")
     n = table.n_records
     width = min(_MAX_WINDOW, n)
-    i = int(np.searchsorted(epochs, t_rel))
-    start = min(max(i - width // 2, 0), n - width)
-    nodes = epochs[start : start + width]
-    coords = np.array([table.records[j].position for j in range(start, start + width)])
-    values, derivs = _lagrange_weights(nodes, t_rel)
-    pos_ecef = values @ coords
-    vel_ecef = derivs @ coords
-
+    start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
+    window = start[:, None] + np.arange(width)
+    values, derivs = _lagrange_basis(t_rel, epochs[window])
+    coords = table.positions[window]
     theta = OMEGA_EARTH * t_rel
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rot = np.array([[cos_t, -sin_t, 0.0], [sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
-    pos_eci = rot @ pos_ecef
-    omega_vec = np.array([0.0, 0.0, OMEGA_EARTH])
-    vel_eci = rot @ vel_ecef + np.cross(omega_vec, pos_eci)
-    return StateVector(position=pos_eci, velocity=vel_eci, epoch=t_rel)
+    pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
+    vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
+    vel += np.cross(earth_rotation_vector(), pos)
+    if np.ndim(t) == 0:
+        return StateVector(position=pos[0], velocity=vel[0], epoch=float(t_rel[0]))
+    return StateVector(position=pos, velocity=vel, epoch=t_rel)
 
 
-class EphemerisTrajectory:
+class EphemerisTrajectory(Trajectory):
     """Time-parameterized state source backed by a parsed table.
 
     Scenario time t = 0 is pinned to the table's first record, where the
-    inertial and Earth-fixed frames coincide. Matches the protocol of the
-    analytic trajectory classes (state / acceleration).
+    inertial and Earth-fixed frames coincide. Implements the trajectory
+    protocol of the analytic classes (states / accelerations).
     """
 
     def __init__(self, table: EphemerisTable):
@@ -280,15 +292,15 @@ class EphemerisTrajectory:
             )
         self.table = table
 
-    def state(self, t: float) -> StateVector:
-        return interpolate_state(self.table, t)
+    def states(self, t):
+        s = interpolate_state(self.table, _epochs(t))
+        return s.position, s.velocity
 
-    def acceleration(self, t: float) -> np.ndarray:
+    def accelerations(self, t):
         """Central-difference acceleration [m/s^2]; step shrinks at the edges."""
-        span = self.table.span_seconds
-        h = min(1.0, t, span - t)
-        if h <= 0.0:
-            raise OutOfRange("acceleration needs interior epochs")
-        before = self.state(t - h).velocity
-        after = self.state(t + h).velocity
-        return (after - before) / (2.0 * h)
+        t = _epochs(t)
+        h = np.minimum(np.minimum(1.0, t), self.table.span_seconds - t)
+        _reject(h <= 0.0, t, OutOfRange, "acceleration needs interior epochs (t = {:.6g} s)")
+        before = self.states(t - h)[1]
+        after = self.states(t + h)[1]
+        return (after - before) / (2.0 * h[:, None])

@@ -41,24 +41,29 @@ _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is 
 
 @dataclass(frozen=True)
 class PassDataset:
-    """Per-epoch link geometry plus measured phases.
+    """Link geometry plus measured phases over the epochs of a pass.
 
-    phase_measurements rows are (phi_sc, sigma_sc, phi_gs, sigma_gs) in
-    radians; phases must be unwrapped (absolute), not fringe-wrapped.
+    geometries is a LinkGeometry batch (a sequence of one-epoch geometries
+    is stacked into one); phase_measurements rows are (phi_sc, sigma_sc,
+    phi_gs, sigma_gs) in radians, one per epoch; phases must be unwrapped
+    (absolute), not fringe-wrapped.
     """
 
-    epochs: tuple
-    geometries: tuple
-    phase_measurements: tuple
+    epochs: np.ndarray
+    geometries: LinkGeometry
+    phase_measurements: np.ndarray
 
     def __post_init__(self):
         if not (len(self.epochs) == len(self.geometries) == len(self.phase_measurements)):
             raise ValueError("epochs, geometries, and measurements must align")
-        for row in self.phase_measurements:
-            if len(row) != 4:
-                raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
-            if row[1] <= 0.0 or row[3] <= 0.0:
-                raise ValueError("phase uncertainties must be positive")
+        rows = np.asarray(self.phase_measurements, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
+        if np.any(rows[:, 1] <= 0.0) or np.any(rows[:, 3] <= 0.0):
+            raise ValueError("phase uncertainties must be positive")
+        object.__setattr__(self, "epochs", np.asarray(self.epochs, dtype=float))
+        object.__setattr__(self, "geometries", LinkGeometry.stack(self.geometries))
+        object.__setattr__(self, "phase_measurements", rows)
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -83,18 +88,17 @@ class TrialResult(NamedTuple):
 
 
 def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
-               n_epochs: int) -> tuple[np.ndarray, list[LinkGeometry]]:
-    """Link geometries on a uniform grid of emission epochs."""
+               n_epochs: int) -> tuple[np.ndarray, LinkGeometry]:
+    """Link geometry batch on a uniform grid of emission epochs."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be >= 1")
     epochs = np.linspace(t_start, t_end, n_epochs)
-    geometries = [build_link_geometry(gs_trajectory, sc_trajectory, t) for t in epochs]
-    return epochs, geometries
+    return epochs, build_link_geometry(gs_trajectory, sc_trajectory, epochs)
 
 
 def synthesize_measurements(
     epochs: Sequence[float],
-    geometries: Sequence[LinkGeometry],
+    geometries,
     cfg: OpticalConfig,
     red: RedshiftParams,
     sigma_sc: float = 0.0,
@@ -104,40 +108,33 @@ def synthesize_measurements(
 ) -> PassDataset:
     """Generate per-epoch phase measurements with Gaussian phase noise.
 
-    model = "expanded" (default) builds the one-way phase from the
-    second-order signal model plus half the exact round-trip phase, so the
-    regression model inverts it exactly; "exact" uses the exact frequency
-    ratios for both phases, which leaves the O(beta^3) truncation visible
-    to the estimator.
+    geometries is a LinkGeometry batch or a sequence of one-epoch
+    geometries. model = "expanded" (default) builds the one-way phase from
+    the second-order signal model plus half the exact round-trip phase, so
+    the regression model inverts it exactly; "exact" uses the exact
+    frequency ratios for both phases, which leaves the O(beta^3) truncation
+    visible to the estimator. With a seed, noise is drawn epoch by epoch,
+    the one-way phase before the round-trip one.
 
     Note the phases are ~1e6 rad, so reconstructing s = phi_sc - phi_gs/2
     from the stored doubles is good to ~1e-10 rad, not machine epsilon.
     """
     if model not in ("expanded", "exact"):
         raise ValueError(f"unknown synthesis model '{model}'")
-    rng = np.random.default_rng(seed) if seed is not None else None
+    geoms = LinkGeometry.stack(geometries)
     scale = cfg.phase_scale
-    rows = []
-    for geom in geometries:
-        phi_gs = scale * roundtrip_fractional_shift(geom)
-        if model == "expanded":
-            phi_sc = scale * expanded_signal(geom, red) + 0.5 * phi_gs
-        else:
-            pair = phase_pair(geom, cfg, red)
-            phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
-        if rng is not None:
-            if sigma_sc > 0.0:
-                phi_sc += rng.normal(0.0, sigma_sc)
-            if sigma_gs > 0.0:
-                phi_gs += rng.normal(0.0, sigma_gs)
-        rows.append(
-            (phi_sc, max(sigma_sc, _SIGMA_FLOOR), phi_gs, max(sigma_gs, _SIGMA_FLOOR))
-        )
-    return PassDataset(
-        epochs=tuple(float(t) for t in epochs),
-        geometries=tuple(geometries),
-        phase_measurements=tuple(rows),
-    )
+    if model == "expanded":
+        phi_gs = scale * roundtrip_fractional_shift(geoms)
+        phi_sc = scale * expanded_signal(geoms, red) + 0.5 * phi_gs
+    else:
+        pair = phase_pair(geoms, cfg, red)
+        phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
+    if seed is not None:
+        noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs], (len(geoms), 2))
+        phi_sc, phi_gs = phi_sc + noise[:, 0], phi_gs + noise[:, 1]
+    rows = np.stack(np.broadcast_arrays(phi_sc, max(sigma_sc, _SIGMA_FLOOR),
+                                        phi_gs, max(sigma_gs, _SIGMA_FLOOR)), axis=1)
+    return PassDataset(epochs=epochs, geometries=geoms, phase_measurements=rows)
 
 
 def estimate_alpha(
@@ -164,19 +161,17 @@ def estimate_alpha(
     if geometry_model not in ("expanded", "exact"):
         raise ValueError(f"unknown geometry model '{geometry_model}'")
     scale = cfg.phase_scale
-    x = np.array([g.U2 - g.U1 for g in data.geometries])
-    y = np.empty_like(x)
-    weights = np.empty_like(x)
-    for i, (geom, row) in enumerate(zip(data.geometries, data.phase_measurements)):
-        phi_sc, sig_sc, phi_gs, sig_gs = row
-        s_meas = phi_sc - 0.5 * phi_gs
-        if geometry_model == "expanded":
-            y[i] = s_meas / scale - velocity_terms(geom)
-        else:
-            s_model = phase_pair(geom, cfg, RedshiftParams(0.0)).s_signal
-            y[i] = (s_meas - s_model) / scale + x[i]
-        var_s = sig_sc**2 + 0.25 * sig_gs**2
-        weights[i] = scale**2 / var_s   # weight of y in signal-fraction units
+    geoms = data.geometries
+    phi_sc, sig_sc, phi_gs, sig_gs = data.phase_measurements.T
+    x = geoms.U2 - geoms.U1
+    s_meas = phi_sc - 0.5 * phi_gs
+    if geometry_model == "expanded":
+        y = s_meas / scale - velocity_terms(geoms)
+    else:
+        s_model = phase_pair(geoms, cfg, RedshiftParams(0.0)).s_signal
+        y = (s_meas - s_model) / scale + x
+    var_s = sig_sc**2 + 0.25 * sig_gs**2
+    weights = scale**2 / var_s   # weight of y in signal-fraction units
 
     leverage = float(np.sum(weights * x * x))
     if leverage <= 0.0 or not math.isfinite(leverage):
@@ -226,24 +221,27 @@ class ForecastResult:
 
 
 def run_forecast_trial(
-    truth: Sequence[PhasePair],
-    model_pairs: Sequence[PhasePair],
-    epochs: Sequence[float],
-    geometries: Sequence[LinkGeometry],
+    truth: PhasePair,
+    model_pairs: PhasePair,
+    epochs: np.ndarray,
+    geometries: LinkGeometry,
     cfg: OpticalConfig,
     scenario: ForecastScenario,
     n_per_point: int,
     trial_seed,
 ) -> AlphaEstimate:
     """One end-to-end trial: fringe scans at both terminals, phase fits,
-    unwrap against the zero-violation model, regression."""
+    unwrap against the zero-violation model, regression.
+
+    truth and model_pairs hold the true and zero-violation phases of every
+    epoch of the geometry batch."""
     offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
     seeds = np.random.SeedSequence(trial_seed).spawn(2 * len(epochs))
     rows = []
-    for i, (pair, model_pair) in enumerate(zip(truth, model_pairs)):
+    for i in range(len(epochs)):
         fitted = []
         for j, (phi_true, phi_model) in enumerate(
-            ((pair.phi_sc, model_pair.phi_sc), (pair.phi_gs, model_pair.phi_gs))
+            ((truth.phi_sc[i], model_pairs.phi_sc[i]), (truth.phi_gs[i], model_pairs.phi_gs[i]))
         ):
             if n_per_point > 0:
                 scan = fringe_scan(
@@ -262,11 +260,7 @@ def run_forecast_trial(
                 fitted.append((phi_true, _NOISELESS_SIGMA))
         (phi_sc, sig_sc), (phi_gs, sig_gs) = fitted
         rows.append((phi_sc, sig_sc, phi_gs, sig_gs))
-    dataset = PassDataset(
-        epochs=tuple(float(t) for t in epochs),
-        geometries=tuple(geometries),
-        phase_measurements=tuple(rows),
-    )
+    dataset = PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
     return estimate_alpha(dataset, cfg)
 
 
@@ -290,8 +284,8 @@ def precision_forecast(
         scenario.gs_trajectory, scenario.sc_trajectory,
         scenario.t_start, scenario.t_end, scenario.n_epochs,
     )
-    truth = [phase_pair(g, scenario.cfg, scenario.red) for g in geometries]
-    model_pairs = [phase_pair(g, scenario.cfg, RedshiftParams(0.0)) for g in geometries]
+    truth = phase_pair(geometries, scenario.cfg, scenario.red)
+    model_pairs = phase_pair(geometries, scenario.cfg, RedshiftParams(0.0))
     n_per_point = int(photon_budget // (scenario.n_epochs * scenario.scan_points * 2)) \
         if photon_budget > 0 else 0
 

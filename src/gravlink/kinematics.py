@@ -7,12 +7,21 @@ Conventions used throughout:
 * spherical Earth of radius 6.371e6 m rotating about +z at OMEGA_EARTH
 * point-mass potential, expressed as the positive dimensionless number
   U = GM/(c^2 r), which decreases with altitude
+
+Everything works on arrays of epochs. A trajectory (CircularOrbit,
+GroundStation, StaticPlatform, ephemeris.EphemerisTrajectory) implements
+``states(t)`` -> (positions (N, 3) [m], velocities (N, 3) [m/s]) and
+``accelerations(t)`` -> (N, 3) [m/s^2] for epochs t (N,) [s]; each batch is
+checked against the radius floor and speed ceiling, and an error names the
+first failing epoch. ``state(t)`` and ``acceleration(t)`` are one-epoch
+views of the same code. StateVector and LinkGeometry hold (N, 3) vectors and
+(N,) scalars for a batch, (3,) vectors and scalars for one epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,10 +36,34 @@ _LIGHT_TIME_MAX_ITER = 50
 _COINCIDENT_RANGE = 1e-6  # m, below this emitter and receiver coincide
 
 
+def _reject(bad, values, error, text: str, epochs=None) -> None:
+    """Raise error(text formatted with the value) at the first epoch flagged in bad;
+    in a batch of several epochs the message names it (and its time t)."""
+    bad = np.atleast_1d(bad)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" at epoch {i}" if bad.size > 1 else ""
+        if where and epochs is not None:
+            where += f" (t = {np.atleast_1d(epochs)[i]:.6g} s)"
+        raise error(text.format(np.atleast_1d(values)[i]) + where)
+
+
+def _dot(a, b):
+    """Row-wise dot product of (..., 3) arrays."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def rotation_z(angle: float) -> np.ndarray:
     """Right-handed rotation matrix about +z."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotate_z(angle, vectors) -> np.ndarray:
+    """Vectors (..., 3) rotated about +z by angle(s) [rad]; the two broadcast."""
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
+    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
 
 
 def earth_rotation_vector() -> np.ndarray:
@@ -40,9 +73,9 @@ def earth_rotation_vector() -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Inertial position/velocity of a platform at a scenario epoch.
+    """Inertial positions/velocities of a platform at scenario epochs.
 
-    position : m, velocity : m/s, epoch : s.
+    position : m, velocity : m/s, (N, 3) or (3,); epoch : s, (N,) or float.
     """
 
     position: np.ndarray
@@ -54,22 +87,38 @@ class StateVector:
         vel = np.asarray(self.velocity, dtype=float)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
-        r = float(np.linalg.norm(pos))
-        if r <= _MIN_RADIUS:
-            raise BadAltitude(f"|position| = {r:.4e} m is below {_MIN_RADIUS:.1e} m")
-        v = float(np.linalg.norm(vel))
-        if v >= _MAX_SPEED:
-            raise ValueError(f"|velocity| = {v:.4e} m/s exceeds {_MAX_SPEED:.1e} m/s")
+        r = np.linalg.norm(pos, axis=-1)
+        _reject(r <= _MIN_RADIUS, r, BadAltitude,
+                f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", self.epoch)
+        v = np.linalg.norm(vel, axis=-1)
+        _reject(v >= _MAX_SPEED, v, ValueError,
+                f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", self.epoch)
 
 
-def circular_orbit_state(
-    semi_major_axis: float,
-    inclination: float,
-    raan: float,
-    phase: float,
-    t: float,
-) -> StateVector:
-    """Two-body circular orbit state at time t.
+def _epochs(t) -> np.ndarray:
+    return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+def _checked(pos, vel, t):
+    """(pos, vel) after the StateVector radius and speed checks."""
+    s = StateVector(position=pos, velocity=vel, epoch=t)
+    return s.position, s.velocity
+
+
+class Trajectory:
+    """A state source: subclasses define states(t) and accelerations(t) over
+    an array of epochs (see the module docstring)."""
+
+    def state(self, t: float) -> StateVector:
+        pos, vel = self.states(_epochs(t))
+        return StateVector(position=pos[0], velocity=vel[0], epoch=t)
+
+    def acceleration(self, t: float) -> np.ndarray:
+        return self.accelerations(_epochs(t))[0]
+
+
+class CircularOrbit(Trajectory):
+    """Analytic two-body circular-orbit state source.
 
     Orbit plane is +x/+y rotated by inclination about +x, then by the node
     angle about +z; phase is the in-plane angle at t = 0. |position| equals
@@ -77,149 +126,140 @@ def circular_orbit_state(
 
     Raises BadAltitude outside 6.5e6 <= a <= 5e7 m.
     """
-    a = float(semi_major_axis)
-    if not 6.5e6 <= a <= 5.0e7:
-        raise BadAltitude(f"semi-major axis {a:.4e} m outside [6.5e6, 5e7] m")
-    n = math.sqrt(GM_EARTH / a**3)          # mean motion [rad/s]
-    u = phase + n * t
-    pos_plane = np.array([a * math.cos(u), a * math.sin(u), 0.0])
-    vel_plane = np.array([-a * n * math.sin(u), a * n * math.cos(u), 0.0])
-    ci, si = math.cos(inclination), math.sin(inclination)
-    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
-    rot = rotation_z(raan) @ rot_x
-    return StateVector(position=rot @ pos_plane, velocity=rot @ vel_plane, epoch=t)
-
-
-def ground_station_state(lat: float, lon: float, alt: float, t: float) -> StateVector:
-    """State of a station fixed to the rotating spherical Earth.
-
-    lat/lon in radians, alt in meters above the mean radius.
-    """
-    if abs(lat) > math.pi / 2:
-        raise ValueError(f"latitude {lat} rad outside [-pi/2, pi/2]")
-    r = R_EARTH + alt
-    body = r * np.array(
-        [
-            math.cos(lat) * math.cos(lon),
-            math.cos(lat) * math.sin(lon),
-            math.sin(lat),
-        ]
-    )
-    pos = rotation_z(OMEGA_EARTH * t) @ body
-    vel = np.cross(earth_rotation_vector(), pos)
-    return StateVector(position=pos, velocity=vel, epoch=t)
-
-
-def ground_station_acceleration(lat: float, lon: float, alt: float, t: float) -> np.ndarray:
-    """Centripetal acceleration of the rotating station [m/s^2]."""
-    pos = ground_station_state(lat, lon, alt, t).position
-    w = earth_rotation_vector()
-    return np.cross(w, np.cross(w, pos))
-
-
-class CircularOrbit:
-    """Analytic circular-orbit state source."""
 
     def __init__(self, semi_major_axis: float, inclination: float = 0.0,
                  raan: float = 0.0, phase: float = 0.0):
-        # constructor validates the axis once so state() can't fail later
-        circular_orbit_state(semi_major_axis, inclination, raan, phase, 0.0)
-        self.semi_major_axis = float(semi_major_axis)
+        a = float(semi_major_axis)
+        if not 6.5e6 <= a <= 5.0e7:
+            raise BadAltitude(f"semi-major axis {a:.4e} m outside [6.5e6, 5e7] m")
+        self.semi_major_axis = a
         self.inclination = float(inclination)
         self.raan = float(raan)
         self.phase = float(phase)
+        self._mean_motion = math.sqrt(GM_EARTH / a**3)   # rad/s
+        ci, si = math.cos(self.inclination), math.sin(self.inclination)
+        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
+        self._plane_to_inertial = (rotation_z(self.raan) @ rot_x).T
 
-    def state(self, t: float) -> StateVector:
-        return circular_orbit_state(
-            self.semi_major_axis, self.inclination, self.raan, self.phase, t
-        )
+    def states(self, t):
+        t = _epochs(t)
+        a, n = self.semi_major_axis, self._mean_motion
+        u = self.phase + n * t
+        cos_u, sin_u = np.cos(u), np.sin(u)
+        zero = np.zeros_like(u)
+        pos = np.stack([a * cos_u, a * sin_u, zero], axis=-1) @ self._plane_to_inertial
+        vel = np.stack([-a * n * sin_u, a * n * cos_u, zero], axis=-1) @ self._plane_to_inertial
+        return _checked(pos, vel, t)
 
-    def acceleration(self, t: float) -> np.ndarray:
-        pos = self.state(t).position
-        return -GM_EARTH / self.semi_major_axis**3 * pos
+    def accelerations(self, t):
+        return -GM_EARTH / self.semi_major_axis**3 * self.states(t)[0]
 
     def period(self) -> float:
         """Orbital period 2*pi*sqrt(a^3/GM) [s]."""
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / GM_EARTH)
 
 
-class GroundStation:
-    """Earth-fixed station state source."""
+class GroundStation(Trajectory):
+    """Station fixed to the rotating spherical Earth.
+
+    lat/lon in radians, alt in meters above the mean radius.
+    """
 
     def __init__(self, lat: float, lon: float, alt: float = 0.0):
-        ground_station_state(lat, lon, alt, 0.0)
+        if abs(lat) > math.pi / 2:
+            raise ValueError(f"latitude {lat} rad outside [-pi/2, pi/2]")
         self.lat = float(lat)
         self.lon = float(lon)
         self.alt = float(alt)
+        self._body = (R_EARTH + self.alt) * np.array([
+            math.cos(self.lat) * math.cos(self.lon),
+            math.cos(self.lat) * math.sin(self.lon),
+            math.sin(self.lat),
+        ])
+        self.states(np.zeros(1))
 
-    def state(self, t: float) -> StateVector:
-        return ground_station_state(self.lat, self.lon, self.alt, t)
+    def states(self, t):
+        t = _epochs(t)
+        pos = rotate_z(OMEGA_EARTH * t, self._body)
+        return _checked(pos, np.cross(earth_rotation_vector(), pos), t)
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return ground_station_acceleration(self.lat, self.lon, self.alt, t)
+    def accelerations(self, t):
+        """Centripetal acceleration of the rotating station [m/s^2]."""
+        w = earth_rotation_vector()
+        return np.cross(w, np.cross(w, self.states(t)[0]))
 
 
-class StaticPlatform:
+class StaticPlatform(Trajectory):
     """Non-moving platform; handy for controlled-geometry checks."""
 
     def __init__(self, position):
         self.position = np.asarray(position, dtype=float)
-        StateVector(position=self.position, velocity=np.zeros(3), epoch=0.0)
+        self.states(np.zeros(1))
 
-    def state(self, t: float) -> StateVector:
-        return StateVector(position=self.position, velocity=np.zeros(3), epoch=t)
+    def states(self, t):
+        t = _epochs(t)
+        pos = np.broadcast_to(self.position, (t.size, 3))
+        return _checked(pos, np.zeros((t.size, 3)), t)
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return np.zeros(3)
+    def accelerations(self, t):
+        return np.zeros((_epochs(t).size, 3))
 
 
-def newtonian_potential(position) -> float:
-    """Dimensionless potential U = GM/(c^2 r); positive, larger nearer Earth."""
-    r = float(np.linalg.norm(np.asarray(position, dtype=float)))
-    if r <= 0.0:
+def newtonian_potential(position):
+    """Dimensionless potential U = GM/(c^2 r) of position(s) (..., 3); positive,
+    larger nearer Earth."""
+    r = np.linalg.norm(np.asarray(position, dtype=float), axis=-1)
+    if np.any(r <= 0.0):
         raise ValueError("position magnitude must be positive")
     return GM_EARTH / (C_LIGHT**2 * r)
 
 
-def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit: float):
-    """Propagation time and arrival direction from emitter to a moving receiver.
+def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
+    """Propagation times and arrival directions from emitter to a moving receiver.
 
-    Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c, run until
-    the update is below 1e-12 s.
+    Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c over every
+    epoch of emit_state at once; an epoch stops once its update is below
+    1e-12 s, and the others go on.
 
     Returns
     -------
-    (T, n_hat) : float [s], unit 3-vector
-        n_hat points emitter -> receiver, evaluated at reception.
+    (T, n_hat) : (N,) [s], (N, 3) unit vectors; a float and a 3-vector when
+        emit_state holds one epoch. n_hat points emitter -> receiver,
+        evaluated at reception.
 
     Raises
     ------
     DegenerateGeometry
         Emitter and receiver closer than 1e-6 m.
     NoConvergence
-        More than 50 iterations without meeting the tolerance.
+        An epoch still above the tolerance after 50 iterations.
     """
-    r_emit = emit_state.position
-    t_flight = 0.0
+    single = emit_state.position.ndim == 1
+    r_emit = np.atleast_2d(emit_state.position)
+    t_emit = np.broadcast_to(np.asarray(t_emit, dtype=float), len(r_emit))
+    t_flight = np.zeros(len(r_emit))
+    n_hat = np.empty_like(r_emit)
+    todo = np.arange(len(r_emit))   # epochs still iterating
     for _ in range(_LIGHT_TIME_MAX_ITER):
-        separation = receiver_trajectory.state(t_emit + t_flight).position - r_emit
-        rng = float(np.linalg.norm(separation))
-        if rng < _COINCIDENT_RANGE:
-            raise DegenerateGeometry(
-                f"emitter and receiver separated by {rng:.3e} m; direction undefined"
-            )
-        t_next = rng / C_LIGHT
-        if abs(t_next - t_flight) < _LIGHT_TIME_TOL:
-            return t_next, separation / rng
-        t_flight = t_next
-    raise NoConvergence(
-        f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps"
-    )
+        separation = receiver_trajectory.states(t_emit[todo] + t_flight[todo])[0] - r_emit[todo]
+        rng = np.linalg.norm(separation, axis=-1)
+        ranges = np.full(len(r_emit), np.inf)
+        ranges[todo] = rng
+        _reject(ranges < _COINCIDENT_RANGE, ranges, DegenerateGeometry,
+                "emitter and receiver separated by {:.3e} m; direction undefined", t_emit)
+        settled = np.abs(rng / C_LIGHT - t_flight[todo]) < _LIGHT_TIME_TOL
+        t_flight[todo] = rng / C_LIGHT
+        n_hat[todo[settled]] = separation[settled] / rng[settled, None]
+        todo = todo[~settled]
+        if todo.size == 0:
+            return (t_flight[0], n_hat[0]) if single else (t_flight, n_hat)
+    _reject(np.isin(np.arange(len(r_emit)), todo), t_emit, NoConvergence,
+            f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", t_emit)
 
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Everything the relativistic link model needs for one emission epoch.
+    """Everything the relativistic link model needs, per emission epoch.
 
     beta1/beta2/beta3 are v/c of ground station at emission, spacecraft at
     reception, and ground station at retro-reflected reception. n12 and n23
@@ -228,6 +268,9 @@ class LinkGeometry:
     events, a1 the station's centripetal acceleration [m/s^2], t_up the
     upward propagation time [s]. d1 and d2 project beta1/beta2 on n12;
     d3 projects beta3 on n23.
+
+    A batch is checked once as a whole; indexing or iterating it gives
+    one-epoch geometries.
     """
 
     beta1: np.ndarray
@@ -248,36 +291,53 @@ class LinkGeometry:
         for name in ("beta1", "beta2", "beta3", "n12", "n23", "a1"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("n12", "n23"):
-            norm = float(np.linalg.norm(getattr(self, name)))
-            if abs(norm - 1.0) > 1e-9:
-                raise DegenerateGeometry(f"|{name}| = {norm:.12f}, expected 1")
+            norm = np.linalg.norm(getattr(self, name), axis=-1)
+            _reject(np.abs(norm - 1.0) > 1e-9, norm, DegenerateGeometry,
+                    f"|{name}| = {{:.12f}}, expected 1")
         for name in ("beta1", "beta2", "beta3"):
-            b = float(np.linalg.norm(getattr(self, name)))
-            if b >= _MAX_BETA:
-                raise ValueError(f"|{name}| = {b:.3e} exceeds {_MAX_BETA:.1e}")
+            b = np.linalg.norm(getattr(self, name), axis=-1)
+            _reject(b >= _MAX_BETA, b, ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}")
         for name in ("U1", "U2", "U3"):
-            u = getattr(self, name)
-            if not 0.0 < u < 1e-8:
-                raise ValueError(f"{name} = {u:.3e} outside (0, 1e-8)")
+            u = np.asarray(getattr(self, name))
+            _reject(~((0.0 < u) & (u < 1e-8)), u, ValueError,
+                    f"{name} = {{:.3e}} outside (0, 1e-8)")
+
+    @classmethod
+    def stack(cls, geometries) -> "LinkGeometry":
+        """One batch from a sequence of one-epoch geometries; a batch passes through."""
+        if isinstance(geometries, cls):
+            return geometries
+        return cls(**{f.name: np.array([getattr(g, f.name) for g in geometries], dtype=float)
+                      for f in fields(cls)})
+
+    def __len__(self) -> int:
+        return len(self.t_up)
+
+    def __getitem__(self, i: int) -> "LinkGeometry":
+        """One epoch of the batch; iterating goes through the epochs in order."""
+        return LinkGeometry(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
 
 
-def build_link_geometry(gs_trajectory, sc_trajectory, t_emit: float) -> LinkGeometry:
-    """Assemble the up-and-down link geometry for one emission epoch.
+def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
+    """Assemble the up-and-down link geometry for emission epoch(s) t_emit.
 
     The ground station emits at t_emit; the spacecraft retro-reflects
     instantly at reception; the station receives the return. Light times for
-    both legs are solved independently.
+    both legs are solved independently. An array of epochs gives a batch,
+    a float one epoch.
     """
-    s1 = gs_trajectory.state(t_emit)
-    t_up, n12 = solve_light_time(s1, sc_trajectory, t_emit)
-    s2 = sc_trajectory.state(t_emit + t_up)
-    t_down, n23 = solve_light_time(s2, gs_trajectory, t_emit + t_up)
-    s3 = gs_trajectory.state(t_emit + t_up + t_down)
+    t1 = _epochs(t_emit)
+    s1 = StateVector(*gs_trajectory.states(t1), epoch=t1)
+    t_up, n12 = solve_light_time(s1, sc_trajectory, t1)
+    t2 = t1 + t_up
+    s2 = StateVector(*sc_trajectory.states(t2), epoch=t2)
+    t_down, n23 = solve_light_time(s2, gs_trajectory, t2)
+    pos3, vel3 = gs_trajectory.states(t2 + t_down)
 
     beta1 = s1.velocity / C_LIGHT
     beta2 = s2.velocity / C_LIGHT
-    beta3 = s3.velocity / C_LIGHT
-    return LinkGeometry(
+    beta3 = vel3 / C_LIGHT
+    geometry = LinkGeometry(
         beta1=beta1,
         beta2=beta2,
         beta3=beta3,
@@ -285,10 +345,11 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit: float) -> LinkGeom
         n23=n23,
         U1=newtonian_potential(s1.position),
         U2=newtonian_potential(s2.position),
-        U3=newtonian_potential(s3.position),
-        a1=gs_trajectory.acceleration(t_emit),
+        U3=newtonian_potential(pos3),
+        a1=gs_trajectory.accelerations(t1),
         t_up=t_up,
-        d1=float(n12 @ beta1),
-        d2=float(n12 @ beta2),
-        d3=float(n23 @ beta3),
+        d1=_dot(n12, beta1),
+        d2=_dot(n12, beta2),
+        d3=_dot(n23, beta3),
     )
+    return geometry if np.ndim(t_emit) else geometry[0]

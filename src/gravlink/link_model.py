@@ -12,6 +12,9 @@ and the combination s = phi_sc - phi_gs/2 cancels first-order Doppler,
 leaving the (1+alpha)-scaled potential difference plus small kinematic
 terms.
 
+Every function takes a LinkGeometry of one epoch or a batch of epochs and
+returns a scalar or one value per epoch accordingly.
+
 Numerical note: the ratios sit within ~1e-10 of unity, so every function
 here evaluates ratio - 1 from rearranged differences instead of forming
 the ratio and subtracting. Naive evaluation loses six digits, which is
@@ -31,7 +34,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DegenerateGeometry
-from .kinematics import LinkGeometry
+from .kinematics import LinkGeometry, _dot, _reject
 
 _TWO_PI = 2.0 * math.pi
 _MIN_DENOMINATOR = 0.5  # ratio denominators must stay near 1
@@ -89,7 +92,7 @@ class RedshiftParams:
 
 @dataclass(frozen=True)
 class PhasePair:
-    """Fringe phases at the two terminals and their combination [rad]."""
+    """Fringe phases at the two terminals and their combination [rad], per epoch."""
 
     phi_sc: float
     phi_gs: float
@@ -110,46 +113,44 @@ def gravitational_phase(cfg: OpticalConfig, g: float, h: float, alpha: float = 0
     return (1.0 + alpha) * _TWO_PI / cfg.lambda0 * g * h * cfg.delay_length / C_LIGHT**2
 
 
-def _check_denominator(value: float, label: str) -> None:
-    if value < _MIN_DENOMINATOR:
-        raise DegenerateGeometry(
-            f"{label} = {value:.6f} below trusted region (>= {_MIN_DENOMINATOR})"
-        )
+def _check_denominator(value, label: str) -> None:
+    _reject(np.asarray(value) < _MIN_DENOMINATOR, value, DegenerateGeometry,
+            f"{label} = {{:.6f}} below trusted region (>= {_MIN_DENOMINATOR})")
 
 
-def _potential_term_minus_one(geom: LinkGeometry, alpha: float) -> float:
+def _potential_term_minus_one(geom: LinkGeometry, alpha: float):
     """(time-dilation factor ratio) - 1, alpha scaling the potential part."""
-    b1_sq = float(geom.beta1 @ geom.beta1)
-    b2_sq = float(geom.beta2 @ geom.beta2)
+    b1_sq = _dot(geom.beta1, geom.beta1)
+    b2_sq = _dot(geom.beta2, geom.beta2)
     denominator = 1.0 - geom.U2 - 0.5 * b2_sq
     _check_denominator(denominator, "time-dilation denominator")
     numerator = (1.0 + alpha) * (geom.U2 - geom.U1) + 0.5 * (b2_sq - b1_sq)
     return numerator / denominator
 
 
-def _uplink_doppler_minus_one(geom: LinkGeometry) -> float:
+def _uplink_doppler_minus_one(geom: LinkGeometry):
     """((1 - n12.beta2)/(1 - n12.beta1)) - 1."""
     denominator = 1.0 - geom.d1
     _check_denominator(denominator, "uplink Doppler denominator")
     return (geom.d1 - geom.d2) / denominator
 
 
-def _downlink_doppler_minus_one(geom: LinkGeometry) -> float:
+def _downlink_doppler_minus_one(geom: LinkGeometry):
     """((1 - n23.beta3)/(1 - n23.beta2)) - 1."""
-    e2 = float(geom.n23 @ geom.beta2)
+    e2 = _dot(geom.n23, geom.beta2)
     denominator = 1.0 - e2
     _check_denominator(denominator, "downlink Doppler denominator")
     return (e2 - geom.d3) / denominator
 
 
-def uplink_fractional_shift(geom: LinkGeometry, alpha: float = 0.0) -> float:
+def uplink_fractional_shift(geom: LinkGeometry, alpha: float = 0.0):
     """(uplink frequency ratio) - 1, evaluated without cancellation loss."""
     a = _potential_term_minus_one(geom, alpha)
     b = _uplink_doppler_minus_one(geom)
     return a + b + a * b
 
 
-def roundtrip_fractional_shift(geom: LinkGeometry) -> float:
+def roundtrip_fractional_shift(geom: LinkGeometry):
     """(round-trip frequency ratio) - 1, evaluated without cancellation loss.
 
     Potential factors are absent: emission and final detection happen at
@@ -161,7 +162,7 @@ def roundtrip_fractional_shift(geom: LinkGeometry) -> float:
     return c + b + c * b
 
 
-def uplink_frequency_ratio(geom: LinkGeometry, alpha: float = 0.0) -> float:
+def uplink_frequency_ratio(geom: LinkGeometry, alpha: float = 0.0):
     """Received-over-emitted frequency at the spacecraft, exact form.
 
     ((1 - U1 - beta1^2/2)/(1 - U2 - beta2^2/2)) *
@@ -171,12 +172,12 @@ def uplink_frequency_ratio(geom: LinkGeometry, alpha: float = 0.0) -> float:
     return 1.0 + uplink_fractional_shift(geom, alpha)
 
 
-def roundtrip_frequency_ratio(geom: LinkGeometry) -> float:
+def roundtrip_frequency_ratio(geom: LinkGeometry):
     """Received-over-emitted frequency back at the station, exact form."""
     return 1.0 + roundtrip_fractional_shift(geom)
 
 
-def redshift_fraction(red: RedshiftParams, u1: float, u2: float) -> float:
+def redshift_fraction(red: RedshiftParams, u1: float, u2: float):
     """Fractional frequency shift (1 + alpha)(U2 - U1) of the bare red-shift."""
     return (1.0 + red.alpha) * (u2 - u1)
 
@@ -189,7 +190,7 @@ def phase_pair(geom: LinkGeometry, cfg: OpticalConfig, red: RedshiftParams) -> P
     return PhasePair(phi_sc=phi_sc, phi_gs=phi_gs, s_signal=phi_sc - 0.5 * phi_gs)
 
 
-def velocity_terms(geom: LinkGeometry) -> float:
+def velocity_terms(geom: LinkGeometry):
     """Kinematic part of the second-order expansion of s/(omega0 tau_l).
 
     0.5|beta1 - beta2|^2 - (d1 - d2)^2 - T n12.a1/c. These are the terms
@@ -197,13 +198,13 @@ def velocity_terms(geom: LinkGeometry) -> float:
     potential difference.
     """
     db = geom.beta1 - geom.beta2
-    second_doppler = 0.5 * float(db @ db)
+    second_doppler = 0.5 * _dot(db, db)
     aberration_sq = (geom.d1 - geom.d2) ** 2
-    acceleration = geom.t_up * float(geom.n12 @ geom.a1) / C_LIGHT
+    acceleration = geom.t_up * _dot(geom.n12, geom.a1) / C_LIGHT
     return second_doppler - aberration_sq - acceleration
 
 
-def expanded_signal(geom: LinkGeometry, red: RedshiftParams) -> float:
+def expanded_signal(geom: LinkGeometry, red: RedshiftParams):
     """Second-order model of s/(omega0 tau_l).
 
     (1 + alpha)(U2 - U1) + 0.5|beta1 - beta2|^2 - (d1 - d2)^2
@@ -212,6 +213,6 @@ def expanded_signal(geom: LinkGeometry, red: RedshiftParams) -> float:
     return redshift_fraction(red, geom.U1, geom.U2) + velocity_terms(geom)
 
 
-def first_order_doppler_shift(geom: LinkGeometry) -> float:
+def first_order_doppler_shift(geom: LinkGeometry):
     """Leading line-of-sight Doppler part of the uplink shift, d1 - d2."""
     return geom.d1 - geom.d2

@@ -149,6 +149,26 @@ DEFECTS = [
     ("exponent_string", SMALL_PASS, "6.771e+6", "6.771e6", "orbit.semi_major_axis_m:"),
     ("nan_rotation", SMALL_WEAKVALUE, "q_grid:",
      "rotation_rad_per_s: [.nan, 0.0, 1.0e-4]\n  q_grid:", "spin.rotation_rad_per_s:"),
+    # integer sizes are capped below 2**31, so none reaches an allocation or numpy's int64
+    ("n_epochs_past_cap", SMALL_PASS, "n_epochs: 12", "n_epochs: 2147483648", "sweep.n_epochs:"),
+    ("trials_past_cap", SMALL_FORECAST, "trials: 10", "trials: 2147483648", "forecast.trials:"),
+    ("forecast_scan_points_past_cap", SMALL_FORECAST, "scan_points: 8",
+     "scan_points: 2147483648", "forecast.scan_points:"),
+    ("fringe_scan_points_past_cap", SMALL_FRINGE, "scan_points: 8",
+     "scan_points: 2147483648", "fringe.scan_points:"),
+    ("n_per_point_beyond_int64", SMALL_FRINGE, "n_per_point: 20000",
+     f"n_per_point: {10**30}", "fringe.n_per_point:"),
+    ("photon_budget_past_cap", SMALL_FORECAST, "photon_budget: 96000",
+     "photon_budget: 2147483648", "noise.photon_budget:"),
+    ("theta_num_beyond_int64", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: {start: 0.0, stop: 85.0, num: 9223372036854775807}",
+     "spin.theta_grid_deg.num:"),
+    ("unknown_section_key", SMALL_FRINGE, "visibility: 1.0",
+     "visibility: 1.0\n  dark_rte: 0.6", "noise.dark_rte: unknown key"),
+    ("unknown_top_level_key", SMALL_PASS, "sweep:", "sweeps: {}\nsweep:", "sweeps: unknown key"),
+    ("unknown_grid_key", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: {start: 0.0, stop: 85.0, num: 4, step: 1.0}",
+     "spin.theta_grid_deg.step: unknown key"),
 ]
 
 
@@ -225,6 +245,21 @@ spin:
             "longitude_deg: 0.0", f"longitude_deg: 0.0\n  altitude_m: {altitude}")
         problems = validate_config(write_yaml(tmp_path, cfg))
         assert [p.split(":")[0] for p in problems] == ([] if valid else ["station.altitude_m"])
+
+    @pytest.mark.parametrize("altitude, valid", [("3.0e+5", True), ("1.0e+6", False)])
+    def test_station_below_ephemeris_orbit(self, tmp_path, monkeypatch, capsys, altitude,
+                                           valid):
+        # leo_sample.cpf flies about 4e5 m above R_EARTH = 6.371e6 m
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="900.0").replace(
+            "longitude_deg: 0.0", f"longitude_deg: 0.0\n  altitude_m: {altitude}")
+        path = write_yaml(tmp_path, cfg)
+        problems = validate_config(path)
+        assert [p.split(":")[0] for p in problems] == ([] if valid else ["station.altitude_m"])
+        if not valid:
+            monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+            assert main(["run", path]) == 2
+            assert "violation: station.altitude_m:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_exponent_without_dot_names_the_yaml_rule(self, tmp_path):
         cfg = SMALL_PASS.format(out="out").replace("6.771e+6", "6.771e6")
@@ -469,12 +504,27 @@ class TestCliRuns:
         assert main(["run", path]) == 3
         assert "error[LinAlgError]: Eigenvalues did not converge" in capsys.readouterr().err
 
-    def test_integer_beyond_int64_exits_three(self, tmp_path, monkeypatch, capsys):
-        cfg = SMALL_FRINGE.format(out="ignored", vis="1.0").replace(
-            "n_per_point: 20000", f"n_per_point: {10**30}")
+    def test_memory_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 48.0 GiB")
+
+        monkeypatch.setattr(gravlink.cli, "build_pass", exhaust)
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
-        assert main(["run", write_yaml(tmp_path, cfg)]) == 3
-        assert "error[OverflowError]" in capsys.readouterr().err
+        assert main(["run", write_yaml(tmp_path, SMALL_PASS.format(out="ignored"))]) == 3
+        assert "error[MemoryError]: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["redshift_pass", "ephemeris_pass"])
+    def test_pass_signal_matches_tracked_output(self, tmp_path, monkeypatch, name):
+        # the batched pipeline reproduces the tracked s column within the
+        # 1e-8 rad equivalence gate (phases near 1e6 rad round at ~1e-10 rad)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(SCENARIOS / f"{name}.yaml")]) == 0
+        fresh = np.loadtxt(tmp_path / "out" / "pass_sweep.txt")
+        tracked = np.loadtxt(SCENARIOS.parent / "out" / name / "pass_sweep.txt")
+        assert fresh.shape == tracked.shape
+        np.testing.assert_array_equal(fresh[:, 0], tracked[:, 0])
+        assert np.max(np.abs(fresh[:, 4] - tracked[:, 4])) <= 1e-8
 
 
 def _leaves(node, path=()):

@@ -254,3 +254,71 @@ class TestTrajectory:
         r = float(np.linalg.norm(state.position))
         expected = -GM_EARTH / r**3 * state.position
         np.testing.assert_allclose(acc, expected, atol=1e-5 * GM_EARTH / r**2)
+
+
+def _product_form_state(table, t):
+    """Reference interpolant: the windowed Lagrange product form, one epoch at a time."""
+    epochs = np.array([r.epoch_seconds() for r in table.records]) - table.records[0].epoch_seconds()
+    n = table.n_records
+    width = min(8, n)
+    i = int(np.searchsorted(epochs, t))
+    start = min(max(i - width // 2, 0), n - width)
+    nodes = epochs[start:start + width]
+    coords = np.array([table.records[j].position for j in range(start, start + width)])
+    values, derivs = np.empty(width), np.empty(width)
+    for k in range(width):
+        others = np.delete(nodes, k)
+        denom = np.prod(nodes[k] - others)
+        values[k] = np.prod(t - others) / denom
+        derivs[k] = sum(np.prod(np.delete(t - others, m)) for m in range(width - 1)) / denom
+    c, s = math.cos(OMEGA_EARTH * t), math.sin(OMEGA_EARTH * t)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    pos = rot @ (values @ coords)
+    vel = rot @ (derivs @ coords) + np.cross([0.0, 0.0, OMEGA_EARTH], pos)
+    return pos, vel
+
+
+class TestBatchInterpolation:
+    @pytest.mark.parametrize("n_records", [4, 6, 40])
+    def test_matches_product_form(self, n_records):
+        table = circular_orbit_table(a=7.0e6, inc=0.6, n_records=n_records)
+        span = table.span_seconds
+        nodes = table.relative_epochs()
+        rng = np.random.default_rng(n_records)
+        times = np.concatenate([
+            rng.uniform(0.0, span, 50),
+            nodes[1:-1] + 1e-9, nodes[1:-1] - 1e-6,   # next to nodes
+            [0.0, span, 0.5 * span],
+        ])
+        batch = interpolate_state(table, times)
+        assert batch.position.shape == batch.velocity.shape == (times.size, 3)
+        for i, t in enumerate(times):
+            pos, vel = _product_form_state(table, float(t))
+            assert np.max(np.abs(batch.position[i] - pos)) <= 1e-6
+            assert np.max(np.abs(batch.velocity[i] - vel)) <= 1e-7
+            one = interpolate_state(table, float(t))
+            np.testing.assert_allclose(one.position, batch.position[i], rtol=0, atol=1e-9)
+
+    def test_node_hits_are_exact(self):
+        table = circular_orbit_table(n_records=12)
+        nodes = table.relative_epochs()
+        state = interpolate_state(table, nodes)
+        np.testing.assert_array_equal(state.position[0], table.records[0].position)
+        c, s = np.cos(OMEGA_EARTH * nodes), np.sin(OMEGA_EARTH * nodes)
+        x, y, z = table.positions.T
+        np.testing.assert_array_equal(state.position,
+                                      np.stack([c * x - s * y, s * x + c * y, z], axis=-1))
+
+    def test_out_of_range_epoch_is_named(self):
+        table = parse_cpf(SAMPLE)  # spans [0, 180] s
+        with pytest.raises(OutOfRange, match=r"t = 200\.000 s .* at epoch 2"):
+            interpolate_state(table, np.array([0.0, 90.0, 200.0, 300.0]))
+
+    def test_trajectory_states_match_one_epoch_views(self):
+        traj = EphemerisTrajectory(circular_orbit_table(n_records=20))
+        times = np.array([30.0, 300.0, 601.5, 1000.0])
+        pos, vel = traj.states(times)
+        acc = traj.accelerations(times)
+        for i, t in enumerate(times):
+            np.testing.assert_allclose(traj.state(float(t)).position, pos[i], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(traj.acceleration(float(t)), acc[i], rtol=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravlink.constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
 from gravlink.errors import BadAltitude, DegenerateGeometry, NoConvergence
@@ -14,14 +16,12 @@ from gravlink.kinematics import (
     StateVector,
     StaticPlatform,
     build_link_geometry,
-    circular_orbit_state,
     earth_rotation_vector,
-    ground_station_acceleration,
-    ground_station_state,
     newtonian_potential,
     rotation_z,
     solve_light_time,
 )
+from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair
 
 
 class TestStateVector:
@@ -41,7 +41,7 @@ class TestStateVector:
 
 class TestCircularOrbit:
     def test_construction_axes(self):
-        s = circular_orbit_state(7.0e6, 0.0, 0.0, 0.0, 0.0)
+        s = CircularOrbit(7.0e6, 0.0, 0.0, 0.0).state(0.0)
         np.testing.assert_allclose(s.position, [7.0e6, 0.0, 0.0], atol=1e-9)
         assert s.velocity[0] == pytest.approx(0.0, abs=1e-9)
         assert s.velocity[1] > 0.0
@@ -56,9 +56,9 @@ class TestCircularOrbit:
 
     def test_altitude_bounds(self):
         with pytest.raises(BadAltitude):
-            circular_orbit_state(1.0e6, 0.0, 0.0, 0.0, 0.0)
+            CircularOrbit(1.0e6, 0.0, 0.0, 0.0).state(0.0)
         with pytest.raises(BadAltitude):
-            circular_orbit_state(6.0e7, 0.0, 0.0, 0.0, 0.0)
+            CircularOrbit(6.0e7, 0.0, 0.0, 0.0).state(0.0)
 
     def test_energy_like_invariant(self):
         # vis-viva for a circular orbit: v^2 a / GM = 1
@@ -85,29 +85,29 @@ class TestCircularOrbit:
 
 class TestGroundStation:
     def test_equatorial_speed(self):
-        s = ground_station_state(0.0, 0.0, 0.0, 0.0)
+        s = GroundStation(0.0, 0.0, 0.0).state(0.0)
         speed = float(np.linalg.norm(s.velocity))
         assert abs(speed - OMEGA_EARTH * R_EARTH) < 0.1
         assert speed == pytest.approx(464.5807, abs=1e-3)
 
     def test_pole_is_stationary(self):
-        s = ground_station_state(math.pi / 2, 0.0, 0.0, 123.0)
+        s = GroundStation(math.pi / 2, 0.0, 0.0).state(123.0)
         assert float(np.linalg.norm(s.velocity)) == pytest.approx(0.0, abs=1e-9)
-        acc = ground_station_acceleration(math.pi / 2, 0.0, 0.0, 123.0)
+        acc = GroundStation(math.pi / 2, 0.0, 0.0).acceleration(123.0)
         assert float(np.linalg.norm(acc)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equatorial_centripetal_acceleration(self):
-        acc = ground_station_acceleration(0.0, 0.0, 0.0, 0.0)
+        acc = GroundStation(0.0, 0.0, 0.0).acceleration(0.0)
         mag = float(np.linalg.norm(acc))
         assert mag == pytest.approx(OMEGA_EARTH**2 * R_EARTH, rel=0.01)
         assert mag == pytest.approx(3.387776e-2, rel=1e-5)
         # centripetal: anti-parallel to position
-        pos = ground_station_state(0.0, 0.0, 0.0, 0.0).position
+        pos = GroundStation(0.0, 0.0, 0.0).state(0.0).position
         assert float(acc @ pos) < 0.0
 
     def test_latitude_bound(self):
         with pytest.raises(ValueError):
-            ground_station_state(2.0, 0.0, 0.0, 0.0)
+            GroundStation(2.0, 0.0, 0.0).state(0.0)
 
     def test_rotation_carries_station(self):
         gs = GroundStation(0.3, 1.1, 200.0)
@@ -144,6 +144,10 @@ class _LinearPlatform:
     def state(self, t):
         return StateVector(position=self.p0 + self.v * t, velocity=self.v, epoch=t)
 
+    def states(self, t):
+        t = np.asarray(t, dtype=float)[:, None]
+        return self.p0 + self.v * t, np.broadcast_to(self.v, (len(t), 3))
+
     def acceleration(self, t):
         return np.zeros(3)
 
@@ -157,6 +161,11 @@ class _RunawayPlatform:
             velocity=np.zeros(3),
             epoch=t,
         )
+
+    def states(self, t):
+        t = np.asarray(t, dtype=float)
+        position = np.stack([6.5e6 + 0.99 * C_LIGHT * t, 0.0 * t, 0.0 * t], axis=-1)
+        return position, np.zeros((len(t), 3))
 
 
 class TestLightTime:
@@ -308,7 +317,7 @@ class TestBuildLinkGeometry:
         sc = CircularOrbit(6.778e6)
         geom = build_link_geometry(gs, sc, 0.0)
         np.testing.assert_allclose(
-            geom.a1, ground_station_acceleration(0.0, 0.0, 0.0, 0.0), rtol=1e-12
+            geom.a1, GroundStation(0.0, 0.0, 0.0).acceleration(0.0), rtol=1e-12
         )
 
 
@@ -321,3 +330,63 @@ def test_rotation_z_orthonormal():
     r = rotation_z(0.7)
     np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-15)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestBatchPath:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        lat=st.floats(-1.4, 1.4), lon=st.floats(-math.pi, math.pi), alt=st.floats(0.0, 3.0e3),
+        a=st.floats(6.6e6, 8.0e6), inc=st.floats(0.0, math.pi), raan=st.floats(0.0, 6.3),
+        phase=st.floats(0.0, 6.3), t_start=st.floats(-600.0, 600.0),
+        span=st.floats(1.0, 900.0), n=st.integers(1, 24),
+    )
+    def test_batch_signal_equals_one_epoch_views(self, lat, lon, alt, a, inc, raan, phase,
+                                                 t_start, span, n):
+        gs = GroundStation(lat, lon, alt)
+        sc = CircularOrbit(a, inclination=inc, raan=raan, phase=phase)
+        optics = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
+        red = RedshiftParams(1e-4)
+        epochs = np.linspace(t_start, t_start + span, n)
+        batch = phase_pair(build_link_geometry(gs, sc, epochs), optics, red).s_signal
+        rows = [phase_pair(build_link_geometry(gs, sc, float(t)), optics, red).s_signal
+                for t in epochs]
+        assert batch.shape == (n,)
+        assert np.max(np.abs(batch - np.array(rows))) <= 1e-8
+
+    def test_geometry_batch_indexes_as_one_epoch_views(self):
+        gs = GroundStation(0.2, 0.5)
+        sc = CircularOrbit(6.778e6, inclination=0.9)
+        epochs = np.array([-60.0, 0.0, 45.0])
+        batch = build_link_geometry(gs, sc, epochs)
+        assert len(batch) == 3
+        for t, row in zip(epochs, batch):
+            one = build_link_geometry(gs, sc, float(t))
+            assert row.beta1.shape == one.beta1.shape == (3,)
+            np.testing.assert_allclose(row.n12, one.n12, atol=1e-15)
+            assert row.t_up == pytest.approx(one.t_up, rel=1e-15)
+            assert row.U2 == pytest.approx(one.U2, rel=1e-15)
+        restacked = LinkGeometry.stack(list(batch))
+        np.testing.assert_array_equal(restacked.d2, batch.d2)
+
+    def test_bad_epoch_in_a_state_batch_is_named(self):
+        pos = np.array([[7.0e6, 0.0, 0.0], [1.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]])
+        with pytest.raises(BadAltitude, match=r"at epoch 1 \(t = 5 s\)"):
+            StateVector(position=pos, velocity=np.zeros((3, 3)), epoch=np.array([0.0, 5.0, 9.0]))
+
+    def test_bad_epoch_in_a_geometry_batch_is_named(self):
+        beta = np.zeros((4, 3))
+        beta[2, 0] = 1e-4
+        n12 = np.tile([1.0, 0.0, 0.0], (4, 1))
+        with pytest.raises(ValueError, match=r"\|beta2\| = 1\.000e-04 exceeds 4\.0e-05 at epoch 2"):
+            LinkGeometry(
+                beta1=np.zeros((4, 3)), beta2=beta, beta3=np.zeros((4, 3)), n12=n12, n23=-n12,
+                U1=np.full(4, 7e-10), U2=np.full(4, 7e-10), U3=np.full(4, 7e-10),
+                a1=np.zeros((4, 3)), t_up=np.full(4, 1e-3), d1=np.zeros(4),
+                d2=beta[:, 0], d3=np.zeros(4),
+            )
+
+    def test_bad_epoch_in_a_light_time_batch_is_named(self):
+        emitter = StateVector(position=[[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]],
+                              velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+        with pytest.raises(DegenerateGeometry, match=r"at epoch 1 \(t = 1 s\)"):
+            solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]), np.array([0.0, 1.0]))
