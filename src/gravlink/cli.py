@@ -102,7 +102,7 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
     max_gravity = float(np.max(np.abs(scale * du)))
     max_resid = float(np.max(np.abs(resid)))
     beta_max = float(np.max(np.linalg.norm([geom.beta1, geom.beta2], axis=-1)))
-    mean_orbit_radius = float(np.mean(np.linalg.norm(orbit.states(epochs)[0], axis=-1)))
+    mean_orbit_radius = float(np.mean(np.linalg.norm(orbit.states(epochs).position, axis=-1)))
     height = mean_orbit_radius - (R_EARTH + cfg.station.altitude)
     phi_uniform = gravitational_phase(optics, G_STD, height, red.alpha)
     ratio = max_doppler / max_gravity if max_gravity > 0 else math.inf

@@ -285,6 +285,12 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     # The largest window-probability sum cascade_intensities and simulate_counts reach.
     if noise and noise.efficiency * (0.25 + 0.125 * noise.visibility) + 3 * noise.dark_rate > 1:
         problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate must be <= 1")
+    forecast = specs.get("forecast")
+    if mode == "alpha-forecast" and noise and forecast and "sweep" in specs:
+        pulses = 2 * specs["sweep"].n_epochs * forecast.scan_points  # one pulse per scan point
+        if 0 < noise.photon_budget < pulses:
+            problems.append(f"noise.photon_budget: {noise.photon_budget} must be 0 (noiseless) "
+                            f"or >= 2*n_epochs*scan_points ({pulses})")
     orbit, station = specs.get("orbit"), specs.get("station")
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):
@@ -301,18 +307,24 @@ def ephemeris_orbit(cfg: ScenarioConfig, config_path: str) -> EphemerisTrajector
 
     Raises FileUnreadable, the parse_cpf errors, InsufficientRecords,
     OutOfRange when the sweep plus the longest light time leaves the table,
-    or ConfigInvalid when the station is not below every record.
+    or ConfigInvalid when the station is not below every record (listing
+    the span problem first when there is one too).
     """
     path = os.path.join(os.path.dirname(os.path.abspath(config_path)), cfg.orbit.ephemeris_path)
     orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
     radii = np.linalg.norm(orbit.table.positions, axis=1)
     reach = (radii.max() + R_EARTH + cfg.station.altitude) / C_LIGHT
-    if cfg.sweep.t_start < 0.0 or cfg.sweep.t_end + reach > orbit.table.span_seconds:
-        raise OutOfRange(f"sweep [{cfg.sweep.t_start:g}, {cfg.sweep.t_end:g}] s plus {reach:.3f} s "
-                         f"of light time leaves the table span [0, {orbit.table.span_seconds:g}] s")
-    if cfg.station.altitude >= radii.min() - R_EARTH:
-        raise ConfigInvalid([f"station.altitude_m: {cfg.station.altitude} must be below the "
-                             f"orbit (lowest record {radii.min() - R_EARTH:.6g} m up)"])
+    sweep, end, span = cfg.sweep, orbit.table.span_seconds, None
+    if sweep.t_start < 0.0 or sweep.t_end + reach > end:
+        span = OutOfRange(f"sweep [{sweep.t_start:g}, {sweep.t_end:g}] s plus {reach:.3f} s "
+                          f"of light time leaves the table span [0, {end:g}] s")
+    floor = radii.min() - R_EARTH
+    if cfg.station.altitude >= floor:
+        problems = [f"orbit.ephemeris_path: OutOfRange: {span}"] if span else []
+        raise ConfigInvalid(problems + [f"station.altitude_m: {cfg.station.altitude} must be "
+                                        f"below the orbit (lowest record {floor:.6g} m up)"])
+    if span:
+        raise span
     return orbit
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NonMonotonicTime,
     OutOfRange,
 )
-from .kinematics import StateVector, Trajectory, _epochs, _reject, earth_rotation_vector, rotate_z
+from .kinematics import StateVector, _epochs, _reject, earth_rotation_vector, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -219,21 +219,20 @@ def _lagrange_basis(t: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def interpolate_state(table: EphemerisTable, t) -> StateVector:
-    """Interpolated inertial-frame state(s) at epoch(s) t.
+    """Interpolated inertial-frame states at epochs t.
 
     Parameters
     ----------
     table : EphemerisTable
-    t : (mjd, sod) pair, float, or array of floats
-        Absolute epoch, or seconds relative to the first record; an array
-        gives one row per epoch.
+    t : float or sequence of floats
+        Epochs in seconds relative to the first record.
 
     Returns
     -------
     StateVector
-        Inertial-frame state, (N, 3) rows for an array of epochs. The
-        inertial frame is aligned with the Earth-fixed frame at the first
-        record's epoch; `epoch` is seconds since that alignment.
+        Inertial-frame states, (N, 3) rows, one per epoch. The inertial
+        frame is aligned with the Earth-fixed frame at the first record's epoch;
+        `epoch` is seconds since that alignment.
 
     Raises
     ------
@@ -255,9 +254,6 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
         raise InsufficientRecords(
             f"interpolation needs >= 4 records, table has {table.n_records}"
         )
-    if isinstance(t, (tuple, list)):
-        mjd, sod = t
-        t = mjd * SECONDS_PER_DAY + sod - table.records[0].epoch_seconds()
     t_rel = _epochs(t)
     epochs = table.relative_epochs()
     _reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), t_rel, OutOfRange,
@@ -272,12 +268,10 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
     pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
     vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
     vel += np.cross(earth_rotation_vector(), pos)
-    if np.ndim(t) == 0:
-        return StateVector(position=pos[0], velocity=vel[0], epoch=float(t_rel[0]))
     return StateVector(position=pos, velocity=vel, epoch=t_rel)
 
 
-class EphemerisTrajectory(Trajectory):
+class EphemerisTrajectory:
     """Time-parameterized state source backed by a parsed table.
 
     Scenario time t = 0 is pinned to the table's first record, where the
@@ -292,15 +286,14 @@ class EphemerisTrajectory(Trajectory):
             )
         self.table = table
 
-    def states(self, t):
-        s = interpolate_state(self.table, _epochs(t))
-        return s.position, s.velocity
+    def states(self, t) -> StateVector:
+        return interpolate_state(self.table, t)
 
     def accelerations(self, t):
         """Central-difference acceleration [m/s^2]; step shrinks at the edges."""
         t = _epochs(t)
         h = np.minimum(np.minimum(1.0, t), self.table.span_seconds - t)
         _reject(h <= 0.0, t, OutOfRange, "acceleration needs interior epochs (t = {:.6g} s)")
-        before = self.states(t - h)[1]
-        after = self.states(t + h)[1]
+        before = self.states(t - h).velocity
+        after = self.states(t + h).velocity
         return (after - before) / (2.0 * h[:, None])

@@ -43,10 +43,9 @@ _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is 
 class PassDataset:
     """Link geometry plus measured phases over the epochs of a pass.
 
-    geometries is a LinkGeometry batch (a sequence of one-epoch geometries
-    is stacked into one); phase_measurements rows are (phi_sc, sigma_sc,
-    phi_gs, sigma_gs) in radians, one per epoch; phases must be unwrapped
-    (absolute), not fringe-wrapped.
+    geometries is a LinkGeometry batch; phase_measurements rows are
+    (phi_sc, sigma_sc, phi_gs, sigma_gs) in radians, one per epoch; phases
+    must be unwrapped (absolute), not fringe-wrapped.
     """
 
     epochs: np.ndarray
@@ -62,7 +61,6 @@ class PassDataset:
         if np.any(rows[:, 1] <= 0.0) or np.any(rows[:, 3] <= 0.0):
             raise ValueError("phase uncertainties must be positive")
         object.__setattr__(self, "epochs", np.asarray(self.epochs, dtype=float))
-        object.__setattr__(self, "geometries", LinkGeometry.stack(self.geometries))
         object.__setattr__(self, "phase_measurements", rows)
 
     def __len__(self) -> int:
@@ -98,7 +96,7 @@ def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
 
 def synthesize_measurements(
     epochs: Sequence[float],
-    geometries,
+    geometries: LinkGeometry,
     cfg: OpticalConfig,
     red: RedshiftParams,
     sigma_sc: float = 0.0,
@@ -108,33 +106,32 @@ def synthesize_measurements(
 ) -> PassDataset:
     """Generate per-epoch phase measurements with Gaussian phase noise.
 
-    geometries is a LinkGeometry batch or a sequence of one-epoch
-    geometries. model = "expanded" (default) builds the one-way phase from
-    the second-order signal model plus half the exact round-trip phase, so
-    the regression model inverts it exactly; "exact" uses the exact
-    frequency ratios for both phases, which leaves the O(beta^3) truncation
-    visible to the estimator. With a seed, noise is drawn epoch by epoch,
-    the one-way phase before the round-trip one.
+    geometries is a LinkGeometry batch. model = "expanded" (default) builds
+    the one-way phase from the second-order signal model plus half the exact
+    round-trip phase, so the regression model inverts it exactly; "exact"
+    uses the exact frequency ratios for both phases, which leaves the
+    O(beta^3) truncation visible to the estimator. With a seed, noise is
+    drawn epoch by epoch, the one-way phase before the round-trip one.
 
     Note the phases are ~1e6 rad, so reconstructing s = phi_sc - phi_gs/2
     from the stored doubles is good to ~1e-10 rad, not machine epsilon.
     """
     if model not in ("expanded", "exact"):
         raise ValueError(f"unknown synthesis model '{model}'")
-    geoms = LinkGeometry.stack(geometries)
     scale = cfg.phase_scale
     if model == "expanded":
-        phi_gs = scale * roundtrip_fractional_shift(geoms)
-        phi_sc = scale * expanded_signal(geoms, red) + 0.5 * phi_gs
+        phi_gs = scale * roundtrip_fractional_shift(geometries)
+        phi_sc = scale * expanded_signal(geometries, red) + 0.5 * phi_gs
     else:
-        pair = phase_pair(geoms, cfg, red)
+        pair = phase_pair(geometries, cfg, red)
         phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
     if seed is not None:
-        noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs], (len(geoms), 2))
+        noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs],
+                                                   (len(geometries), 2))
         phi_sc, phi_gs = phi_sc + noise[:, 0], phi_gs + noise[:, 1]
     rows = np.stack(np.broadcast_arrays(phi_sc, max(sigma_sc, _SIGMA_FLOOR),
                                         phi_gs, max(sigma_gs, _SIGMA_FLOOR)), axis=1)
-    return PassDataset(epochs=epochs, geometries=geoms, phase_measurements=rows)
+    return PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
 
 
 def estimate_alpha(
@@ -273,21 +270,25 @@ def precision_forecast(
     """Monte Carlo spread of the violation estimate at a given photon budget.
 
     The photon budget is split evenly across epochs, scan points, and the
-    two terminals. Geometry and true/model phases are computed once and
-    shared by all trials; only photon noise is redrawn. The empirical
-    spread of alpha-hat across trials should match the mean reported
-    sigma_alpha within ~30%.
+    two terminals; a positive budget below one pulse per scan point raises
+    ValueError (0 runs noiseless). Geometry and true/model phases are
+    computed once and shared by all trials; only photon noise is redrawn.
+    The empirical spread of alpha-hat across trials should match the mean
+    reported sigma_alpha within ~30%.
     """
     if trials < 10:
         raise ValueError("need >= 10 trials for a usable empirical spread")
+    pulses = 2 * scenario.n_epochs * scenario.scan_points
+    if 0 < photon_budget < pulses:
+        raise ValueError(f"photon budget {photon_budget} is below one pulse per scan point "
+                         f"({pulses}); use 0 for a noiseless run")
+    n_per_point = int(photon_budget // pulses) if photon_budget > 0 else 0
     epochs, geometries = build_pass(
         scenario.gs_trajectory, scenario.sc_trajectory,
         scenario.t_start, scenario.t_end, scenario.n_epochs,
     )
     truth = phase_pair(geometries, scenario.cfg, scenario.red)
     model_pairs = phase_pair(geometries, scenario.cfg, RedshiftParams(0.0))
-    n_per_point = int(photon_budget // (scenario.n_epochs * scenario.scan_points * 2)) \
-        if photon_budget > 0 else 0
 
     trial_rows = []
     for t in range(trials):

@@ -8,20 +8,20 @@ Conventions used throughout:
 * point-mass potential, expressed as the positive dimensionless number
   U = GM/(c^2 r), which decreases with altitude
 
-Everything works on arrays of epochs. A trajectory (CircularOrbit,
-GroundStation, StaticPlatform, ephemeris.EphemerisTrajectory) implements
-``states(t)`` -> (positions (N, 3) [m], velocities (N, 3) [m/s]) and
-``accelerations(t)`` -> (N, 3) [m/s^2] for epochs t (N,) [s]; each batch is
-checked against the radius floor and speed ceiling, and an error names the
-first failing epoch. ``state(t)`` and ``acceleration(t)`` are one-epoch
-views of the same code. StateVector and LinkGeometry hold (N, 3) vectors and
-(N,) scalars for a batch, (3,) vectors and scalars for one epoch.
+Everything works on batches of epochs: a float or a sequence of floats is
+read as epochs t (N,) [s]. A trajectory (CircularOrbit, GroundStation,
+StaticPlatform, ephemeris.EphemerisTrajectory) implements ``states(t)`` ->
+StateVector with positions (N, 3) [m] and velocities (N, 3) [m/s], and
+``accelerations(t)`` -> (N, 3) [m/s^2]. The StateVector constructor checks
+the batch once against the radius floor and speed ceiling, and an error
+names the first failing epoch (a batch of one keeps the one-epoch message).
+LinkGeometry holds (N, 3) vectors and (N,) scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,22 +71,29 @@ def earth_rotation_vector() -> np.ndarray:
     return np.array([0.0, 0.0, OMEGA_EARTH])
 
 
+def _epochs(t) -> np.ndarray:
+    """Epochs (N,) [s] from a float or a sequence of floats."""
+    return np.atleast_1d(np.asarray(t, dtype=float))
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Inertial positions/velocities of a platform at scenario epochs.
+    """Inertial positions/velocities of a platform at a batch of scenario epochs.
 
-    position : m, velocity : m/s, (N, 3) or (3,); epoch : s, (N,) or float.
+    position : m, velocity : m/s, (N, 3); epoch : s, (N,). One 3-vector and
+    a float make a batch of one.
     """
 
     position: np.ndarray
     velocity: np.ndarray
-    epoch: float
+    epoch: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        vel = np.asarray(self.velocity, dtype=float)
+        pos = np.atleast_2d(np.asarray(self.position, dtype=float))
+        vel = np.atleast_2d(np.asarray(self.velocity, dtype=float))
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
+        object.__setattr__(self, "epoch", _epochs(self.epoch))
         r = np.linalg.norm(pos, axis=-1)
         _reject(r <= _MIN_RADIUS, r, BadAltitude,
                 f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", self.epoch)
@@ -95,29 +102,7 @@ class StateVector:
                 f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", self.epoch)
 
 
-def _epochs(t) -> np.ndarray:
-    return np.atleast_1d(np.asarray(t, dtype=float))
-
-
-def _checked(pos, vel, t):
-    """(pos, vel) after the StateVector radius and speed checks."""
-    s = StateVector(position=pos, velocity=vel, epoch=t)
-    return s.position, s.velocity
-
-
-class Trajectory:
-    """A state source: subclasses define states(t) and accelerations(t) over
-    an array of epochs (see the module docstring)."""
-
-    def state(self, t: float) -> StateVector:
-        pos, vel = self.states(_epochs(t))
-        return StateVector(position=pos[0], velocity=vel[0], epoch=t)
-
-    def acceleration(self, t: float) -> np.ndarray:
-        return self.accelerations(_epochs(t))[0]
-
-
-class CircularOrbit(Trajectory):
+class CircularOrbit:
     """Analytic two-body circular-orbit state source.
 
     Orbit plane is +x/+y rotated by inclination about +x, then by the node
@@ -141,7 +126,7 @@ class CircularOrbit(Trajectory):
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
         self._plane_to_inertial = (rotation_z(self.raan) @ rot_x).T
 
-    def states(self, t):
+    def states(self, t) -> StateVector:
         t = _epochs(t)
         a, n = self.semi_major_axis, self._mean_motion
         u = self.phase + n * t
@@ -149,17 +134,17 @@ class CircularOrbit(Trajectory):
         zero = np.zeros_like(u)
         pos = np.stack([a * cos_u, a * sin_u, zero], axis=-1) @ self._plane_to_inertial
         vel = np.stack([-a * n * sin_u, a * n * cos_u, zero], axis=-1) @ self._plane_to_inertial
-        return _checked(pos, vel, t)
+        return StateVector(position=pos, velocity=vel, epoch=t)
 
     def accelerations(self, t):
-        return -GM_EARTH / self.semi_major_axis**3 * self.states(t)[0]
+        return -GM_EARTH / self.semi_major_axis**3 * self.states(t).position
 
     def period(self) -> float:
         """Orbital period 2*pi*sqrt(a^3/GM) [s]."""
         return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / GM_EARTH)
 
 
-class GroundStation(Trajectory):
+class GroundStation:
     """Station fixed to the rotating spherical Earth.
 
     lat/lon in radians, alt in meters above the mean radius.
@@ -178,28 +163,28 @@ class GroundStation(Trajectory):
         ])
         self.states(np.zeros(1))
 
-    def states(self, t):
+    def states(self, t) -> StateVector:
         t = _epochs(t)
         pos = rotate_z(OMEGA_EARTH * t, self._body)
-        return _checked(pos, np.cross(earth_rotation_vector(), pos), t)
+        return StateVector(position=pos, velocity=np.cross(earth_rotation_vector(), pos), epoch=t)
 
     def accelerations(self, t):
         """Centripetal acceleration of the rotating station [m/s^2]."""
         w = earth_rotation_vector()
-        return np.cross(w, np.cross(w, self.states(t)[0]))
+        return np.cross(w, np.cross(w, self.states(t).position))
 
 
-class StaticPlatform(Trajectory):
+class StaticPlatform:
     """Non-moving platform; handy for controlled-geometry checks."""
 
     def __init__(self, position):
         self.position = np.asarray(position, dtype=float)
         self.states(np.zeros(1))
 
-    def states(self, t):
+    def states(self, t) -> StateVector:
         t = _epochs(t)
         pos = np.broadcast_to(self.position, (t.size, 3))
-        return _checked(pos, np.zeros((t.size, 3)), t)
+        return StateVector(position=pos, velocity=np.zeros((t.size, 3)), epoch=t)
 
     def accelerations(self, t):
         return np.zeros((_epochs(t).size, 3))
@@ -223,9 +208,8 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
 
     Returns
     -------
-    (T, n_hat) : (N,) [s], (N, 3) unit vectors; a float and a 3-vector when
-        emit_state holds one epoch. n_hat points emitter -> receiver,
-        evaluated at reception.
+    (T, n_hat) : (N,) [s], (N, 3) unit vectors. n_hat points emitter ->
+        receiver, evaluated at reception.
 
     Raises
     ------
@@ -234,14 +218,14 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
     NoConvergence
         An epoch still above the tolerance after 50 iterations.
     """
-    single = emit_state.position.ndim == 1
-    r_emit = np.atleast_2d(emit_state.position)
+    r_emit = emit_state.position
     t_emit = np.broadcast_to(np.asarray(t_emit, dtype=float), len(r_emit))
     t_flight = np.zeros(len(r_emit))
     n_hat = np.empty_like(r_emit)
     todo = np.arange(len(r_emit))   # epochs still iterating
     for _ in range(_LIGHT_TIME_MAX_ITER):
-        separation = receiver_trajectory.states(t_emit[todo] + t_flight[todo])[0] - r_emit[todo]
+        received = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
+        separation = received.position - r_emit[todo]
         rng = np.linalg.norm(separation, axis=-1)
         ranges = np.full(len(r_emit), np.inf)
         ranges[todo] = rng
@@ -252,14 +236,14 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
         n_hat[todo[settled]] = separation[settled] / rng[settled, None]
         todo = todo[~settled]
         if todo.size == 0:
-            return (t_flight[0], n_hat[0]) if single else (t_flight, n_hat)
+            return t_flight, n_hat
     _reject(np.isin(np.arange(len(r_emit)), todo), t_emit, NoConvergence,
             f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", t_emit)
 
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Everything the relativistic link model needs, per emission epoch.
+    """Everything the relativistic link model needs, per emission epoch of a batch.
 
     beta1/beta2/beta3 are v/c of ground station at emission, spacecraft at
     reception, and ground station at retro-reflected reception. n12 and n23
@@ -267,10 +251,8 @@ class LinkGeometry:
     receptions. U1..U3 are the dimensionless potentials at the same three
     events, a1 the station's centripetal acceleration [m/s^2], t_up the
     upward propagation time [s]. d1 and d2 project beta1/beta2 on n12;
-    d3 projects beta3 on n23.
-
-    A batch is checked once as a whole; indexing or iterating it gives
-    one-epoch geometries.
+    d3 projects beta3 on n23. Vectors are (N, 3), scalars (N,); the batch is
+    checked once as a whole.
     """
 
     beta1: np.ndarray
@@ -278,14 +260,14 @@ class LinkGeometry:
     beta3: np.ndarray
     n12: np.ndarray
     n23: np.ndarray
-    U1: float
-    U2: float
-    U3: float
+    U1: np.ndarray
+    U2: np.ndarray
+    U3: np.ndarray
     a1: np.ndarray
-    t_up: float
-    d1: float
-    d2: float
-    d3: float
+    t_up: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "beta3", "n12", "n23", "a1"):
@@ -302,42 +284,29 @@ class LinkGeometry:
             _reject(~((0.0 < u) & (u < 1e-8)), u, ValueError,
                     f"{name} = {{:.3e}} outside (0, 1e-8)")
 
-    @classmethod
-    def stack(cls, geometries) -> "LinkGeometry":
-        """One batch from a sequence of one-epoch geometries; a batch passes through."""
-        if isinstance(geometries, cls):
-            return geometries
-        return cls(**{f.name: np.array([getattr(g, f.name) for g in geometries], dtype=float)
-                      for f in fields(cls)})
-
     def __len__(self) -> int:
         return len(self.t_up)
 
-    def __getitem__(self, i: int) -> "LinkGeometry":
-        """One epoch of the batch; iterating goes through the epochs in order."""
-        return LinkGeometry(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
-
 
 def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
-    """Assemble the up-and-down link geometry for emission epoch(s) t_emit.
+    """Assemble the up-and-down link geometry batch for emission epochs t_emit.
 
     The ground station emits at t_emit; the spacecraft retro-reflects
     instantly at reception; the station receives the return. Light times for
-    both legs are solved independently. An array of epochs gives a batch,
-    a float one epoch.
+    both legs are solved independently.
     """
     t1 = _epochs(t_emit)
-    s1 = StateVector(*gs_trajectory.states(t1), epoch=t1)
+    s1 = gs_trajectory.states(t1)
     t_up, n12 = solve_light_time(s1, sc_trajectory, t1)
     t2 = t1 + t_up
-    s2 = StateVector(*sc_trajectory.states(t2), epoch=t2)
+    s2 = sc_trajectory.states(t2)
     t_down, n23 = solve_light_time(s2, gs_trajectory, t2)
-    pos3, vel3 = gs_trajectory.states(t2 + t_down)
+    s3 = gs_trajectory.states(t2 + t_down)
 
     beta1 = s1.velocity / C_LIGHT
     beta2 = s2.velocity / C_LIGHT
-    beta3 = vel3 / C_LIGHT
-    geometry = LinkGeometry(
+    beta3 = s3.velocity / C_LIGHT
+    return LinkGeometry(
         beta1=beta1,
         beta2=beta2,
         beta3=beta3,
@@ -345,11 +314,10 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
         n23=n23,
         U1=newtonian_potential(s1.position),
         U2=newtonian_potential(s2.position),
-        U3=newtonian_potential(pos3),
+        U3=newtonian_potential(s3.position),
         a1=gs_trajectory.accelerations(t1),
         t_up=t_up,
         d1=_dot(n12, beta1),
         d2=_dot(n12, beta2),
         d3=_dot(n23, beta3),
     )
-    return geometry if np.ndim(t_emit) else geometry[0]

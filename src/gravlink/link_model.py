@@ -12,8 +12,8 @@ and the combination s = phi_sc - phi_gs/2 cancels first-order Doppler,
 leaving the (1+alpha)-scaled potential difference plus small kinematic
 terms.
 
-Every function takes a LinkGeometry of one epoch or a batch of epochs and
-returns a scalar or one value per epoch accordingly.
+Every function of the geometry takes a LinkGeometry batch and returns one
+value per epoch, (N,).
 
 Numerical note: the ratios sit within ~1e-10 of unity, so every function
 here evaluates ratio - 1 from rearranged differences instead of forming
@@ -92,11 +92,11 @@ class RedshiftParams:
 
 @dataclass(frozen=True)
 class PhasePair:
-    """Fringe phases at the two terminals and their combination [rad], per epoch."""
+    """Fringe phases at the two terminals and their combination [rad], (N,) per epoch."""
 
-    phi_sc: float
-    phi_gs: float
-    s_signal: float
+    phi_sc: np.ndarray
+    phi_gs: np.ndarray
+    s_signal: np.ndarray
 
 
 def gravitational_phase(cfg: OpticalConfig, g: float, h: float, alpha: float = 0.0) -> float:

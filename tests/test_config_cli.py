@@ -5,6 +5,7 @@ import copy
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -129,6 +130,7 @@ sweep:
   n_epochs: 6
 """
 SAMPLE_CPF = SCENARIOS / "leo_sample.cpf"  # 41 records, 60 s apart: span 2400 s
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 # Inputs that validate once accepted and run then crashed or misbehaved on;
 # each is a config problem, so both commands exit 2.
@@ -169,6 +171,10 @@ DEFECTS = [
     ("unknown_grid_key", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
      "theta_grid_deg: {start: 0.0, stop: 85.0, num: 4, step: 1.0}",
      "spin.theta_grid_deg.step: unknown key"),
+    # 6 epochs x 8 scan points x 2 terminals: 95 photons leave every scan point empty
+    ("photon_budget_below_one_pulse_per_point", SMALL_FORECAST, "photon_budget: 96000",
+     "photon_budget: 95",
+     "noise.photon_budget: 95 must be 0 (noiseless) or >= 2*n_epochs*scan_points (96)"),
 ]
 
 
@@ -260,6 +266,43 @@ spin:
             assert main(["run", path]) == 2
             assert "violation: station.altitude_m:" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget, valid", [("0", True), ("95", False), ("96", True)])
+    def test_photon_budget_zero_or_one_pulse_per_scan_point(self, tmp_path, budget, valid):
+        cfg = SMALL_FORECAST.format(out="out").replace("photon_budget: 96000",
+                                                       f"photon_budget: {budget}")
+        problems = validate_config(write_yaml(tmp_path, cfg))
+        assert [p.split(":")[0] for p in problems] == ([] if valid else ["noise.photon_budget"])
+
+    def test_shipped_forecast_with_a_starved_budget_exits_two(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # 100 photons over 25 epochs x 8 points x 2 terminals once ran noiseless and exited 0
+        text = (SCENARIOS / "alpha_forecast.yaml").read_text(encoding="utf-8")
+        assert "photon_budget: 16000000" in text
+        path = write_yaml(tmp_path, text.replace("photon_budget: 16000000", "photon_budget: 100"))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert ("violation: noise.photon_budget: 100 must be 0 (noiseless) or "
+                    ">= 2*n_epochs*scan_points (400)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_span_error_does_not_hide_the_station_altitude(self, tmp_path, monkeypatch,
+                                                           capsys):
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="2400.0").replace(
+            "longitude_deg: 0.0", "longitude_deg: 0.0\n  altitude_m: 1.0e+6")
+        path = write_yaml(tmp_path, cfg)
+        problems = validate_config(path)
+        assert [p.split(":")[0] for p in problems] == ["orbit.ephemeris_path",
+                                                       "station.altitude_m"]
+        assert problems[0].startswith("orbit.ephemeris_path: OutOfRange: sweep [300, 2400] s")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("violation: orbit.ephemeris_path: OutOfRange") == 2
+        assert err.count("violation: station.altitude_m:") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_exponent_without_dot_names_the_yaml_rule(self, tmp_path):
         cfg = SMALL_PASS.format(out="out").replace("6.771e+6", "6.771e6")
@@ -525,6 +568,24 @@ class TestCliRuns:
         assert fresh.shape == tracked.shape
         np.testing.assert_array_equal(fresh[:, 0], tracked[:, 0])
         assert np.max(np.abs(fresh[:, 4] - tracked[:, 4])) <= 1e-8
+
+    @pytest.mark.parametrize("scenario", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_scenario_reproduces_tracked_output(self, tmp_path, monkeypatch, scenario):
+        # text between numbers must match exactly; numbers may differ by another
+        # numpy's last-bit rounding
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(scenario)]) == 0
+        tracked_dir = SCENARIOS.parent / "out" / scenario.stem
+        names = sorted(f.name for f in tracked_dir.iterdir())
+        assert sorted(f.name for f in tmp_path.iterdir()) == names
+        for name in names:
+            fresh = _NUMBER.split((tmp_path / name).read_text(encoding="utf-8"))
+            tracked = _NUMBER.split((tracked_dir / name).read_text(encoding="utf-8"))
+            assert fresh[0::2] == tracked[0::2], name
+            np.testing.assert_allclose(np.array(fresh[1::2], dtype=float),
+                                       np.array(tracked[1::2], dtype=float),
+                                       rtol=1e-9, atol=1e-8, err_msg=name)
 
 
 def _leaves(node, path=()):

@@ -177,7 +177,7 @@ class TestInterpolation:
         table = parse_cpf(SAMPLE)
         state = interpolate_state(table, 0.0)
         # t = first epoch: inertial and Earth-fixed frames coincide
-        np.testing.assert_allclose(state.position, [7.0e6, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(state.position, [[7.0e6, 0.0, 0.0]], atol=1e-6)
         assert state.epoch == 0.0
 
     def test_node_reproduction_rotated(self):
@@ -185,13 +185,18 @@ class TestInterpolation:
         t = 300.0
         state = interpolate_state(table, t)
         pos, _ = analytic_eci_state(7.0e6, 0.0, t)
-        np.testing.assert_allclose(state.position, pos, atol=1e-5)
+        np.testing.assert_allclose(state.position, [pos], atol=1e-5)
 
-    def test_epoch_pair_argument(self):
+    @pytest.mark.parametrize("times", [[10.0, 20.0], (10.0, 20.0),
+                                       [10.0, 20.0, 30.0], (10.0, 20.0, 30.0)])
+    def test_sequences_are_epochs(self, times):
         table = circular_orbit_table(n_records=8)
-        by_pair = interpolate_state(table, (61267, 90.0))
-        by_rel = interpolate_state(table, 90.0)
-        np.testing.assert_allclose(by_pair.position, by_rel.position)
+        expected = interpolate_state(table, np.array(times))
+        state = interpolate_state(table, times)
+        assert state.position.shape == (len(times), 3)
+        np.testing.assert_array_equal(state.position, expected.position)
+        np.testing.assert_array_equal(state.velocity, expected.velocity)
+        np.testing.assert_array_equal(state.epoch, times)
 
     def test_out_of_range(self):
         table = parse_cpf(SAMPLE)  # spans [0, 180] s
@@ -237,7 +242,7 @@ class TestTrajectory:
         table = circular_orbit_table(n_records=10)
         traj = EphemerisTrajectory(table)
         np.testing.assert_allclose(
-            traj.state(123.0).position, interpolate_state(table, 123.0).position
+            traj.states(123.0).position, interpolate_state(table, 123.0).position
         )
 
     def test_needs_four_records(self):
@@ -249,8 +254,8 @@ class TestTrajectory:
         table = circular_orbit_table(n_records=20)
         traj = EphemerisTrajectory(table)
         t = 300.0
-        acc = traj.acceleration(t)
-        state = traj.state(t)
+        acc = traj.accelerations(t)
+        state = traj.states(t)
         r = float(np.linalg.norm(state.position))
         expected = -GM_EARTH / r**3 * state.position
         np.testing.assert_allclose(acc, expected, atol=1e-5 * GM_EARTH / r**2)
@@ -297,7 +302,7 @@ class TestBatchInterpolation:
             assert np.max(np.abs(batch.position[i] - pos)) <= 1e-6
             assert np.max(np.abs(batch.velocity[i] - vel)) <= 1e-7
             one = interpolate_state(table, float(t))
-            np.testing.assert_allclose(one.position, batch.position[i], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(one.position[0], batch.position[i], rtol=0, atol=1e-9)
 
     def test_node_hits_are_exact(self):
         table = circular_orbit_table(n_records=12)
@@ -315,10 +320,11 @@ class TestBatchInterpolation:
             interpolate_state(table, np.array([0.0, 90.0, 200.0, 300.0]))
 
     def test_trajectory_states_match_one_epoch_views(self):
+        """Each row of a batch equals the same epoch run as a batch of one."""
         traj = EphemerisTrajectory(circular_orbit_table(n_records=20))
         times = np.array([30.0, 300.0, 601.5, 1000.0])
-        pos, vel = traj.states(times)
+        pos = traj.states(times).position
         acc = traj.accelerations(times)
         for i, t in enumerate(times):
-            np.testing.assert_allclose(traj.state(float(t)).position, pos[i], rtol=0, atol=1e-9)
-            np.testing.assert_allclose(traj.acceleration(float(t)), acc[i], rtol=1e-12)
+            np.testing.assert_allclose(traj.states(t).position[0], pos[i], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(traj.accelerations(t)[0], acc[i], rtol=1e-12)

@@ -24,26 +24,20 @@ OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0014e-5)
 
 
 def tiny_beta_geometries(n=12):
-    """Controlled geometries with beta ~ 1e-8 so stored phases stay small
+    """Controlled geometry batch with beta ~ 1e-8 so stored phases stay small
     enough for the measured combination to round-trip near machine
     precision (LEO-scale phases are ~1e6 rad and round at ~1e-10 rad)."""
-    geoms = []
-    for i in range(n):
-        frac = i / (n - 1)
-        u2 = U_SURFACE - (0.5 + 0.5 * frac) * 4.0e-11
-        b1 = np.array([1.0e-8 * frac, 5.0e-9, 0.0])
-        b2 = np.array([-4.0e-9, 1.0e-8 * (1.0 - frac), 2.0e-9])
-        n12 = np.array([1.0, 0.0, 0.0])
-        n23 = np.array([-1.0, 0.0, 0.0])
-        geoms.append(
-            LinkGeometry(
-                beta1=b1, beta2=b2, beta3=b1, n12=n12, n23=n23,
-                U1=U_SURFACE, U2=u2, U3=U_SURFACE,
-                a1=np.array([0.03, 0.0, 0.0]), t_up=1.3e-3,
-                d1=float(n12 @ b1), d2=float(n12 @ b2), d3=float(n23 @ b1),
-            )
-        )
-    return geoms
+    frac = np.arange(n) / max(n - 1, 1)
+    b1 = np.stack([1.0e-8 * frac, np.full(n, 5.0e-9), np.zeros(n)], axis=1)
+    b2 = np.stack([np.full(n, -4.0e-9), 1.0e-8 * (1.0 - frac), np.full(n, 2.0e-9)], axis=1)
+    n12 = np.tile([1.0, 0.0, 0.0], (n, 1))
+    n23 = -n12
+    return LinkGeometry(
+        beta1=b1, beta2=b2, beta3=b1, n12=n12, n23=n23,
+        U1=np.full(n, U_SURFACE), U2=U_SURFACE - (0.5 + 0.5 * frac) * 4.0e-11,
+        U3=np.full(n, U_SURFACE), a1=np.tile([0.03, 0.0, 0.0], (n, 1)), t_up=np.full(n, 1.3e-3),
+        d1=np.sum(n12 * b1, axis=1), d2=np.sum(n12 * b2, axis=1), d3=np.sum(n23 * b1, axis=1),
+    )
 
 
 def leo_pass(n_epochs=50):
@@ -55,21 +49,22 @@ def leo_pass(n_epochs=50):
 class TestPassDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            PassDataset(epochs=(0.0,), geometries=(), phase_measurements=())
+            PassDataset(epochs=(0.0,), geometries=tiny_beta_geometries(2),
+                        phase_measurements=())
 
     def test_bad_row_width(self):
-        geom = tiny_beta_geometries(2)[0]
+        geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
             PassDataset(
-                epochs=(0.0,), geometries=(geom,),
+                epochs=(0.0,), geometries=geom,
                 phase_measurements=((1.0, 0.1, 2.0),),
             )
 
     def test_nonpositive_sigma(self):
-        geom = tiny_beta_geometries(2)[0]
+        geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
             PassDataset(
-                epochs=(0.0,), geometries=(geom,),
+                epochs=(0.0,), geometries=geom,
                 phase_measurements=((1.0, 0.0, 2.0, 0.1),),
             )
 
@@ -123,16 +118,12 @@ class TestEstimateAlpha:
         red = RedshiftParams(2e-4)
         data = synthesize_measurements(epochs, geoms, OPTICS, red, model="exact")
         scale = OPTICS.phase_scale
-        for geom, row in zip(data.geometries, data.phase_measurements):
-            beta_max = max(
-                float(np.linalg.norm(geom.beta1)),
-                float(np.linalg.norm(geom.beta2)),
-                float(np.linalg.norm(geom.beta3)),
-            )
-            s_meas = row[0] - 0.5 * row[2]
-            resid = s_meas / scale - velocity_terms(geom) \
-                - (1.0 + red.alpha) * (geom.U2 - geom.U1)
-            assert abs(resid) <= 10.0 * beta_max**3
+        geom, rows = data.geometries, data.phase_measurements
+        beta_max = np.max(np.linalg.norm([geom.beta1, geom.beta2, geom.beta3], axis=-1), axis=0)
+        s_meas = rows[:, 0] - 0.5 * rows[:, 2]
+        resid = s_meas / scale - velocity_terms(geom) \
+            - (1.0 + red.alpha) * (geom.U2 - geom.U1)
+        assert np.all(np.abs(resid) <= 10.0 * beta_max**3)
 
     def test_unbiased_under_phase_noise(self):
         epochs, geoms = leo_pass(50)
@@ -160,15 +151,15 @@ class TestEstimateAlpha:
         assert 0.5 < est.chi2_per_dof < 2.0
 
     def test_singular_when_no_leverage(self):
-        geom = tiny_beta_geometries(2)[0]
+        geom = tiny_beta_geometries(1)
         flat = LinkGeometry(
             beta1=geom.beta1, beta2=geom.beta2, beta3=geom.beta3,
             n12=geom.n12, n23=geom.n23,
-            U1=U_SURFACE, U2=U_SURFACE, U3=U_SURFACE,
+            U1=geom.U1, U2=geom.U1, U3=geom.U1,
             a1=geom.a1, t_up=geom.t_up,
             d1=geom.d1, d2=geom.d2, d3=geom.d3,
         )
-        data = synthesize_measurements([0.0], [flat], OPTICS, RedshiftParams(0.0))
+        data = synthesize_measurements([0.0], flat, OPTICS, RedshiftParams(0.0))
         with pytest.raises(SingularFit):
             estimate_alpha(data, OPTICS)
 
@@ -181,9 +172,8 @@ class TestEstimateAlpha:
         est = estimate_alpha(data, OPTICS)
         scale = OPTICS.phase_scale
         var_s = 1e-6 + 0.25e-6
-        leverage = sum(
-            scale**2 / var_s * (g.U2 - g.U1) ** 2 for g in data.geometries
-        )
+        geoms = data.geometries
+        leverage = np.sum(scale**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
         assert est.sigma_alpha == pytest.approx(1.0 / math.sqrt(leverage), rel=1e-9)
 
     def test_unknown_model_rejected(self):
@@ -214,6 +204,12 @@ class TestPrecisionForecast:
     def test_requires_ten_trials(self):
         with pytest.raises(ValueError):
             precision_forecast(forecast_scenario(), 10**6, trials=5, seed=1)
+
+    def test_budget_below_one_pulse_per_point_rejected(self):
+        # 6 epochs x 8 points x 2 terminals = 96 pulses; 0 means noiseless
+        for budget in (1, 95):
+            with pytest.raises(ValueError, match=r"photon budget \d+ is below one pulse .*\(96\)"):
+                precision_forecast(forecast_scenario(), budget, trials=10, seed=1)
 
     def test_noiseless_pipeline_collapses(self):
         result = precision_forecast(forecast_scenario(), 0, trials=10, seed=1)
