@@ -182,9 +182,9 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
     out_dir = Path(cfg.output_dir)
     _write(out_dir, "fringe_scan.txt", serialize_scan(scan))
 
-    brightest = max(scan, key=lambda h: h.counts_central)
-    side = 0.5 * (brightest.counts_early + brightest.counts_late)
-    ratio = brightest.counts_central / side if side > 0 else math.inf
+    early, central, late = scan.counts[np.argmax(scan.counts[:, 1])]
+    side = 0.5 * (early + late)
+    ratio = central / side if side > 0 else math.inf
     summary = [
         f"mode: fringe-demo ({cfg.fringe.scan_points} scan points, "
         f"{cfg.fringe.n_per_point} pulses/point)",

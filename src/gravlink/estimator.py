@@ -231,32 +231,24 @@ def run_forecast_trial(
     unwrap against the zero-violation model, regression.
 
     truth and model_pairs hold the true and zero-violation phases of every
-    epoch of the geometry batch."""
-    offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
-    seeds = np.random.SeedSequence(trial_seed).spawn(2 * len(epochs))
-    rows = []
-    for i in range(len(epochs)):
-        fitted = []
-        for j, (phi_true, phi_model) in enumerate(
-            ((truth.phi_sc[i], model_pairs.phi_sc[i]), (truth.phi_gs[i], model_pairs.phi_gs[i]))
-        ):
-            if n_per_point > 0:
-                scan = fringe_scan(
-                    offsets,
-                    phi_true,
-                    scenario.visibility,
-                    n_per_point,
-                    scenario.efficiency,
-                    seeds[2 * i + j],
-                    dark_rate=scenario.dark_rate,
-                )
-                fit = fit_phase(scan)
-                phi_abs = phi_model + _wrap_phase(fit.phi_hat - phi_model)
-                fitted.append((phi_abs, fit.sigma_phi))
-            else:
-                fitted.append((phi_true, _NOISELESS_SIGMA))
-        (phi_sc, sig_sc), (phi_gs, sig_gs) = fitted
-        rows.append((phi_sc, sig_sc, phi_gs, sig_gs))
+    epoch of the geometry batch. The trial's scans form one (epoch,
+    terminal) batch, terminal 0 the spacecraft (phi_sc) and 1 the ground
+    station (phi_gs): one multinomial draw of default_rng(SeedSequence(
+    trial_seed)) gives all their counts, one fit_phase call fits them, and a
+    failed fit names its scan as [epoch, terminal]."""
+    true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)
+    if n_per_point > 0:
+        offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
+        scan = fringe_scan(offsets, true_phase, scenario.visibility, n_per_point,
+                           scenario.efficiency, np.random.SeedSequence(trial_seed),
+                           dark_rate=scenario.dark_rate)
+        fit = fit_phase(scan)
+        model = np.stack([model_pairs.phi_sc, model_pairs.phi_gs], axis=-1)
+        phase, sigma = model + _wrap_phase(fit.phi_hat - model), fit.sigma_phi
+    else:
+        phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
+    # rows (phi_sc, sigma_sc, phi_gs, sigma_gs)
+    rows = np.stack([phase, sigma], axis=-1).reshape(len(epochs), 4)
     dataset = PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
     return estimate_alpha(dataset, cfg)
 
@@ -273,8 +265,9 @@ def precision_forecast(
     two terminals; a positive budget below one pulse per scan point raises
     ValueError (0 runs noiseless). Geometry and true/model phases are
     computed once and shared by all trials; only photon noise is redrawn.
-    The empirical spread of alpha-hat across trials should match the mean
-    reported sigma_alpha within ~30%.
+    Trial t draws from SeedSequence((seed, t)) alone, so its row does not
+    depend on how many trials run. The empirical spread of alpha-hat across
+    trials should match the mean reported sigma_alpha within ~30%.
     """
     if trials < 10:
         raise ValueError("need >= 10 trials for a usable empirical spread")

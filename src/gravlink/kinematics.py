@@ -199,12 +199,12 @@ def newtonian_potential(position):
     return GM_EARTH / (C_LIGHT**2 * r)
 
 
-def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
+def solve_light_time(emit_state: StateVector, receiver_trajectory):
     """Propagation times and arrival directions from emitter to a moving receiver.
 
     Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c over every
-    epoch of emit_state at once; an epoch stops once its update is below
-    1e-12 s, and the others go on.
+    epoch of emit_state at once, t_emit being emit_state.epoch; an epoch
+    stops once its update is below 1e-12 s, and the others go on.
 
     Returns
     -------
@@ -219,7 +219,7 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory, t_emit):
         An epoch still above the tolerance after 50 iterations.
     """
     r_emit = emit_state.position
-    t_emit = np.broadcast_to(np.asarray(t_emit, dtype=float), len(r_emit))
+    t_emit = np.broadcast_to(emit_state.epoch, len(r_emit))
     t_flight = np.zeros(len(r_emit))
     n_hat = np.empty_like(r_emit)
     todo = np.arange(len(r_emit))   # epochs still iterating
@@ -251,8 +251,9 @@ class LinkGeometry:
     receptions. U1..U3 are the dimensionless potentials at the same three
     events, a1 the station's centripetal acceleration [m/s^2], t_up the
     upward propagation time [s]. d1 and d2 project beta1/beta2 on n12;
-    d3 projects beta3 on n23. Vectors are (N, 3), scalars (N,); the batch is
-    checked once as a whole.
+    d3 projects beta3 on n23. Vectors are (N, 3), scalars (N,); one 3-vector
+    per vector and floats make a batch of one. The batch is checked once as a
+    whole.
     """
 
     beta1: np.ndarray
@@ -271,7 +272,9 @@ class LinkGeometry:
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "beta3", "n12", "n23", "a1"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
+        for name in ("U1", "U2", "U3", "t_up", "d1", "d2", "d3"):
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         for name in ("n12", "n23"):
             norm = np.linalg.norm(getattr(self, name), axis=-1)
             _reject(np.abs(norm - 1.0) > 1e-9, norm, DegenerateGeometry,
@@ -280,7 +283,7 @@ class LinkGeometry:
             b = np.linalg.norm(getattr(self, name), axis=-1)
             _reject(b >= _MAX_BETA, b, ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}")
         for name in ("U1", "U2", "U3"):
-            u = np.asarray(getattr(self, name))
+            u = getattr(self, name)
             _reject(~((0.0 < u) & (u < 1e-8)), u, ValueError,
                     f"{name} = {{:.3e}} outside (0, 1e-8)")
 
@@ -297,10 +300,10 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
     """
     t1 = _epochs(t_emit)
     s1 = gs_trajectory.states(t1)
-    t_up, n12 = solve_light_time(s1, sc_trajectory, t1)
+    t_up, n12 = solve_light_time(s1, sc_trajectory)
     t2 = t1 + t_up
     s2 = sc_trajectory.states(t2)
-    t_down, n23 = solve_light_time(s2, gs_trajectory, t2)
+    t_down, n23 = solve_light_time(s2, gs_trajectory)
     s3 = gs_trajectory.states(t2 + t_down)
 
     beta1 = s1.velocity / C_LIGHT

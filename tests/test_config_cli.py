@@ -443,6 +443,39 @@ class TestCliBasics:
         assert result.returncode == 0, result.stderr
 
 
+def run_shipped_forecast(tmp_path, monkeypatch, trials):
+    """Rows of forecast_trials.txt from scenarios/alpha_forecast.yaml at its
+    seed, with the trial count replaced."""
+    text = (SCENARIOS / "alpha_forecast.yaml").read_text(encoding="utf-8")
+    assert "  trials: 12\n" in text
+    path = write_yaml(tmp_path, text.replace("  trials: 12\n", f"  trials: {trials}\n"),
+                      f"forecast_{trials}.yaml")
+    monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / f"out_{trials}"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", path]) == 0
+    return (tmp_path / f"out_{trials}" / "forecast_trials.txt").read_bytes().splitlines()
+
+
+class TestForecastStream:
+    def test_more_trials_only_append_rows(self, tmp_path, monkeypatch):
+        # trial k draws from SeedSequence((seed, k)) alone
+        ten = run_shipped_forecast(tmp_path, monkeypatch, 10)
+        twenty = run_shipped_forecast(tmp_path, monkeypatch, 20)
+        assert ten[0].startswith(b"# trial") and len(ten) == 12 and len(twenty) == 22
+        assert ten[:11] == twenty[:11]
+
+    def test_thousand_trials_are_calibrated(self, tmp_path, monkeypatch):
+        lines = run_shipped_forecast(tmp_path, monkeypatch, 1000)
+        rows = np.loadtxt(lines, comments="#")
+        assert rows.shape == (1000, 4)
+        chi2 = rows[:, 3]
+        # standard error of the mean chi2/dof, from the trials themselves
+        stderr = float(np.std(chi2, ddof=1)) / math.sqrt(len(chi2))
+        assert abs(float(np.mean(chi2)) - 1.0) <= 4.0 * stderr
+        ratio = float(np.std(rows[:, 1], ddof=1)) / float(np.mean(rows[:, 2]))
+        assert 0.7 <= ratio <= 1.3
+
+
 class TestCliRuns:
     def test_constants_mode_writes_table(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))

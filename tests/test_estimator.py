@@ -68,6 +68,21 @@ class TestPassDataset:
                 phase_measurements=((1.0, 0.0, 2.0, 0.1),),
             )
 
+    def test_one_epoch_geometry_from_scalars(self):
+        # 3-vectors and floats make a batch of one, with a length
+        beta = np.array([0.0, 1.0e-8, 0.0])
+        n12 = np.array([1.0, 0.0, 0.0])
+        geom = LinkGeometry(
+            beta1=beta, beta2=beta, beta3=beta, n12=n12, n23=-n12,
+            U1=U_SURFACE, U2=U_SURFACE - 4.0e-11, U3=U_SURFACE, a1=np.zeros(3),
+            t_up=1.3e-3, d1=0.0, d2=0.0, d3=0.0,
+        )
+        assert len(geom) == 1
+        assert geom.n12.shape == (1, 3) and geom.U2.shape == (1,) and geom.d2.shape == (1,)
+        data = PassDataset(epochs=(0.0,), geometries=geom,
+                           phase_measurements=((1.0, 0.1, 2.0, 0.1),))
+        assert len(data) == 1
+
     def test_alpha_estimate_sigma_positive(self):
         with pytest.raises(ValueError):
             AlphaEstimate(alpha_hat=0.0, sigma_alpha=0.0, chi2_per_dof=1.0)

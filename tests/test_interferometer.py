@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gravlink.errors import DegenerateVisibility, FitDiverged, InsufficientScan
 from gravlink.interferometer import (
-    DetectionHistogram,
-    PeakIntensities,
+    FringeScan,
     cascade_intensities,
     fit_phase,
     fringe_scan,
@@ -19,13 +20,13 @@ from gravlink.interferometer import (
 
 FULL_SCAN = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 EIGHT_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+FOUR_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
 
 
 def binomial_root_weights(scan):
     """sqrt of the documented fit weights 1 / max(c (1 - c / n_sent), 1)."""
-    counts = np.array([h.counts_central for h in scan], dtype=float)
-    n_sent = np.array([h.n_sent for h in scan], dtype=float)
-    return counts, 1.0 / np.sqrt(np.maximum(counts * (1.0 - counts / n_sent), 1.0))
+    counts = scan.counts[..., 1].astype(float)
+    return counts, 1.0 / np.sqrt(np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0))
 
 
 def profile_chi2(phi, offsets, counts, root_w):
@@ -47,44 +48,65 @@ def crossing(f, target, inside, outside, iterations=60):
     return 0.5 * (inside + outside)
 
 
+def svd_fit_oracle(offsets, counts, n_sent):
+    """The one-scan weighted fit by SVD that fit_phase batched: returns
+    (phi_hat, sigma_phi, visibility_hat) of central counts (P,), or raises
+    as fit_phase does."""
+    if counts.sum() <= 0:
+        raise DegenerateVisibility("no central-peak counts; phase unidentifiable")
+    design = np.column_stack([np.ones_like(offsets), np.cos(offsets), np.sin(offsets)])
+    root_w = 1.0 / np.sqrt(np.maximum(counts * (1.0 - counts / n_sent), 1.0))
+    u, s, vt = np.linalg.svd(root_w[:, None] * design, full_matrices=False)
+    if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
+        raise FitDiverged("singular fringe-fit normal matrix")
+    a0, a1, a2 = vt.T @ ((u.T @ (root_w * counts)) / s)
+    if a0 <= 0.0:
+        raise DegenerateVisibility(f"non-positive fringe baseline {a0:.3g}")
+    amp = math.hypot(a1, a2)
+    if amp / a0 < 0.05:
+        raise DegenerateVisibility("fitted visibility below 0.05")
+    grad = (vt[:, 1] * a2 - vt[:, 2] * a1) / (amp * amp * s)
+    phi = math.remainder(math.atan2(-a2, a1), 2.0 * math.pi)
+    return (math.pi if phi <= -math.pi else phi), math.sqrt(float(grad @ grad)), amp / a0
+
+
 class TestCascadeIntensities:
     def test_bright_fringe(self):
-        peaks = cascade_intensities(0.0, 1.0)
-        assert peaks.central == pytest.approx(0.25, abs=1e-15)
-        assert peaks.early == pytest.approx(0.0625, abs=1e-15)
-        assert peaks.late == pytest.approx(0.0625, abs=1e-15)
-        assert peaks.central / peaks.early == pytest.approx(4.0, abs=1e-12)
+        early, central, late = cascade_intensities(0.0, 1.0)
+        assert central == pytest.approx(0.25, abs=1e-15)
+        assert early == pytest.approx(0.0625, abs=1e-15)
+        assert late == pytest.approx(0.0625, abs=1e-15)
+        assert central / early == pytest.approx(4.0, abs=1e-12)
 
     def test_dark_fringe(self):
-        peaks = cascade_intensities(math.pi, 1.0)
-        assert abs(peaks.central) < 1e-16
-        assert peaks.early == pytest.approx(0.0625, abs=1e-15)
+        early, central, _ = cascade_intensities(math.pi, 1.0)
+        assert abs(central) < 1e-16
+        assert early == pytest.approx(0.0625, abs=1e-15)
 
     def test_zero_visibility(self):
-        for phi in (0.0, 1.0, 2.5):
-            assert cascade_intensities(phi, 0.0).central == pytest.approx(
-                0.125, abs=1e-15
-            )
+        central = cascade_intensities(np.array([0.0, 1.0, 2.5]), 0.0)[:, 1]
+        np.testing.assert_allclose(central, 0.125, atol=1e-15)
 
     def test_side_peaks_phase_independent(self):
-        grid = np.linspace(-4.0, 8.0, 97)
-        early = [cascade_intensities(float(p), 0.7).early for p in grid]
-        late = [cascade_intensities(float(p), 0.7).late for p in grid]
-        assert max(early) - min(early) < 1e-12
-        assert max(late) - min(late) < 1e-12
+        peaks = cascade_intensities(np.linspace(-4.0, 8.0, 97), 0.7)
+        assert np.ptp(peaks[:, 0]) < 1e-12
+        assert np.ptp(peaks[:, 2]) < 1e-12
 
     def test_both_ports_conserve_probability(self):
         # complementary port = same cascade, central fringe sign flipped;
         # the two monitored ports carry half the light, the rest exits
         # the preparation interferometer's unused port
-        for phi in np.linspace(0.0, 2.0 * math.pi, 23):
-            here = cascade_intensities(float(phi), 1.0)
-            there = cascade_intensities(float(phi) + math.pi, 1.0)
-            assert here.total + there.total == pytest.approx(0.5, abs=1e-12)
+        phi = np.linspace(0.0, 2.0 * math.pi, 23)
+        here = cascade_intensities(phi, 1.0).sum(axis=-1)
+        there = cascade_intensities(phi + math.pi, 1.0).sum(axis=-1)
+        np.testing.assert_allclose(here + there, 0.5, atol=1e-12)
 
     def test_central_capped_at_quarter(self):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 50):
-            assert 0.0 <= cascade_intensities(float(phi), 1.0).central <= 0.25
+        central = cascade_intensities(np.linspace(0.0, 2.0 * math.pi, 50), 1.0)[:, 1]
+        assert np.all((0.0 <= central) & (central <= 0.25))
+
+    def test_batch_shape(self):
+        assert cascade_intensities(np.zeros((5, 2, 8)), 0.9).shape == (5, 2, 8, 3)
 
     def test_visibility_bound(self):
         with pytest.raises(ValueError):
@@ -94,86 +116,93 @@ class TestCascadeIntensities:
 
     def test_intensity_window(self):
         with pytest.raises(ValueError):
-            PeakIntensities(early=0.5, central=0.1, late=0.0625)
+            simulate_counts(np.array([0.5, 0.1, 0.0625]), 100, 1.0, 1)
 
 
-class TestDetectionHistogram:
+class TestFringeScanCounts:
     def test_counts_cannot_exceed_sent(self):
         with pytest.raises(ValueError):
-            DetectionHistogram(
-                counts_early=600, counts_central=600, counts_late=0,
-                n_sent=1000, phase_setting=0.0,
-            )
+            FringeScan(FOUR_POINT_SCAN, np.tile([600, 600, 0], (4, 1)), n_sent=1000)
 
     def test_negative_counts_rejected(self):
+        counts = np.zeros((4, 3), dtype=int)
+        counts[2, 0] = -1
         with pytest.raises(ValueError):
-            DetectionHistogram(
-                counts_early=-1, counts_central=0, counts_late=0,
-                n_sent=10, phase_setting=0.0,
-            )
+            FringeScan(FOUR_POINT_SCAN, counts, n_sent=10)
+
+    def test_counts_must_end_in_points_and_windows(self):
+        with pytest.raises(ValueError):
+            FringeScan(FOUR_POINT_SCAN, np.zeros((4, 2), dtype=int), n_sent=10)
+
+    def test_offsets_checked(self):
+        with pytest.raises(InsufficientScan):
+            FringeScan([0.0, 1.0, 2.0], np.zeros((3, 3), dtype=int), n_sent=10)
 
 
 class TestSimulateCounts:
     def test_zero_efficiency(self):
-        peaks = cascade_intensities(0.0, 1.0)
-        hist = simulate_counts(peaks, 1000, 0.0, rng_seed=1)
-        assert hist.counts_early == hist.counts_central == hist.counts_late == 0
+        counts = simulate_counts(cascade_intensities(0.0, 1.0), 1000, 0.0, rng=1)
+        assert counts.tolist() == [0, 0, 0]
 
     def test_bright_fringe_statistics(self):
         n = 10**6
-        peaks = cascade_intensities(0.0, 1.0)
-        hist = simulate_counts(peaks, n, 1.0, rng_seed=42)
+        early, central, _ = simulate_counts(cascade_intensities(0.0, 1.0), n, 1.0, rng=42)
         sigma = math.sqrt(0.25 * 0.75 * n)
-        assert abs(hist.counts_central - 0.25 * n) < 5.0 * sigma
+        assert abs(central - 0.25 * n) < 5.0 * sigma
         sigma_side = math.sqrt(0.0625 * 0.9375 * n)
-        assert abs(hist.counts_early - 0.0625 * n) < 5.0 * sigma_side
+        assert abs(early - 0.0625 * n) < 5.0 * sigma_side
 
     def test_deterministic_under_seed(self):
         peaks = cascade_intensities(0.7, 0.9)
-        a = simulate_counts(peaks, 5000, 0.3, rng_seed=123, dark_rate=1e-4)
-        b = simulate_counts(peaks, 5000, 0.3, rng_seed=123, dark_rate=1e-4)
-        assert (a.counts_early, a.counts_central, a.counts_late) == (
-            b.counts_early, b.counts_central, b.counts_late
-        )
+        a = simulate_counts(peaks, 5000, 0.3, rng=123, dark_rate=1e-4)
+        b = simulate_counts(peaks, 5000, 0.3, rng=123, dark_rate=1e-4)
+        np.testing.assert_array_equal(a, b)
 
     def test_total_bounded_by_sent(self):
-        peaks = cascade_intensities(0.0, 1.0)
-        for seed in range(20):
-            hist = simulate_counts(peaks, 200, 1.0, rng_seed=seed, dark_rate=0.1)
-            total = hist.counts_early + hist.counts_central + hist.counts_late
-            assert total <= hist.n_sent
+        peaks = cascade_intensities(np.zeros(20), 1.0)
+        counts = simulate_counts(peaks, 200, 1.0, rng=0, dark_rate=0.1)
+        assert np.all(counts.sum(axis=-1) <= 200)
 
     def test_dark_counts_have_mean_rate(self):
         # efficiency 0 leaves only background clicks
-        peaks = cascade_intensities(0.0, 1.0)
         n, rate = 10**6, 1e-3
-        hist = simulate_counts(peaks, n, 0.0, rng_seed=7, dark_rate=rate)
+        _, central, _ = simulate_counts(cascade_intensities(0.0, 1.0), n, 0.0, rng=7,
+                                        dark_rate=rate)
         sigma = math.sqrt(rate * n)
-        assert abs(hist.counts_central - rate * n) < 5.0 * sigma
+        assert abs(central - rate * n) < 5.0 * sigma
 
     def test_overcommitted_probability_rejected(self):
         peaks = cascade_intensities(0.0, 1.0)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 100, 1.0, rng_seed=1, dark_rate=0.4)
+            simulate_counts(peaks, 100, 1.0, rng=1, dark_rate=0.4)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 100, 1.0, rng_seed=1, dark_rate=-0.1)
+            simulate_counts(peaks, 100, 1.0, rng=1, dark_rate=-0.1)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 0, 1.0, rng_seed=1)
+            simulate_counts(peaks, 0, 1.0, rng=1)
 
     def test_generator_seed_accepted(self):
-        peaks = cascade_intensities(0.0, 1.0)
         rng = np.random.default_rng(5)
-        hist = simulate_counts(peaks, 1000, 1.0, rng_seed=rng)
-        assert hist.n_sent == 1000
+        counts = simulate_counts(cascade_intensities(0.0, 1.0), 1000, 1.0, rng=rng)
+        assert counts.shape == (3,) and counts.sum() <= 1000
+
+    def test_one_draw_in_c_order(self):
+        # the batch is one multinomial call: the same Generator drawing the
+        # settings one by one, in C order, gives the same counts
+        peaks = cascade_intensities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8)
+        batch = simulate_counts(peaks, 5000, 0.7, rng=(4, 2), dark_rate=1e-3)
+        rng = np.random.default_rng((4, 2))
+        for index in np.ndindex(3, 2):
+            probs = peaks[index] * 0.7 + 1e-3
+            one = rng.multinomial(5000, np.append(probs, 1.0 - probs.sum()))
+            np.testing.assert_array_equal(batch[index], one[:3])
 
 
 class TestFringeScan:
     def test_four_point_pattern(self):
         offsets = [0.0, math.pi / 2, math.pi, 1.5 * math.pi]
         scan = fringe_scan(offsets, 0.0, 1.0, 10**5, 1.0, seed=3)
-        counts = [h.counts_central for h in scan]
         n = 10**5
-        for count, inten in zip(counts, (0.25, 0.125, 0.0, 0.125)):
+        for count, inten in zip(scan.counts[:, 1], (0.25, 0.125, 0.0, 0.125)):
             sigma = math.sqrt(max(inten * (1 - inten) * n, 1.0))
             assert abs(count - inten * n) <= 5.0 * sigma
 
@@ -188,13 +217,21 @@ class TestFringeScan:
     def test_deterministic_under_seed(self):
         a = fringe_scan(FULL_SCAN, 0.3, 1.0, 1000, 0.8, seed=11)
         b = fringe_scan(FULL_SCAN, 0.3, 1.0, 1000, 0.8, seed=11)
-        assert [h.counts_central for h in a] == [h.counts_central for h in b]
+        np.testing.assert_array_equal(a.counts, b.counts)
+
+    def test_batch_puts_scan_points_after_the_phase_axes(self):
+        base = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
+        scan = fringe_scan(EIGHT_POINT_SCAN, base, 0.9, 4000, 0.8, seed=(5, 1), dark_rate=1e-4)
+        assert scan.counts.shape == (3, 2, 8, 3)
+        peaks = cascade_intensities(base[..., None] + EIGHT_POINT_SCAN, 0.9)
+        expected = simulate_counts(peaks, 4000, 0.8, rng=(5, 1), dark_rate=1e-4)
+        np.testing.assert_array_equal(scan.counts, expected)
 
     def test_noiseless_scan_matches_expectation(self):
         scan = noiseless_scan(FULL_SCAN, 0.0, 1.0, 1600, efficiency=0.5)
-        for h, offset in zip(scan, FULL_SCAN):
-            inten = cascade_intensities(float(offset), 1.0)
-            assert h.counts_central == round(inten.central * 0.5 * 1600)
+        for central, offset in zip(scan.counts[:, 1], FULL_SCAN):
+            inten = cascade_intensities(float(offset), 1.0)[1]
+            assert central == round(inten * 0.5 * 1600)
 
 
 class TestFitPhase:
@@ -306,12 +343,73 @@ class TestFitPhase:
 
     def test_singular_design_diverges_with_residuals(self):
         offsets = [0.0, 0.0, math.pi, math.pi]
-        scan = [
-            DetectionHistogram(100, c, 100, 10**4, offset)
-            for c, offset in zip((900, 880, 120, 130), offsets)
-        ]
+        counts = [[100, c, 100] for c in (900, 880, 120, 130)]
+        scan = FringeScan(offsets, counts, n_sent=10**4)
         with pytest.raises(FitDiverged, match="residuals"):
             fit_phase(scan)
+
+    def test_batch_matches_one_scan_at_a_time(self):
+        base = np.linspace(-3.0, 3.0, 12).reshape(6, 2)
+        scan = fringe_scan(EIGHT_POINT_SCAN, base, 0.9, 30000, 0.9, seed=17, dark_rate=1e-4)
+        fit = fit_phase(scan)
+        assert fit.phi_hat.shape == fit.sigma_phi.shape == fit.visibility_hat.shape == (6, 2)
+        for index in np.ndindex(6, 2):
+            one = fit_phase(FringeScan(EIGHT_POINT_SCAN, scan.counts[index], scan.n_sent))
+            assert np.shape(one.phi_hat) == ()
+            assert one.phi_hat == pytest.approx(fit.phi_hat[index], abs=1e-14)
+            assert one.sigma_phi == pytest.approx(fit.sigma_phi[index], rel=1e-14)
+            assert one.visibility_hat == pytest.approx(fit.visibility_hat[index], rel=1e-14)
+
+    def test_dead_scan_in_a_batch_is_named(self):
+        scan = fringe_scan(EIGHT_POINT_SCAN, np.zeros((4, 2)), 1.0, 5000, 1.0, seed=3)
+        counts = scan.counts.copy()
+        counts[2, 1, :, 1] = 0
+        with pytest.raises(DegenerateVisibility, match=r"no central-peak counts.* at scan \[2, 1\]$"):
+            fit_phase(FringeScan(EIGHT_POINT_SCAN, counts, scan.n_sent))
+        counts[2, 1, :, 1] = 1000     # flat fringe: the visibility check names it
+        with pytest.raises(DegenerateVisibility, match=r"fitted visibility 0\.000 .* at scan \[2, 1\]$"):
+            fit_phase(FringeScan(EIGHT_POINT_SCAN, counts, scan.n_sent))
+
+    def test_empty_batch_gives_empty_results(self):
+        scan = fringe_scan(EIGHT_POINT_SCAN, np.zeros((0, 2)), 1.0, 100, 1.0, seed=1)
+        assert scan.counts.shape == (0, 2, 8, 3)
+        assert all(np.shape(v) == (0, 2) for v in fit_phase(scan))
+
+    def test_single_scan_error_keeps_the_bare_message(self):
+        with pytest.raises(DegenerateVisibility) as raised:
+            fit_phase(noiseless_scan(FULL_SCAN, 0.0, 1.0, 100, efficiency=0.0))
+        assert str(raised.value) == "no central-peak counts; phase unidentifiable"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.integers(4, 16),
+        arc=st.floats(0.3, 2.0 * math.pi),
+        visibility=st.floats(0.3, 1.0),
+        log_pulses=st.floats(3.0, 6.0),
+        dark_rate=st.sampled_from([0.0, 1e-5, 1e-3]),
+        base=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_svd_oracle(self, points, arc, visibility, log_pulses, dark_rate, base,
+                                    seed):
+        # offsets at random within an arc about 0, wrapped to [0, 2 pi): from
+        # all over the circle down to clustered scans whose design is badly
+        # conditioned but still passes the span check
+        rng = np.random.default_rng(seed)
+        offsets = np.sort(np.mod(rng.uniform(-0.5 * arc, 0.5 * arc, points), 2.0 * math.pi))
+        assume(offsets[-1] - offsets[0] >= math.pi)
+        n_sent = int(10**log_pulses)
+        scan = fringe_scan(offsets, base, visibility, n_sent, 1.0, seed=seed, dark_rate=dark_rate)
+        try:
+            phi, sigma, vis = svd_fit_oracle(scan.offsets, scan.counts[:, 1].astype(float), n_sent)
+        except (DegenerateVisibility, FitDiverged) as exc:
+            with pytest.raises(type(exc)):
+                fit_phase(scan)
+            assume(False)
+        fit = fit_phase(scan)
+        assert abs(math.remainder(fit.phi_hat - phi, 2.0 * math.pi)) <= 1e-12
+        assert fit.sigma_phi == pytest.approx(sigma, rel=1e-10)
+        assert fit.visibility_hat == pytest.approx(vis, rel=1e-10)
 
 
 class TestSerializeScan:
@@ -322,5 +420,12 @@ class TestSerializeScan:
         data = np.loadtxt(text.splitlines())
         assert data.shape == (16, 5)
         np.testing.assert_allclose(data[:, 0], FULL_SCAN, atol=1e-12)
-        assert [int(v) for v in data[:, 2]] == [h.counts_central for h in scan]
+        assert [int(v) for v in data[:, 2]] == scan.counts[:, 1].tolist()
         assert all(int(v) == 3000 for v in data[:, 4])
+
+    def test_batch_rows_follow_c_order(self):
+        scan = fringe_scan(FOUR_POINT_SCAN, np.zeros((2, 3)), 1.0, 500, 1.0, seed=6)
+        data = np.loadtxt(serialize_scan(scan).splitlines())
+        assert data.shape == (24, 5)
+        np.testing.assert_allclose(data[:, 0], np.tile(FOUR_POINT_SCAN, 6), atol=1e-12)
+        np.testing.assert_array_equal(data[:, 1:4], scan.counts.reshape(-1, 3))

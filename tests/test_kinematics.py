@@ -159,7 +159,7 @@ class TestLightTime:
             position=[7.0e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
         )
         receiver = StaticPlatform([7.4e6, 0.0, 0.0])
-        t_flight, n_hat = solve_light_time(emitter, receiver, 0.0)
+        t_flight, n_hat = solve_light_time(emitter, receiver)
         assert abs(t_flight - 4.0e5 / C_LIGHT) < 1e-9
         assert t_flight == pytest.approx(1.3342564e-3, rel=1e-6)
         np.testing.assert_allclose(n_hat, [[1.0, 0.0, 0.0]], atol=1e-12)
@@ -170,7 +170,7 @@ class TestLightTime:
         )
         receiver = StaticPlatform([7.0e6, 0.0, 0.0])
         with pytest.raises(DegenerateGeometry):
-            solve_light_time(emitter, receiver, 0.0)
+            solve_light_time(emitter, receiver)
 
     def test_receding_receiver_against_grid_search(self):
         # brute-force oracle: bisect f(T) = |r_recv(t+T) - r_emit| - cT
@@ -192,7 +192,7 @@ class TestLightTime:
                 hi = mid
         t_oracle = 0.5 * (lo + hi)
 
-        t_flight, _ = solve_light_time(emitter, receiver, 0.0)
+        t_flight, _ = solve_light_time(emitter, receiver)
         t_static = 4.0e5 / C_LIGHT
         excess = t_flight - t_static
         assert excess == pytest.approx(t_static * 7.0e3 / C_LIGHT, rel=0.01)
@@ -204,15 +204,26 @@ class TestLightTime:
         gs = GroundStation(0.0, 0.0)
         orbit = CircularOrbit(6.778e6, inclination=0.9)
         emit = gs.states(100.0)
-        t_flight, _ = solve_light_time(emit, orbit, 100.0)
+        t_flight, _ = solve_light_time(emit, orbit)
         sep = orbit.states(100.0 + t_flight).position - emit.position
         assert abs(float(np.linalg.norm(sep)) - C_LIGHT * t_flight) < 1e-3
+
+    def test_emission_epoch_is_read_from_the_state(self):
+        # one station position, labelled t = 0 or t = 300 s: the state's epoch
+        # sets when the light leaves, so it meets the orbit elsewhere
+        orbit = CircularOrbit(6.771e6)
+        now = GroundStation(0.0, 0.0).states(0.0)
+        relabelled = StateVector(position=now.position, velocity=now.velocity, epoch=300.0)
+        t_now, _ = solve_light_time(now, orbit)
+        t_later, _ = solve_light_time(relabelled, orbit)
+        assert t_now == pytest.approx(1.334e-3, rel=1e-3)
+        assert t_later == pytest.approx(7.531e-3, rel=1e-3)
 
     def test_direction_reverses_on_swap(self):
         a = StaticPlatform([7.0e6, 1.0e5, 0.0])
         b = StaticPlatform([7.3e6, -2.0e5, 4.0e5])
-        _, n_ab = solve_light_time(a.states(0.0), b, 0.0)
-        _, n_ba = solve_light_time(b.states(0.0), a, 0.0)
+        _, n_ab = solve_light_time(a.states(0.0), b)
+        _, n_ba = solve_light_time(b.states(0.0), a)
         np.testing.assert_allclose(n_ab, -n_ba, atol=1e-12)
 
     def test_runaway_receiver_no_convergence(self):
@@ -220,7 +231,7 @@ class TestLightTime:
             position=[6.4e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
         )
         with pytest.raises(NoConvergence):
-            solve_light_time(emitter, _RunawayPlatform(), 0.0)
+            solve_light_time(emitter, _RunawayPlatform())
 
 
 class TestLinkGeometry:
@@ -365,4 +376,4 @@ class TestBatchPath:
         emitter = StateVector(position=[[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]],
                               velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
         with pytest.raises(DegenerateGeometry, match=r"at epoch 1 \(t = 1 s\)"):
-            solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]), np.array([0.0, 1.0]))
+            solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]))

@@ -47,6 +47,7 @@ def make_geometry(
     a1=(0.0, 0.0, 0.0),
     t_up=1.4e-3,
 ):
+    """One-epoch geometry from 3-vectors and floats: a LinkGeometry batch of one."""
     n12 = np.asarray(n12, dtype=float)
     n23 = np.asarray(n23, dtype=float)
     beta1 = np.asarray(beta1, dtype=float)
@@ -311,3 +312,11 @@ class TestRedshiftFraction:
 def test_first_order_doppler_shift_definition():
     geom = make_geometry(beta1=(1e-5, 2e-6, 0.0), beta2=(-5e-6, 1e-6, 0.0))
     assert first_order_doppler_shift(geom) == geom.d1 - geom.d2
+
+
+def test_one_epoch_geometry_gives_one_value_per_function():
+    geom = make_geometry(u2=U_SURFACE - DELTA_U_400KM)
+    assert geom.beta1.shape == (1, 3) and geom.U2.shape == (1,) and len(geom) == 1
+    pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
+    assert pair.phi_sc.shape == pair.phi_gs.shape == pair.s_signal.shape == (1,)
+    assert uplink_fractional_shift(geom).shape == (1,)
