@@ -15,7 +15,6 @@ columnar outputs.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from pathlib import Path
@@ -26,8 +25,8 @@ from . import __version__
 from .config import ScenarioConfig, ephemeris_orbit, load_config, validate_config
 from .constants import G_STD, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
-from .estimator import ForecastScenario, precision_forecast, serialize_trials, build_pass
-from .interferometer import fit_phase, fringe_scan, serialize_scan
+from .estimator import ForecastScenario, precision_forecast, build_pass
+from .interferometer import fit_phase, fringe_scan
 from .kinematics import CircularOrbit, GroundStation
 from .link_model import (
     RedshiftParams,
@@ -71,6 +70,13 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
+def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str:
+    """Columnar text: '# header', then row_fmt % row for each row of the 2-D
+    array rows, then footer. With row_fmt '%.12e' per column this is the
+    text of np.savetxt(fmt='%.12e', comments='# '), formatted in one call."""
+    return f"# {header}\n" + ((row_fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist()) + footer
+
+
 def _finish(out_dir: Path, summary: list) -> int:
     text = "\n".join(summary) + "\n"
     _write(out_dir, "summary.txt", text)
@@ -91,12 +97,10 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
     resid = pair.s_signal - expanded
     columns = np.stack([epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal, doppler_phase,
                         expanded, resid], axis=1)
-    table = io.StringIO()
-    np.savetxt(table, columns, fmt="%.12e", comments="# ",
-               header="t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad "
-                      "expanded_s_rad residual_rad")
     out_dir = Path(cfg.output_dir)
-    _write(out_dir, "pass_sweep.txt", table.getvalue())
+    _write(out_dir, "pass_sweep.txt",
+           _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "
+                  "residual_rad", " ".join(["%.12e"] * 8), columns))
 
     max_doppler = float(np.max(np.abs(doppler_phase)))
     max_gravity = float(np.max(np.abs(scale * du)))
@@ -140,9 +144,15 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
     result = precision_forecast(scenario, cfg.noise.photon_budget,
                                 cfg.forecast.trials, cfg.seed)
     out_dir = Path(cfg.output_dir)
-    _write(out_dir, "forecast_trials.txt", serialize_trials(result))
+    rows = np.column_stack([np.arange(cfg.forecast.trials), result.alpha_hat,
+                            result.sigma_alpha, result.chi2_per_dof])
+    footer = (f"# summary sigma_alpha_empirical={result.sigma_alpha_empirical:.12e} "
+              f"sigma_alpha_analytic={result.sigma_alpha_analytic:.12e} "
+              f"photon_budget={result.photon_budget}\n")
+    _write(out_dir, "forecast_trials.txt", _table(
+        "trial alpha_hat sigma_alpha chi2_per_dof", "%d %.12e %.12e %.12e", rows, footer))
 
-    mean_alpha = float(np.mean([r.alpha_hat for r in result.trials]))
+    mean_alpha = float(np.mean(result.alpha_hat))
     summary = [
         f"mode: alpha-forecast ({cfg.forecast.trials} trials, "
         f"{cfg.sweep.n_epochs} epochs, photon budget {result.photon_budget})",
@@ -180,7 +190,9 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
         dark_rate=cfg.noise.dark_rate,
     )
     out_dir = Path(cfg.output_dir)
-    _write(out_dir, "fringe_scan.txt", serialize_scan(scan))
+    rows = np.column_stack([offsets, scan.counts, np.full(offsets.size, scan.n_sent)])
+    _write(out_dir, "fringe_scan.txt", _table(
+        "offset_rad counts_early counts_central counts_late n_sent", "%.12e %d %d %d %d", rows))
 
     early, central, late = scan.counts[np.argmax(scan.counts[:, 1])]
     side = 0.5 * (early + late)
@@ -214,26 +226,25 @@ def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
     q_values = [q * spin.meter_width for q in spin.q_grid]
     rows = amplification_scan(spin.theta_grid, q_values, meter)
 
-    lines = ["# theta_rad q re_weak_value im_weak_value shift_exact "
-             "shift_weak postselection_prob"]
-    for row in rows:
-        lines.append(" ".join(f"{v:.12e}" for v in row))
     out_dir = Path(cfg.output_dir)
-    _write(out_dir, "weakvalue_scan.txt", "\n".join(lines) + "\n")
+    _write(out_dir, "weakvalue_scan.txt", _table(
+        "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
+        " ".join(["%.12e"] * 7), rows))
 
-    max_aw = max(abs(r[2]) for r in rows)
-    weak_devs = [abs(r[4] - r[5]) / abs(r[5]) for r in rows if r[5] != 0.0
-                 and r[1] <= 1e-2 * spin.meter_width]
+    q, re_aw, exact, weak = rows[:, [1, 2, 4, 5]].T
+    max_aw = float(np.max(np.abs(re_aw)))
+    small = (weak != 0.0) & (q <= 1e-2 * spin.meter_width)
+    weak_devs = np.abs(exact[small] - weak[small]) / np.abs(weak[small])
     summary = [
         f"mode: weakvalue-scan ({len(spin.theta_grid)} theta values, "
         f"{len(spin.q_grid)} couplings)",
         f"max |Re weak value|: {max_aw:.4f} "
         f"(eigenvalue range of the observable is [-1, 1])",
     ]
-    if weak_devs:
+    if weak_devs.size:
         summary.append(
             f"max |exact - weak| relative deviation at q <= 0.01*width: "
-            f"{max(weak_devs):.3e}"
+            f"{weak_devs.max():.3e}"
         )
 
     def pair_lines():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class AlphaEstimate:
     def __post_init__(self):
         if self.sigma_alpha <= 0.0:
             raise ValueError("sigma_alpha must be positive")
-
-
-class TrialResult(NamedTuple):
-    seed: int
-    alpha_hat: float
-    sigma_alpha: float
-    chi2_per_dof: float
 
 
 def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
@@ -204,9 +197,14 @@ class ForecastScenario:
 
 @dataclass(frozen=True)
 class ForecastResult:
+    """alpha_hat, sigma_alpha and chi2_per_dof are (trials,) arrays holding
+    each trial's AlphaEstimate; entry t is trial t."""
+
     sigma_alpha_empirical: float
     sigma_alpha_analytic: float
-    trials: tuple  # TrialResult rows, ordered by seed
+    alpha_hat: np.ndarray
+    sigma_alpha: np.ndarray
+    chi2_per_dof: np.ndarray
     photon_budget: int
     n_per_point: int
 
@@ -283,39 +281,21 @@ def precision_forecast(
     truth = phase_pair(geometries, scenario.cfg, scenario.red)
     model_pairs = phase_pair(geometries, scenario.cfg, RedshiftParams(0.0))
 
-    trial_rows = []
+    estimates = np.empty((3, trials))
     for t in range(trials):
         est = run_forecast_trial(
             truth, model_pairs, epochs, geometries, scenario.cfg,
             scenario, n_per_point, (seed, t),
         )
-        trial_rows.append(
-            TrialResult(seed=t, alpha_hat=est.alpha_hat,
-                        sigma_alpha=est.sigma_alpha, chi2_per_dof=est.chi2_per_dof)
-        )
-    alpha_hats = np.array([r.alpha_hat for r in trial_rows])
-    sigma_emp = float(np.std(alpha_hats, ddof=1))
-    sigma_analytic = float(np.mean([r.sigma_alpha for r in trial_rows]))
+        estimates[:, t] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
+    alpha_hat, sigma_alpha, chi2_per_dof = estimates
     return ForecastResult(
-        sigma_alpha_empirical=sigma_emp,
-        sigma_alpha_analytic=sigma_analytic,
-        trials=tuple(trial_rows),
+        sigma_alpha_empirical=float(np.std(alpha_hat, ddof=1)),
+        sigma_alpha_analytic=float(np.mean(sigma_alpha)),
+        alpha_hat=alpha_hat,
+        sigma_alpha=sigma_alpha,
+        chi2_per_dof=chi2_per_dof,
         photon_budget=int(photon_budget),
         n_per_point=n_per_point,
     )
 
-
-def serialize_trials(result: ForecastResult) -> str:
-    """Columnar text: one row per trial plus a summary row."""
-    lines = ["# trial alpha_hat sigma_alpha chi2_per_dof"]
-    for row in result.trials:
-        lines.append(
-            f"{row.seed} {row.alpha_hat:.12e} {row.sigma_alpha:.12e} "
-            f"{row.chi2_per_dof:.12e}"
-        )
-    lines.append(
-        f"# summary sigma_alpha_empirical={result.sigma_alpha_empirical:.12e} "
-        f"sigma_alpha_analytic={result.sigma_alpha_analytic:.12e} "
-        f"photon_budget={result.photon_budget}"
-    )
-    return "\n".join(lines) + "\n"

@@ -43,7 +43,10 @@ def _check_scan_offsets(phi_offsets: Sequence[float]) -> np.ndarray:
         raise InsufficientScan(
             f"need >= {_MIN_SCAN_POINTS} scan points, got {offsets.size}"
         )
-    span = float(offsets.max() - offsets.min())
+    # the phase the offsets cover: 2 pi less the widest gap between neighbours on
+    # the circle (max - min for the gap across 0), so a wrapped scan is not a wide one
+    wrapped = np.sort(offsets % (2.0 * math.pi))
+    span = float(min(wrapped[-1] - wrapped[0], 2.0 * math.pi - (wrapped[1:] - wrapped[:-1]).max()))
     if span < _MIN_SCAN_SPAN:
         raise InsufficientScan(f"scan span {span:.3f} rad must cover >= pi")
     return offsets
@@ -64,7 +67,7 @@ class FringeScan:
 
     offsets : rad, (P,); counts : (..., P, 3) non-negative integers in the
     early, central and late windows; n_sent : pulses sent per scan point.
-    Raises InsufficientScan for fewer than 4 offsets or a span below pi.
+    Raises InsufficientScan for fewer than 4 offsets or a circle coverage below pi.
     """
 
     offsets: np.ndarray
@@ -241,12 +244,3 @@ def fit_phase(scan: FringeScan) -> PhaseFit:
     # [()] turns the 0-d results of a single scan into scalars
     return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 
-
-def serialize_scan(scan: FringeScan) -> str:
-    """Columnar text: offset, three window counts, pulses sent; one row per
-    scan point, the scans of a batch one after another in C order."""
-    offsets = np.broadcast_to(scan.offsets, scan.counts.shape[:-1]).ravel()
-    lines = ["# offset_rad counts_early counts_central counts_late n_sent"]
-    for offset, (early, central, late) in zip(offsets, scan.counts.reshape(-1, 3)):
-        lines.append(f"{offset:.12e} {early} {central} {late} {scan.n_sent}")
-    return "\n".join(lines) + "\n"

@@ -249,13 +249,13 @@ def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> comple
 
 
 class MeterShift(NamedTuple):
-    shift_exact: float
-    shift_weak: float
-    postselection_prob: float
+    shift_exact: np.ndarray  # each field has q's shape, a scalar for a float q
+    shift_weak: np.ndarray
+    postselection_prob: np.ndarray
 
 
 def meter_shift(
-    q: float,
+    q,
     a_op: np.ndarray,
     s_i: QuantumState,
     s_f: QuantumState,
@@ -263,31 +263,34 @@ def meter_shift(
 ) -> MeterShift:
     """Pointer displacement after a kick of strength q and post-selection.
 
-    The exact value expands the kicked joint state in the eigenbasis of
-    the observable: the post-selected pointer wave is a finite sum of
-    displaced Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The
-    product of two of them is a Gaussian centred at mean + q (a + b) / 2
-    scaled by exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are
-    exact sums over eigenvalue pairs. The weak-regime prediction is
-    q*Re(A_w); their difference is O((q/width)^2) for small q and
-    order-unity once q reaches the meter width.
+    q is a float or an array (...,), and each result field has q's shape.
+    The exact value expands the kicked joint state in the eigenbasis of the
+    observable: the post-selected pointer wave is a finite sum of displaced
+    Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
+    of them is a Gaussian centred at mean + q (a + b) / 2 scaled by
+    exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are exact sums
+    over eigenvalue pairs, taken for every q at once. The weak-regime
+    prediction is q*Re(A_w); their difference is O((q/width)^2) for small q
+    and order-unity once q reaches the meter width. A selection with zero
+    weight at any q raises OrthogonalSelection.
     """
     a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
-    a = np.asarray(a_op, dtype=complex)
-    eigvals, eigvecs = np.linalg.eigh(a)
-    weights = (s_f.amplitudes.conj() @ eigvecs) * (
-        eigvecs.conj().T @ s_i.amplitudes
-    )
-    gap = q * (eigvals[:, None] - eigvals[None, :]) / meter.width
-    pairs = (weights.conj()[:, None] * weights[None, :]).real * np.exp(-gap * gap / 8.0)
-    prob = float(pairs.sum())
-    if prob <= 0.0:
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
+    weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
+    # the (n, n) eigenvalue pairs run flattened along a new last axis of q
+    q = np.asarray(q, dtype=float)
+    kick = q[..., None]
+    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
+    pairs = (weights.conj()[:, None] * weights[None, :]).real.ravel() * np.exp(-gap * gap / 8.0)
+    prob = pairs.sum(axis=-1)
+    if (prob <= 0.0).any():
         raise OrthogonalSelection("post-selected pointer state has zero weight")
-    pair_shifts = 0.5 * q * (eigvals[:, None] + eigvals[None, :])
+    pair_shifts = 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()
+    # [()] turns the 0-d results of a float q into scalars
     return MeterShift(
-        shift_exact=float((pairs * pair_shifts).sum()) / prob,
-        shift_weak=q * a_w.real,
-        postselection_prob=prob,
+        shift_exact=((pairs * pair_shifts).sum(axis=-1) / prob)[()],
+        shift_weak=(q * a_w.real)[()],
+        postselection_prob=prob[()],
     )
 
 
@@ -337,31 +340,24 @@ def amplification_scan(
     theta_values,
     q_values,
     meter: GaussianMeter,
-) -> list[tuple]:
+) -> np.ndarray:
     """Weak-value amplification sweep for the textbook example.
 
     Observable sigma_x, pre-selection |0>, post-selection
-    cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta). Rows are
-    (theta, q, Re A_w, Im A_w, shift_exact, shift_weak,
-    postselection_prob).
+    cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta). Returns a float
+    array (len(theta_values) * len(q_values), 7) with rows (theta, q,
+    Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob), theta
+    major: one weak_value and one meter_shift call over every q per theta.
     """
     sx = pauli(1)
     s_i = QuantumState(np.array([1.0, 0.0]))
-    rows = []
-    for theta in theta_values:
+    thetas = np.asarray(theta_values, dtype=float)
+    q = np.asarray(q_values, dtype=float)
+    a_w = np.empty(thetas.size, dtype=complex)
+    shifts = np.empty((3, thetas.size, q.size))
+    for k, theta in enumerate(thetas):
         s_f = qubit(theta)
-        a_w = weak_value(sx, s_i, s_f)
-        for q in q_values:
-            shift = meter_shift(q, sx, s_i, s_f, meter)
-            rows.append(
-                (
-                    float(theta),
-                    float(q),
-                    a_w.real,
-                    a_w.imag,
-                    shift.shift_exact,
-                    shift.shift_weak,
-                    shift.postselection_prob,
-                )
-            )
-    return rows
+        a_w[k] = weak_value(sx, s_i, s_f)
+        shifts[:, k] = meter_shift(q, sx, s_i, s_f, meter)
+    columns = (thetas[:, None], q, a_w.real[:, None], a_w.imag[:, None], *shifts)
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)

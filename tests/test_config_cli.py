@@ -15,13 +15,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gravlink
 import gravlink.config
 from gravlink import __version__
-from gravlink.cli import main
+from gravlink.cli import _table, main
 from gravlink.config import load_config, validate_config
 from gravlink.errors import ConfigInvalid, FileUnreadable
 
@@ -454,6 +455,32 @@ def run_shipped_forecast(tmp_path, monkeypatch, trials):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", path]) == 0
     return (tmp_path / f"out_{trials}" / "forecast_trials.txt").read_bytes().splitlines()
+
+
+SPECIAL_VALUES = np.array([[0.0, -0.0, 5e-324, -2.2250738585072e-308],
+                           [np.inf, -np.inf, np.nan, -1.0e300],
+                           [-1.0, 1.0 / 3.0, 123456.789, -9.999999999995e-5]])
+
+
+class TestTable:
+    @settings(max_examples=200, deadline=None)
+    @example(rows=SPECIAL_VALUES)
+    @example(rows=np.empty((0, 3)))
+    @given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                        max_side=12),
+                           elements=st.floats(allow_nan=True, allow_infinity=True,
+                                              allow_subnormal=True)))
+    def test_matches_savetxt_byte_for_byte(self, rows):
+        # negatives, zeros of both signs, subnormals, infinities and nan
+        reference = io.StringIO()
+        np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
+        row_fmt = " ".join(["%.12e"] * rows.shape[1])
+        assert _table("a b c", row_fmt, rows) == reference.getvalue()
+
+    def test_mixed_formats_and_footer(self):
+        rows = np.column_stack([np.arange(3), [0.5, -2.0, np.nan]])
+        text = _table("i x", "%d %.3e", rows, footer="# done\n")
+        assert text == "# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
 
 
 class TestForecastStream:

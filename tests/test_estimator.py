@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gravlink.cli import main
 from gravlink.errors import SingularFit
 from gravlink.estimator import (
     AlphaEstimate,
@@ -13,7 +14,6 @@ from gravlink.estimator import (
     build_pass,
     estimate_alpha,
     precision_forecast,
-    serialize_trials,
     synthesize_measurements,
 )
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
@@ -230,7 +230,7 @@ class TestPrecisionForecast:
         result = precision_forecast(forecast_scenario(), 0, trials=10, seed=1)
         assert result.sigma_alpha_empirical < 1e-10
         assert result.n_per_point == 0
-        hats = [r.alpha_hat for r in result.trials]
+        hats = result.alpha_hat
         assert max(hats) == min(hats)
         # truth phases use the exact ratios while the regression subtracts
         # the second-order model, so the noiseless pipeline is systematically
@@ -258,7 +258,8 @@ class TestPrecisionForecast:
     def test_deterministic_under_seed(self):
         a = precision_forecast(forecast_scenario(), 96000, trials=10, seed=9)
         b = precision_forecast(forecast_scenario(), 96000, trials=10, seed=9)
-        assert a.trials == b.trials
+        for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_budget_extrapolation(self):
         result = precision_forecast(forecast_scenario(), 96000, trials=10, seed=2)
@@ -272,13 +273,44 @@ class TestPrecisionForecast:
             noiseless.budget_for_target(target)
 
 
+NOISELESS_FORECAST = """
+mode: alpha-forecast
+seed: 6
+output_dir: out
+orbit:
+  semi_major_axis_m: 6.771e+6
+station:
+  latitude_deg: 0.0
+  longitude_deg: 0.0
+optical:
+  wavelength_m: 800.0e-9
+  delay_length_m: 6000.0
+sweep:
+  t_start_s: -240.0
+  t_end_s: 240.0
+  n_epochs: 6
+redshift:
+  alpha: 3.0e-4
+noise:
+  photon_budget: 0
+forecast:
+  trials: 10
+  scan_points: 8
+"""
+
+
 class TestSerializeTrials:
-    def test_columnar_layout(self):
-        result = precision_forecast(forecast_scenario(), 0, trials=10, seed=6)
-        text = serialize_trials(result)
+    def test_columnar_layout(self, tmp_path, monkeypatch):
+        # the trial table gravlink run writes through its one table writer
+        config = tmp_path / "forecast.yaml"
+        config.write_text(NOISELESS_FORECAST, encoding="utf-8")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(config)]) == 0
+        text = (tmp_path / "out" / "forecast_trials.txt").read_text(encoding="utf-8")
         lines = text.strip().splitlines()
         assert lines[0].startswith("# trial")
         assert lines[-1].startswith("# summary")
         body = np.loadtxt(lines)
         assert body.shape == (10, 4)
         np.testing.assert_allclose(body[:, 0], np.arange(10))
+        assert np.all(body[:, 1] == body[0, 1])  # noiseless: every trial agrees

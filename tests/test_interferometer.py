@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gravlink.cli import _table, main
 from gravlink.errors import DegenerateVisibility, FitDiverged, InsufficientScan
 from gravlink.interferometer import (
     FringeScan,
@@ -14,7 +15,6 @@ from gravlink.interferometer import (
     fit_phase,
     fringe_scan,
     noiseless_scan,
-    serialize_scan,
     simulate_counts,
 )
 
@@ -214,6 +214,14 @@ class TestFringeScan:
         with pytest.raises(InsufficientScan):
             fringe_scan([0.0, 0.1, 0.2, 0.3], 0.0, 1.0, 100, 1.0, seed=1)
 
+    def test_span_is_measured_around_the_circle(self):
+        # offsets wrapped past 2 pi: max - min reads 6.22 rad, but the points
+        # lie in an arc of 0.143 rad across 0
+        with pytest.raises(InsufficientScan, match=r"^scan span 0\.143 rad must cover >= pi$"):
+            fringe_scan([0.0549, 0.0951, 6.2351, 6.2763], 0.0, 1.0, 100, 1.0, seed=1)
+        # the same wrap spread over more than half the circle is accepted
+        fringe_scan([4.5, 5.5, 0.5, 1.5], 0.0, 1.0, 100, 1.0, seed=1)
+
     def test_deterministic_under_seed(self):
         a = fringe_scan(FULL_SCAN, 0.3, 1.0, 1000, 0.8, seed=11)
         b = fringe_scan(FULL_SCAN, 0.3, 1.0, 1000, 0.8, seed=11)
@@ -381,6 +389,8 @@ class TestFitPhase:
         assert str(raised.value) == "no central-peak counts; phase unidentifiable"
 
     @settings(max_examples=200, deadline=None)
+    @example(points=4, arc=0.3046875, visibility=1.0, log_pulses=4.0, dark_rate=0.0, base=0.0,
+             seed=135276225)
     @given(
         points=st.integers(4, 16),
         arc=st.floats(0.3, 2.0 * math.pi),
@@ -393,12 +403,16 @@ class TestFitPhase:
     def test_matches_the_svd_oracle(self, points, arc, visibility, log_pulses, dark_rate, base,
                                     seed):
         # offsets at random within an arc about 0, wrapped to [0, 2 pi): from
-        # all over the circle down to clustered scans whose design is badly
-        # conditioned but still passes the span check
+        # all over the circle down to clustered scans; a scan that covers less
+        # than pi of the circle, wrapped or not, is rejected before any fit
         rng = np.random.default_rng(seed)
         offsets = np.sort(np.mod(rng.uniform(-0.5 * arc, 0.5 * arc, points), 2.0 * math.pi))
-        assume(offsets[-1] - offsets[0] >= math.pi)
         n_sent = int(10**log_pulses)
+        widest_gap = np.max(np.diff(np.append(offsets, offsets[0] + 2.0 * math.pi)))
+        if 2.0 * math.pi - widest_gap < math.pi - 1e-9:
+            with pytest.raises(InsufficientScan):
+                fringe_scan(offsets, base, visibility, n_sent, 1.0, seed=seed)
+            assume(False)
         scan = fringe_scan(offsets, base, visibility, n_sent, 1.0, seed=seed, dark_rate=dark_rate)
         try:
             phi, sigma, vis = svd_fit_oracle(scan.offsets, scan.counts[:, 1].astype(float), n_sent)
@@ -412,10 +426,28 @@ class TestFitPhase:
         assert fit.visibility_hat == pytest.approx(vis, rel=1e-10)
 
 
+FRINGE_DEMO = """
+mode: fringe-demo
+seed: 2
+output_dir: out
+fringe:
+  base_phase_rad: 0.0
+  scan_points: 16
+  n_per_point: 3000
+noise:
+  visibility: 1.0
+"""
+
+
 class TestSerializeScan:
-    def test_columnar_roundtrip(self):
+    def test_columnar_roundtrip(self, tmp_path, monkeypatch):
+        # the scan table gravlink run writes through its one table writer
+        config = tmp_path / "fringe.yaml"
+        config.write_text(FRINGE_DEMO, encoding="utf-8")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(config)]) == 0
         scan = fringe_scan(FULL_SCAN, 0.0, 1.0, 3000, 1.0, seed=2)
-        text = serialize_scan(scan)
+        text = (tmp_path / "out" / "fringe_scan.txt").read_text(encoding="utf-8")
         assert text.startswith("# offset_rad")
         data = np.loadtxt(text.splitlines())
         assert data.shape == (16, 5)
@@ -425,7 +457,10 @@ class TestSerializeScan:
 
     def test_batch_rows_follow_c_order(self):
         scan = fringe_scan(FOUR_POINT_SCAN, np.zeros((2, 3)), 1.0, 500, 1.0, seed=6)
-        data = np.loadtxt(serialize_scan(scan).splitlines())
+        offsets = np.broadcast_to(scan.offsets, scan.counts.shape[:-1]).reshape(-1, 1)
+        rows = np.hstack([offsets, scan.counts.reshape(-1, 3), np.full((24, 1), scan.n_sent)])
+        data = np.loadtxt(_table("offset_rad counts_early counts_central counts_late n_sent",
+                                 "%.12e %d %d %d %d", rows).splitlines())
         assert data.shape == (24, 5)
         np.testing.assert_allclose(data[:, 0], np.tile(FOUR_POINT_SCAN, 6), atol=1e-12)
         np.testing.assert_array_equal(data[:, 1:4], scan.counts.reshape(-1, 3))

@@ -413,6 +413,29 @@ class TestMeterShift:
         overlap = abs(np.vdot(s_f.amplitudes, s_i.amplitudes)) ** 2
         assert shift.postselection_prob == pytest.approx(overlap, rel=1e-12)
 
+    def test_q_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a_op = raw + raw.conj().T
+        s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        meter = GaussianMeter(mean=0.7, width=1.3)
+        q = np.array([[0.0, 1e-6, 1e-3, 0.2], [1.0, 4.0, -0.5, 30.0]])
+        batch = meter_shift(q, a_op, s_i, s_f, meter)
+        for field, values in zip(batch._fields, batch):
+            assert values.shape == q.shape
+            single = np.array([getattr(meter_shift(float(k), a_op, s_i, s_f, meter), field)
+                               for k in q.ravel()]).reshape(q.shape)
+            assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
+        scalar = meter_shift(0.2, a_op, s_i, s_f, meter)
+        assert all(np.ndim(value) == 0 for value in scalar)
+
+    def test_orthogonal_selection_raises_for_a_q_array(self):
+        ket0 = QuantumState(np.array([1.0, 0.0]))
+        ket1 = QuantumState(np.array([0.0, 1.0]))
+        with pytest.raises(OrthogonalSelection):
+            meter_shift(np.array([0.0, 1e-3, 1.0]), pauli(1), ket0, ket1, GaussianMeter())
+
     def test_meter_wavefunction_normalized(self):
         meter = GaussianMeter(mean=0.4, width=2.0)
         x = np.linspace(-20.0, 21.0, 20001)
@@ -448,7 +471,11 @@ class TestAmplificationScan:
     def test_rows_structure(self):
         meter = GaussianMeter()
         rows = amplification_scan([0.3, 1.47], [1e-3, 1e-2], meter)
-        assert len(rows) == 4
+        assert rows.shape == (4, 7)
+        assert rows.dtype == np.float64
+        # theta major: every q for the first theta, then the next theta
+        np.testing.assert_array_equal(rows[:, 0], [0.3, 0.3, 1.47, 1.47])
+        np.testing.assert_array_equal(rows[:, 1], [1e-3, 1e-2, 1e-3, 1e-2])
         for theta, q, re_aw, im_aw, exact, weak, prob in rows:
             assert re_aw == pytest.approx(math.tan(theta), rel=1e-12)
             assert im_aw == pytest.approx(0.0, abs=1e-12)
@@ -457,4 +484,4 @@ class TestAmplificationScan:
         direct = meter_shift(
             1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), meter
         )
-        assert rows[0][4] == pytest.approx(direct.shift_exact, rel=1e-12)
+        assert rows[0, 4] == pytest.approx(direct.shift_exact, rel=1e-12)
