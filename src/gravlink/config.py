@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,7 @@ from .constants import C_LIGHT, R_EARTH
 from .ephemeris import EphemerisTrajectory, parse_cpf
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
 from .link_model import OpticalConfig, RedshiftParams
+from .spin_weak import orthogonal_selections
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
 STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
@@ -219,7 +221,8 @@ _FIELDS = (
     ("spin", "exchange_joule", "exchange", _number, None, False),
     ("spin", "duration_s", "duration", _number, _POSITIVE, False),
     ("spin", "meter_width", "meter_width", _number, _POSITIVE, False),
-    ("spin", "theta_grid_deg", "theta_grid", _theta_grid, None, True),
+    ("spin", "theta_grid_deg", "theta_grid", _theta_grid,  # the scan's own orthogonality test
+     (lambda t: not orthogonal_selections(t).any(), "has a post-selection orthogonal to |0>"), True),
     ("spin", "q_grid", "q_grid", _numbers, (lambda q: min(q) > 0.0, "must all be > 0"), True),
     ("spin.theta_grid_deg", "start", "start", _number, None, True),
     ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
@@ -253,10 +256,23 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
     return values, problems
 
 
+# libyaml parses when PyYAML has it; the constructor and resolver are PyYAML's safe ones
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml composes by C recursion, one call per nesting level, and overflows the stack near
+# 30000 levels. Each level opens at one of "[{-:?", so a text with few of them is not scanned.
+_MAX_DEPTH = 100
+
+
 def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     """Read, parse and walk the config once; the config is None on any violation."""
+    text = _read_text(path)
     try:
-        tree = yaml.safe_load(_read_text(path))
+        if sum(map(text.count, "[{-:?")) > _MAX_DEPTH and any(depth > _MAX_DEPTH for depth in (
+                accumulate(isinstance(e, yaml.CollectionStartEvent)
+                           - isinstance(e, yaml.CollectionEndEvent)
+                           for e in yaml.parse(text, Loader=_LOADER)))):
+            return None, [f"config nests deeper than {_MAX_DEPTH} levels"]
+        tree = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: impossible dates
         return None, [f"config is not valid YAML: {exc}"]
     if not isinstance(tree, dict):

@@ -77,9 +77,7 @@ class QuantumState:
 
 def qubit(theta: float, phi: float = 0.0) -> QuantumState:
     """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
-    return QuantumState(
-        np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
-    )
+    return QuantumState(np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)]))
 
 
 @dataclass(frozen=True)
@@ -209,9 +207,7 @@ def two_spin_hamiltonian(params: SpinCouplingParams) -> TwoSpinHamiltonian:
         + hy * _one_plus_two(_PAULI[2])
         + (hz + params.k) * _one_plus_two(_PAULI[3])
     )
-    return TwoSpinHamiltonian(
-        total=params.exchange * h0 + h1, h0=h0, h1=h1, exchange=params.exchange
-    )
+    return TwoSpinHamiltonian(params.exchange * h0 + h1, h0, h1, params.exchange)
 
 
 def _require_hermitian(h: np.ndarray) -> None:
@@ -242,9 +238,7 @@ def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> comple
     _require_hermitian(a)
     overlap = complex(s_f.amplitudes.conj() @ s_i.amplitudes)
     if abs(overlap) < _ORTHOGONALITY_TOL:
-        raise OrthogonalSelection(
-            f"|<f|i>| = {abs(overlap):.3e}; weak value undefined"
-        )
+        raise OrthogonalSelection(f"|<f|i>| = {abs(overlap):.3e}; weak value undefined")
     return complex(s_f.amplitudes.conj() @ a @ s_i.amplitudes) / overlap
 
 
@@ -254,44 +248,46 @@ class MeterShift(NamedTuple):
     postselection_prob: np.ndarray
 
 
-def meter_shift(
-    q,
-    a_op: np.ndarray,
-    s_i: QuantumState,
-    s_f: QuantumState,
-    meter: GaussianMeter,
-) -> MeterShift:
-    """Pointer displacement after a kick of strength q and post-selection.
+def _pair_sums(q, a_op, s_i, s_f, width):
+    """(shift_exact, postselection_prob) of kicks q (...) and post-selections s_f (..., n).
 
-    q is a float or an array (...,), and each result field has q's shape.
-    The exact value expands the kicked joint state in the eigenbasis of the
-    observable: the post-selected pointer wave is a finite sum of displaced
-    Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
-    of them is a Gaussian centred at mean + q (a + b) / 2 scaled by
-    exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are exact sums
-    over eigenvalue pairs, taken for every q at once. The weak-regime
-    prediction is q*Re(A_w); their difference is O((q/width)^2) for small q
-    and order-unity once q reaches the meter width. A selection with zero
-    weight at any q raises OrthogonalSelection.
+    The kicked joint state, expanded in the eigenbasis of A, post-selects to
+    the displaced Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The
+    product of two is a Gaussian centred at mean + q (a + b) / 2 scaled by
+    exp(-q^2 (a - b)^2 / 8 width^2), so norm and mean are exact sums over
+    eigenvalue pairs, broadcast over q and s_f. A zero norm raises OrthogonalSelection.
     """
-    a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
-    weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
-    # the (n, n) eigenvalue pairs run flattened along a new last axis of q
-    q = np.asarray(q, dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(a_op)
+    weights = (s_f.conj() @ eigvecs) * (eigvecs.conj().T @ s_i)
+    # the (n, n) eigenvalue pairs run flattened along a new last axis
+    pairs = (weights.conj()[..., :, None] * weights[..., None, :]).real
     kick = q[..., None]
-    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
-    pairs = (weights.conj()[:, None] * weights[None, :]).real.ravel() * np.exp(-gap * gap / 8.0)
+    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
+    pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
     prob = pairs.sum(axis=-1)
     if (prob <= 0.0).any():
         raise OrthogonalSelection("post-selected pointer state has zero weight")
     pair_shifts = 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()
+    return (pairs * pair_shifts).sum(axis=-1) / prob, prob
+
+
+def meter_shift(q, a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState,
+                meter: GaussianMeter) -> MeterShift:
+    """Pointer displacement after a kick of strength q and post-selection.
+
+    q is a float or an array (...,), and each result field has q's shape.
+    The exact value is the closed form of _pair_sums, for every q at once;
+    the weak-regime prediction q*Re(A_w) differs from it by O((q/width)^2)
+    for small q, by order unity once q reaches the meter width. A selection
+    with zero weight at any q raises OrthogonalSelection.
+    """
+    a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
+    q = np.asarray(q, dtype=float)
+    exact, prob = _pair_sums(q, np.asarray(a_op, dtype=complex), s_i.amplitudes,
+                             s_f.amplitudes, meter.width)
     # [()] turns the 0-d results of a float q into scalars
-    return MeterShift(
-        shift_exact=((pairs * pair_shifts).sum(axis=-1) / prob)[()],
-        shift_weak=(q * a_w.real)[()],
-        postselection_prob=prob[()],
-    )
+    return MeterShift(shift_exact=exact[()], shift_weak=(q * a_w.real)[()],
+                      postselection_prob=prob[()])
 
 
 @dataclass(frozen=True)
@@ -314,50 +310,39 @@ def constants_report(g: float = G_STD) -> tuple[ConstantRow, ...]:
     coupling is than the acceleration one.
     """
     energy_ev = HBAR * g / C_LIGHT / EV
-    return (
-        ConstantRow(
-            name="acceleration_energy_scale",
-            value=energy_ev,
-            units="eV",
-            reference=2.15e-23,
-        ),
-        ConstantRow(
-            name="equivalent_magnetic_field",
-            value=energy_ev / MU_B_EV,
-            units="T",
-            reference=3.7e-19,
-        ),
-        ConstantRow(
-            name="rotation_to_acceleration_ratio",
-            value=OMEGA_EARTH * C_LIGHT / g,
-            units="",
-            reference=2.22e3,
-        ),
-    )
+    return (ConstantRow("acceleration_energy_scale", energy_ev, "eV", 2.15e-23),
+            ConstantRow("equivalent_magnetic_field", energy_ev / MU_B_EV, "T", 3.7e-19),
+            ConstantRow("rotation_to_acceleration_ratio", OMEGA_EARTH * C_LIGHT / g, "", 2.22e3))
 
 
-def amplification_scan(
-    theta_values,
-    q_values,
-    meter: GaussianMeter,
-) -> np.ndarray:
+def orthogonal_selections(theta_values) -> np.ndarray:
+    """Mask of the thetas amplification_scan rejects: |<f|i>| = |cos(theta)| is below tolerance."""
+    return np.abs(np.cos(np.asarray(theta_values, dtype=float))) < _ORTHOGONALITY_TOL
+
+
+def amplification_scan(theta_values, q_values, meter: GaussianMeter) -> np.ndarray:
     """Weak-value amplification sweep for the textbook example.
 
     Observable sigma_x, pre-selection |0>, post-selection
     cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta). Returns a float
     array (len(theta_values) * len(q_values), 7) with rows (theta, q,
     Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob), theta
-    major: one weak_value and one meter_shift call over every q per theta.
+    major, in one array pass: the weak values in one expression, then
+    meter_shift's pair sums (_pair_sums, one eigh) broadcast over (theta, q).
+    A theta in orthogonal_selections raises OrthogonalSelection.
     """
     sx = pauli(1)
-    s_i = QuantumState(np.array([1.0, 0.0]))
+    _require_hermitian(sx)
     thetas = np.asarray(theta_values, dtype=float)
     q = np.asarray(q_values, dtype=float)
-    a_w = np.empty(thetas.size, dtype=complex)
-    shifts = np.empty((3, thetas.size, q.size))
-    for k, theta in enumerate(thetas):
-        s_f = qubit(theta)
-        a_w[k] = weak_value(sx, s_i, s_f)
-        shifts[:, k] = meter_shift(q, sx, s_i, s_f, meter)
-    columns = (thetas[:, None], q, a_w.real[:, None], a_w.imag[:, None], *shifts)
+    s_i = np.array([1.0, 0.0], dtype=complex)
+    s_f = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1).astype(complex)
+    overlap = s_f.conj() @ s_i
+    small = orthogonal_selections(thetas)
+    if small.any():
+        raise OrthogonalSelection(f"|<f|i>| = {abs(overlap[small][0]):.3e}; weak value undefined")
+    a_w = (s_f.conj() @ sx @ s_i) / overlap
+    exact, prob = _pair_sums(q, sx, s_i, s_f[:, None, :], meter.width)
+    columns = (thetas[:, None], q, a_w.real[:, None], a_w.imag[:, None],
+               exact, q * a_w.real[:, None], prob)
     return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)

@@ -172,6 +172,12 @@ DEFECTS = [
     ("unknown_grid_key", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
      "theta_grid_deg: {start: 0.0, stop: 85.0, num: 4, step: 1.0}",
      "spin.theta_grid_deg.step: unknown key"),
+    # the scan rejects a post-selection orthogonal to |0>: |<f|i>| = |cos 90 deg| = 6.1e-17
+    ("theta_orthogonal", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: [10.0, 90.0]",
+     "spin.theta_grid_deg: [10.0, 90.0] has a post-selection orthogonal to |0>"),
+    ("theta_grid_orthogonal", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: {start: -90.0, stop: 0.0, num: 3}", "spin.theta_grid_deg: {"),
     # 6 epochs x 8 scan points x 2 terminals: 95 photons leave every scan point empty
     ("photon_budget_below_one_pulse_per_point", SMALL_FORECAST, "photon_budget: 96000",
      "photon_budget: 95",
@@ -344,6 +350,60 @@ spin:
         assert main(["run", path]) == 2
         assert f"violation: {prefix}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _defect_text(template, old, new):
+    return template.format(out="ignored", vis="1.0").replace(old, new)
+
+
+class TestYamlLoader:
+    def test_libyaml_parses_when_present(self):
+        assert gravlink.config._LOADER is (
+            yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.parametrize(
+        "text", [p.read_text(encoding="utf-8") for p in SCENARIO_FILES]
+        + [_defect_text(*d[1:4]) for d in DEFECTS] + [MULTI_PROBLEM],
+        ids=[p.name for p in SCENARIO_FILES] + [d[0] for d in DEFECTS] + ["multi_problem"])
+    def test_same_tree_as_the_python_loader(self, text):
+        # repr tells 1 from 1.0 and True, and a nan equals itself in it
+        assert repr(yaml.load(text, Loader=gravlink.config._LOADER)) == repr(
+            yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("text", ["mode: [unterminated\n", "mode: constants\nseed: 2024-02-30\n",
+                                      "mode: constants\n\tseed: 1\n", "a: b: c\n"])
+    def test_invalid_yaml_is_one_violation(self, tmp_path, text):
+        problems = validate_config(write_yaml(tmp_path, text))
+        assert len(problems) == 1 and problems[0].startswith("config is not valid YAML: ")
+
+    @pytest.mark.parametrize("text, nested", [
+        ("mode: constants\nx: " + "[" * 99 + "]" * 99, False),
+        ("mode: constants\nx: " + "[" * 100 + "]" * 100, True),
+        ("mode: constants\nx:\n" + "".join(" " * k + "- \n" for k in range(150)), True),
+        ("mode: constants\nx: " + "{a: " * 3000 + "}" * 3000, True),
+    ], ids=["100_levels", "101_levels", "151_block_levels", "3001_flow_mapping_levels"])
+    @pytest.mark.parametrize("loader", [gravlink.config._LOADER, yaml.SafeLoader],
+                             ids=lambda loader: loader.__name__)
+    def test_deep_nesting_is_a_violation(self, tmp_path, monkeypatch, capsys, text, nested,
+                                         loader):
+        monkeypatch.setattr(gravlink.config, "_LOADER", loader)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        path = write_yaml(tmp_path, text)
+        problem = "config nests deeper than 100 levels" if nested else "x: unknown key"
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == f"violation: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nesting_that_would_overflow_the_c_stack_exits_two(self, tmp_path):
+        # libyaml's composer recursed past the C stack (a segfault) near 30000 levels
+        path = write_yaml(tmp_path, "mode: constants\nx: " + "[" * 10**5 + "]" * 10**5)
+        src = str(Path(gravlink.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-m", "gravlink.cli", "validate", path],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "violation: config nests deeper than 100 levels\n"
 
 
 class TestLoadConfig:

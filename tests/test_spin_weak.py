@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravlink.constants import C_LIGHT, EV, G_STD, HBAR, OMEGA_EARTH
 from gravlink.errors import BadAxis, NonHermitian, OrthogonalSelection
@@ -17,6 +20,7 @@ from gravlink.spin_weak import (
     h_ext,
     h_sigma,
     meter_shift,
+    orthogonal_selections,
     pauli,
     pauli_dot,
     qubit,
@@ -485,3 +489,72 @@ class TestAmplificationScan:
             1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), meter
         )
         assert rows[0, 4] == pytest.approx(direct.shift_exact, rel=1e-12)
+
+
+def loop_scan(thetas, q, meter):
+    """The per-theta loop that amplification_scan replaced: qubit, weak_value and
+    meter_shift's pair sums over q, written out here so that a fault in the shared
+    kernel cannot hide in the oracle."""
+    sx, s_i = pauli(1), QuantumState(np.array([1.0, 0.0]))
+    eigvals, eigvecs = np.linalg.eigh(sx)
+    rows = []
+    for theta in thetas:
+        s_f = qubit(theta)
+        a_w = weak_value(sx, s_i, s_f)
+        weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
+        kick = q[:, None]
+        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
+        pairs = (weights.conj()[:, None] * weights[None, :]).real.ravel() * np.exp(-gap * gap / 8.0)
+        prob = pairs.sum(axis=-1)
+        exact = (pairs * 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()).sum(-1) / prob
+        rows += [(theta, k, a_w.real, a_w.imag, e, k * a_w.real, p)
+                 for k, e, p in zip(q, exact, prob)]
+    return np.array(rows).reshape(-1, 7)
+
+
+class TestScanAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thetas=st.lists(st.floats(0.0, math.radians(89.9)), max_size=12),
+        q=hnp.arrays(float, st.integers(0, 6), elements=st.floats(-40.0, 40.0)),
+        width=st.floats(1e-3, 1e3),
+    )
+    # near 90 degrees a small kick leaves prob ~ cos(theta)^2 after cancellation
+    @example(thetas=[0.0, math.radians(89.9)], q=np.array([-3e-4, 0.0, 1e-9, 35.0]), width=0.02)
+    def test_matches_the_per_theta_loop(self, thetas, q, width):
+        meter = GaussianMeter(width=width)
+        rows = amplification_scan(thetas, q, meter)
+        ref = loop_scan(thetas, q, meter)
+        assert rows.shape == ref.shape == (len(thetas) * q.size, 7)
+        np.testing.assert_array_equal(rows[:, :2], ref[:, :2])
+        np.testing.assert_allclose(rows[:, 2:6:3], ref[:, 2:6:3], rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(rows[:, 3], 0.0)
+        np.testing.assert_array_equal(ref[:, 3], 0.0)
+        # Both sides add the same pair terms from amplitudes that may differ in
+        # the last bit, so beyond 1e-13 relative they may differ by a few ulp of
+        # the terms' magnitudes: at most 1 for prob, and |q| + |shift| for the
+        # shift's numerator, which the division by prob carries along.
+        q_col, shift, prob = ref[:, 1], ref[:, 4], ref[:, 6]
+        assert np.all(np.abs(rows[:, 6] - prob) <= 1e-13 * prob + 16 * np.spacing(1.0))
+        bound = 1e-13 * np.abs(shift) + 16 * np.spacing(np.abs(q_col) + np.abs(shift)) / prob
+        assert np.all(np.abs(rows[:, 4] - shift) <= bound)
+
+    def test_weak_scan_sized_grid(self):
+        # the benchmark's shape: 720 angles in [0, 89] degrees x 10 couplings
+        rng = np.random.default_rng(91)
+        thetas = np.radians(np.sort(rng.uniform(0.0, 89.0, 720)))
+        q = np.geomspace(1e-4, 30.0, 10) * 0.7
+        rows = amplification_scan(thetas, q, GaussianMeter(width=0.7))
+        ref = loop_scan(thetas, q, GaussianMeter(width=0.7))
+        np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=0.0)
+
+    def test_orthogonal_selection_in_the_grid_raises(self):
+        with pytest.raises(OrthogonalSelection, match=r"\|<f\|i>\| = 6\.123e-17"):
+            amplification_scan([0.3, math.pi / 2, 1.0], [1e-3, 1.0], GaussianMeter())
+
+    def test_orthogonal_selections_mask(self):
+        degrees = np.array([0.0, 10.0, 90.0, -90.0, 270.0, 89.9, 90.0 + 1e-9])
+        np.testing.assert_array_equal(orthogonal_selections(np.radians(degrees)),
+                                      [False, False, True, True, True, False, False])
+        with pytest.raises(OrthogonalSelection):
+            weak_value(pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(math.radians(270.0)))
