@@ -222,7 +222,8 @@ _FIELDS = (
     ("spin", "duration_s", "duration", _number, _POSITIVE, False),
     ("spin", "meter_width", "meter_width", _number, _POSITIVE, False),
     ("spin", "theta_grid_deg", "theta_grid", _theta_grid,  # the scan's own orthogonality test
-     (lambda t: not orthogonal_selections(t).any(), "has a post-selection orthogonal to |0>"), True),
+     (lambda t: not orthogonal_selections(t).any(), "has a post-selection orthogonal to |0>"),
+     True),
     ("spin", "q_grid", "q_grid", _numbers, (lambda q: min(q) > 0.0, "must all be > 0"), True),
     ("spin.theta_grid_deg", "start", "start", _number, None, True),
     ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
@@ -259,7 +260,7 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
 # libyaml parses when PyYAML has it; the constructor and resolver are PyYAML's safe ones
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # libyaml composes by C recursion, one call per nesting level, and overflows the stack near
-# 30000 levels. Each level opens at one of "[{-:?", so a text with few of them is not scanned.
+# 30000 levels, so the event stream is scanned for the depth first.
 _MAX_DEPTH = 100
 
 
@@ -267,10 +268,9 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     """Read, parse and walk the config once; the config is None on any violation."""
     text = _read_text(path)
     try:
-        if sum(map(text.count, "[{-:?")) > _MAX_DEPTH and any(depth > _MAX_DEPTH for depth in (
-                accumulate(isinstance(e, yaml.CollectionStartEvent)
-                           - isinstance(e, yaml.CollectionEndEvent)
-                           for e in yaml.parse(text, Loader=_LOADER)))):
+        if any(depth > _MAX_DEPTH for depth in accumulate(
+                isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
+                for e in yaml.parse(text, Loader=_LOADER))):
             return None, [f"config nests deeper than {_MAX_DEPTH} levels"]
         tree = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: impossible dates

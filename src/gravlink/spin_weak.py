@@ -57,27 +57,30 @@ def pauli_dot(vector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Normalized state of one spin (dim 2) or two spins (dim 4)."""
+    """Normalized state of one spin (dim 2) or two spins (dim 4), or a batch (..., dim)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] not in (2, 4):
-            raise ValueError(f"state dimension must be 2 or 4, got {amps.shape[0]}")
-        norm = float(np.linalg.norm(amps))
-        if not 1.0 - 1e-9 < norm < 1.0 + 1e-9:
-            raise ValueError(f"state norm {norm} is not 1 within 1e-9")
+        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
+        if amps.shape[-1] not in (2, 4):
+            raise ValueError(f"state dimension must be 2 or 4, got {amps.shape[-1]}")
+        norm = np.linalg.norm(amps, axis=-1, keepdims=True)
+        off = ~((1.0 - 1e-9 < norm) & (norm < 1.0 + 1e-9))
+        if off.any():
+            raise ValueError(f"state norm {norm[off][0]} is not 1 within 1e-9")
         object.__setattr__(self, "amplitudes", amps / norm)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-1]
 
 
 def qubit(theta: float, phi: float = 0.0) -> QuantumState:
     """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
-    return QuantumState(np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)]))
+    return QuantumState(
+        np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
+    )
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,9 @@ def two_spin_hamiltonian(params: SpinCouplingParams) -> TwoSpinHamiltonian:
         + hy * _one_plus_two(_PAULI[2])
         + (hz + params.k) * _one_plus_two(_PAULI[3])
     )
-    return TwoSpinHamiltonian(params.exchange * h0 + h1, h0, h1, params.exchange)
+    return TwoSpinHamiltonian(
+        total=params.exchange * h0 + h1, h0=h0, h1=h1, exchange=params.exchange
+    )
 
 
 def _require_hermitian(h: np.ndarray) -> None:
@@ -226,20 +231,23 @@ def evolve(state: QuantumState, hamiltonian: np.ndarray, t: float) -> QuantumSta
     _require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * t / HBAR)
-    amps = vectors @ (phases * (vectors.conj().T @ state.amplitudes))
+    amps = (state.amplitudes @ vectors.conj() * phases) @ vectors.T  # rows: the batch
     return QuantumState(amps)
 
 
 def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> complex:
-    """<f|A|i> / <f|i>; complex in general."""
+    """<f|A|i> / <f|i>; complex in general, an array (...) for one s_i and a batch s_f (..., n)."""
     a = np.asarray(a_op, dtype=complex)
-    if a.shape != (s_i.dim, s_i.dim) or s_i.dim != s_f.dim:
+    if a.shape != (s_i.dim, s_i.dim) or s_i.amplitudes.shape != (s_f.dim,):
         raise ValueError("operator/state dimensions do not match")
     _require_hermitian(a)
-    overlap = complex(s_f.amplitudes.conj() @ s_i.amplitudes)
-    if abs(overlap) < _ORTHOGONALITY_TOL:
-        raise OrthogonalSelection(f"|<f|i>| = {abs(overlap):.3e}; weak value undefined")
-    return complex(s_f.amplitudes.conj() @ a @ s_i.amplitudes) / overlap
+    overlap = s_f.amplitudes.conj() @ s_i.amplitudes
+    small = np.abs(overlap) < _ORTHOGONALITY_TOL
+    if small.any():
+        raise OrthogonalSelection(
+            f"|<f|i>| = {np.abs(overlap)[small][0]:.3e}; weak value undefined"
+        )
+    return ((s_f.amplitudes.conj() @ a @ s_i.amplitudes) / overlap)[()]
 
 
 class MeterShift(NamedTuple):
@@ -248,46 +256,46 @@ class MeterShift(NamedTuple):
     postselection_prob: np.ndarray
 
 
-def _pair_sums(q, a_op, s_i, s_f, width):
-    """(shift_exact, postselection_prob) of kicks q (...) and post-selections s_f (..., n).
+def meter_shift(
+    q,
+    a_op: np.ndarray,
+    s_i: QuantumState,
+    s_f: QuantumState,
+    meter: GaussianMeter,
+) -> MeterShift:
+    """Pointer displacement after a kick of strength q and post-selection.
 
-    The kicked joint state, expanded in the eigenbasis of A, post-selects to
-    the displaced Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The
-    product of two is a Gaussian centred at mean + q (a + b) / 2 scaled by
-    exp(-q^2 (a - b)^2 / 8 width^2), so norm and mean are exact sums over
-    eigenvalue pairs, broadcast over q and s_f. A zero norm raises OrthogonalSelection.
+    q is a float or an array (...,) and s_f one state or a batch (..., n);
+    each result field has the broadcast shape of q and the batch.
+    The exact value expands the kicked joint state in the eigenbasis of the
+    observable: the post-selected pointer wave is a finite sum of displaced
+    Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
+    of them is a Gaussian centred at mean + q (a + b) / 2 scaled by
+    exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are exact sums
+    over eigenvalue pairs, taken for every q and selection at once. The
+    weak-regime prediction is q*Re(A_w); their difference is O((q/width)^2)
+    for small q and order-unity once q reaches the meter width. A selection
+    with zero weight at any q raises OrthogonalSelection.
     """
-    eigvals, eigvecs = np.linalg.eigh(a_op)
-    weights = (s_f.conj() @ eigvecs) * (eigvecs.conj().T @ s_i)
+    a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
+    weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
     # the (n, n) eigenvalue pairs run flattened along a new last axis
     pairs = (weights.conj()[..., :, None] * weights[..., None, :]).real
+    q = np.asarray(q, dtype=float)
     kick = q[..., None]
-    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
+    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
     pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
     prob = pairs.sum(axis=-1)
     if (prob <= 0.0).any():
         raise OrthogonalSelection("post-selected pointer state has zero weight")
     pair_shifts = 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()
-    return (pairs * pair_shifts).sum(axis=-1) / prob, prob
-
-
-def meter_shift(q, a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState,
-                meter: GaussianMeter) -> MeterShift:
-    """Pointer displacement after a kick of strength q and post-selection.
-
-    q is a float or an array (...,), and each result field has q's shape.
-    The exact value is the closed form of _pair_sums, for every q at once;
-    the weak-regime prediction q*Re(A_w) differs from it by O((q/width)^2)
-    for small q, by order unity once q reaches the meter width. A selection
-    with zero weight at any q raises OrthogonalSelection.
-    """
-    a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
-    q = np.asarray(q, dtype=float)
-    exact, prob = _pair_sums(q, np.asarray(a_op, dtype=complex), s_i.amplitudes,
-                             s_f.amplitudes, meter.width)
-    # [()] turns the 0-d results of a float q into scalars
-    return MeterShift(shift_exact=exact[()], shift_weak=(q * a_w.real)[()],
-                      postselection_prob=prob[()])
+    # [()] turns the 0-d results of a float q and one state into scalars
+    return MeterShift(
+        shift_exact=((pairs * pair_shifts).sum(axis=-1) / prob)[()],
+        shift_weak=(q * a_w.real)[()],
+        postselection_prob=prob[()],
+    )
 
 
 @dataclass(frozen=True)
@@ -310,39 +318,53 @@ def constants_report(g: float = G_STD) -> tuple[ConstantRow, ...]:
     coupling is than the acceleration one.
     """
     energy_ev = HBAR * g / C_LIGHT / EV
-    return (ConstantRow("acceleration_energy_scale", energy_ev, "eV", 2.15e-23),
-            ConstantRow("equivalent_magnetic_field", energy_ev / MU_B_EV, "T", 3.7e-19),
-            ConstantRow("rotation_to_acceleration_ratio", OMEGA_EARTH * C_LIGHT / g, "", 2.22e3))
+    return (
+        ConstantRow(
+            name="acceleration_energy_scale",
+            value=energy_ev,
+            units="eV",
+            reference=2.15e-23,
+        ),
+        ConstantRow(
+            name="equivalent_magnetic_field",
+            value=energy_ev / MU_B_EV,
+            units="T",
+            reference=3.7e-19,
+        ),
+        ConstantRow(
+            name="rotation_to_acceleration_ratio",
+            value=OMEGA_EARTH * C_LIGHT / g,
+            units="",
+            reference=2.22e3,
+        ),
+    )
 
 
 def orthogonal_selections(theta_values) -> np.ndarray:
-    """Mask of the thetas amplification_scan rejects: |<f|i>| = |cos(theta)| is below tolerance."""
+    """Thetas whose selection weak_value rejects in amplification_scan: |cos(theta)| too small."""
     return np.abs(np.cos(np.asarray(theta_values, dtype=float))) < _ORTHOGONALITY_TOL
 
 
-def amplification_scan(theta_values, q_values, meter: GaussianMeter) -> np.ndarray:
+def amplification_scan(
+    theta_values,
+    q_values,
+    meter: GaussianMeter,
+) -> np.ndarray:
     """Weak-value amplification sweep for the textbook example.
 
     Observable sigma_x, pre-selection |0>, post-selection
     cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta). Returns a float
     array (len(theta_values) * len(q_values), 7) with rows (theta, q,
     Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob), theta
-    major, in one array pass: the weak values in one expression, then
-    meter_shift's pair sums (_pair_sums, one eigh) broadcast over (theta, q).
-    A theta in orthogonal_selections raises OrthogonalSelection.
+    major, in one array pass: weak_value and meter_shift each take the
+    batch of post-selections (n_theta, 1, 2) once and broadcast it against
+    q. A theta in orthogonal_selections raises OrthogonalSelection.
     """
     sx = pauli(1)
-    _require_hermitian(sx)
+    s_i = QuantumState(np.array([1.0, 0.0]))
     thetas = np.asarray(theta_values, dtype=float)
     q = np.asarray(q_values, dtype=float)
-    s_i = np.array([1.0, 0.0], dtype=complex)
-    s_f = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1).astype(complex)
-    overlap = s_f.conj() @ s_i
-    small = orthogonal_selections(thetas)
-    if small.any():
-        raise OrthogonalSelection(f"|<f|i>| = {abs(overlap[small][0]):.3e}; weak value undefined")
-    a_w = (s_f.conj() @ sx @ s_i) / overlap
-    exact, prob = _pair_sums(q, sx, s_i, s_f[:, None, :], meter.width)
-    columns = (thetas[:, None], q, a_w.real[:, None], a_w.imag[:, None],
-               exact, q * a_w.real[:, None], prob)
+    s_f = QuantumState(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)[:, None, :])
+    a_w = weak_value(sx, s_i, s_f)  # (n_theta, 1); raises on an orthogonal selection
+    columns = (thetas[:, None], q, a_w.real, a_w.imag, *meter_shift(q, sx, s_i, s_f, meter))
     return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)

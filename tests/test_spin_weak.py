@@ -80,6 +80,19 @@ class TestQuantumState:
         state = QuantumState(np.array([1.0 + 3e-10, 0.0]))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
 
+    def test_batch_is_normalized_row_by_row(self):
+        rows = np.array([[[1.0, 0.0]], [[0.6, 0.8j]], [[1.0 + 3e-10, 0.0]]])
+        batch = QuantumState(rows)
+        assert batch.dim == 2
+        assert batch.amplitudes.shape == (3, 1, 2)
+        for row, state in zip(rows, batch.amplitudes):
+            np.testing.assert_array_equal(state[0], QuantumState(row[0]).amplitudes)
+        with pytest.raises(ValueError, match="state norm 1.1 is not 1"):
+            QuantumState(np.array([[1.0, 0.0], [1.1, 0.0]]))
+        with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
+            QuantumState(np.zeros((2, 3)))
+        assert QuantumState(np.zeros((0, 4))).amplitudes.shape == (0, 4)
+
     def test_qubit_amplitudes(self):
         state = qubit(0.3, 0.8)
         assert state.amplitudes[0] == pytest.approx(math.cos(0.3))
@@ -253,6 +266,17 @@ class TestEvolve:
             )
             assert abs(after - before) <= 1e-12
 
+    def test_batch_matches_one_state_at_a_time(self):
+        # four states of dim 4, so a column-vector product would also have run
+        rng = np.random.default_rng(29)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = (raw + raw.conj().T) / 2.0 * HBAR
+        states = [_random_state(rng, 4) for _ in range(4)]
+        batch = evolve(QuantumState(np.stack([s.amplitudes for s in states])), h, 0.7)
+        for row, state in zip(batch.amplitudes, states):
+            np.testing.assert_allclose(row, evolve(state, h, 0.7).amplitudes,
+                                       rtol=0.0, atol=1e-15)
+
     def test_rejects_non_hermitian(self):
         state = QuantumState(np.array([1.0, 0.0]))
         with pytest.raises(NonHermitian):
@@ -299,6 +323,31 @@ class TestWeakValue:
         ket0 = QuantumState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             weak_value(np.eye(4), ket0, ket0)
+
+    def test_batch_of_post_selections(self):
+        rng = np.random.default_rng(31)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a_op = raw + raw.conj().T
+        s_i = _random_state(rng, 4)
+        finals = [_random_state(rng, 4) for _ in range(6)]
+        batch = QuantumState(np.stack([s.amplitudes for s in finals]).reshape(2, 3, 4))
+        a_w = weak_value(a_op, s_i, batch)
+        assert a_w.shape == (2, 3)
+        single = np.array([weak_value(a_op, s_i, s_f) for s_f in finals]).reshape(2, 3)
+        np.testing.assert_allclose(a_w, single, rtol=1e-14, atol=0.0)
+        assert isinstance(weak_value(a_op, s_i, finals[0]), complex)
+
+    def test_batch_with_one_orthogonal_selection_raises(self):
+        ket0 = QuantumState(np.array([1.0, 0.0]))
+        batch = QuantumState(np.array([[0.6, 0.8], [0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(OrthogonalSelection, match=r"\|<f\|i>\| = 0\.000e\+00"):
+            weak_value(pauli(1), ket0, batch)
+
+    def test_batch_pre_selection_rejected(self):
+        # only s_f may be a batch: a batched s_i would be read as a matrix
+        kets = QuantumState(np.eye(2))
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            weak_value(pauli(1), kets, qubit(0.3))
 
 
 def _unit(v):
@@ -433,6 +482,22 @@ class TestMeterShift:
             assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
         scalar = meter_shift(0.2, a_op, s_i, s_f, meter)
         assert all(np.ndim(value) == 0 for value in scalar)
+
+    def test_batch_of_selections_broadcasts_against_q(self):
+        rng = np.random.default_rng(37)
+        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a_op = raw + raw.conj().T
+        s_i = _random_state(rng, 2)
+        finals = [_random_state(rng, 2) for _ in range(3)]
+        batch = QuantumState(np.stack([s.amplitudes for s in finals])[:, None, :])
+        meter = GaussianMeter(width=0.9)
+        q = np.array([1e-4, 0.3, 2.0, 25.0])
+        shifts = meter_shift(q, a_op, s_i, batch, meter)
+        for field, values in zip(shifts._fields, shifts):
+            assert values.shape == (3, 4)
+            single = np.array([getattr(meter_shift(q, a_op, s_i, s_f, meter), field)
+                               for s_f in finals])
+            assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
 
     def test_orthogonal_selection_raises_for_a_q_array(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
