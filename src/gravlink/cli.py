@@ -29,7 +29,6 @@ from .estimator import ForecastScenario, precision_forecast, build_pass
 from .interferometer import fit_phase, fringe_scan
 from .kinematics import CircularOrbit, GroundStation
 from .link_model import (
-    RedshiftParams,
     expanded_signal,
     first_order_doppler_shift,
     gravitational_phase,

@@ -180,7 +180,8 @@ _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
 # section (None: top level), YAML key, attribute, parser, bound (test, text), required.
-# A parser takes (value, name) and raises ConfigInvalid; the bound tests its result.
+# A parser takes (value, name) and raises ConfigInvalid; the bound tests its result, or
+# each entry of a list field, so that its violation names only the failing entries.
 _FIELDS = (
     (None, "mode", "mode", _text, (lambda m: m in MODES, f"not one of {', '.join(MODES)}"),
      True),
@@ -222,9 +223,8 @@ _FIELDS = (
     ("spin", "duration_s", "duration", _number, _POSITIVE, False),
     ("spin", "meter_width", "meter_width", _number, _POSITIVE, False),
     ("spin", "theta_grid_deg", "theta_grid", _theta_grid,  # the scan's own orthogonality test
-     (lambda t: not orthogonal_selections(t).any(), "has a post-selection orthogonal to |0>"),
-     True),
-    ("spin", "q_grid", "q_grid", _numbers, (lambda q: min(q) > 0.0, "must all be > 0"), True),
+     (lambda t: ~orthogonal_selections(t), "has a post-selection orthogonal to |0>"), True),
+    ("spin", "q_grid", "q_grid", _numbers, (lambda q: np.array(q) > 0.0, "must be > 0"), True),
     ("spin.theta_grid_deg", "start", "start", _number, None, True),
     ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
     # validate builds the grid itself, so its size stays far below the other counts
@@ -233,6 +233,18 @@ _FIELDS = (
 _SPECS = {"orbit": OrbitSpec, "station": StationSpec, "optical": OpticalConfig,
           "sweep": SweepSpec, "redshift": RedshiftParams, "noise": NoiseSpec,
           "forecast": ForecastSpec, "fringe": FringeSpec, "spin": SpinSpec}
+
+
+def _shown(raw, ok: np.ndarray) -> str:
+    """A violation's raw value; a list as its first three failing entries when ok
+    tests each entry, else as its length."""
+    if not isinstance(raw, list):
+        return f"{raw}"
+    if not ok.ndim:
+        return f"a list of {len(raw)}"
+    bad = np.flatnonzero(~ok)
+    more = f" (+{len(bad) - 3} more)" if len(bad) > 3 else ""
+    return ", ".join(f"[{i}] = {raw[i]!r}" for i in bad[:3]) + more
 
 
 def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
@@ -246,8 +258,9 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
             continue
         try:
             value = parse(tree[key], name)
-            if bound is not None and not bound[0](value):
-                raise ConfigInvalid([f"{name}: {tree[key]} {bound[1]}"])
+            ok = True if bound is None else np.asarray(bound[0](value))
+            if not np.all(ok):
+                raise ConfigInvalid([f"{name}: {_shown(tree[key], ok)} {bound[1]}"])
             values[attr] = value
         except ConfigInvalid as exc:
             problems.extend(exc.violations)

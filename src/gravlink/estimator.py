@@ -23,11 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularFit
-from .interferometer import _wrap_phase, fit_phase, fringe_scan
+from .interferometer import (FringeScan, _reject_first, _wrap_phase, cascade_intensities,
+                             draw_counts, fit_phase, outcome_probabilities)
 from .kinematics import LinkGeometry, build_link_geometry
 from .link_model import (
     OpticalConfig,
-    PhasePair,
     RedshiftParams,
     expanded_signal,
     phase_pair,
@@ -37,6 +37,8 @@ from .link_model import (
 
 _SIGMA_FLOOR = 1e-15      # rad, keeps noiseless datasets within the sigma > 0 contract
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
+# scan points a forecast draws and fits together; it sets the forecast's peak memory
+_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,10 @@ class PassDataset:
     """Link geometry plus measured phases over the epochs of a pass.
 
     geometries is a LinkGeometry batch; phase_measurements rows are
-    (phi_sc, sigma_sc, phi_gs, sigma_gs) in radians, one per epoch; phases
-    must be unwrapped (absolute), not fringe-wrapped.
+    (phi_sc, sigma_sc, phi_gs, sigma_gs) in radians, one per epoch, as an
+    (epochs, 4) array or a batch (..., epochs, 4) of repeated measurements
+    (a forecast's trials) of the same pass; phases must be unwrapped
+    (absolute), not fringe-wrapped.
     """
 
     epochs: np.ndarray
@@ -53,12 +57,12 @@ class PassDataset:
     phase_measurements: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.epochs) == len(self.geometries) == len(self.phase_measurements)):
-            raise ValueError("epochs, geometries, and measurements must align")
         rows = np.asarray(self.phase_measurements, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 4:
+        if rows.ndim < 2 or rows.shape[-1] != 4:
             raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
-        if np.any(rows[:, 1] <= 0.0) or np.any(rows[:, 3] <= 0.0):
+        if not len(self.epochs) == len(self.geometries) == rows.shape[-2]:
+            raise ValueError("epochs, geometries, and measurements must align")
+        if np.any(rows[..., 1] <= 0.0) or np.any(rows[..., 3] <= 0.0):
             raise ValueError("phase uncertainties must be positive")
         object.__setattr__(self, "epochs", np.asarray(self.epochs, dtype=float))
         object.__setattr__(self, "phase_measurements", rows)
@@ -69,12 +73,14 @@ class PassDataset:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    alpha_hat: float
-    sigma_alpha: float
-    chi2_per_dof: float
+    """Floats for one set of measurement rows, arrays (...,) for a batch of them."""
+
+    alpha_hat: np.ndarray
+    sigma_alpha: np.ndarray
+    chi2_per_dof: np.ndarray
 
     def __post_init__(self):
-        if self.sigma_alpha <= 0.0:
+        if np.any(np.asarray(self.sigma_alpha) <= 0.0):
             raise ValueError("sigma_alpha must be positive")
 
 
@@ -146,36 +152,45 @@ def estimate_alpha(
     term), which removes the truncation error at the price of a
     ~O(beta, U) rescaling of alpha itself.
 
-    Raises SingularFit when every epoch has U2 = U1 (no leverage).
+    Measurement rows (epochs, 4) give floats; a batch (..., epochs, 4) gives
+    (...,) arrays, one estimate per set of rows, against model terms
+    computed once. Raises SingularFit when a set has no leverage (every
+    epoch has U2 = U1, or no epoch a finite nonzero weight); in a batch the
+    message names the first such set, as in "... at trial [3]".
     """
+    return _regress(data, _design(data.geometries, cfg, geometry_model), cfg.phase_scale)
+
+
+def _design(geoms: LinkGeometry, cfg: OpticalConfig, geometry_model: str) -> tuple:
+    """(x, offset, terms) of the regression of y = (s - offset)/scale - terms on x."""
     if geometry_model not in ("expanded", "exact"):
         raise ValueError(f"unknown geometry model '{geometry_model}'")
-    scale = cfg.phase_scale
-    geoms = data.geometries
-    phi_sc, sig_sc, phi_gs, sig_gs = data.phase_measurements.T
     x = geoms.U2 - geoms.U1
-    s_meas = phi_sc - 0.5 * phi_gs
     if geometry_model == "expanded":
-        y = s_meas / scale - velocity_terms(geoms)
-    else:
-        s_model = phase_pair(geoms, cfg, RedshiftParams(0.0)).s_signal
-        y = (s_meas - s_model) / scale + x
-    var_s = sig_sc**2 + 0.25 * sig_gs**2
-    weights = scale**2 / var_s   # weight of y in signal-fraction units
+        return x, 0.0, velocity_terms(geoms)
+    return x, phase_pair(geoms, cfg, RedshiftParams(0.0)).s_signal, -x
 
-    leverage = float(np.sum(weights * x * x))
-    if leverage <= 0.0 or not math.isfinite(leverage):
-        raise SingularFit("all epochs have U2 = U1; potential difference carries no signal")
-    slope = float(np.sum(weights * x * y)) / leverage
-    sigma_alpha = 1.0 / math.sqrt(leverage)
-    resid = y - slope * x
+
+def _regress(data: PassDataset, design: tuple, scale: float, first: int = 0) -> AlphaEstimate:
+    """Fit y through the origin against x (_design) for every set of rows of data;
+    a SingularFit counts the batch's leading index from first."""
+    x, offset, terms = design
+    phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(data.phase_measurements, -1, 0)
+    y = (phi_sc - 0.5 * phi_gs - offset) / scale - terms
+    weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
+
+    leverage = np.sum(weights * x * x, axis=-1)
+    _reject_first(~(np.isfinite(leverage) & (leverage > 0.0)), SingularFit,
+                  "no leverage ({}): every epoch has U2 = U1 or no usable weight", leverage,
+                  first=first, what="trial")
+    slope = np.sum(weights * x * y, axis=-1) / leverage
+    resid = y - slope[..., None] * x
     dof = len(data) - 1
-    chi2_per_dof = float(np.sum(weights * resid**2) / dof) if dof > 0 else 0.0
-    return AlphaEstimate(
-        alpha_hat=slope - 1.0,
-        sigma_alpha=sigma_alpha,
-        chi2_per_dof=chi2_per_dof,
-    )
+    chi2_per_dof = (np.sum(weights * resid**2, axis=-1) / dof if dof > 0
+                    else np.zeros_like(slope))
+    # [()] turns the 0-d results of one set of rows into scalars
+    return AlphaEstimate(alpha_hat=(slope - 1.0)[()], sigma_alpha=(1.0 / np.sqrt(leverage))[()],
+                         chi2_per_dof=chi2_per_dof[()])
 
 
 @dataclass(frozen=True)
@@ -215,57 +230,23 @@ class ForecastResult:
         return self.photon_budget * (self.sigma_alpha_analytic / target_sigma) ** 2
 
 
-def run_forecast_trial(
-    truth: PhasePair,
-    model_pairs: PhasePair,
-    epochs: np.ndarray,
-    geometries: LinkGeometry,
-    cfg: OpticalConfig,
-    scenario: ForecastScenario,
-    n_per_point: int,
-    trial_seed,
-) -> AlphaEstimate:
-    """One end-to-end trial: fringe scans at both terminals, phase fits,
-    unwrap against the zero-violation model, regression.
-
-    truth and model_pairs hold the true and zero-violation phases of every
-    epoch of the geometry batch. The trial's scans form one (epoch,
-    terminal) batch, terminal 0 the spacecraft (phi_sc) and 1 the ground
-    station (phi_gs): one multinomial draw of default_rng(SeedSequence(
-    trial_seed)) gives all their counts, one fit_phase call fits them, and a
-    failed fit names its scan as [epoch, terminal]."""
-    true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)
-    if n_per_point > 0:
-        offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
-        scan = fringe_scan(offsets, true_phase, scenario.visibility, n_per_point,
-                           scenario.efficiency, np.random.SeedSequence(trial_seed),
-                           dark_rate=scenario.dark_rate)
-        fit = fit_phase(scan)
-        model = np.stack([model_pairs.phi_sc, model_pairs.phi_gs], axis=-1)
-        phase, sigma = model + _wrap_phase(fit.phi_hat - model), fit.sigma_phi
-    else:
-        phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
-    # rows (phi_sc, sigma_sc, phi_gs, sigma_gs)
-    rows = np.stack([phase, sigma], axis=-1).reshape(len(epochs), 4)
-    dataset = PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
-    return estimate_alpha(dataset, cfg)
-
-
-def precision_forecast(
-    scenario: ForecastScenario,
-    photon_budget: int,
-    trials: int,
-    seed,
-) -> ForecastResult:
+def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: int,
+                       seed) -> ForecastResult:
     """Monte Carlo spread of the violation estimate at a given photon budget.
 
     The photon budget is split evenly across epochs, scan points, and the
     two terminals; a positive budget below one pulse per scan point raises
-    ValueError (0 runs noiseless). Geometry and true/model phases are
-    computed once and shared by all trials; only photon noise is redrawn.
-    Trial t draws from SeedSequence((seed, t)) alone, so its row does not
-    depend on how many trials run. The empirical spread of alpha-hat across
-    trials should match the mean reported sigma_alpha within ~30%.
+    ValueError (0 runs noiseless). Geometry, true/model phases, the checked
+    outcome probabilities of every scan point and the regression's model
+    terms are computed once and shared by all trials; only photon noise is
+    redrawn. Trial t draws from SeedSequence((seed, t)) alone, so its row
+    does not depend on how many trials run. Trials are fitted in blocks of
+    at most _BLOCK_POINTS scan points (at least one trial): one FringeScan,
+    one fit_phase call and one regression per block, so memory does not
+    grow with trials. A failed fit names its scan as [trial, epoch,
+    terminal], terminal 0 the spacecraft (phi_sc) and 1 the ground station
+    (phi_gs). The empirical spread of alpha-hat across trials should match
+    the mean reported sigma_alpha within ~30%.
     """
     if trials < 10:
         raise ValueError("need >= 10 trials for a usable empirical spread")
@@ -274,20 +255,36 @@ def precision_forecast(
         raise ValueError(f"photon budget {photon_budget} is below one pulse per scan point "
                          f"({pulses}); use 0 for a noiseless run")
     n_per_point = int(photon_budget // pulses) if photon_budget > 0 else 0
-    epochs, geometries = build_pass(
-        scenario.gs_trajectory, scenario.sc_trajectory,
-        scenario.t_start, scenario.t_end, scenario.n_epochs,
-    )
-    truth = phase_pair(geometries, scenario.cfg, scenario.red)
-    model_pairs = phase_pair(geometries, scenario.cfg, RedshiftParams(0.0))
+    epochs, geometries = build_pass(scenario.gs_trajectory, scenario.sc_trajectory,
+                                    scenario.t_start, scenario.t_end, scenario.n_epochs)
+    cfg = scenario.cfg
+    truth = phase_pair(geometries, cfg, scenario.red)
+    model = phase_pair(geometries, cfg, RedshiftParams(0.0))
+    true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)       # (epochs, terminal)
+    model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
+    design = _design(geometries, cfg, "expanded")
+    offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
+    if n_per_point > 0:
+        pvals = outcome_probabilities(
+            cascade_intensities(true_phase[..., None] + offsets, scenario.visibility),
+            scenario.efficiency, scenario.dark_rate)
 
+    block = max(1, _BLOCK_POINTS // pulses)
     estimates = np.empty((3, trials))
-    for t in range(trials):
-        est = run_forecast_trial(
-            truth, model_pairs, epochs, geometries, scenario.cfg,
-            scenario, n_per_point, (seed, t),
-        )
-        estimates[:, t] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        if n_per_point > 0:
+            seeds = [np.random.SeedSequence((seed, t)) for t in range(start, stop)]
+            scan = FringeScan(offsets, draw_counts(pvals, n_per_point, seeds), n_per_point)
+            fit = fit_phase(scan, first=start)
+            # unwrap against the zero-violation model
+            phase, sigma = model_phase + _wrap_phase(fit.phi_hat - model_phase), fit.sigma_phi
+        else:  # noiseless: one set of rows stands for every trial of the block
+            phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
+        # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
+        rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(epochs), 4)
+        est = _regress(PassDataset(epochs, geometries, rows), design, cfg.phase_scale, first=start)
+        estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
     alpha_hat, sigma_alpha, chi2_per_dof = estimates
     return ForecastResult(
         sigma_alpha_empirical=float(np.std(alpha_hat, ddof=1)),
@@ -298,4 +295,3 @@ def precision_forecast(
         photon_budget=int(photon_budget),
         n_per_point=n_per_point,
     )
-

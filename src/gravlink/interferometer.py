@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,12 +53,13 @@ def _check_scan_offsets(phi_offsets: Sequence[float]) -> np.ndarray:
     return offsets
 
 
-def _reject_scan(bad, error, text: str, *values) -> None:
-    """Raise error(text formatted with the values) at the first scan flagged in
-    bad; in a batch of several scans the message names its index."""
+def _reject_first(bad, error, text: str, *values, first: int = 0, what: str = "scan") -> None:
+    """Raise error(text formatted with the values) at the first entry flagged in
+    bad; in a batch the message names its index, the leading one counted from first."""
     if bad.any():
         i = np.unravel_index(np.argmax(bad), np.shape(bad))
-        where = f" at scan [{', '.join(str(int(k)) for k in i)}]" if np.size(bad) > 1 else ""
+        where = (f" at {what} [{', '.join(str(int(k)) for k in (i[0] + first, *i[1:]))}]"
+                 if np.ndim(bad) else "")
         raise error(text.format(*(np.asarray(v)[i].tolist() for v in values)) + where)
 
 
@@ -106,25 +108,15 @@ def cascade_intensities(phi, visibility: float = 1.0) -> np.ndarray:
     return np.stack([side, central, side], axis=-1)
 
 
-def simulate_counts(
-    intensities,
-    n_sent: int,
-    link_efficiency: float,
-    rng,
-    dark_rate: float = 0.0,
-) -> np.ndarray:
-    """Draw shot-noise counts (..., 3) for window intensities (..., 3) in one call.
+def outcome_probabilities(intensities, link_efficiency: float,
+                          dark_rate: float = 0.0) -> np.ndarray:
+    """Multinomial probabilities (..., 4) of each setting's outcomes for window
+    intensities (..., 3): the early, central and late windows, then no detection.
 
-    Each setting's three windows and its no-detection outcome are one
-    multinomial, so each window's count is binomial(n_sent, p) with
-    p = intensity * link_efficiency + dark_rate, and no setting's total can
-    exceed n_sent. dark_rate is the background click probability per window
-    per sent pulse. Intensities must lie in [0, 3/8]. rng is a numpy
-    Generator or anything default_rng takes (an int, a tuple of ints, a
-    SeedSequence); the settings are drawn in C order.
+    A window clicks with p = intensity * link_efficiency + dark_rate, where
+    dark_rate is the background click probability per window per sent pulse.
+    Intensities must lie in [0, 3/8] and each setting's p must sum to <= 1.
     """
-    if n_sent <= 0:
-        raise ValueError("n_sent must be positive")
     if not 0.0 <= link_efficiency <= 1.0:
         raise ValueError(f"link_efficiency must lie in [0, 1], got {link_efficiency}")
     if dark_rate < 0.0:
@@ -136,8 +128,35 @@ def simulate_counts(
     p_any = probs.sum(axis=-1, keepdims=True)
     if (p_any > 1.0).any():
         raise ValueError(f"window probabilities sum to {p_any.max():.3f} > 1")
-    pvals = np.concatenate([probs, 1.0 - p_any], axis=-1)
+    return np.concatenate([probs, 1.0 - p_any], axis=-1)
+
+
+def draw_counts(pvals, n_sent: int, rng) -> np.ndarray:
+    """Window counts (..., 3) of n_sent pulses per setting, outcome probabilities (..., 4).
+
+    rng is a numpy Generator or anything default_rng takes (an int, a tuple of
+    ints, a SeedSequence); one multinomial call draws every setting in C order.
+    A list of SeedSequences draws the batch once from each seed's own Generator
+    and stacks the draws on a new leading axis.
+    """
+    if n_sent <= 0:
+        raise ValueError("n_sent must be positive")
+    if isinstance(rng, list) and all(isinstance(r, np.random.SeedSequence) for r in rng):
+        return np.stack([draw_counts(pvals, n_sent, r) for r in rng])
     return np.random.default_rng(rng).multinomial(n_sent, pvals)[..., :3]
+
+
+def simulate_counts(intensities, n_sent: int, link_efficiency: float, rng,
+                    dark_rate: float = 0.0) -> np.ndarray:
+    """Draw shot-noise counts (..., 3) for window intensities (..., 3) in one call.
+
+    Each setting's three windows and its no-detection outcome are one
+    multinomial (outcome_probabilities), so each window's count is
+    binomial(n_sent, p) and no setting's total can exceed n_sent. rng as
+    draw_counts takes it.
+    """
+    return draw_counts(outcome_probabilities(intensities, link_efficiency, dark_rate),
+                       n_sent, rng)
 
 
 def fringe_scan(
@@ -184,7 +203,7 @@ def _wrap_phase(phi):
     return r - 2.0 * np.pi * (r > np.pi) + 2.0 * np.pi * (r <= -np.pi)
 
 
-def fit_phase(scan: FringeScan) -> PhaseFit:
+def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     """Extract the fringe phase of every scan of a batch from its central-peak counts.
 
     The model A (1 + V cos(phi + offset)) is linear in
@@ -207,12 +226,14 @@ def fit_phase(scan: FringeScan) -> PhaseFit:
     DegenerateVisibility (no counts, non-positive baseline, or fitted
     V < 0.05), FitDiverged (singular design or unusable covariance; message
     carries the residuals). In a batch the message names the first failing
-    scan.
+    scan, its leading index counted from first (the index of this batch's first
+    entry in a larger batch cut into blocks).
     """
+    reject = partial(_reject_first, first=first)
     offsets = scan.offsets
     counts = scan.counts[..., 1].astype(float)
-    _reject_scan(counts.sum(axis=-1) <= 0, DegenerateVisibility,
-                 "no central-peak counts; phase unidentifiable")
+    reject(counts.sum(axis=-1) <= 0, DegenerateVisibility,
+           "no central-peak counts; phase unidentifiable")
 
     # every scan shares the design D = U S V^T, so one SVD of it finds a singular
     # one, and solving in the orthonormal basis U leaves only the weights'
@@ -221,8 +242,8 @@ def fit_phase(scan: FringeScan) -> PhaseFit:
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
         resid = counts - counts @ (design @ np.linalg.pinv(design))
-        _reject_scan(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
-                     "singular fringe-fit normal matrix; residuals: {}", resid)
+        reject(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
+               "singular fringe-fit normal matrix; residuals: {}", resid)
     # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
     w = 1.0 / np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0)
     # (U^T W U) b = U^T W c per scan, coef = V S^-1 b; covariance of b is (U^T W U)^-1
@@ -230,17 +251,17 @@ def fit_phase(scan: FringeScan) -> PhaseFit:
     b = np.einsum("...ij,...j->...i", cov, (w * counts) @ u)
     coef = (b / s) @ vt
     a0, a1, a2 = coef[..., 0], coef[..., 1], coef[..., 2]
-    _reject_scan(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
+    reject(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
     amp2 = a1 * a1 + a2 * a2
     vis_hat = np.sqrt(amp2) / a0
-    _reject_scan(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
-                 f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
+    reject(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
+           f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
     # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2), taken to the basis of b
     grad = (a2[..., None] * vt[:, 1] - a1[..., None] * vt[:, 2]) / (amp2[..., None] * s)
     sigma_phi = np.sqrt(np.einsum("...i,...ij,...j->...", grad, cov, grad))
-    _reject_scan(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
-                 "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
-                 counts - b @ u.T)
+    reject(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
+           "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
+           counts - b @ u.T)
     # [()] turns the 0-d results of a single scan into scalars
     return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 

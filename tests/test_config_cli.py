@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 import gravlink
 import gravlink.config
+import gravlink.estimator
 from gravlink import __version__
 from gravlink.cli import _table, main
 from gravlink.config import load_config, validate_config
@@ -175,9 +176,11 @@ DEFECTS = [
     # the scan rejects a post-selection orthogonal to |0>: |<f|i>| = |cos 90 deg| = 6.1e-17
     ("theta_orthogonal", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
      "theta_grid_deg: [10.0, 90.0]",
-     "spin.theta_grid_deg: [10.0, 90.0] has a post-selection orthogonal to |0>"),
+     "spin.theta_grid_deg: [1] = 90.0 has a post-selection orthogonal to |0>"),
     ("theta_grid_orthogonal", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
      "theta_grid_deg: {start: -90.0, stop: 0.0, num: 3}", "spin.theta_grid_deg: {"),
+    ("rotation_length", SMALL_WEAKVALUE, "q_grid:", "rotation_rad_per_s: [0.0, 1.0e-4]\n  q_grid:",
+     "spin.rotation_rad_per_s: a list of 2 must have 3 components"),
     # 6 epochs x 8 scan points x 2 terminals: 95 photons leave every scan point empty
     ("photon_budget_below_one_pulse_per_point", SMALL_FORECAST, "photon_budget: 96000",
      "photon_budget: 95",
@@ -243,6 +246,20 @@ spin:
         text = "\n".join(problems)
         assert "theta_grid_deg.num" in text
         assert "q_grid" in text
+
+    @pytest.mark.parametrize("key, bad", [("q_grid", "-1.0"), ("theta_grid_deg", "90.0")])
+    def test_long_list_violation_names_only_the_failing_entry(self, tmp_path, capsys, key,
+                                                              bad):
+        # one bad entry among 301 once printed the whole list, 2.7 KB on one line
+        grid = [f"{0.1 * (k + 1):.1f}" for k in range(301)]
+        grid[150] = bad
+        cfg = SMALL_WEAKVALUE.format(out="ignored").replace(
+            f"{key}: {'[1.0e-3, 1.0e-1]' if key == 'q_grid' else '[30.0, 84.0]'}",
+            f"{key}: [{', '.join(grid)}]")
+        assert main(["validate", write_yaml(tmp_path, cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"violation: spin.{key}: [150] = {bad} ")
+        assert len(line) < 100
 
     @pytest.mark.parametrize("dark_rate, valid", [("0.2", True), ("0.21", False)])
     def test_noise_window_probability_at_most_one(self, tmp_path, dark_rate, valid):
@@ -545,7 +562,9 @@ class TestTable:
 
 class TestForecastStream:
     def test_more_trials_only_append_rows(self, tmp_path, monkeypatch):
-        # trial k draws from SeedSequence((seed, k)) alone
+        # trial k draws from SeedSequence((seed, k)) alone, whichever block fits it;
+        # a trial is 25 epochs x 8 scan points x 2 terminals, so twenty span two blocks
+        assert gravlink.estimator._BLOCK_POINTS // 400 < 20
         ten = run_shipped_forecast(tmp_path, monkeypatch, 10)
         twenty = run_shipped_forecast(tmp_path, monkeypatch, 20)
         assert ten[0].startswith(b"# trial") and len(ten) == 12 and len(twenty) == 22

@@ -1,12 +1,15 @@
 """Violation-parameter regression and Monte Carlo forecasting."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gravlink import estimator
 from gravlink.cli import main
-from gravlink.errors import SingularFit
+from gravlink.errors import DegenerateVisibility, GravlinkError, SingularFit
 from gravlink.estimator import (
     AlphaEstimate,
     ForecastScenario,
@@ -16,8 +19,9 @@ from gravlink.estimator import (
     precision_forecast,
     synthesize_measurements,
 )
+from gravlink.interferometer import _wrap_phase, fit_phase, fringe_scan
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
-from gravlink.link_model import OpticalConfig, RedshiftParams, velocity_terms
+from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
 
 U_SURFACE = 6.961274586591855e-10
 OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0014e-5)
@@ -86,6 +90,21 @@ class TestPassDataset:
     def test_alpha_estimate_sigma_positive(self):
         with pytest.raises(ValueError):
             AlphaEstimate(alpha_hat=0.0, sigma_alpha=0.0, chi2_per_dof=1.0)
+        with pytest.raises(ValueError):  # checked for every estimate of a batch
+            AlphaEstimate(alpha_hat=np.zeros(3), sigma_alpha=np.array([1.0, 0.0, 1.0]),
+                          chi2_per_dof=np.ones(3))
+
+    def test_batch_of_measurement_rows(self):
+        geom = tiny_beta_geometries(2)
+        data = PassDataset(epochs=(0.0, 1.0), geometries=geom,
+                           phase_measurements=np.full((3, 5, 2, 4), 0.1))
+        assert len(data) == 2 and data.phase_measurements.shape == (3, 5, 2, 4)
+        rows = np.full((3, 2, 4), 0.1)
+        rows[1, 0, 3] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            PassDataset(epochs=(0.0, 1.0), geometries=geom, phase_measurements=rows)
+        with pytest.raises(ValueError, match="align"):
+            PassDataset(epochs=(0.0, 1.0), geometries=geom, phase_measurements=rows[:, :1])
 
 
 class TestBuildPass:
@@ -191,6 +210,27 @@ class TestEstimateAlpha:
         leverage = np.sum(scale**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
         assert est.sigma_alpha == pytest.approx(1.0 / math.sqrt(leverage), rel=1e-9)
 
+    @pytest.mark.parametrize("geometry_model", ["expanded", "exact"])
+    def test_batch_matches_one_set_at_a_time(self, geometry_model):
+        epochs, geoms = leo_pass(20)
+        sets = [synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(3e-4),
+                                        sigma_sc=1e-3, sigma_gs=2e-3, seed=k)
+                for k in range(6)]
+        rows = np.stack([d.phase_measurements for d in sets]).reshape(2, 3, 20, 4)
+        batch = estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS, geometry_model)
+        for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
+            one = [getattr(estimate_alpha(d, OPTICS, geometry_model), field) for d in sets]
+            assert getattr(batch, field).shape == (2, 3)
+            np.testing.assert_array_equal(getattr(batch, field).ravel(), one)
+
+    def test_batch_names_the_set_without_leverage(self):
+        epochs, geoms = leo_pass(5)
+        rows = np.tile(synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(0.0))
+                       .phase_measurements, (4, 1, 1))
+        rows[2, :, 1] = rows[2, :, 3] = np.inf  # positive, but weighs nothing
+        with pytest.raises(SingularFit, match=r" at trial \[2\]$"):
+            estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS)
+
     def test_unknown_model_rejected(self):
         geoms = tiny_beta_geometries(3)
         data = synthesize_measurements([0, 1, 2], geoms, OPTICS, RedshiftParams(0.0))
@@ -271,6 +311,83 @@ class TestPrecisionForecast:
         noiseless = precision_forecast(forecast_scenario(), 0, trials=10, seed=2)
         with pytest.raises(ValueError):
             noiseless.budget_for_target(target)
+
+
+def per_trial_forecast(scenario, photon_budget, trials, seed):
+    """The forecast one trial at a time, as precision_forecast ran before it fitted
+    trials in blocks: per trial one fringe_scan, one fit_phase and one
+    estimate_alpha call. Yields each trial's AlphaEstimate; a failed fit names
+    its scan as [epoch, terminal]."""
+    n_per_point = photon_budget // (2 * scenario.n_epochs * scenario.scan_points)
+    epochs, geoms = build_pass(scenario.gs_trajectory, scenario.sc_trajectory,
+                               scenario.t_start, scenario.t_end, scenario.n_epochs)
+    truth = phase_pair(geoms, scenario.cfg, scenario.red)
+    model = phase_pair(geoms, scenario.cfg, RedshiftParams(0.0))
+    true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)
+    model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
+    offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
+    for t in range(trials):
+        if n_per_point > 0:
+            fit = fit_phase(fringe_scan(offsets, true_phase, scenario.visibility, n_per_point,
+                                        scenario.efficiency, np.random.SeedSequence((seed, t)),
+                                        dark_rate=scenario.dark_rate))
+            phase, sigma = model_phase + _wrap_phase(fit.phi_hat - model_phase), fit.sigma_phi
+        else:
+            phase, sigma = true_phase, np.full_like(true_phase, 1e-12)
+        rows = np.stack([phase, sigma], axis=-1).reshape(len(epochs), 4)
+        yield estimate_alpha(PassDataset(epochs, geoms, rows), scenario.cfg)
+
+
+def trials_per_block(scenario):
+    return max(1, estimator._BLOCK_POINTS // (2 * scenario.n_epochs * scenario.scan_points))
+
+
+class TestBlockedForecast:
+    @pytest.mark.parametrize("budget, noise", [
+        (16000000, {}),
+        (0, {}),  # noiseless: every trial fits the true phases
+        (2400000, {"visibility": 0.9, "efficiency": 0.8, "dark_rate": 1e-4}),
+    ])
+    def test_matches_the_per_trial_loop_bit_for_bit(self, budget, noise):
+        scenario = dataclasses.replace(forecast_scenario(n_epochs=25), **noise)
+        block = trials_per_block(scenario)
+        trials = 3 * block + block // 2 + 1  # three full blocks and a remainder
+        assert block > 1 and trials % block
+        result = precision_forecast(scenario, budget, trials=trials, seed=20260815)
+        oracle = list(per_trial_forecast(scenario, budget, trials, seed=20260815))
+        for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
+            np.testing.assert_array_equal(getattr(result, field),
+                                          [getattr(est, field) for est in oracle])
+
+    def test_failed_fit_names_the_global_trial(self):
+        # 8 pulses per scan point: with this seed, trial 30's fit is the first to fail
+        scenario, budget, seed = forecast_scenario(n_epochs=25), 3200, 6
+        trial = 0  # the trials the loop finished before one failed
+        with pytest.raises(GravlinkError) as failed:
+            for _ in per_trial_forecast(scenario, budget, 40, seed):
+                trial += 1
+        assert trial >= 2 * trials_per_block(scenario)  # a later block
+        local = re.fullmatch(r"(.*) at scan \[(\d+), (\d+)\]", str(failed.value))
+        with pytest.raises(type(failed.value)) as blocked:
+            precision_forecast(scenario, budget, trials=40, seed=seed)
+        assert str(blocked.value) == f"{local[1]} at scan [{trial}, {local[2]}, {local[3]}]"
+        assert isinstance(blocked.value, DegenerateVisibility)
+
+    def test_singular_fit_names_the_global_trial(self, monkeypatch):
+        # a fit whose every sigma_phi is infinite leaves its trial no weight
+        scenario, lost = forecast_scenario(n_epochs=25), 23
+
+        def fit_losing_a_trial(scan, first=0):
+            fit = fit_phase(scan, first=first)
+            sigma = fit.sigma_phi.copy()
+            if 0 <= lost - first < len(sigma):
+                sigma[lost - first] = np.inf
+            return fit._replace(sigma_phi=sigma)
+
+        monkeypatch.setattr(estimator, "fit_phase", fit_losing_a_trial)
+        assert lost // trials_per_block(scenario) >= 2
+        with pytest.raises(SingularFit, match=rf"no leverage \(0\.0\): .* at trial \[{lost}\]$"):
+            precision_forecast(scenario, 16000000, trials=30, seed=1)
 
 
 NOISELESS_FORECAST = """

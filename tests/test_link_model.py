@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravlink.constants import C_LIGHT, R_EARTH
 from gravlink.errors import DegenerateGeometry
@@ -11,6 +14,7 @@ from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
     LinkGeometry,
+    _dot,
     build_link_geometry,
 )
 from gravlink.link_model import (
@@ -320,3 +324,76 @@ def test_one_epoch_geometry_gives_one_value_per_function():
     pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
     assert pair.phi_sc.shape == pair.phi_gs.shape == pair.s_signal.shape == (1,)
     assert uplink_fractional_shift(geom).shape == (1,)
+
+
+
+
+def exact_minus_one(geom, alpha):
+    """Uplink and round-trip (ratio - 1, size) of every epoch from the unrearranged
+    ratios, as mpf numbers; call it under mpmath.workdps(50). Each ratio is a product
+    of two factors, and size is the largest |x - 1| of the ratio and its factors: where
+    the factors' shifts cancel, ratio - 1 can be far smaller than the terms whose
+    rounding bounds it. The squared speeds and the projection n23.beta2 enter as
+    link_model forms them (kinematics._dot), as d1, d2 and d3 do, so the reference
+    measures how ratio - 1 is evaluated, not how a dot product rounds."""
+    m = mpmath.mpf
+
+    def minus_one(*factors):
+        ratio = factors[0] * factors[1]
+        return ratio - 1, max(abs(f - 1) for f in (ratio, *factors))
+
+    up, round_trip = [], []
+    for k in range(len(geom)):
+        u1, u2, d1, d2, d3 = (m(float(v[k])) for v in (geom.U1, geom.U2, geom.d1,
+                                                         geom.d2, geom.d3))
+        b1_sq, b2_sq, e2 = (m(float(_dot(a[k], b[k]))) for a, b in (
+            (geom.beta1, geom.beta1), (geom.beta2, geom.beta2), (geom.n23, geom.beta2)))
+        uplink_doppler = (1 - d2) / (1 - d1)
+        dilation = (1 - u1 - b1_sq / 2 + m(alpha) * (u2 - u1)) / (1 - u2 - b2_sq / 2)
+        up.append(minus_one(dilation, uplink_doppler))
+        round_trip.append(minus_one(uplink_doppler, (1 - d3) / (1 - e2)))
+    return up, round_trip
+
+
+def assert_within_ulps(values, exact, ulps):
+    """|value - x| <= ulps spacings of size at every epoch, exact holding (x, size)."""
+    for k, (value, (ref, size)) in enumerate(zip(values, exact)):
+        err = float(abs(mpmath.mpf(float(value)) - ref))
+        unit = np.spacing(float(size))
+        assert err <= ulps * unit, f"epoch {k}: {value!r} is {err / unit:.1f} ulp off {ref}"
+
+
+class TestPinnedPrecision:
+    """ratio - 1 on random LEO-to-GEO links against a 50-digit evaluation of the
+    unrearranged ratios. The rearranged differences stay within about 2 ulp of the
+    largest shift involved; a naive ratio - 1.0 is off by up to half an ulp of 1,
+    1e4 or more of those ulp."""
+
+    ULPS = 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(lat=st.floats(-1.5, 1.5), lon=st.floats(-math.pi, math.pi),
+           alt=st.floats(0.0, 3000.0), radius=st.floats(R_EARTH + 3.0e5, 4.2164e7),
+           inclination=st.floats(0.0, math.pi), raan=st.floats(0.0, 2.0 * math.pi),
+           phase=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-3000.0, 3000.0),
+           alpha=st.sampled_from([0.0, 3.0e-4, -0.5]))
+    def test_ratio_minus_one_within_a_few_ulp(self, lat, lon, alt, radius, inclination,
+                                               raan, phase, t0, alpha):
+        geom = build_link_geometry(GroundStation(lat, lon, alt),
+                                   CircularOrbit(radius, inclination, raan, phase),
+                                   t0 + np.array([0.0, 1.0, 60.0]))
+        pair = phase_pair(geom, OPTICS, RedshiftParams(alpha))
+        with mpmath.workdps(50):
+            up, round_trip = exact_minus_one(geom, alpha)
+            assert_within_ulps(uplink_fractional_shift(geom, alpha), up, self.ULPS)
+            assert_within_ulps(roundtrip_fractional_shift(geom), round_trip, self.ULPS)
+            # the phases add the rounding of one product by the phase scale
+            scale = mpmath.mpf(OPTICS.phase_scale)
+            phi_sc = [(scale * x, scale * size) for x, size in up]
+            phi_gs = [(scale * x, scale * size) for x, size in round_trip]
+            assert_within_ulps(pair.phi_sc, phi_sc, self.ULPS + 1)
+            assert_within_ulps(pair.phi_gs, phi_gs, self.ULPS + 1)
+            # s = phi_sc - phi_gs/2 cancels the first-order Doppler, so the phases set its error
+            s = [(sc - gs / 2, max(sc_size, gs_size))
+                 for (sc, sc_size), (gs, gs_size) in zip(phi_sc, phi_gs)]
+            assert_within_ulps(pair.s_signal, s, 2 * (self.ULPS + 1))
