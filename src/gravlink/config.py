@@ -320,6 +320,9 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         if 0 < noise.photon_budget < pulses:
             problems.append(f"noise.photon_budget: {noise.photon_budget} must be 0 (noiseless) "
                             f"or >= 2*n_epochs*scan_points ({pulses})")
+        if noise.photon_budget > 0 and noise.efficiency == 0:
+            problems.append("noise.efficiency: 0 detects no photon; set photon_budget: 0 "
+                            "for a noiseless forecast")
     orbit, station = specs.get("orbit"), specs.get("station")
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):

@@ -15,7 +15,7 @@ Earth-fixed frame at the first record's epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,8 +27,9 @@ from .errors import (
     MalformedRecord,
     NonMonotonicTime,
     OutOfRange,
+    reject,
 )
-from .kinematics import StateVector, _epochs, _reject, earth_rotation_vector, rotate_z
+from .kinematics import StateVector, _epochs, earth_rotation_vector, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -64,13 +65,12 @@ class EphemerisTable:
     """Immutable ordered collection of position records.
 
     ``source`` holds the verbatim header block (newline-joined header
-    lines) so that serialization round-trips exactly. The frame tag is
-    fixed: positions are Earth-fixed.
+    lines) so that serialization round-trips exactly. Positions are
+    Earth-fixed.
     """
 
     records: tuple[EphemerisRecord, ...]
     source: str = ""
-    frame: str = field(default="ecef")
 
     @property
     def n_records(self) -> int:
@@ -256,8 +256,8 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
         )
     t_rel = _epochs(t)
     epochs = table.relative_epochs()
-    _reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), t_rel, OutOfRange,
-            f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s")
+    reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), OutOfRange,
+           f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
     n = table.n_records
     width = min(_MAX_WINDOW, n)
     start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
@@ -293,7 +293,7 @@ class EphemerisTrajectory:
         """Central-difference acceleration [m/s^2]; step shrinks at the edges."""
         t = _epochs(t)
         h = np.minimum(np.minimum(1.0, t), self.table.span_seconds - t)
-        _reject(h <= 0.0, t, OutOfRange, "acceleration needs interior epochs (t = {:.6g} s)")
+        reject(h <= 0.0, OutOfRange, "acceleration needs interior epochs", times=t)
         before = self.states(t - h).velocity
         after = self.states(t + h).velocity
         return (after - before) / (2.0 * h[:, None])

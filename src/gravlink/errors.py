@@ -2,8 +2,10 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that the CLI (and tests) can branch on type rather than on message text.
-All inherit from GravlinkError.
+All inherit from GravlinkError; reject raises one at a batch's first failing entry.
 """
+
+import numpy as np
 
 
 class GravlinkError(Exception):
@@ -106,3 +108,18 @@ class ConfigInvalid(GravlinkError):
 
 class FileUnreadable(GravlinkError):
     """Input file missing or unreadable."""
+
+
+def reject(bad, error, text: str, *values, what: str = "epoch", first: int = 0, times=None):
+    """Raise error(text formatted with the values at the entry) at the first entry flagged
+    in the boolean array bad. If bad has an axis, " at <what> [i, j]" names the entry, its
+    leading index counted from first (a block's offset in a larger batch), and epochs [s]
+    times along that axis add " (t = ... s)"; a 0-d bad keeps the bare text."""
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), np.shape(bad))
+        message = text.format(*(np.asarray(v)[i].tolist() for v in values))
+        if i:
+            message += f" at {what} [{', '.join(str(int(k)) for k in (i[0] + first, *i[1:]))}]"
+            if times is not None:
+                message += f" (t = {np.asarray(times)[i[0]]:.6g} s)"
+        raise error(message)

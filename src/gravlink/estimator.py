@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularFit
-from .interferometer import (FringeScan, _reject_first, _wrap_phase, cascade_intensities,
-                             draw_counts, fit_phase, outcome_probabilities)
+from .errors import SingularFit, reject
+from .interferometer import (FringeScan, _wrap_phase, cascade_intensities, draw_counts,
+                             fit_phase, outcome_probabilities)
 from .kinematics import LinkGeometry, build_link_geometry
 from .link_model import (
     OpticalConfig,
@@ -180,9 +180,9 @@ def _regress(data: PassDataset, design: tuple, scale: float, first: int = 0) -> 
     weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
 
     leverage = np.sum(weights * x * x, axis=-1)
-    _reject_first(~(np.isfinite(leverage) & (leverage > 0.0)), SingularFit,
-                  "no leverage ({}): every epoch has U2 = U1 or no usable weight", leverage,
-                  first=first, what="trial")
+    reject(~(np.isfinite(leverage) & (leverage > 0.0)), SingularFit,
+           "no leverage ({}): every epoch has U2 = U1 or no usable weight", leverage,
+           what="trial", first=first)
     slope = np.sum(weights * x * y, axis=-1) / leverage
     resid = y - slope[..., None] * x
     dof = len(data) - 1
@@ -274,8 +274,9 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         if n_per_point > 0:
-            seeds = [np.random.SeedSequence((seed, t)) for t in range(start, stop)]
-            scan = FringeScan(offsets, draw_counts(pvals, n_per_point, seeds), n_per_point)
+            counts = [draw_counts(pvals, n_per_point, np.random.SeedSequence((seed, t)))
+                      for t in range(start, stop)]
+            scan = FringeScan(offsets, np.stack(counts), n_per_point)
             fit = fit_phase(scan, first=start)
             # unwrap against the zero-violation model
             phase, sigma = model_phase + _wrap_phase(fit.phi_hat - model_phase), fit.sigma_phi

@@ -19,7 +19,8 @@ epochs. Window probabilities and counts hold (early, central, late) on
 their last axis. A FringeScan holds a batch of scans over one set of phase
 offsets: offsets (P,) and counts (..., P, 3). fit_phase fits every scan of
 the batch at once and returns (...,) arrays; one scan, counts (P, 3), gives
-scalars. A batch error names the first failing scan by its batch index.
+scalars. An error in a batch names the first failing scan, as in
+"... at scan [3, 1]"; one scan keeps the bare message.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVisibility, FitDiverged, InsufficientScan
+from .errors import DegenerateVisibility, FitDiverged, InsufficientScan, reject
 
 _MIN_SCAN_POINTS = 4
 _MIN_SCAN_SPAN = math.pi - 1e-9
@@ -51,16 +52,6 @@ def _check_scan_offsets(phi_offsets: Sequence[float]) -> np.ndarray:
     if span < _MIN_SCAN_SPAN:
         raise InsufficientScan(f"scan span {span:.3f} rad must cover >= pi")
     return offsets
-
-
-def _reject_first(bad, error, text: str, *values, first: int = 0, what: str = "scan") -> None:
-    """Raise error(text formatted with the values) at the first entry flagged in
-    bad; in a batch the message names its index, the leading one counted from first."""
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), np.shape(bad))
-        where = (f" at {what} [{', '.join(str(int(k)) for k in (i[0] + first, *i[1:]))}]"
-                 if np.ndim(bad) else "")
-        raise error(text.format(*(np.asarray(v)[i].tolist() for v in values)) + where)
 
 
 @dataclass(frozen=True)
@@ -136,13 +127,9 @@ def draw_counts(pvals, n_sent: int, rng) -> np.ndarray:
 
     rng is a numpy Generator or anything default_rng takes (an int, a tuple of
     ints, a SeedSequence); one multinomial call draws every setting in C order.
-    A list of SeedSequences draws the batch once from each seed's own Generator
-    and stacks the draws on a new leading axis.
     """
     if n_sent <= 0:
         raise ValueError("n_sent must be positive")
-    if isinstance(rng, list) and all(isinstance(r, np.random.SeedSequence) for r in rng):
-        return np.stack([draw_counts(pvals, n_sent, r) for r in rng])
     return np.random.default_rng(rng).multinomial(n_sent, pvals)[..., :3]
 
 
@@ -229,11 +216,11 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     scan, its leading index counted from first (the index of this batch's first
     entry in a larger batch cut into blocks).
     """
-    reject = partial(_reject_first, first=first)
+    reject_scan = partial(reject, what="scan", first=first)
     offsets = scan.offsets
     counts = scan.counts[..., 1].astype(float)
-    reject(counts.sum(axis=-1) <= 0, DegenerateVisibility,
-           "no central-peak counts; phase unidentifiable")
+    reject_scan(counts.sum(axis=-1) <= 0, DegenerateVisibility,
+                "no central-peak counts; phase unidentifiable")
 
     # every scan shares the design D = U S V^T, so one SVD of it finds a singular
     # one, and solving in the orthonormal basis U leaves only the weights'
@@ -242,8 +229,8 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
         resid = counts - counts @ (design @ np.linalg.pinv(design))
-        reject(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
-               "singular fringe-fit normal matrix; residuals: {}", resid)
+        reject_scan(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
+                    "singular fringe-fit normal matrix; residuals: {}", resid)
     # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
     w = 1.0 / np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0)
     # (U^T W U) b = U^T W c per scan, coef = V S^-1 b; covariance of b is (U^T W U)^-1
@@ -251,17 +238,17 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     b = np.einsum("...ij,...j->...i", cov, (w * counts) @ u)
     coef = (b / s) @ vt
     a0, a1, a2 = coef[..., 0], coef[..., 1], coef[..., 2]
-    reject(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
+    reject_scan(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
     amp2 = a1 * a1 + a2 * a2
     vis_hat = np.sqrt(amp2) / a0
-    reject(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
-           f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
+    reject_scan(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
+                f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
     # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2), taken to the basis of b
     grad = (a2[..., None] * vt[:, 1] - a1[..., None] * vt[:, 2]) / (amp2[..., None] * s)
     sigma_phi = np.sqrt(np.einsum("...i,...ij,...j->...", grad, cov, grad))
-    reject(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
-           "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
-           counts - b @ u.T)
+    reject_scan(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
+                "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
+                counts - b @ u.T)
     # [()] turns the 0-d results of a single scan into scalars
     return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 

@@ -14,7 +14,7 @@ StaticPlatform, ephemeris.EphemerisTrajectory) implements ``states(t)`` ->
 StateVector with positions (N, 3) [m] and velocities (N, 3) [m/s], and
 ``accelerations(t)`` -> (N, 3) [m/s^2]. The StateVector constructor checks
 the batch once against the radius floor and speed ceiling, and an error
-names the first failing epoch (a batch of one keeps the one-epoch message).
+names the first failing epoch, as in "... at epoch [3] (t = 5 s)".
 LinkGeometry holds (N, 3) vectors and (N,) scalars.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
-from .errors import BadAltitude, DegenerateGeometry, NoConvergence
+from .errors import BadAltitude, DegenerateGeometry, NoConvergence, reject
 
 _MIN_RADIUS = 6.3e6     # m, StateVector sanity floor
 _MAX_SPEED = 1.1e4      # m/s, StateVector sanity ceiling
@@ -34,18 +34,6 @@ _MAX_BETA = 4.0e-5      # LinkGeometry sanity ceiling on |v|/c
 _LIGHT_TIME_TOL = 1e-12  # s
 _LIGHT_TIME_MAX_ITER = 50
 _COINCIDENT_RANGE = 1e-6  # m, below this emitter and receiver coincide
-
-
-def _reject(bad, values, error, text: str, epochs=None) -> None:
-    """Raise error(text formatted with the value) at the first epoch flagged in bad;
-    in a batch of several epochs the message names it (and its time t)."""
-    bad = np.atleast_1d(bad)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f" at epoch {i}" if bad.size > 1 else ""
-        if where and epochs is not None:
-            where += f" (t = {np.atleast_1d(epochs)[i]:.6g} s)"
-        raise error(text.format(np.atleast_1d(values)[i]) + where)
 
 
 def _dot(a, b):
@@ -95,11 +83,11 @@ class StateVector:
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "epoch", _epochs(self.epoch))
         r = np.linalg.norm(pos, axis=-1)
-        _reject(r <= _MIN_RADIUS, r, BadAltitude,
-                f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", self.epoch)
+        reject(r <= _MIN_RADIUS, BadAltitude,
+               f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", r, times=self.epoch)
         v = np.linalg.norm(vel, axis=-1)
-        _reject(v >= _MAX_SPEED, v, ValueError,
-                f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", self.epoch)
+        reject(v >= _MAX_SPEED, ValueError,
+               f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=self.epoch)
 
 
 class CircularOrbit:
@@ -229,16 +217,17 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory):
         rng = np.linalg.norm(separation, axis=-1)
         ranges = np.full(len(r_emit), np.inf)
         ranges[todo] = rng
-        _reject(ranges < _COINCIDENT_RANGE, ranges, DegenerateGeometry,
-                "emitter and receiver separated by {:.3e} m; direction undefined", t_emit)
+        reject(ranges < _COINCIDENT_RANGE, DegenerateGeometry,
+               "emitter and receiver separated by {:.3e} m; direction undefined", ranges,
+               times=t_emit)
         settled = np.abs(rng / C_LIGHT - t_flight[todo]) < _LIGHT_TIME_TOL
         t_flight[todo] = rng / C_LIGHT
         n_hat[todo[settled]] = separation[settled] / rng[settled, None]
         todo = todo[~settled]
         if todo.size == 0:
             return t_flight, n_hat
-    _reject(np.isin(np.arange(len(r_emit)), todo), t_emit, NoConvergence,
-            f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", t_emit)
+    reject(np.isin(np.arange(len(r_emit)), todo), NoConvergence,
+           f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", times=t_emit)
 
 
 @dataclass(frozen=True)
@@ -277,15 +266,14 @@ class LinkGeometry:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         for name in ("n12", "n23"):
             norm = np.linalg.norm(getattr(self, name), axis=-1)
-            _reject(np.abs(norm - 1.0) > 1e-9, norm, DegenerateGeometry,
-                    f"|{name}| = {{:.12f}}, expected 1")
+            reject(np.abs(norm - 1.0) > 1e-9, DegenerateGeometry,
+                   f"|{name}| = {{:.12f}}, expected 1", norm)
         for name in ("beta1", "beta2", "beta3"):
             b = np.linalg.norm(getattr(self, name), axis=-1)
-            _reject(b >= _MAX_BETA, b, ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}")
+            reject(b >= _MAX_BETA, ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}", b)
         for name in ("U1", "U2", "U3"):
             u = getattr(self, name)
-            _reject(~((0.0 < u) & (u < 1e-8)), u, ValueError,
-                    f"{name} = {{:.3e}} outside (0, 1e-8)")
+            reject(~((0.0 < u) & (u < 1e-8)), ValueError, f"{name} = {{:.3e}} outside (0, 1e-8)", u)
 
     def __len__(self) -> int:
         return len(self.t_up)

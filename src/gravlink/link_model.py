@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DegenerateGeometry
-from .kinematics import LinkGeometry, _dot, _reject
+from .errors import DegenerateGeometry, reject
+from .kinematics import LinkGeometry, _dot
 
 _TWO_PI = 2.0 * math.pi
 _MIN_DENOMINATOR = 0.5  # ratio denominators must stay near 1
@@ -114,8 +114,8 @@ def gravitational_phase(cfg: OpticalConfig, g: float, h: float, alpha: float = 0
 
 
 def _check_denominator(value, label: str) -> None:
-    _reject(np.asarray(value) < _MIN_DENOMINATOR, value, DegenerateGeometry,
-            f"{label} = {{:.6f}} below trusted region (>= {_MIN_DENOMINATOR})")
+    reject(np.asarray(value) < _MIN_DENOMINATOR, DegenerateGeometry,
+           f"{label} = {{:.6f}} below trusted region (>= {_MIN_DENOMINATOR})", value)
 
 
 def _potential_term_minus_one(geom: LinkGeometry, alpha: float):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import C_LIGHT, EV, G_STD, HBAR, MU_B_EV, OMEGA_EARTH
-from .errors import BadAxis, NonHermitian, OrthogonalSelection
+from .errors import BadAxis, NonHermitian, OrthogonalSelection, reject
 
 _PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -65,11 +65,10 @@ class QuantumState:
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
         if amps.shape[-1] not in (2, 4):
             raise ValueError(f"state dimension must be 2 or 4, got {amps.shape[-1]}")
-        norm = np.linalg.norm(amps, axis=-1, keepdims=True)
-        off = ~((1.0 - 1e-9 < norm) & (norm < 1.0 + 1e-9))
-        if off.any():
-            raise ValueError(f"state norm {norm[off][0]} is not 1 within 1e-9")
-        object.__setattr__(self, "amplitudes", amps / norm)
+        norm = np.linalg.norm(amps, axis=-1)
+        reject(~((1.0 - 1e-9 < norm) & (norm < 1.0 + 1e-9)), ValueError,
+               "state norm {} is not 1 within 1e-9", norm, what="state")
+        object.__setattr__(self, "amplitudes", amps / norm[..., None])
 
     @property
     def dim(self) -> int:
@@ -97,7 +96,6 @@ class SpinCouplingParams:
     t : s, interaction duration.
     h_vec : dimensionless 3-vector h_i = -c*omega_i/g; derived from omega
         and g when not given.
-    lambda_c : dimensionless exchange*t/hbar; derived when not given.
     """
 
     g: float = G_STD
@@ -109,7 +107,6 @@ class SpinCouplingParams:
     exchange: float = 0.0
     t: float = 1.0
     h_vec: tuple = field(default=None)  # type: ignore[assignment]
-    lambda_c: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
@@ -127,14 +124,11 @@ class SpinCouplingParams:
             object.__setattr__(self, "h_vec", -C_LIGHT * self.omega / self.g)
         else:
             object.__setattr__(self, "h_vec", np.asarray(self.h_vec, dtype=float))
-        derived_lambda = self.exchange * self.t / HBAR
-        if self.lambda_c is None:
-            object.__setattr__(self, "lambda_c", derived_lambda)
-        elif abs(self.lambda_c - derived_lambda) > 1e-12 * max(1.0, abs(derived_lambda)):
-            raise ValueError(
-                f"lambda_c = {self.lambda_c} inconsistent with exchange*t/hbar "
-                f"= {derived_lambda}"
-            )
+
+    @property
+    def lambda_c(self) -> float:
+        """Dimensionless exchange*t/hbar."""
+        return self.exchange * self.t / HBAR
 
     @property
     def acceleration(self) -> np.ndarray:
@@ -242,11 +236,9 @@ def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> comple
         raise ValueError("operator/state dimensions do not match")
     _require_hermitian(a)
     overlap = s_f.amplitudes.conj() @ s_i.amplitudes
-    small = np.abs(overlap) < _ORTHOGONALITY_TOL
-    if small.any():
-        raise OrthogonalSelection(
-            f"|<f|i>| = {np.abs(overlap)[small][0]:.3e}; weak value undefined"
-        )
+    magnitude = np.abs(overlap)
+    reject(magnitude < _ORTHOGONALITY_TOL, OrthogonalSelection,
+           "|<f|i>| = {:.3e}; weak value undefined", magnitude, what="selection")
     return ((s_f.amplitudes.conj() @ a @ s_i.amplitudes) / overlap)[()]
 
 
@@ -287,8 +279,8 @@ def meter_shift(
     gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
     pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
     prob = pairs.sum(axis=-1)
-    if (prob <= 0.0).any():
-        raise OrthogonalSelection("post-selected pointer state has zero weight")
+    reject(prob <= 0.0, OrthogonalSelection, "post-selected pointer state has zero weight",
+           what="shift")
     pair_shifts = 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()
     # [()] turns the 0-d results of a float q and one state into scalars
     return MeterShift(

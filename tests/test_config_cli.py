@@ -311,6 +311,22 @@ spin:
                     ">= 2*n_epochs*scan_points (400)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dark_rate", ["0.0", "1.0e-6", "1.0e-3"])
+    def test_forecast_that_detects_no_photon_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                       dark_rate):
+        # at efficiency 0 every central peak holds dark counts alone, so no trial's fit
+        # can run: run once exited 3 after validate printed "config valid"
+        cfg = SMALL_FORECAST.format(out="out").replace(
+            "photon_budget: 96000",
+            f"photon_budget: 96000\n  efficiency: 0\n  dark_rate: {dark_rate}")
+        path = write_yaml(tmp_path, cfg)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert "violation: noise.efficiency: 0 detects no photon" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert validate_config(write_yaml(tmp_path, cfg.replace("96000", "0"))) == []
+
     def test_span_error_does_not_hide_the_station_altitude(self, tmp_path, monkeypatch,
                                                            capsys):
         cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="2400.0").replace(

@@ -198,22 +198,21 @@ class TestSimulateCounts:
             one = rng.multinomial(5000, np.append(probs, 1.0 - probs.sum()))
             np.testing.assert_array_equal(batch[index], one[:3])
 
-    def test_seed_list_stacks_one_draw_per_seed(self):
-        # a forecast block: trial t's counts are what its own SeedSequence draws alone
+    def test_draw_counts_seeds_one_generator(self):
+        # a forecast trial: its counts are what its own SeedSequence draws alone
         peaks = cascade_intensities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8)
-        seeds = [np.random.SeedSequence((7, t)) for t in range(4)]
+        seed = np.random.SeedSequence((7, 3))
         pvals = outcome_probabilities(peaks, 0.7, 1e-3)
-        block = draw_counts(pvals, 5000, seeds)
-        assert block.shape == (4, 3, 2, 3)
-        for t in range(4):
-            np.testing.assert_array_equal(
-                block[t], simulate_counts(peaks, 5000, 0.7, np.random.SeedSequence((7, t)),
-                                          dark_rate=1e-3))
+        counts = draw_counts(pvals, 5000, seed)
+        assert counts.shape == (3, 2, 3)
+        np.testing.assert_array_equal(
+            counts, simulate_counts(peaks, 5000, 0.7, np.random.SeedSequence((7, 3)),
+                                    dark_rate=1e-3))
         # a list of ints stays entropy for one Generator
         np.testing.assert_array_equal(draw_counts(pvals, 5000, [7, 0]),
                                       draw_counts(pvals, 5000, (7, 0)))
         with pytest.raises(ValueError):
-            draw_counts(pvals, 0, seeds)
+            draw_counts(pvals, 0, seed)
 
 
 class TestFringeScan:

@@ -126,11 +126,8 @@ class TestSpinCouplingParams:
         p = SpinCouplingParams(g=0.0, h_vec=(0.0, 0.0, 1.0))
         assert p.h_vec[2] == 1.0
 
-    def test_lambda_consistency(self):
-        good = SpinCouplingParams(exchange=2.0 * HBAR, t=3.0, lambda_c=6.0)
-        assert good.lambda_c == 6.0
-        with pytest.raises(ValueError):
-            SpinCouplingParams(exchange=2.0 * HBAR, t=3.0, lambda_c=5.0)
+    def test_lambda_c_is_derived(self):
+        assert SpinCouplingParams(exchange=2.0 * HBAR, t=3.0).lambda_c == 6.0
 
 
 class TestSingleSpinHamiltonians:
