@@ -221,7 +221,7 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
 
 def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
     spin = cfg.spin
-    meter = GaussianMeter(mean=0.0, width=spin.meter_width)
+    meter = GaussianMeter(width=spin.meter_width)
     q_values = [q * spin.meter_width for q in spin.q_grid]
     rows = amplification_scan(spin.theta_grid, q_values, meter)
 

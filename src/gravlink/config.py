@@ -1,9 +1,13 @@
 """Scenario configuration: YAML loading, validation, typed views.
 
 One walk over one field table (_FIELDS) collects every violation instead of
-stopping at the first and builds the typed config; defaults live on the spec
-dataclasses. Units in config files are SI with the unit in the key name,
-except angles, which are degrees (converted to radians here).
+stopping at the first and builds the typed config. The table is the schema:
+each row holds a field's key, attribute, parser, bound and default, and the
+frozen section classes and ScenarioConfig are built from its rows. The
+optical and redshift sections are link_model's own OpticalConfig and
+RedshiftParams, which keep their defaults. Units in config files are SI with
+the unit in the key name, except angles, which are degrees (converted to
+radians here).
 """
 
 from __future__ import annotations
@@ -12,16 +16,17 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .constants import C_LIGHT, R_EARTH
+from .constants import C_LIGHT, G_STD, OMEGA_EARTH, R_EARTH
 from .ephemeris import EphemerisTrajectory, parse_cpf
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
+from .interferometer import cascade_intensities, outcome_probabilities
 from .link_model import OpticalConfig, RedshiftParams
 from .spin_weak import orthogonal_selections
 
@@ -35,81 +40,6 @@ _SECTION_BY_MODE = {
     "weakvalue-scan": ("spin",),
     "constants": (),
 }
-
-
-@dataclass(frozen=True)
-class OrbitSpec:
-    """Exactly one of the two sources is set."""
-
-    semi_major_axis: Optional[float] = None  # m
-    inclination: float = 0.0                 # rad
-    raan: float = 0.0                        # rad
-    phase: float = 0.0                       # rad
-    ephemeris_path: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class StationSpec:
-    latitude: float   # rad
-    longitude: float  # rad
-    altitude: float = 0.0  # m
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    t_start: float
-    t_end: float
-    n_epochs: int
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    photon_budget: int = 0
-    efficiency: float = 1.0
-    dark_rate: float = 0.0
-    visibility: float = 1.0
-
-
-@dataclass(frozen=True)
-class ForecastSpec:
-    trials: int
-    scan_points: int = 8
-    target_sigma_alpha: float = 1e-5
-
-
-@dataclass(frozen=True)
-class FringeSpec:
-    base_phase: float = 0.0
-    scan_points: int = 16
-    n_per_point: int = 1000000
-
-
-@dataclass(frozen=True)
-class SpinSpec:
-    gravity: float = 9.80665
-    rotation: tuple = (0.0, 0.0, 7.2921159e-5)
-    coupling_k: float = 1.0
-    exchange: float = 0.0
-    duration: float = 1.0
-    theta_grid: tuple = ()   # rad
-    q_grid: tuple = ()       # units of meter width
-    meter_width: float = 1.0
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    mode: str
-    seed: Optional[int] = None
-    output_dir: str = "gravlink-out"
-    orbit: Optional[OrbitSpec] = None
-    station: Optional[StationSpec] = None
-    optical: Optional[OpticalConfig] = None
-    sweep: Optional[SweepSpec] = None
-    redshift: RedshiftParams = RedshiftParams()
-    noise: Optional[NoiseSpec] = None
-    forecast: Optional[ForecastSpec] = None
-    fringe: Optional[FringeSpec] = None
-    spin: Optional[SpinSpec] = None
 
 
 def _read_text(path: str) -> str:
@@ -179,60 +109,79 @@ def _count(lo, hi=2**31 - 1):
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
-# section (None: top level), YAML key, attribute, parser, bound (test, text), required.
+REQUIRED = object()  # default of a key that must be given
+LIBRARY = object()   # default of an optional key that OpticalConfig or RedshiftParams supplies
+
+# section (None: top level), YAML key, attribute, parser, bound (test, text), default.
 # A parser takes (value, name) and raises ConfigInvalid; the bound tests its result, or
 # each entry of a list field, so that its violation names only the failing entries.
 _FIELDS = (
     (None, "mode", "mode", _text, (lambda m: m in MODES, f"not one of {', '.join(MODES)}"),
-     True),
-    (None, "seed", "seed", _integer, _at_least(0), False),
-    (None, "output_dir", "output_dir", _text, None, False),
+     REQUIRED),
+    (None, "seed", "seed", _integer, _at_least(0), None),
+    (None, "output_dir", "output_dir", _text, None, "gravlink-out"),
     ("orbit", "semi_major_axis_m", "semi_major_axis", _number,
-     (lambda a: 6.5e6 <= a <= 5.0e7, "outside [6.5e6, 5e7] m"), False),
-    ("orbit", "inclination_deg", "inclination", _degrees, None, False),
-    ("orbit", "raan_deg", "raan", _degrees, None, False),
-    ("orbit", "phase_deg", "phase", _degrees, None, False),
-    ("orbit", "ephemeris_path", "ephemeris_path", _text, None, False),
+     (lambda a: 6.5e6 <= a <= 5.0e7, "outside [6.5e6, 5e7] m"), None),
+    ("orbit", "inclination_deg", "inclination", _degrees, None, 0.0),
+    ("orbit", "raan_deg", "raan", _degrees, None, 0.0),
+    ("orbit", "phase_deg", "phase", _degrees, None, 0.0),
+    ("orbit", "ephemeris_path", "ephemeris_path", _text, None, None),
     ("station", "latitude_deg", "latitude", _degrees,
-     (lambda x: abs(x) <= math.radians(90.0), "outside [-90, 90]"), True),
-    ("station", "longitude_deg", "longitude", _degrees, None, True),
-    ("station", "altitude_m", "altitude", _number, _at_least(0), False),
-    ("optical", "wavelength_m", "lambda0", _number, _POSITIVE, True),
-    ("optical", "delay_length_m", "delay_length", _number, _POSITIVE, True),
-    ("optical", "group_index", "group_index", _number, _at_least(1), False),
-    ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, False),
-    ("sweep", "t_start_s", "t_start", _number, None, True),
-    ("sweep", "t_end_s", "t_end", _number, None, True),
-    ("sweep", "n_epochs", "n_epochs", _integer, _count(2), True),
-    ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"), False),
-    ("noise", "photon_budget", "photon_budget", _integer, _count(0), False),
-    ("noise", "efficiency", "efficiency", _number, _FRACTION, False),
-    ("noise", "dark_rate", "dark_rate", _number, _at_least(0), False),
-    ("noise", "visibility", "visibility", _number, _FRACTION, False),
-    ("forecast", "trials", "trials", _integer, _count(10), True),
-    ("forecast", "scan_points", "scan_points", _integer, _count(4), False),
-    ("forecast", "target_sigma_alpha", "target_sigma_alpha", _number, _POSITIVE, False),
-    ("fringe", "base_phase_rad", "base_phase", _number, None, False),
-    ("fringe", "scan_points", "scan_points", _integer, _count(4), False),
-    ("fringe", "n_per_point", "n_per_point", _integer, _count(1), False),
-    ("spin", "gravity_mps2", "gravity", _number, _POSITIVE, False),
+     (lambda x: abs(x) <= math.radians(90.0), "outside [-90, 90]"), REQUIRED),
+    ("station", "longitude_deg", "longitude", _degrees, None, REQUIRED),
+    ("station", "altitude_m", "altitude", _number, _at_least(0), 0.0),
+    ("optical", "wavelength_m", "lambda0", _number, _POSITIVE, REQUIRED),
+    ("optical", "delay_length_m", "delay_length", _number, _POSITIVE, REQUIRED),
+    ("optical", "group_index", "group_index", _number, _at_least(1), LIBRARY),
+    ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, LIBRARY),
+    ("sweep", "t_start_s", "t_start", _number, None, REQUIRED),
+    ("sweep", "t_end_s", "t_end", _number, None, REQUIRED),
+    ("sweep", "n_epochs", "n_epochs", _integer, _count(2), REQUIRED),
+    ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"),
+     LIBRARY),
+    ("noise", "photon_budget", "photon_budget", _integer, _count(0), 0),
+    ("noise", "efficiency", "efficiency", _number, _FRACTION, 1.0),
+    ("noise", "dark_rate", "dark_rate", _number, _at_least(0), 0.0),
+    ("noise", "visibility", "visibility", _number, _FRACTION, 1.0),
+    ("forecast", "trials", "trials", _integer, _count(10), REQUIRED),
+    ("forecast", "scan_points", "scan_points", _integer, _count(4), 8),
+    ("forecast", "target_sigma_alpha", "target_sigma_alpha", _number, _POSITIVE, 1e-5),
+    ("fringe", "base_phase_rad", "base_phase", _number, None, 0.0),
+    ("fringe", "scan_points", "scan_points", _integer, _count(4), 16),
+    ("fringe", "n_per_point", "n_per_point", _integer, _count(1), 1000000),
+    ("spin", "gravity_mps2", "gravity", _number, _POSITIVE, G_STD),
     ("spin", "rotation_rad_per_s", "rotation", _numbers,
-     (lambda v: len(v) == 3, "must have 3 components"), False),
-    ("spin", "coupling_k", "coupling_k", _number, None, False),
-    ("spin", "exchange_joule", "exchange", _number, None, False),
-    ("spin", "duration_s", "duration", _number, _POSITIVE, False),
-    ("spin", "meter_width", "meter_width", _number, _POSITIVE, False),
+     (lambda v: len(v) == 3, "must have 3 components"), (0.0, 0.0, OMEGA_EARTH)),
+    ("spin", "coupling_k", "coupling_k", _number, None, 1.0),
+    ("spin", "exchange_joule", "exchange", _number, None, 0.0),
+    ("spin", "duration_s", "duration", _number, _POSITIVE, 1.0),
+    ("spin", "meter_width", "meter_width", _number, _POSITIVE, 1.0),
     ("spin", "theta_grid_deg", "theta_grid", _theta_grid,  # the scan's own orthogonality test
-     (lambda t: ~orthogonal_selections(t), "has a post-selection orthogonal to |0>"), True),
-    ("spin", "q_grid", "q_grid", _numbers, (lambda q: np.array(q) > 0.0, "must be > 0"), True),
-    ("spin.theta_grid_deg", "start", "start", _number, None, True),
-    ("spin.theta_grid_deg", "stop", "stop", _number, None, True),
+     (lambda t: ~orthogonal_selections(t), "has a post-selection orthogonal to |0>"), REQUIRED),
+    ("spin", "q_grid", "q_grid", _numbers, (lambda q: np.array(q) > 0.0, "must be > 0"),
+     REQUIRED),
+    ("spin.theta_grid_deg", "start", "start", _number, None, REQUIRED),
+    ("spin.theta_grid_deg", "stop", "stop", _number, None, REQUIRED),
     # validate builds the grid itself, so its size stays far below the other counts
-    ("spin.theta_grid_deg", "num", "num", _integer, _count(1, 10**6), True),
+    ("spin.theta_grid_deg", "num", "num", _integer, _count(1, 10**6), REQUIRED),
 )
-_SPECS = {"orbit": OrbitSpec, "station": StationSpec, "optical": OpticalConfig,
-          "sweep": SweepSpec, "redshift": RedshiftParams, "noise": NoiseSpec,
-          "forecast": ForecastSpec, "fringe": FringeSpec, "spin": SpinSpec}
+
+
+def _frozen(name: str, section: Optional[str], extra: tuple = ()) -> type:
+    """Frozen keyword-only dataclass of a section's rows (plus extra fields); a
+    REQUIRED row gets no default."""
+    fields = [(attr, object) if default is REQUIRED else (attr, object, default)
+              for sec, _, attr, _, _, default in _FIELDS if sec == section]
+    return make_dataclass(name, [*fields, *extra], frozen=True, kw_only=True,
+                          namespace={"__module__": __name__})
+
+
+# link_model's own classes hold the optical and redshift defaults (the LIBRARY rows)
+_OWN_CLASSES = {"optical": OpticalConfig, "redshift": RedshiftParams}
+_SPECS = {section: _OWN_CLASSES.get(section) or _frozen(f"{section.title()}Spec", section)
+          for section in dict.fromkeys(row[0] for row in _FIELDS if row[0] and "." not in row[0])}
+ScenarioConfig = _frozen("ScenarioConfig", None, tuple(
+    (section, object, RedshiftParams() if section == "redshift" else None) for section in _SPECS))
 
 
 def _shown(raw, ok: np.ndarray) -> str:
@@ -250,10 +199,10 @@ def _shown(raw, ok: np.ndarray) -> str:
 def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
     """({attribute: value}, violations) of one section; absent optional keys are left out."""
     values, problems = {}, []
-    for key, attr, parse, bound, required in (row[1:] for row in _FIELDS if row[0] == section):
+    for key, attr, parse, bound, default in (row[1:] for row in _FIELDS if row[0] == section):
         name = f"{section}.{key}" if section else key
         if key not in tree:
-            if required:
+            if default is REQUIRED:
                 problems.append(f"{name}: required field missing")
             continue
         try:
@@ -311,9 +260,13 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     if sweep.get("t_start", -math.inf) >= sweep.get("t_end", math.inf):
         problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
     noise = specs.get("noise")
-    # The largest window-probability sum cascade_intensities and simulate_counts reach.
-    if noise and noise.efficiency * (0.25 + 0.125 * noise.visibility) + 3 * noise.dark_rate > 1:
-        problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate must be <= 1")
+    if noise:
+        try:  # the window probabilities at the fringe maximum, checked as the draws check them
+            outcome_probabilities(cascade_intensities(0.0, noise.visibility), noise.efficiency,
+                                  noise.dark_rate)
+        except ValueError:
+            problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate "
+                            "must be <= 1")
     forecast = specs.get("forecast")
     if mode == "alpha-forecast" and noise and forecast and "sweep" in specs:
         pulses = 2 * specs["sweep"].n_epochs * forecast.scan_points  # one pulse per scan point

@@ -79,14 +79,11 @@ class EphemerisTable:
     @property
     def span_seconds(self) -> float:
         """Length of the covered interval [s]."""
-        return self.records[-1].epoch_seconds() - self.records[0].epoch_seconds()
-
-    def relative_epochs(self) -> np.ndarray:
-        """Record epochs in seconds since the first record (cached, read-only)."""
-        return self._relative_epochs
+        return float(self.relative_epochs[-1])
 
     @cached_property
-    def _relative_epochs(self) -> np.ndarray:
+    def relative_epochs(self) -> np.ndarray:
+        """Record epochs in seconds since the first record (cached, read-only)."""
         t0 = self.records[0].epoch_seconds()
         return _read_only(np.array([r.epoch_seconds() - t0 for r in self.records]))
 
@@ -177,26 +174,6 @@ def serialize_cpf(table: EphemerisTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_table(table: EphemerisTable) -> list[str]:
-    """Structural checks beyond parsing; returns a list of violations.
-
-    Flags tables too short to interpolate usefully and irregular cadence
-    (largest gap more than 10x the median gap).
-    """
-    problems: list[str] = []
-    if table.n_records < 2:
-        problems.append(f"table has {table.n_records} record(s); need at least 2")
-        return problems
-    gaps = np.diff(table.relative_epochs())
-    median_gap = float(np.median(gaps))
-    max_gap = float(np.max(gaps))
-    if max_gap > 10.0 * median_gap:
-        problems.append(
-            f"max gap {max_gap:.1f} s exceeds 10x median gap {median_gap:.1f} s"
-        )
-    return problems
-
-
 def _lagrange_basis(t: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange basis values and first derivatives at t (N,) over node windows (N, w).
 
@@ -255,7 +232,7 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
             f"interpolation needs >= 4 records, table has {table.n_records}"
         )
     t_rel = _epochs(t)
-    epochs = table.relative_epochs()
+    epochs = table.relative_epochs
     reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), OutOfRange,
            f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
     n = table.n_records

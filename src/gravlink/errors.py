@@ -14,29 +14,25 @@ class GravlinkError(Exception):
 
 # --- ephemeris handling ---
 
-class MalformedRecord(GravlinkError):
-    """A position record failed to parse or failed a sanity bound.
-
-    Carries the 1-based line number of the offending record.
-    """
+class _AtLine(GravlinkError):
+    """An error at one input line; carries its 1-based line_number and the reason."""
 
     def __init__(self, line_number: int, reason: str):
         self.line_number = line_number
         self.reason = reason
         super().__init__(f"line {line_number}: {reason}")
+
+
+class MalformedRecord(_AtLine):
+    """A position record failed to parse or failed a sanity bound."""
 
 
 class EmptyEphemeris(GravlinkError):
     """No valid position records were found in the input."""
 
 
-class NonMonotonicTime(GravlinkError):
+class NonMonotonicTime(_AtLine):
     """Record epochs are not strictly increasing."""
-
-    def __init__(self, line_number: int, reason: str):
-        self.line_number = line_number
-        self.reason = reason
-        super().__init__(f"line {line_number}: {reason}")
 
 
 class InsufficientRecords(GravlinkError):
@@ -58,18 +54,19 @@ class NoConvergence(GravlinkError):
 
 
 class DegenerateGeometry(GravlinkError):
-    """Link endpoints coincide, or a relativistic denominator left its
-    trusted region (|1 - x| < 0.5), so the ratio evaluation is unsafe."""
+    """Link endpoints coincide, a light direction is not a unit vector, or a
+    relativistic denominator fell below 0.5, so the ratio evaluation is unsafe."""
 
 
 # --- photon counting and fringe fitting ---
 
 class InsufficientScan(GravlinkError):
-    """Fewer scan points than free fringe parameters."""
+    """Fewer than 4 scan points, or offsets covering less than pi of the circle."""
 
 
 class FitDiverged(GravlinkError):
-    """Nonlinear fringe fit failed to converge."""
+    """The closed-form fringe fit's linear solve failed: a singular design or an
+    unusable covariance."""
 
 
 class DegenerateVisibility(GravlinkError):

@@ -169,20 +169,6 @@ def fringe_scan(
     return FringeScan(offsets, counts, n_per_point)
 
 
-def noiseless_scan(
-    phi_offsets: Sequence[float],
-    base_phase,
-    visibility: float,
-    n_per_point: int,
-    efficiency: float = 1.0,
-) -> FringeScan:
-    """Expected counts rounded to integers, no shot noise; shapes as fringe_scan."""
-    offsets = np.asarray(phi_offsets, dtype=float)
-    inten = cascade_intensities(np.asarray(base_phase, dtype=float)[..., None] + offsets,
-                                visibility)
-    return FringeScan(offsets, np.rint(inten * efficiency * n_per_point), n_per_point)
-
-
 def _wrap_phase(phi):
     """Map to (-pi, pi]. Exact: fmod rounds nothing, and neither do the 2*pi
     shifts of values already within a factor two of 2*pi."""

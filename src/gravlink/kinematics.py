@@ -41,12 +41,6 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    """Right-handed rotation matrix about +z."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rotate_z(angle, vectors) -> np.ndarray:
     """Vectors (..., 3) rotated about +z by angle(s) [rad]; the two broadcast."""
     c, s = np.cos(angle), np.sin(angle)
@@ -112,7 +106,7 @@ class CircularOrbit:
         self._mean_motion = math.sqrt(GM_EARTH / a**3)   # rad/s
         ci, si = math.cos(self.inclination), math.sin(self.inclination)
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
-        self._plane_to_inertial = (rotation_z(self.raan) @ rot_x).T
+        self._plane_to_inertial = rotate_z(self.raan, rot_x.T)
 
     def states(self, t) -> StateVector:
         t = _epochs(t)

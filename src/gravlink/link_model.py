@@ -162,21 +162,6 @@ def roundtrip_fractional_shift(geom: LinkGeometry):
     return c + b + c * b
 
 
-def uplink_frequency_ratio(geom: LinkGeometry, alpha: float = 0.0):
-    """Received-over-emitted frequency at the spacecraft, exact form.
-
-    ((1 - U1 - beta1^2/2)/(1 - U2 - beta2^2/2)) *
-    ((1 - n12.beta2)/(1 - n12.beta1)); alpha rescales the potential
-    difference inside the first factor.
-    """
-    return 1.0 + uplink_fractional_shift(geom, alpha)
-
-
-def roundtrip_frequency_ratio(geom: LinkGeometry):
-    """Received-over-emitted frequency back at the station, exact form."""
-    return 1.0 + roundtrip_fractional_shift(geom)
-
-
 def redshift_fraction(red: RedshiftParams, u1: float, u2: float):
     """Fractional frequency shift (1 + alpha)(U2 - U1) of the bare red-shift."""
     return (1.0 + red.alpha) * (u2 - u1)

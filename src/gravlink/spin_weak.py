@@ -138,20 +138,13 @@ class SpinCouplingParams:
 
 @dataclass(frozen=True)
 class GaussianMeter:
-    """One-dimensional Gaussian pointer; width is the rms spread of |psi|^2."""
+    """One-dimensional Gaussian pointer centred at 0; width is the rms spread of |psi|^2."""
 
-    mean: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
         if self.width <= 0.0:
             raise ValueError("meter width must be positive")
-
-    def wavefunction(self, x: np.ndarray) -> np.ndarray:
-        s = self.width
-        return (2.0 * math.pi * s * s) ** -0.25 * np.exp(
-            -((x - self.mean) ** 2) / (4.0 * s * s)
-        )
 
 
 def h_sigma(params: SpinCouplingParams) -> np.ndarray:
@@ -229,7 +222,7 @@ def evolve(state: QuantumState, hamiltonian: np.ndarray, t: float) -> QuantumSta
     return QuantumState(amps)
 
 
-def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> complex:
+def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> complex | np.ndarray:
     """<f|A|i> / <f|i>; complex in general, an array (...) for one s_i and a batch s_f (..., n)."""
     a = np.asarray(a_op, dtype=complex)
     if a.shape != (s_i.dim, s_i.dim) or s_i.amplitudes.shape != (s_f.dim,):
@@ -262,7 +255,7 @@ def meter_shift(
     The exact value expands the kicked joint state in the eigenbasis of the
     observable: the post-selected pointer wave is a finite sum of displaced
     Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
-    of them is a Gaussian centred at mean + q (a + b) / 2 scaled by
+    of them is a Gaussian centred at q (a + b) / 2 scaled by
     exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are exact sums
     over eigenvalue pairs, taken for every q and selection at once. The
     weak-regime prediction is q*Re(A_w); their difference is O((q/width)^2)

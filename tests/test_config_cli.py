@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import math
 import os
@@ -24,7 +25,8 @@ import gravlink.config
 import gravlink.estimator
 from gravlink import __version__
 from gravlink.cli import _table, main
-from gravlink.config import load_config, validate_config
+from gravlink.config import MODES, load_config, validate_config
+from gravlink.constants import C_LIGHT
 from gravlink.errors import ConfigInvalid, FileUnreadable
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -268,6 +270,21 @@ spin:
         problems = validate_config(write_yaml(tmp_path, cfg))
         assert [p.split(":")[0] for p in problems] == ([] if valid else ["noise"])
 
+    def test_window_sum_just_over_one_exits_two(self, tmp_path, monkeypatch, capsys):
+        # 0.375 * efficiency + 3 * dark_rate rounds to <= 1 here, but the window probabilities
+        # the cascade draws from sum to just over 1: validate once printed "config valid" and
+        # run exited 3 with "window probabilities sum to 1.000 > 1"
+        text = (SCENARIOS / "fringe_demo.yaml").read_text(encoding="utf-8")
+        assert "efficiency: 1.0\n  dark_rate: 0.0\n  visibility: 1.0" in text
+        text = text.replace("efficiency: 1.0", "efficiency: 0.9923887631356604")
+        path = write_yaml(tmp_path, text.replace("dark_rate: 0.0", "dark_rate: 0.2092847379413758"))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert ("violation: noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate "
+                    "must be <= 1") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("altitude, valid", [("3.0e+5", True), ("4.0e+5", False)])
     def test_station_below_analytic_orbit(self, tmp_path, altitude, valid):
         # semi_major_axis_m 6.771e6 sits 4.0e5 m above R_EARTH = 6.371e6 m
@@ -439,6 +456,42 @@ class TestYamlLoader:
         assert result.stderr == "violation: config nests deeper than 100 levels\n"
 
 
+# The required keys of each mode, and every attribute each then reads, defaults included.
+PASS_KEYS = {
+    "orbit": {"semi_major_axis_m": 6.771e6},
+    "station": {"latitude_deg": 0.0, "longitude_deg": 0.0},
+    "optical": {"wavelength_m": 800.0e-9, "delay_length_m": 6000.0},
+    "sweep": {"t_start_s": -60.0, "t_end_s": 60.0, "n_epochs": 12},
+}
+PASS_VALUES = {
+    "orbit": {"semi_major_axis": 6.771e6, "inclination": 0.0, "raan": 0.0, "phase": 0.0,
+              "ephemeris_path": None},
+    "station": {"latitude": 0.0, "longitude": 0.0, "altitude": 0.0},
+    "optical": {"lambda0": 800.0e-9, "delay_length": 6000.0, "group_index": 1.0,
+                "tau_l": 6000.0 / C_LIGHT},
+    "sweep": {"t_start": -60.0, "t_end": 60.0, "n_epochs": 12},
+}
+NOISE_VALUES = {"photon_budget": 0, "efficiency": 1.0, "dark_rate": 0.0, "visibility": 1.0}
+MINIMAL = {
+    "redshift-pass": (PASS_KEYS, PASS_VALUES),
+    "alpha-forecast": (
+        {"seed": 3, **PASS_KEYS, "noise": {}, "forecast": {"trials": 10}},
+        {"seed": 3, **PASS_VALUES, "noise": NOISE_VALUES,
+         "forecast": {"trials": 10, "scan_points": 8, "target_sigma_alpha": 1e-5}}),
+    "fringe-demo": (
+        {"seed": 3, "fringe": {}, "noise": {}},
+        {"seed": 3, "noise": NOISE_VALUES,
+         "fringe": {"base_phase": 0.0, "scan_points": 16, "n_per_point": 1000000}}),
+    "weakvalue-scan": (
+        {"spin": {"theta_grid_deg": [30.0], "q_grid": [1.0e-3]}},
+        {"spin": {"gravity": 9.80665, "rotation": (0.0, 0.0, 7.2921159e-5), "coupling_k": 1.0,
+                  "exchange": 0.0, "duration": 1.0, "theta_grid": (math.radians(30.0),),
+                  "q_grid": (1.0e-3,), "meter_width": 1.0}}),
+    "constants": ({}, {}),
+}
+SECTIONS = ("orbit", "station", "optical", "sweep", "noise", "forecast", "fringe", "spin")
+
+
 class TestLoadConfig:
     def test_shipped_pass_roundtrip(self, monkeypatch):
         monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
@@ -469,6 +522,21 @@ class TestLoadConfig:
             (math.radians(30.0), math.radians(84.0))
         )
         assert cfg.spin.q_grid == (1e-3, 1e-1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_minimal_config_pins_every_default(self, tmp_path, monkeypatch, mode):
+        monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
+        keys, values = MINIMAL[mode]
+        cfg = load_config(write_yaml(tmp_path, yaml.safe_dump({"mode": mode, **keys})))
+        assert dataclasses.asdict(cfg) == {
+            "mode": mode, "seed": None, "output_dir": "gravlink-out", "redshift": {"alpha": 0.0},
+            **dict.fromkeys(SECTIONS), **values}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        for name in ("redshift", *(s for s in SECTIONS if s in values)):
+            section = getattr(cfg, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(section, dataclasses.fields(section)[0].name, 0.0)
 
     def test_invalid_raises_with_violation_list(self, tmp_path):
         with pytest.raises(ConfigInvalid) as err:

@@ -11,7 +11,6 @@ from gravlink.ephemeris import (
     interpolate_state,
     parse_cpf,
     serialize_cpf,
-    validate_table,
 )
 from gravlink.errors import (
     EmptyEphemeris,
@@ -154,23 +153,6 @@ class TestParse:
         assert again.records == table.records
 
 
-class TestValidateTable:
-    def test_uniform_table_clean(self):
-        assert validate_table(parse_cpf(SAMPLE)) == []
-
-    def test_single_record_flagged(self):
-        table = parse_cpf("10 0 58600 0.0 0 7000000.0 0.0 0.0")
-        problems = validate_table(table)
-        assert len(problems) == 1
-        assert "at least 2" in problems[0]
-
-    def test_irregular_cadence_flagged(self):
-        rows = ["10 0 58600 %s 0 7000000.0 0.0 0.0" % s
-                for s in ("0.0", "10.0", "20.0", "30.0", "4000.0")]
-        problems = validate_table(parse_cpf("\n".join(rows)))
-        assert any("gap" in p for p in problems)
-
-
 class TestInterpolation:
     def test_node_reproduction(self):
         table = parse_cpf(SAMPLE)
@@ -287,7 +269,7 @@ class TestBatchInterpolation:
     def test_matches_product_form(self, n_records):
         table = circular_orbit_table(a=7.0e6, inc=0.6, n_records=n_records)
         span = table.span_seconds
-        nodes = table.relative_epochs()
+        nodes = table.relative_epochs
         rng = np.random.default_rng(n_records)
         times = np.concatenate([
             rng.uniform(0.0, span, 50),
@@ -305,7 +287,7 @@ class TestBatchInterpolation:
 
     def test_node_hits_are_exact(self):
         table = circular_orbit_table(n_records=12)
-        nodes = table.relative_epochs()
+        nodes = table.relative_epochs
         state = interpolate_state(table, nodes)
         np.testing.assert_array_equal(state.position[0], table.records[0].position)
         c, s = np.cos(OMEGA_EARTH * nodes), np.sin(OMEGA_EARTH * nodes)

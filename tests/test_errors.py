@@ -14,7 +14,7 @@ from gravlink.errors import (
     reject,
 )
 from gravlink.estimator import PassDataset, estimate_alpha
-from gravlink.interferometer import FringeScan, fit_phase, noiseless_scan
+from gravlink.interferometer import FringeScan, fit_phase
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
@@ -24,6 +24,7 @@ from gravlink.kinematics import (
 )
 from gravlink.link_model import OpticalConfig, _check_denominator
 from gravlink.spin_weak import QuantumState, pauli, weak_value
+from test_interferometer import noiseless_scan
 
 OFFSETS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 TABLE = """10 0 61267 0.000 0 7000000.0 0.0 0.0

@@ -15,7 +15,6 @@ from gravlink.interferometer import (
     draw_counts,
     fit_phase,
     fringe_scan,
-    noiseless_scan,
     outcome_probabilities,
     simulate_counts,
 )
@@ -23,6 +22,14 @@ from gravlink.interferometer import (
 FULL_SCAN = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 EIGHT_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 FOUR_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+
+
+def noiseless_scan(phi_offsets, base_phase, visibility, n_per_point, efficiency=1.0):
+    """Expected counts rounded to integers, no shot noise; shapes as fringe_scan."""
+    offsets = np.asarray(phi_offsets, dtype=float)
+    inten = cascade_intensities(np.asarray(base_phase, dtype=float)[..., None] + offsets,
+                                visibility)
+    return FringeScan(offsets, np.rint(inten * efficiency * n_per_point), n_per_point)
 
 
 def binomial_root_weights(scan):

@@ -18,7 +18,7 @@ from gravlink.kinematics import (
     build_link_geometry,
     earth_rotation_vector,
     newtonian_potential,
-    rotation_z,
+    rotate_z,
     solve_light_time,
 )
 from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair
@@ -111,7 +111,7 @@ class TestGroundStation:
         gs = GroundStation(0.3, 1.1, 200.0)
         quarter_day = 0.5 * math.pi / OMEGA_EARTH
         p0, p1 = gs.states([0.0, quarter_day]).position
-        np.testing.assert_allclose(rotation_z(math.pi / 2) @ p0, p1, atol=1e-6)
+        np.testing.assert_allclose(rotate_z(math.pi / 2, p0), p1, atol=1e-6)
 
 
 class TestPotential:
@@ -323,7 +323,7 @@ def test_earth_rotation_vector():
 
 
 def test_rotation_z_orthonormal():
-    r = rotation_z(0.7)
+    r = rotate_z(0.7, np.eye(3)).T  # columns: the rotated basis vectors
     np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-15)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-15)
 

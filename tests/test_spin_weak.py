@@ -351,6 +351,11 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def gaussian_wave(x, width):
+    """Pointer wavefunction centred at 0 whose |psi|^2 has rms spread width."""
+    return (2.0 * math.pi * width * width) ** -0.25 * np.exp(-x * x / (4.0 * width * width))
+
+
 def closed_form_shift(theta, q, width):
     """Two displaced Gaussians with overlap exp(-q^2/2s^2): post-selected
     mean q*sin(2 theta)/(1 + G cos(2 theta)), derived independently."""
@@ -427,13 +432,11 @@ class TestMeterShift:
         eigvals, eigvecs = np.linalg.eigh(a_op)
         weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
         span = 12.0 * meter.width
-        x = np.linspace(
-            meter.mean + q * eigvals.min() - span, meter.mean + q * eigvals.max() + span, 200001
-        )
-        wave = sum(w * meter.wavefunction(x - q * a) for w, a in zip(weights, eigvals))
+        x = np.linspace(q * eigvals.min() - span, q * eigvals.max() + span, 200001)
+        wave = sum(w * gaussian_wave(x - q * a, meter.width) for w, a in zip(weights, eigvals))
         density = np.abs(wave) ** 2
         prob = np.trapezoid(density, x)
-        return np.trapezoid(x * density, x) / prob - meter.mean, prob
+        return np.trapezoid(x * density, x) / prob, prob
 
     def test_closed_form_matches_quadrature(self):
         # a generic complex observable with four distinct eigenvalues and
@@ -443,7 +446,7 @@ class TestMeterShift:
         a_op = raw + raw.conj().T
         s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
         s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        meter = GaussianMeter(mean=0.7, width=1.3)
+        meter = GaussianMeter(width=1.3)
         for q in (0.0, 1e-3, 0.2, 1.0, 4.0):
             shift = meter_shift(q, a_op, s_i, s_f, meter)
             mean_ref, prob_ref = self.quadrature_shift(q, a_op, s_i, s_f, meter)
@@ -457,7 +460,7 @@ class TestMeterShift:
         s_f = QuantumState(_unit(np.array([0.4j, 1.0, 0.2, -0.6])))
         a_op = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
         a_op[0, 2] = a_op[2, 0] = 0.3
-        shift = meter_shift(0.0, a_op, s_i, s_f, GaussianMeter(mean=2.0, width=0.5))
+        shift = meter_shift(0.0, a_op, s_i, s_f, GaussianMeter(width=0.5))
         assert shift.shift_exact == 0.0
         assert shift.shift_weak == 0.0
         overlap = abs(np.vdot(s_f.amplitudes, s_i.amplitudes)) ** 2
@@ -469,7 +472,7 @@ class TestMeterShift:
         a_op = raw + raw.conj().T
         s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
         s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        meter = GaussianMeter(mean=0.7, width=1.3)
+        meter = GaussianMeter(width=1.3)
         q = np.array([[0.0, 1e-6, 1e-3, 0.2], [1.0, 4.0, -0.5, 30.0]])
         batch = meter_shift(q, a_op, s_i, s_f, meter)
         for field, values in zip(batch._fields, batch):
@@ -503,9 +506,9 @@ class TestMeterShift:
             meter_shift(np.array([0.0, 1e-3, 1.0]), pauli(1), ket0, ket1, GaussianMeter())
 
     def test_meter_wavefunction_normalized(self):
-        meter = GaussianMeter(mean=0.4, width=2.0)
-        x = np.linspace(-20.0, 21.0, 20001)
-        norm = np.trapezoid(np.abs(meter.wavefunction(x)) ** 2, x)
+        # the quadrature oracle's pointer wave
+        x = np.linspace(-20.0, 20.0, 20001)
+        norm = np.trapezoid(np.abs(gaussian_wave(x, 2.0)) ** 2, x)
         assert norm == pytest.approx(1.0, rel=1e-9)
         with pytest.raises(ValueError):
             GaussianMeter(width=0.0)
