@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -69,11 +70,72 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
+# The '%.12e' text of a number is five uint32 words, "-d.d" "dddd" "dddd"
+# "ddde" "+ddd", taken from tables of their bytes. Zero bytes are padding.
+_POW10 = np.array([float(10**k) for k in range(309)])  # correctly rounded
+_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).copy()  # "0000" to "9999"
+_HEAD = _DIGITS[np.arange(200)[:, None] % 100, [0, 2, 0, 3]]  # by sign, two leading digits
+_HEAD[:, 0], _HEAD[:, 2] = np.repeat([0, 45], 100), 46
+_TRIPLE_E = np.roll(_DIGITS[:1000], -1, axis=1)  # "ddde"
+_TRIPLE_E[:, 3] = ord("e")
+_EXP = _DIGITS[np.abs(np.arange(-309, 310))]  # by exponent + 309
+_EXP[:, 0] = np.repeat([45, 43], [309, 310])
+_EXP[309 - 99:309 + 100, 1] = 0  # two digits for |exponent| < 100
+_HEAD, _QUAD, _TRIPLE_E, _EXP = (t.view(np.uint32).ravel() for t in (_HEAD, _DIGITS, _TRIPLE_E, _EXP))
+_BLOCK = 4096  # entries formatted at a time
+
+
+def _e12(x: np.ndarray) -> np.ndarray:
+    """'%.12e' % x for each entry of x, as (..., 20) bytes padded with zeros."""
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e300)  # no nan, inf, zero or subnormal
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10.take(12 - e, mode="clip")  # a 10^(12 - e)
+    np.divide(a, _POW10.take(e - 12, mode="clip"), out=y, where=e > 12)
+    # The power and the product or quotient round once each, by <= 2^-53, so
+    # |y - a 10^(12-e)| < 2.3e-16 y < 0.0025. Where |y - rint(y)| < 0.49 the
+    # exact value thus rounds to the same d = rint(y), and is no tie. With
+    # y >= 1e12 and d <= 1e13, e is exact, or one short and d carries to 1e13;
+    # y < 1e12 where log10 rounded up to e, and '%' formats those entries.
+    d = np.rint(y)
+    fast &= (y >= 1e12) & (d <= 1e13) & (np.abs(y - d) < 0.49)
+    carry, zero = d == 1e13, x == 0.0
+    d = np.where(zero, 0, np.where(carry, 1e12, d)).astype(np.int64)
+    text = np.stack([_HEAD.take(d // 10**11 + 100 * np.signbit(x), mode="clip"),
+                     _QUAD.take(d // 10**7 % 10000), _QUAD.take(d // 1000 % 10000),
+                     _TRIPLE_E.take(d % 1000), _EXP.take(e + carry + 309, mode="clip")], axis=-1)
+    slow = ~(fast | zero)  # '%' formats nan, inf, tiny, huge and near-tie entries
+    text[slow] = np.array(["%.12e" % v for v in x[slow].tolist()], "S20").view(np.uint32).reshape(-1, 5)
+    return text.view(np.uint8)
+
+
 def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str:
     """Columnar text: '# header', then row_fmt % row for each row of the 2-D
-    array rows, then footer. With row_fmt '%.12e' per column this is the
-    text of np.savetxt(fmt='%.12e', comments='# '), formatted in one call."""
-    return f"# {header}\n" + ((row_fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist()) + footer
+    float array rows, then footer; with '%.12e' columns, byte for byte the
+    text of np.savetxt(fmt='%.12e', comments='# ').
+
+    Blocks of at most _BLOCK entries are formatted into zero-padded byte
+    arrays, so memory does not grow with the table. _e12 formats '%.12e'
+    columns as arrays. '%' formats the other columns, and each entry _e12
+    cannot prove exact: nan, inf, |x| < 1e-280 or >= 1e300, and values within
+    0.01 of a rounding tie or whose log10 rounds up to an integer."""
+    parts = re.split(r"(%[^a-zA-Z%]*[a-zA-Z])", row_fmt + "\n")  # literals and specs
+    ecols = [k for k in range(1, len(parts), 2) if parts[k] == "%.12e"]
+    step = max(1, _BLOCK // max(1, len(parts) // 2))
+    texts = [f"# {header}\n"]
+    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
+        etext, columns = _e12(block[:, [k // 2 for k in ecols]]), []
+        for k, part in enumerate(parts):
+            if k % 2 == 0:
+                columns.append(np.frombuffer((part * len(block)).encode(), np.uint8))
+            elif k in ecols:
+                columns.append(etext[:, ecols.index(k)])
+            else:
+                columns.append(np.array([part % v for v in block[:, k // 2].tolist()], "S"))
+            columns[-1] = columns[-1].view(np.uint8).reshape(len(block), -1)
+        texts.append(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0").decode())
+    return "".join(texts + [footer])
 
 
 def _finish(out_dir: Path, summary: list) -> int:

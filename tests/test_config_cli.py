@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gravlink
+import gravlink.cli
 import gravlink.config
 import gravlink.estimator
 from gravlink import __version__
@@ -643,6 +644,56 @@ class TestTable:
         text = _table("i x", "%d %.3e", rows, footer="# done\n")
         assert text == "# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
 
+    @staticmethod
+    def assert_matches_savetxt(values):
+        # three columns, enough rows to cross several blocks of the writer
+        rows = np.resize(values, (max(5000, -(-values.size // 3)), 3))
+        assert rows.size > 3 * gravlink.cli._BLOCK
+        reference = io.StringIO()
+        np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
+        assert _table("a b c", "%.12e %.12e %.12e", rows) == reference.getvalue()
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(12)
+        self.assert_matches_savetxt(rng.integers(0, 2**64, 60000, dtype=np.uint64).view(np.float64))
+
+    def test_decimal_ties_of_both_signs(self):
+        # (m + 0.5) 10^k: exact ties at k = 0, the nearest doubles otherwise
+        rng = np.random.default_rng(13)
+        m = rng.integers(10**12, 10**13, 30000).astype(np.float64)
+        k = rng.integers(-30, 30, m.size)
+        k[::3] = 0
+        sign = rng.choice([-1.0, 1.0], m.size)
+        self.assert_matches_savetxt(sign * (m + 0.5) * 10.0 ** k)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-323, 309)
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        self.assert_matches_savetxt(np.concatenate([near, -near]))
+
+    def test_carries_into_the_exponent(self):
+        carries = 9.9999999999995 * 10.0 ** np.arange(-300, 300)
+        near = np.concatenate([carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf)])
+        self.assert_matches_savetxt(np.concatenate([near, -near]))
+
+    def test_zeros_subnormals_infinities_and_nan(self):
+        rng = np.random.default_rng(14)
+        subnormal = rng.integers(1, 2**52, 3000, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e-280, np.nextafter(1e-280, 0.0), 1e300, np.nextafter(1e300, 0.0),
+                   np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        self.assert_matches_savetxt(np.concatenate([np.tile(special, 300), subnormal, -subnormal]))
+
+    def test_mixed_row_format_matches_percent(self):
+        rng = np.random.default_rng(15)
+        rows = np.column_stack([np.arange(5000), rng.standard_normal(5000) * 1e3,
+                                rng.standard_normal(5000) * 1e-3])
+        rows[::7, 1:] = [np.nan, np.inf]
+        rows[::11, 1:] = [-0.0, 0.0]
+        row_fmt = "%d %.12e %.3e"
+        expected = "# i x y\n" + "".join(row_fmt % tuple(row) + "\n" for row in rows.tolist())
+        assert _table("i x y", row_fmt, rows) == expected
+
 
 class TestForecastStream:
     def test_more_trials_only_append_rows(self, tmp_path, monkeypatch):
@@ -809,6 +860,18 @@ class TestCliRuns:
             np.testing.assert_allclose(np.array(fresh[1::2], dtype=float),
                                        np.array(tracked[1::2], dtype=float),
                                        rtol=1e-9, atol=1e-8, err_msg=name)
+
+    @pytest.mark.parametrize("scenario", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_scenario_regenerates_tracked_output_byte_for_byte(self, tmp_path, monkeypatch,
+                                                               scenario):
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(scenario)]) == 0
+        tracked_dir = SCENARIOS.parent / "out" / scenario.stem
+        names = sorted(f.name for f in tracked_dir.iterdir())
+        assert sorted(f.name for f in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (tracked_dir / name).read_bytes(), name
 
 
 def _leaves(node, path=()):
