@@ -94,12 +94,13 @@ def _e12(x: np.ndarray) -> np.ndarray:
     y = a * _POW10.take(12 - e, mode="clip")  # a 10^(12 - e)
     np.divide(a, _POW10.take(e - 12, mode="clip"), out=y, where=e > 12)
     # The power and the product or quotient round once each, by <= 2^-53, so
-    # |y - a 10^(12-e)| < 2.3e-16 y < 0.0025. Where |y - rint(y)| < 0.49 the
-    # exact value thus rounds to the same d = rint(y), and is no tie. With
+    # |y - a 10^(12-e)| < 2.3e-16 y < 0.0025. Where |y - rint(y)| < 0.495 the
+    # exact value is within 0.4975 of d = rint(y), so it rounds to d and is
+    # no tie: the margin is twice the error bound. With
     # y >= 1e12 and d <= 1e13, e is exact, or one short and d carries to 1e13;
     # y < 1e12 where log10 rounded up to e, and '%' formats those entries.
     d = np.rint(y)
-    fast &= (y >= 1e12) & (d <= 1e13) & (np.abs(y - d) < 0.49)
+    fast &= (y >= 1e12) & (d <= 1e13) & (np.abs(y - d) < 0.495)
     carry, zero = d == 1e13, x == 0.0
     d = np.where(zero, 0, np.where(carry, 1e12, d)).astype(np.int64)
     text = np.stack([_HEAD.take(d // 10**11 + 100 * np.signbit(x), mode="clip"),
@@ -119,7 +120,7 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str
     arrays, so memory does not grow with the table. _e12 formats '%.12e'
     columns as arrays. '%' formats the other columns, and each entry _e12
     cannot prove exact: nan, inf, |x| < 1e-280 or >= 1e300, and values within
-    0.01 of a rounding tie or whose log10 rounds up to an integer."""
+    0.005 of a rounding tie or whose log10 rounds up to an integer."""
     parts = re.split(r"(%[^a-zA-Z%]*[a-zA-Z])", row_fmt + "\n")  # literals and specs
     ecols = [k for k in range(1, len(parts), 2) if parts[k] == "%.12e"]
     step = max(1, _BLOCK // max(1, len(parts) // 2))

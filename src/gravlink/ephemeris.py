@@ -7,9 +7,12 @@ position records are lines of exactly eight whitespace-separated tokens
     10 <flag> <mjd> <seconds-of-day> <leap-flag> <x> <y> <z>
 
 with coordinates in meters, Earth-fixed frame. Every other line is ignored.
-Interpolation is windowed Lagrange on position with the analytic derivative
-for velocity, rotated into the inertial frame that coincides with the
-Earth-fixed frame at the first record's epoch.
+The table holds the records as one structured array, converted column by
+column with Python's int and float; a parse error names the first failing
+line, as a line-by-line read would. Interpolation is windowed Lagrange on
+position with the analytic derivative for velocity, rotated into the
+inertial frame that coincides with the Earth-fixed frame at the first
+record's epoch.
 """
 
 from __future__ import annotations
@@ -35,42 +38,36 @@ _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
 _POS_MAX = 5.0e8   # m, beyond cislunar range
 _MAX_WINDOW = 8    # interpolation nodes (see window note in interpolate_state)
+# mjd is held as a float: mjd * 86400.0 rounds it to one anyway
+_RECORD = np.dtype([("mjd", float), ("sod", float), ("position", float, 3)])
 
 
 @dataclass(frozen=True)
 class EphemerisRecord:
-    """One tabulated position sample.
-
-    Attributes
-    ----------
-    mjd : int
-        Modified Julian Day of the sample.
-    sod : float
-        Seconds of day, 0 <= sod < 86400.
-    position : tuple of 3 floats
-        Earth-fixed position in meters.
-    """
+    """One position sample: ``mjd``, seconds of day ``sod``, Earth-fixed ``position`` [m]."""
 
     mjd: int
     sod: float
     position: tuple[float, float, float]
 
-    def epoch_seconds(self) -> float:
-        """Continuous epoch in seconds (mjd folded in)."""
-        return self.mjd * SECONDS_PER_DAY + self.sod
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EphemerisTable:
-    """Immutable ordered collection of position records.
+    """Immutable ordered position records.
 
-    ``source`` holds the verbatim header block (newline-joined header
-    lines) so that serialization round-trips exactly. Positions are
-    Earth-fixed.
+    ``records`` is a read-only structured array with fields mjd, sod and
+    position (3,), Earth-fixed; a sequence of EphemerisRecord is converted
+    to one. ``source`` holds the verbatim header block (newline-joined
+    header lines) so that serialization round-trips exactly.
     """
 
-    records: tuple[EphemerisRecord, ...]
+    records: np.ndarray
     source: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.records, np.ndarray):
+            records = np.array([(r.mjd, r.sod, r.position) for r in self.records], _RECORD)
+            object.__setattr__(self, "records", _read_only(records))
 
     @property
     def n_records(self) -> int:
@@ -84,18 +81,59 @@ class EphemerisTable:
     @cached_property
     def relative_epochs(self) -> np.ndarray:
         """Record epochs in seconds since the first record (cached, read-only)."""
-        t0 = self.records[0].epoch_seconds()
-        return _read_only(np.array([r.epoch_seconds() - t0 for r in self.records]))
+        epochs = _epoch_seconds(self.records)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(epochs - epochs[0])
 
     @cached_property
     def positions(self) -> np.ndarray:
         """Earth-fixed record positions (n_records, 3) [m] (cached, read-only)."""
-        return _read_only(np.array([r.position for r in self.records], dtype=float))
+        return _read_only(np.ascontiguousarray(self.records["position"]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _epoch_seconds(records: np.ndarray) -> np.ndarray:
+    """mjd * 86400 + sod: inf past 1.8e308 s, as with Python floats, and no warning."""
+    with np.errstate(over="ignore"):
+        return records["mjd"] * SECONDS_PER_DAY + records["sod"]
+
+
+def _ints(column: tuple) -> list[int]:
+    """int of each token; each distinct token converts once (mjd and flags repeat)."""
+    values = {token: int(token) for token in set(column)}
+    return list(map(values.__getitem__, column))
+
+
+def _records(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Records and position magnitudes of eight-token rows. The columns convert
+    in the order mjd, sod, flag, leap flag, x, y, z, as in _conversion_error."""
+    columns = list(zip(*rows)) or [()] * _RECORD_FIELDS
+    records = np.empty(len(rows), _RECORD)
+    records["mjd"] = list(map(float, _ints(columns[2])))  # OverflowError past float range
+    records["sod"] = list(map(float, columns[3]))
+    _ints(columns[1]), _ints(columns[4])  # flag and leap-second flag, parsed then dropped
+    xyz = [list(map(float, column)) for column in columns[5:]]
+    records["position"] = np.transpose(xyz)
+    return records, np.array(list(map(math.hypot, *xyz)))
+
+
+def _conversion_error(tokens: list) -> Exception | None:
+    """The error _records raises on this one row, if any."""
+    try:
+        float(int(tokens[2])), float(tokens[3]), int(tokens[1]), int(tokens[4])
+        float(tokens[5]), float(tokens[6]), float(tokens[7])
+    except (ValueError, OverflowError) as exc:
+        return exc
+    return None
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True entry of bad, or its length when there is none."""
+    return int(np.argmax(bad)) if bad.any() else bad.size
 
 
 def parse_cpf(text: str) -> EphemerisTable:
@@ -111,66 +149,59 @@ def parse_cpf(text: str) -> EphemerisTable:
     Raises
     ------
     MalformedRecord
-        A "10" line with the wrong field count, a non-numeric field,
-        seconds-of-day outside [0, 86400), or a position magnitude
-        outside the 6.4e6..5e8 m sanity window. Carries the line number.
+        A "10" line with the wrong field count, a non-numeric field (or an
+        mjd past float range), seconds-of-day outside [0, 86400), or a
+        position magnitude outside the 6.4e6..5e8 m sanity window.
     NonMonotonicTime
-        Record epochs not strictly increasing. Carries the line number.
+        Record epochs not strictly increasing.
     EmptyEphemeris
         No valid position record found.
+
+    Errors name the first failing line and, on it, the first failing check.
     """
-    records: list[EphemerisRecord] = []
-    headers: list[str] = []
-    last_epoch = -math.inf
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        tag = tokens[0]
-        if len(tag) == 2 and tag[0] in "Hh" and tag[1].isdigit():
-            headers.append(raw.strip())
-            continue
-        if tag != "10":
-            continue
-        if len(tokens) != _RECORD_FIELDS:
-            raise MalformedRecord(
-                line_no, f"expected {_RECORD_FIELDS} fields, got {len(tokens)}"
-            )
-        try:
-            mjd = int(tokens[2])
-            sod = float(tokens[3])
-            int(tokens[1])  # flag, parsed for shape then dropped
-            int(tokens[4])  # leap-second flag, parsed then dropped
-            pos = (float(tokens[5]), float(tokens[6]), float(tokens[7]))
-        except ValueError as exc:
-            raise MalformedRecord(line_no, f"non-numeric field: {exc}") from None
-        if not 0.0 <= sod < SECONDS_PER_DAY:
-            raise MalformedRecord(line_no, f"seconds-of-day {sod} outside [0, 86400)")
-        mag = math.hypot(*pos)
-        if not _POS_MIN <= mag <= _POS_MAX:
-            raise MalformedRecord(
-                line_no,
-                f"|position| = {mag:.3e} m outside sanity window "
-                f"[{_POS_MIN:.1e}, {_POS_MAX:.1e}]",
-            )
-        epoch = mjd * SECONDS_PER_DAY + sod
-        if epoch <= last_epoch:
-            raise NonMonotonicTime(line_no, "record epochs must strictly increase")
-        last_epoch = epoch
-        records.append(EphemerisRecord(mjd=mjd, sod=sod, position=pos))
-    if not records:
+    lines = text.splitlines()
+    split = [raw.split() for raw in lines]
+    headers = [raw.strip() for raw, tokens in zip(lines, split) if tokens
+               and tokens[0][0] in "Hh" and len(tokens[0]) == 2 and tokens[0][1].isdigit()]
+    line_nos = [no for no, tokens in enumerate(split, 1) if tokens and tokens[0] == "10"]
+    rows = [split[no - 1] for no in line_nos]
+    # The checks run on the rows before the first that fails to convert, and a
+    # failure there comes first: a line-by-line read never reaches the later one.
+    counts = np.array(list(map(len, rows)), dtype=int)
+    stop = _first(counts != _RECORD_FIELDS)
+    error = (MalformedRecord(line_nos[stop], f"expected {_RECORD_FIELDS} fields, got {counts[stop]}")
+             if stop < len(rows) else None)
+    try:
+        records, mag = _records(rows[:stop])
+    except (ValueError, OverflowError):
+        stop, exc = next((k, e) for k, e in enumerate(map(_conversion_error, rows[:stop])) if e)
+        error = MalformedRecord(line_nos[stop], f"non-numeric field: {exc}")
+        records, mag = _records(rows[:stop])
+    sod, epochs = records["sod"], _epoch_seconds(records)
+    bad_sod = ~((0.0 <= sod) & (sod < SECONDS_PER_DAY))
+    bad_pos = ~((_POS_MIN <= mag) & (mag <= _POS_MAX))
+    first = _first(bad_sod | bad_pos | (epochs <= np.append(-math.inf, epochs[:-1])))
+    if first < stop:
+        if bad_sod[first]:
+            raise MalformedRecord(line_nos[first],
+                                  f"seconds-of-day {float(sod[first])} outside [0, 86400)")
+        if bad_pos[first]:
+            raise MalformedRecord(line_nos[first], f"|position| = {mag[first]:.3e} m outside "
+                                  f"sanity window [{_POS_MIN:.1e}, {_POS_MAX:.1e}]")
+        raise NonMonotonicTime(line_nos[first], "record epochs must strictly increase")
+    if error is not None:
+        raise error
+    if not stop:
         raise EmptyEphemeris("no valid position records in input")
-    return EphemerisTable(records=tuple(records), source="\n".join(headers))
+    return EphemerisTable(records=_read_only(records), source="\n".join(headers))
 
 
 def serialize_cpf(table: EphemerisTable) -> str:
-    """Render a table back to text; parse_cpf(serialize_cpf(t)) == t."""
-    lines = []
-    if table.source:
-        lines.extend(table.source.splitlines())
-    for rec in table.records:
-        x, y, z = rec.position
-        lines.append(f"10 0 {rec.mjd} {rec.sod:.17g} 0 {x:.17g} {y:.17g} {z:.17g}")
+    """Render a table back to text; parse_cpf(serialize_cpf(t)) holds the same records."""
+    lines = table.source.splitlines()
+    columns = (table.records[name].tolist() for name in ("mjd", "sod"))
+    lines.extend(f"10 0 {int(mjd)} {sod:.17g} 0 {x:.17g} {y:.17g} {z:.17g}"
+                 for mjd, sod, (x, y, z) in zip(*columns, table.records["position"].tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -182,16 +213,18 @@ def _lagrange_basis(t: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
     501, 2004), and L_j' by the product rule. Nothing divides by t - x_j, so
     a query next to a node keeps full accuracy; on a node x_j the two
     products of L_j are the same, so the basis is exactly the unit vector.
+    Step k updates every column but k over the whole window; column k is
+    multiplied by 1.0, which is exact.
     """
     offsets = t[:, None] - nodes
     values = np.ones_like(offsets)
     derivs = np.zeros_like(offsets)
     denoms = np.ones_like(offsets)
-    for k in range(nodes.shape[1]):
-        j = np.arange(nodes.shape[1]) != k
-        derivs[:, j] = derivs[:, j] * offsets[:, k, None] + values[:, j]
-        values[:, j] *= offsets[:, k, None]
-        denoms[:, j] *= nodes[:, j] - nodes[:, k, None]
+    for k, on_k in enumerate(np.eye(nodes.shape[1], dtype=bool)):
+        factor = np.where(on_k, 1.0, offsets[:, k, None])
+        derivs = np.where(on_k, derivs, derivs * factor + values)
+        values *= factor
+        denoms *= np.where(on_k, 1.0, nodes - nodes[:, k, None])
     return values / denoms, derivs / denoms
 
 

@@ -49,7 +49,7 @@ from gravlink.spin_weak import (
     weak_value,
 )
 
-from test_ephemeris import analytic_eci_state, circular_orbit_table
+from test_ephemeris import analytic_eci_state, circular_orbit_table, cpf_mutations
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
@@ -330,30 +330,14 @@ def test_criterion_9_parser_robustness():
     for text in (sample_text, serialize_cpf(circular_orbit_table(n_records=12))):
         table = parse_cpf(text)
         again = parse_cpf(serialize_cpf(table))
-        assert again.records == table.records
+        assert np.array_equal(again.records, table.records)
 
     # random-mutation corpus: typed errors or a parsed table, never a crash
-    base = (SCENARIOS / "leo_sample.cpf").read_bytes()
-    rng = np.random.default_rng(20260815)
     parsed = 0
     rejected = 0
-    for _ in range(10000):
-        data = bytearray(base)
-        for _ in range(int(rng.integers(1, 4))):
-            if not data:
-                break
-            op = int(rng.integers(0, 4))
-            i = int(rng.integers(0, len(data)))
-            if op == 0:
-                data[i] = int(rng.integers(0, 256))
-            elif op == 1:
-                data.insert(i, int(rng.integers(0, 256)))
-            elif op == 2:
-                del data[i]
-            else:
-                del data[i:]
+    for text in cpf_mutations():
         try:
-            table = parse_cpf(bytes(data).decode("latin-1"))
+            table = parse_cpf(text)
             assert table.n_records >= 1
             parsed += 1
         except GravlinkError:

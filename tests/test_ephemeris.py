@@ -1,24 +1,29 @@
 """Ephemeris parsing, serialization, and interpolation accuracy."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gravlink.constants import GM_EARTH, OMEGA_EARTH
+from gravlink.constants import GM_EARTH, OMEGA_EARTH, SECONDS_PER_DAY
 from gravlink.ephemeris import (
     EphemerisTrajectory,
+    _lagrange_basis,
     interpolate_state,
     parse_cpf,
     serialize_cpf,
 )
 from gravlink.errors import (
     EmptyEphemeris,
+    GravlinkError,
     InsufficientRecords,
     MalformedRecord,
     NonMonotonicTime,
     OutOfRange,
 )
+
+SAMPLE_CPF = Path(__file__).resolve().parents[1] / "scenarios" / "leo_sample.cpf"
 
 SAMPLE = """H1 CPF 2 TST 2026 8 15 1 demo
 H2 1234567 1234 567 DEMO-SAT 61267 0 61267 86400 60 1 1 0 0
@@ -64,10 +69,9 @@ class TestParse:
     def test_single_record_field_echo(self):
         table = parse_cpf("10 0 58600 0.0 0 7000000.0 0.0 0.0")
         assert table.n_records == 1
-        rec = table.records[0]
-        assert rec.mjd == 58600
-        assert rec.sod == 0.0
-        assert rec.position == (7.0e6, 0.0, 0.0)
+        np.testing.assert_array_equal(table.records["mjd"], [58600])
+        np.testing.assert_array_equal(table.records["sod"], [0.0])
+        np.testing.assert_array_equal(table.positions, [[7.0e6, 0.0, 0.0]])
 
     def test_two_records_gap(self):
         table = parse_cpf(
@@ -143,14 +147,14 @@ class TestParse:
     def test_roundtrip_identity(self):
         table = parse_cpf(SAMPLE)
         again = parse_cpf(serialize_cpf(table))
-        assert again.records == table.records
+        assert np.array_equal(again.records, table.records)
         assert again.source == table.source
 
     def test_roundtrip_precision(self):
         text = "10 0 58600 12345.678901 0 7123456.123456789 -987654.321 42.0\n"
         table = parse_cpf(text)
         again = parse_cpf(serialize_cpf(table))
-        assert again.records == table.records
+        assert np.array_equal(again.records, table.records)
 
 
 class TestInterpolation:
@@ -244,13 +248,14 @@ class TestTrajectory:
 
 def _product_form_state(table, t):
     """Reference interpolant: the windowed Lagrange product form, one epoch at a time."""
-    epochs = np.array([r.epoch_seconds() for r in table.records]) - table.records[0].epoch_seconds()
+    epochs = table.records["mjd"] * 86400.0 + table.records["sod"]
+    epochs -= epochs[0]
     n = table.n_records
     width = min(8, n)
     i = int(np.searchsorted(epochs, t))
     start = min(max(i - width // 2, 0), n - width)
     nodes = epochs[start:start + width]
-    coords = np.array([table.records[j].position for j in range(start, start + width)])
+    coords = table.records["position"][start:start + width]
     values, derivs = np.empty(width), np.empty(width)
     for k in range(width):
         others = np.delete(nodes, k)
@@ -289,7 +294,7 @@ class TestBatchInterpolation:
         table = circular_orbit_table(n_records=12)
         nodes = table.relative_epochs
         state = interpolate_state(table, nodes)
-        np.testing.assert_array_equal(state.position[0], table.records[0].position)
+        np.testing.assert_array_equal(state.position[0], table.records["position"][0])
         c, s = np.cos(OMEGA_EARTH * nodes), np.sin(OMEGA_EARTH * nodes)
         x, y, z = table.positions.T
         np.testing.assert_array_equal(state.position,
@@ -309,3 +314,166 @@ class TestBatchInterpolation:
         for i, t in enumerate(times):
             np.testing.assert_allclose(traj.states(t).position[0], pos[i], rtol=0, atol=1e-9)
             np.testing.assert_allclose(traj.accelerations(t)[0], acc[i], rtol=1e-12)
+
+
+def reference_parse_cpf(text):
+    """Reference parser: one record at a time, stopping at the first bad line.
+
+    Returns the relative epochs, the positions and the header block that
+    parse_cpf's table must hold, or raises what parse_cpf must raise.
+    """
+    records = []
+    headers = []
+    last_epoch = -math.inf
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        tag = tokens[0]
+        if len(tag) == 2 and tag[0] in "Hh" and tag[1].isdigit():
+            headers.append(raw.strip())
+            continue
+        if tag != "10":
+            continue
+        if len(tokens) != 8:
+            raise MalformedRecord(line_no, f"expected 8 fields, got {len(tokens)}")
+        try:
+            mjd = int(tokens[2])
+            sod = float(tokens[3])
+            int(tokens[1])
+            int(tokens[4])
+            pos = (float(tokens[5]), float(tokens[6]), float(tokens[7]))
+        except ValueError as exc:
+            raise MalformedRecord(line_no, f"non-numeric field: {exc}") from None
+        if not 0.0 <= sod < SECONDS_PER_DAY:
+            raise MalformedRecord(line_no, f"seconds-of-day {sod} outside [0, 86400)")
+        mag = math.hypot(*pos)
+        if not 6.4e6 <= mag <= 5.0e8:
+            raise MalformedRecord(
+                line_no, f"|position| = {mag:.3e} m outside sanity window [6.4e+06, 5.0e+08]"
+            )
+        epoch = mjd * SECONDS_PER_DAY + sod
+        if epoch <= last_epoch:
+            raise NonMonotonicTime(line_no, "record epochs must strictly increase")
+        last_epoch = epoch
+        records.append((epoch, pos))
+    if not records:
+        raise EmptyEphemeris("no valid position records in input")
+    t0 = records[0][0]
+    return (np.array([epoch - t0 for epoch, _ in records]),
+            np.array([pos for _, pos in records], dtype=float), "\n".join(headers))
+
+
+def cpf_mutations(count=10000, seed=20260815):
+    """Texts of the shipped sample CPF with 1-3 random byte edits each."""
+    base = SAMPLE_CPF.read_bytes()
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(base)
+        for _ in range(int(rng.integers(1, 4))):
+            if not data:
+                break
+            op = int(rng.integers(0, 4))
+            i = int(rng.integers(0, len(data)))
+            if op == 0:
+                data[i] = int(rng.integers(0, 256))
+            elif op == 1:
+                data.insert(i, int(rng.integers(0, 256)))
+            elif op == 2:
+                del data[i]
+            else:
+                del data[i:]
+        yield bytes(data).decode("latin-1")
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+def assert_matches_reference(text):
+    """parse_cpf raises what the reference raises, or holds the same table bit for bit."""
+    try:
+        epochs, positions, source = reference_parse_cpf(text)
+    except GravlinkError as exc:
+        with pytest.raises(GravlinkError) as got:
+            parse_cpf(text)
+        assert type(got.value) is type(exc)
+        assert getattr(got.value, "line_number", None) == getattr(exc, "line_number", None)
+        assert str(got.value) == str(exc)
+        return exc
+    table = parse_cpf(text)
+    np.testing.assert_array_equal(_bits(table.relative_epochs), _bits(epochs))
+    np.testing.assert_array_equal(_bits(table.positions), _bits(positions))
+    assert table.source == source
+    return table
+
+
+GOOD = "10 0 58600 {sod} 0 7000000.0 {y} 0.0"
+
+
+class TestReferenceParser:
+    def test_mutation_corpus(self):
+        rejected = sum(isinstance(assert_matches_reference(text), GravlinkError)
+                       for text in cpf_mutations())
+        assert 0 < rejected < 10000
+
+    @pytest.mark.parametrize("lines, error, line_number", [
+        # a field-count error after a monotonicity error
+        ([GOOD.format(sod=60.0, y=0.0), GOOD.format(sod=0.0, y=100.0),
+          "10 0 58600 120.0 0 7000000.0 0.0"], NonMonotonicTime, 2),
+        # a non-numeric field after a position-window error
+        (["10 0 58600 0.0 0 1000.0 0.0 0.0", "10 0 58600 60.0 0 seven 0.0 0.0"],
+         MalformedRecord, 1),
+        # a non-numeric field before a field-count error, after good lines
+        ([GOOD.format(sod=0.0, y=0.0), "H2 header", GOOD.format(sod=60.0, y=1.0),
+          "10 x 58600 120.0 0 7000000.0 0.0 0.0", "10 0 58600"], MalformedRecord, 4),
+        # a non-numeric leap flag and a bad seconds-of-day on one line: fields convert first
+        (["10 0 58600 86400.0 z 7000000.0 0.0 0.0"], MalformedRecord, 1),
+        # two mjd beyond int64: 60 s is below the spacing of floats near 8.6e23 s
+        (["10 0 10000000000000000001 0.0 0 7000000.0 0.0 0.0",
+          "10 0 10000000000000000001 60.0 0 7000000.0 1.0 0.0"], NonMonotonicTime, 2),
+    ])
+    def test_first_failing_line_is_named(self, lines, error, line_number):
+        exc = assert_matches_reference("\n".join(lines))
+        assert type(exc) is error
+        assert exc.line_number == line_number
+
+    @pytest.mark.parametrize("mjd", ["10000000000000000001", "-9223372036854775809", "9" * 305])
+    def test_mjd_beyond_int64_parses_as_before(self, mjd):
+        # one record; an mjd past 2e303 puts the epoch at inf, and its relative epoch at nan
+        table = assert_matches_reference(f"10 0 {mjd} 30.0 0 7000000.0 0.0 0.0")
+        assert table.records["mjd"][0] == float(int(mjd))
+
+    def test_mjd_beyond_float_is_a_malformed_record(self):
+        text = GOOD.format(sod=0.0, y=0.0) + "\n10 0 " + "9" * 310 + " 0.0 0 7000000.0 0.0 0.0"
+        with pytest.raises(OverflowError):
+            reference_parse_cpf(text)
+        with pytest.raises(MalformedRecord, match="line 2: non-numeric field: int too large"):
+            parse_cpf(text)
+
+
+def masked_lagrange_basis(t, nodes):
+    """Reference basis: the same products, updating the columns j != k through mask copies."""
+    offsets = t[:, None] - nodes
+    values = np.ones_like(offsets)
+    derivs = np.zeros_like(offsets)
+    denoms = np.ones_like(offsets)
+    for k in range(nodes.shape[1]):
+        j = np.arange(nodes.shape[1]) != k
+        derivs[:, j] = derivs[:, j] * offsets[:, k, None] + values[:, j]
+        values[:, j] *= offsets[:, k, None]
+        denoms[:, j] *= nodes[:, j] - nodes[:, k, None]
+    return values / denoms, derivs / denoms
+
+
+@pytest.mark.parametrize("width", range(4, 9))
+def test_basis_matches_masked_loop_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    uneven = np.sort(rng.uniform(0.0, 3600.0, (40, width)), axis=1)
+    even = 60.0 * (np.arange(width) + rng.integers(0, 1440, (40, 1)))
+    nodes = np.concatenate([uneven, even])
+    on_node = nodes[np.arange(len(nodes)), rng.integers(0, width, len(nodes))]
+    inside = rng.uniform(nodes[:, 0], nodes[:, -1])
+    t, windows = np.concatenate([on_node, inside]), np.concatenate([nodes, nodes])
+    for got, want in zip(_lagrange_basis(t, windows), masked_lagrange_basis(t, windows)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
