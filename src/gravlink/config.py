@@ -280,10 +280,13 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):
         problems.append(f"station.altitude_m: {station.altitude} must be below the orbit")
+    if "GRAVLINK_OUTPUT_DIR" in os.environ:
+        try:
+            top["output_dir"] = _text(os.environ["GRAVLINK_OUTPUT_DIR"], "GRAVLINK_OUTPUT_DIR")
+        except ConfigInvalid as exc:
+            problems += exc.violations
     if problems:
         return None, problems
-    if "GRAVLINK_OUTPUT_DIR" in os.environ:
-        top["output_dir"] = os.environ["GRAVLINK_OUTPUT_DIR"]
     return ScenarioConfig(**top, **specs), []
 
 
@@ -333,8 +336,8 @@ def load_config(path: str) -> ScenarioConfig:
     """Validate and build the typed scenario config.
 
     Raises FileUnreadable or ConfigInvalid (with the complete violation
-    list). The GRAVLINK_OUTPUT_DIR environment variable overrides the
-    configured output directory. The ephemeris file is not read here.
+    list). GRAVLINK_OUTPUT_DIR, when set, overrides the configured output
+    directory and must not be empty. The ephemeris file is not read here.
     """
     cfg, problems = _load(path)
     if problems:

@@ -7,12 +7,11 @@ position records are lines of exactly eight whitespace-separated tokens
     10 <flag> <mjd> <seconds-of-day> <leap-flag> <x> <y> <z>
 
 with coordinates in meters, Earth-fixed frame. Every other line is ignored.
-The table holds the records as one structured array, converted column by
-column with Python's int and float; a parse error names the first failing
-line, as a line-by-line read would. Interpolation is windowed Lagrange on
-position with the analytic derivative for velocity, rotated into the
-inertial frame that coincides with the Earth-fixed frame at the first
-record's epoch.
+The records convert column by column with Python's int and float into one
+structured array; a text that fails is read again line by line, to name its
+first failing line. Interpolation is windowed Lagrange on position with the
+analytic derivative for velocity, rotated into the inertial frame that
+coincides with the Earth-fixed frame at the first record's epoch.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ _MAX_WINDOW = 8    # interpolation nodes (see window note in interpolate_state)
 _RECORD = np.dtype([("mjd", float), ("sod", float), ("position", float, 3)])
 
 
-@dataclass(frozen=True)
-class EphemerisRecord:
+class EphemerisRecord(NamedTuple):
     """One position sample: ``mjd``, seconds of day ``sod``, Earth-fixed ``position`` [m]."""
 
     mjd: int
@@ -56,18 +55,17 @@ class EphemerisTable:
     """Immutable ordered position records.
 
     ``records`` is a read-only structured array with fields mjd, sod and
-    position (3,), Earth-fixed; a sequence of EphemerisRecord is converted
-    to one. ``source`` holds the verbatim header block (newline-joined
-    header lines) so that serialization round-trips exactly.
+    position (3,), Earth-fixed; rows (mjd, sod, position), such as
+    EphemerisRecord, are converted to one. ``source`` holds the verbatim
+    header block (newline-joined) so that serialization round-trips exactly.
     """
 
     records: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.records, np.ndarray):
-            records = np.array([(r.mjd, r.sod, r.position) for r in self.records], _RECORD)
-            object.__setattr__(self, "records", _read_only(records))
+        if not isinstance(self.records, np.ndarray):  # list(): numpy reads a tuple as one record
+            object.__setattr__(self, "records", _read_only(np.array(list(self.records), _RECORD)))
 
     @property
     def n_records(self) -> int:
@@ -108,32 +106,54 @@ def _ints(column: tuple) -> list[int]:
     return list(map(values.__getitem__, column))
 
 
-def _records(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Records and position magnitudes of eight-token rows. The columns convert
-    in the order mjd, sod, flag, leap flag, x, y, z, as in _conversion_error."""
-    columns = list(zip(*rows)) or [()] * _RECORD_FIELDS
+def _bulk(rows: list) -> np.ndarray | None:
+    """The rows' records converted column by column, or None on a wrong field
+    count, a failed conversion or a failed check; it formats no message."""
     records = np.empty(len(rows), _RECORD)
-    records["mjd"] = list(map(float, _ints(columns[2])))  # OverflowError past float range
-    records["sod"] = list(map(float, columns[3]))
-    _ints(columns[1]), _ints(columns[4])  # flag and leap-second flag, parsed then dropped
-    xyz = [list(map(float, column)) for column in columns[5:]]
+    try:  # ValueError also on any field count but eight; OverflowError: mjd past float range
+        _, flag, mjd, sod, leap, x, y, z = zip(*rows, strict=True)
+        records["mjd"] = list(map(float, _ints(mjd)))
+        records["sod"] = list(map(float, sod))
+        _ints(flag), _ints(leap)  # parsed then dropped
+        xyz = [list(map(float, column)) for column in (x, y, z)]
+    except (ValueError, OverflowError):
+        return None
     records["position"] = np.transpose(xyz)
-    return records, np.array(list(map(math.hypot, *xyz)))
+    mag = np.array(list(map(math.hypot, *xyz)))
+    sod, epochs = records["sod"], _epoch_seconds(records)
+    ok = ((0.0 <= sod) & (sod < SECONDS_PER_DAY) & (_POS_MIN <= mag) & (mag <= _POS_MAX)
+          & (epochs > np.append(-math.inf, epochs[:-1])))
+    return _read_only(records) if ok.all() else None
 
 
-def _conversion_error(tokens: list) -> Exception | None:
-    """The error _records raises on this one row, if any."""
-    try:
-        float(int(tokens[2])), float(tokens[3]), int(tokens[1]), int(tokens[4])
-        float(tokens[5]), float(tokens[6]), float(tokens[7])
-    except (ValueError, OverflowError) as exc:
-        return exc
-    return None
-
-
-def _first(bad: np.ndarray) -> int:
-    """Index of the first True entry of bad, or its length when there is none."""
-    return int(np.argmax(bad)) if bad.any() else bad.size
+def _by_line(line_nos: list, rows: list) -> list:
+    """The rows as (mjd, sod, position) records, read one line at a time. Raises
+    the first failing line's error: field count, then conversions of mjd, sod,
+    flag, leap flag, x, y, z, then sod range, position window, monotonicity."""
+    records, last = [], -math.inf
+    for no, tokens in zip(line_nos, rows):
+        if len(tokens) != _RECORD_FIELDS:
+            raise MalformedRecord(no, f"expected {_RECORD_FIELDS} fields, got {len(tokens)}")
+        try:
+            mjd, sod = float(int(tokens[2])), float(tokens[3])
+            int(tokens[1]), int(tokens[4])
+            position = tuple(map(float, tokens[5:]))
+        except (ValueError, OverflowError) as exc:
+            raise MalformedRecord(no, f"non-numeric field: {exc}") from None
+        if not 0.0 <= sod < SECONDS_PER_DAY:
+            raise MalformedRecord(no, f"seconds-of-day {sod} outside [0, 86400)")
+        mag = math.hypot(*position)
+        if not _POS_MIN <= mag <= _POS_MAX:
+            raise MalformedRecord(no, f"|position| = {mag:.3e} m outside "
+                                  f"sanity window [{_POS_MIN:.1e}, {_POS_MAX:.1e}]")
+        epoch = mjd * SECONDS_PER_DAY + sod
+        if epoch <= last:
+            raise NonMonotonicTime(no, "record epochs must strictly increase")
+        records.append((mjd, sod, position))
+        last = epoch
+    if not records:
+        raise EmptyEphemeris("no valid position records in input")
+    return records
 
 
 def parse_cpf(text: str) -> EphemerisTable:
@@ -157,7 +177,8 @@ def parse_cpf(text: str) -> EphemerisTable:
     EmptyEphemeris
         No valid position record found.
 
-    Errors name the first failing line and, on it, the first failing check.
+    The records convert in bulk (_bulk); a text that fails is read again line
+    by line (_by_line), which names the first failing line and check.
     """
     lines = text.splitlines()
     split = [raw.split() for raw in lines]
@@ -165,35 +186,9 @@ def parse_cpf(text: str) -> EphemerisTable:
                and tokens[0][0] in "Hh" and len(tokens[0]) == 2 and tokens[0][1].isdigit()]
     line_nos = [no for no, tokens in enumerate(split, 1) if tokens and tokens[0] == "10"]
     rows = [split[no - 1] for no in line_nos]
-    # The checks run on the rows before the first that fails to convert, and a
-    # failure there comes first: a line-by-line read never reaches the later one.
-    counts = np.array(list(map(len, rows)), dtype=int)
-    stop = _first(counts != _RECORD_FIELDS)
-    error = (MalformedRecord(line_nos[stop], f"expected {_RECORD_FIELDS} fields, got {counts[stop]}")
-             if stop < len(rows) else None)
-    try:
-        records, mag = _records(rows[:stop])
-    except (ValueError, OverflowError):
-        stop, exc = next((k, e) for k, e in enumerate(map(_conversion_error, rows[:stop])) if e)
-        error = MalformedRecord(line_nos[stop], f"non-numeric field: {exc}")
-        records, mag = _records(rows[:stop])
-    sod, epochs = records["sod"], _epoch_seconds(records)
-    bad_sod = ~((0.0 <= sod) & (sod < SECONDS_PER_DAY))
-    bad_pos = ~((_POS_MIN <= mag) & (mag <= _POS_MAX))
-    first = _first(bad_sod | bad_pos | (epochs <= np.append(-math.inf, epochs[:-1])))
-    if first < stop:
-        if bad_sod[first]:
-            raise MalformedRecord(line_nos[first],
-                                  f"seconds-of-day {float(sod[first])} outside [0, 86400)")
-        if bad_pos[first]:
-            raise MalformedRecord(line_nos[first], f"|position| = {mag[first]:.3e} m outside "
-                                  f"sanity window [{_POS_MIN:.1e}, {_POS_MAX:.1e}]")
-        raise NonMonotonicTime(line_nos[first], "record epochs must strictly increase")
-    if error is not None:
-        raise error
-    if not stop:
-        raise EmptyEphemeris("no valid position records in input")
-    return EphemerisTable(records=_read_only(records), source="\n".join(headers))
+    records = _bulk(rows)
+    return EphemerisTable(records=_by_line(line_nos, rows) if records is None else records,
+                          source="\n".join(headers))
 
 
 def serialize_cpf(table: EphemerisTable) -> str:

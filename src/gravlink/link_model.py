@@ -102,15 +102,15 @@ class PhasePair:
 def gravitational_phase(cfg: OpticalConfig, g: float, h: float, alpha: float = 0.0) -> float:
     """Uniform-field estimate of the gravitational fringe phase [rad].
 
-    (1 + alpha) * (2 pi / lambda) * g * h * l / c^2 for station-spacecraft
-    height difference h and arm imbalance l. About 2 rad for an 800 nm
-    laser, a 6 km delay, and a 400 km orbit.
+    (1 + alpha) * omega0 * tau_l * g * h / c^2 (cfg.phase_scale, as for every
+    pass phase) for station-spacecraft height difference h. About 2 rad for
+    an 800 nm laser, a 6 km vacuum delay, and a 400 km orbit.
     """
     if h < 0.0:
         raise ValueError("height must be non-negative")
     if g <= 0.0:
         raise ValueError("g must be positive")
-    return (1.0 + alpha) * _TWO_PI / cfg.lambda0 * g * h * cfg.delay_length / C_LIGHT**2
+    return (1.0 + alpha) * cfg.phase_scale * g * h / C_LIGHT**2
 
 
 def _check_denominator(value, label: str) -> None:

@@ -549,6 +549,17 @@ class TestLoadConfig:
         cfg = load_config(str(SCENARIOS / "redshift_pass.yaml"))
         assert cfg.output_dir == str(tmp_path / "elsewhere")
 
+    def test_empty_env_output_dir_is_a_violation(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        path = str(SCENARIOS / "redshift_pass.yaml")
+        assert validate_config(path) == ["GRAVLINK_OUTPUT_DIR: expected a non-empty string, "
+                                         "got ''"]
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert "violation: GRAVLINK_OUTPUT_DIR:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliBasics:
     def test_constants_command(self, capsys):

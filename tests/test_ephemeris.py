@@ -1,14 +1,20 @@
 """Ephemeris parsing, serialization, and interpolation accuracy."""
 
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravlink.constants import GM_EARTH, OMEGA_EARTH, SECONDS_PER_DAY
 from gravlink.ephemeris import (
+    EphemerisTable,
     EphemerisTrajectory,
+    _bulk,
+    _by_line,
     _lagrange_basis,
     interpolate_state,
     parse_cpf,
@@ -450,6 +456,120 @@ class TestReferenceParser:
             reference_parse_cpf(text)
         with pytest.raises(MalformedRecord, match="line 2: non-numeric field: int too large"):
             parse_cpf(text)
+
+
+def record_rows(text):
+    """Line numbers and tokens of the "10" lines, as parse_cpf selects them."""
+    numbered = [(no, raw.split()) for no, raw in enumerate(text.splitlines(), 1)]
+    numbered = [(no, tokens) for no, tokens in numbered if tokens and tokens[0] == "10"]
+    return [no for no, _ in numbered], [tokens for _, tokens in numbered]
+
+
+def test_bulk_accepts_exactly_what_the_line_pass_accepts():
+    accepted = 0
+    for text in cpf_mutations():
+        line_nos, rows = record_rows(text)
+        records = _bulk(rows)
+        try:
+            reference_parse_cpf(text)
+        except (GravlinkError, OverflowError):
+            assert records is None
+            continue
+        assert records is not None
+        assert records.tobytes() == EphemerisTable(_by_line(line_nos, rows)).records.tobytes()
+        accepted += 1
+    assert accepted > 0
+
+
+def spell_int(rng, value):
+    """A spelling of an integer that Python's int accepts: 7, +7, 007 or 1_0."""
+    digits = str(abs(value))
+    form = rng.choice(("plain", "plus", "zeros", "underscore"))
+    if form == "zeros":
+        digits = "00" + digits
+    elif form == "underscore" and len(digits) > 1:
+        cut = rng.randrange(1, len(digits))
+        digits = digits[:cut] + "_" + digits[cut:]
+    return ("-" if value < 0 else "+" if form == "plus" else "") + digits
+
+
+def spell_float(rng, value):
+    """A spelling of a float that Python's float accepts: 6.9e+06, +60.0, 6_900_000.5 or 60."""
+    form = rng.choice(("repr", "exponent", "plus", "underscore", "integer"))
+    text = repr(value)
+    if form == "exponent":  # the shortest that reads back the same value
+        return next(f"{value:.{p}e}" for p in range(17) if float(f"{value:.{p}e}") == value)
+    if form == "plus" and value >= 0:
+        return "+" + text
+    if form == "integer" and value.is_integer():
+        return str(int(value))
+    if form == "underscore":
+        cuts = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()
+                and "e" not in text[:i]]
+        if cuts:
+            cut = rng.choice(cuts)
+            return text[:cut] + "_" + text[cut:]
+    return text
+
+
+FAULTS = ("drop", "extra", "word", "sod", "far", "repeat", "huge_mjd")
+
+
+def inject(rng, tokens, previous, fault):
+    """The tokens of one record line with one fault."""
+    tokens = list(tokens)
+    if fault == "drop":
+        del tokens[rng.randrange(1, 8)]
+    elif fault == "extra":
+        tokens.insert(rng.randrange(1, 9), "0")
+    elif fault == "word":
+        tokens[rng.randrange(1, 8)] = rng.choice(("x", "1.0.0", "nan", "inf", "1__0", ""))
+    elif fault == "sod":
+        tokens[3] = rng.choice(("86400", "86400.0", "-1e-9", "1e5"))
+    elif fault == "far":
+        tokens[5:] = rng.choice((["1000.0", "0", "0"], ["6e8", "0", "0"], ["0", "0", "0"]))
+    elif fault == "repeat" and previous is not None:
+        tokens[2:4] = previous[2:4]
+    elif fault == "huge_mjd":
+        tokens[2] = "9" * rng.randrange(19, 40)
+    return [token for token in tokens if token]
+
+
+@st.composite
+def cpf_tables(draw):
+    """CPF texts of 4-400 records over day rollovers, in the token spellings int and
+    float accept, with repeated mjd and flag tokens and at most one injected fault."""
+    n = draw(st.integers(4, 400))
+    step = draw(st.sampled_from((0.5, 1.0, 30.0, 60.0, 600.0, 3600.0, 21600.0)))
+    start = SECONDS_PER_DAY - step * draw(st.integers(1, n - 1))  # the first rollover
+    mjd0 = draw(st.integers(40000, 70000))
+    radius = draw(st.floats(6.5e6, 4.0e8))
+    fault = draw(st.sampled_from((None,) + FAULTS))
+    at = draw(st.integers(0, n - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    flags = [spell_int(rng, rng.choice((0, 1))) for _ in range(3)]  # a few spellings, repeated
+    lines, previous = ["H1 CPF 2 TST 2026 8 15 1 generated"], None
+    for k in range(n):
+        epoch = start + k * step
+        day = math.floor(epoch / SECONDS_PER_DAY)
+        u = 0.01 * k
+        position = (radius * math.cos(u) * 0.8, radius * math.sin(u) * 0.8, radius * 0.6)
+        tokens = ["10", rng.choice(flags), spell_int(rng, mjd0 + day),
+                  spell_float(rng, epoch - day * SECONDS_PER_DAY), rng.choice(flags)]
+        tokens += [spell_float(rng, c) for c in position]
+        if k == at and fault:
+            tokens = inject(rng, tokens, previous, fault)
+        lines.append(" ".join(tokens))
+        if rng.random() < 0.05:
+            lines.append("99 a line that is not a record")
+        previous = tokens
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=cpf_tables())
+def test_generated_tables_match_reference(text):
+    assert_matches_reference(text)
 
 
 def masked_lagrange_basis(t, nodes):

@@ -97,9 +97,19 @@ class TestRedshiftParams:
 
 class TestGravitationalPhase:
     def test_textbook_magnitude(self):
+        # OPTICS gives tau_l = 2.0014e-5 s, a little above 6000 m / c
         phi = gravitational_phase(OPTICS, 9.80665, 4.0e5)
-        assert phi == pytest.approx(2.0567447, rel=1e-6)
+        assert phi == pytest.approx(2.0567606, rel=1e-6)
         assert abs(phi - 2.06) / 2.06 < 0.05
+
+    def test_scales_with_the_pass_phase_scale(self):
+        vacuum = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
+        glass = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, group_index=1.5)
+        phi = gravitational_phase(vacuum, 9.80665, 4.0e5)
+        assert phi == pytest.approx(2.0567447, rel=1e-6)
+        assert gravitational_phase(glass, 9.80665, 4.0e5) == pytest.approx(1.5 * phi, rel=1e-15)
+        explicit = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0 * vacuum.tau_l)
+        assert gravitational_phase(explicit, 9.80665, 4.0e5) == pytest.approx(2.0 * phi, rel=1e-15)
 
     def test_zero_height(self):
         assert gravitational_phase(OPTICS, 9.80665, 0.0) == 0.0
