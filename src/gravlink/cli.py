@@ -317,8 +317,7 @@ def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
             exchange=spin.exchange,
             t=spin.duration,
         )
-        pair = two_spin_hamiltonian(params)
-        eigs = np.linalg.eigvalsh(pair.total)
+        eigs = np.linalg.eigvalsh(two_spin_hamiltonian(params))
         summary.append(
             "two-spin Hamiltonian eigenvalues [J]: "
             + " ".join(f"{e:.6e}" for e in eigs)

@@ -261,7 +261,7 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
         )
     t_rel = _epochs(t)
     epochs = table.relative_epochs
-    reject((t_rel < epochs[0]) | (t_rel > epochs[-1]), OutOfRange,
+    reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
            f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
     n = table.n_records
     width = min(_MAX_WINDOW, n)

@@ -227,6 +227,8 @@ class ForecastResult:
         """Photon budget at which sigma_alpha reaches the target (1/sqrt(N))."""
         if self.photon_budget <= 0:
             raise ValueError("run with a positive photon budget to extrapolate")
+        if not 0.0 < target_sigma < math.inf:
+            raise ValueError(f"target sigma_alpha must be positive and finite, got {target_sigma}")
         return self.photon_budget * (self.sigma_alpha_analytic / target_sigma) ** 2
 
 

@@ -21,7 +21,7 @@ LinkGeometry holds (N, 3) vectors and (N,) scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,10 +77,10 @@ class StateVector:
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "epoch", _epochs(self.epoch))
         r = np.linalg.norm(pos, axis=-1)
-        reject(r <= _MIN_RADIUS, BadAltitude,
+        reject(~(r > _MIN_RADIUS), BadAltitude,
                f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", r, times=self.epoch)
         v = np.linalg.norm(vel, axis=-1)
-        reject(v >= _MAX_SPEED, ValueError,
+        reject(~(v < _MAX_SPEED), ValueError,
                f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=self.epoch)
 
 
@@ -133,7 +133,7 @@ class GroundStation:
     """
 
     def __init__(self, lat: float, lon: float, alt: float = 0.0):
-        if abs(lat) > math.pi / 2:
+        if not abs(lat) <= math.pi / 2:
             raise ValueError(f"latitude {lat} rad outside [-pi/2, pi/2]")
         self.lat = float(lat)
         self.lon = float(lon)
@@ -231,12 +231,13 @@ class LinkGeometry:
     beta1/beta2/beta3 are v/c of ground station at emission, spacecraft at
     reception, and ground station at retro-reflected reception. n12 and n23
     are the light directions of the up and down legs at their respective
-    receptions. U1..U3 are the dimensionless potentials at the same three
-    events, a1 the station's centripetal acceleration [m/s^2], t_up the
-    upward propagation time [s]. d1 and d2 project beta1/beta2 on n12;
-    d3 projects beta3 on n23. Vectors are (N, 3), scalars (N,); one 3-vector
-    per vector and floats make a batch of one. The batch is checked once as a
-    whole.
+    receptions. U1 and U2 are the dimensionless potentials at the first two
+    events (the link model takes the third, back at the station, to be at
+    U1), a1 the station's centripetal acceleration [m/s^2], t_up the
+    upward propagation time [s]. d1 = n12.beta1, d2 = n12.beta2 and
+    d3 = n23.beta3 are derived on construction, not passed in. Vectors are
+    (N, 3), scalars (N,); one 3-vector per vector and floats make a batch of
+    one. The batch is checked once as a whole.
     """
 
     beta1: np.ndarray
@@ -246,28 +247,30 @@ class LinkGeometry:
     n23: np.ndarray
     U1: np.ndarray
     U2: np.ndarray
-    U3: np.ndarray
     a1: np.ndarray
     t_up: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+    d1: np.ndarray = field(init=False)
+    d2: np.ndarray = field(init=False)
+    d3: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "beta3", "n12", "n23", "a1"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
-        for name in ("U1", "U2", "U3", "t_up", "d1", "d2", "d3"):
+        for name in ("U1", "U2", "t_up"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         for name in ("n12", "n23"):
             norm = np.linalg.norm(getattr(self, name), axis=-1)
-            reject(np.abs(norm - 1.0) > 1e-9, DegenerateGeometry,
+            reject(~(np.abs(norm - 1.0) <= 1e-9), DegenerateGeometry,
                    f"|{name}| = {{:.12f}}, expected 1", norm)
         for name in ("beta1", "beta2", "beta3"):
             b = np.linalg.norm(getattr(self, name), axis=-1)
-            reject(b >= _MAX_BETA, ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}", b)
-        for name in ("U1", "U2", "U3"):
+            reject(~(b < _MAX_BETA), ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}", b)
+        for name in ("U1", "U2"):
             u = getattr(self, name)
             reject(~((0.0 < u) & (u < 1e-8)), ValueError, f"{name} = {{:.3e}} outside (0, 1e-8)", u)
+        object.__setattr__(self, "d1", _dot(self.n12, self.beta1))
+        object.__setattr__(self, "d2", _dot(self.n12, self.beta2))
+        object.__setattr__(self, "d3", _dot(self.n23, self.beta3))
 
     def __len__(self) -> int:
         return len(self.t_up)
@@ -288,21 +291,14 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
     t_down, n23 = solve_light_time(s2, gs_trajectory)
     s3 = gs_trajectory.states(t2 + t_down)
 
-    beta1 = s1.velocity / C_LIGHT
-    beta2 = s2.velocity / C_LIGHT
-    beta3 = s3.velocity / C_LIGHT
     return LinkGeometry(
-        beta1=beta1,
-        beta2=beta2,
-        beta3=beta3,
+        beta1=s1.velocity / C_LIGHT,
+        beta2=s2.velocity / C_LIGHT,
+        beta3=s3.velocity / C_LIGHT,
         n12=n12,
         n23=n23,
         U1=newtonian_potential(s1.position),
         U2=newtonian_potential(s2.position),
-        U3=newtonian_potential(s3.position),
         a1=gs_trajectory.accelerations(t1),
         t_up=t_up,
-        d1=_dot(n12, beta1),
-        d2=_dot(n12, beta2),
-        d3=_dot(n23, beta3),
     )

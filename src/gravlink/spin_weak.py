@@ -5,11 +5,8 @@ acceleration term (hbar/4mc^2) sigma.(a x p), and the phenomenological
 uniform-acceleration coupling (hbar k/2c) a.sigma whose k = 1 point is the
 prediction of the standard low-energy reduction of the Dirac equation.
 
-Two spins: an exchange term J sigma_x(x)sigma_x plus the same single-spin
-couplings on both spins, with the rotation encoded through the
-dimensionless h_i = -c w_i / g. The builder exposes the split
-H = J*H0 + H1 with H0 the dimensionless exchange structure and H1 the
-acceleration-proportional part.
+Two spins: an exchange term J sigma_x(x)sigma_x plus the single-spin
+coupling h_sigma + h_ext acting on each spin of the pair.
 
 Weak measurement: a pointer with Gaussian wavefunction is kicked by
 exp(-i q A p_hat / hbar-equivalent) so its position shifts by q*a on each
@@ -21,7 +18,7 @@ A_w = <f|A|i>/<f|i>, which can far exceed the eigenvalue range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,9 +90,8 @@ class SpinCouplingParams:
     p : kg m/s 3-vector, particle momentum.
     a_axis : unit direction of the acceleration (normalized on use).
     exchange : J, two-spin exchange energy (the J of the pair coupling).
-    t : s, interaction duration.
-    h_vec : dimensionless 3-vector h_i = -c*omega_i/g; derived from omega
-        and g when not given.
+    t : s, interaction duration; only lambda_c reads it.
+    g must be positive; h_vec and lambda_c are derived, read-only.
     """
 
     g: float = G_STD
@@ -106,7 +102,6 @@ class SpinCouplingParams:
     a_axis: tuple = (0.0, 0.0, 1.0)
     exchange: float = 0.0
     t: float = 1.0
-    h_vec: tuple = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
@@ -116,14 +111,15 @@ class SpinCouplingParams:
         if norm == 0.0:
             raise BadAxis("acceleration axis has zero length")
         object.__setattr__(self, "a_axis", axis / norm)
-        if self.m <= 0.0:
+        if not self.m > 0.0:
             raise ValueError("mass must be positive")
-        if self.h_vec is None:
-            if self.g <= 0.0:
-                raise ValueError("g must be positive to derive h_vec = -c*omega/g")
-            object.__setattr__(self, "h_vec", -C_LIGHT * self.omega / self.g)
-        else:
-            object.__setattr__(self, "h_vec", np.asarray(self.h_vec, dtype=float))
+        if not self.g > 0.0:
+            raise ValueError("g must be positive")
+
+    @property
+    def h_vec(self) -> np.ndarray:
+        """Dimensionless rotation coupling h_i = -c*omega_i/g."""
+        return -C_LIGHT * self.omega / self.g
 
     @property
     def lambda_c(self) -> float:
@@ -164,42 +160,12 @@ def h_ext(params: SpinCouplingParams) -> np.ndarray:
     return 0.5 * HBAR * params.k / C_LIGHT * pauli_dot(params.acceleration)
 
 
-def _one_plus_two(op: np.ndarray) -> np.ndarray:
-    """Single-spin operator acting identically on both spins of a pair."""
-    return np.kron(op, _ID2) + np.kron(_ID2, op)
-
-
-@dataclass(frozen=True)
-class TwoSpinHamiltonian:
-    """4x4 pair Hamiltonian with its exchange/coupling split.
-
-    total = exchange * h0 + h1, where h0 = sigma_x (x) sigma_x is
-    dimensionless and h1 carries the acceleration-scale couplings [J].
-    """
-
-    total: np.ndarray
-    h0: np.ndarray
-    h1: np.ndarray
-    exchange: float
-
-
-def two_spin_hamiltonian(params: SpinCouplingParams) -> TwoSpinHamiltonian:
-    """Exchange-coupled pair with rotation and acceleration couplings.
-
-    exchange * sigma_x(x)sigma_x + (hbar g / 2c) * [ h_x (sx1 + sx2)
-    + h_y (sy1 + sy2) + (h_z + k)(sz1 + sz2) ].
-    """
-    h0 = np.kron(_PAULI[1], _PAULI[1])
-    hx, hy, hz = params.h_vec
-    scale = 0.5 * HBAR * params.g / C_LIGHT
-    h1 = scale * (
-        hx * _one_plus_two(_PAULI[1])
-        + hy * _one_plus_two(_PAULI[2])
-        + (hz + params.k) * _one_plus_two(_PAULI[3])
-    )
-    return TwoSpinHamiltonian(
-        total=params.exchange * h0 + h1, h0=h0, h1=h1, exchange=params.exchange
-    )
+def two_spin_hamiltonian(params: SpinCouplingParams) -> np.ndarray:
+    """4x4 pair Hamiltonian [J]: exchange * sigma_x(x)sigma_x + single(x)1 + 1(x)single,
+    with single = h_sigma + h_ext, the coupling of one spin."""
+    single = h_sigma(params) + h_ext(params)
+    return (params.exchange * np.kron(_PAULI[1], _PAULI[1])
+            + np.kron(single, _ID2) + np.kron(_ID2, single))
 
 
 def _require_hermitian(h: np.ndarray) -> None:

@@ -105,9 +105,7 @@ def _equal_potential_geometry(speed_scale):
     return LinkGeometry(
         beta1=np.zeros(3), beta2=np.array([beta, 0.0, 0.0]), beta3=np.zeros(3),
         n12=np.array([1.0, 0.0, 0.0]), n23=np.array([-1.0, 0.0, 0.0]),
-        U1=U_SURFACE, U2=U_SURFACE, U3=U_SURFACE,
-        a1=np.zeros(3), t_up=1.4e-3,
-        d1=0.0, d2=beta, d3=0.0,
+        U1=U_SURFACE, U2=U_SURFACE, a1=np.zeros(3), t_up=1.4e-3,
     ), beta
 
 
@@ -277,8 +275,7 @@ def test_criterion_8_weak_value_suite():
             p=tuple(rng.normal(0.0, 1.0, 3)),
             exchange=float(rng.normal(0.0, 1e-24)),
         )
-        for h in (h_sigma(params), h_ext(params),
-                  two_spin_hamiltonian(params).total):
+        for h in (h_sigma(params), h_ext(params), two_spin_hamiltonian(params)):
             scale = float(np.linalg.norm(h))
             if scale > 0.0:
                 defect = float(np.linalg.norm(h - h.conj().T)) / scale
@@ -301,16 +298,17 @@ def test_criterion_8_weak_value_suite():
         unit_worst = max(unit_worst, drift)
         assert drift <= 1e-12
 
-    # pair coupling must equal two copies of the single-spin rotation +
-    # acceleration coupling at k = 1 (acceleration along z, p = 0)
+    # the pair Hamiltonian must equal the exchange term plus two copies of
+    # the single-spin rotation + acceleration coupling at k = 1; the exchange
+    # sits on the acceleration scale so that it does not swamp the couplings
     omega = 7.2921159e-5 * np.array([math.sin(0.7), 0.0, math.cos(0.7)])
     params = SpinCouplingParams(g=G_STD, omega=tuple(omega), k=1.0,
-                                exchange=5e-25)
+                                exchange=3.45e-42)
     single = h_sigma(params) + h_ext(params)
-    expected = np.kron(single, np.eye(2)) + np.kron(np.eye(2), single)
-    ts = two_spin_hamiltonian(params)
+    expected = (params.exchange * np.kron(pauli(1), pauli(1))
+                + np.kron(single, np.eye(2)) + np.kron(np.eye(2), single))
     np.testing.assert_allclose(
-        ts.h1, expected, rtol=0.0,
+        two_spin_hamiltonian(params), expected, rtol=0.0,
         atol=1e-12 * float(np.linalg.norm(expected)),
     )
 

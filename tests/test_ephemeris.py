@@ -311,6 +311,11 @@ class TestBatchInterpolation:
         with pytest.raises(OutOfRange, match=r"t = 200\.000 s .* at epoch \[2\]$"):
             interpolate_state(table, np.array([0.0, 90.0, 200.0, 300.0]))
 
+    def test_nan_epoch_is_named(self):
+        trajectory = EphemerisTrajectory(parse_cpf(SAMPLE))
+        with pytest.raises(OutOfRange, match=r"t = nan s .* at epoch \[1\]$"):
+            trajectory.states([10.0, math.nan])
+
     def test_trajectory_states_match_one_epoch_views(self):
         """Each row of a batch equals the same epoch run as a batch of one."""
         traj = EphemerisTrajectory(circular_orbit_table(n_records=20))

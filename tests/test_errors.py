@@ -44,9 +44,8 @@ def geometry_batch():
     beta2 = np.zeros((4, 3))
     beta2[2, 0] = 1e-4
     LinkGeometry(beta1=np.zeros((4, 3)), beta2=beta2, beta3=np.zeros((4, 3)), n12=n12,
-                 n23=-n12, U1=np.full(4, 7e-10), U2=np.full(4, 7e-10), U3=np.full(4, 7e-10),
-                 a1=np.zeros((4, 3)), t_up=np.full(4, 1e-3), d1=np.zeros(4), d2=beta2[:, 0],
-                 d3=np.zeros(4))
+                 n23=-n12, U1=np.full(4, 7e-10), U2=np.full(4, 7e-10),
+                 a1=np.zeros((4, 3)), t_up=np.full(4, 1e-3))
 
 
 def scan_batch():

@@ -12,6 +12,7 @@ from gravlink.cli import main
 from gravlink.errors import DegenerateVisibility, GravlinkError, SingularFit
 from gravlink.estimator import (
     AlphaEstimate,
+    ForecastResult,
     ForecastScenario,
     PassDataset,
     build_pass,
@@ -39,8 +40,7 @@ def tiny_beta_geometries(n=12):
     return LinkGeometry(
         beta1=b1, beta2=b2, beta3=b1, n12=n12, n23=n23,
         U1=np.full(n, U_SURFACE), U2=U_SURFACE - (0.5 + 0.5 * frac) * 4.0e-11,
-        U3=np.full(n, U_SURFACE), a1=np.tile([0.03, 0.0, 0.0], (n, 1)), t_up=np.full(n, 1.3e-3),
-        d1=np.sum(n12 * b1, axis=1), d2=np.sum(n12 * b2, axis=1), d3=np.sum(n23 * b1, axis=1),
+        a1=np.tile([0.03, 0.0, 0.0], (n, 1)), t_up=np.full(n, 1.3e-3),
     )
 
 
@@ -78,8 +78,7 @@ class TestPassDataset:
         n12 = np.array([1.0, 0.0, 0.0])
         geom = LinkGeometry(
             beta1=beta, beta2=beta, beta3=beta, n12=n12, n23=-n12,
-            U1=U_SURFACE, U2=U_SURFACE - 4.0e-11, U3=U_SURFACE, a1=np.zeros(3),
-            t_up=1.3e-3, d1=0.0, d2=0.0, d3=0.0,
+            U1=U_SURFACE, U2=U_SURFACE - 4.0e-11, a1=np.zeros(3), t_up=1.3e-3,
         )
         assert len(geom) == 1
         assert geom.n12.shape == (1, 3) and geom.U2.shape == (1,) and geom.d2.shape == (1,)
@@ -189,9 +188,7 @@ class TestEstimateAlpha:
         flat = LinkGeometry(
             beta1=geom.beta1, beta2=geom.beta2, beta3=geom.beta3,
             n12=geom.n12, n23=geom.n23,
-            U1=geom.U1, U2=geom.U1, U3=geom.U1,
-            a1=geom.a1, t_up=geom.t_up,
-            d1=geom.d1, d2=geom.d2, d3=geom.d3,
+            U1=geom.U1, U2=geom.U1, a1=geom.a1, t_up=geom.t_up,
         )
         data = synthesize_measurements([0.0], flat, OPTICS, RedshiftParams(0.0))
         with pytest.raises(SingularFit):
@@ -311,6 +308,15 @@ class TestPrecisionForecast:
         noiseless = precision_forecast(forecast_scenario(), 0, trials=10, seed=2)
         with pytest.raises(ValueError):
             noiseless.budget_for_target(target)
+
+    @pytest.mark.parametrize("target", [-1e-5, 0.0, -0.0, math.inf, math.nan])
+    def test_budget_rejects_a_target_that_is_not_positive_and_finite(self, target):
+        result = ForecastResult(sigma_alpha_empirical=2e-5, sigma_alpha_analytic=2e-5,
+                                alpha_hat=np.zeros(10), sigma_alpha=np.full(10, 2e-5),
+                                chi2_per_dof=np.ones(10), photon_budget=1000, n_per_point=10)
+        assert result.budget_for_target(1e-5) == 4000.0
+        with pytest.raises(ValueError, match="target sigma_alpha must be positive and finite"):
+            result.budget_for_target(target)
 
 
 def per_trial_forecast(scenario, photon_budget, trials, seed):

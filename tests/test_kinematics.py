@@ -33,6 +33,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(position=[7.0e6, 0, 0], velocity=[2.0e4, 0, 0], epoch=0.0)
 
+    @pytest.mark.parametrize("position, velocity, error", [
+        ([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], BadAltitude),
+        ([7.0e6, 0.0, 0.0], [0.0, math.nan, 0.0], ValueError),
+    ])
+    def test_nan_rejected(self, position, velocity, error):
+        with pytest.raises(error, match=r"= nan m.* at epoch \[0\] \(t = 0 s\)$"):
+            StateVector(position=position, velocity=velocity, epoch=0.0)
+
     def test_arrays_coerced(self):
         s = StateVector(position=(7.0e6, 0, 0), velocity=(0, 7.0e3, 0), epoch=1.0)
         assert isinstance(s.position, np.ndarray)
@@ -106,6 +114,22 @@ class TestGroundStation:
     def test_latitude_bound(self):
         with pytest.raises(ValueError):
             GroundStation(2.0, 0.0, 0.0).states(0.0)
+
+    def test_nan_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="latitude nan rad"):
+            GroundStation(math.nan, 0.0)
+        for lon, alt in ((math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(BadAltitude, match=r"\|position\| = nan m"):
+                GroundStation(0.3, lon, alt)
+
+    @pytest.mark.parametrize("lat, lon, alt", [(0.0, 0.0, 0.0), (0.7, -2.1, 1500.0),
+                                               (-math.pi / 2, 0.3, 0.0)])
+    def test_potential_is_constant(self, lat, lon, alt):
+        # the station is the equal-potential endpoint of both legs that
+        # roundtrip_fractional_shift assumes
+        u = newtonian_potential(GroundStation(lat, lon, alt).states(np.linspace(0.0, 86400.0, 97))
+                                .position)
+        np.testing.assert_allclose(u, u[0], rtol=1e-15, atol=0.0)
 
     def test_rotation_carries_station(self):
         gs = GroundStation(0.3, 1.1, 200.0)
@@ -234,14 +258,41 @@ class TestLightTime:
             solve_light_time(emitter, _RunawayPlatform())
 
 
+_ONE_EPOCH = dict(beta1=[1e-6, 2e-6, 0.0], beta2=[0.0, 3e-6, -1e-6], beta3=[2e-6, 0.0, 5e-7],
+                  n12=[0.6, 0.8, 0.0], n23=[0.0, -0.6, -0.8], U1=7e-10, U2=6e-10,
+                  a1=np.zeros(3), t_up=1e-3)
+
+
 class TestLinkGeometry:
+    def test_projections_are_derived(self):
+        geom = LinkGeometry(**_ONE_EPOCH)
+        n12, n23 = np.array(_ONE_EPOCH["n12"]), np.array(_ONE_EPOCH["n23"])
+        for d, n, beta in ((geom.d1, n12, "beta1"), (geom.d2, n12, "beta2"),
+                           (geom.d3, n23, "beta3")):
+            assert d.shape == (1,)
+            assert d[0] == pytest.approx(float(n @ np.array(_ONE_EPOCH[beta])), rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["d1", "d2", "d3", "U3"])
+    def test_derived_or_removed_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            LinkGeometry(**_ONE_EPOCH, **{name: 0.0})
+
+    @pytest.mark.parametrize("name, value, error", [
+        ("n12", [math.nan, 0.0, 0.0], DegenerateGeometry),
+        ("n23", [0.0, 0.0, math.nan], DegenerateGeometry),
+        ("beta2", [math.nan, 0.0, 0.0], ValueError),
+        ("U2", math.nan, ValueError),
+    ])
+    def test_nan_rejected(self, name, value, error):
+        with pytest.raises(error, match=r"nan.* at epoch \[0\]$"):
+            LinkGeometry(**{**_ONE_EPOCH, name: value})
+
     def test_unit_vector_enforced(self):
         with pytest.raises(DegenerateGeometry):
             LinkGeometry(
                 beta1=np.zeros(3), beta2=np.zeros(3), beta3=np.zeros(3),
                 n12=[1.0, 1.0, 0.0], n23=[0.0, 0.0, 1.0],
-                U1=7e-10, U2=7e-10, U3=7e-10,
-                a1=np.zeros(3), t_up=1e-3, d1=0.0, d2=0.0, d3=0.0,
+                U1=7e-10, U2=7e-10, a1=np.zeros(3), t_up=1e-3,
             )
 
     def test_beta_cap_enforced(self):
@@ -249,8 +300,7 @@ class TestLinkGeometry:
             LinkGeometry(
                 beta1=[1e-4, 0, 0], beta2=np.zeros(3), beta3=np.zeros(3),
                 n12=[1.0, 0.0, 0.0], n23=[-1.0, 0.0, 0.0],
-                U1=7e-10, U2=7e-10, U3=7e-10,
-                a1=np.zeros(3), t_up=1e-3, d1=0.0, d2=0.0, d3=0.0,
+                U1=7e-10, U2=7e-10, a1=np.zeros(3), t_up=1e-3,
             )
 
     def test_potential_window_enforced(self):
@@ -259,8 +309,7 @@ class TestLinkGeometry:
                 LinkGeometry(
                     beta1=np.zeros(3), beta2=np.zeros(3), beta3=np.zeros(3),
                     n12=[1.0, 0.0, 0.0], n23=[-1.0, 0.0, 0.0],
-                    U1=bad_u, U2=7e-10, U3=7e-10,
-                    a1=np.zeros(3), t_up=1e-3, d1=0.0, d2=0.0, d3=0.0,
+                    U1=bad_u, U2=7e-10, a1=np.zeros(3), t_up=1e-3,
                 )
 
 
@@ -272,7 +321,6 @@ class TestBuildLinkGeometry:
         assert float(np.linalg.norm(geom.beta1)) == 0.0
         assert float(np.linalg.norm(geom.beta2)) == 0.0
         np.testing.assert_allclose(geom.n23, -geom.n12, atol=1e-12)
-        assert geom.U3 == geom.U1
         assert geom.U2 < geom.U1
 
     def test_zenith_pass_midpoint(self):
@@ -284,7 +332,6 @@ class TestBuildLinkGeometry:
         b1 = float(np.linalg.norm(geom.beta1))
         assert abs(geom.d1) <= b1
         assert geom.U2 < geom.U1
-        assert abs(geom.U3 - geom.U1) < 1e-15
 
     def test_projections_match_definitions(self):
         gs = GroundStation(0.2, 0.5)
@@ -303,9 +350,8 @@ class TestBuildLinkGeometry:
             assert abs(float(np.linalg.norm(geom.n23)) - 1.0) < 1e-12
             for beta in (geom.beta1, geom.beta2, geom.beta3):
                 assert float(np.linalg.norm(beta)) < 4e-5
-            for u in (geom.U1, geom.U2, geom.U3):
+            for u in (geom.U1, geom.U2):
                 assert 0.0 < u < 1e-8
-            assert abs(geom.U3 - geom.U1) < 1e-15
             assert geom.t_up > 0.0
 
     def test_station_acceleration_recorded(self):
@@ -369,9 +415,8 @@ class TestBatchPath:
                            match=r"\|beta2\| = 1\.000e-04 exceeds 4\.0e-05 at epoch \[2\]$"):
             LinkGeometry(
                 beta1=np.zeros((4, 3)), beta2=beta, beta3=np.zeros((4, 3)), n12=n12, n23=-n12,
-                U1=np.full(4, 7e-10), U2=np.full(4, 7e-10), U3=np.full(4, 7e-10),
-                a1=np.zeros((4, 3)), t_up=np.full(4, 1e-3), d1=np.zeros(4),
-                d2=beta[:, 0], d3=np.zeros(4),
+                U1=np.full(4, 7e-10), U2=np.full(4, 7e-10),
+                a1=np.zeros((4, 3)), t_up=np.full(4, 1e-3),
             )
 
     def test_bad_epoch_in_a_light_time_batch_is_named(self):

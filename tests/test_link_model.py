@@ -45,21 +45,13 @@ def make_geometry(
     n23=(-1.0, 0.0, 0.0),
     u1=U_SURFACE,
     u2=U_SURFACE,
-    u3=None,
     a1=(0.0, 0.0, 0.0),
     t_up=1.4e-3,
 ):
     """One-epoch geometry from 3-vectors and floats: a LinkGeometry batch of one."""
-    n12 = np.asarray(n12, dtype=float)
-    n23 = np.asarray(n23, dtype=float)
-    beta1 = np.asarray(beta1, dtype=float)
-    beta2 = np.asarray(beta2, dtype=float)
-    beta3 = np.asarray(beta3, dtype=float)
     return LinkGeometry(
         beta1=beta1, beta2=beta2, beta3=beta3, n12=n12, n23=n23,
-        U1=u1, U2=u2, U3=u1 if u3 is None else u3, a1=np.asarray(a1, dtype=float),
-        t_up=t_up,
-        d1=float(n12 @ beta1), d2=float(n12 @ beta2), d3=float(n23 @ beta3),
+        U1=u1, U2=u2, a1=a1, t_up=t_up,
     )
 
 

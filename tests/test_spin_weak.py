@@ -119,12 +119,16 @@ class TestSpinCouplingParams:
             SpinCouplingParams(a_axis=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             SpinCouplingParams(m=0.0)
-        with pytest.raises(ValueError):
-            SpinCouplingParams(g=0.0)
+        for bad in (dict(g=0.0), dict(g=math.nan), dict(m=math.nan)):
+            with pytest.raises(ValueError):
+                SpinCouplingParams(**bad)
 
-    def test_zero_g_allowed_with_explicit_h(self):
-        p = SpinCouplingParams(g=0.0, h_vec=(0.0, 0.0, 1.0))
-        assert p.h_vec[2] == 1.0
+    def test_h_vec_is_read_only(self):
+        p = SpinCouplingParams(omega=(1e-5, 0.0, 0.0))
+        with pytest.raises(AttributeError):
+            p.h_vec = np.zeros(3)
+        with pytest.raises(TypeError):
+            SpinCouplingParams(h_vec=(0.0, 0.0, 1.0))
 
     def test_lambda_c_is_derived(self):
         assert SpinCouplingParams(exchange=2.0 * HBAR, t=3.0).lambda_c == 6.0
@@ -174,47 +178,61 @@ class TestSingleSpinHamiltonians:
         assert splitting / EV == pytest.approx(2.1531076e-23, rel=1e-6)
 
 
+def pair_of(params):
+    """exchange * sigma_x(x)sigma_x plus h_sigma + h_ext on each spin, written out."""
+    single = h_sigma(params) + h_ext(params)
+    return (params.exchange * np.kron(pauli(1), pauli(1))
+            + np.kron(single, np.eye(2)) + np.kron(np.eye(2), single))
+
+
+_UNIT = st.floats(-10.0, 10.0)
+
+
 class TestTwoSpinHamiltonian:
     def test_pure_exchange_limit(self):
-        # zero acceleration scale with the rotation coupling held fixed
+        # no rotation and no acceleration coupling: only the exchange is left
         j = 4.0e-25
-        ts = two_spin_hamiltonian(
-            SpinCouplingParams(g=0.0, h_vec=(0.3, -0.2, 0.9), exchange=j)
-        )
-        np.testing.assert_array_equal(ts.h1, np.zeros((4, 4)))
-        vals = np.sort(np.linalg.eigvalsh(ts.total))
+        h = two_spin_hamiltonian(SpinCouplingParams(k=0.0, exchange=j))
+        np.testing.assert_array_equal(h, j * np.kron(pauli(1), pauli(1)))
+        vals = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(vals, [-j, -j, j, j], rtol=1e-12)
 
     def test_pure_acceleration_spectrum(self):
-        ts = two_spin_hamiltonian(
-            SpinCouplingParams(h_vec=(0.0, 0.0, 0.0), k=1.0, exchange=0.0)
-        )
+        h = two_spin_hamiltonian(SpinCouplingParams(k=1.0, exchange=0.0))
         unit = HBAR * G_STD / C_LIGHT
-        vals = np.sort(np.linalg.eigvalsh(ts.total))
+        vals = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(vals, [-unit, 0.0, 0.0, unit], atol=1e-12 * unit)
 
-    def test_split_identity(self):
-        params = SpinCouplingParams(
-            omega=(1e-5, -2e-5, 4e-5), k=0.7, exchange=3e-25
-        )
-        ts = two_spin_hamiltonian(params)
-        np.testing.assert_array_equal(ts.h0, np.kron(pauli(1), pauli(1)))
-        np.testing.assert_array_equal(ts.total, ts.exchange * ts.h0 + ts.h1)
-        assert ts.exchange == 3e-25
-
     def test_matches_two_copies_of_single_spin_coupling(self):
-        # with acceleration along z and p = 0 the pair coupling must be
-        # exactly one rotation + acceleration term per spin
+        # the exchange sits on the acceleration scale, as in the shipped
+        # scenario, so that it does not swamp the couplings in the norm
         omega = OMEGA_EARTH * np.array([math.sin(0.7), 0.0, math.cos(0.7)])
         params = SpinCouplingParams(
             g=G_STD, omega=tuple(omega), k=1.0, a_axis=(0.0, 0.0, 1.0),
-            exchange=5e-25,
+            exchange=3.45e-42,
         )
-        single = h_sigma(params) + h_ext(params)
-        expected = np.kron(single, np.eye(2)) + np.kron(np.eye(2), single)
-        ts = two_spin_hamiltonian(params)
+        expected = pair_of(params)
         scale = float(np.linalg.norm(expected))
-        assert float(np.linalg.norm(ts.h1 - expected)) <= 1e-12 * scale
+        assert float(np.linalg.norm(two_spin_hamiltonian(params) - expected)) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(axis=st.tuples(_UNIT, _UNIT, _UNIT).filter(lambda v: math.hypot(*v) > 1e-3),
+           g=st.floats(0.1, 20.0), w=st.tuples(_UNIT, _UNIT, _UNIT), k=_UNIT,
+           m=st.floats(0.1, 10.0), u=st.tuples(_UNIT, _UNIT, _UNIT), e=_UNIT)
+    @example(axis=(1.0, 0.0, 0.0), g=G_STD, w=(0.0, 0.0, 0.0), k=1.0, m=1.0,
+             u=(0.0, 0.0, 0.0), e=0.0)
+    def test_pair_is_exchange_plus_single_spin_coupling_on_each_spin(self, axis, g, w, k, m,
+                                                                      u, e):
+        # every coupling is drawn in units that put it on the acceleration
+        # scale hbar*g/c, so none of them hides below another's rounding:
+        # omega in g/c, p in m*c, exchange in hbar*g/c
+        params = SpinCouplingParams(
+            g=g, omega=tuple(np.array(w) * g / C_LIGHT), k=k, m=m,
+            p=tuple(np.array(u) * m * C_LIGHT), a_axis=axis, exchange=e * HBAR * g / C_LIGHT,
+        )
+        expected = pair_of(params)
+        diff = float(np.linalg.norm(two_spin_hamiltonian(params) - expected))
+        assert diff <= 1e-12 * float(np.linalg.norm(expected))
 
     def test_hermitian_on_random_parameters(self):
         rng = np.random.default_rng(42)
@@ -227,8 +245,7 @@ class TestTwoSpinHamiltonian:
                 p=tuple(rng.normal(0.0, 1.0, 3)),
                 exchange=float(rng.normal(0.0, 1e-24)),
             )
-            for h in (h_sigma(params), h_ext(params),
-                      two_spin_hamiltonian(params).total):
+            for h in (h_sigma(params), h_ext(params), two_spin_hamiltonian(params)):
                 assert herm_defect(h) <= 1e-15 * max(1e-300, float(np.linalg.norm(h)))
 
 
