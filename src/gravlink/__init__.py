@@ -13,14 +13,14 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    config,
-    constants,
-    ephemeris,
-    errors,
-    estimator,
-    interferometer,
-    kinematics,
-    link_model,
-    spin_weak,
-)
+_SUBMODULES = ("config", "constants", "ephemeris", "errors", "estimator", "interferometer",
+               "kinematics", "link_model", "spin_weak")
+
+
+def __getattr__(name: str):
+    """Import a submodule on first access, so that `import gravlink` loads none of them."""
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return import_module(f"{__name__}.{name}")

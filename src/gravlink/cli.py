@@ -26,21 +26,12 @@ from . import __version__
 from .config import ScenarioConfig, ephemeris_orbit, load_config, validate_config
 from .constants import G_STD, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
-from .estimator import ForecastScenario, precision_forecast, build_pass
-from .interferometer import fit_phase, fringe_scan
-from .kinematics import CircularOrbit, GroundStation
+from .kinematics import CircularOrbit, GroundStation, build_pass
 from .link_model import (
     expanded_signal,
     first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
-)
-from .spin_weak import (
-    GaussianMeter,
-    SpinCouplingParams,
-    amplification_scan,
-    constants_report,
-    two_spin_hamiltonian,
 )
 
 
@@ -189,6 +180,8 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
 
 
 def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
+    from .estimator import ForecastScenario, precision_forecast
+
     station, orbit = _build_trajectories(cfg, config_path)
     scenario = ForecastScenario(
         gs_trajectory=station,
@@ -241,6 +234,8 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
 
 
 def _run_fringe_demo(cfg: ScenarioConfig) -> int:
+    from .interferometer import fit_phase, fringe_scan
+
     offsets = np.linspace(0.0, 2.0 * math.pi, cfg.fringe.scan_points, endpoint=False)
     scan = fringe_scan(
         offsets,
@@ -283,6 +278,9 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
 
 
 def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
+    from .spin_weak import (GaussianMeter, SpinCouplingParams, amplification_scan,
+                            constants_report, two_spin_hamiltonian)
+
     spin = cfg.spin
     meter = GaussianMeter(width=spin.meter_width)
     q_values = [q * spin.meter_width for q in spin.q_grid]
@@ -334,6 +332,8 @@ def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
 
 
 def _constants_table() -> str:
+    from .spin_weak import constants_report
+
     lines = ["# name value units reference rel_deviation"]
     for row in constants_report():
         lines.append(

@@ -3,11 +3,13 @@
 One walk over one field table (_FIELDS) collects every violation instead of
 stopping at the first and builds the typed config. The table is the schema:
 each row holds a field's key, attribute, parser, bound and default, and the
-frozen section classes and ScenarioConfig are built from its rows. The
-optical and redshift sections are link_model's own OpticalConfig and
-RedshiftParams, which keep their defaults. Units in config files are SI with
-the unit in the key name, except angles, which are degrees (converted to
-radians here).
+frozen section classes and ScenarioConfig are built from its rows, a
+section's class the first time a config holds that section. The optical and
+redshift sections are link_model's own OpticalConfig and RedshiftParams,
+which keep their defaults. The checks borrowed from ephemeris,
+interferometer and spin_weak import them only when a config reaches them.
+Units in config files are SI with the unit in the key name, except angles,
+which are degrees (converted to radians here).
 """
 
 from __future__ import annotations
@@ -17,18 +19,19 @@ import os
 import re
 import sys
 from dataclasses import make_dataclass
+from functools import cache
 from itertools import accumulate
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import yaml
 
 from .constants import C_LIGHT, G_STD, OMEGA_EARTH, R_EARTH
-from .ephemeris import EphemerisTrajectory, parse_cpf
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
-from .interferometer import cascade_intensities, outcome_probabilities
 from .link_model import OpticalConfig, RedshiftParams
-from .spin_weak import orthogonal_selections
+
+if TYPE_CHECKING:
+    from .ephemeris import EphemerisTrajectory
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
 STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
@@ -106,6 +109,13 @@ def _count(lo, hi=2**31 - 1):
     return (lambda x: lo <= x <= hi, f"must be in [{lo}, {hi}]")
 
 
+def _selectable(thetas) -> np.ndarray:
+    """The scan's own orthogonality test, negated: True where a selection is allowed."""
+    from .spin_weak import orthogonal_selections
+
+    return ~orthogonal_selections(thetas)
+
+
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
@@ -156,8 +166,8 @@ _FIELDS = (
     ("spin", "exchange_joule", "exchange", _number, None, 0.0),
     ("spin", "duration_s", "duration", _number, _POSITIVE, 1.0),
     ("spin", "meter_width", "meter_width", _number, _POSITIVE, 1.0),
-    ("spin", "theta_grid_deg", "theta_grid", _theta_grid,  # the scan's own orthogonality test
-     (lambda t: ~orthogonal_selections(t), "has a post-selection orthogonal to |0>"), REQUIRED),
+    ("spin", "theta_grid_deg", "theta_grid", _theta_grid,
+     (_selectable, "has a post-selection orthogonal to |0>"), REQUIRED),
     ("spin", "q_grid", "q_grid", _numbers, (lambda q: np.array(q) > 0.0, "must be > 0"),
      REQUIRED),
     ("spin.theta_grid_deg", "start", "start", _number, None, REQUIRED),
@@ -178,10 +188,16 @@ def _frozen(name: str, section: Optional[str], extra: tuple = ()) -> type:
 
 # link_model's own classes hold the optical and redshift defaults (the LIBRARY rows)
 _OWN_CLASSES = {"optical": OpticalConfig, "redshift": RedshiftParams}
-_SPECS = {section: _OWN_CLASSES.get(section) or _frozen(f"{section.title()}Spec", section)
-          for section in dict.fromkeys(row[0] for row in _FIELDS if row[0] and "." not in row[0])}
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _FIELDS if row[0] and "." not in row[0]))
 ScenarioConfig = _frozen("ScenarioConfig", None, tuple(
-    (section, object, RedshiftParams() if section == "redshift" else None) for section in _SPECS))
+    (section, object, RedshiftParams() if section == "redshift" else None)
+    for section in _SECTIONS))
+
+
+@cache
+def _spec(section: str) -> type:
+    """The frozen class of a section, built the first time a config holds that section."""
+    return _OWN_CLASSES.get(section) or _frozen(f"{section.title()}Spec", section)
 
 
 def _shown(raw, ok: np.ndarray) -> str:
@@ -213,7 +229,7 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
             values[attr] = value
         except ConfigInvalid as exc:
             problems.extend(exc.violations)
-    known = {row[1] for row in _FIELDS if row[0] == section} | (set() if section else set(_SPECS))
+    known = {row[1] for row in _FIELDS if row[0] == section}.union(() if section else _SECTIONS)
     problems += [f"{section}.{key}: unknown key" if section else f"{key}: unknown key"
                  for key in tree if key not in known]
     return values, problems
@@ -244,12 +260,12 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     if mode in STOCHASTIC_MODES and "seed" not in tree:
         problems.append(f"seed: required for stochastic mode '{mode}'")
     values, specs = {}, {}
-    for section, spec in _SPECS.items():
+    for section in _SECTIONS:
         if isinstance(tree.get(section), dict):
             values[section], found = _walk(tree[section], section)
             problems += found
             if not found:
-                specs[section] = spec(**values[section])
+                specs[section] = _spec(section)(**values[section])
         elif section in _SECTION_BY_MODE.get(mode, ()):
             problems.append(f"{section}: expected a mapping" if section in tree
                             else f"{section}: section required for mode '{mode}'")
@@ -261,6 +277,8 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
     noise = specs.get("noise")
     if noise:
+        from .interferometer import cascade_intensities, outcome_probabilities
+
         try:  # the window probabilities at the fringe maximum, checked as the draws check them
             outcome_probabilities(cascade_intensities(0.0, noise.visibility), noise.efficiency,
                                   noise.dark_rate)
@@ -298,6 +316,8 @@ def ephemeris_orbit(cfg: ScenarioConfig, config_path: str) -> EphemerisTrajector
     or ConfigInvalid when the station is not below every record (listing
     the span problem first when there is one too).
     """
+    from .ephemeris import EphemerisTrajectory, parse_cpf
+
     path = os.path.join(os.path.dirname(os.path.abspath(config_path)), cfg.orbit.ephemeris_path)
     orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
     radii = np.linalg.norm(orbit.table.positions, axis=1)

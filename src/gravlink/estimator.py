@@ -18,24 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularFit, reject
 from .interferometer import (FringeScan, _wrap_phase, cascade_intensities, draw_counts,
                              fit_phase, outcome_probabilities)
-from .kinematics import LinkGeometry, build_link_geometry
-from .link_model import (
-    OpticalConfig,
-    RedshiftParams,
-    expanded_signal,
-    phase_pair,
-    roundtrip_fractional_shift,
-    velocity_terms,
-)
+# build_link_geometry is unused here; perfbench's tracer test reads it from this module
+from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F401
+from .link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
 
-_SIGMA_FLOOR = 1e-15      # rad, keeps noiseless datasets within the sigma > 0 contract
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
 # scan points a forecast draws and fits together; it sets the forecast's peak memory
 _BLOCK_POINTS = 4096
@@ -82,55 +74,6 @@ class AlphaEstimate:
     def __post_init__(self):
         if np.any(np.asarray(self.sigma_alpha) <= 0.0):
             raise ValueError("sigma_alpha must be positive")
-
-
-def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
-               n_epochs: int) -> tuple[np.ndarray, LinkGeometry]:
-    """Link geometry batch on a uniform grid of emission epochs."""
-    if n_epochs < 1:
-        raise ValueError("n_epochs must be >= 1")
-    epochs = np.linspace(t_start, t_end, n_epochs)
-    return epochs, build_link_geometry(gs_trajectory, sc_trajectory, epochs)
-
-
-def synthesize_measurements(
-    epochs: Sequence[float],
-    geometries: LinkGeometry,
-    cfg: OpticalConfig,
-    red: RedshiftParams,
-    sigma_sc: float = 0.0,
-    sigma_gs: float = 0.0,
-    seed=None,
-    model: str = "expanded",
-) -> PassDataset:
-    """Generate per-epoch phase measurements with Gaussian phase noise.
-
-    geometries is a LinkGeometry batch. model = "expanded" (default) builds
-    the one-way phase from the second-order signal model plus half the exact
-    round-trip phase, so the regression model inverts it exactly; "exact"
-    uses the exact frequency ratios for both phases, which leaves the
-    O(beta^3) truncation visible to the estimator. With a seed, noise is
-    drawn epoch by epoch, the one-way phase before the round-trip one.
-
-    Note the phases are ~1e6 rad, so reconstructing s = phi_sc - phi_gs/2
-    from the stored doubles is good to ~1e-10 rad, not machine epsilon.
-    """
-    if model not in ("expanded", "exact"):
-        raise ValueError(f"unknown synthesis model '{model}'")
-    scale = cfg.phase_scale
-    if model == "expanded":
-        phi_gs = scale * roundtrip_fractional_shift(geometries)
-        phi_sc = scale * expanded_signal(geometries, red) + 0.5 * phi_gs
-    else:
-        pair = phase_pair(geometries, cfg, red)
-        phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
-    if seed is not None:
-        noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs],
-                                                   (len(geometries), 2))
-        phi_sc, phi_gs = phi_sc + noise[:, 0], phi_gs + noise[:, 1]
-    rows = np.stack(np.broadcast_arrays(phi_sc, max(sigma_sc, _SIGMA_FLOOR),
-                                        phi_gs, max(sigma_gs, _SIGMA_FLOOR)), axis=1)
-    return PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
 
 
 def estimate_alpha(

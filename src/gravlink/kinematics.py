@@ -302,3 +302,12 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
         a1=gs_trajectory.accelerations(t1),
         t_up=t_up,
     )
+
+
+def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
+               n_epochs: int) -> tuple[np.ndarray, LinkGeometry]:
+    """Link geometry batch on a uniform grid of emission epochs."""
+    if n_epochs < 1:
+        raise ValueError("n_epochs must be >= 1")
+    epochs = np.linspace(t_start, t_end, n_epochs)
+    return epochs, build_link_geometry(gs_trajectory, sc_trajectory, epochs)

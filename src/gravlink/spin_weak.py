@@ -72,13 +72,6 @@ class QuantumState:
         return self.amplitudes.shape[-1]
 
 
-def qubit(theta: float, phi: float = 0.0) -> QuantumState:
-    """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
-    return QuantumState(
-        np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
-    )
-
-
 @dataclass(frozen=True)
 class SpinCouplingParams:
     """Couplings for the spin Hamiltonians.
@@ -91,7 +84,8 @@ class SpinCouplingParams:
     a_axis : unit direction of the acceleration (normalized on use).
     exchange : J, two-spin exchange energy (the J of the pair coupling).
     t : s, interaction duration; only lambda_c reads it.
-    g must be positive; h_vec and lambda_c are derived, read-only.
+    g and m must be positive, every field finite and a_axis of positive
+    length; h_vec and lambda_c are derived, read-only.
     """
 
     g: float = G_STD
@@ -108,13 +102,15 @@ class SpinCouplingParams:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         axis = np.asarray(self.a_axis, dtype=float)
         norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise BadAxis("acceleration axis has zero length")
+        if not 0.0 < norm < math.inf:
+            raise BadAxis(f"acceleration axis length {norm} is not finite and positive")
         object.__setattr__(self, "a_axis", axis / norm)
-        if not self.m > 0.0:
-            raise ValueError("mass must be positive")
-        if not self.g > 0.0:
-            raise ValueError("g must be positive")
+        for name in ("m", "g"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("k", "exchange", "t", "omega", "p"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def h_vec(self) -> np.ndarray:
@@ -139,8 +135,8 @@ class GaussianMeter:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("meter width must be positive")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"meter width must be positive and finite, got {self.width}")
 
 
 def h_sigma(params: SpinCouplingParams) -> np.ndarray:
@@ -174,18 +170,6 @@ def _require_hermitian(h: np.ndarray) -> None:
         return
     if float(np.linalg.norm(h - h.conj().T)) > _HERMITICITY_TOL * scale:
         raise NonHermitian("operator is not Hermitian within tolerance")
-
-
-def evolve(state: QuantumState, hamiltonian: np.ndarray, t: float) -> QuantumState:
-    """exp(-i H t / hbar)|psi> by exact eigendecomposition (dim <= 4)."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != (state.dim, state.dim):
-        raise ValueError(f"H shape {h.shape} does not match state dim {state.dim}")
-    _require_hermitian(h)
-    energies, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * energies * t / HBAR)
-    amps = (state.amplitudes @ vectors.conj() * phases) @ vectors.T  # rows: the batch
-    return QuantumState(amps)
 
 
 def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> complex | np.ndarray:

@@ -16,7 +16,6 @@ from gravlink.estimator import (
     build_pass,
     estimate_alpha,
     precision_forecast,
-    synthesize_measurements,
 )
 from gravlink.interferometer import cascade_intensities, simulate_counts
 from gravlink.kinematics import (
@@ -39,16 +38,15 @@ from gravlink.spin_weak import (
     QuantumState,
     SpinCouplingParams,
     constants_report,
-    evolve,
     h_ext,
     h_sigma,
     meter_shift,
     pauli,
-    qubit,
     two_spin_hamiltonian,
     weak_value,
 )
 
+from helpers import evolve, qubit, synthesize_measurements
 from test_ephemeris import analytic_eci_state, circular_orbit_table, cpf_mutations
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

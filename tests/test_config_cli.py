@@ -23,7 +23,9 @@ from hypothesis.extra import numpy as hnp
 import gravlink
 import gravlink.cli
 import gravlink.config
+import gravlink.ephemeris
 import gravlink.estimator
+import gravlink.spin_weak
 from gravlink import __version__
 from gravlink.cli import _table, main
 from gravlink.config import MODES, load_config, validate_config
@@ -617,6 +619,55 @@ class TestCliBasics:
         assert result.returncode == 0, result.stderr
 
 
+# Every gravlink run loads these; each mode adds only the modules it runs.
+RUN_MODULES = {"cli", "config", "constants", "errors", "kinematics", "link_model"}
+MODULES_BY_SCENARIO = {
+    "redshift_pass": RUN_MODULES,
+    "ephemeris_pass": RUN_MODULES | {"ephemeris"},
+    "alpha_forecast": RUN_MODULES | {"estimator", "interferometer"},
+    "fringe_demo": RUN_MODULES | {"interferometer"},
+    "weakvalue_scan": RUN_MODULES | {"spin_weak"},
+    "constants": RUN_MODULES | {"spin_weak"},
+}
+# the submodules that `import gravlink` used to load eagerly
+PACKAGE_MODULES = ("config", "constants", "ephemeris", "errors", "estimator", "interferometer",
+                   "kinematics", "link_model", "spin_weak")
+
+
+def fresh_submodules(code, env=()):
+    """The gravlink submodules loaded after code runs in a fresh interpreter."""
+    show = ("\nimport sys\nprint(*sorted(n.partition('.')[2] for n in sys.modules "
+            "if n.startswith('gravlink.')))")
+    src = str(Path(gravlink.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code + show],
+                            env={**os.environ, "PYTHONPATH": src, **dict(env)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+class TestColdStart:
+    def test_package_import_loads_no_submodule(self):
+        assert fresh_submodules("import gravlink") == set()
+
+    def test_every_submodule_resolves_as_an_attribute(self):
+        code = ("import gravlink\n"
+                f"for name in {PACKAGE_MODULES!r}:\n"
+                "    assert getattr(gravlink, name).__name__ == 'gravlink.' + name\n"
+                "assert not hasattr(gravlink, 'absent')")
+        assert fresh_submodules(code) == set(PACKAGE_MODULES)
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_run_loads_only_what_its_mode_runs(self, tmp_path, path):
+        code = f"from gravlink.cli import main\nassert main(['run', {str(path)!r}]) == 0"
+        loaded = fresh_submodules(code, {"GRAVLINK_OUTPUT_DIR": str(tmp_path / "out")})
+        assert loaded == MODULES_BY_SCENARIO[path.stem]
+
+    def test_constants_command_loads_the_constants_set(self):
+        code = "from gravlink.cli import main\nassert main(['constants']) == 0"
+        assert fresh_submodules(code) == MODULES_BY_SCENARIO["constants"]
+
+
 def run_shipped_forecast(tmp_path, monkeypatch, trials):
     """Rows of forecast_trials.txt from scenarios/alpha_forecast.yaml at its
     seed, with the trial count replaced."""
@@ -814,8 +865,8 @@ class TestCliRuns:
 
     def test_run_parses_the_ephemeris_once(self, tmp_path, monkeypatch):
         calls = []
-        parse = gravlink.config.parse_cpf
-        monkeypatch.setattr(gravlink.config, "parse_cpf",
+        parse = gravlink.ephemeris.parse_cpf
+        monkeypatch.setattr(gravlink.ephemeris, "parse_cpf",
                             lambda text: calls.append(1) or parse(text))
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
         cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="900.0")
@@ -826,7 +877,7 @@ class TestCliRuns:
         def diverge(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(gravlink.cli, "amplification_scan", diverge)
+        monkeypatch.setattr(gravlink.spin_weak, "amplification_scan", diverge)
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
         path = write_yaml(tmp_path, SMALL_WEAKVALUE.format(out="ignored"))
         assert main(["run", path]) == 3

@@ -18,11 +18,12 @@ from gravlink.estimator import (
     build_pass,
     estimate_alpha,
     precision_forecast,
-    synthesize_measurements,
 )
 from gravlink.interferometer import _wrap_phase, fit_phase, fringe_scan
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
 from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
+
+from helpers import synthesize_measurements
 
 U_SURFACE = 6.961274586591855e-10
 OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0014e-5)

@@ -16,17 +16,17 @@ from gravlink.spin_weak import (
     SpinCouplingParams,
     amplification_scan,
     constants_report,
-    evolve,
     h_ext,
     h_sigma,
     meter_shift,
     orthogonal_selections,
     pauli,
     pauli_dot,
-    qubit,
     two_spin_hamiltonian,
     weak_value,
 )
+
+from helpers import evolve, qubit
 
 TAN_147 = 9.88737489198555  # math.tan(1.47), frozen
 
@@ -122,6 +122,19 @@ class TestSpinCouplingParams:
         for bad in (dict(g=0.0), dict(g=math.nan), dict(m=math.nan)):
             with pytest.raises(ValueError):
                 SpinCouplingParams(**bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["g", "m", "k", "exchange", "t", "omega", "p"])
+    def test_non_finite_field_rejected(self, name, bad):
+        value = (0.0, bad, 0.0) if name in ("omega", "p") else bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SpinCouplingParams(**{name: value})
+
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0),
+                                      (0.0, 0.0, 0.0)])
+    def test_axis_length_must_be_finite_and_positive(self, axis):
+        with pytest.raises(BadAxis, match="is not finite and positive"):
+            SpinCouplingParams(a_axis=axis)
 
     def test_h_vec_is_read_only(self):
         p = SpinCouplingParams(omega=(1e-5, 0.0, 0.0))
@@ -383,6 +396,11 @@ def closed_form_shift(theta, q, width):
 
 
 class TestMeterShift:
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    def test_meter_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="meter width must be positive and finite"):
+            GaussianMeter(width)
+
     def test_eigenstate_shifts_by_q(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
         meter = GaussianMeter()
