@@ -23,27 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, ephemeris_orbit, load_config, validate_config
+from .config import ScenarioConfig, load_config, trajectories, validate_config
 from .constants import G_STD, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
-from .kinematics import CircularOrbit, GroundStation, build_pass
+from .kinematics import build_pass
 from .link_model import (
     expanded_signal,
     first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
 )
-
-
-def _build_trajectories(cfg: ScenarioConfig, config_path: str):
-    station = GroundStation(cfg.station.latitude, cfg.station.longitude,
-                            cfg.station.altitude)
-    if cfg.orbit.ephemeris_path is not None:
-        orbit = ephemeris_orbit(cfg, config_path)
-    else:
-        orbit = CircularOrbit(cfg.orbit.semi_major_axis, cfg.orbit.inclination,
-                              cfg.orbit.raan, cfg.orbit.phase)
-    return station, orbit
 
 
 def _step(summary: list, label: str, fn) -> bool:
@@ -130,15 +119,10 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str
     return "".join(texts + [footer])
 
 
-def _finish(out_dir: Path, summary: list) -> int:
-    text = "\n".join(summary) + "\n"
-    _write(out_dir, "summary.txt", text)
-    sys.stdout.write(text)
-    return 0
-
-
-def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
-    station, orbit = _build_trajectories(cfg, config_path)
+# Each mode's runner takes (cfg, config_path) and returns (columnar file name,
+# its text, summary lines); _run writes both files and prints the summary.
+def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
+    station, orbit = trajectories(cfg, config_path)
     optics, red = cfg.optical, cfg.redshift
     scale = optics.phase_scale
     epochs, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end,
@@ -150,10 +134,8 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
     resid = pair.s_signal - expanded
     columns = np.stack([epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal, doppler_phase,
                         expanded, resid], axis=1)
-    out_dir = Path(cfg.output_dir)
-    _write(out_dir, "pass_sweep.txt",
-           _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "
-                  "residual_rad", " ".join(["%.12e"] * 8), columns))
+    table = _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "
+                   "residual_rad", " ".join(["%.12e"] * 8), columns)
 
     max_doppler = float(np.max(np.abs(doppler_phase)))
     max_gravity = float(np.max(np.abs(scale * du)))
@@ -174,15 +156,14 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> int:
         f"Doppler-to-gravity phase ratio: {ratio:.3e} (expected ~1e5 for LEO)",
         f"max |exact - second-order| signal residual: {max_resid:.3e} rad "
         f"(bound 10*beta_max^3*scale = {10 * beta_max**3 * scale:.3e} rad)",
-        "columnar output: pass_sweep.txt",
     ]
-    return _finish(out_dir, summary)
+    return "pass_sweep.txt", table, summary
 
 
-def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
+def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
     from .estimator import ForecastScenario, precision_forecast
 
-    station, orbit = _build_trajectories(cfg, config_path)
+    station, orbit = trajectories(cfg, config_path)
     scenario = ForecastScenario(
         gs_trajectory=station,
         sc_trajectory=orbit,
@@ -198,14 +179,13 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
     )
     result = precision_forecast(scenario, cfg.noise.photon_budget,
                                 cfg.forecast.trials, cfg.seed)
-    out_dir = Path(cfg.output_dir)
     rows = np.column_stack([np.arange(cfg.forecast.trials), result.alpha_hat,
                             result.sigma_alpha, result.chi2_per_dof])
     footer = (f"# summary sigma_alpha_empirical={result.sigma_alpha_empirical:.12e} "
               f"sigma_alpha_analytic={result.sigma_alpha_analytic:.12e} "
               f"photon_budget={result.photon_budget}\n")
-    _write(out_dir, "forecast_trials.txt", _table(
-        "trial alpha_hat sigma_alpha chi2_per_dof", "%d %.12e %.12e %.12e", rows, footer))
+    table = _table("trial alpha_hat sigma_alpha chi2_per_dof", "%d %.12e %.12e %.12e", rows,
+                   footer)
 
     mean_alpha = float(np.mean(result.alpha_hat))
     summary = [
@@ -229,11 +209,10 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> int:
         _step(summary, "budget extrapolation", budget_line)
     else:
         summary.append("noiseless run: budget extrapolation skipped")
-    summary.append("columnar output: forecast_trials.txt")
-    return _finish(out_dir, summary)
+    return "forecast_trials.txt", table, summary
 
 
-def _run_fringe_demo(cfg: ScenarioConfig) -> int:
+def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
     from .interferometer import fit_phase, fringe_scan
 
     offsets = np.linspace(0.0, 2.0 * math.pi, cfg.fringe.scan_points, endpoint=False)
@@ -246,10 +225,9 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
         cfg.seed,
         dark_rate=cfg.noise.dark_rate,
     )
-    out_dir = Path(cfg.output_dir)
     rows = np.column_stack([offsets, scan.counts, np.full(offsets.size, scan.n_sent)])
-    _write(out_dir, "fringe_scan.txt", _table(
-        "offset_rad counts_early counts_central counts_late n_sent", "%.12e %d %d %d %d", rows))
+    table = _table("offset_rad counts_early counts_central counts_late n_sent",
+                   "%.12e %d %d %d %d", rows)
 
     early, central, late = scan.counts[np.argmax(scan.counts[:, 1])]
     side = 0.5 * (early + late)
@@ -273,11 +251,10 @@ def _run_fringe_demo(cfg: ScenarioConfig) -> int:
         )
 
     _step(summary, "fringe fit", fit_line)
-    summary.append("columnar output: fringe_scan.txt")
-    return _finish(out_dir, summary)
+    return "fringe_scan.txt", table, summary
 
 
-def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
+def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
     from .spin_weak import (GaussianMeter, SpinCouplingParams, amplification_scan,
                             constants_report, two_spin_hamiltonian)
 
@@ -285,11 +262,9 @@ def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
     meter = GaussianMeter(width=spin.meter_width)
     q_values = [q * spin.meter_width for q in spin.q_grid]
     rows = amplification_scan(spin.theta_grid, q_values, meter)
-
-    out_dir = Path(cfg.output_dir)
-    _write(out_dir, "weakvalue_scan.txt", _table(
+    table = _table(
         "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
-        " ".join(["%.12e"] * 7), rows))
+        " ".join(["%.12e"] * 7), rows)
 
     q, re_aw, exact, weak = rows[:, [1, 2, 4, 5]].T
     max_aw = float(np.max(np.abs(re_aw)))
@@ -327,42 +302,36 @@ def _run_weakvalue_scan(cfg: ScenarioConfig) -> int:
             f"{row.name}: {row.value:.4e} {row.units} "
             f"(reference {row.reference:.3e}, deviation {row.rel_deviation:.2%})"
         )
-    summary.append("columnar output: weakvalue_scan.txt")
-    return _finish(out_dir, summary)
+    return "weakvalue_scan.txt", table, summary
 
 
-def _constants_table() -> str:
-    from .spin_weak import constants_report
-
-    lines = ["# name value units reference rel_deviation"]
-    for row in constants_report():
-        lines.append(
-            f"{row.name} {row.value:.6e} {row.units or '-'} "
-            f"{row.reference:.6e} {row.rel_deviation:.3e}"
-        )
-    return "\n".join(lines) + "\n"
+_RUNNERS = {"redshift-pass": _run_redshift_pass, "alpha-forecast": _run_alpha_forecast,
+            "fringe-demo": _run_fringe_demo, "weakvalue-scan": _run_weakvalue_scan}
 
 
 def _run_constants(cfg: ScenarioConfig | None) -> int:
-    table = _constants_table()
+    """Print the constants table, and write constants.txt when run from a config."""
+    from .spin_weak import constants_report
+
+    table = "".join(["# name value units reference rel_deviation\n"] + [
+        f"{row.name} {row.value:.6e} {row.units or '-'} {row.reference:.6e} "
+        f"{row.rel_deviation:.3e}\n" for row in constants_report()])
     if cfg is not None:
-        out_dir = Path(cfg.output_dir)
-        _write(out_dir, "constants.txt", table)
+        _write(Path(cfg.output_dir), "constants.txt", table)
     sys.stdout.write(table)
     return 0
 
 
 def _run(config_path: str) -> int:
     cfg = load_config(config_path)
-    if cfg.mode == "redshift-pass":
-        return _run_redshift_pass(cfg, config_path)
-    if cfg.mode == "alpha-forecast":
-        return _run_alpha_forecast(cfg, config_path)
-    if cfg.mode == "fringe-demo":
-        return _run_fringe_demo(cfg)
-    if cfg.mode == "weakvalue-scan":
-        return _run_weakvalue_scan(cfg)
-    return _run_constants(cfg)
+    if cfg.mode == "constants":
+        return _run_constants(cfg)
+    name, table, summary = _RUNNERS[cfg.mode](cfg, config_path)
+    text = "\n".join(summary + [f"columnar output: {name}"]) + "\n"
+    _write(Path(cfg.output_dir), name, table)
+    _write(Path(cfg.output_dir), "summary.txt", text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _validate(config_path: str) -> int:
@@ -401,10 +370,11 @@ def main(argv=None) -> int:
         else:
             print(f"error[FileUnreadable]: {exc}", file=sys.stderr)
         return 2
-    except (GravlinkError, ValueError, OverflowError, MemoryError) as exc:
+    except (GravlinkError, ValueError, OverflowError, MemoryError, OSError) as exc:
         # ValueError: library argument checks and numpy's LinAlgError;
         # OverflowError: integers beyond numpy's int64; MemoryError: an epoch
-        # batch too large to allocate
+        # batch too large to allocate; OSError: an output directory that
+        # cannot be made or written
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 

@@ -21,17 +21,15 @@ import sys
 from dataclasses import make_dataclass
 from functools import cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
 
 from .constants import C_LIGHT, G_STD, OMEGA_EARTH, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
+from .kinematics import CircularOrbit, GroundStation
 from .link_model import OpticalConfig, RedshiftParams
-
-if TYPE_CHECKING:
-    from .ephemeris import EphemerisTrajectory
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
 STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
@@ -264,8 +262,11 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         if isinstance(tree.get(section), dict):
             values[section], found = _walk(tree[section], section)
             problems += found
-            if not found:
-                specs[section] = _spec(section)(**values[section])
+            try:
+                if not found:
+                    specs[section] = _spec(section)(**values[section])
+            except ValueError as exc:  # the checks of link_model's own section classes
+                problems.append(f"{section}: {exc}")
         elif section in _SECTION_BY_MODE.get(mode, ()):
             problems.append(f"{section}: expected a mapping" if section in tree
                             else f"{section}: section required for mode '{mode}'")
@@ -308,46 +309,53 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     return ScenarioConfig(**top, **specs), []
 
 
-def ephemeris_orbit(cfg: ScenarioConfig, config_path: str) -> EphemerisTrajectory:
-    """The trajectory in the config's ephemeris file (relative to the config).
+def trajectories(cfg: ScenarioConfig, config_path: str) -> tuple:
+    """(station, orbit) of a config with an orbit: a GroundStation, and a
+    CircularOrbit or the trajectory in the config's ephemeris file (relative
+    to the config), read and checked once.
 
     Raises FileUnreadable, the parse_cpf errors, InsufficientRecords,
     OutOfRange when the sweep plus the longest light time leaves the table,
     or ConfigInvalid when the station is not below every record (listing
     the span problem first when there is one too).
     """
-    from .ephemeris import EphemerisTrajectory, parse_cpf
+    orbit, station = cfg.orbit, cfg.station
+    if orbit.ephemeris_path is None:
+        orbit = CircularOrbit(orbit.semi_major_axis, orbit.inclination, orbit.raan, orbit.phase)
+    else:
+        from .ephemeris import EphemerisTrajectory, parse_cpf
 
-    path = os.path.join(os.path.dirname(os.path.abspath(config_path)), cfg.orbit.ephemeris_path)
-    orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
-    radii = np.linalg.norm(orbit.table.positions, axis=1)
-    reach = (radii.max() + R_EARTH + cfg.station.altitude) / C_LIGHT
-    sweep, end, span = cfg.sweep, orbit.table.span_seconds, None
-    if sweep.t_start < 0.0 or sweep.t_end + reach > end:
-        span = OutOfRange(f"sweep [{sweep.t_start:g}, {sweep.t_end:g}] s plus {reach:.3f} s "
-                          f"of light time leaves the table span [0, {end:g}] s")
-    floor = radii.min() - R_EARTH
-    if cfg.station.altitude >= floor:
-        problems = [f"orbit.ephemeris_path: OutOfRange: {span}"] if span else []
-        raise ConfigInvalid(problems + [f"station.altitude_m: {cfg.station.altitude} must be "
-                                        f"below the orbit (lowest record {floor:.6g} m up)"])
-    if span:
-        raise span
-    return orbit
+        path = os.path.join(os.path.dirname(os.path.abspath(config_path)), orbit.ephemeris_path)
+        orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
+        radii = np.linalg.norm(orbit.table.positions, axis=1)
+        reach = (radii.max() + R_EARTH + station.altitude) / C_LIGHT
+        sweep, end, span = cfg.sweep, orbit.table.span_seconds, None
+        if sweep.t_start < 0.0 or sweep.t_end + reach > end:
+            span = OutOfRange(f"sweep [{sweep.t_start:g}, {sweep.t_end:g}] s plus {reach:.3f} s "
+                              f"of light time leaves the table span [0, {end:g}] s")
+        floor = radii.min() - R_EARTH
+        if station.altitude >= floor:
+            problems = [f"orbit.ephemeris_path: OutOfRange: {span}"] if span else []
+            raise ConfigInvalid(problems + [f"station.altitude_m: {station.altitude} must be "
+                                            f"below the orbit (lowest record {floor:.6g} m up)"])
+        if span:
+            raise span
+    return GroundStation(station.latitude, station.longitude, station.altitude), orbit
 
 
 def validate_config(path: str) -> list[str]:
     """Full list of violations for the config at path; empty means valid.
 
-    An ephemeris orbit's file is read and checked as run does (ephemeris_orbit).
+    A mode with an orbit builds its trajectories as run does (trajectories),
+    so an ephemeris orbit's file is read and checked.
     """
     cfg, problems = _load(path)
-    if cfg and "orbit" in _SECTION_BY_MODE[cfg.mode] and cfg.orbit.ephemeris_path:
+    if cfg and "orbit" in _SECTION_BY_MODE[cfg.mode]:
         try:
-            ephemeris_orbit(cfg, path)
+            trajectories(cfg, path)
         except ConfigInvalid as exc:
             problems += exc.violations
-        except GravlinkError as exc:
+        except GravlinkError as exc:  # only an ephemeris orbit raises these
             problems.append(f"orbit.ephemeris_path: {type(exc).__name__}: {exc}")
     return problems
 

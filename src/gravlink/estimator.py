@@ -76,50 +76,31 @@ class AlphaEstimate:
             raise ValueError("sigma_alpha must be positive")
 
 
-def estimate_alpha(
-    data: PassDataset,
-    cfg: OpticalConfig,
-    geometry_model: str = "expanded",
-) -> AlphaEstimate:
+def estimate_alpha(data: PassDataset, cfg: OpticalConfig) -> AlphaEstimate:
     """Weighted least-squares estimate of the violation parameter.
 
     Per epoch: s = phi_sc - phi_gs/2 with variance sigma_sc^2 +
-    sigma_gs^2/4; the kinematic model terms are subtracted using the true
-    geometry (perfect orbit knowledge); the residual is regressed through
-    the origin against the potential difference U2 - U1, giving the slope
-    (1 + alpha).
-
-    geometry_model selects how the model terms are computed: "expanded"
-    subtracts the closed-form second-order terms; "exact" subtracts the
-    full zero-violation ratio prediction (then restores the potential
-    term), which removes the truncation error at the price of a
-    ~O(beta, U) rescaling of alpha itself.
+    sigma_gs^2/4; the closed-form second-order kinematic terms
+    (velocity_terms) are subtracted using the true geometry (perfect orbit
+    knowledge); the residual is regressed through the origin against the
+    potential difference U2 - U1, giving the slope (1 + alpha).
 
     Measurement rows (epochs, 4) give floats; a batch (..., epochs, 4) gives
-    (...,) arrays, one estimate per set of rows, against model terms
-    computed once. Raises SingularFit when a set has no leverage (every
-    epoch has U2 = U1, or no epoch a finite nonzero weight); in a batch the
-    message names the first such set, as in "... at trial [3]".
+    (...,) arrays, one estimate per set of rows. Raises SingularFit when a
+    set has no leverage (every epoch has U2 = U1, or no epoch a finite
+    nonzero weight); in a batch the message names the first such set, as in
+    "... at trial [3]".
     """
-    return _regress(data, _design(data.geometries, cfg, geometry_model), cfg.phase_scale)
+    return _regress(data.phase_measurements, data.geometries, cfg.phase_scale)
 
 
-def _design(geoms: LinkGeometry, cfg: OpticalConfig, geometry_model: str) -> tuple:
-    """(x, offset, terms) of the regression of y = (s - offset)/scale - terms on x."""
-    if geometry_model not in ("expanded", "exact"):
-        raise ValueError(f"unknown geometry model '{geometry_model}'")
+def _regress(rows, geoms: LinkGeometry, scale: float, first: int = 0) -> AlphaEstimate:
+    """Fit y = s/scale - velocity_terms through the origin against x = U2 - U1 for
+    every set of measurement rows (..., epochs, 4) of the pass geoms; a
+    SingularFit counts the batch's leading index from first."""
     x = geoms.U2 - geoms.U1
-    if geometry_model == "expanded":
-        return x, 0.0, velocity_terms(geoms)
-    return x, phase_pair(geoms, cfg, RedshiftParams(0.0)).s_signal, -x
-
-
-def _regress(data: PassDataset, design: tuple, scale: float, first: int = 0) -> AlphaEstimate:
-    """Fit y through the origin against x (_design) for every set of rows of data;
-    a SingularFit counts the batch's leading index from first."""
-    x, offset, terms = design
-    phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(data.phase_measurements, -1, 0)
-    y = (phi_sc - 0.5 * phi_gs - offset) / scale - terms
+    phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
+    y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geoms)
     weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
 
     leverage = np.sum(weights * x * x, axis=-1)
@@ -128,7 +109,7 @@ def _regress(data: PassDataset, design: tuple, scale: float, first: int = 0) -> 
            what="trial", first=first)
     slope = np.sum(weights * x * y, axis=-1) / leverage
     resid = y - slope[..., None] * x
-    dof = len(data) - 1
+    dof = len(geoms) - 1
     chi2_per_dof = (np.sum(weights * resid**2, axis=-1) / dof if dof > 0
                     else np.zeros_like(slope))
     # [()] turns the 0-d results of one set of rows into scalars
@@ -181,13 +162,13 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
 
     The photon budget is split evenly across epochs, scan points, and the
     two terminals; a positive budget below one pulse per scan point raises
-    ValueError (0 runs noiseless). Geometry, true/model phases, the checked
-    outcome probabilities of every scan point and the regression's model
-    terms are computed once and shared by all trials; only photon noise is
-    redrawn. Trial t draws from SeedSequence((seed, t)) alone, so its row
-    does not depend on how many trials run. Trials are fitted in blocks of
-    at most _BLOCK_POINTS scan points (at least one trial): one FringeScan,
-    one fit_phase call and one regression per block, so memory does not
+    ValueError (0 runs noiseless). Geometry, true/model phases and the
+    checked outcome probabilities of every scan point are computed once and
+    shared by all trials; only photon noise is redrawn. Trial t draws from
+    SeedSequence((seed, t)) alone, so its row does not depend on how many
+    trials run. Trials are fitted in blocks of at most _BLOCK_POINTS scan
+    points (at least one trial): one FringeScan, one fit_phase call and one
+    regression, with its own model terms, per block, so memory does not
     grow with trials. A failed fit names its scan as [trial, epoch,
     terminal], terminal 0 the spacecraft (phi_sc) and 1 the ground station
     (phi_gs). The empirical spread of alpha-hat across trials should match
@@ -207,7 +188,6 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
     model = phase_pair(geometries, cfg, RedshiftParams(0.0))
     true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)       # (epochs, terminal)
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
-    design = _design(geometries, cfg, "expanded")
     offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
     if n_per_point > 0:
         pvals = outcome_probabilities(
@@ -229,7 +209,7 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
             phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
         # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
         rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(epochs), 4)
-        est = _regress(PassDataset(epochs, geometries, rows), design, cfg.phase_scale, first=start)
+        est = _regress(rows, geometries, cfg.phase_scale, first=start)
         estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
     alpha_hat, sigma_alpha, chi2_per_dof = estimates
     return ForecastResult(

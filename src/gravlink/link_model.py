@@ -67,6 +67,8 @@ class OpticalConfig:
             )
         if self.tau_l <= 0.0:
             raise ValueError(f"tau_l must be positive, got {self.tau_l}")
+        if not math.isfinite(self.phase_scale):
+            raise ValueError(f"omega0*tau_l = {self.phase_scale} must be finite")
 
     @property
     def omega0(self) -> float:

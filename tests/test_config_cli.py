@@ -347,6 +347,24 @@ spin:
         assert not (tmp_path / "out").exists()
         assert validate_config(write_yaml(tmp_path, cfg.replace("96000", "0"))) == []
 
+    @pytest.mark.parametrize("old, new", [
+        ("wavelength_m: 800.0e-9", "wavelength_m: 1.0e-300"),
+        ("group_index: 1.0", "group_index: 1.0e+308"),
+    ], ids=["wavelength", "group_index"])
+    def test_phase_scale_that_overflows_exits_two(self, tmp_path, monkeypatch, capsys, old,
+                                                  new):
+        # omega0*tau_l overflowed to inf: both commands once exited 0, and run wrote
+        # inf and nan columns
+        text = (SCENARIOS / "redshift_pass.yaml").read_text(encoding="utf-8")
+        assert old in text
+        path = write_yaml(tmp_path, text.replace(old, new))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert (capsys.readouterr().err
+                    == "violation: optical: omega0*tau_l = inf must be finite\n")
+        assert not (tmp_path / "out").exists()
+
     def test_span_error_does_not_hide_the_station_altitude(self, tmp_path, monkeypatch,
                                                            capsys):
         cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=SAMPLE_CPF, t_end="2400.0").replace(
@@ -844,6 +862,20 @@ class TestCliRuns:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "[FAILED] fringe fit: DegenerateVisibility" in summary
         assert (tmp_path / "out" / "fringe_scan.txt").exists()
+
+    @pytest.mark.parametrize("scenario", ["fringe_demo", "constants"])
+    @pytest.mark.parametrize("under_a_file, error", [(False, "FileExistsError"),
+                                                     (True, "NotADirectoryError")])
+    def test_unwritable_output_dir_exits_three(self, tmp_path, monkeypatch, capsys, scenario,
+                                               under_a_file, error):
+        # an output directory that is a file, or lies under one, once raised out of main
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(taken / "out" if under_a_file else taken))
+        assert main(["run", str(SCENARIOS / f"{scenario}.yaml")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{error}]: ") and "Traceback" not in err
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_runtime_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "empty.cpf").write_text("", encoding="utf-8")

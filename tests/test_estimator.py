@@ -135,16 +135,6 @@ class TestEstimateAlpha:
         est = estimate_alpha(data, OPTICS)
         assert abs(est.alpha_hat - 3e-4) < 1e-12
 
-    def test_exact_model_roundtrip(self):
-        # synthesizing and estimating with the exact ratios leaves only the
-        # documented O(beta, U) rescaling of alpha itself
-        epochs, geoms = leo_pass(20)
-        data = synthesize_measurements(
-            epochs, geoms, OPTICS, RedshiftParams(3e-4), model="exact"
-        )
-        est = estimate_alpha(data, OPTICS, geometry_model="exact")
-        assert est.alpha_hat == pytest.approx(3e-4, abs=1e-7)
-
     def test_model_subtraction_residual(self):
         # exact synthesis vs expanded model terms: per-epoch residual stays
         # within the second-order truncation bound
@@ -208,16 +198,15 @@ class TestEstimateAlpha:
         leverage = np.sum(scale**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
         assert est.sigma_alpha == pytest.approx(1.0 / math.sqrt(leverage), rel=1e-9)
 
-    @pytest.mark.parametrize("geometry_model", ["expanded", "exact"])
-    def test_batch_matches_one_set_at_a_time(self, geometry_model):
+    def test_batch_matches_one_set_at_a_time(self):
         epochs, geoms = leo_pass(20)
         sets = [synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(3e-4),
                                         sigma_sc=1e-3, sigma_gs=2e-3, seed=k)
                 for k in range(6)]
         rows = np.stack([d.phase_measurements for d in sets]).reshape(2, 3, 20, 4)
-        batch = estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS, geometry_model)
+        batch = estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS)
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
-            one = [getattr(estimate_alpha(d, OPTICS, geometry_model), field) for d in sets]
+            one = [getattr(estimate_alpha(d, OPTICS), field) for d in sets]
             assert getattr(batch, field).shape == (2, 3)
             np.testing.assert_array_equal(getattr(batch, field).ravel(), one)
 
@@ -231,9 +220,6 @@ class TestEstimateAlpha:
 
     def test_unknown_model_rejected(self):
         geoms = tiny_beta_geometries(3)
-        data = synthesize_measurements([0, 1, 2], geoms, OPTICS, RedshiftParams(0.0))
-        with pytest.raises(ValueError):
-            estimate_alpha(data, OPTICS, geometry_model="cubic")
         with pytest.raises(ValueError):
             synthesize_measurements(
                 [0, 1, 2], geoms, OPTICS, RedshiftParams(0.0), model="fancy"

@@ -77,6 +77,15 @@ class TestOpticalConfig:
         with pytest.raises(ValueError):
             OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=-1.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"lambda0": 1.0e-300, "delay_length": 6.0e3},              # omega0 overflows
+        {"lambda0": 800e-9, "delay_length": 6.0e3, "group_index": 1.0e308},  # tau_l overflows
+        {"lambda0": 1.0e-200, "delay_length": 6.0e3, "tau_l": 1.0e200},      # their product
+    ])
+    def test_phase_scale_must_be_finite(self, fields):
+        with pytest.raises(ValueError, match=r"omega0\*tau_l = inf must be finite"):
+            OpticalConfig(**fields)
+
 
 class TestRedshiftParams:
     def test_alpha_bound(self):
