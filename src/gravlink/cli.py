@@ -197,16 +197,10 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
         f"sigma_alpha analytic:  {result.sigma_alpha_analytic:.6e}",
     ]
     target = cfg.forecast.target_sigma_alpha
-
-    def budget_line():
-        budget = result.budget_for_target(target)
-        summary.append(
-            f"photon budget for sigma_alpha = {target:.1e}: {budget:.3e} "
-            f"(1/sqrt(N) extrapolation; target precision is ~1e-5)"
-        )
-
-    if result.photon_budget > 0:
-        _step(summary, "budget extrapolation", budget_line)
+    if result.photon_budget > 0:  # validate made the target positive and finite
+        summary.append(f"photon budget for sigma_alpha = {target:.1e}: "
+                       f"{result.budget_for_target(target):.3e} "
+                       f"(1/sqrt(N) extrapolation; target precision is ~1e-5)")
     else:
         summary.append("noiseless run: budget extrapolation skipped")
     return "forecast_trials.txt", table, summary

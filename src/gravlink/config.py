@@ -295,6 +295,12 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         if noise.photon_budget > 0 and noise.efficiency == 0:
             problems.append("noise.efficiency: 0 detects no photon; set photon_budget: 0 "
                             "for a noiseless forecast")
+    spin = specs.get("spin")
+    if spin:  # the scan's coupling is q * meter_width, as the runner multiplies them
+        ok = np.array([math.isfinite(q * spin.meter_width) for q in spin.q_grid])
+        if not ok.all():
+            problems.append(f"spin.q_grid: {_shown(tree['spin']['q_grid'], ok)} times "
+                            f"meter_width {spin.meter_width:g} must be finite")
     orbit, station = specs.get("orbit"), specs.get("station")
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):

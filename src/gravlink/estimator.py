@@ -34,36 +34,6 @@ _BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
-class PassDataset:
-    """Link geometry plus measured phases over the epochs of a pass.
-
-    geometries is a LinkGeometry batch; phase_measurements rows are
-    (phi_sc, sigma_sc, phi_gs, sigma_gs) in radians, one per epoch, as an
-    (epochs, 4) array or a batch (..., epochs, 4) of repeated measurements
-    (a forecast's trials) of the same pass; phases must be unwrapped
-    (absolute), not fringe-wrapped.
-    """
-
-    epochs: np.ndarray
-    geometries: LinkGeometry
-    phase_measurements: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.phase_measurements, dtype=float)
-        if rows.ndim < 2 or rows.shape[-1] != 4:
-            raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
-        if not len(self.epochs) == len(self.geometries) == rows.shape[-2]:
-            raise ValueError("epochs, geometries, and measurements must align")
-        if np.any(rows[..., 1] <= 0.0) or np.any(rows[..., 3] <= 0.0):
-            raise ValueError("phase uncertainties must be positive")
-        object.__setattr__(self, "epochs", np.asarray(self.epochs, dtype=float))
-        object.__setattr__(self, "phase_measurements", rows)
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-
-@dataclass(frozen=True)
 class AlphaEstimate:
     """Floats for one set of measurement rows, arrays (...,) for a batch of them."""
 
@@ -76,31 +46,41 @@ class AlphaEstimate:
             raise ValueError("sigma_alpha must be positive")
 
 
-def estimate_alpha(data: PassDataset, cfg: OpticalConfig) -> AlphaEstimate:
-    """Weighted least-squares estimate of the violation parameter.
+def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
+                   first: int = 0) -> AlphaEstimate:
+    """Weighted least-squares estimate of the violation parameter over a pass.
+
+    rows are the measurements (phi_sc, sigma_sc, phi_gs, sigma_gs) in
+    radians at each epoch of the LinkGeometry batch geometries, as an
+    (epochs, 4) array or a batch (..., epochs, 4) of repeated measurements
+    (a forecast's trials) of the same pass; phases must be unwrapped
+    (absolute), not fringe-wrapped, and every sigma positive.
 
     Per epoch: s = phi_sc - phi_gs/2 with variance sigma_sc^2 +
     sigma_gs^2/4; the closed-form second-order kinematic terms
     (velocity_terms) are subtracted using the true geometry (perfect orbit
-    knowledge); the residual is regressed through the origin against the
-    potential difference U2 - U1, giving the slope (1 + alpha).
+    knowledge); the residual y is regressed through the origin against the
+    potential difference x = U2 - U1, giving the slope (1 + alpha).
 
-    Measurement rows (epochs, 4) give floats; a batch (..., epochs, 4) gives
-    (...,) arrays, one estimate per set of rows. Raises SingularFit when a
-    set has no leverage (every epoch has U2 = U1, or no epoch a finite
-    nonzero weight); in a batch the message names the first such set, as in
-    "... at trial [3]".
+    One set of rows gives floats; a batch gives (...,) arrays, one estimate
+    per set. Raises ValueError for rows of the wrong shape or a sigma that
+    is not positive, and SingularFit when a set has no leverage (every epoch
+    has U2 = U1, or no epoch a finite nonzero weight); in a batch the
+    message names the first such set, its leading index counted from first,
+    as in "... at trial [3]".
     """
-    return _regress(data.phase_measurements, data.geometries, cfg.phase_scale)
-
-
-def _regress(rows, geoms: LinkGeometry, scale: float, first: int = 0) -> AlphaEstimate:
-    """Fit y = s/scale - velocity_terms through the origin against x = U2 - U1 for
-    every set of measurement rows (..., epochs, 4) of the pass geoms; a
-    SingularFit counts the batch's leading index from first."""
-    x = geoms.U2 - geoms.U1
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim < 2 or rows.shape[-1] != 4:
+        raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
+    if rows.shape[-2] != len(geometries):
+        raise ValueError(f"{rows.shape[-2]} epochs of measurements must align with "
+                         f"{len(geometries)} geometries")
     phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
-    y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geoms)
+    if np.any(sig_sc <= 0.0) or np.any(sig_gs <= 0.0):
+        raise ValueError("phase uncertainties must be positive")
+    scale = cfg.phase_scale
+    x = geometries.U2 - geometries.U1
+    y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geometries)
     weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
 
     leverage = np.sum(weights * x * x, axis=-1)
@@ -109,7 +89,7 @@ def _regress(rows, geoms: LinkGeometry, scale: float, first: int = 0) -> AlphaEs
            what="trial", first=first)
     slope = np.sum(weights * x * y, axis=-1) / leverage
     resid = y - slope[..., None] * x
-    dof = len(geoms) - 1
+    dof = len(geometries) - 1
     chi2_per_dof = (np.sum(weights * resid**2, axis=-1) / dof if dof > 0
                     else np.zeros_like(slope))
     # [()] turns the 0-d results of one set of rows into scalars
@@ -153,7 +133,8 @@ class ForecastResult:
             raise ValueError("run with a positive photon budget to extrapolate")
         if not 0.0 < target_sigma < math.inf:
             raise ValueError(f"target sigma_alpha must be positive and finite, got {target_sigma}")
-        return self.photon_budget * (self.sigma_alpha_analytic / target_sigma) ** 2
+        ratio = self.sigma_alpha_analytic / target_sigma
+        return self.photon_budget * (ratio * ratio)  # inf past the float range; ** raises
 
 
 def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: int,
@@ -168,8 +149,8 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
     SeedSequence((seed, t)) alone, so its row does not depend on how many
     trials run. Trials are fitted in blocks of at most _BLOCK_POINTS scan
     points (at least one trial): one FringeScan, one fit_phase call and one
-    regression, with its own model terms, per block, so memory does not
-    grow with trials. A failed fit names its scan as [trial, epoch,
+    estimate_alpha call, with its own model terms, per block, so memory does
+    not grow with trials. A failed fit names its scan as [trial, epoch,
     terminal], terminal 0 the spacecraft (phi_sc) and 1 the ground station
     (phi_gs). The empirical spread of alpha-hat across trials should match
     the mean reported sigma_alpha within ~30%.
@@ -209,7 +190,7 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
             phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
         # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
         rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(epochs), 4)
-        est = _regress(rows, geometries, cfg.phase_scale, first=start)
+        est = estimate_alpha(rows, geometries, cfg, first=start)
         estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
     alpha_hat, sigma_alpha, chi2_per_dof = estimates
     return ForecastResult(

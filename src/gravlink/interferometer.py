@@ -125,25 +125,15 @@ def outcome_probabilities(intensities, link_efficiency: float,
 def draw_counts(pvals, n_sent: int, rng) -> np.ndarray:
     """Window counts (..., 3) of n_sent pulses per setting, outcome probabilities (..., 4).
 
-    rng is a numpy Generator or anything default_rng takes (an int, a tuple of
-    ints, a SeedSequence); one multinomial call draws every setting in C order.
+    Each setting's three windows and its no-detection outcome are one
+    multinomial, so each window's count is binomial(n_sent, p) and no
+    setting's total can exceed n_sent. rng is a numpy Generator or anything
+    default_rng takes (an int, a tuple of ints, a SeedSequence); one
+    multinomial call draws every setting in C order.
     """
     if n_sent <= 0:
         raise ValueError("n_sent must be positive")
     return np.random.default_rng(rng).multinomial(n_sent, pvals)[..., :3]
-
-
-def simulate_counts(intensities, n_sent: int, link_efficiency: float, rng,
-                    dark_rate: float = 0.0) -> np.ndarray:
-    """Draw shot-noise counts (..., 3) for window intensities (..., 3) in one call.
-
-    Each setting's three windows and its no-detection outcome are one
-    multinomial (outcome_probabilities), so each window's count is
-    binomial(n_sent, p) and no setting's total can exceed n_sent. rng as
-    draw_counts takes it.
-    """
-    return draw_counts(outcome_probabilities(intensities, link_efficiency, dark_rate),
-                       n_sent, rng)
 
 
 def fringe_scan(
@@ -164,8 +154,8 @@ def fringe_scan(
     """
     offsets = np.asarray(phi_offsets, dtype=float)
     phases = np.asarray(base_phase, dtype=float)[..., None] + offsets
-    counts = simulate_counts(cascade_intensities(phases, visibility), n_per_point,
-                             efficiency, seed, dark_rate=dark_rate)
+    pvals = outcome_probabilities(cascade_intensities(phases, visibility), efficiency, dark_rate)
+    counts = draw_counts(pvals, n_per_point, seed)
     return FringeScan(offsets, counts, n_per_point)
 
 
@@ -185,7 +175,7 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     1057. One weighted linear least-squares solve per scan therefore gives
     the optimum without iteration, and V = hypot(a1, a2) / a0,
     phi = atan2(-a2, a1). Each count is binomial(n_sent, p), since
-    simulate_counts draws a multinomial, so it is weighted by
+    draw_counts draws a multinomial, so it is weighted by
     1 / max(c (1 - c / n_sent), 1). All scans are solved together through
     their 3x3 weighted normal systems, written in an orthonormal basis of
     the shared design, which matches a per-scan SVD solve to ~1e-13 rad.

@@ -5,12 +5,10 @@ evolution for the spin tests."""
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from gravlink.constants import HBAR
-from gravlink.estimator import PassDataset
 from gravlink.kinematics import LinkGeometry
 from gravlink.link_model import (
     OpticalConfig,
@@ -25,7 +23,6 @@ _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contr
 
 
 def synthesize_measurements(
-    epochs: Sequence[float],
     geometries: LinkGeometry,
     cfg: OpticalConfig,
     red: RedshiftParams,
@@ -33,8 +30,9 @@ def synthesize_measurements(
     sigma_gs: float = 0.0,
     seed=None,
     model: str = "expanded",
-) -> PassDataset:
-    """Generate per-epoch phase measurements with Gaussian phase noise.
+) -> np.ndarray:
+    """Per-epoch measurement rows (phi_sc, sigma_sc, phi_gs, sigma_gs), (epochs, 4),
+    with Gaussian phase noise, as estimate_alpha takes them.
 
     geometries is a LinkGeometry batch. model = "expanded" (default) builds
     the one-way phase from the second-order signal model plus half the exact
@@ -59,9 +57,8 @@ def synthesize_measurements(
         noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs],
                                                    (len(geometries), 2))
         phi_sc, phi_gs = phi_sc + noise[:, 0], phi_gs + noise[:, 1]
-    rows = np.stack(np.broadcast_arrays(phi_sc, max(sigma_sc, _SIGMA_FLOOR),
+    return np.stack(np.broadcast_arrays(phi_sc, max(sigma_sc, _SIGMA_FLOOR),
                                         phi_gs, max(sigma_gs, _SIGMA_FLOOR)), axis=1)
-    return PassDataset(epochs=epochs, geometries=geometries, phase_measurements=rows)
 
 
 def qubit(theta: float, phi: float = 0.0) -> QuantumState:

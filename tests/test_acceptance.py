@@ -17,7 +17,7 @@ from gravlink.estimator import (
     estimate_alpha,
     precision_forecast,
 )
-from gravlink.interferometer import cascade_intensities, simulate_counts
+from gravlink.interferometer import cascade_intensities, draw_counts, outcome_probabilities
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
@@ -154,15 +154,15 @@ def test_criterion_5_alpha_recovery_and_scaling():
     truth = 3e-4
 
     # unbiasedness: 50 epochs x 100 noise seeds at 1e-3 rad phase noise
-    epochs, geoms = zenith_pass(50)
+    _, geoms = zenith_pass(50)
     hats = []
     sigma = None
     for seed in range(100):
-        data = synthesize_measurements(
-            epochs, geoms, OPTICS, RedshiftParams(truth),
+        rows = synthesize_measurements(
+            geoms, OPTICS, RedshiftParams(truth),
             sigma_sc=1e-3, sigma_gs=1e-3, seed=seed,
         )
-        est = estimate_alpha(data, OPTICS)
+        est = estimate_alpha(rows, geoms, OPTICS)
         hats.append(est.alpha_hat)
         sigma = est.sigma_alpha
     bias = float(np.mean(hats)) - truth
@@ -209,7 +209,8 @@ def test_criterion_6_three_peak_pattern():
 
     # p(central) is exactly zero at phi = pi, so the 5-sigma binomial
     # window around it at n = 1e6 is the single value zero
-    _, dark, _ = simulate_counts(cascade_intensities(math.pi, 1.0), 10**6, 1.0, 99)
+    _, dark, _ = draw_counts(outcome_probabilities(cascade_intensities(math.pi, 1.0), 1.0),
+                             10**6, 99)
     assert dark == 0
 
     for vis in (0.7, 1.0):

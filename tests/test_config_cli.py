@@ -190,6 +190,10 @@ DEFECTS = [
     ("photon_budget_below_one_pulse_per_point", SMALL_FORECAST, "photon_budget: 96000",
      "photon_budget: 95",
      "noise.photon_budget: 95 must be 0 (noiseless) or >= 2*n_epochs*scan_points (96)"),
+    # q * meter_width overflowed to inf: run exited 0 and wrote inf and nan columns
+    ("q_kick_overflow", SMALL_WEAKVALUE, "q_grid: [1.0e-3, 1.0e-1]",
+     "meter_width: 1.0e+10\n  q_grid: [1.0e-3, 1.0e+300]",
+     "spin.q_grid: [1] = 1e+300 times meter_width 1e+10 must be finite\n"),
 ]
 
 
@@ -830,6 +834,18 @@ class TestCliRuns:
         out = capsys.readouterr().out
         assert "sigma_alpha empirical" in out
         assert "photon budget for sigma_alpha" in out
+
+    def test_tiny_budget_target_extrapolates_to_inf(self, tmp_path, monkeypatch, capsys):
+        # the extrapolation squared the sigma ratio with **, which raised OverflowError,
+        # so run exited 3 and wrote nothing
+        text = (SCENARIOS / "alpha_forecast.yaml").read_text(encoding="utf-8")
+        assert "target_sigma_alpha: 1.0e-5" in text
+        path = write_yaml(tmp_path, text.replace("target_sigma_alpha: 1.0e-5",
+                                                 "target_sigma_alpha: 1.0e-300"))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", path]) == 0
+        assert "photon budget for sigma_alpha = 1.0e-300: inf " in capsys.readouterr().out
+        assert (tmp_path / "out" / "forecast_trials.txt").exists()
 
     def test_weakvalue_scan_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))

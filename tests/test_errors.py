@@ -13,7 +13,7 @@ from gravlink.errors import (
     SingularFit,
     reject,
 )
-from gravlink.estimator import PassDataset, estimate_alpha
+from gravlink.estimator import estimate_alpha
 from gravlink.interferometer import FringeScan, fit_phase
 from gravlink.kinematics import (
     CircularOrbit,
@@ -59,7 +59,7 @@ def trial_batch():
     geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6), epochs)
     rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (4, 3, 1))
     rows[1, :, 1] = np.inf   # trial 1 has no usable weight
-    estimate_alpha(PassDataset(epochs, geoms, rows), OpticalConfig(800e-9, 6.0e3))
+    estimate_alpha(rows, geoms, OpticalConfig(800e-9, 6.0e3))
 
 
 def selection_batch():

@@ -14,7 +14,6 @@ from gravlink.estimator import (
     AlphaEstimate,
     ForecastResult,
     ForecastScenario,
-    PassDataset,
     build_pass,
     estimate_alpha,
     precision_forecast,
@@ -52,26 +51,21 @@ def leo_pass(n_epochs=50):
 
 
 class TestPassDataset:
+    """The checks estimate_alpha makes of a pass's measurement rows against its geometry."""
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PassDataset(epochs=(0.0,), geometries=tiny_beta_geometries(2),
-                        phase_measurements=())
+        with pytest.raises(ValueError, match="align"):
+            estimate_alpha(((1.0, 0.1, 2.0, 0.1),), tiny_beta_geometries(2), OPTICS)
 
     def test_bad_row_width(self):
         geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
-            PassDataset(
-                epochs=(0.0,), geometries=geom,
-                phase_measurements=((1.0, 0.1, 2.0),),
-            )
+            estimate_alpha(((1.0, 0.1, 2.0),), geom, OPTICS)
 
     def test_nonpositive_sigma(self):
         geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
-            PassDataset(
-                epochs=(0.0,), geometries=geom,
-                phase_measurements=((1.0, 0.0, 2.0, 0.1),),
-            )
+            estimate_alpha(((1.0, 0.0, 2.0, 0.1),), geom, OPTICS)
 
     def test_one_epoch_geometry_from_scalars(self):
         # 3-vectors and floats make a batch of one, with a length
@@ -83,9 +77,8 @@ class TestPassDataset:
         )
         assert len(geom) == 1
         assert geom.n12.shape == (1, 3) and geom.U2.shape == (1,) and geom.d2.shape == (1,)
-        data = PassDataset(epochs=(0.0,), geometries=geom,
-                           phase_measurements=((1.0, 0.1, 2.0, 0.1),))
-        assert len(data) == 1
+        est = estimate_alpha(((1.0, 0.1, 2.0, 0.1),), geom, OPTICS)
+        assert np.shape(est.alpha_hat) == () and est.chi2_per_dof == 0.0
 
     def test_alpha_estimate_sigma_positive(self):
         with pytest.raises(ValueError):
@@ -96,15 +89,14 @@ class TestPassDataset:
 
     def test_batch_of_measurement_rows(self):
         geom = tiny_beta_geometries(2)
-        data = PassDataset(epochs=(0.0, 1.0), geometries=geom,
-                           phase_measurements=np.full((3, 5, 2, 4), 0.1))
-        assert len(data) == 2 and data.phase_measurements.shape == (3, 5, 2, 4)
+        est = estimate_alpha(np.full((3, 5, 2, 4), 0.1), geom, OPTICS)
+        assert est.alpha_hat.shape == est.sigma_alpha.shape == (3, 5)
         rows = np.full((3, 2, 4), 0.1)
         rows[1, 0, 3] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            PassDataset(epochs=(0.0, 1.0), geometries=geom, phase_measurements=rows)
+            estimate_alpha(rows, geom, OPTICS)
         with pytest.raises(ValueError, match="align"):
-            PassDataset(epochs=(0.0, 1.0), geometries=geom, phase_measurements=rows[:, :1])
+            estimate_alpha(rows[:, :1], geom, OPTICS)
 
 
 class TestBuildPass:
@@ -123,26 +115,23 @@ class TestBuildPass:
 class TestEstimateAlpha:
     def test_noiseless_zero_alpha(self):
         geoms = tiny_beta_geometries()
-        epochs = np.arange(len(geoms), dtype=float)
-        data = synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(0.0))
-        est = estimate_alpha(data, OPTICS)
+        rows = synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0))
+        est = estimate_alpha(rows, geoms, OPTICS)
         assert abs(est.alpha_hat) < 1e-12
 
     def test_noiseless_alpha_recovery(self):
         geoms = tiny_beta_geometries()
-        epochs = np.arange(len(geoms), dtype=float)
-        data = synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(3e-4))
-        est = estimate_alpha(data, OPTICS)
+        rows = synthesize_measurements(geoms, OPTICS, RedshiftParams(3e-4))
+        est = estimate_alpha(rows, geoms, OPTICS)
         assert abs(est.alpha_hat - 3e-4) < 1e-12
 
     def test_model_subtraction_residual(self):
         # exact synthesis vs expanded model terms: per-epoch residual stays
         # within the second-order truncation bound
-        epochs, geoms = leo_pass(20)
+        _, geom = leo_pass(20)
         red = RedshiftParams(2e-4)
-        data = synthesize_measurements(epochs, geoms, OPTICS, red, model="exact")
+        rows = synthesize_measurements(geom, OPTICS, red, model="exact")
         scale = OPTICS.phase_scale
-        geom, rows = data.geometries, data.phase_measurements
         beta_max = np.max(np.linalg.norm([geom.beta1, geom.beta2, geom.beta3], axis=-1), axis=0)
         s_meas = rows[:, 0] - 0.5 * rows[:, 2]
         resid = s_meas / scale - velocity_terms(geom) \
@@ -150,28 +139,28 @@ class TestEstimateAlpha:
         assert np.all(np.abs(resid) <= 10.0 * beta_max**3)
 
     def test_unbiased_under_phase_noise(self):
-        epochs, geoms = leo_pass(50)
+        _, geoms = leo_pass(50)
         truth = 3e-4
         alpha_hats = []
         sigma = None
         for seed in range(100):
-            data = synthesize_measurements(
-                epochs, geoms, OPTICS, RedshiftParams(truth),
+            rows = synthesize_measurements(
+                geoms, OPTICS, RedshiftParams(truth),
                 sigma_sc=1e-3, sigma_gs=1e-3, seed=seed,
             )
-            est = estimate_alpha(data, OPTICS)
+            est = estimate_alpha(rows, geoms, OPTICS)
             alpha_hats.append(est.alpha_hat)
             sigma = est.sigma_alpha
         bias = float(np.mean(alpha_hats)) - truth
         assert abs(bias) <= 3.0 * sigma / math.sqrt(100.0)
 
     def test_chi2_health(self):
-        epochs, geoms = leo_pass(50)
-        data = synthesize_measurements(
-            epochs, geoms, OPTICS, RedshiftParams(0.0),
+        _, geoms = leo_pass(50)
+        rows = synthesize_measurements(
+            geoms, OPTICS, RedshiftParams(0.0),
             sigma_sc=1e-3, sigma_gs=1e-3, seed=77,
         )
-        est = estimate_alpha(data, OPTICS)
+        est = estimate_alpha(rows, geoms, OPTICS)
         assert 0.5 < est.chi2_per_dof < 2.0
 
     def test_singular_when_no_leverage(self):
@@ -181,49 +170,46 @@ class TestEstimateAlpha:
             n12=geom.n12, n23=geom.n23,
             U1=geom.U1, U2=geom.U1, a1=geom.a1, t_up=geom.t_up,
         )
-        data = synthesize_measurements([0.0], flat, OPTICS, RedshiftParams(0.0))
+        rows = synthesize_measurements(flat, OPTICS, RedshiftParams(0.0))
         with pytest.raises(SingularFit):
-            estimate_alpha(data, OPTICS)
+            estimate_alpha(rows, flat, OPTICS)
 
     def test_sigma_alpha_matches_propagation(self):
-        epochs, geoms = leo_pass(25)
-        data = synthesize_measurements(
-            epochs, geoms, OPTICS, RedshiftParams(0.0),
+        _, geoms = leo_pass(25)
+        rows = synthesize_measurements(
+            geoms, OPTICS, RedshiftParams(0.0),
             sigma_sc=1e-3, sigma_gs=1e-3, seed=5,
         )
-        est = estimate_alpha(data, OPTICS)
+        est = estimate_alpha(rows, geoms, OPTICS)
         scale = OPTICS.phase_scale
         var_s = 1e-6 + 0.25e-6
-        geoms = data.geometries
         leverage = np.sum(scale**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
         assert est.sigma_alpha == pytest.approx(1.0 / math.sqrt(leverage), rel=1e-9)
 
     def test_batch_matches_one_set_at_a_time(self):
-        epochs, geoms = leo_pass(20)
-        sets = [synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(3e-4),
+        _, geoms = leo_pass(20)
+        sets = [synthesize_measurements(geoms, OPTICS, RedshiftParams(3e-4),
                                         sigma_sc=1e-3, sigma_gs=2e-3, seed=k)
                 for k in range(6)]
-        rows = np.stack([d.phase_measurements for d in sets]).reshape(2, 3, 20, 4)
-        batch = estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS)
+        batch = estimate_alpha(np.stack(sets).reshape(2, 3, 20, 4), geoms, OPTICS)
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
-            one = [getattr(estimate_alpha(d, OPTICS), field) for d in sets]
+            one = [getattr(estimate_alpha(rows, geoms, OPTICS), field) for rows in sets]
             assert getattr(batch, field).shape == (2, 3)
             np.testing.assert_array_equal(getattr(batch, field).ravel(), one)
 
     def test_batch_names_the_set_without_leverage(self):
-        epochs, geoms = leo_pass(5)
-        rows = np.tile(synthesize_measurements(epochs, geoms, OPTICS, RedshiftParams(0.0))
-                       .phase_measurements, (4, 1, 1))
+        _, geoms = leo_pass(5)
+        rows = np.tile(synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0)), (4, 1, 1))
         rows[2, :, 1] = rows[2, :, 3] = np.inf  # positive, but weighs nothing
         with pytest.raises(SingularFit, match=r" at trial \[2\]$"):
-            estimate_alpha(PassDataset(epochs, geoms, rows), OPTICS)
+            estimate_alpha(rows, geoms, OPTICS)
+        with pytest.raises(SingularFit, match=r" at trial \[12\]$"):  # counted from first
+            estimate_alpha(rows, geoms, OPTICS, first=10)
 
     def test_unknown_model_rejected(self):
         geoms = tiny_beta_geometries(3)
         with pytest.raises(ValueError):
-            synthesize_measurements(
-                [0, 1, 2], geoms, OPTICS, RedshiftParams(0.0), model="fancy"
-            )
+            synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0), model="fancy")
 
 
 def forecast_scenario(n_epochs=6, scan_points=8):
@@ -306,6 +292,14 @@ class TestPrecisionForecast:
             result.budget_for_target(target)
 
 
+    def test_budget_past_the_float_range_is_inf(self):
+        # (sigma / target) ** 2 raised OverflowError instead of reaching inf
+        result = ForecastResult(sigma_alpha_empirical=2e-5, sigma_alpha_analytic=2e-5,
+                                alpha_hat=np.zeros(10), sigma_alpha=np.full(10, 2e-5),
+                                chi2_per_dof=np.ones(10), photon_budget=1000, n_per_point=10)
+        assert result.budget_for_target(1e-300) == math.inf
+
+
 def per_trial_forecast(scenario, photon_budget, trials, seed):
     """The forecast one trial at a time, as precision_forecast ran before it fitted
     trials in blocks: per trial one fringe_scan, one fit_phase and one
@@ -328,7 +322,7 @@ def per_trial_forecast(scenario, photon_budget, trials, seed):
         else:
             phase, sigma = true_phase, np.full_like(true_phase, 1e-12)
         rows = np.stack([phase, sigma], axis=-1).reshape(len(epochs), 4)
-        yield estimate_alpha(PassDataset(epochs, geoms, rows), scenario.cfg)
+        yield estimate_alpha(rows, geoms, scenario.cfg)
 
 
 def trials_per_block(scenario):
@@ -351,6 +345,21 @@ class TestBlockedForecast:
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
             np.testing.assert_array_equal(getattr(result, field),
                                           [getattr(est, field) for est in oracle])
+
+    @pytest.mark.parametrize("budget", [16000000, 0])
+    def test_regresses_once_per_block(self, monkeypatch, budget):
+        scenario = forecast_scenario(n_epochs=25)
+        block = trials_per_block(scenario)
+        trials = 3 * block + 1
+        calls = []
+
+        def counted(rows, geometries, cfg, first=0):
+            calls.append(first)
+            return estimate_alpha(rows, geometries, cfg, first=first)
+
+        monkeypatch.setattr(estimator, "estimate_alpha", counted)
+        precision_forecast(scenario, budget, trials=trials, seed=1)
+        assert calls == [0, block, 2 * block, 3 * block]
 
     def test_failed_fit_names_the_global_trial(self):
         # 8 pulses per scan point: with this seed, trial 30's fit is the first to fail

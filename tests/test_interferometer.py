@@ -16,7 +16,6 @@ from gravlink.interferometer import (
     fit_phase,
     fringe_scan,
     outcome_probabilities,
-    simulate_counts,
 )
 
 FULL_SCAN = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -125,7 +124,7 @@ class TestCascadeIntensities:
 
     def test_intensity_window(self):
         with pytest.raises(ValueError):
-            simulate_counts(np.array([0.5, 0.1, 0.0625]), 100, 1.0, 1)
+            draw_counts(outcome_probabilities(np.array([0.5, 0.1, 0.0625]), 1.0), 100, 1)
 
 
 class TestFringeScanCounts:
@@ -149,13 +148,16 @@ class TestFringeScanCounts:
 
 
 class TestSimulateCounts:
+    """Shot-noise counts: draw_counts(outcome_probabilities(...))."""
+
     def test_zero_efficiency(self):
-        counts = simulate_counts(cascade_intensities(0.0, 1.0), 1000, 0.0, rng=1)
+        counts = draw_counts(outcome_probabilities(cascade_intensities(0.0, 1.0), 0.0), 1000, 1)
         assert counts.tolist() == [0, 0, 0]
 
     def test_bright_fringe_statistics(self):
         n = 10**6
-        early, central, _ = simulate_counts(cascade_intensities(0.0, 1.0), n, 1.0, rng=42)
+        early, central, _ = draw_counts(
+            outcome_probabilities(cascade_intensities(0.0, 1.0), 1.0), n, 42)
         sigma = math.sqrt(0.25 * 0.75 * n)
         assert abs(central - 0.25 * n) < 5.0 * sigma
         sigma_side = math.sqrt(0.0625 * 0.9375 * n)
@@ -163,42 +165,42 @@ class TestSimulateCounts:
 
     def test_deterministic_under_seed(self):
         peaks = cascade_intensities(0.7, 0.9)
-        a = simulate_counts(peaks, 5000, 0.3, rng=123, dark_rate=1e-4)
-        b = simulate_counts(peaks, 5000, 0.3, rng=123, dark_rate=1e-4)
+        a = draw_counts(outcome_probabilities(peaks, 0.3, 1e-4), 5000, 123)
+        b = draw_counts(outcome_probabilities(peaks, 0.3, 1e-4), 5000, 123)
         np.testing.assert_array_equal(a, b)
 
     def test_total_bounded_by_sent(self):
         peaks = cascade_intensities(np.zeros(20), 1.0)
-        counts = simulate_counts(peaks, 200, 1.0, rng=0, dark_rate=0.1)
+        counts = draw_counts(outcome_probabilities(peaks, 1.0, 0.1), 200, 0)
         assert np.all(counts.sum(axis=-1) <= 200)
 
     def test_dark_counts_have_mean_rate(self):
         # efficiency 0 leaves only background clicks
         n, rate = 10**6, 1e-3
-        _, central, _ = simulate_counts(cascade_intensities(0.0, 1.0), n, 0.0, rng=7,
-                                        dark_rate=rate)
+        _, central, _ = draw_counts(
+            outcome_probabilities(cascade_intensities(0.0, 1.0), 0.0, rate), n, 7)
         sigma = math.sqrt(rate * n)
         assert abs(central - rate * n) < 5.0 * sigma
 
     def test_overcommitted_probability_rejected(self):
         peaks = cascade_intensities(0.0, 1.0)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 100, 1.0, rng=1, dark_rate=0.4)
+            draw_counts(outcome_probabilities(peaks, 1.0, 0.4), 100, 1)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 100, 1.0, rng=1, dark_rate=-0.1)
+            draw_counts(outcome_probabilities(peaks, 1.0, -0.1), 100, 1)
         with pytest.raises(ValueError):
-            simulate_counts(peaks, 0, 1.0, rng=1)
+            draw_counts(outcome_probabilities(peaks, 1.0), 0, 1)
 
     def test_generator_seed_accepted(self):
         rng = np.random.default_rng(5)
-        counts = simulate_counts(cascade_intensities(0.0, 1.0), 1000, 1.0, rng=rng)
+        counts = draw_counts(outcome_probabilities(cascade_intensities(0.0, 1.0), 1.0), 1000, rng)
         assert counts.shape == (3,) and counts.sum() <= 1000
 
     def test_one_draw_in_c_order(self):
         # the batch is one multinomial call: the same Generator drawing the
         # settings one by one, in C order, gives the same counts
         peaks = cascade_intensities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8)
-        batch = simulate_counts(peaks, 5000, 0.7, rng=(4, 2), dark_rate=1e-3)
+        batch = draw_counts(outcome_probabilities(peaks, 0.7, 1e-3), 5000, (4, 2))
         rng = np.random.default_rng((4, 2))
         for index in np.ndindex(3, 2):
             probs = peaks[index] * 0.7 + 1e-3
@@ -213,8 +215,7 @@ class TestSimulateCounts:
         counts = draw_counts(pvals, 5000, seed)
         assert counts.shape == (3, 2, 3)
         np.testing.assert_array_equal(
-            counts, simulate_counts(peaks, 5000, 0.7, np.random.SeedSequence((7, 3)),
-                                    dark_rate=1e-3))
+            counts, np.random.default_rng((7, 3)).multinomial(5000, pvals)[..., :3])
         # a list of ints stays entropy for one Generator
         np.testing.assert_array_equal(draw_counts(pvals, 5000, [7, 0]),
                                       draw_counts(pvals, 5000, (7, 0)))
@@ -257,7 +258,7 @@ class TestFringeScan:
         scan = fringe_scan(EIGHT_POINT_SCAN, base, 0.9, 4000, 0.8, seed=(5, 1), dark_rate=1e-4)
         assert scan.counts.shape == (3, 2, 8, 3)
         peaks = cascade_intensities(base[..., None] + EIGHT_POINT_SCAN, 0.9)
-        expected = simulate_counts(peaks, 4000, 0.8, rng=(5, 1), dark_rate=1e-4)
+        expected = draw_counts(outcome_probabilities(peaks, 0.8, 1e-4), 4000, (5, 1))
         np.testing.assert_array_equal(scan.counts, expected)
 
     def test_noiseless_scan_matches_expectation(self):
