@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     reject,
 )
-from .kinematics import StateVector, _epochs, earth_rotation_vector, rotate_z
+from .kinematics import EARTH_ROTATION, StateVector, _epochs, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -272,7 +272,7 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
     theta = OMEGA_EARTH * t_rel
     pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
     vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
-    vel += np.cross(earth_rotation_vector(), pos)
+    vel += np.cross(EARTH_ROTATION, pos)
     return StateVector(position=pos, velocity=vel, epoch=t_rel)
 
 
@@ -281,7 +281,7 @@ class EphemerisTrajectory:
 
     Scenario time t = 0 is pinned to the table's first record, where the
     inertial and Earth-fixed frames coincide. Implements the trajectory
-    protocol of the analytic classes (states / accelerations).
+    protocol of the analytic classes: ``states(t)`` only.
     """
 
     def __init__(self, table: EphemerisTable):
@@ -293,12 +293,3 @@ class EphemerisTrajectory:
 
     def states(self, t) -> StateVector:
         return interpolate_state(self.table, t)
-
-    def accelerations(self, t):
-        """Central-difference acceleration [m/s^2]; step shrinks at the edges."""
-        t = _epochs(t)
-        h = np.minimum(np.minimum(1.0, t), self.table.span_seconds - t)
-        reject(h <= 0.0, OutOfRange, "acceleration needs interior epochs", times=t)
-        before = self.states(t - h).velocity
-        after = self.states(t + h).velocity
-        return (after - before) / (2.0 * h[:, None])

@@ -5,7 +5,10 @@ omega0*tau_l and with the modeled kinematic terms (second-order Doppler,
 squared radial-projection difference, station-acceleration term)
 subtracted using the known geometry, leaves (1 + alpha)(U2 - U1). A
 weighted least-squares fit of that residual against the potential
-difference across a pass yields alpha and its uncertainty.
+difference across a pass yields alpha and its uncertainty
+(estimate_alpha). The forecast (precision_forecast) is photon noise on one
+built pass: it takes the pass's LinkGeometry batch and returns one
+AlphaEstimate of per-trial arrays.
 
 Measured fringe phases are only defined modulo 2*pi while the underlying
 Doppler phases reach ~1e6 rad, so the forecast pipeline unwraps each
@@ -24,7 +27,9 @@ import numpy as np
 from .errors import SingularFit, reject
 from .interferometer import (FringeScan, _wrap_phase, cascade_intensities, draw_counts,
                              fit_phase, outcome_probabilities)
-# build_link_geometry is unused here; perfbench's tracer test reads it from this module
+# build_pass and build_link_geometry are unused here but stay bound: perfbench's
+# tracer resolves estimator.build_pass in this module (the forecast's
+# estimator.pass_self_s), and its tracer test reads estimator.build_link_geometry
 from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F401
 from .link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
 
@@ -97,83 +102,46 @@ def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
                          chi2_per_dof=chi2_per_dof[()])
 
 
-@dataclass(frozen=True)
-class ForecastScenario:
-    """Everything precision_forecast needs to run the full pipeline."""
+def precision_forecast(geometries: LinkGeometry, cfg: OpticalConfig, red: RedshiftParams,
+                       photon_budget: int, trials: int, seed, scan_points: int = 8,
+                       visibility: float = 1.0, efficiency: float = 1.0,
+                       dark_rate: float = 0.0) -> AlphaEstimate:
+    """Monte Carlo spread of the violation estimate over one built pass.
 
-    gs_trajectory: object
-    sc_trajectory: object
-    cfg: OpticalConfig
-    red: RedshiftParams
-    t_start: float
-    t_end: float
-    n_epochs: int
-    scan_points: int = 8
-    visibility: float = 1.0
-    efficiency: float = 1.0
-    dark_rate: float = 0.0
+    geometries is the pass's LinkGeometry batch (build_pass). The photon
+    budget is split evenly across epochs, scan points, and the two
+    terminals; a positive budget below one pulse per scan point raises
+    ValueError (0 runs noiseless). True/model phases and the checked outcome
+    probabilities of every scan point are computed once and shared by all
+    trials; only photon noise is redrawn, with fringe_scan's noise arguments.
+    Trial t draws from SeedSequence((seed, t)) alone, so its row does not
+    depend on how many trials run. Trials are fitted in blocks of at most
+    _BLOCK_POINTS scan points (at least one trial): one FringeScan, one
+    fit_phase call and one estimate_alpha call, with its own model terms, per
+    block, so memory does not grow with trials. A failed fit names its scan
+    as [trial, epoch, terminal], terminal 0 the spacecraft (phi_sc) and 1 the
+    ground station (phi_gs).
 
-
-@dataclass(frozen=True)
-class ForecastResult:
-    """alpha_hat, sigma_alpha and chi2_per_dof are (trials,) arrays holding
-    each trial's AlphaEstimate; entry t is trial t."""
-
-    sigma_alpha_empirical: float
-    sigma_alpha_analytic: float
-    alpha_hat: np.ndarray
-    sigma_alpha: np.ndarray
-    chi2_per_dof: np.ndarray
-    photon_budget: int
-    n_per_point: int
-
-    def budget_for_target(self, target_sigma: float) -> float:
-        """Photon budget at which sigma_alpha reaches the target (1/sqrt(N))."""
-        if self.photon_budget <= 0:
-            raise ValueError("run with a positive photon budget to extrapolate")
-        if not 0.0 < target_sigma < math.inf:
-            raise ValueError(f"target sigma_alpha must be positive and finite, got {target_sigma}")
-        ratio = self.sigma_alpha_analytic / target_sigma
-        return self.photon_budget * (ratio * ratio)  # inf past the float range; ** raises
-
-
-def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: int,
-                       seed) -> ForecastResult:
-    """Monte Carlo spread of the violation estimate at a given photon budget.
-
-    The photon budget is split evenly across epochs, scan points, and the
-    two terminals; a positive budget below one pulse per scan point raises
-    ValueError (0 runs noiseless). Geometry, true/model phases and the
-    checked outcome probabilities of every scan point are computed once and
-    shared by all trials; only photon noise is redrawn. Trial t draws from
-    SeedSequence((seed, t)) alone, so its row does not depend on how many
-    trials run. Trials are fitted in blocks of at most _BLOCK_POINTS scan
-    points (at least one trial): one FringeScan, one fit_phase call and one
-    estimate_alpha call, with its own model terms, per block, so memory does
-    not grow with trials. A failed fit names its scan as [trial, epoch,
-    terminal], terminal 0 the spacecraft (phi_sc) and 1 the ground station
-    (phi_gs). The empirical spread of alpha-hat across trials should match
-    the mean reported sigma_alpha within ~30%.
+    Returns one AlphaEstimate of (trials,) arrays, entry t for trial t. The
+    empirical spread of alpha_hat should match the mean sigma_alpha within
+    ~30%.
     """
     if trials < 10:
         raise ValueError("need >= 10 trials for a usable empirical spread")
-    pulses = 2 * scenario.n_epochs * scenario.scan_points
+    pulses = 2 * len(geometries) * scan_points
     if 0 < photon_budget < pulses:
         raise ValueError(f"photon budget {photon_budget} is below one pulse per scan point "
                          f"({pulses}); use 0 for a noiseless run")
     n_per_point = int(photon_budget // pulses) if photon_budget > 0 else 0
-    epochs, geometries = build_pass(scenario.gs_trajectory, scenario.sc_trajectory,
-                                    scenario.t_start, scenario.t_end, scenario.n_epochs)
-    cfg = scenario.cfg
-    truth = phase_pair(geometries, cfg, scenario.red)
+    truth = phase_pair(geometries, cfg, red)
     model = phase_pair(geometries, cfg, RedshiftParams(0.0))
     true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)       # (epochs, terminal)
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
-    offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
+    offsets = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
     if n_per_point > 0:
         pvals = outcome_probabilities(
-            cascade_intensities(true_phase[..., None] + offsets, scenario.visibility),
-            scenario.efficiency, scenario.dark_rate)
+            cascade_intensities(true_phase[..., None] + offsets, visibility),
+            efficiency, dark_rate)
 
     block = max(1, _BLOCK_POINTS // pulses)
     estimates = np.empty((3, trials))
@@ -189,16 +157,7 @@ def precision_forecast(scenario: ForecastScenario, photon_budget: int, trials: i
         else:  # noiseless: one set of rows stands for every trial of the block
             phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
         # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
-        rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(epochs), 4)
+        rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(geometries), 4)
         est = estimate_alpha(rows, geometries, cfg, first=start)
         estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
-    alpha_hat, sigma_alpha, chi2_per_dof = estimates
-    return ForecastResult(
-        sigma_alpha_empirical=float(np.std(alpha_hat, ddof=1)),
-        sigma_alpha_analytic=float(np.mean(sigma_alpha)),
-        alpha_hat=alpha_hat,
-        sigma_alpha=sigma_alpha,
-        chi2_per_dof=chi2_per_dof,
-        photon_budget=int(photon_budget),
-        n_per_point=n_per_point,
-    )
+    return AlphaEstimate(*estimates)

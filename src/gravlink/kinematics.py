@@ -10,12 +10,12 @@ Conventions used throughout:
 
 Everything works on batches of epochs: a float or a sequence of floats is
 read as epochs t (N,) [s]. A trajectory (CircularOrbit, GroundStation,
-StaticPlatform, ephemeris.EphemerisTrajectory) implements ``states(t)`` ->
-StateVector with positions (N, 3) [m] and velocities (N, 3) [m/s], and
-``accelerations(t)`` -> (N, 3) [m/s^2]. The StateVector constructor checks
-the batch once against the radius floor and speed ceiling, and an error
-names the first failing epoch, as in "... at epoch [3] (t = 5 s)".
-LinkGeometry holds (N, 3) vectors and (N,) scalars.
+ephemeris.EphemerisTrajectory) implements ``states(t)`` -> StateVector with
+positions (N, 3) [m] and velocities (N, 3) [m/s]; nothing else. The
+StateVector constructor checks the batch once against the radius floor and
+speed ceiling, and an error names the first failing epoch, as in
+"... at epoch [3] (t = 5 s)". LinkGeometry holds (N, 3) vectors and (N,)
+scalars.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def rotate_z(angle, vectors) -> np.ndarray:
     return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
 
 
-def earth_rotation_vector() -> np.ndarray:
-    """Earth angular velocity [rad/s] in the inertial frame."""
-    return np.array([0.0, 0.0, OMEGA_EARTH])
+EARTH_ROTATION = np.array([0.0, 0.0, OMEGA_EARTH])  # rad/s, inertial frame
+EARTH_ROTATION.flags.writeable = False
 
 
 def _epochs(t) -> np.ndarray:
@@ -118,13 +117,6 @@ class CircularOrbit:
         vel = np.stack([-a * n * sin_u, a * n * cos_u, zero], axis=-1) @ self._plane_to_inertial
         return StateVector(position=pos, velocity=vel, epoch=t)
 
-    def accelerations(self, t):
-        return -GM_EARTH / self.semi_major_axis**3 * self.states(t).position
-
-    def period(self) -> float:
-        """Orbital period 2*pi*sqrt(a^3/GM) [s]."""
-        return 2.0 * math.pi * math.sqrt(self.semi_major_axis**3 / GM_EARTH)
-
 
 class GroundStation:
     """Station fixed to the rotating spherical Earth.
@@ -148,28 +140,7 @@ class GroundStation:
     def states(self, t) -> StateVector:
         t = _epochs(t)
         pos = rotate_z(OMEGA_EARTH * t, self._body)
-        return StateVector(position=pos, velocity=np.cross(earth_rotation_vector(), pos), epoch=t)
-
-    def accelerations(self, t):
-        """Centripetal acceleration of the rotating station [m/s^2]."""
-        w = earth_rotation_vector()
-        return np.cross(w, np.cross(w, self.states(t).position))
-
-
-class StaticPlatform:
-    """Non-moving platform; handy for controlled-geometry checks."""
-
-    def __init__(self, position):
-        self.position = np.asarray(position, dtype=float)
-        self.states(np.zeros(1))
-
-    def states(self, t) -> StateVector:
-        t = _epochs(t)
-        pos = np.broadcast_to(self.position, (t.size, 3))
-        return StateVector(position=pos, velocity=np.zeros((t.size, 3)), epoch=t)
-
-    def accelerations(self, t):
-        return np.zeros((_epochs(t).size, 3))
+        return StateVector(position=pos, velocity=np.cross(EARTH_ROTATION, pos), epoch=t)
 
 
 def newtonian_potential(position):
@@ -281,7 +252,9 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
 
     The ground station emits at t_emit; the spacecraft retro-reflects
     instantly at reception; the station receives the return. Light times for
-    both legs are solved independently.
+    both legs are solved independently. The ground side must co-rotate with
+    the Earth, as the link model assumes (the return ends at U1): its
+    acceleration a1 = omega x v1 is then the centripetal omega x (omega x r1).
     """
     t1 = _epochs(t_emit)
     s1 = gs_trajectory.states(t1)
@@ -299,7 +272,7 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
         n23=n23,
         U1=newtonian_potential(s1.position),
         U2=newtonian_potential(s2.position),
-        a1=gs_trajectory.accelerations(t1),
+        a1=np.cross(EARTH_ROTATION, s1.velocity),
         t_up=t_up,
     )
 

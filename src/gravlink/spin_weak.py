@@ -220,7 +220,8 @@ def meter_shift(
     q = np.asarray(q, dtype=float)
     kick = q[..., None]
     gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
-    pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
+    with np.errstate(over="ignore"):  # a gap^2 past the float range gives exp(-inf) = 0, exact
+        pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
     prob = pairs.sum(axis=-1)
     reject(prob <= 0.0, OrthogonalSelection, "post-selected pointer state has zero weight",
            what="shift")

@@ -1,6 +1,7 @@
-"""Test-only helpers that the program itself never calls: synthetic pass
-measurements for the regression, and single-state preparation and unitary
-evolution for the spin tests."""
+"""Test-only helpers that the program itself never calls: a non-moving
+platform for controlled geometries, synthetic pass measurements for the
+regression, and single-state preparation and unitary evolution for the spin
+tests."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 import numpy as np
 
 from gravlink.constants import HBAR
-from gravlink.kinematics import LinkGeometry
+from gravlink.kinematics import LinkGeometry, StateVector
 from gravlink.link_model import (
     OpticalConfig,
     RedshiftParams,
@@ -20,6 +21,20 @@ from gravlink.link_model import (
 from gravlink.spin_weak import QuantumState, _require_hermitian
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
+
+
+class StaticPlatform:
+    """Non-moving platform, a trajectory with states(t) only; its position is
+    checked on construction."""
+
+    def __init__(self, position):
+        self.position = np.asarray(position, dtype=float)
+        self.states(np.zeros(1))
+
+    def states(self, t) -> StateVector:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        pos = np.broadcast_to(self.position, (t.size, 3))
+        return StateVector(position=pos, velocity=np.zeros((t.size, 3)), epoch=t)
 
 
 def synthesize_measurements(

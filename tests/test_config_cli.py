@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -321,6 +322,13 @@ spin:
                                                        f"photon_budget: {budget}")
         problems = validate_config(write_yaml(tmp_path, cfg))
         assert [p.split(":")[0] for p in problems] == ([] if valid else ["noise.photon_budget"])
+
+    @pytest.mark.parametrize("target", ["-1.0e-5", "0.0", "-0.0", ".inf", ".nan"])
+    def test_target_sigma_not_positive_and_finite_is_a_violation(self, tmp_path, target):
+        # the budget line divides by the target, so validate admits only positive finite ones
+        cfg = SMALL_FORECAST.format(out="out") + f"  target_sigma_alpha: {target}\n"
+        problems = validate_config(write_yaml(tmp_path, cfg))
+        assert [p.split(":")[0] for p in problems] == ["forecast.target_sigma_alpha"]
 
     def test_shipped_forecast_with_a_starved_budget_exits_two(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -854,6 +862,18 @@ class TestCliRuns:
         rows = np.loadtxt(tmp_path / "out" / "weakvalue_scan.txt")
         assert rows.shape == (4, 7)
         assert "max |Re weak value|" in capsys.readouterr().out
+
+    def test_huge_kick_runs_without_a_warning(self, tmp_path, monkeypatch):
+        # (q gap)^2 overflowed in meter_shift's Gaussian factor and warned, though the
+        # factor it feeds, exp(-inf) = 0, is exact
+        text = (SCENARIOS / "weakvalue_scan.yaml").read_text(encoding="utf-8")
+        path = write_yaml(tmp_path, re.sub(r"q_grid: .*", "q_grid: [1.0e+200]", text))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path]) == 0
+        rows = np.loadtxt(tmp_path / "out" / "weakvalue_scan.txt")
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] == 1.0e200)
 
     def test_fringe_demo_byte_identical_reruns(self, tmp_path, monkeypatch):
         path = write_yaml(tmp_path, SMALL_FRINGE.format(out="ignored", vis="1.0"))

@@ -241,16 +241,6 @@ class TestTrajectory:
         with pytest.raises(InsufficientRecords):
             EphemerisTrajectory(table)
 
-    def test_acceleration_is_central_gravity(self):
-        table = circular_orbit_table(n_records=20)
-        traj = EphemerisTrajectory(table)
-        t = 300.0
-        acc = traj.accelerations(t)
-        state = traj.states(t)
-        r = float(np.linalg.norm(state.position))
-        expected = -GM_EARTH / r**3 * state.position
-        np.testing.assert_allclose(acc, expected, atol=1e-5 * GM_EARTH / r**2)
-
 
 def _product_form_state(table, t):
     """Reference interpolant: the windowed Lagrange product form, one epoch at a time."""
@@ -321,10 +311,8 @@ class TestBatchInterpolation:
         traj = EphemerisTrajectory(circular_orbit_table(n_records=20))
         times = np.array([30.0, 300.0, 601.5, 1000.0])
         pos = traj.states(times).position
-        acc = traj.accelerations(times)
         for i, t in enumerate(times):
             np.testing.assert_allclose(traj.states(t).position[0], pos[i], rtol=0, atol=1e-9)
-            np.testing.assert_allclose(traj.accelerations(t)[0], acc[i], rtol=1e-12)
 
 
 def reference_parse_cpf(text):

@@ -1,6 +1,5 @@
 """Violation-parameter regression and Monte Carlo forecasting."""
 
-import dataclasses
 import math
 import re
 
@@ -10,14 +9,7 @@ import pytest
 from gravlink import estimator
 from gravlink.cli import main
 from gravlink.errors import DegenerateVisibility, GravlinkError, SingularFit
-from gravlink.estimator import (
-    AlphaEstimate,
-    ForecastResult,
-    ForecastScenario,
-    build_pass,
-    estimate_alpha,
-    precision_forecast,
-)
+from gravlink.estimator import AlphaEstimate, build_pass, estimate_alpha, precision_forecast
 from gravlink.interferometer import _wrap_phase, fit_phase, fringe_scan
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
 from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
@@ -212,35 +204,35 @@ class TestEstimateAlpha:
             synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0), model="fancy")
 
 
-def forecast_scenario(n_epochs=6, scan_points=8):
-    return ForecastScenario(
-        gs_trajectory=GroundStation(0.0, 0.0),
-        sc_trajectory=CircularOrbit(6.771e6),
-        cfg=OPTICS,
-        red=RedshiftParams(3e-4),
-        t_start=-240.0,
-        t_end=240.0,
-        n_epochs=n_epochs,
-        scan_points=scan_points,
-    )
+RED = RedshiftParams(3e-4)
+
+
+def forecast(budget, trials, seed, n_epochs=6, **noise):
+    """precision_forecast over the zenith LEO pass, with fringe_scan's noise arguments."""
+    return precision_forecast(leo_pass(n_epochs)[1], OPTICS, RED, budget, trials, seed, **noise)
+
+
+def empirical_sigma(est):
+    return float(np.std(est.alpha_hat, ddof=1))
 
 
 class TestPrecisionForecast:
     def test_requires_ten_trials(self):
         with pytest.raises(ValueError):
-            precision_forecast(forecast_scenario(), 10**6, trials=5, seed=1)
+            forecast(10**6, trials=5, seed=1)
 
     def test_budget_below_one_pulse_per_point_rejected(self):
         # 6 epochs x 8 points x 2 terminals = 96 pulses; 0 means noiseless
         for budget in (1, 95):
             with pytest.raises(ValueError, match=r"photon budget \d+ is below one pulse .*\(96\)"):
-                precision_forecast(forecast_scenario(), budget, trials=10, seed=1)
+                forecast(budget, trials=10, seed=1)
 
     def test_noiseless_pipeline_collapses(self):
-        result = precision_forecast(forecast_scenario(), 0, trials=10, seed=1)
-        assert result.sigma_alpha_empirical < 1e-10
-        assert result.n_per_point == 0
+        result = forecast(0, trials=10, seed=1)
+        assert isinstance(result, AlphaEstimate)
+        assert empirical_sigma(result) < 1e-10
         hats = result.alpha_hat
+        assert hats.shape == result.sigma_alpha.shape == result.chi2_per_dof.shape == (10,)
         assert max(hats) == min(hats)
         # truth phases use the exact ratios while the regression subtracts
         # the second-order model, so the noiseless pipeline is systematically
@@ -251,82 +243,64 @@ class TestPrecisionForecast:
         assert abs(hats[0] - 3e-4) <= 10.0 * beta_max**3 / delta_u
 
     def test_empirical_matches_analytic(self):
-        result = precision_forecast(
-            forecast_scenario(), 192000, trials=12, seed=20260815
-        )
-        assert result.n_per_point == 2000
-        assert result.sigma_alpha_empirical == pytest.approx(
-            result.sigma_alpha_analytic, rel=0.3
-        )
+        # 192000 pulses over 6 epochs x 8 points x 2 terminals: 2000 per point
+        result = forecast(192000, trials=12, seed=20260815)
+        assert empirical_sigma(result) == pytest.approx(np.mean(result.sigma_alpha), rel=0.3)
 
     def test_quadrupled_budget_halves_sigma(self):
-        small = precision_forecast(forecast_scenario(), 96000, trials=10, seed=3)
-        large = precision_forecast(forecast_scenario(), 384000, trials=10, seed=4)
-        ratio = small.sigma_alpha_analytic / large.sigma_alpha_analytic
+        small = forecast(96000, trials=10, seed=3)
+        large = forecast(384000, trials=10, seed=4)
+        ratio = np.mean(small.sigma_alpha) / np.mean(large.sigma_alpha)
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_deterministic_under_seed(self):
-        a = precision_forecast(forecast_scenario(), 96000, trials=10, seed=9)
-        b = precision_forecast(forecast_scenario(), 96000, trials=10, seed=9)
+        a = forecast(96000, trials=10, seed=9)
+        b = forecast(96000, trials=10, seed=9)
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
-    def test_budget_extrapolation(self):
-        result = precision_forecast(forecast_scenario(), 96000, trials=10, seed=2)
-        target = 1e-5
-        budget = result.budget_for_target(target)
-        # consistency of the 1/sqrt(N) rule with itself
-        expected_sigma_ratio = result.sigma_alpha_analytic / target
-        assert budget == pytest.approx(96000 * expected_sigma_ratio**2, rel=1e-12)
-        noiseless = precision_forecast(forecast_scenario(), 0, trials=10, seed=2)
-        with pytest.raises(ValueError):
-            noiseless.budget_for_target(target)
-
-    @pytest.mark.parametrize("target", [-1e-5, 0.0, -0.0, math.inf, math.nan])
-    def test_budget_rejects_a_target_that_is_not_positive_and_finite(self, target):
-        result = ForecastResult(sigma_alpha_empirical=2e-5, sigma_alpha_analytic=2e-5,
-                                alpha_hat=np.zeros(10), sigma_alpha=np.full(10, 2e-5),
-                                chi2_per_dof=np.ones(10), photon_budget=1000, n_per_point=10)
-        assert result.budget_for_target(1e-5) == 4000.0
-        with pytest.raises(ValueError, match="target sigma_alpha must be positive and finite"):
-            result.budget_for_target(target)
+    def test_budget_extrapolation(self, tmp_path, monkeypatch, capsys):
+        # gravlink run's 1/sqrt(N) line against the footer's analytic sigma
+        config = tmp_path / "forecast.yaml"
+        config.write_text(NOISELESS_FORECAST.replace("photon_budget: 0", "photon_budget: 96000"),
+                          encoding="utf-8")
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(config)]) == 0
+        footer = (tmp_path / "out" / "forecast_trials.txt").read_text().splitlines()[-1]
+        analytic = float(re.search(r"sigma_alpha_analytic=(\S+)", footer)[1])
+        budget = 96000 * (analytic / 1e-5) ** 2
+        assert f"photon budget for sigma_alpha = 1.0e-05: {budget:.3e} " in capsys.readouterr().out
+        config.write_text(NOISELESS_FORECAST, encoding="utf-8")
+        assert main(["run", str(config)]) == 0
+        assert "noiseless run: budget extrapolation skipped" in capsys.readouterr().out
 
 
-    def test_budget_past_the_float_range_is_inf(self):
-        # (sigma / target) ** 2 raised OverflowError instead of reaching inf
-        result = ForecastResult(sigma_alpha_empirical=2e-5, sigma_alpha_analytic=2e-5,
-                                alpha_hat=np.zeros(10), sigma_alpha=np.full(10, 2e-5),
-                                chi2_per_dof=np.ones(10), photon_budget=1000, n_per_point=10)
-        assert result.budget_for_target(1e-300) == math.inf
-
-
-def per_trial_forecast(scenario, photon_budget, trials, seed):
+def per_trial_forecast(geoms, photon_budget, trials, seed, scan_points=8, visibility=1.0,
+                       efficiency=1.0, dark_rate=0.0):
     """The forecast one trial at a time, as precision_forecast ran before it fitted
     trials in blocks: per trial one fringe_scan, one fit_phase and one
     estimate_alpha call. Yields each trial's AlphaEstimate; a failed fit names
     its scan as [epoch, terminal]."""
-    n_per_point = photon_budget // (2 * scenario.n_epochs * scenario.scan_points)
-    epochs, geoms = build_pass(scenario.gs_trajectory, scenario.sc_trajectory,
-                               scenario.t_start, scenario.t_end, scenario.n_epochs)
-    truth = phase_pair(geoms, scenario.cfg, scenario.red)
-    model = phase_pair(geoms, scenario.cfg, RedshiftParams(0.0))
+    n_per_point = photon_budget // (2 * len(geoms) * scan_points)
+    truth = phase_pair(geoms, OPTICS, RED)
+    model = phase_pair(geoms, OPTICS, RedshiftParams(0.0))
     true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
-    offsets = np.linspace(0.0, 2.0 * math.pi, scenario.scan_points, endpoint=False)
+    offsets = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
     for t in range(trials):
         if n_per_point > 0:
-            fit = fit_phase(fringe_scan(offsets, true_phase, scenario.visibility, n_per_point,
-                                        scenario.efficiency, np.random.SeedSequence((seed, t)),
-                                        dark_rate=scenario.dark_rate))
+            fit = fit_phase(fringe_scan(offsets, true_phase, visibility, n_per_point,
+                                        efficiency, np.random.SeedSequence((seed, t)),
+                                        dark_rate=dark_rate))
             phase, sigma = model_phase + _wrap_phase(fit.phi_hat - model_phase), fit.sigma_phi
         else:
             phase, sigma = true_phase, np.full_like(true_phase, 1e-12)
-        rows = np.stack([phase, sigma], axis=-1).reshape(len(epochs), 4)
-        yield estimate_alpha(rows, geoms, scenario.cfg)
+        rows = np.stack([phase, sigma], axis=-1).reshape(len(geoms), 4)
+        yield estimate_alpha(rows, geoms, OPTICS)
 
 
-def trials_per_block(scenario):
-    return max(1, estimator._BLOCK_POINTS // (2 * scenario.n_epochs * scenario.scan_points))
+def trials_per_block(n_epochs, scan_points=8):
+    return max(1, estimator._BLOCK_POINTS // (2 * n_epochs * scan_points))
 
 
 class TestBlockedForecast:
@@ -336,20 +310,18 @@ class TestBlockedForecast:
         (2400000, {"visibility": 0.9, "efficiency": 0.8, "dark_rate": 1e-4}),
     ])
     def test_matches_the_per_trial_loop_bit_for_bit(self, budget, noise):
-        scenario = dataclasses.replace(forecast_scenario(n_epochs=25), **noise)
-        block = trials_per_block(scenario)
+        block = trials_per_block(25)
         trials = 3 * block + block // 2 + 1  # three full blocks and a remainder
         assert block > 1 and trials % block
-        result = precision_forecast(scenario, budget, trials=trials, seed=20260815)
-        oracle = list(per_trial_forecast(scenario, budget, trials, seed=20260815))
+        result = forecast(budget, trials, 20260815, n_epochs=25, **noise)
+        oracle = list(per_trial_forecast(leo_pass(25)[1], budget, trials, 20260815, **noise))
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
             np.testing.assert_array_equal(getattr(result, field),
                                           [getattr(est, field) for est in oracle])
 
     @pytest.mark.parametrize("budget", [16000000, 0])
     def test_regresses_once_per_block(self, monkeypatch, budget):
-        scenario = forecast_scenario(n_epochs=25)
-        block = trials_per_block(scenario)
+        block = trials_per_block(25)
         trials = 3 * block + 1
         calls = []
 
@@ -358,26 +330,26 @@ class TestBlockedForecast:
             return estimate_alpha(rows, geometries, cfg, first=first)
 
         monkeypatch.setattr(estimator, "estimate_alpha", counted)
-        precision_forecast(scenario, budget, trials=trials, seed=1)
+        forecast(budget, trials, 1, n_epochs=25)
         assert calls == [0, block, 2 * block, 3 * block]
 
     def test_failed_fit_names_the_global_trial(self):
         # 8 pulses per scan point: with this seed, trial 30's fit is the first to fail
-        scenario, budget, seed = forecast_scenario(n_epochs=25), 3200, 6
+        budget, seed = 3200, 6
         trial = 0  # the trials the loop finished before one failed
         with pytest.raises(GravlinkError) as failed:
-            for _ in per_trial_forecast(scenario, budget, 40, seed):
+            for _ in per_trial_forecast(leo_pass(25)[1], budget, 40, seed):
                 trial += 1
-        assert trial >= 2 * trials_per_block(scenario)  # a later block
+        assert trial >= 2 * trials_per_block(25)  # a later block
         local = re.fullmatch(r"(.*) at scan \[(\d+), (\d+)\]", str(failed.value))
         with pytest.raises(type(failed.value)) as blocked:
-            precision_forecast(scenario, budget, trials=40, seed=seed)
+            forecast(budget, 40, seed, n_epochs=25)
         assert str(blocked.value) == f"{local[1]} at scan [{trial}, {local[2]}, {local[3]}]"
         assert isinstance(blocked.value, DegenerateVisibility)
 
     def test_singular_fit_names_the_global_trial(self, monkeypatch):
         # a fit whose every sigma_phi is infinite leaves its trial no weight
-        scenario, lost = forecast_scenario(n_epochs=25), 23
+        lost = 23
 
         def fit_losing_a_trial(scan, first=0):
             fit = fit_phase(scan, first=first)
@@ -387,9 +359,9 @@ class TestBlockedForecast:
             return fit._replace(sigma_phi=sigma)
 
         monkeypatch.setattr(estimator, "fit_phase", fit_losing_a_trial)
-        assert lost // trials_per_block(scenario) >= 2
+        assert lost // trials_per_block(25) >= 2
         with pytest.raises(SingularFit, match=rf"no leverage \(0\.0\): .* at trial \[{lost}\]$"):
-            precision_forecast(scenario, 16000000, trials=30, seed=1)
+            forecast(16000000, 30, 1, n_epochs=25)
 
 
 NOISELESS_FORECAST = """

@@ -8,20 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravlink.constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
+from gravlink.ephemeris import EphemerisTrajectory
 from gravlink.errors import BadAltitude, DegenerateGeometry, NoConvergence
 from gravlink.kinematics import (
+    EARTH_ROTATION,
     CircularOrbit,
     GroundStation,
     LinkGeometry,
     StateVector,
-    StaticPlatform,
     build_link_geometry,
-    earth_rotation_vector,
     newtonian_potential,
     rotate_z,
     solve_light_time,
 )
 from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair
+
+from helpers import StaticPlatform
+from test_ephemeris import circular_orbit_table
+
+
+def station_acceleration(station, t):
+    """a1 of the link geometry from station at emission epoch(s) t."""
+    return build_link_geometry(station, CircularOrbit(6.9e6, inclination=1.2), t).a1
 
 
 class TestStateVector:
@@ -55,13 +63,6 @@ class TestCircularOrbit:
         assert s.velocity[0, 1] > 0.0
         assert s.velocity[0, 2] == pytest.approx(0.0, abs=1e-9)
 
-    def test_period_against_formula(self):
-        a = 6.778e6
-        orbit = CircularOrbit(a)
-        kepler = 2.0 * math.pi * math.sqrt(a**3 / GM_EARTH)
-        assert abs(orbit.period() - kepler) < 0.1
-        assert orbit.period() == pytest.approx(5553.456, abs=0.1)
-
     def test_altitude_bounds(self):
         with pytest.raises(BadAltitude):
             CircularOrbit(1.0e6, 0.0, 0.0, 0.0).states(0.0)
@@ -80,14 +81,6 @@ class TestCircularOrbit:
         positions = orbit.states([0.0, 800.0, 3000.0]).position
         assert np.linalg.norm(positions, axis=1) == pytest.approx(7.1e6, rel=1e-12)
 
-    def test_acceleration_points_inward(self):
-        orbit = CircularOrbit(7.0e6)
-        s = orbit.states(500.0)
-        acc = orbit.accelerations(500.0)
-        np.testing.assert_allclose(
-            acc, -GM_EARTH / 7.0e6**3 * s.position, rtol=1e-12
-        )
-
 
 class TestGroundStation:
     def test_equatorial_speed(self):
@@ -99,11 +92,11 @@ class TestGroundStation:
     def test_pole_is_stationary(self):
         s = GroundStation(math.pi / 2, 0.0, 0.0).states(123.0)
         assert float(np.linalg.norm(s.velocity)) == pytest.approx(0.0, abs=1e-9)
-        acc = GroundStation(math.pi / 2, 0.0, 0.0).accelerations(123.0)
+        acc = station_acceleration(GroundStation(math.pi / 2, 0.0, 0.0), 123.0)
         assert float(np.linalg.norm(acc)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equatorial_centripetal_acceleration(self):
-        acc = GroundStation(0.0, 0.0, 0.0).accelerations(0.0)
+        acc = station_acceleration(GroundStation(0.0, 0.0, 0.0), 0.0)
         mag = float(np.linalg.norm(acc))
         assert mag == pytest.approx(OMEGA_EARTH**2 * R_EARTH, rel=0.01)
         assert mag == pytest.approx(3.387776e-2, rel=1e-5)
@@ -358,14 +351,37 @@ class TestBuildLinkGeometry:
         gs = GroundStation(0.0, 0.0)
         sc = CircularOrbit(6.778e6)
         geom = build_link_geometry(gs, sc, 0.0)
-        np.testing.assert_allclose(
-            geom.a1, GroundStation(0.0, 0.0, 0.0).accelerations(0.0), rtol=1e-12
-        )
+        np.testing.assert_allclose(geom.a1, [[-OMEGA_EARTH**2 * R_EARTH, 0.0, 0.0]],
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["circular", "ephemeris"])
+    def test_reception_radius_from_the_potential(self, kind):
+        """GM / (c^2 U2), the pass summary's orbit radius, is |r| of the spacecraft at
+        reception, with no second state evaluation."""
+        orbit = (CircularOrbit(6.9e6, inclination=1.2) if kind == "circular"
+                 else EphemerisTrajectory(circular_orbit_table(inc=0.9)))
+        t = np.linspace(300.0, 1500.0, 9)
+        geom = build_link_geometry(GroundStation(0.4, 0.3), orbit, t)
+        radius = np.linalg.norm(orbit.states(t + geom.t_up).position, axis=-1)
+        np.testing.assert_allclose(GM_EARTH / (C_LIGHT**2 * geom.U2), radius, rtol=2e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lat=st.floats(-math.pi / 2, math.pi / 2), lon=st.floats(-math.pi, math.pi),
+           alt=st.floats(0.0, 3.0e3),
+           epochs=st.lists(st.floats(-4.0e4, 4.0e4), min_size=1, max_size=6))
+    def test_station_acceleration_is_centripetal(self, lat, lon, alt, epochs):
+        """a1 = omega x v1 of a co-rotating station is -omega^2 (x, y, 0)."""
+        station = GroundStation(lat, lon, alt)
+        x, y, _ = station.states(epochs).position.T
+        expected = -OMEGA_EARTH**2 * np.stack([x, y, np.zeros_like(x)], axis=-1)
+        np.testing.assert_allclose(station_acceleration(station, epochs), expected,
+                                   rtol=1e-15, atol=1e-30)
 
 
 def test_earth_rotation_vector():
-    w = earth_rotation_vector()
-    np.testing.assert_allclose(w, [0.0, 0.0, OMEGA_EARTH])
+    np.testing.assert_array_equal(EARTH_ROTATION, [0.0, 0.0, OMEGA_EARTH])
+    with pytest.raises(ValueError, match="read-only"):
+        EARTH_ROTATION[2] = 0.0
 
 
 def test_rotation_z_orthonormal():
