@@ -32,6 +32,7 @@ from .link_model import (
     first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
+    phase_scale,
 )
 
 
@@ -113,14 +114,13 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str
 # its text, summary lines); _run writes both files and prints the summary.
 def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     station, orbit = trajectories(cfg, config_path)
-    optics, red = cfg.optical, cfg.redshift
-    scale = optics.phase_scale
+    scale, alpha = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l), cfg.redshift.alpha
     epochs, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end,
                               cfg.sweep.n_epochs)
-    pair = phase_pair(geom, optics, red)
+    pair = phase_pair(geom, scale, alpha)
     du = geom.U2 - geom.U1
     doppler_phase = scale * first_order_doppler_shift(geom)
-    expanded = scale * expanded_signal(geom, red)
+    expanded = scale * expanded_signal(geom, alpha)
     resid = pair.s_signal - expanded
     columns = np.stack([epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal, doppler_phase,
                         expanded, resid], axis=1)
@@ -134,7 +134,7 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     # the spacecraft at reception, from U2 = GM / (c^2 r): no second state evaluation
     mean_orbit_radius = float(np.mean(GM_EARTH / (C_LIGHT**2 * geom.U2)))
     height = mean_orbit_radius - (R_EARTH + cfg.station.altitude)
-    phi_uniform = gravitational_phase(optics, G_STD, height, red.alpha)
+    phi_uniform = gravitational_phase(scale, G_STD, height, alpha)
     ratio = max_doppler / max_gravity if max_gravity > 0 else math.inf
 
     summary = [
@@ -157,7 +157,8 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
     station, orbit = trajectories(cfg, config_path)
     _, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end, cfg.sweep.n_epochs)
     noise, budget = cfg.noise, cfg.noise.photon_budget
-    est = precision_forecast(geom, cfg.optical, cfg.redshift, budget, cfg.forecast.trials,
+    scale = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l)
+    est = precision_forecast(geom, scale, cfg.redshift.alpha, budget, cfg.forecast.trials,
                              cfg.seed, scan_points=cfg.forecast.scan_points,
                              visibility=noise.visibility, efficiency=noise.efficiency,
                              dark_rate=noise.dark_rate)
@@ -235,13 +236,12 @@ def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
 
 
 def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
-    from .spin_weak import (GaussianMeter, SpinCouplingParams, amplification_scan,
-                            constants_report, two_spin_hamiltonian)
+    from .spin_weak import (SpinCouplingParams, amplification_scan, constants_report,
+                            two_spin_hamiltonian)
 
     spin = cfg.spin
-    meter = GaussianMeter(width=spin.meter_width)
     q_values = [q * spin.meter_width for q in spin.q_grid]
-    rows = amplification_scan(spin.theta_grid, q_values, meter)
+    rows = amplification_scan(spin.theta_grid, q_values, spin.meter_width)
     table = _table(
         "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
         " ".join(["%.12e"] * 7), rows)

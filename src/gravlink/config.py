@@ -4,10 +4,9 @@ One walk over one field table (_FIELDS) collects every violation instead of
 stopping at the first and builds the typed config. The table is the schema:
 each row holds a field's key, attribute, parser, bound and default, and the
 frozen section classes and ScenarioConfig are built from its rows, a
-section's class the first time a config holds that section. The optical and
-redshift sections are link_model's own OpticalConfig and RedshiftParams,
-which keep their defaults. The checks borrowed from ephemeris,
-interferometer and spin_weak import them only when a config reaches them.
+section's class the first time a config holds that section. The checks
+borrowed from ephemeris, interferometer and spin_weak import them only when
+a config reaches them.
 Units in config files are SI with the unit in the key name, except angles,
 which are degrees (converted to radians here).
 """
@@ -18,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import make_dataclass
+from dataclasses import make_dataclass, replace
 from functools import cache
 from itertools import accumulate
 from typing import Optional
@@ -29,7 +28,7 @@ import yaml
 from .constants import C_LIGHT, G_STD, OMEGA_EARTH, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
 from .kinematics import CircularOrbit, GroundStation
-from .link_model import OpticalConfig, RedshiftParams
+from .link_model import phase_scale
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
 STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
@@ -118,7 +117,6 @@ _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
 REQUIRED = object()  # default of a key that must be given
-LIBRARY = object()   # default of an optional key that OpticalConfig or RedshiftParams supplies
 
 # section (None: top level), YAML key, attribute, parser, bound (test, text), default.
 # A parser takes (value, name) and raises ConfigInvalid; the bound tests its result, or
@@ -140,13 +138,13 @@ _FIELDS = (
     ("station", "altitude_m", "altitude", _number, _at_least(0), 0.0),
     ("optical", "wavelength_m", "lambda0", _number, _POSITIVE, REQUIRED),
     ("optical", "delay_length_m", "delay_length", _number, _POSITIVE, REQUIRED),
-    ("optical", "group_index", "group_index", _number, _at_least(1), LIBRARY),
-    ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, LIBRARY),
+    ("optical", "group_index", "group_index", _number, _at_least(1), 1.0),
+    # _load derives an absent tau_l as delay_length * group_index / c
+    ("optical", "tau_l_s", "tau_l", _number, _POSITIVE, None),
     ("sweep", "t_start_s", "t_start", _number, None, REQUIRED),
     ("sweep", "t_end_s", "t_end", _number, None, REQUIRED),
     ("sweep", "n_epochs", "n_epochs", _integer, _count(2), REQUIRED),
-    ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"),
-     LIBRARY),
+    ("redshift", "alpha", "alpha", _number, (lambda x: abs(x) < 1.0, "outside (-1, 1)"), 0.0),
     ("noise", "photon_budget", "photon_budget", _integer, _count(0), 0),
     ("noise", "efficiency", "efficiency", _number, _FRACTION, 1.0),
     ("noise", "dark_rate", "dark_rate", _number, _at_least(0), 0.0),
@@ -184,18 +182,15 @@ def _frozen(name: str, section: Optional[str], extra: tuple = ()) -> type:
                           namespace={"__module__": __name__})
 
 
-# link_model's own classes hold the optical and redshift defaults (the LIBRARY rows)
-_OWN_CLASSES = {"optical": OpticalConfig, "redshift": RedshiftParams}
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _FIELDS if row[0] and "." not in row[0]))
 ScenarioConfig = _frozen("ScenarioConfig", None, tuple(
-    (section, object, RedshiftParams() if section == "redshift" else None)
-    for section in _SECTIONS))
+    (section, object, None) for section in _SECTIONS))
 
 
 @cache
 def _spec(section: str) -> type:
     """The frozen class of a section, built the first time a config holds that section."""
-    return _OWN_CLASSES.get(section) or _frozen(f"{section.title()}Spec", section)
+    return _frozen(f"{section.title()}Spec", section)
 
 
 def _shown(raw, ok: np.ndarray) -> str:
@@ -259,17 +254,24 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         problems.append(f"seed: required for stochastic mode '{mode}'")
     values, specs = {}, {}
     for section in _SECTIONS:
-        if isinstance(tree.get(section), dict):
-            values[section], found = _walk(tree[section], section)
+        raw = tree.get(section, {} if section == "redshift" else None)  # absent: alpha 0, GR
+        if isinstance(raw, dict):
+            values[section], found = _walk(raw, section)
             problems += found
-            try:
-                if not found:
-                    specs[section] = _spec(section)(**values[section])
-            except ValueError as exc:  # the checks of link_model's own section classes
-                problems.append(f"{section}: {exc}")
-        elif section in _SECTION_BY_MODE.get(mode, ()):
+            if not found:
+                specs[section] = _spec(section)(**values[section])
+        elif section in tree or section in _SECTION_BY_MODE.get(mode, ()):
             problems.append(f"{section}: expected a mapping" if section in tree
                             else f"{section}: section required for mode '{mode}'")
+    optical = specs.get("optical")
+    if optical:
+        if optical.tau_l is None:  # the delay line's proper delay
+            specs["optical"] = optical = replace(
+                optical, tau_l=optical.delay_length * optical.group_index / C_LIGHT)
+        try:
+            phase_scale(optical.lambda0, optical.tau_l)
+        except ValueError as exc:
+            problems.append(f"optical: {exc}")
     orbit = tree.get("orbit")
     if isinstance(orbit, dict) and ("semi_major_axis_m" in orbit) == ("ephemeris_path" in orbit):
         problems.append("orbit: semi_major_axis_m and ephemeris_path are exclusive; set one")
@@ -296,11 +298,15 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
             problems.append("noise.efficiency: 0 detects no photon; set photon_budget: 0 "
                             "for a noiseless forecast")
     spin = specs.get("spin")
-    if spin:  # the scan's coupling is q * meter_width, as the runner multiplies them
-        ok = np.array([math.isfinite(q * spin.meter_width) for q in spin.q_grid])
-        if not ok.all():
-            problems.append(f"spin.q_grid: {_shown(tree['spin']['q_grid'], ok)} times "
-                            f"meter_width {spin.meter_width:g} must be finite")
+    if spin:  # the scan's kicks are q * meter_width, as the runner multiplies them, and its
+        # largest weak shifts a kick times max|A_w|, with A_w = tan(theta) its weak value
+        kicks = [q * spin.meter_width for q in spin.q_grid]
+        a_w = max(abs(math.tan(theta)) for theta in spin.theta_grid)
+        weak = np.array([not math.isfinite(k) or math.isfinite(k * a_w) for k in kicks])
+        for ok, times in ((np.isfinite(kicks), ""), (weak, f" times max|tan theta| {a_w:g}")):
+            if not ok.all():  # an infinite kick is named once, by the first
+                problems.append(f"spin.q_grid: {_shown(tree['spin']['q_grid'], ok)} times "
+                                f"meter_width {spin.meter_width:g}{times} must be finite")
     orbit, station = specs.get("orbit"), specs.get("station")
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):

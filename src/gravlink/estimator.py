@@ -31,7 +31,7 @@ from .interferometer import (FringeScan, _wrap_phase, cascade_intensities, draw_
 # tracer resolves estimator.build_pass in this module (the forecast's
 # estimator.pass_self_s), and its tracer test reads estimator.build_link_geometry
 from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F401
-from .link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
+from .link_model import phase_pair, velocity_terms
 
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
 # scan points a forecast draws and fits together; it sets the forecast's peak memory
@@ -51,7 +51,7 @@ class AlphaEstimate:
             raise ValueError("sigma_alpha must be positive")
 
 
-def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
+def estimate_alpha(rows, geometries: LinkGeometry, scale: float,
                    first: int = 0) -> AlphaEstimate:
     """Weighted least-squares estimate of the violation parameter over a pass.
 
@@ -59,7 +59,8 @@ def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
     radians at each epoch of the LinkGeometry batch geometries, as an
     (epochs, 4) array or a batch (..., epochs, 4) of repeated measurements
     (a forecast's trials) of the same pass; phases must be unwrapped
-    (absolute), not fringe-wrapped, and every sigma positive.
+    (absolute), not fringe-wrapped, and every sigma positive. scale is the
+    phase_scale omega0 * tau_l that turned fractional shifts into phases.
 
     Per epoch: s = phi_sc - phi_gs/2 with variance sigma_sc^2 +
     sigma_gs^2/4; the closed-form second-order kinematic terms
@@ -83,7 +84,6 @@ def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
     phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
     if np.any(sig_sc <= 0.0) or np.any(sig_gs <= 0.0):
         raise ValueError("phase uncertainties must be positive")
-    scale = cfg.phase_scale
     x = geometries.U2 - geometries.U1
     y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geometries)
     weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
@@ -102,16 +102,17 @@ def estimate_alpha(rows, geometries: LinkGeometry, cfg: OpticalConfig,
                          chi2_per_dof=chi2_per_dof[()])
 
 
-def precision_forecast(geometries: LinkGeometry, cfg: OpticalConfig, red: RedshiftParams,
+def precision_forecast(geometries: LinkGeometry, scale: float, alpha: float,
                        photon_budget: int, trials: int, seed, scan_points: int = 8,
                        visibility: float = 1.0, efficiency: float = 1.0,
                        dark_rate: float = 0.0) -> AlphaEstimate:
     """Monte Carlo spread of the violation estimate over one built pass.
 
-    geometries is the pass's LinkGeometry batch (build_pass). The photon
-    budget is split evenly across epochs, scan points, and the two
-    terminals; a positive budget below one pulse per scan point raises
-    ValueError (0 runs noiseless). True/model phases and the checked outcome
+    geometries is the pass's LinkGeometry batch (build_pass), scale its
+    phase_scale and alpha the injected violation. The photon budget is split
+    evenly across epochs, scan points, and the two terminals; a positive
+    budget below one pulse per scan point raises ValueError (0 runs
+    noiseless). True/model phases and the checked outcome
     probabilities of every scan point are computed once and shared by all
     trials; only photon noise is redrawn, with fringe_scan's noise arguments.
     Trial t draws from SeedSequence((seed, t)) alone, so its row does not
@@ -133,8 +134,8 @@ def precision_forecast(geometries: LinkGeometry, cfg: OpticalConfig, red: Redshi
         raise ValueError(f"photon budget {photon_budget} is below one pulse per scan point "
                          f"({pulses}); use 0 for a noiseless run")
     n_per_point = int(photon_budget // pulses) if photon_budget > 0 else 0
-    truth = phase_pair(geometries, cfg, red)
-    model = phase_pair(geometries, cfg, RedshiftParams(0.0))
+    truth = phase_pair(geometries, scale, alpha)
+    model = phase_pair(geometries, scale)
     true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)       # (epochs, terminal)
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
     offsets = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
@@ -158,6 +159,6 @@ def precision_forecast(geometries: LinkGeometry, cfg: OpticalConfig, red: Redshi
             phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
         # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
         rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(geometries), 4)
-        est = estimate_alpha(rows, geometries, cfg, first=start)
+        est = estimate_alpha(rows, geometries, scale, first=start)
         estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
     return AlphaEstimate(*estimates)

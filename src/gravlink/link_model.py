@@ -28,7 +28,7 @@ static phi_sc is negative. phi > 0 means received frequency above emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,60 +40,26 @@ _TWO_PI = 2.0 * math.pi
 _MIN_DENOMINATOR = 0.5  # ratio denominators must stay near 1
 
 
-@dataclass(frozen=True)
-class OpticalConfig:
-    """Laser and interferometer parameters.
+def phase_scale(lambda0: float, tau_l: float) -> float:
+    """omega0 * tau_l [rad], omega0 = 2*pi*c/lambda0: converts fractional shifts to phase.
 
-    lambda0 : m, carrier wavelength (omega0 = 2*pi*c/lambda0).
-    delay_length : m, interferometer arm-length imbalance.
-    group_index : dimensionless, of the delay medium (default vacuum).
-    tau_l : s, proper delay; derived as delay_length*group_index/c unless
-        given explicitly.
+    lambda0 is the carrier wavelength [m] and tau_l the proper delay of both
+    interferometers [s]. Raises ValueError unless the result is positive and finite.
     """
-
-    lambda0: float
-    delay_length: float
-    group_index: float = 1.0
-    tau_l: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.lambda0}")
-        if self.tau_l is None:
-            if self.delay_length <= 0.0:
-                raise ValueError("delay_length must be positive")
-            object.__setattr__(
-                self, "tau_l", self.delay_length * self.group_index / C_LIGHT
-            )
-        if self.tau_l <= 0.0:
-            raise ValueError(f"tau_l must be positive, got {self.tau_l}")
-        if not math.isfinite(self.phase_scale):
-            raise ValueError(f"omega0*tau_l = {self.phase_scale} must be finite")
-
-    @property
-    def omega0(self) -> float:
-        """Carrier angular frequency [rad/s]."""
-        return _TWO_PI * C_LIGHT / self.lambda0
-
-    @property
-    def phase_scale(self) -> float:
-        """omega0 * tau_l [rad]: converts fractional shifts to phase."""
-        return self.omega0 * self.tau_l
+    scale = _TWO_PI * C_LIGHT / lambda0 * tau_l if lambda0 else math.inf  # omega0 = 2 pi c / 0
+    if not 0.0 < scale < math.inf:
+        need = "positive" if scale <= 0.0 else "finite"
+        raise ValueError(f"omega0*tau_l = {scale} must be {need}")
+    return scale
 
 
-@dataclass(frozen=True)
-class RedshiftParams:
-    """Position-invariance violation strength; alpha = 0 reproduces GR."""
-
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.alpha) >= 1.0:
-            raise ValueError(f"|alpha| must be < 1, got {self.alpha}")
+def _check_alpha(alpha: float) -> None:
+    """The position-invariance violation strength lies in (-1, 1); alpha = 0 reproduces GR."""
+    if not abs(alpha) < 1.0:
+        raise ValueError(f"|alpha| must be < 1, got {alpha}")
 
 
-@dataclass(frozen=True)
-class PhasePair:
+class PhasePair(NamedTuple):
     """Fringe phases at the two terminals and their combination [rad], (N,) per epoch."""
 
     phi_sc: np.ndarray
@@ -101,18 +67,19 @@ class PhasePair:
     s_signal: np.ndarray
 
 
-def gravitational_phase(cfg: OpticalConfig, g: float, h: float, alpha: float = 0.0) -> float:
+def gravitational_phase(scale: float, g: float, h: float, alpha: float = 0.0) -> float:
     """Uniform-field estimate of the gravitational fringe phase [rad].
 
-    (1 + alpha) * omega0 * tau_l * g * h / c^2 (cfg.phase_scale, as for every
-    pass phase) for station-spacecraft height difference h. About 2 rad for
-    an 800 nm laser, a 6 km vacuum delay, and a 400 km orbit.
+    (1 + alpha) * omega0 * tau_l * g * h / c^2 (scale = phase_scale, as for
+    every pass phase) for station-spacecraft height difference h. About 2 rad
+    for an 800 nm laser, a 6 km vacuum delay, and a 400 km orbit.
     """
+    _check_alpha(alpha)
     if h < 0.0:
         raise ValueError("height must be non-negative")
     if g <= 0.0:
         raise ValueError("g must be positive")
-    return (1.0 + alpha) * cfg.phase_scale * g * h / C_LIGHT**2
+    return (1.0 + alpha) * scale * g * h / C_LIGHT**2
 
 
 def _check_denominator(value, label: str) -> None:
@@ -122,6 +89,7 @@ def _check_denominator(value, label: str) -> None:
 
 def _potential_term_minus_one(geom: LinkGeometry, alpha: float):
     """(time-dilation factor ratio) - 1, alpha scaling the potential part."""
+    _check_alpha(alpha)
     b1_sq = _dot(geom.beta1, geom.beta1)
     b2_sq = _dot(geom.beta2, geom.beta2)
     denominator = 1.0 - geom.U2 - 0.5 * b2_sq
@@ -164,15 +132,16 @@ def roundtrip_fractional_shift(geom: LinkGeometry):
     return c + b + c * b
 
 
-def redshift_fraction(red: RedshiftParams, u1: float, u2: float):
+def redshift_fraction(alpha: float, u1: float, u2: float):
     """Fractional frequency shift (1 + alpha)(U2 - U1) of the bare red-shift."""
-    return (1.0 + red.alpha) * (u2 - u1)
+    _check_alpha(alpha)
+    return (1.0 + alpha) * (u2 - u1)
 
 
-def phase_pair(geom: LinkGeometry, cfg: OpticalConfig, red: RedshiftParams) -> PhasePair:
-    """Exact fringe phases at both terminals and the combined signal."""
-    scale = cfg.phase_scale
-    phi_sc = scale * uplink_fractional_shift(geom, red.alpha)
+def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePair:
+    """Exact fringe phases at both terminals and the combined signal; scale is
+    phase_scale's omega0 * tau_l."""
+    phi_sc = scale * uplink_fractional_shift(geom, alpha)
     phi_gs = scale * roundtrip_fractional_shift(geom)
     return PhasePair(phi_sc=phi_sc, phi_gs=phi_gs, s_signal=phi_sc - 0.5 * phi_gs)
 
@@ -191,13 +160,13 @@ def velocity_terms(geom: LinkGeometry):
     return second_doppler - aberration_sq - acceleration
 
 
-def expanded_signal(geom: LinkGeometry, red: RedshiftParams):
+def expanded_signal(geom: LinkGeometry, alpha: float = 0.0):
     """Second-order model of s/(omega0 tau_l).
 
     (1 + alpha)(U2 - U1) + 0.5|beta1 - beta2|^2 - (d1 - d2)^2
     - T n12.a1/c. Agrees with the exact pipeline to O(beta^3).
     """
-    return redshift_fraction(red, geom.U1, geom.U2) + velocity_terms(geom)
+    return redshift_fraction(alpha, geom.U1, geom.U2) + velocity_terms(geom)
 
 
 def first_order_doppler_shift(geom: LinkGeometry):

@@ -128,17 +128,6 @@ class SpinCouplingParams:
         return self.g * self.a_axis
 
 
-@dataclass(frozen=True)
-class GaussianMeter:
-    """One-dimensional Gaussian pointer centred at 0; width is the rms spread of |psi|^2."""
-
-    width: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"meter width must be positive and finite, got {self.width}")
-
-
 def h_sigma(params: SpinCouplingParams) -> np.ndarray:
     """Rotation + momentum-dependent acceleration coupling, 2x2 [J].
 
@@ -196,22 +185,26 @@ def meter_shift(
     a_op: np.ndarray,
     s_i: QuantumState,
     s_f: QuantumState,
-    meter: GaussianMeter,
+    width: float = 1.0,
 ) -> MeterShift:
     """Pointer displacement after a kick of strength q and post-selection.
 
+    The meter is a one-dimensional Gaussian pointer centred at 0 whose
+    |psi|^2 has rms spread width, positive and finite (else ValueError).
     q is a float or an array (...,) and s_f one state or a batch (..., n);
     each result field has the broadcast shape of q and the batch.
     The exact value expands the kicked joint state in the eigenbasis of the
     observable: the post-selected pointer wave is a finite sum of displaced
     Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
     of them is a Gaussian centred at q (a + b) / 2 scaled by
-    exp(-q^2 (a - b)^2 / 8 s^2), so the norm and the mean are exact sums
+    exp(-q^2 (a - b)^2 / 8 width^2), so the norm and the mean are exact sums
     over eigenvalue pairs, taken for every q and selection at once. The
     weak-regime prediction is q*Re(A_w); their difference is O((q/width)^2)
     for small q and order-unity once q reaches the meter width. A selection
     with zero weight at any q raises OrthogonalSelection.
     """
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"meter width must be positive and finite, got {width}")
     a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
     eigvals, eigvecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
     weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
@@ -219,8 +212,8 @@ def meter_shift(
     pairs = (weights.conj()[..., :, None] * weights[..., None, :]).real
     q = np.asarray(q, dtype=float)
     kick = q[..., None]
-    gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
-    with np.errstate(over="ignore"):  # a gap^2 past the float range gives exp(-inf) = 0, exact
+    with np.errstate(over="ignore"):  # a gap past the float range gives exp(-inf) = 0, exact
+        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
         pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
     prob = pairs.sum(axis=-1)
     reject(prob <= 0.0, OrthogonalSelection, "post-selected pointer state has zero weight",
@@ -234,8 +227,7 @@ def meter_shift(
     )
 
 
-@dataclass(frozen=True)
-class ConstantRow:
+class ConstantRow(NamedTuple):
     name: str
     value: float
     units: str
@@ -281,20 +273,17 @@ def orthogonal_selections(theta_values) -> np.ndarray:
     return np.abs(np.cos(np.asarray(theta_values, dtype=float))) < _ORTHOGONALITY_TOL
 
 
-def amplification_scan(
-    theta_values,
-    q_values,
-    meter: GaussianMeter,
-) -> np.ndarray:
+def amplification_scan(theta_values, q_values, width: float) -> np.ndarray:
     """Weak-value amplification sweep for the textbook example.
 
     Observable sigma_x, pre-selection |0>, post-selection
-    cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta). Returns a float
-    array (len(theta_values) * len(q_values), 7) with rows (theta, q,
-    Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob), theta
-    major, in one array pass: weak_value and meter_shift each take the
-    batch of post-selections (n_theta, 1, 2) once and broadcast it against
-    q. A theta in orthogonal_selections raises OrthogonalSelection.
+    cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta), read by a meter of
+    the given width (meter_shift). Returns a float array
+    (len(theta_values) * len(q_values), 7) with rows (theta, q, Re A_w,
+    Im A_w, shift_exact, shift_weak, postselection_prob), theta major, in
+    one array pass: weak_value and meter_shift each take the batch of
+    post-selections (n_theta, 1, 2) once and broadcast it against q. A
+    theta in orthogonal_selections raises OrthogonalSelection.
     """
     sx = pauli(1)
     s_i = QuantumState(np.array([1.0, 0.0]))
@@ -302,5 +291,5 @@ def amplification_scan(
     q = np.asarray(q_values, dtype=float)
     s_f = QuantumState(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)[:, None, :])
     a_w = weak_value(sx, s_i, s_f)  # (n_theta, 1); raises on an orthogonal selection
-    columns = (thetas[:, None], q, a_w.real, a_w.imag, *meter_shift(q, sx, s_i, s_f, meter))
+    columns = (thetas[:, None], q, a_w.real, a_w.imag, *meter_shift(q, sx, s_i, s_f, width))
     return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)

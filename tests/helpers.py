@@ -11,13 +11,7 @@ import numpy as np
 
 from gravlink.constants import HBAR
 from gravlink.kinematics import LinkGeometry, StateVector
-from gravlink.link_model import (
-    OpticalConfig,
-    RedshiftParams,
-    expanded_signal,
-    phase_pair,
-    roundtrip_fractional_shift,
-)
+from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
 from gravlink.spin_weak import QuantumState, _require_hermitian
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
@@ -39,8 +33,8 @@ class StaticPlatform:
 
 def synthesize_measurements(
     geometries: LinkGeometry,
-    cfg: OpticalConfig,
-    red: RedshiftParams,
+    scale: float,
+    alpha: float,
     sigma_sc: float = 0.0,
     sigma_gs: float = 0.0,
     seed=None,
@@ -49,11 +43,12 @@ def synthesize_measurements(
     """Per-epoch measurement rows (phi_sc, sigma_sc, phi_gs, sigma_gs), (epochs, 4),
     with Gaussian phase noise, as estimate_alpha takes them.
 
-    geometries is a LinkGeometry batch. model = "expanded" (default) builds
-    the one-way phase from the second-order signal model plus half the exact
-    round-trip phase, so the regression model inverts it exactly; "exact"
-    uses the exact frequency ratios for both phases, which leaves the
-    O(beta^3) truncation visible to the estimator. With a seed, noise is
+    geometries is a LinkGeometry batch and scale its phase_scale. model =
+    "expanded" (default) builds the one-way phase from the second-order
+    signal model plus half the exact round-trip phase, so the regression
+    model inverts it exactly; "exact" uses the exact frequency ratios for
+    both phases, which leaves the O(beta^3) truncation visible to the
+    estimator. With a seed, noise is
     drawn epoch by epoch, the one-way phase before the round-trip one.
 
     Note the phases are ~1e6 rad, so reconstructing s = phi_sc - phi_gs/2
@@ -61,12 +56,11 @@ def synthesize_measurements(
     """
     if model not in ("expanded", "exact"):
         raise ValueError(f"unknown synthesis model '{model}'")
-    scale = cfg.phase_scale
     if model == "expanded":
         phi_gs = scale * roundtrip_fractional_shift(geometries)
-        phi_sc = scale * expanded_signal(geometries, red) + 0.5 * phi_gs
+        phi_sc = scale * expanded_signal(geometries, alpha) + 0.5 * phi_gs
     else:
-        pair = phase_pair(geometries, cfg, red)
+        pair = phase_pair(geometries, scale, alpha)
         phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
     if seed is not None:
         noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs],

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravlink.constants import G_STD, R_EARTH
+from gravlink.constants import C_LIGHT, G_STD, R_EARTH
 from gravlink.ephemeris import parse_cpf, serialize_cpf, interpolate_state
 from gravlink.errors import GravlinkError
 from gravlink.estimator import build_pass, estimate_alpha, precision_forecast
@@ -20,15 +20,13 @@ from gravlink.kinematics import (
     build_link_geometry,
 )
 from gravlink.link_model import (
-    OpticalConfig,
-    RedshiftParams,
     expanded_signal,
     first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
+    phase_scale,
 )
 from gravlink.spin_weak import (
-    GaussianMeter,
     QuantumState,
     SpinCouplingParams,
     constants_report,
@@ -44,7 +42,7 @@ from helpers import StaticPlatform, evolve, qubit, synthesize_measurements
 from test_ephemeris import analytic_eci_state, circular_orbit_table, cpf_mutations
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
+SCALE = phase_scale(800e-9, 6.0e3 / C_LIGHT)
 U_SURFACE = 6.961274586591855e-10
 
 
@@ -60,13 +58,13 @@ def report(criterion, detail):
 
 def test_criterion_1_gravitational_phase_magnitude():
     start = time.monotonic()
-    phi_uniform = gravitational_phase(OPTICS, G_STD, 4.0e5, 0.0)
+    phi_uniform = gravitational_phase(SCALE, G_STD, 4.0e5, 0.0)
     assert abs(phi_uniform) == pytest.approx(2.06, rel=0.05)
 
     ground = StaticPlatform([R_EARTH, 0.0, 0.0])
     craft = StaticPlatform([R_EARTH + 4.0e5, 0.0, 0.0])
     geom = build_link_geometry(ground, craft, 0.0)
-    (phi_sc,) = phase_pair(geom, OPTICS, RedshiftParams(0.0)).phi_sc
+    (phi_sc,) = phase_pair(geom, SCALE).phi_sc
     # uniform-field value vs the exact 1/r potential drop across 400 km
     assert abs(phi_sc) == pytest.approx(abs(phi_uniform), rel=0.06)
 
@@ -80,9 +78,8 @@ def test_criterion_1_gravitational_phase_magnitude():
 def test_criterion_2_doppler_dominance():
     start = time.monotonic()
     _, geoms = zenith_pass(100)
-    scale = OPTICS.phase_scale
-    max_doppler = float(np.max(np.abs(scale * first_order_doppler_shift(geoms))))
-    max_gravity = float(np.max(np.abs(scale * (geoms.U2 - geoms.U1))))
+    max_doppler = float(np.max(np.abs(SCALE * first_order_doppler_shift(geoms))))
+    max_gravity = float(np.max(np.abs(SCALE * (geoms.U2 - geoms.U1))))
     ratio = max_doppler / max_gravity
     assert 1e4 <= ratio <= 1e6
 
@@ -106,7 +103,7 @@ def test_criterion_3_factor_two_cancellation():
 
     def residual(speed_scale):
         geom, beta = _equal_potential_geometry(speed_scale)
-        pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
+        pair = phase_pair(geom, SCALE)
         return abs(pair.phi_gs / pair.phi_sc - 2.0).item(), beta
 
     res_full, beta_full = residual(1.0)
@@ -128,12 +125,10 @@ def test_criterion_3_factor_two_cancellation():
 def test_criterion_4_expansion_consistency():
     start = time.monotonic()
     _, geoms = zenith_pass(100)
-    scale = OPTICS.phase_scale
-    red = RedshiftParams(0.0)
     beta_max = float(np.max(np.linalg.norm([geoms.beta1, geoms.beta2, geoms.beta3], axis=-1)))
     bound = 10.0 * beta_max**3
-    pair = phase_pair(geoms, OPTICS, red)
-    resid = np.abs(pair.s_signal / scale - expanded_signal(geoms, red))
+    pair = phase_pair(geoms, SCALE)
+    resid = np.abs(pair.s_signal / SCALE - expanded_signal(geoms))
     worst = float(np.max(resid))
     assert np.all(resid <= bound)
 
@@ -153,10 +148,10 @@ def test_criterion_5_alpha_recovery_and_scaling():
     sigma = None
     for seed in range(100):
         rows = synthesize_measurements(
-            geoms, OPTICS, RedshiftParams(truth),
+            geoms, SCALE, truth,
             sigma_sc=1e-3, sigma_gs=1e-3, seed=seed,
         )
-        est = estimate_alpha(rows, geoms, OPTICS)
+        est = estimate_alpha(rows, geoms, SCALE)
         hats.append(est.alpha_hat)
         sigma = est.sigma_alpha
     bias = float(np.mean(hats)) - truth
@@ -166,7 +161,7 @@ def test_criterion_5_alpha_recovery_and_scaling():
     _, geoms = zenith_pass(10)
     sigmas = {}
     for budget in (80000, 800000, 8000000):
-        est = precision_forecast(geoms, OPTICS, RedshiftParams(truth), budget, trials=10,
+        est = precision_forecast(geoms, SCALE, truth, budget, trials=10,
                                  seed=20260815, scan_points=8)
         sigmas[budget] = float(np.mean(est.sigma_alpha))
     ratio_decade = sigmas[80000] / sigmas[800000]
@@ -232,7 +227,6 @@ def test_criterion_7_coupling_constants():
 def test_criterion_8_weak_value_suite():
     start = time.monotonic()
     ket0 = QuantumState(np.array([1.0, 0.0]))
-    meter = GaussianMeter()
 
     for theta in (0.1, 0.5, 0.9, 1.2, 1.44, 1.47):
         a_w = weak_value(pauli(1), ket0, qubit(theta))
@@ -240,7 +234,7 @@ def test_criterion_8_weak_value_suite():
         assert abs(a_w.imag) < 1e-12
 
     def rel_err(q):
-        shift = meter_shift(q, pauli(1), ket0, qubit(1.47), meter)
+        shift = meter_shift(q, pauli(1), ket0, qubit(1.47))
         return abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
 
     err_weak = rel_err(1e-3)

@@ -195,6 +195,14 @@ DEFECTS = [
     ("q_kick_overflow", SMALL_WEAKVALUE, "q_grid: [1.0e-3, 1.0e-1]",
      "meter_width: 1.0e+10\n  q_grid: [1.0e-3, 1.0e+300]",
      "spin.q_grid: [1] = 1e+300 times meter_width 1e+10 must be finite\n"),
+    # q * meter_width * tan(theta) overflowed: run warned, exited 0 and wrote shift_weak = inf
+    ("weak_shift_overflow", SMALL_WEAKVALUE, "[30.0, 84.0]\n  q_grid: [1.0e-3, 1.0e-1]",
+     "[89.99999999]\n  q_grid: [1.0e+300]",
+     "spin.q_grid: [0] = 1e+300 times meter_width 1 times max|tan theta| 5.72958e+09 "
+     "must be finite\n"),
+    # a redshift section that is not a mapping was ignored, and alpha silently 0
+    ("redshift_not_a_mapping", SMALL_PASS, "sweep:", "redshift: 3.0e-4\nsweep:",
+     "redshift: expected a mapping\n"),
 ]
 
 
@@ -874,6 +882,20 @@ class TestCliRuns:
             assert main(["run", path]) == 0
         rows = np.loadtxt(tmp_path / "out" / "weakvalue_scan.txt")
         assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] == 1.0e200)
+
+    def test_kick_near_the_float_range_runs_without_a_warning(self, tmp_path, monkeypatch):
+        # q * (a - b) for the eigenvalue gap 2 overflowed and warned; the weak shift
+        # q * tan(30 deg) stays finite, so validate passes it
+        text = (SCENARIOS / "weakvalue_scan.yaml").read_text(encoding="utf-8")
+        text = re.sub(r"q_grid: .*", "q_grid: [1.0e+308]", text)
+        path = write_yaml(tmp_path, re.sub(r"theta_grid_deg:\n(    .*\n)+",
+                                           "theta_grid_deg: [30.0]\n", text))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path]) == 0
+        (row,) = np.loadtxt(tmp_path / "out" / "weakvalue_scan.txt", ndmin=2)
+        assert np.all(np.isfinite(row)) and row[1] == 1.0e308
 
     def test_fringe_demo_byte_identical_reruns(self, tmp_path, monkeypatch):
         path = write_yaml(tmp_path, SMALL_FRINGE.format(out="ignored", vis="1.0"))

@@ -22,7 +22,7 @@ from gravlink.kinematics import (
     StateVector,
     build_link_geometry,
 )
-from gravlink.link_model import OpticalConfig, _check_denominator
+from gravlink.link_model import _check_denominator, phase_scale
 from gravlink.spin_weak import QuantumState, pauli, weak_value
 from test_interferometer import noiseless_scan
 
@@ -59,7 +59,7 @@ def trial_batch():
     geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6), epochs)
     rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (4, 3, 1))
     rows[1, :, 1] = np.inf   # trial 1 has no usable weight
-    estimate_alpha(rows, geoms, OpticalConfig(800e-9, 6.0e3))
+    estimate_alpha(rows, geoms, phase_scale(800e-9, 2.0e-5))
 
 
 def selection_batch():

@@ -12,12 +12,12 @@ from gravlink.errors import DegenerateVisibility, GravlinkError, SingularFit
 from gravlink.estimator import AlphaEstimate, build_pass, estimate_alpha, precision_forecast
 from gravlink.interferometer import _wrap_phase, fit_phase, fringe_scan
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
-from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair, velocity_terms
+from gravlink.link_model import phase_pair, phase_scale, velocity_terms
 
 from helpers import synthesize_measurements
 
 U_SURFACE = 6.961274586591855e-10
-OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0014e-5)
+SCALE = phase_scale(800e-9, 2.0014e-5)
 
 
 def tiny_beta_geometries(n=12):
@@ -47,17 +47,17 @@ class TestPassDataset:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
-            estimate_alpha(((1.0, 0.1, 2.0, 0.1),), tiny_beta_geometries(2), OPTICS)
+            estimate_alpha(((1.0, 0.1, 2.0, 0.1),), tiny_beta_geometries(2), SCALE)
 
     def test_bad_row_width(self):
         geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
-            estimate_alpha(((1.0, 0.1, 2.0),), geom, OPTICS)
+            estimate_alpha(((1.0, 0.1, 2.0),), geom, SCALE)
 
     def test_nonpositive_sigma(self):
         geom = tiny_beta_geometries(1)
         with pytest.raises(ValueError):
-            estimate_alpha(((1.0, 0.0, 2.0, 0.1),), geom, OPTICS)
+            estimate_alpha(((1.0, 0.0, 2.0, 0.1),), geom, SCALE)
 
     def test_one_epoch_geometry_from_scalars(self):
         # 3-vectors and floats make a batch of one, with a length
@@ -69,7 +69,7 @@ class TestPassDataset:
         )
         assert len(geom) == 1
         assert geom.n12.shape == (1, 3) and geom.U2.shape == (1,) and geom.d2.shape == (1,)
-        est = estimate_alpha(((1.0, 0.1, 2.0, 0.1),), geom, OPTICS)
+        est = estimate_alpha(((1.0, 0.1, 2.0, 0.1),), geom, SCALE)
         assert np.shape(est.alpha_hat) == () and est.chi2_per_dof == 0.0
 
     def test_alpha_estimate_sigma_positive(self):
@@ -81,14 +81,14 @@ class TestPassDataset:
 
     def test_batch_of_measurement_rows(self):
         geom = tiny_beta_geometries(2)
-        est = estimate_alpha(np.full((3, 5, 2, 4), 0.1), geom, OPTICS)
+        est = estimate_alpha(np.full((3, 5, 2, 4), 0.1), geom, SCALE)
         assert est.alpha_hat.shape == est.sigma_alpha.shape == (3, 5)
         rows = np.full((3, 2, 4), 0.1)
         rows[1, 0, 3] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            estimate_alpha(rows, geom, OPTICS)
+            estimate_alpha(rows, geom, SCALE)
         with pytest.raises(ValueError, match="align"):
-            estimate_alpha(rows[:, :1], geom, OPTICS)
+            estimate_alpha(rows[:, :1], geom, SCALE)
 
 
 class TestBuildPass:
@@ -107,27 +107,26 @@ class TestBuildPass:
 class TestEstimateAlpha:
     def test_noiseless_zero_alpha(self):
         geoms = tiny_beta_geometries()
-        rows = synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0))
-        est = estimate_alpha(rows, geoms, OPTICS)
+        rows = synthesize_measurements(geoms, SCALE, 0.0)
+        est = estimate_alpha(rows, geoms, SCALE)
         assert abs(est.alpha_hat) < 1e-12
 
     def test_noiseless_alpha_recovery(self):
         geoms = tiny_beta_geometries()
-        rows = synthesize_measurements(geoms, OPTICS, RedshiftParams(3e-4))
-        est = estimate_alpha(rows, geoms, OPTICS)
+        rows = synthesize_measurements(geoms, SCALE, 3e-4)
+        est = estimate_alpha(rows, geoms, SCALE)
         assert abs(est.alpha_hat - 3e-4) < 1e-12
 
     def test_model_subtraction_residual(self):
         # exact synthesis vs expanded model terms: per-epoch residual stays
         # within the second-order truncation bound
         _, geom = leo_pass(20)
-        red = RedshiftParams(2e-4)
-        rows = synthesize_measurements(geom, OPTICS, red, model="exact")
-        scale = OPTICS.phase_scale
+        alpha = 2e-4
+        rows = synthesize_measurements(geom, SCALE, alpha, model="exact")
         beta_max = np.max(np.linalg.norm([geom.beta1, geom.beta2, geom.beta3], axis=-1), axis=0)
         s_meas = rows[:, 0] - 0.5 * rows[:, 2]
-        resid = s_meas / scale - velocity_terms(geom) \
-            - (1.0 + red.alpha) * (geom.U2 - geom.U1)
+        resid = s_meas / SCALE - velocity_terms(geom) \
+            - (1.0 + alpha) * (geom.U2 - geom.U1)
         assert np.all(np.abs(resid) <= 10.0 * beta_max**3)
 
     def test_unbiased_under_phase_noise(self):
@@ -137,10 +136,10 @@ class TestEstimateAlpha:
         sigma = None
         for seed in range(100):
             rows = synthesize_measurements(
-                geoms, OPTICS, RedshiftParams(truth),
+                geoms, SCALE, truth,
                 sigma_sc=1e-3, sigma_gs=1e-3, seed=seed,
             )
-            est = estimate_alpha(rows, geoms, OPTICS)
+            est = estimate_alpha(rows, geoms, SCALE)
             alpha_hats.append(est.alpha_hat)
             sigma = est.sigma_alpha
         bias = float(np.mean(alpha_hats)) - truth
@@ -149,10 +148,10 @@ class TestEstimateAlpha:
     def test_chi2_health(self):
         _, geoms = leo_pass(50)
         rows = synthesize_measurements(
-            geoms, OPTICS, RedshiftParams(0.0),
+            geoms, SCALE, 0.0,
             sigma_sc=1e-3, sigma_gs=1e-3, seed=77,
         )
-        est = estimate_alpha(rows, geoms, OPTICS)
+        est = estimate_alpha(rows, geoms, SCALE)
         assert 0.5 < est.chi2_per_dof < 2.0
 
     def test_singular_when_no_leverage(self):
@@ -162,54 +161,53 @@ class TestEstimateAlpha:
             n12=geom.n12, n23=geom.n23,
             U1=geom.U1, U2=geom.U1, a1=geom.a1, t_up=geom.t_up,
         )
-        rows = synthesize_measurements(flat, OPTICS, RedshiftParams(0.0))
+        rows = synthesize_measurements(flat, SCALE, 0.0)
         with pytest.raises(SingularFit):
-            estimate_alpha(rows, flat, OPTICS)
+            estimate_alpha(rows, flat, SCALE)
 
     def test_sigma_alpha_matches_propagation(self):
         _, geoms = leo_pass(25)
         rows = synthesize_measurements(
-            geoms, OPTICS, RedshiftParams(0.0),
+            geoms, SCALE, 0.0,
             sigma_sc=1e-3, sigma_gs=1e-3, seed=5,
         )
-        est = estimate_alpha(rows, geoms, OPTICS)
-        scale = OPTICS.phase_scale
+        est = estimate_alpha(rows, geoms, SCALE)
         var_s = 1e-6 + 0.25e-6
-        leverage = np.sum(scale**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
+        leverage = np.sum(SCALE**2 / var_s * (geoms.U2 - geoms.U1) ** 2)
         assert est.sigma_alpha == pytest.approx(1.0 / math.sqrt(leverage), rel=1e-9)
 
     def test_batch_matches_one_set_at_a_time(self):
         _, geoms = leo_pass(20)
-        sets = [synthesize_measurements(geoms, OPTICS, RedshiftParams(3e-4),
+        sets = [synthesize_measurements(geoms, SCALE, 3e-4,
                                         sigma_sc=1e-3, sigma_gs=2e-3, seed=k)
                 for k in range(6)]
-        batch = estimate_alpha(np.stack(sets).reshape(2, 3, 20, 4), geoms, OPTICS)
+        batch = estimate_alpha(np.stack(sets).reshape(2, 3, 20, 4), geoms, SCALE)
         for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof"):
-            one = [getattr(estimate_alpha(rows, geoms, OPTICS), field) for rows in sets]
+            one = [getattr(estimate_alpha(rows, geoms, SCALE), field) for rows in sets]
             assert getattr(batch, field).shape == (2, 3)
             np.testing.assert_array_equal(getattr(batch, field).ravel(), one)
 
     def test_batch_names_the_set_without_leverage(self):
         _, geoms = leo_pass(5)
-        rows = np.tile(synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0)), (4, 1, 1))
+        rows = np.tile(synthesize_measurements(geoms, SCALE, 0.0), (4, 1, 1))
         rows[2, :, 1] = rows[2, :, 3] = np.inf  # positive, but weighs nothing
         with pytest.raises(SingularFit, match=r" at trial \[2\]$"):
-            estimate_alpha(rows, geoms, OPTICS)
+            estimate_alpha(rows, geoms, SCALE)
         with pytest.raises(SingularFit, match=r" at trial \[12\]$"):  # counted from first
-            estimate_alpha(rows, geoms, OPTICS, first=10)
+            estimate_alpha(rows, geoms, SCALE, first=10)
 
     def test_unknown_model_rejected(self):
         geoms = tiny_beta_geometries(3)
         with pytest.raises(ValueError):
-            synthesize_measurements(geoms, OPTICS, RedshiftParams(0.0), model="fancy")
+            synthesize_measurements(geoms, SCALE, 0.0, model="fancy")
 
 
-RED = RedshiftParams(3e-4)
+ALPHA = 3e-4
 
 
 def forecast(budget, trials, seed, n_epochs=6, **noise):
     """precision_forecast over the zenith LEO pass, with fringe_scan's noise arguments."""
-    return precision_forecast(leo_pass(n_epochs)[1], OPTICS, RED, budget, trials, seed, **noise)
+    return precision_forecast(leo_pass(n_epochs)[1], SCALE, ALPHA, budget, trials, seed, **noise)
 
 
 def empirical_sigma(est):
@@ -282,8 +280,8 @@ def per_trial_forecast(geoms, photon_budget, trials, seed, scan_points=8, visibi
     estimate_alpha call. Yields each trial's AlphaEstimate; a failed fit names
     its scan as [epoch, terminal]."""
     n_per_point = photon_budget // (2 * len(geoms) * scan_points)
-    truth = phase_pair(geoms, OPTICS, RED)
-    model = phase_pair(geoms, OPTICS, RedshiftParams(0.0))
+    truth = phase_pair(geoms, SCALE, ALPHA)
+    model = phase_pair(geoms, SCALE)
     true_phase = np.stack([truth.phi_sc, truth.phi_gs], axis=-1)
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
     offsets = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
@@ -296,7 +294,7 @@ def per_trial_forecast(geoms, photon_budget, trials, seed, scan_points=8, visibi
         else:
             phase, sigma = true_phase, np.full_like(true_phase, 1e-12)
         rows = np.stack([phase, sigma], axis=-1).reshape(len(geoms), 4)
-        yield estimate_alpha(rows, geoms, OPTICS)
+        yield estimate_alpha(rows, geoms, SCALE)
 
 
 def trials_per_block(n_epochs, scan_points=8):
@@ -325,9 +323,9 @@ class TestBlockedForecast:
         trials = 3 * block + 1
         calls = []
 
-        def counted(rows, geometries, cfg, first=0):
+        def counted(rows, geometries, scale, first=0):
             calls.append(first)
-            return estimate_alpha(rows, geometries, cfg, first=first)
+            return estimate_alpha(rows, geometries, scale, first=first)
 
         monkeypatch.setattr(estimator, "estimate_alpha", counted)
         forecast(budget, trials, 1, n_epochs=25)

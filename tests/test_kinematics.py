@@ -21,7 +21,7 @@ from gravlink.kinematics import (
     rotate_z,
     solve_light_time,
 )
-from gravlink.link_model import OpticalConfig, RedshiftParams, phase_pair
+from gravlink.link_model import phase_pair, phase_scale
 
 from helpers import StaticPlatform
 from test_ephemeris import circular_orbit_table
@@ -403,11 +403,10 @@ class TestBatchPath:
         """The s of a batch equals the s of each epoch run as a batch of one."""
         gs = GroundStation(lat, lon, alt)
         sc = CircularOrbit(a, inclination=inc, raan=raan, phase=phase)
-        optics = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
-        red = RedshiftParams(1e-4)
+        scale, alpha = phase_scale(800e-9, 6.0e3 / C_LIGHT), 1e-4
         epochs = np.linspace(t_start, t_start + span, n)
-        batch = phase_pair(build_link_geometry(gs, sc, epochs), optics, red).s_signal
-        rows = [phase_pair(build_link_geometry(gs, sc, [t]), optics, red).s_signal
+        batch = phase_pair(build_link_geometry(gs, sc, epochs), scale, alpha).s_signal
+        rows = [phase_pair(build_link_geometry(gs, sc, [t]), scale, alpha).s_signal
                 for t in epochs]
         assert batch.shape == (n,)
         assert np.max(np.abs(batch - np.concatenate(rows))) <= 1e-8

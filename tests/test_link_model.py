@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +18,14 @@ from gravlink.kinematics import (
     _dot,
     build_link_geometry,
 )
+from gravlink.config import load_config
 from gravlink.link_model import (
-    OpticalConfig,
-    RedshiftParams,
     _check_denominator,
     expanded_signal,
     first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
+    phase_scale,
     redshift_fraction,
     roundtrip_fractional_shift,
     uplink_fractional_shift,
@@ -34,7 +35,7 @@ from gravlink.link_model import (
 U_SURFACE = 6.961274586591855e-10
 DELTA_U_400KM = 4.1124056042486224e-11
 
-OPTICS = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0014e-5)
+SCALE = phase_scale(800e-9, 2.0014e-5)
 
 
 def make_geometry(
@@ -55,76 +56,98 @@ def make_geometry(
     )
 
 
+def optical_section(tmp_path, monkeypatch, **optical):
+    """cfg.optical of a minimal redshift-pass config, with these optical keys added."""
+    monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
+    tree = {"mode": "redshift-pass", "orbit": {"semi_major_axis_m": 6.771e6},
+            "station": {"latitude_deg": 0.0, "longitude_deg": 0.0},
+            "optical": {"wavelength_m": 800e-9, "delay_length_m": 6.0e3, **optical},
+            "sweep": {"t_start_s": -60.0, "t_end_s": 60.0, "n_epochs": 12}}
+    path = tmp_path / "pass.yaml"
+    path.write_text(yaml.safe_dump(tree), encoding="utf-8")
+    return load_config(str(path)).optical
+
+
 class TestOpticalConfig:
+    """The optical section's numbers: phase_scale(lambda0, tau_l), and the tau_l
+    that config derives when tau_l_s is absent."""
+
     def test_omega0_wavelength_identity(self):
-        cfg = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
-        assert abs(cfg.omega0 * cfg.lambda0 - 2.0 * math.pi * C_LIGHT) \
-            < 1e-9 * 2.0 * math.pi * C_LIGHT
+        omega0 = phase_scale(800e-9, 1.0)  # tau_l = 1 s
+        assert abs(omega0 * 800e-9 - 2.0 * math.pi * C_LIGHT) < 1e-9 * 2.0 * math.pi * C_LIGHT
 
-    def test_tau_default_from_length(self):
-        cfg = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, group_index=1.5)
-        assert cfg.tau_l == pytest.approx(6.0e3 * 1.5 / C_LIGHT, rel=1e-15)
+    def test_tau_default_from_length(self, tmp_path, monkeypatch):
+        optical = optical_section(tmp_path, monkeypatch, group_index=1.5)
+        assert optical.tau_l == 6.0e3 * 1.5 / C_LIGHT
 
-    def test_explicit_tau_wins(self):
-        assert OPTICS.tau_l == 2.0014e-5
-        assert OPTICS.phase_scale == pytest.approx(4.7124253085e10, rel=1e-9)
+    def test_explicit_tau_wins(self, tmp_path, monkeypatch):
+        optical = optical_section(tmp_path, monkeypatch, group_index=1.5, tau_l_s=2.0014e-5)
+        assert optical.tau_l == 2.0014e-5
+        assert phase_scale(optical.lambda0, optical.tau_l) == SCALE
+        assert SCALE == pytest.approx(4.7124253085e10, rel=1e-9)
+        # omega0 * tau_l, operation for operation, so every phase keeps its bits
+        assert SCALE == 2.0 * math.pi * C_LIGHT / 800e-9 * 2.0014e-5
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            OpticalConfig(lambda0=-800e-9, delay_length=6.0e3)
-        with pytest.raises(ValueError):
-            OpticalConfig(lambda0=800e-9, delay_length=0.0)
-        with pytest.raises(ValueError):
-            OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=-1.0)
+        for lambda0, tau_l in ((-800e-9, 2.0e-5), (800e-9, -1.0), (800e-9, 0.0)):
+            with pytest.raises(ValueError, match=r"omega0\*tau_l = -?\S+ must be positive"):
+                phase_scale(lambda0, tau_l)
 
     @pytest.mark.parametrize("fields", [
-        {"lambda0": 1.0e-300, "delay_length": 6.0e3},              # omega0 overflows
-        {"lambda0": 800e-9, "delay_length": 6.0e3, "group_index": 1.0e308},  # tau_l overflows
-        {"lambda0": 1.0e-200, "delay_length": 6.0e3, "tau_l": 1.0e200},      # their product
+        {"lambda0": 1.0e-300, "tau_l": 6.0e3 / C_LIGHT},                # omega0 overflows
+        {"lambda0": 800e-9, "tau_l": 6.0e3 * 1.0e308 / C_LIGHT},        # tau_l overflows
+        {"lambda0": 1.0e-200, "tau_l": 1.0e200},                        # their product
+        {"lambda0": 0.0, "tau_l": 6.0e3 / C_LIGHT},                     # omega0 = 2 pi c / 0
     ])
     def test_phase_scale_must_be_finite(self, fields):
         with pytest.raises(ValueError, match=r"omega0\*tau_l = inf must be finite"):
-            OpticalConfig(**fields)
+            phase_scale(**fields)
 
 
 class TestRedshiftParams:
+    """alpha, the redshift section's violation strength, is checked wherever it enters."""
+
     def test_alpha_bound(self):
-        RedshiftParams(0.99)
-        with pytest.raises(ValueError):
-            RedshiftParams(1.0)
-        with pytest.raises(ValueError):
-            RedshiftParams(-1.0)
+        geom = make_geometry(u2=U_SURFACE - DELTA_U_400KM)
+        assert phase_pair(geom, SCALE, 0.99).phi_sc < 0.0
+        for alpha in (1.0, -1.0, 1.5, math.nan):
+            for reach in (lambda: phase_pair(geom, SCALE, alpha),
+                          lambda: redshift_fraction(alpha, U_SURFACE, U_SURFACE - DELTA_U_400KM),
+                          lambda: expanded_signal(geom, alpha),
+                          lambda: gravitational_phase(SCALE, 9.80665, 4.0e5, alpha)):
+                with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+                    reach()
 
 
 class TestGravitationalPhase:
     def test_textbook_magnitude(self):
-        # OPTICS gives tau_l = 2.0014e-5 s, a little above 6000 m / c
-        phi = gravitational_phase(OPTICS, 9.80665, 4.0e5)
+        # SCALE gives tau_l = 2.0014e-5 s, a little above 6000 m / c
+        phi = gravitational_phase(SCALE, 9.80665, 4.0e5)
         assert phi == pytest.approx(2.0567606, rel=1e-6)
         assert abs(phi - 2.06) / 2.06 < 0.05
 
     def test_scales_with_the_pass_phase_scale(self):
-        vacuum = OpticalConfig(lambda0=800e-9, delay_length=6.0e3)
-        glass = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, group_index=1.5)
-        phi = gravitational_phase(vacuum, 9.80665, 4.0e5)
+        vacuum = 6.0e3 / C_LIGHT
+        phi = gravitational_phase(phase_scale(800e-9, vacuum), 9.80665, 4.0e5)
         assert phi == pytest.approx(2.0567447, rel=1e-6)
+        glass = phase_scale(800e-9, 6.0e3 * 1.5 / C_LIGHT)
         assert gravitational_phase(glass, 9.80665, 4.0e5) == pytest.approx(1.5 * phi, rel=1e-15)
-        explicit = OpticalConfig(lambda0=800e-9, delay_length=6.0e3, tau_l=2.0 * vacuum.tau_l)
+        explicit = phase_scale(800e-9, 2.0 * vacuum)
         assert gravitational_phase(explicit, 9.80665, 4.0e5) == pytest.approx(2.0 * phi, rel=1e-15)
 
     def test_zero_height(self):
-        assert gravitational_phase(OPTICS, 9.80665, 0.0) == 0.0
+        assert gravitational_phase(SCALE, 9.80665, 0.0) == 0.0
 
     def test_alpha_scaling(self):
-        base = gravitational_phase(OPTICS, 9.80665, 4.0e5, alpha=0.0)
-        shifted = gravitational_phase(OPTICS, 9.80665, 4.0e5, alpha=0.5)
+        base = gravitational_phase(SCALE, 9.80665, 4.0e5, alpha=0.0)
+        shifted = gravitational_phase(SCALE, 9.80665, 4.0e5, alpha=0.5)
         assert shifted == pytest.approx(1.5 * base, rel=1e-15)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            gravitational_phase(OPTICS, 9.80665, -1.0)
+            gravitational_phase(SCALE, 9.80665, -1.0)
         with pytest.raises(ValueError):
-            gravitational_phase(OPTICS, 0.0, 4.0e5)
+            gravitational_phase(SCALE, 0.0, 4.0e5)
 
 
 class TestUplinkRatio:
@@ -192,14 +215,14 @@ class TestDenominatorGuard:
 
 class TestPhasePair:
     def test_static_equal_potentials(self):
-        pair = phase_pair(make_geometry(), OPTICS, RedshiftParams(0.0))
+        pair = phase_pair(make_geometry(), SCALE)
         assert pair.phi_sc == 0.0
         assert pair.phi_gs == 0.0
         assert pair.s_signal == 0.0
 
     def test_static_gravitational_phase(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
+        pair = phase_pair(geom, SCALE)
         assert pair.phi_sc == pytest.approx(-1.9379404, rel=1e-6)
         assert abs(pair.phi_sc - (-1.94)) / 1.94 < 0.01
         assert pair.phi_gs == 0.0
@@ -209,13 +232,13 @@ class TestPhasePair:
         gs = GroundStation(0.0, 0.0)
         sc = CircularOrbit(6.778e6)
         geom = build_link_geometry(gs, sc, 37.0)
-        pair = phase_pair(geom, OPTICS, RedshiftParams(1e-4))
+        pair = phase_pair(geom, SCALE, 1e-4)
         assert pair.s_signal == pair.phi_sc - 0.5 * pair.phi_gs
 
     def test_factor_two_in_doppler_scenario(self):
         beta = 2.0e-5
         geom = make_geometry(beta2=(beta, 0.0, 0.0))
-        pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
+        pair = phase_pair(geom, SCALE)
         ratio = pair.phi_gs / pair.phi_sc
         assert abs(ratio - 2.0) < 2.0 * beta
 
@@ -223,11 +246,10 @@ class TestPhasePair:
 class TestFactorTwoScaling:
     def test_residual_scales_with_velocity(self):
         beta_max = 2.0e-5
-        red = RedshiftParams(0.0)
 
         def ratio_residual(s):
             geom = make_geometry(beta2=(s * beta_max, 0.0, 0.0))
-            pair = phase_pair(geom, OPTICS, red)
+            pair = phase_pair(geom, SCALE)
             return abs(pair.phi_gs / pair.phi_sc - 2.0)
 
         # headroom covers the O(beta^2) part of the s = 1 fit point
@@ -243,15 +265,13 @@ class TestCancellation:
         # rotate beta2 around the line of sight: d2 varies while |beta2|,
         # |beta1 - beta2| (beta1 = 0), and the potentials stay fixed
         beta = 2.0e-5
-        red = RedshiftParams(0.0)
-        scale = OPTICS.phase_scale
 
         def phases(psi):
             geom = make_geometry(
                 beta2=(beta * math.cos(psi), beta * math.sin(psi), 0.0)
             )
-            pair = phase_pair(geom, OPTICS, red)
-            return pair.s_signal / scale, pair.phi_sc / scale, geom.d2
+            pair = phase_pair(geom, SCALE)
+            return pair.s_signal / SCALE, pair.phi_sc / SCALE, geom.d2
 
         psi0, dpsi = math.pi / 3, 1e-4
         s_hi, sc_hi, d_hi = phases(psi0 + dpsi)
@@ -265,26 +285,19 @@ class TestCancellation:
 class TestExpandedSignal:
     def test_static_geometry_exact(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        red = RedshiftParams(2e-4)
-        assert expanded_signal(geom, red) == redshift_fraction(
-            red, geom.U1, geom.U2
-        )
+        assert expanded_signal(geom, 2e-4) == redshift_fraction(2e-4, geom.U1, geom.U2)
         assert velocity_terms(geom) == 0.0
 
     def test_alpha_linearity(self):
         gs = GroundStation(0.0, 0.0)
         sc = CircularOrbit(6.778e6)
         geom = build_link_geometry(gs, sc, 55.0)
-        diff = expanded_signal(geom, RedshiftParams(1e-5)) - expanded_signal(
-            geom, RedshiftParams(0.0)
-        )
+        diff = expanded_signal(geom, 1e-5) - expanded_signal(geom, 0.0)
         assert diff == pytest.approx(1e-5 * (geom.U2 - geom.U1), rel=1e-9)
 
     def test_matches_exact_pipeline_on_pass(self):
         gs = GroundStation(0.0, 0.0)
         sc = CircularOrbit(6.778e6, inclination=0.1)
-        red = RedshiftParams(0.0)
-        scale = OPTICS.phase_scale
         for t in np.linspace(-200.0, 200.0, 21):
             geom = build_link_geometry(gs, sc, float(t))
             beta_max = max(
@@ -292,32 +305,30 @@ class TestExpandedSignal:
                 float(np.linalg.norm(geom.beta2)),
                 float(np.linalg.norm(geom.beta3)),
             )
-            pair = phase_pair(geom, OPTICS, red)
-            resid = abs(pair.s_signal - scale * expanded_signal(geom, red))
-            assert resid <= 10.0 * beta_max**3 * scale
+            pair = phase_pair(geom, SCALE)
+            resid = abs(pair.s_signal - SCALE * expanded_signal(geom))
+            assert resid <= 10.0 * beta_max**3 * SCALE
 
 
 class TestRedshiftFraction:
     def test_equal_potentials(self):
-        assert redshift_fraction(RedshiftParams(0.3), 7e-10, 7e-10) == 0.0
+        assert redshift_fraction(0.3, 7e-10, 7e-10) == 0.0
 
     def test_leo_potential_difference(self):
-        value = redshift_fraction(
-            RedshiftParams(0.0), U_SURFACE, U_SURFACE - DELTA_U_400KM
-        )
+        value = redshift_fraction(0.0, U_SURFACE, U_SURFACE - DELTA_U_400KM)
         assert value == pytest.approx(-4.1124056e-11, rel=1e-6)
 
     def test_one_plus_alpha_scaling(self):
         # the shift is exactly linear in (1 + alpha), so it tends to zero
-        # toward the degenerate alpha = -1 endpoint that the constructor
+        # toward the degenerate alpha = -1 endpoint that redshift_fraction
         # itself rejects
         u1, u2 = U_SURFACE, U_SURFACE - DELTA_U_400KM
-        base = redshift_fraction(RedshiftParams(0.0), u1, u2)
+        base = redshift_fraction(0.0, u1, u2)
         for alpha in (-0.999999, -0.5, 0.5, 0.999999):
-            assert redshift_fraction(RedshiftParams(alpha), u1, u2) == \
+            assert redshift_fraction(alpha, u1, u2) == \
                 pytest.approx((1.0 + alpha) * base, rel=1e-12)
         with pytest.raises(ValueError):
-            RedshiftParams(-1.0)
+            redshift_fraction(-1.0, u1, u2)
 
 
 def test_first_order_doppler_shift_definition():
@@ -328,7 +339,7 @@ def test_first_order_doppler_shift_definition():
 def test_one_epoch_geometry_gives_one_value_per_function():
     geom = make_geometry(u2=U_SURFACE - DELTA_U_400KM)
     assert geom.beta1.shape == (1, 3) and geom.U2.shape == (1,) and len(geom) == 1
-    pair = phase_pair(geom, OPTICS, RedshiftParams(0.0))
+    pair = phase_pair(geom, SCALE)
     assert pair.phi_sc.shape == pair.phi_gs.shape == pair.s_signal.shape == (1,)
     assert uplink_fractional_shift(geom).shape == (1,)
 
@@ -389,13 +400,13 @@ class TestPinnedPrecision:
         geom = build_link_geometry(GroundStation(lat, lon, alt),
                                    CircularOrbit(radius, inclination, raan, phase),
                                    t0 + np.array([0.0, 1.0, 60.0]))
-        pair = phase_pair(geom, OPTICS, RedshiftParams(alpha))
+        pair = phase_pair(geom, SCALE, alpha)
         with mpmath.workdps(50):
             up, round_trip = exact_minus_one(geom, alpha)
             assert_within_ulps(uplink_fractional_shift(geom, alpha), up, self.ULPS)
             assert_within_ulps(roundtrip_fractional_shift(geom), round_trip, self.ULPS)
             # the phases add the rounding of one product by the phase scale
-            scale = mpmath.mpf(OPTICS.phase_scale)
+            scale = mpmath.mpf(SCALE)
             phi_sc = [(scale * x, scale * size) for x, size in up]
             phi_gs = [(scale * x, scale * size) for x, size in round_trip]
             assert_within_ulps(pair.phi_sc, phi_sc, self.ULPS + 1)

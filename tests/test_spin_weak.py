@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from gravlink.constants import C_LIGHT, EV, G_STD, HBAR, OMEGA_EARTH
 from gravlink.errors import BadAxis, NonHermitian, OrthogonalSelection
 from gravlink.spin_weak import (
-    GaussianMeter,
     QuantumState,
     SpinCouplingParams,
     amplification_scan,
@@ -399,20 +398,20 @@ class TestMeterShift:
     @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
     def test_meter_width_must_be_positive_and_finite(self, width):
         with pytest.raises(ValueError, match="meter width must be positive and finite"):
-            GaussianMeter(width)
+            meter_shift(1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), width)
 
     def test_eigenstate_shifts_by_q(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
-        meter = GaussianMeter()
+        width = 1.0
         for q in (0.3, 2.0):
-            shift = meter_shift(q, pauli(3), ket0, ket0, meter)
+            shift = meter_shift(q, pauli(3), ket0, ket0, width)
             assert shift.shift_exact == pytest.approx(q, rel=1e-9)
             assert shift.shift_weak == pytest.approx(q, rel=1e-12)
             assert shift.postselection_prob == pytest.approx(1.0, rel=1e-9)
 
     def test_weak_regime_benchmark(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
-        shift = meter_shift(1e-3, pauli(1), ket0, qubit(1.47), GaussianMeter())
+        shift = meter_shift(1e-3, pauli(1), ket0, qubit(1.47), 1.0)
         mean_ref, prob_ref = closed_form_shift(1.47, 1e-3, 1.0)
         assert shift.shift_exact == pytest.approx(mean_ref, rel=1e-9)
         assert shift.postselection_prob == pytest.approx(prob_ref, rel=1e-9)
@@ -426,11 +425,11 @@ class TestMeterShift:
 
     def test_relative_error_quadratic_in_kick(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
-        meter = GaussianMeter()
+        width = 1.0
         s_f = qubit(1.47)
 
         def rel_err(q):
-            shift = meter_shift(q, pauli(1), ket0, s_f, meter)
+            shift = meter_shift(q, pauli(1), ket0, s_f, width)
             return abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
 
         ratio = rel_err(2e-3) / rel_err(1e-3)
@@ -438,7 +437,7 @@ class TestMeterShift:
 
     def test_strong_kick_breaks_weak_prediction(self):
         ket0 = QuantumState(np.array([1.0, 0.0]))
-        shift = meter_shift(1.0, pauli(1), ket0, qubit(1.47), GaussianMeter())
+        shift = meter_shift(1.0, pauli(1), ket0, qubit(1.47), 1.0)
         rel_dev = abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
         assert rel_dev > 0.1
 
@@ -447,12 +446,12 @@ class TestMeterShift:
         # regime prob*|A_w|^2 tracks sin^2(theta) and never exceeds the
         # squared top eigenvalue of sigma_x
         ket0 = QuantumState(np.array([1.0, 0.0]))
-        meter = GaussianMeter()
+        width = 1.0
         products = []
         probs = []
         amps = []
         for theta in np.linspace(0.1, 1.55, 25):
-            shift = meter_shift(1e-4, pauli(1), ket0, qubit(theta), meter)
+            shift = meter_shift(1e-4, pauli(1), ket0, qubit(theta), width)
             a_w = abs(weak_value(pauli(1), ket0, qubit(theta)))
             probs.append(shift.postselection_prob)
             amps.append(a_w)
@@ -462,13 +461,13 @@ class TestMeterShift:
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
     @staticmethod
-    def quadrature_shift(q, a_op, s_i, s_f, meter):
+    def quadrature_shift(q, a_op, s_i, s_f, width):
         """Mean and norm of the post-selected pointer density on a grid."""
         eigvals, eigvecs = np.linalg.eigh(a_op)
         weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
-        span = 12.0 * meter.width
+        span = 12.0 * width
         x = np.linspace(q * eigvals.min() - span, q * eigvals.max() + span, 200001)
-        wave = sum(w * gaussian_wave(x - q * a, meter.width) for w, a in zip(weights, eigvals))
+        wave = sum(w * gaussian_wave(x - q * a, width) for w, a in zip(weights, eigvals))
         density = np.abs(wave) ** 2
         prob = np.trapezoid(density, x)
         return np.trapezoid(x * density, x) / prob, prob
@@ -481,10 +480,10 @@ class TestMeterShift:
         a_op = raw + raw.conj().T
         s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
         s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        meter = GaussianMeter(width=1.3)
+        width = 1.3
         for q in (0.0, 1e-3, 0.2, 1.0, 4.0):
-            shift = meter_shift(q, a_op, s_i, s_f, meter)
-            mean_ref, prob_ref = self.quadrature_shift(q, a_op, s_i, s_f, meter)
+            shift = meter_shift(q, a_op, s_i, s_f, width)
+            mean_ref, prob_ref = self.quadrature_shift(q, a_op, s_i, s_f, width)
             assert shift.shift_exact == pytest.approx(mean_ref, rel=1e-9, abs=1e-12)
             assert shift.postselection_prob == pytest.approx(prob_ref, rel=1e-9)
 
@@ -495,7 +494,7 @@ class TestMeterShift:
         s_f = QuantumState(_unit(np.array([0.4j, 1.0, 0.2, -0.6])))
         a_op = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
         a_op[0, 2] = a_op[2, 0] = 0.3
-        shift = meter_shift(0.0, a_op, s_i, s_f, GaussianMeter(width=0.5))
+        shift = meter_shift(0.0, a_op, s_i, s_f, 0.5)
         assert shift.shift_exact == 0.0
         assert shift.shift_weak == 0.0
         overlap = abs(np.vdot(s_f.amplitudes, s_i.amplitudes)) ** 2
@@ -507,15 +506,15 @@ class TestMeterShift:
         a_op = raw + raw.conj().T
         s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
         s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        meter = GaussianMeter(width=1.3)
+        width = 1.3
         q = np.array([[0.0, 1e-6, 1e-3, 0.2], [1.0, 4.0, -0.5, 30.0]])
-        batch = meter_shift(q, a_op, s_i, s_f, meter)
+        batch = meter_shift(q, a_op, s_i, s_f, width)
         for field, values in zip(batch._fields, batch):
             assert values.shape == q.shape
-            single = np.array([getattr(meter_shift(float(k), a_op, s_i, s_f, meter), field)
+            single = np.array([getattr(meter_shift(float(k), a_op, s_i, s_f, width), field)
                                for k in q.ravel()]).reshape(q.shape)
             assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
-        scalar = meter_shift(0.2, a_op, s_i, s_f, meter)
+        scalar = meter_shift(0.2, a_op, s_i, s_f, width)
         assert all(np.ndim(value) == 0 for value in scalar)
 
     def test_batch_of_selections_broadcasts_against_q(self):
@@ -525,12 +524,12 @@ class TestMeterShift:
         s_i = _random_state(rng, 2)
         finals = [_random_state(rng, 2) for _ in range(3)]
         batch = QuantumState(np.stack([s.amplitudes for s in finals])[:, None, :])
-        meter = GaussianMeter(width=0.9)
+        width = 0.9
         q = np.array([1e-4, 0.3, 2.0, 25.0])
-        shifts = meter_shift(q, a_op, s_i, batch, meter)
+        shifts = meter_shift(q, a_op, s_i, batch, width)
         for field, values in zip(shifts._fields, shifts):
             assert values.shape == (3, 4)
-            single = np.array([getattr(meter_shift(q, a_op, s_i, s_f, meter), field)
+            single = np.array([getattr(meter_shift(q, a_op, s_i, s_f, width), field)
                                for s_f in finals])
             assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
 
@@ -538,15 +537,13 @@ class TestMeterShift:
         ket0 = QuantumState(np.array([1.0, 0.0]))
         ket1 = QuantumState(np.array([0.0, 1.0]))
         with pytest.raises(OrthogonalSelection):
-            meter_shift(np.array([0.0, 1e-3, 1.0]), pauli(1), ket0, ket1, GaussianMeter())
+            meter_shift(np.array([0.0, 1e-3, 1.0]), pauli(1), ket0, ket1, 1.0)
 
     def test_meter_wavefunction_normalized(self):
         # the quadrature oracle's pointer wave
         x = np.linspace(-20.0, 20.0, 20001)
         norm = np.trapezoid(np.abs(gaussian_wave(x, 2.0)) ** 2, x)
         assert norm == pytest.approx(1.0, rel=1e-9)
-        with pytest.raises(ValueError):
-            GaussianMeter(width=0.0)
 
 
 class TestConstantsReport:
@@ -573,8 +570,8 @@ class TestConstantsReport:
 
 class TestAmplificationScan:
     def test_rows_structure(self):
-        meter = GaussianMeter()
-        rows = amplification_scan([0.3, 1.47], [1e-3, 1e-2], meter)
+        width = 1.0
+        rows = amplification_scan([0.3, 1.47], [1e-3, 1e-2], width)
         assert rows.shape == (4, 7)
         assert rows.dtype == np.float64
         # theta major: every q for the first theta, then the next theta
@@ -586,12 +583,12 @@ class TestAmplificationScan:
             assert weak == pytest.approx(q * math.tan(theta), rel=1e-12)
             assert 0.0 < prob < 1.0
         direct = meter_shift(
-            1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), meter
+            1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), width
         )
         assert rows[0, 4] == pytest.approx(direct.shift_exact, rel=1e-12)
 
 
-def loop_scan(thetas, q, meter):
+def loop_scan(thetas, q, width):
     """The per-theta loop that amplification_scan replaced: qubit, weak_value and
     meter_shift's pair sums over q, written out here so that a fault in the shared
     kernel cannot hide in the oracle."""
@@ -603,7 +600,7 @@ def loop_scan(thetas, q, meter):
         a_w = weak_value(sx, s_i, s_f)
         weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
         kick = q[:, None]
-        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / meter.width
+        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
         pairs = (weights.conj()[:, None] * weights[None, :]).real.ravel() * np.exp(-gap * gap / 8.0)
         prob = pairs.sum(axis=-1)
         exact = (pairs * 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()).sum(-1) / prob
@@ -622,9 +619,8 @@ class TestScanAgainstLoop:
     # near 90 degrees a small kick leaves prob ~ cos(theta)^2 after cancellation
     @example(thetas=[0.0, math.radians(89.9)], q=np.array([-3e-4, 0.0, 1e-9, 35.0]), width=0.02)
     def test_matches_the_per_theta_loop(self, thetas, q, width):
-        meter = GaussianMeter(width=width)
-        rows = amplification_scan(thetas, q, meter)
-        ref = loop_scan(thetas, q, meter)
+        rows = amplification_scan(thetas, q, width)
+        ref = loop_scan(thetas, q, width)
         assert rows.shape == ref.shape == (len(thetas) * q.size, 7)
         np.testing.assert_array_equal(rows[:, :2], ref[:, :2])
         np.testing.assert_allclose(rows[:, 2:6:3], ref[:, 2:6:3], rtol=1e-13, atol=0.0)
@@ -644,13 +640,13 @@ class TestScanAgainstLoop:
         rng = np.random.default_rng(91)
         thetas = np.radians(np.sort(rng.uniform(0.0, 89.0, 720)))
         q = np.geomspace(1e-4, 30.0, 10) * 0.7
-        rows = amplification_scan(thetas, q, GaussianMeter(width=0.7))
-        ref = loop_scan(thetas, q, GaussianMeter(width=0.7))
+        rows = amplification_scan(thetas, q, 0.7)
+        ref = loop_scan(thetas, q, 0.7)
         np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=0.0)
 
     def test_orthogonal_selection_in_the_grid_raises(self):
         with pytest.raises(OrthogonalSelection, match=r"\|<f\|i>\| = 6\.123e-17"):
-            amplification_scan([0.3, math.pi / 2, 1.0], [1e-3, 1.0], GaussianMeter())
+            amplification_scan([0.3, math.pi / 2, 1.0], [1e-3, 1.0], 1.0)
 
     def test_orthogonal_selections_mask(self):
         degrees = np.array([0.0, 10.0, 90.0, -90.0, 270.0, 89.9, 90.0 + 1e-9])
