@@ -7,7 +7,7 @@ Subpackage map:
     link_model      exact frequency ratios, fringe phases, Doppler-free signal
     interferometer  time-bin cascade, photon counting, fringe fitting
     estimator       violation-parameter regression, precision forecasts
-    spin_weak       spin-rotation/acceleration couplings, weak values
+    spin_weak       spin-rotation/acceleration couplings, closed-form weak scan
     config, cli     YAML scenarios and the gravlink command
 """
 

@@ -264,7 +264,7 @@ def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
 
     # validate's spin bounds mirror every SpinCouplingParams check
     params = SpinCouplingParams(g=spin.gravity, omega=spin.rotation, k=spin.coupling_k,
-                                exchange=spin.exchange, t=spin.duration)
+                                exchange=spin.exchange)
     eigs = np.linalg.eigvalsh(two_spin_hamiltonian(params))
     summary.append("two-spin Hamiltonian eigenvalues [J]: " + " ".join(f"{e:.6e}" for e in eigs))
     for row in constants_report(spin.gravity):

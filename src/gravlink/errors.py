@@ -85,10 +85,6 @@ class BadAxis(GravlinkError):
     """Zero-length direction vector where a unit axis is required."""
 
 
-class NonHermitian(GravlinkError):
-    """Operator expected to be Hermitian is not."""
-
-
 class OrthogonalSelection(GravlinkError):
     """Pre- and post-selected states are orthogonal; weak value undefined."""
 

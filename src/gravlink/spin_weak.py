@@ -8,11 +8,15 @@ prediction of the standard low-energy reduction of the Dirac equation.
 Two spins: an exchange term J sigma_x(x)sigma_x plus the single-spin
 coupling h_sigma + h_ext acting on each spin of the pair.
 
-Weak measurement: a pointer with Gaussian wavefunction is kicked by
-exp(-i q A p_hat / hbar-equivalent) so its position shifts by q*a on each
-eigenvalue a of the selected observable A; after post-selection the mean
-pointer shift approaches q*Re(A_w) with weak value
-A_w = <f|A|i>/<f|i>, which can far exceed the eigenvalue range.
+Weak measurement, the textbook case: observable sigma_x, pre-selection |0>,
+post-selection cos(theta)|0> + sin(theta)|1>, and a Gaussian pointer of rms
+width w kicked by q on each eigenvalue. The weak value <f|sigma_x|i>/<f|i>
+is tan(theta), which exceeds the eigenvalue range as theta nears 90 degrees.
+The post-selected pointer is two displaced Gaussians, so its norm and mean
+are closed forms (Aharonov, Albert & Vaidman, PRL 60, 1351, 1988; Duck,
+Stevenson & Sudarshan, PRD 40, 2112, 1989):
+P = (1 + cos(2 theta) exp(-q^2/2w^2)) / 2 and shift = q sin(theta) cos(theta) / P,
+which tends to q tan(theta) for q << w.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import C_LIGHT, EV, G_STD, HBAR, MU_B_EV, OMEGA_EARTH
-from .errors import BadAxis, NonHermitian, OrthogonalSelection, reject
+from .errors import BadAxis, OrthogonalSelection, reject
 
 _PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -32,7 +36,6 @@ _PAULI = {
     3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 _ID2 = np.eye(2, dtype=complex)
-_HERMITICITY_TOL = 1e-10
 _ORTHOGONALITY_TOL = 1e-12
 
 
@@ -53,26 +56,6 @@ def pauli_dot(vector) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuantumState:
-    """Normalized state of one spin (dim 2) or two spins (dim 4), or a batch (..., dim)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
-        if amps.shape[-1] not in (2, 4):
-            raise ValueError(f"state dimension must be 2 or 4, got {amps.shape[-1]}")
-        norm = np.linalg.norm(amps, axis=-1)
-        reject(~((1.0 - 1e-9 < norm) & (norm < 1.0 + 1e-9)), ValueError,
-               "state norm {} is not 1 within 1e-9", norm, what="state")
-        object.__setattr__(self, "amplitudes", amps / norm[..., None])
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[-1]
-
-
-@dataclass(frozen=True)
 class SpinCouplingParams:
     """Couplings for the spin Hamiltonians.
 
@@ -83,9 +66,8 @@ class SpinCouplingParams:
     p : kg m/s 3-vector, particle momentum.
     a_axis : unit direction of the acceleration (normalized on use).
     exchange : J, two-spin exchange energy (the J of the pair coupling).
-    t : s, interaction duration; only lambda_c reads it.
     g and m must be positive, every field finite and a_axis of positive
-    length; h_vec and lambda_c are derived, read-only.
+    length; h_vec is derived, read-only.
     """
 
     g: float = G_STD
@@ -95,7 +77,6 @@ class SpinCouplingParams:
     p: tuple = (0.0, 0.0, 0.0)
     a_axis: tuple = (0.0, 0.0, 1.0)
     exchange: float = 0.0
-    t: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
@@ -108,7 +89,7 @@ class SpinCouplingParams:
         for name in ("m", "g"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("k", "exchange", "t", "omega", "p"):
+        for name in ("k", "exchange", "omega", "p"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
@@ -116,11 +97,6 @@ class SpinCouplingParams:
     def h_vec(self) -> np.ndarray:
         """Dimensionless rotation coupling h_i = -c*omega_i/g."""
         return -C_LIGHT * self.omega / self.g
-
-    @property
-    def lambda_c(self) -> float:
-        """Dimensionless exchange*t/hbar."""
-        return self.exchange * self.t / HBAR
 
     @property
     def acceleration(self) -> np.ndarray:
@@ -151,80 +127,6 @@ def two_spin_hamiltonian(params: SpinCouplingParams) -> np.ndarray:
     single = h_sigma(params) + h_ext(params)
     return (params.exchange * np.kron(_PAULI[1], _PAULI[1])
             + np.kron(single, _ID2) + np.kron(_ID2, single))
-
-
-def _require_hermitian(h: np.ndarray) -> None:
-    scale = float(np.linalg.norm(h))
-    if scale == 0.0:
-        return
-    if float(np.linalg.norm(h - h.conj().T)) > _HERMITICITY_TOL * scale:
-        raise NonHermitian("operator is not Hermitian within tolerance")
-
-
-def weak_value(a_op: np.ndarray, s_i: QuantumState, s_f: QuantumState) -> complex | np.ndarray:
-    """<f|A|i> / <f|i>; complex in general, an array (...) for one s_i and a batch s_f (..., n)."""
-    a = np.asarray(a_op, dtype=complex)
-    if a.shape != (s_i.dim, s_i.dim) or s_i.amplitudes.shape != (s_f.dim,):
-        raise ValueError("operator/state dimensions do not match")
-    _require_hermitian(a)
-    overlap = s_f.amplitudes.conj() @ s_i.amplitudes
-    magnitude = np.abs(overlap)
-    reject(magnitude < _ORTHOGONALITY_TOL, OrthogonalSelection,
-           "|<f|i>| = {:.3e}; weak value undefined", magnitude, what="selection")
-    return ((s_f.amplitudes.conj() @ a @ s_i.amplitudes) / overlap)[()]
-
-
-class MeterShift(NamedTuple):
-    shift_exact: np.ndarray  # each field has q's shape, a scalar for a float q
-    shift_weak: np.ndarray
-    postselection_prob: np.ndarray
-
-
-def meter_shift(
-    q,
-    a_op: np.ndarray,
-    s_i: QuantumState,
-    s_f: QuantumState,
-    width: float = 1.0,
-) -> MeterShift:
-    """Pointer displacement after a kick of strength q and post-selection.
-
-    The meter is a one-dimensional Gaussian pointer centred at 0 whose
-    |psi|^2 has rms spread width, positive and finite (else ValueError).
-    q is a float or an array (...,) and s_f one state or a batch (..., n);
-    each result field has the broadcast shape of q and the batch.
-    The exact value expands the kicked joint state in the eigenbasis of the
-    observable: the post-selected pointer wave is a finite sum of displaced
-    Gaussians sum_a w_a psi(x - q a), w_a = <f|a><a|i>. The product of two
-    of them is a Gaussian centred at q (a + b) / 2 scaled by
-    exp(-q^2 (a - b)^2 / 8 width^2), so the norm and the mean are exact sums
-    over eigenvalue pairs, taken for every q and selection at once. The
-    weak-regime prediction is q*Re(A_w); their difference is O((q/width)^2)
-    for small q and order-unity once q reaches the meter width. A selection
-    with zero weight at any q raises OrthogonalSelection.
-    """
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"meter width must be positive and finite, got {width}")
-    a_w = weak_value(a_op, s_i, s_f)  # raises on orthogonal selection
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
-    weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
-    # the (n, n) eigenvalue pairs run flattened along a new last axis
-    pairs = (weights.conj()[..., :, None] * weights[..., None, :]).real
-    q = np.asarray(q, dtype=float)
-    kick = q[..., None]
-    with np.errstate(over="ignore"):  # a gap past the float range gives exp(-inf) = 0, exact
-        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
-        pairs = pairs.reshape(*pairs.shape[:-2], eigvals.size**2) * np.exp(-gap * gap / 8.0)
-    prob = pairs.sum(axis=-1)
-    reject(prob <= 0.0, OrthogonalSelection, "post-selected pointer state has zero weight",
-           what="shift")
-    pair_shifts = 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()
-    # [()] turns the 0-d results of a float q and one state into scalars
-    return MeterShift(
-        shift_exact=((pairs * pair_shifts).sum(axis=-1) / prob)[()],
-        shift_weak=(q * a_w.real)[()],
-        postselection_prob=prob[()],
-    )
 
 
 class ConstantRow(NamedTuple):
@@ -269,27 +171,32 @@ def constants_report(g: float = G_STD) -> tuple[ConstantRow, ...]:
 
 
 def orthogonal_selections(theta_values) -> np.ndarray:
-    """Thetas whose selection weak_value rejects in amplification_scan: |cos(theta)| too small."""
+    """Thetas that amplification_scan rejects: the post-selection's overlap with |0>,
+    |cos(theta)|, is below 1e-12, so the weak value tan(theta) is undefined."""
     return np.abs(np.cos(np.asarray(theta_values, dtype=float))) < _ORTHOGONALITY_TOL
 
 
 def amplification_scan(theta_values, q_values, width: float) -> np.ndarray:
-    """Weak-value amplification sweep for the textbook example.
+    """Weak-value amplification sweep for the textbook example, in closed form.
 
-    Observable sigma_x, pre-selection |0>, post-selection
-    cos(theta)|0> + sin(theta)|1>, so A_w = tan(theta), read by a meter of
-    the given width (meter_shift). Returns a float array
-    (len(theta_values) * len(q_values), 7) with rows (theta, q, Re A_w,
-    Im A_w, shift_exact, shift_weak, postselection_prob), theta major, in
-    one array pass: weak_value and meter_shift each take the batch of
-    post-selections (n_theta, 1, 2) once and broadcast it against q. A
-    theta in orthogonal_selections raises OrthogonalSelection.
+    Returns a float array (len(theta_values) * len(q_values), 7) with rows
+    (theta, q, Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob),
+    theta major, a float theta counting as one: A_w = tan(theta),
+    shift_weak = q tan(theta), shift_exact = q sin(theta) cos(theta) / P and
+    P = cos^2(theta) + cos(2 theta) expm1(-(q/w)^2/2) / 2, the module's
+    (1 + cos(2 theta) exp(-q^2/2w^2)) / 2 written so that it does not cancel
+    near 90 degrees: both terms are >= 0 where cos(2 theta) < 0, and P >= 1/2
+    elsewhere. The meter width must be positive and finite (else ValueError),
+    and a theta in orthogonal_selections raises OrthogonalSelection.
     """
-    sx = pauli(1)
-    s_i = QuantumState(np.array([1.0, 0.0]))
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"meter width must be positive and finite, got {width}")
     thetas = np.asarray(theta_values, dtype=float)
-    q = np.asarray(q_values, dtype=float)
-    s_f = QuantumState(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)[:, None, :])
-    a_w = weak_value(sx, s_i, s_f)  # (n_theta, 1); raises on an orthogonal selection
-    columns = (thetas[:, None], q, a_w.real, a_w.imag, *meter_shift(q, sx, s_i, s_f, width))
+    reject(orthogonal_selections(thetas), OrthogonalSelection,
+           "|<f|i>| = {:.3e}; weak value undefined", np.abs(np.cos(thetas)), what="selection")
+    theta, q = thetas[..., None], np.asarray(q_values, dtype=float)
+    cos, sin, tan = np.cos(theta), np.sin(theta), np.tan(theta)
+    with np.errstate(over="ignore"):  # a kick past the float range gives expm1(-inf) = -1, exact
+        prob = cos * cos + 0.5 * np.cos(2.0 * theta) * np.expm1(-0.5 * (q / width) ** 2)
+    columns = (theta, q, tan, 0.0, q * (sin * cos) / prob, q * tan, prob)
     return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)

@@ -1,7 +1,6 @@
 """Test-only helpers that the program itself never calls: a non-moving
 platform for controlled geometries, synthetic pass measurements for the
-regression, and single-state preparation and unitary evolution for the spin
-tests."""
+regression, and qubit amplitudes and unitary evolution for the spin tests."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import numpy as np
 from gravlink.constants import HBAR
 from gravlink.kinematics import LinkGeometry, StateVector
 from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
-from gravlink.spin_weak import QuantumState, _require_hermitian
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
 
@@ -70,20 +68,21 @@ def synthesize_measurements(
                                         phi_gs, max(sigma_gs, _SIGMA_FLOOR)), axis=1)
 
 
-def qubit(theta: float, phi: float = 0.0) -> QuantumState:
-    """cos(theta)|0> + e^{i phi} sin(theta)|1>."""
-    return QuantumState(
-        np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
-    )
+def qubit(theta: float, phi: float = 0.0) -> np.ndarray:
+    """Amplitudes of cos(theta)|0> + e^{i phi} sin(theta)|1>."""
+    return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
 
 
-def evolve(state: QuantumState, hamiltonian: np.ndarray, t: float) -> QuantumState:
-    """exp(-i H t / hbar)|psi> by exact eigendecomposition (dim <= 4)."""
+def evolve(amplitudes, hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t / hbar) applied to state amplitudes (..., dim), rows the batch, by exact
+    eigendecomposition (dim <= 4). H must match dim and be Hermitian within 1e-10 of its
+    norm, else ValueError."""
+    amps = np.asarray(amplitudes, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != (state.dim, state.dim):
-        raise ValueError(f"H shape {h.shape} does not match state dim {state.dim}")
-    _require_hermitian(h)
+    if h.shape != (amps.shape[-1],) * 2:
+        raise ValueError(f"H shape {h.shape} does not match state dim {amps.shape[-1]}")
+    if np.linalg.norm(h - h.conj().T) > 1e-10 * np.linalg.norm(h):
+        raise ValueError("H is not Hermitian within 1e-10 of its norm")
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * t / HBAR)
-    amps = (state.amplitudes @ vectors.conj() * phases) @ vectors.T  # rows: the batch
-    return QuantumState(amps)
+    return (amps @ vectors.conj() * phases) @ vectors.T

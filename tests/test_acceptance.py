@@ -27,18 +27,16 @@ from gravlink.link_model import (
     phase_scale,
 )
 from gravlink.spin_weak import (
-    QuantumState,
     SpinCouplingParams,
+    amplification_scan,
     constants_report,
     h_ext,
     h_sigma,
-    meter_shift,
     pauli,
     two_spin_hamiltonian,
-    weak_value,
 )
 
-from helpers import StaticPlatform, evolve, qubit, synthesize_measurements
+from helpers import StaticPlatform, evolve, synthesize_measurements
 from test_ephemeris import analytic_eci_state, circular_orbit_table, cpf_mutations
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -226,16 +224,14 @@ def test_criterion_7_coupling_constants():
 
 def test_criterion_8_weak_value_suite():
     start = time.monotonic()
-    ket0 = QuantumState(np.array([1.0, 0.0]))
-
-    for theta in (0.1, 0.5, 0.9, 1.2, 1.44, 1.47):
-        a_w = weak_value(pauli(1), ket0, qubit(theta))
-        assert abs(a_w.real - math.tan(theta)) < 1e-12
-        assert abs(a_w.imag) < 1e-12
+    thetas = (0.1, 0.5, 0.9, 1.2, 1.44, 1.47)
+    for theta, _, re_aw, im_aw, *_ in amplification_scan(thetas, [1e-3], 1.0):
+        assert abs(re_aw - math.tan(theta)) < 1e-12
+        assert abs(im_aw) < 1e-12
 
     def rel_err(q):
-        shift = meter_shift(q, pauli(1), ket0, qubit(1.47))
-        return abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
+        *_, exact, weak, _ = amplification_scan([1.47], [q], 1.0)[0]
+        return abs(exact - weak) / abs(weak)
 
     err_weak = rel_err(1e-3)
     assert err_weak < 1e-2
@@ -268,10 +264,10 @@ def test_criterion_8_weak_value_suite():
         t = float(rng.uniform(-3.0, 3.0))
         amps_a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps_b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        a = QuantumState(amps_a / np.linalg.norm(amps_a))
-        b = QuantumState(amps_b / np.linalg.norm(amps_b))
-        before = np.vdot(a.amplitudes, b.amplitudes)
-        after = np.vdot(evolve(a, h, t).amplitudes, evolve(b, h, t).amplitudes)
+        a = amps_a / np.linalg.norm(amps_a)
+        b = amps_b / np.linalg.norm(amps_b)
+        before = np.vdot(a, b)
+        after = np.vdot(evolve(a, h, t), evolve(b, h, t))
         drift = abs(after - before)
         unit_worst = max(unit_worst, drift)
         assert drift <= 1e-12

@@ -872,8 +872,8 @@ class TestCliRuns:
         assert "max |Re weak value|" in capsys.readouterr().out
 
     def test_huge_kick_runs_without_a_warning(self, tmp_path, monkeypatch):
-        # (q gap)^2 overflowed in meter_shift's Gaussian factor and warned, though the
-        # factor it feeds, exp(-inf) = 0, is exact
+        # the kick's square overflows in the pointer's Gaussian factor, which warned,
+        # though the factor it feeds is exact
         text = (SCENARIOS / "weakvalue_scan.yaml").read_text(encoding="utf-8")
         path = write_yaml(tmp_path, re.sub(r"q_grid: .*", "q_grid: [1.0e+200]", text))
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))

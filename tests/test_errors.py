@@ -23,7 +23,7 @@ from gravlink.kinematics import (
     build_link_geometry,
 )
 from gravlink.link_model import _check_denominator, phase_scale
-from gravlink.spin_weak import QuantumState, pauli, weak_value
+from gravlink.spin_weak import amplification_scan
 from test_interferometer import noiseless_scan
 
 OFFSETS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
@@ -62,11 +62,6 @@ def trial_batch():
     estimate_alpha(rows, geoms, phase_scale(800e-9, 2.0e-5))
 
 
-def selection_batch():
-    weak_value(pauli(1), QuantumState([1.0, 0.0]),
-               QuantumState([[0.6, 0.8], [0.0, 1.0], [1.0, 0.0]]))
-
-
 BATCHES = [
     pytest.param(state_batch, BadAltitude, " at epoch [1] (t = 5 s)", id="StateVector"),
     pytest.param(geometry_batch, ValueError, " at epoch [2]", id="LinkGeometry"),
@@ -76,9 +71,8 @@ BATCHES = [
                  OutOfRange, " at epoch [2]", id="interpolate_state"),
     pytest.param(scan_batch, DegenerateVisibility, " at scan [1, 2]", id="fit_phase"),
     pytest.param(trial_batch, SingularFit, " at trial [1]", id="estimate_alpha"),
-    pytest.param(lambda: QuantumState([[1.0, 0.0], [2.0, 0.0]]), ValueError, " at state [1]",
-                 id="QuantumState"),
-    pytest.param(selection_batch, OrthogonalSelection, " at selection [1]", id="weak_value"),
+    pytest.param(lambda: amplification_scan([0.9273, np.pi / 2, 0.0], [1e-3], 1.0),
+                 OrthogonalSelection, " at selection [1]", id="amplification_scan"),
 ]
 
 
@@ -92,9 +86,7 @@ def test_a_batch_names_its_first_bad_entry(run, error, where):
 
 
 @pytest.mark.parametrize("run, error", [
-    (lambda: QuantumState([2.0, 0.0]), ValueError),
-    (lambda: weak_value(pauli(1), QuantumState([1.0, 0.0]), QuantumState([0.0, 1.0])),
-     OrthogonalSelection),
+    (lambda: amplification_scan(np.pi / 2, [1e-3], 1.0), OrthogonalSelection),
     (lambda: fit_phase(FringeScan(OFFSETS, np.zeros((8, 3)), 1000)), DegenerateVisibility),
 ])
 def test_one_entry_keeps_the_bare_message(run, error):

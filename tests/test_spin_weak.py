@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,20 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravlink.constants import C_LIGHT, EV, G_STD, HBAR, OMEGA_EARTH
-from gravlink.errors import BadAxis, NonHermitian, OrthogonalSelection
+from gravlink.errors import BadAxis, OrthogonalSelection
 from gravlink.spin_weak import (
-    QuantumState,
     SpinCouplingParams,
     amplification_scan,
     constants_report,
     h_ext,
     h_sigma,
-    meter_shift,
     orthogonal_selections,
     pauli,
     pauli_dot,
     two_spin_hamiltonian,
-    weak_value,
 )
 
 from helpers import evolve, qubit
@@ -66,40 +64,6 @@ class TestPauli:
             pauli_dot([1.0, 2.0])
 
 
-class TestQuantumState:
-    def test_dimensions(self):
-        assert QuantumState(np.array([1.0, 0.0])).dim == 2
-        assert QuantumState(np.array([0.5, 0.5, 0.5, 0.5])).dim == 4
-        with pytest.raises(ValueError):
-            QuantumState(np.array([1.0, 0.0, 0.0]))
-
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            QuantumState(np.array([1.1, 0.0]))
-        state = QuantumState(np.array([1.0 + 3e-10, 0.0]))
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
-
-    def test_batch_is_normalized_row_by_row(self):
-        rows = np.array([[[1.0, 0.0]], [[0.6, 0.8j]], [[1.0 + 3e-10, 0.0]]])
-        batch = QuantumState(rows)
-        assert batch.dim == 2
-        assert batch.amplitudes.shape == (3, 1, 2)
-        for row, state in zip(rows, batch.amplitudes):
-            np.testing.assert_array_equal(state[0], QuantumState(row[0]).amplitudes)
-        with pytest.raises(ValueError, match="state norm 1.1 is not 1"):
-            QuantumState(np.array([[1.0, 0.0], [1.1, 0.0]]))
-        with pytest.raises(ValueError, match="dimension must be 2 or 4, got 3"):
-            QuantumState(np.zeros((2, 3)))
-        assert QuantumState(np.zeros((0, 4))).amplitudes.shape == (0, 4)
-
-    def test_qubit_amplitudes(self):
-        state = qubit(0.3, 0.8)
-        assert state.amplitudes[0] == pytest.approx(math.cos(0.3))
-        assert state.amplitudes[1] == pytest.approx(
-            math.sin(0.3) * complex(math.cos(0.8), math.sin(0.8))
-        )
-
-
 class TestSpinCouplingParams:
     def test_h_vec_derived(self):
         p = SpinCouplingParams(g=G_STD, omega=(0.0, 0.0, OMEGA_EARTH))
@@ -123,7 +87,7 @@ class TestSpinCouplingParams:
                 SpinCouplingParams(**bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["g", "m", "k", "exchange", "t", "omega", "p"])
+    @pytest.mark.parametrize("name", ["g", "m", "k", "exchange", "omega", "p"])
     def test_non_finite_field_rejected(self, name, bad):
         value = (0.0, bad, 0.0) if name in ("omega", "p") else bad
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -141,9 +105,6 @@ class TestSpinCouplingParams:
             p.h_vec = np.zeros(3)
         with pytest.raises(TypeError):
             SpinCouplingParams(h_vec=(0.0, 0.0, 1.0))
-
-    def test_lambda_c_is_derived(self):
-        assert SpinCouplingParams(exchange=2.0 * HBAR, t=3.0).lambda_c == 6.0
 
 
 class TestSingleSpinHamiltonians:
@@ -261,20 +222,25 @@ class TestTwoSpinHamiltonian:
                 assert herm_defect(h) <= 1e-15 * max(1e-300, float(np.linalg.norm(h)))
 
 
+
+
 class TestEvolve:
+    def test_qubit_amplitudes(self):
+        state = qubit(0.3, 0.8)
+        assert state[0] == pytest.approx(math.cos(0.3))
+        assert state[1] == pytest.approx(math.sin(0.3) * complex(math.cos(0.8), math.sin(0.8)))
+
     def test_zero_time_identity(self):
         state = qubit(0.4, 1.1)
         h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, 5.0)))
-        out = evolve(state, h, 0.0)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(evolve(state, h, 0.0), state, atol=1e-12)
 
     def test_half_precession_period_flips_transverse_state(self):
         w = 3.0
         h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, w)))
-        plus_x = QuantumState(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        plus_x = np.array([1.0, 1.0]) / math.sqrt(2.0)
         minus_x = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        out = evolve(plus_x, h, math.pi / w)
-        fidelity = abs(np.vdot(minus_x, out.amplitudes))
+        fidelity = abs(np.vdot(minus_x, evolve(plus_x, h, math.pi / w)))
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_inner_products_preserved(self):
@@ -286,11 +252,8 @@ class TestEvolve:
             t = float(rng.uniform(-5.0, 5.0))
             a = _random_state(rng, dim)
             b = _random_state(rng, dim)
-            before = np.vdot(a.amplitudes, b.amplitudes)
-            after = np.vdot(
-                evolve(a, h, t).amplitudes, evolve(b, h, t).amplitudes
-            )
-            assert abs(after - before) <= 1e-12
+            after = np.vdot(evolve(a, h, t), evolve(b, h, t))
+            assert abs(after - np.vdot(a, b)) <= 1e-12
 
     def test_batch_matches_one_state_at_a_time(self):
         # four states of dim 4, so a column-vector product would also have run
@@ -298,86 +261,94 @@ class TestEvolve:
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = (raw + raw.conj().T) / 2.0 * HBAR
         states = [_random_state(rng, 4) for _ in range(4)]
-        batch = evolve(QuantumState(np.stack([s.amplitudes for s in states])), h, 0.7)
-        for row, state in zip(batch.amplitudes, states):
-            np.testing.assert_allclose(row, evolve(state, h, 0.7).amplitudes,
-                                       rtol=0.0, atol=1e-15)
+        batch = evolve(np.stack(states), h, 0.7)
+        for row, state in zip(batch, states):
+            np.testing.assert_allclose(row, evolve(state, h, 0.7), rtol=0.0, atol=1e-15)
 
     def test_rejects_non_hermitian(self):
-        state = QuantumState(np.array([1.0, 0.0]))
-        with pytest.raises(NonHermitian):
-            evolve(state, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(np.array([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
     def test_rejects_shape_mismatch(self):
-        state = QuantumState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            evolve(state, np.eye(4), 1.0)
+        with pytest.raises(ValueError, match="does not match state dim 2"):
+            evolve(np.array([1.0, 0.0]), np.eye(4), 1.0)
 
 
 def _random_state(rng, dim):
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return QuantumState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def pair_sums(theta, q, width):
+    """(shift_exact, postselection_prob) to 50 digits, from the definition: in sigma_x's
+    eigenbasis |a> = (|0> + a|1>)/sqrt(2), a = +-1, the post-selected pointer is
+    sum_a w_a psi(x - q a) with w_a = <f|a><a|i>, and the product of the waves of a pair
+    (a, b) is a Gaussian centred at q (a + b)/2 with weight exp(-q^2 (a - b)^2 / 8 width^2).
+    The shift's w_+^2 - w_-^2 cancels to sin(2 theta)/2, so a tiny theta gets one more
+    digit per decade below 1."""
+    lost = max(0, -math.floor(math.log10(abs(theta)))) if theta else 0
+    with mpmath.workdps(50 + lost):
+        theta, q, width = (mpmath.mpf(float(v)) for v in (theta, q, width))
+        w = {a: (mpmath.cos(theta) + a * mpmath.sin(theta)) / 2 for a in (1, -1)}
+        pairs = [(w[a] * w[b] * mpmath.exp(-(q * (a - b)) ** 2 / (8 * width**2)), q * (a + b) / 2)
+                 for a in (1, -1) for b in (1, -1)]
+        prob = sum(weight for weight, _ in pairs)
+        return float(sum(weight * centre for weight, centre in pairs) / prob), float(prob)
+
+
+def oracle_scan(thetas, q, width):
+    """amplification_scan's rows from pair_sums and a 50-digit tan, one theta at a time."""
+    rows = []
+    for theta in thetas:
+        tan = mpmath.tan(mpmath.mpf(float(theta)))
+        for k in q:
+            shift, prob = pair_sums(theta, k, width)
+            rows.append((theta, k, float(tan), 0.0, shift, float(k * tan), prob))
+    return np.array(rows, dtype=float).reshape(-1, 7)
+
+
+def assert_matches_oracle(rows, ref, rel):
+    """Every column within rel of the reference. A product below the normal range
+    rounds to a multiple of the smallest subnormal; q carries that step along into
+    the shift and 1/P scales it up, which the absolute floor allows for."""
+    np.testing.assert_array_equal(rows[:, :2], ref[:, :2])
+    np.testing.assert_array_equal(rows[:, 3], 0.0)
+    floor = (np.abs(ref[:, 1:2]) + 1.0) * np.spacing(0.0) / ref[:, 6:]
+    err = np.abs(rows - ref) - rel * np.abs(ref)
+    assert np.all(err <= floor), f"worst excess {err.max():.3e} over rel {rel:.0e}"
 
 
 class TestWeakValue:
     def test_eigenstate_gives_eigenvalue(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        assert weak_value(pauli(3), ket0, ket0) == pytest.approx(1.0, abs=1e-15)
+        # theta = +-45 degrees post-selects |+> or |->, the sigma_x eigenstates
+        rows = amplification_scan([math.pi / 4, -math.pi / 4], [1e-3], 1.0)
+        np.testing.assert_allclose(rows[:, 2], [1.0, -1.0], rtol=0.0, atol=1e-15)
 
     def test_tangent_amplification(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        for theta in (0.1, 0.7, 1.2, 1.44, 1.47):
-            a_w = weak_value(pauli(1), ket0, qubit(theta))
-            assert a_w.real == pytest.approx(math.tan(theta), rel=1e-12)
-            assert abs(a_w.imag) < 1e-12
-        a_w = weak_value(pauli(1), ket0, qubit(1.47))
-        assert a_w.real == pytest.approx(TAN_147, rel=1e-13)
-        assert abs(a_w.real) > 9.0  # far outside the eigenvalue range [-1, 1]
+        rows = amplification_scan([0.1, 0.7, 1.2, 1.44, 1.47], [1e-3], 1.0)
+        for theta, _, re_aw, im_aw, *_ in rows:
+            assert re_aw == pytest.approx(math.tan(theta), rel=1e-12)
+            assert im_aw == 0.0
+        assert rows[-1, 2] == pytest.approx(TAN_147, rel=1e-13)
+        assert rows[-1, 2] > 9.0  # far outside the eigenvalue range [-1, 1]
 
     def test_orthogonal_selection_raises(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        ket1 = QuantumState(np.array([0.0, 1.0]))
-        with pytest.raises(OrthogonalSelection):
-            weak_value(pauli(1), ket0, ket1)
-
-    def test_non_hermitian_observable_rejected(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        with pytest.raises(NonHermitian):
-            weak_value(np.array([[0.0, 2.0], [0.0, 0.0]]), ket0, ket0)
-
-    def test_dimension_mismatch(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            weak_value(np.eye(4), ket0, ket0)
+        with pytest.raises(OrthogonalSelection, match="weak value undefined"):
+            amplification_scan([math.pi / 2], [1e-3], 1.0)
 
     def test_batch_of_post_selections(self):
-        rng = np.random.default_rng(31)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a_op = raw + raw.conj().T
-        s_i = _random_state(rng, 4)
-        finals = [_random_state(rng, 4) for _ in range(6)]
-        batch = QuantumState(np.stack([s.amplitudes for s in finals]).reshape(2, 3, 4))
-        a_w = weak_value(a_op, s_i, batch)
-        assert a_w.shape == (2, 3)
-        single = np.array([weak_value(a_op, s_i, s_f) for s_f in finals]).reshape(2, 3)
-        np.testing.assert_allclose(a_w, single, rtol=1e-14, atol=0.0)
-        assert isinstance(weak_value(a_op, s_i, finals[0]), complex)
+        # the weak value is a property of the selections alone: every q of a theta
+        # carries the same tan(theta)
+        thetas = np.linspace(-1.5, 1.5, 6)
+        rows = amplification_scan(thetas, [0.0, 1e-3, 0.5, 40.0], 0.8)
+        weak = rows[:, 2].reshape(6, 4)
+        np.testing.assert_array_equal(weak, np.repeat(np.tan(thetas)[:, None], 4, axis=1))
+        np.testing.assert_array_equal(rows[:, 3], 0.0)
 
     def test_batch_with_one_orthogonal_selection_raises(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        batch = QuantumState(np.array([[0.6, 0.8], [0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(OrthogonalSelection, match=r"\|<f\|i>\| = 0\.000e\+00"):
-            weak_value(pauli(1), ket0, batch)
-
-    def test_batch_pre_selection_rejected(self):
-        # only s_f may be a batch: a batched s_i would be read as a matrix
-        kets = QuantumState(np.eye(2))
-        with pytest.raises(ValueError, match="dimensions do not match"):
-            weak_value(pauli(1), kets, qubit(0.3))
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
+        with pytest.raises(OrthogonalSelection,
+                           match=r"= 6\.123e-17; weak value undefined at selection \[1\]$"):
+            amplification_scan([0.6435, math.pi / 2, 0.0], [1e-3], 1.0)
 
 
 def gaussian_wave(x, width):
@@ -385,86 +356,60 @@ def gaussian_wave(x, width):
     return (2.0 * math.pi * width * width) ** -0.25 * np.exp(-x * x / (4.0 * width * width))
 
 
-def closed_form_shift(theta, q, width):
-    """Two displaced Gaussians with overlap exp(-q^2/2s^2): post-selected
-    mean q*sin(2 theta)/(1 + G cos(2 theta)), derived independently."""
-    g_overlap = math.exp(-q * q / (2.0 * width * width))
-    prob = 0.5 * (1.0 + g_overlap * math.cos(2.0 * theta))
-    mean = 0.5 * q * math.sin(2.0 * theta) / prob
-    return mean, prob
+def shift_of(theta, q, width):
+    """The scan's one row (theta, q, Re A_w, Im A_w, shift_exact, shift_weak, prob)."""
+    return amplification_scan([theta], [q], width)[0]
 
 
 class TestMeterShift:
     @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
     def test_meter_width_must_be_positive_and_finite(self, width):
         with pytest.raises(ValueError, match="meter width must be positive and finite"):
-            meter_shift(1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), width)
+            amplification_scan([0.3], [1e-3], width)
 
     def test_eigenstate_shifts_by_q(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        width = 1.0
+        # post-selecting |+>, sigma_x's eigenstate of eigenvalue 1, keeps only the
+        # Gaussian displaced by q, at any kick, with probability |<+|0>|^2 = 1/2
         for q in (0.3, 2.0):
-            shift = meter_shift(q, pauli(3), ket0, ket0, width)
-            assert shift.shift_exact == pytest.approx(q, rel=1e-9)
-            assert shift.shift_weak == pytest.approx(q, rel=1e-12)
-            assert shift.postselection_prob == pytest.approx(1.0, rel=1e-9)
+            *_, exact, weak, prob = shift_of(math.pi / 4, q, 1.0)
+            assert exact == pytest.approx(q, rel=1e-15)
+            assert weak == pytest.approx(q, rel=1e-15)
+            assert prob == pytest.approx(0.5, rel=1e-15)
 
     def test_weak_regime_benchmark(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        shift = meter_shift(1e-3, pauli(1), ket0, qubit(1.47), 1.0)
-        mean_ref, prob_ref = closed_form_shift(1.47, 1e-3, 1.0)
-        assert shift.shift_exact == pytest.approx(mean_ref, rel=1e-9)
-        assert shift.postselection_prob == pytest.approx(prob_ref, rel=1e-9)
-        assert shift.shift_exact == pytest.approx(9.887135721781713e-3, rel=1e-9)
-        assert shift.postselection_prob == pytest.approx(
-            1.012578315682755e-2, rel=1e-9
-        )
-        assert shift.shift_weak == pytest.approx(1e-3 * TAN_147, rel=1e-12)
-        rel_dev = abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
-        assert rel_dev < 1e-2
+        *_, exact, weak, prob = shift_of(1.47, 1e-3, 1.0)
+        mean_ref, prob_ref = pair_sums(1.47, 1e-3, 1.0)
+        assert exact == pytest.approx(mean_ref, rel=1e-15)
+        assert prob == pytest.approx(prob_ref, rel=1e-15)
+        assert exact == pytest.approx(9.887135721781713e-3, rel=1e-9)
+        assert prob == pytest.approx(1.012578315682755e-2, rel=1e-9)
+        assert weak == pytest.approx(1e-3 * TAN_147, rel=1e-12)
+        assert abs(exact - weak) / abs(weak) < 1e-2
 
     def test_relative_error_quadratic_in_kick(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        width = 1.0
-        s_f = qubit(1.47)
-
-        def rel_err(q):
-            shift = meter_shift(q, pauli(1), ket0, s_f, width)
-            return abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
-
-        ratio = rel_err(2e-3) / rel_err(1e-3)
-        assert 3.5 < ratio < 4.5
+        rows = amplification_scan([1.47], [1e-3, 2e-3], 1.0)
+        rel_err = np.abs(rows[:, 4] - rows[:, 5]) / np.abs(rows[:, 5])
+        assert 3.5 < rel_err[1] / rel_err[0] < 4.5
 
     def test_strong_kick_breaks_weak_prediction(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        shift = meter_shift(1.0, pauli(1), ket0, qubit(1.47), 1.0)
-        rel_dev = abs(shift.shift_exact - shift.shift_weak) / abs(shift.shift_weak)
-        assert rel_dev > 0.1
+        *_, exact, weak, _ = shift_of(1.47, 1.0, 1.0)
+        assert abs(exact - weak) / abs(weak) > 0.1
 
     def test_amplification_probability_tradeoff(self):
         # bigger weak values cost post-selection probability; in the weak
         # regime prob*|A_w|^2 tracks sin^2(theta) and never exceeds the
         # squared top eigenvalue of sigma_x
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        width = 1.0
-        products = []
-        probs = []
-        amps = []
-        for theta in np.linspace(0.1, 1.55, 25):
-            shift = meter_shift(1e-4, pauli(1), ket0, qubit(theta), width)
-            a_w = abs(weak_value(pauli(1), ket0, qubit(theta)))
-            probs.append(shift.postselection_prob)
-            amps.append(a_w)
-            products.append(shift.postselection_prob * a_w**2)
-        assert all(p <= 1.0 for p in products)
-        assert all(a < b for a, b in zip(amps, amps[1:]))
-        assert all(a > b for a, b in zip(probs, probs[1:]))
+        rows = amplification_scan(np.linspace(0.1, 1.55, 25), [1e-4], 1.0)
+        amps, probs = np.abs(rows[:, 2]), rows[:, 6]
+        assert np.all(probs * amps**2 <= 1.0)
+        assert np.all(np.diff(amps) > 0.0)
+        assert np.all(np.diff(probs) < 0.0)
 
     @staticmethod
-    def quadrature_shift(q, a_op, s_i, s_f, width):
+    def quadrature_shift(theta, q, width):
         """Mean and norm of the post-selected pointer density on a grid."""
-        eigvals, eigvecs = np.linalg.eigh(a_op)
-        weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
+        eigvals, eigvecs = np.linalg.eigh(pauli(1))
+        weights = (qubit(theta).conj() @ eigvecs) * eigvecs.conj().T[:, 0]
         span = 12.0 * width
         x = np.linspace(q * eigvals.min() - span, q * eigvals.max() + span, 200001)
         wave = sum(w * gaussian_wave(x - q * a, width) for w, a in zip(weights, eigvals))
@@ -473,71 +418,39 @@ class TestMeterShift:
         return np.trapezoid(x * density, x) / prob, prob
 
     def test_closed_form_matches_quadrature(self):
-        # a generic complex observable with four distinct eigenvalues and
-        # complex pre- and post-selections
-        rng = np.random.default_rng(17)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a_op = raw + raw.conj().T
-        s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
         width = 1.3
-        for q in (0.0, 1e-3, 0.2, 1.0, 4.0):
-            shift = meter_shift(q, a_op, s_i, s_f, width)
-            mean_ref, prob_ref = self.quadrature_shift(q, a_op, s_i, s_f, width)
-            assert shift.shift_exact == pytest.approx(mean_ref, rel=1e-9, abs=1e-12)
-            assert shift.postselection_prob == pytest.approx(prob_ref, rel=1e-9)
+        for theta in (0.2, 1.0, 1.5):
+            for q in (0.0, 1e-3, 0.2, 1.0, 4.0):
+                *_, exact, _, prob = shift_of(theta, q, width)
+                mean_ref, prob_ref = self.quadrature_shift(theta, q, width)
+                assert exact == pytest.approx(mean_ref, rel=1e-9, abs=1e-12)
+                assert prob == pytest.approx(prob_ref, rel=1e-9)
 
     def test_zero_kick(self):
         # no kick: the pointer stays put and the post-selection probability
-        # is |<f|i>|^2
-        s_i = QuantumState(_unit(np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])))
-        s_f = QuantumState(_unit(np.array([0.4j, 1.0, 0.2, -0.6])))
-        a_op = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
-        a_op[0, 2] = a_op[2, 0] = 0.3
-        shift = meter_shift(0.0, a_op, s_i, s_f, 0.5)
-        assert shift.shift_exact == 0.0
-        assert shift.shift_weak == 0.0
-        overlap = abs(np.vdot(s_f.amplitudes, s_i.amplitudes)) ** 2
-        assert shift.postselection_prob == pytest.approx(overlap, rel=1e-12)
+        # is |<f|i>|^2 = cos^2(theta)
+        thetas = np.array([0.0, 0.4, 1.2, 1.5707])
+        rows = amplification_scan(thetas, [0.0], 0.5)
+        np.testing.assert_array_equal(rows[:, 4:6], 0.0)
+        np.testing.assert_allclose(rows[:, 6], np.cos(thetas) ** 2, rtol=1e-12)
 
     def test_q_array_matches_scalar_calls(self):
-        rng = np.random.default_rng(23)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a_op = raw + raw.conj().T
-        s_i = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        s_f = QuantumState(_unit(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        width = 1.3
-        q = np.array([[0.0, 1e-6, 1e-3, 0.2], [1.0, 4.0, -0.5, 30.0]])
-        batch = meter_shift(q, a_op, s_i, s_f, width)
-        for field, values in zip(batch._fields, batch):
-            assert values.shape == q.shape
-            single = np.array([getattr(meter_shift(float(k), a_op, s_i, s_f, width), field)
-                               for k in q.ravel()]).reshape(q.shape)
-            assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
-        scalar = meter_shift(0.2, a_op, s_i, s_f, width)
-        assert all(np.ndim(value) == 0 for value in scalar)
+        thetas = [0.1, 0.9, 1.5]
+        q = np.array([0.0, 1e-6, 1e-3, 0.2, 1.0, 4.0, -0.5, 30.0])
+        rows = amplification_scan(thetas, q, 1.3).reshape(3, q.size, 7)
+        for j, k in enumerate(q):
+            np.testing.assert_array_equal(rows[:, j], amplification_scan(thetas, [k], 1.3))
 
     def test_batch_of_selections_broadcasts_against_q(self):
-        rng = np.random.default_rng(37)
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a_op = raw + raw.conj().T
-        s_i = _random_state(rng, 2)
-        finals = [_random_state(rng, 2) for _ in range(3)]
-        batch = QuantumState(np.stack([s.amplitudes for s in finals])[:, None, :])
-        width = 0.9
+        thetas = np.array([-0.4, 0.3, 1.2])
         q = np.array([1e-4, 0.3, 2.0, 25.0])
-        shifts = meter_shift(q, a_op, s_i, batch, width)
-        for field, values in zip(shifts._fields, shifts):
-            assert values.shape == (3, 4)
-            single = np.array([getattr(meter_shift(q, a_op, s_i, s_f, width), field)
-                               for s_f in finals])
-            assert np.all(np.abs(values - single) <= 4.0 * np.spacing(np.abs(single))), field
+        rows = amplification_scan(thetas, q, 0.9).reshape(3, 4, 7)
+        for row, theta in zip(rows, thetas):
+            np.testing.assert_array_equal(row, amplification_scan([theta], q, 0.9))
 
     def test_orthogonal_selection_raises_for_a_q_array(self):
-        ket0 = QuantumState(np.array([1.0, 0.0]))
-        ket1 = QuantumState(np.array([0.0, 1.0]))
         with pytest.raises(OrthogonalSelection):
-            meter_shift(np.array([0.0, 1e-3, 1.0]), pauli(1), ket0, ket1, 1.0)
+            amplification_scan([math.pi / 2], np.array([0.0, 1e-3, 1.0]), 1.0)
 
     def test_meter_wavefunction_normalized(self):
         # the quadrature oracle's pointer wave
@@ -582,34 +495,12 @@ class TestAmplificationScan:
             assert im_aw == pytest.approx(0.0, abs=1e-12)
             assert weak == pytest.approx(q * math.tan(theta), rel=1e-12)
             assert 0.0 < prob < 1.0
-        direct = meter_shift(
-            1e-3, pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(0.3), width
-        )
-        assert rows[0, 4] == pytest.approx(direct.shift_exact, rel=1e-12)
-
-
-def loop_scan(thetas, q, width):
-    """The per-theta loop that amplification_scan replaced: qubit, weak_value and
-    meter_shift's pair sums over q, written out here so that a fault in the shared
-    kernel cannot hide in the oracle."""
-    sx, s_i = pauli(1), QuantumState(np.array([1.0, 0.0]))
-    eigvals, eigvecs = np.linalg.eigh(sx)
-    rows = []
-    for theta in thetas:
-        s_f = qubit(theta)
-        a_w = weak_value(sx, s_i, s_f)
-        weights = (s_f.amplitudes.conj() @ eigvecs) * (eigvecs.conj().T @ s_i.amplitudes)
-        kick = q[:, None]
-        gap = kick * (eigvals[:, None] - eigvals[None, :]).ravel() / width
-        pairs = (weights.conj()[:, None] * weights[None, :]).real.ravel() * np.exp(-gap * gap / 8.0)
-        prob = pairs.sum(axis=-1)
-        exact = (pairs * 0.5 * kick * (eigvals[:, None] + eigvals[None, :]).ravel()).sum(-1) / prob
-        rows += [(theta, k, a_w.real, a_w.imag, e, k * a_w.real, p)
-                 for k, e, p in zip(q, exact, prob)]
-    return np.array(rows).reshape(-1, 7)
+        assert rows[0, 4] == pytest.approx(pair_sums(0.3, 1e-3, width)[0], rel=1e-12)
 
 
 class TestScanAgainstLoop:
+    """The scan against oracle_scan, a per-theta loop over the 50-digit pair sums."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         thetas=st.lists(st.floats(0.0, math.radians(89.9)), max_size=12),
@@ -620,20 +511,8 @@ class TestScanAgainstLoop:
     @example(thetas=[0.0, math.radians(89.9)], q=np.array([-3e-4, 0.0, 1e-9, 35.0]), width=0.02)
     def test_matches_the_per_theta_loop(self, thetas, q, width):
         rows = amplification_scan(thetas, q, width)
-        ref = loop_scan(thetas, q, width)
-        assert rows.shape == ref.shape == (len(thetas) * q.size, 7)
-        np.testing.assert_array_equal(rows[:, :2], ref[:, :2])
-        np.testing.assert_allclose(rows[:, 2:6:3], ref[:, 2:6:3], rtol=1e-13, atol=0.0)
-        np.testing.assert_array_equal(rows[:, 3], 0.0)
-        np.testing.assert_array_equal(ref[:, 3], 0.0)
-        # Both sides add the same pair terms from amplitudes that may differ in
-        # the last bit, so beyond 1e-13 relative they may differ by a few ulp of
-        # the terms' magnitudes: at most 1 for prob, and |q| + |shift| for the
-        # shift's numerator, which the division by prob carries along.
-        q_col, shift, prob = ref[:, 1], ref[:, 4], ref[:, 6]
-        assert np.all(np.abs(rows[:, 6] - prob) <= 1e-13 * prob + 16 * np.spacing(1.0))
-        bound = 1e-13 * np.abs(shift) + 16 * np.spacing(np.abs(q_col) + np.abs(shift)) / prob
-        assert np.all(np.abs(rows[:, 4] - shift) <= bound)
+        assert rows.shape == (len(thetas) * q.size, 7)
+        assert_matches_oracle(rows, oracle_scan(thetas, q, width), rel=2e-15)
 
     def test_weak_scan_sized_grid(self):
         # the benchmark's shape: 720 angles in [0, 89] degrees x 10 couplings
@@ -641,8 +520,7 @@ class TestScanAgainstLoop:
         thetas = np.radians(np.sort(rng.uniform(0.0, 89.0, 720)))
         q = np.geomspace(1e-4, 30.0, 10) * 0.7
         rows = amplification_scan(thetas, q, 0.7)
-        ref = loop_scan(thetas, q, 0.7)
-        np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=0.0)
+        assert_matches_oracle(rows, oracle_scan(thetas, q, 0.7), rel=2e-15)
 
     def test_orthogonal_selection_in_the_grid_raises(self):
         with pytest.raises(OrthogonalSelection, match=r"\|<f\|i>\| = 6\.123e-17"):
@@ -653,4 +531,16 @@ class TestScanAgainstLoop:
         np.testing.assert_array_equal(orthogonal_selections(np.radians(degrees)),
                                       [False, False, True, True, True, False, False])
         with pytest.raises(OrthogonalSelection):
-            weak_value(pauli(1), QuantumState(np.array([1.0, 0.0])), qubit(math.radians(270.0)))
+            amplification_scan([math.radians(270.0)], [1e-3], 1.0)
+
+
+class TestScanPrecision:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(theta=st.floats(0.0, math.pi / 2 - 1e-7), ratio=st.floats(1e-6, 1e3),
+           width=st.floats(0.1, 10.0))
+    # the eigenvalue-pair sums cancel here: P ~ cos^2(theta) ~ 1e-17 from terms of 1/4
+    @example(theta=math.radians(89.9999999), ratio=1e-4, width=0.7)
+    def test_shift_and_probability_within_2e_15_of_the_pair_sums(self, theta, ratio, width):
+        q = ratio * width
+        rows = amplification_scan([theta], [q], width)
+        assert_matches_oracle(rows, oracle_scan([theta], [q], width), rel=2e-15)
