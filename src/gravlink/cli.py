@@ -26,7 +26,7 @@ from . import __version__
 from .config import ScenarioConfig, load_config, trajectories, validate_config
 from .constants import C_LIGHT, G_STD, GM_EARTH, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
-from .kinematics import build_pass
+from .kinematics import _norm, build_pass
 from .link_model import (
     expanded_signal,
     first_order_doppler_shift,
@@ -36,9 +36,9 @@ from .link_model import (
 )
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
+def _write(out_dir: Path, name: str, data: bytes) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
+    (out_dir / name).write_bytes(data)
 
 
 # The '%.12e' text of a number is five uint32 words, "-d.d" "dddd" "dddd"
@@ -82,10 +82,10 @@ def _e12(x: np.ndarray) -> np.ndarray:
     return text.view(np.uint8)
 
 
-def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str:
-    """Columnar text: '# header', then row_fmt % row for each row of the 2-D
-    float array rows, then footer; with '%.12e' columns, byte for byte the
-    text of np.savetxt(fmt='%.12e', comments='# ').
+def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> bytes:
+    """Columnar text as UTF-8 bytes: '# header', then row_fmt % row for each
+    row of the 2-D float array rows, then footer; with '%.12e' columns, byte
+    for byte the text of np.savetxt(fmt='%.12e', comments='# ').
 
     Blocks of at most _BLOCK entries are formatted into zero-padded byte
     arrays, so memory does not grow with the table. _e12 formats '%.12e'
@@ -95,7 +95,7 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str
     parts = re.split(r"(%[^a-zA-Z%]*[a-zA-Z])", row_fmt + "\n")  # literals and specs
     ecols = [k for k in range(1, len(parts), 2) if parts[k] == "%.12e"]
     step = max(1, _BLOCK // max(1, len(parts) // 2))
-    texts = [f"# {header}\n"]
+    texts = [f"# {header}\n".encode()]
     for block in (rows[i:i + step] for i in range(0, len(rows), step)):
         etext, columns = _e12(block[:, [k // 2 for k in ecols]]), []
         for k, part in enumerate(parts):
@@ -106,12 +106,12 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> str
             else:
                 columns.append(np.array([part % v for v in block[:, k // 2].tolist()], "S"))
             columns[-1] = columns[-1].view(np.uint8).reshape(len(block), -1)
-        texts.append(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0").decode())
-    return "".join(texts + [footer])
+        texts.append(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
+    return b"".join(texts + [footer.encode()])
 
 
 # Each mode's runner takes (cfg, config_path) and returns (columnar file name,
-# its text, summary lines); _run writes both files and prints the summary.
+# its bytes, summary lines); _run writes both files and prints the summary.
 def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     station, orbit = trajectories(cfg, config_path)
     scale, alpha = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l), cfg.redshift.alpha
@@ -130,7 +130,7 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     max_doppler = float(np.max(np.abs(doppler_phase)))
     max_gravity = float(np.max(np.abs(scale * du)))
     max_resid = float(np.max(np.abs(resid)))
-    beta_max = float(np.max(np.linalg.norm([geom.beta1, geom.beta2], axis=-1)))
+    beta_max = float(max(np.max(_norm(geom.beta1)), np.max(_norm(geom.beta2))))
     # the spacecraft at reception, from U2 = GM / (c^2 r): no second state evaluation
     mean_orbit_radius = float(np.mean(GM_EARTH / (C_LIGHT**2 * geom.U2)))
     height = mean_orbit_radius - (R_EARTH + cfg.station.altitude)
@@ -287,7 +287,7 @@ def _run_constants(cfg: ScenarioConfig | None) -> int:
         f"{row.name} {row.value:.6e} {row.units or '-'} {row.reference:.6e} "
         f"{row.rel_deviation:.3e}\n" for row in constants_report()])
     if cfg is not None:
-        _write(Path(cfg.output_dir), "constants.txt", table)
+        _write(Path(cfg.output_dir), "constants.txt", table.encode())
     sys.stdout.write(table)
     return 0
 
@@ -299,7 +299,7 @@ def _run(config_path: str) -> int:
     name, table, summary = _RUNNERS[cfg.mode](cfg, config_path)
     text = "\n".join(summary + [f"columnar output: {name}"]) + "\n"
     _write(Path(cfg.output_dir), name, table)
-    _write(Path(cfg.output_dir), "summary.txt", text)
+    _write(Path(cfg.output_dir), "summary.txt", text.encode())
     sys.stdout.write(text)
     return 0
 

@@ -231,7 +231,8 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
 # libyaml parses when PyYAML has it; the constructor and resolver are PyYAML's safe ones
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # libyaml composes by C recursion, one call per nesting level, and overflows the stack near
-# 30000 levels, so the event stream is scanned for the depth first.
+# 30000 levels, so the event stream is scanned for the depth first, unless the text holds at
+# most _MAX_DEPTH of '-', '?', ':', '[' and '{': each collection start needs one of its own.
 _MAX_DEPTH = 100
 
 
@@ -239,9 +240,10 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     """Read, parse and walk the config once; the config is None on any violation."""
     text = _read_text(path)
     try:
-        if any(depth > _MAX_DEPTH for depth in accumulate(
-                isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
-                for e in yaml.parse(text, Loader=_LOADER))):
+        steps = (isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
+                 for e in yaml.parse(text, Loader=_LOADER))
+        if sum(map(text.count, "-?:[{")) > _MAX_DEPTH and any(
+                depth > _MAX_DEPTH for depth in accumulate(steps)):
             return None, [f"config nests deeper than {_MAX_DEPTH} levels"]
         tree = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: impossible dates

@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     reject,
 )
-from .kinematics import EARTH_ROTATION, StateVector, _epochs, rotate_z
+from .kinematics import EARTH_ROTATION, StateVector, _cross, _epochs, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -272,7 +272,7 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
     theta = OMEGA_EARTH * t_rel
     pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
     vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
-    vel += np.cross(EARTH_ROTATION, pos)
+    vel += _cross(EARTH_ROTATION, pos)
     return StateVector(position=pos, velocity=vel, epoch=t_rel)
 
 

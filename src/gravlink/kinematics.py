@@ -41,11 +41,30 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _norm(v):
+    """Row norms of (..., 3) arrays, the bits of np.linalg.norm(v, axis=-1): same order."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _cross(a, b) -> np.ndarray:
+    """Row-wise cross product of (..., 3) arrays, which broadcast; np.cross's order."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def rotate_z(angle, vectors) -> np.ndarray:
     """Vectors (..., 3) rotated about +z by angle(s) [rad]; the two broadcast."""
     c, s = np.cos(angle), np.sin(angle)
-    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
-    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+    v = np.asarray(vectors, dtype=float)
+    out = np.empty(np.broadcast_shapes(np.shape(c), v.shape[:-1]) + (3,))
+    out[..., 0] = c * v[..., 0] - s * v[..., 1]
+    out[..., 1] = s * v[..., 0] + c * v[..., 1]
+    out[..., 2] = v[..., 2]
+    return out
 
 
 EARTH_ROTATION = np.array([0.0, 0.0, OMEGA_EARTH])  # rad/s, inertial frame
@@ -75,10 +94,10 @@ class StateVector:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "epoch", _epochs(self.epoch))
-        r = np.linalg.norm(pos, axis=-1)
+        r = _norm(pos)
         reject(~(r > _MIN_RADIUS), BadAltitude,
                f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", r, times=self.epoch)
-        v = np.linalg.norm(vel, axis=-1)
+        v = _norm(vel)
         reject(~(v < _MAX_SPEED), ValueError,
                f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=self.epoch)
 
@@ -140,13 +159,13 @@ class GroundStation:
     def states(self, t) -> StateVector:
         t = _epochs(t)
         pos = rotate_z(OMEGA_EARTH * t, self._body)
-        return StateVector(position=pos, velocity=np.cross(EARTH_ROTATION, pos), epoch=t)
+        return StateVector(position=pos, velocity=_cross(EARTH_ROTATION, pos), epoch=t)
 
 
 def newtonian_potential(position):
     """Dimensionless potential U = GM/(c^2 r) of position(s) (..., 3); positive,
     larger nearer Earth."""
-    r = np.linalg.norm(np.asarray(position, dtype=float), axis=-1)
+    r = _norm(np.asarray(position, dtype=float))
     if np.any(r <= 0.0):
         raise ValueError("position magnitude must be positive")
     return GM_EARTH / (C_LIGHT**2 * r)
@@ -172,26 +191,32 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory):
         An epoch still above the tolerance after 50 iterations.
     """
     r_emit = emit_state.position
-    t_emit = np.broadcast_to(emit_state.epoch, len(r_emit))
-    t_flight = np.zeros(len(r_emit))
+    n = len(r_emit)
+    t_emit = np.broadcast_to(emit_state.epoch, n)
+    t_flight = np.zeros(n)
     n_hat = np.empty_like(r_emit)
-    todo = np.arange(len(r_emit))   # epochs still iterating
+    todo = slice(None)   # epochs still iterating: all of them until one settles
     for _ in range(_LIGHT_TIME_MAX_ITER):
         received = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
         separation = received.position - r_emit[todo]
-        rng = np.linalg.norm(separation, axis=-1)
-        ranges = np.full(len(r_emit), np.inf)
-        ranges[todo] = rng
-        reject(ranges < _COINCIDENT_RANGE, DegenerateGeometry,
-               "emitter and receiver separated by {:.3e} m; direction undefined", ranges,
-               times=t_emit)
-        settled = np.abs(rng / C_LIGHT - t_flight[todo]) < _LIGHT_TIME_TOL
-        t_flight[todo] = rng / C_LIGHT
-        n_hat[todo[settled]] = separation[settled] / rng[settled, None]
-        todo = todo[~settled]
-        if todo.size == 0:
+        rng = _norm(separation)
+        if np.any(rng < _COINCIDENT_RANGE):
+            ranges = np.full(n, np.inf)
+            ranges[todo] = rng
+            reject(ranges < _COINCIDENT_RANGE, DegenerateGeometry,
+                   "emitter and receiver separated by {:.3e} m; direction undefined", ranges,
+                   times=t_emit)
+        t_new = rng / C_LIGHT
+        settled = np.abs(t_new - t_flight[todo]) < _LIGHT_TIME_TOL
+        t_flight[todo] = t_new
+        if settled.all():
+            n_hat[todo] = separation / rng[:, None]
             return t_flight, n_hat
-    reject(np.isin(np.arange(len(r_emit)), todo), NoConvergence,
+        if settled.any():
+            live = np.arange(n)[todo]
+            n_hat[live[settled]] = separation[settled] / rng[settled, None]
+            todo = live[~settled]
+    reject(np.isin(np.arange(n), np.arange(n)[todo]), NoConvergence,
            f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", times=t_emit)
 
 
@@ -230,11 +255,11 @@ class LinkGeometry:
         for name in ("U1", "U2", "t_up"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
         for name in ("n12", "n23"):
-            norm = np.linalg.norm(getattr(self, name), axis=-1)
+            norm = _norm(getattr(self, name))
             reject(~(np.abs(norm - 1.0) <= 1e-9), DegenerateGeometry,
                    f"|{name}| = {{:.12f}}, expected 1", norm)
         for name in ("beta1", "beta2", "beta3"):
-            b = np.linalg.norm(getattr(self, name), axis=-1)
+            b = _norm(getattr(self, name))
             reject(~(b < _MAX_BETA), ValueError, f"|{name}| = {{:.3e}} exceeds {_MAX_BETA:.1e}", b)
         for name in ("U1", "U2"):
             u = getattr(self, name)
@@ -272,7 +297,7 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
         n23=n23,
         U1=newtonian_potential(s1.position),
         U2=newtonian_potential(s2.position),
-        a1=np.cross(EARTH_ROTATION, s1.velocity),
+        a1=_cross(EARTH_ROTATION, s1.velocity),
         t_up=t_up,
     )
 

@@ -1,6 +1,8 @@
 """Test-only helpers that the program itself never calls: a non-moving
-platform for controlled geometries, synthetic pass measurements for the
-regression, and qubit amplitudes and unitary evolution for the spin tests."""
+platform for controlled geometries, the stack-based rotation that the
+kinematics kernels must match bit for bit, synthetic pass measurements for
+the regression, and qubit amplitudes and unitary evolution for the spin
+tests."""
 
 from __future__ import annotations
 
@@ -27,6 +29,14 @@ class StaticPlatform:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         pos = np.broadcast_to(self.position, (t.size, 3))
         return StateVector(position=pos, velocity=np.zeros((t.size, 3)), epoch=t)
+
+
+def rotate_z_oracle(angle, vectors) -> np.ndarray:
+    """Vectors (..., 3) rotated about +z by angle(s) [rad] through numpy's axis
+    machinery: kinematics.rotate_z must give these bits."""
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
+    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
 
 
 def synthesize_measurements(

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import math
 import os
 import re
@@ -447,7 +448,89 @@ def _defect_text(template, old, new):
     return template.format(out="ignored", vis="1.0").replace(old, new)
 
 
+# YAML of mixed block and flow nesting, for the bound config._load skips its depth scan by.
+# A node is a scalar or (kind, style, items): a "seq" holds nodes, a "map" holds (key,
+# explicit "? " key, value or None) triples. A "flow" collection holds only flow ones, and
+# a one-entry "pair" map in a flow sequence is written bare, as in [? k: v].
+_YAML_SCALARS = st.sampled_from(["a", "0.5", "-3", "b c", "'x: y'", '"[{-?:}]"',
+                                 "'- # not a comment'", '"? k"', "'{a: [1]}'", "''"])
+_YAML_KEYS = st.sampled_from(["k", "key2", "'k: ?'", '"[-]"', "'# k'"])
+
+
+def _yaml_collections(children):
+    return st.one_of(
+        st.tuples(st.just("seq"), st.sampled_from(["block", "flow"]),
+                  st.lists(children, max_size=3)),
+        st.tuples(st.just("map"), st.sampled_from(["block", "flow", "pair"]), st.lists(
+            st.tuples(_YAML_KEYS, st.booleans(), st.none() | children), max_size=3)))
+
+
+def _entry_text(key, explicit, value) -> str:
+    """One flow map entry; an explicit key with no value has no ':'."""
+    text = ("? " if explicit else "") + key
+    return text if explicit and value is None else text + ": " + _flow_text(value)
+
+
+def _flow_text(node, in_sequence=False) -> str:
+    if node is None or isinstance(node, str):
+        return node or ""
+    kind, style, items = node
+    if kind == "seq":
+        return "[" + ", ".join(_flow_text(item, True) for item in items) + "]"
+    entries = ", ".join(_entry_text(*item) for item in items)
+    return entries if style == "pair" and in_sequence and len(items) == 1 else "{" + entries + "}"
+
+
+def _block_text(node, indent: int) -> str:
+    """The text after a '-', ':' or '? ' indicator: the node inline, or its lines."""
+    if node is None or isinstance(node, str) or node[1] != "block" or not node[2]:
+        return " " + _flow_text(node) + "\n"
+    pad, (kind, _, items) = " " * indent, node
+    if kind == "seq":
+        return "\n" + "".join(pad + "-" + _block_text(item, indent + 2) for item in items)
+    return "\n" + "".join(
+        pad + "? " + key + "\n" if explicit and value is None
+        else (pad + "? " + key + "\n" + pad + ":" if explicit else pad + key + ":")
+        + _block_text(value, indent + 2) for key, explicit, value in items)
+
+
+def _depth(node) -> int:
+    if node is None or isinstance(node, str):
+        return 0
+    items = node[2] if node[0] == "seq" else [value for _, _, value in node[2]]
+    return 1 + max(map(_depth, items), default=0)
+
+
+_YAML_DOCUMENTS = st.lists(st.recursive(_YAML_SCALARS, _yaml_collections, max_leaves=24),
+                           min_size=1, max_size=3)
+
+
 class TestYamlLoader:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(documents=[("map", "block", [("k", False, ("map", "block", [("k", False, "a")]))])],
+             flags=[(False, False)] * 3)  # "k:\n  k: a\n", the count equal to the depth
+    @example(documents=[("seq", "block", [("seq", "flow", [("map", "pair",
+                                                              [("k", True, None)])])])],
+             flags=[(False, False)] * 3)  # "- [? k]\n"
+    @given(documents=_YAML_DOCUMENTS, flags=st.lists(st.tuples(st.booleans(), st.booleans()),
+                                                     min_size=3, max_size=3))
+    def test_indicator_count_bounds_the_depth(self, documents, flags):
+        # _load scans the events only when the count of '-', '?', ':', '[' and '{' exceeds
+        # _MAX_DEPTH, since every collection start needs one of these characters of its own
+        texts = []
+        for k, (node, (marker, comment)) in enumerate(zip(documents, flags)):
+            body = _block_text(node, 0)
+            body = body[1:] if body.startswith("\n") else body.lstrip(" ")
+            if comment:  # a comment line full of indicators, after the first line
+                body = body.replace("\n", "\n# - ? : [ {\n", 1)
+            texts.append("--- # doc\n" + body if k or marker else body)
+        text = "".join(texts)
+        steps = (isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
+                 for e in yaml.parse(text, Loader=gravlink.config._LOADER))
+        depth = max(itertools.accumulate(steps, initial=0))
+        assert depth == max(map(_depth, documents))
+        assert depth <= sum(map(text.count, "-?:[{"))
+
     def test_libyaml_parses_when_present(self):
         assert gravlink.config._LOADER is (
             yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
@@ -737,12 +820,12 @@ class TestTable:
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
         row_fmt = " ".join(["%.12e"] * rows.shape[1])
-        assert _table("a b c", row_fmt, rows) == reference.getvalue()
+        assert _table("a b c", row_fmt, rows) == reference.getvalue().encode()
 
     def test_mixed_formats_and_footer(self):
         rows = np.column_stack([np.arange(3), [0.5, -2.0, np.nan]])
         text = _table("i x", "%d %.3e", rows, footer="# done\n")
-        assert text == "# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
+        assert text == b"# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
 
     @staticmethod
     def assert_matches_savetxt(values):
@@ -751,7 +834,7 @@ class TestTable:
         assert rows.size > 3 * gravlink.cli._BLOCK
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
-        assert _table("a b c", "%.12e %.12e %.12e", rows) == reference.getvalue()
+        assert _table("a b c", "%.12e %.12e %.12e", rows) == reference.getvalue().encode()
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(12)
@@ -792,7 +875,7 @@ class TestTable:
         rows[::11, 1:] = [-0.0, 0.0]
         row_fmt = "%d %.12e %.3e"
         expected = "# i x y\n" + "".join(row_fmt % tuple(row) + "\n" for row in rows.tolist())
-        assert _table("i x y", row_fmt, rows) == expected
+        assert _table("i x y", row_fmt, rows) == expected.encode()
 
 
 class TestForecastStream:

@@ -1,11 +1,13 @@
 """Platform states, light-time solver, and link-geometry assembly."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravlink.constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
 from gravlink.ephemeris import EphemerisTrajectory
@@ -16,6 +18,8 @@ from gravlink.kinematics import (
     GroundStation,
     LinkGeometry,
     StateVector,
+    _cross,
+    _norm,
     build_link_geometry,
     newtonian_potential,
     rotate_z,
@@ -23,7 +27,7 @@ from gravlink.kinematics import (
 )
 from gravlink.link_model import phase_pair, phase_scale
 
-from helpers import StaticPlatform
+from helpers import StaticPlatform, rotate_z_oracle
 from test_ephemeris import circular_orbit_table
 
 
@@ -170,6 +174,20 @@ class _RunawayPlatform:
         return StateVector(position=position, velocity=np.zeros((len(t), 3)), epoch=t)
 
 
+class _ScriptedPlatform:
+    """Positions from a function of the epochs, zero velocities; records the size of each
+    batch of epochs it is asked for."""
+
+    def __init__(self, position):
+        self.position = position
+        self.batch_sizes = []
+
+    def states(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        self.batch_sizes.append(len(t))
+        return StateVector(position=self.position(t), velocity=np.zeros((len(t), 3)), epoch=t)
+
+
 class TestLightTime:
     def test_static_range(self):
         emitter = StateVector(
@@ -249,6 +267,54 @@ class TestLightTime:
         )
         with pytest.raises(NoConvergence):
             solve_light_time(emitter, _RunawayPlatform())
+
+    # Epoch 0 (t = 0 s) starts 1e-5 m from the receiver, so its first update, 3e-14 s, is
+    # below the tolerance and it settles on the first iteration. Epoch 1 (t = 1 s) goes on
+    # alone, so the second iteration runs on a gathered subset of the epochs.
+    _EMITTED = StateVector(position=[[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]],
+                           velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+
+    def test_coincidence_after_a_partial_settle_names_the_original_epoch(self):
+        # the receiver waits 4e5 m from epoch 1's emitter until t = 1 s, then sits on it
+        stops = np.array([[7.0e6 + 1e-5, 0.0, 0.0], [7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]])
+        receiver = _ScriptedPlatform(lambda t: stops[np.searchsorted([0.5, 1.0], t)])
+        with pytest.raises(DegenerateGeometry) as raised:
+            solve_light_time(self._EMITTED, receiver)
+        assert str(raised.value) == ("emitter and receiver separated by 0.000e+00 m; direction "
+                                     "undefined at epoch [1] (t = 1 s)")
+        assert receiver.batch_sizes == [2, 1]
+
+    def test_epochs_settling_on_different_iterations_match_their_own_solves(self):
+        # epoch 0 settles on iteration 1, epoch 1 (a static receiver 4e5 m off) on 2, and
+        # epoch 2 (a moving one) later: the results are the bits of three batches of one
+        def position(t):
+            moving = np.stack([7.0e6 - 7.0e3 * (t - 2.0), 1.0e5 + 0.0 * t, 0.0 * t], axis=-1)
+            return np.where((t < 0.5)[:, None], [7.0e6 + 1e-5, 0.0, 0.0],
+                            np.where((t < 1.5)[:, None], [7.0e6, 0.0, 0.0], moving))
+
+        emitted = StateVector(position=np.array([[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0],
+                                                 [7.4e6, 0.0, 0.0]]),
+                              velocity=np.zeros((3, 3)), epoch=np.array([0.0, 1.0, 2.0]))
+        receiver = _ScriptedPlatform(position)
+        t_flight, n_hat = solve_light_time(emitted, receiver)
+        assert receiver.batch_sizes[:3] == [3, 2, 1]
+        for k in range(3):
+            one = StateVector(position=emitted.position[k], velocity=np.zeros(3),
+                              epoch=emitted.epoch[k])
+            t_one, n_one = solve_light_time(one, _ScriptedPlatform(position))
+            assert t_flight[k] == t_one[0]
+            np.testing.assert_array_equal(n_hat[k], n_one[0])
+
+    def test_runaway_after_a_partial_settle_names_the_original_epoch(self):
+        # past t = 0.5 s the receiver recedes from epoch 1's emitter as _RunawayPlatform does
+        def position(t):
+            x = np.where(t < 0.5, 7.0e6 + 1e-5, 7.5e6 + 0.99 * C_LIGHT * (t - 1.0))
+            return np.stack([x, 0.0 * t, 0.0 * t], axis=-1)
+
+        receiver = _ScriptedPlatform(position)
+        with pytest.raises(NoConvergence, match=r"in 50 steps at epoch \[1\] \(t = 1 s\)$"):
+            solve_light_time(self._EMITTED, receiver)
+        assert receiver.batch_sizes == [2] + [1] * 49
 
 
 _ONE_EPOCH = dict(beta1=[1e-6, 2e-6, 0.0], beta2=[0.0, 3e-6, -1e-6], beta3=[2e-6, 0.0, 5e-7],
@@ -390,6 +456,75 @@ def test_rotation_z_orthonormal():
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-15)
 
 
+# Values whose rounding, signs and specials the kernels must reproduce: signed zeros,
+# subnormals, infinities, nan and normal magnitudes from 1e-300 to 1e300.
+_BIT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(lambda sign, mantissa, power: sign * mantissa * 10.0**power,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-300, 299)),
+)
+
+
+def _vectors(n):
+    return hnp.arrays(np.float64, (3,) if n is None else (n, 3), elements=_BIT_VALUES)
+
+
+_ONE_ROW_OR_MANY = st.one_of(st.none(), st.integers(1, 8))
+_VECTORS = _ONE_ROW_OR_MANY.flatmap(_vectors)
+# (3,), (N, 3) or a (3,) x (N, 3) broadcast, in either order
+_PAIRS = st.integers(1, 8).flatmap(
+    lambda n: st.sampled_from([(None, None), (n, n), (None, n), (n, None)])).flatmap(
+    lambda rows: st.tuples(_vectors(rows[0]), _vectors(rows[1])))
+# every ordered triple of these, against 4000 random pairings of the triples
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-308, 1e-300, -3.7e-150,
+             1.0, -0.7, 6.4e6, -1.9e154, 1e300, -np.finfo(float).max]
+
+
+def assert_same_bits(got, want):
+    """Equal shapes, and every entry the same float64 bits, or nan where want is nan."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+class TestKernelBits:
+    """_norm, _cross and rotate_z give numpy's own bits: same operations, same order."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(vectors=_VECTORS)
+    def test_norm_equals_linalg_norm(self, vectors):
+        with np.errstate(all="ignore"):
+            want = np.asarray(np.linalg.norm(vectors, axis=-1))
+            assert_same_bits(np.asarray(_norm(vectors)), want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=_PAIRS)
+    def test_cross_equals_np_cross(self, pair):
+        with np.errstate(all="ignore"):
+            assert_same_bits(_cross(*pair), np.cross(*pair))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=_PAIRS)
+    def test_rotate_z_equals_the_stacked_form(self, pair):
+        # each x component is an angle: one angle, or one per row
+        angle = pair[0][..., 0]
+        with np.errstate(all="ignore"):
+            assert_same_bits(rotate_z(angle, pair[1]), rotate_z_oracle(angle, pair[1]))
+
+    def test_every_triple_of_special_values(self):
+        rows = np.array(list(itertools.product(_SPECIALS, repeat=3)))
+        rng = np.random.default_rng(22)
+        a, b = rows[rng.integers(0, len(rows), (2, 4000))]
+        with np.errstate(all="ignore"):
+            assert_same_bits(_norm(rows), np.linalg.norm(rows, axis=-1))
+            assert_same_bits(_cross(a, b), np.cross(a, b))
+            assert_same_bits(rotate_z(a[:, 0], b), rotate_z_oracle(a[:, 0], b))
+            assert_same_bits(rotate_z(0.3, rows), rotate_z_oracle(0.3, rows))
+
+
 class TestBatchPath:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -410,6 +545,29 @@ class TestBatchPath:
                 for t in epochs]
         assert batch.shape == (n,)
         assert np.max(np.abs(batch - np.concatenate(rows))) <= 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        lat=st.floats(-1.4, 1.4), lon=st.floats(-math.pi, math.pi), alt=st.floats(0.0, 3.0e3),
+        a=st.floats(6.6e6, 8.0e6), inc=st.floats(0.0, math.pi), raan=st.floats(0.0, 6.3),
+        phase=st.floats(0.0, 6.3), t_start=st.floats(-600.0, 600.0),
+        span=st.floats(1.0, 900.0), n=st.integers(1, 24), delta=st.floats(-math.pi, math.pi),
+    )
+    def test_rotation_about_the_earth_axis_leaves_the_phases(self, lat, lon, alt, a, inc, raan,
+                                                             phase, t_start, span, n, delta):
+        """Station longitude and orbit node turned by the same delta give the same phases.
+
+        The Earth and its rotation are symmetric about +z. Over this domain the phases
+        (~1e6 rad) moved by at most 7.2e-9 rad, and s by 5e-10 rad, from rounding alone."""
+        scale, alpha = phase_scale(800e-9, 6.0e3 / C_LIGHT), 1e-4
+        epochs = np.linspace(t_start, t_start + span, n)
+        pairs = [phase_pair(build_link_geometry(GroundStation(lat, lon + turn, alt),
+                                                CircularOrbit(a, inc, raan + turn, phase),
+                                                epochs), scale, alpha)
+                 for turn in (0.0, delta)]
+        assert np.max(np.abs(pairs[1].phi_sc - pairs[0].phi_sc)) <= 1e-7
+        assert np.max(np.abs(pairs[1].phi_gs - pairs[0].phi_gs)) <= 1e-7
+        assert np.max(np.abs(pairs[1].s_signal - pairs[0].s_signal)) <= 1e-8
 
     def test_bad_epoch_in_a_state_batch_is_named(self):
         pos = np.array([[7.0e6, 0.0, 0.0], [1.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]])
