@@ -43,43 +43,47 @@ def _write(out_dir: Path, name: str, data: bytes) -> None:
 
 # The '%.12e' text of a number is five uint32 words, "-d.d" "dddd" "dddd"
 # "ddde" "+ddd", taken from tables of their bytes. Zero bytes are padding.
-_POW10 = np.array([float(10**k) for k in range(309)])  # correctly rounded
+_SCALE = np.array([float(f"1e{k}") if k <= 308 else 0.0  # correctly rounded 10^(12 - e),
+                   for k in range(321, -298, -1)])  # by exponent e + 309
 _DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).copy()  # "0000" to "9999"
-_HEAD = _DIGITS[np.arange(200)[:, None] % 100, [0, 2, 0, 3]]  # by sign, two leading digits
-_HEAD[:, 0], _HEAD[:, 2] = np.repeat([0, 45], 100), 46
+# by sign, then the two leading digits, or 100 for "1.0" when rint carries to 10^13
+_HEAD = _DIGITS[np.tile(np.r_[0:100, 10], 2)[:, None], [0, 2, 0, 3]]
+_HEAD[:, 0], _HEAD[:, 2] = np.repeat([0, 45], 101), 46
 _TRIPLE_E = np.roll(_DIGITS[:1000], -1, axis=1)  # "ddde"
 _TRIPLE_E[:, 3] = ord("e")
 _EXP = _DIGITS[np.abs(np.arange(-309, 310))]  # by exponent + 309
 _EXP[:, 0] = np.repeat([45, 43], [309, 310])
 _EXP[309 - 99:309 + 100, 1] = 0  # two digits for |exponent| < 100
 _HEAD, _QUAD, _TRIPLE_E, _EXP = (t.view(np.uint32).ravel() for t in (_HEAD, _DIGITS, _TRIPLE_E, _EXP))
-_BLOCK = 4096  # entries formatted at a time
+_BLOCK = 8192  # entries formatted at a time
 
 
-def _e12(x: np.ndarray) -> np.ndarray:
-    """'%.12e' % x for each entry of x, as (..., 20) bytes padded with zeros."""
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a < 1e300)  # no nan, inf, zero or subnormal
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POW10.take(12 - e, mode="clip")  # a 10^(12 - e)
-    np.divide(a, _POW10.take(e - 12, mode="clip"), out=y, where=e > 12)
-    # The power and the product or quotient round once each, by <= 2^-53, so
-    # |y - a 10^(12-e)| < 2.3e-16 y < 0.0025. Where |y - rint(y)| < 0.495 the
-    # exact value is within 0.4975 of d = rint(y), so it rounds to d and is
-    # no tie: the margin is twice the error bound. With
-    # y >= 1e12 and d <= 1e13, e is exact, or one short and d carries to 1e13;
-    # y < 1e12 where log10 rounded up to e, and '%' formats those entries.
+def _e12(x: np.ndarray, out: np.ndarray) -> None:
+    """Write '%.12e' % x[i, j] as the five words out[i, j, :5]."""
+    a, zero = np.abs(x), x == 0.0
+    e = (np.log10(a + zero) + 309).astype(np.intp)  # 309 + E, E floor(log10 a) or one off
+    y = a * _SCALE.take(e, mode="clip")  # a 10^(12 - E); 0 for |x| < 1e-296
+    # The power and the product round once each, by <= 2^-53, so |y - Y| <
+    # 2.3e-16 y < 0.0025 for Y = a 10^(12 - E) exactly, as y < 1.1e13 where kept.
+    # Where |y - d| < 0.4975 for d = rint(y), Y is within 0.5 of d: '%' rounds
+    # it to d as well, and it is no tie. d = 10^13 carries into the exponent.
+    # Where E is one off floor(log10 a), a kept y is within 0.0025 of 10^12 or
+    # 10^13, and either exponent gives the same text.
     d = np.rint(y)
-    fast &= (y >= 1e12) & (d <= 1e13) & (np.abs(y - d) < 0.495)
-    carry, zero = d == 1e13, x == 0.0
-    d = np.where(zero, 0, np.where(carry, 1e12, d)).astype(np.int64)
-    text = np.stack([_HEAD.take(d // 10**11 + 100 * np.signbit(x), mode="clip"),
-                     _QUAD.take(d // 10**7 % 10000), _QUAD.take(d // 1000 % 10000),
-                     _TRIPLE_E.take(d % 1000), _EXP.take(e + carry + 309, mode="clip")], axis=-1)
-    slow = ~(fast | zero)  # '%' formats nan, inf, tiny, huge and near-tie entries
-    text[slow] = np.array(["%.12e" % v for v in x[slow].tolist()], "S20").view(np.uint32).reshape(-1, 5)
-    return text.view(np.uint8)
+    keep = (np.abs(y - d) < 0.4975) & (y >= 1e12) & (d <= 1e13) | zero
+    d = d.astype(np.intp)  # 13 digits, split by exact integer division: 6 + 7, 2 + 4, 4 + 3
+    hi = d // 10**7
+    lo = d - hi * 10**7
+    head = hi // 10**4
+    quad = lo // 1000
+    out[..., 0] = _HEAD.take(head + 101 * np.signbit(x), mode="clip")
+    out[..., 1] = _QUAD.take(hi - head * 10**4, mode="clip")
+    out[..., 2] = _QUAD.take(quad, mode="clip")
+    out[..., 3] = _TRIPLE_E.take(lo - quad * 1000, mode="clip")
+    out[..., 4] = _EXP.take(e + (d == 10**13), mode="clip")
+    i, j = np.nonzero(~keep)  # '%' formats nan, inf, tiny and near-tie entries
+    out[i, j, :5] = np.array(["%.12e" % v for v in x[i, j].tolist()], "S20").view(
+        np.uint32).reshape(-1, 5)
 
 
 def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> bytes:
@@ -87,26 +91,32 @@ def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> byt
     row of the 2-D float array rows, then footer; with '%.12e' columns, byte
     for byte the text of np.savetxt(fmt='%.12e', comments='# ').
 
-    Blocks of at most _BLOCK entries are formatted into zero-padded byte
-    arrays, so memory does not grow with the table. _e12 formats '%.12e'
-    columns as arrays. '%' formats the other columns, and each entry _e12
-    cannot prove exact: nan, inf, |x| < 1e-280 or >= 1e300, and values within
-    0.005 of a rounding tie or whose log10 rounds up to an integer."""
+    A block of at most _BLOCK entries fills one zero-padded buffer of uint32
+    words: per row the leading literal, then per column a slot and the next
+    literal. The literals are written with the buffer, and one bytes.translate
+    drops the padding. _e12 fills every slot; '%' then formats the columns not
+    '%.12e', and each entry _e12 cannot prove exact: nan, inf, |x| < 1e-296,
+    values within 0.0025 of a rounding tie and some just below a power of ten."""
     parts = re.split(r"(%[^a-zA-Z%]*[a-zA-Z])", row_fmt + "\n")  # literals and specs
-    ecols = [k for k in range(1, len(parts), 2) if parts[k] == "%.12e"]
-    step = max(1, _BLOCK // max(1, len(parts) // 2))
-    texts = [f"# {header}\n".encode()]
+    specs, lits = parts[1::2], [np.frombuffer(b + bytes(-len(b) % 4), np.uint32)
+                                for b in map(str.encode, parts[::2])]
+    lead, tail = len(lits[0]), max(map(len, lits[1:]), default=0)
+    step, layout, texts = max(1, _BLOCK // max(1, len(specs))), None, [f"# {header}\n".encode()]
     for block in (rows[i:i + step] for i in range(0, len(rows), step)):
-        etext, columns = _e12(block[:, [k // 2 for k in ecols]]), []
-        for k, part in enumerate(parts):
-            if k % 2 == 0:
-                columns.append(np.frombuffer((part * len(block)).encode(), np.uint8))
-            elif k in ecols:
-                columns.append(etext[:, ecols.index(k)])
-            else:
-                columns.append(np.array([part % v for v in block[:, k // 2].tolist()], "S"))
-            columns[-1] = columns[-1].view(np.uint8).reshape(len(block), -1)
-        texts.append(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
+        other = {j: np.array([spec % v for v in block[:, j].tolist()], "S")
+                 for j, spec in enumerate(specs) if spec != "%.12e"}
+        slot = max([5] + [-(-text.itemsize // 4) for text in other.values()])
+        if slot != layout:  # a new buffer, its literals written once
+            layout, buf = slot, np.zeros((step, lead + len(specs) * (slot + tail)), np.uint32)
+            cells, buf[:, :lead] = buf[:, lead:].reshape(step, len(specs), slot + tail), lits[0]
+            for j, lit in enumerate(lits[1:]):
+                cells[:, j, slot:slot + len(lit)] = lit
+        with np.errstate(all="ignore"):  # nan and inf go to '%'
+            _e12(block, cells[:len(block)])
+        for j, text in other.items():
+            cells[:len(block), j, :slot] = text.astype(f"S{4 * slot}").view(
+                np.uint32).reshape(-1, slot)
+        texts.append(buf[:len(block)].tobytes().translate(None, b"\0"))
     return b"".join(texts + [footer.encode()])
 
 

@@ -228,8 +228,26 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
     return values, problems
 
 
-# libyaml parses when PyYAML has it; the constructor and resolver are PyYAML's safe ones
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FLOAT, _DECIMAL = "tag:yaml.org,2002:float", re.compile(r"[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)?")
+
+
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's parser when PyYAML has it, that reads a plain
+    scalar matching _DECIMAL in one step: YAML 1.1 resolves these only to a float, and
+    float(text) is construct_yaml_float's value. Other nodes go to PyYAML unchanged."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
+            return _FLOAT
+        return super().resolve(kind, value, implicit)
+
+    def construct_object(self, node, deep=False):
+        if (node.tag == _FLOAT and type(node) is yaml.ScalarNode
+                and _DECIMAL.fullmatch(node.value)):
+            return float(node.value)
+        return super().construct_object(node, deep)
+
+
 # libyaml composes by C recursion, one call per nesting level, and overflows the stack near
 # 30000 levels, so the event stream is scanned for the depth first, unless the text holds at
 # most _MAX_DEPTH of '-', '?', ':', '[' and '{': each collection start needs one of its own.

@@ -501,6 +501,27 @@ def _depth(node) -> int:
     return 1 + max(map(_depth, items), default=0)
 
 
+def _pyyaml_base(loader: type) -> type:
+    """The loader itself if PyYAML's, else the PyYAML loader it derives from."""
+    return next(c for c in loader.__mro__ if c.__module__.partition(".")[0] == "yaml")
+
+
+# Plain decimals that config._LOADER reads in one step (sign, digits, a dot, digits, and
+# maybe an exponent with its sign), and texts that YAML 1.1 reads otherwise or that only
+# look alike: underscores, sexagesimal, an unsigned exponent (a string), no digit before
+# the dot, inf and nan, ints, quoted decimals and explicit !!float and !!str tags.
+_LOADER_SCALARS = st.one_of(
+    st.builds("{}{}.{}{}".format, st.sampled_from(["", "-", "+"]),
+              st.text("0123456789", min_size=1, max_size=4),
+              st.text("0123456789", max_size=4),
+              st.sampled_from(["", "e+5", "E-12", "e+0", "e-400", "E+400"])),
+    st.sampled_from(["1_0.5", "1:30.5", "1.0e5", "1.0E5", ".5", "-.5e+1", "+1.", "-0.0",
+                     ".inf", "-.inf", ".nan", "12", "-7", "0x1F", "0o17", "1_000", "'1.5'",
+                     '"2.5e+3"', "!!float 1.5", "!!float 1", "!!float 1_0.5", "!!float .inf",
+                     "!!str 1.5", "!!str 2.", "1.5.5", "1.0e+5x", "1.0 e+5", "2024-02-01",
+                     "~", "true", "a1.5", "1.5e+", "1.5e"]))
+
+
 _YAML_DOCUMENTS = st.lists(st.recursive(_YAML_SCALARS, _yaml_collections, max_leaves=24),
                            min_size=1, max_size=3)
 
@@ -532,8 +553,8 @@ class TestYamlLoader:
         assert depth <= sum(map(text.count, "-?:[{"))
 
     def test_libyaml_parses_when_present(self):
-        assert gravlink.config._LOADER is (
-            yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        assert issubclass(gravlink.config._LOADER,
+                          yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
     @pytest.mark.parametrize(
         "text", [p.read_text(encoding="utf-8") for p in SCENARIO_FILES]
@@ -541,6 +562,26 @@ class TestYamlLoader:
         ids=[p.name for p in SCENARIO_FILES] + [d[0] for d in DEFECTS] + ["multi_problem"])
     def test_same_tree_as_the_python_loader(self, text):
         # repr tells 1 from 1.0 and True, and a nan equals itself in it
+        assert repr(yaml.load(text, Loader=gravlink.config._LOADER)) == repr(
+            yaml.load(text, Loader=yaml.SafeLoader))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scalars=st.lists(st.tuples(_LOADER_SCALARS, st.booleans(), st.integers(0, 5)),
+                            min_size=1, max_size=12))
+    def test_decimals_load_as_the_safe_loader_reads_them(self, scalars):
+        # block values, some anchored, and a flow sequence of the same texts with aliases
+        values, aliases = [], []
+        for k, (text, anchored, alias) in enumerate(scalars):
+            if anchored:
+                values.append(f"&a{k} {text}")
+                aliases.append(f"*a{k}")
+            elif aliases and alias == 0:
+                values.append(aliases[-1])
+            else:
+                values.append(text)
+        text = "".join(f"k{k}: {value}\n" for k, value in enumerate(values))
+        text += "seq: [" + ", ".join([t for t, _, _ in scalars] + aliases) + "]\n"
+        # repr tells 1.0 from 1 and '1.0', and -0.0 from 0.0
         assert repr(yaml.load(text, Loader=gravlink.config._LOADER)) == repr(
             yaml.load(text, Loader=yaml.SafeLoader))
 
@@ -557,7 +598,7 @@ class TestYamlLoader:
         ("mode: constants\nx: " + "{a: " * 3000 + "}" * 3000, True),
     ], ids=["100_levels", "101_levels", "151_block_levels", "3001_flow_mapping_levels"])
     @pytest.mark.parametrize("loader", [gravlink.config._LOADER, yaml.SafeLoader],
-                             ids=lambda loader: loader.__name__)
+                             ids=lambda loader: _pyyaml_base(loader).__name__)
     def test_deep_nesting_is_a_violation(self, tmp_path, monkeypatch, capsys, text, nested,
                                          loader):
         monkeypatch.setattr(gravlink.config, "_LOADER", loader)
@@ -827,10 +868,33 @@ class TestTable:
         text = _table("i x", "%d %.3e", rows, footer="# done\n")
         assert text == b"# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(specs=[], seps=[], ends=("", ""), rows=np.empty((3, 0)), block=1)
+    @example(specs=["%d", "%.12e"], seps=[" "], ends=("", ""), rows=np.empty((0, 2)), block=1)
+    @given(specs=st.lists(st.sampled_from(["%.12e", "%d", "%.3e", "%g"]), max_size=5),
+           seps=st.lists(st.sampled_from([" ", "\t", ", "]), min_size=4, max_size=4),
+           ends=st.tuples(st.sampled_from(["", "x="]), st.sampled_from(["", " ;"])),
+           rows=st.integers(0, 12).flatmap(lambda n: hnp.arrays(
+               np.float64, (n, 5), elements=st.floats(allow_subnormal=True) | st.sampled_from(
+                   [0.0, -0.0, 1e12, 99.0, 9.9999999999995e-5, -2.5e-300]))),
+           block=st.sampled_from([1, 2, 5, gravlink.cli._BLOCK]))
+    def test_matches_percent_row_by_row(self, specs, seps, ends, rows, block):
+        # any mix of specs and separators, 0 to 5 columns, 0 to 12 rows, and blocks of
+        # one row and up, so that a %d column's width changes between blocks
+        rows = rows[:, :len(specs)].copy()
+        for j, spec in enumerate(specs):
+            if spec == "%d":  # '%d' takes finite values only
+                rows[:, j] = np.where(np.isfinite(rows[:, j]), rows[:, j], 7.0)
+        gaps = seps[:len(specs) - 1] + [""]  # a separator between each two specs
+        row_fmt = ends[0] + "".join(spec + gap for spec, gap in zip(specs, gaps)) + ends[1]
+        expected = "# h\n" + "".join(row_fmt % tuple(row) + "\n" for row in rows.tolist())
+        with mock.patch.object(gravlink.cli, "_BLOCK", block):
+            assert _table("h", row_fmt, rows, footer="# end\n") == (expected + "# end\n").encode()
+
     @staticmethod
     def assert_matches_savetxt(values):
         # three columns, enough rows to cross several blocks of the writer
-        rows = np.resize(values, (max(5000, -(-values.size // 3)), 3))
+        rows = np.resize(values, (max(gravlink.cli._BLOCK + 1, -(-values.size // 3)), 3))
         assert rows.size > 3 * gravlink.cli._BLOCK
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
