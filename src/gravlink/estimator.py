@@ -149,9 +149,11 @@ def precision_forecast(geometries: LinkGeometry, scale: float, alpha: float,
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         if n_per_point > 0:
-            counts = [draw_counts(pvals, n_per_point, np.random.SeedSequence((seed, t)))
-                      for t in range(start, stop)]
-            scan = FringeScan(offsets, np.stack(counts), n_per_point)
+            counts = np.empty((stop - start, *pvals.shape[:-1], 3), dtype=np.int64)
+            for t in range(start, stop):
+                counts[t - start] = draw_counts(pvals, n_per_point,
+                                                np.random.SeedSequence((seed, t)))
+            scan = FringeScan(offsets, counts, n_per_point)
             fit = fit_phase(scan, first=start)
             # unwrap against the zero-violation model
             phase, sigma = model_phase + _wrap_phase(fit.phi_hat - model_phase), fit.sigma_phi

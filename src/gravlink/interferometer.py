@@ -72,9 +72,13 @@ class FringeScan:
         counts = np.asarray(self.counts)
         if counts.shape[-2:] != (offsets.size, 3):
             raise ValueError(f"counts of shape {counts.shape} must end in ({offsets.size}, 3)")
-        ints = counts.astype(np.int64)
-        if (ints < 0).any() or (ints != counts).any():
+        # int64 (every draw) is kept; nan, inf or a float past int64 is refused before the cast
+        exact = counts.dtype == np.int64 or (
+            (counts.dtype.kind != "f" or (np.abs(counts) < 2.0**63).all())
+            and (counts.astype(np.int64) == counts).all())
+        if not exact or (counts < 0).any():
             raise ValueError("counts must be non-negative integers")
+        ints = counts.astype(np.int64, copy=False)
         total = int(ints.sum(axis=-1).max(initial=0))
         if total > self.n_sent:
             raise ValueError(f"total counts {total} exceed n_sent {self.n_sent}")
@@ -177,8 +181,9 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     phi = atan2(-a2, a1). Each count is binomial(n_sent, p), since
     draw_counts draws a multinomial, so it is weighted by
     1 / max(c (1 - c / n_sent), 1). All scans are solved together through
-    their 3x3 weighted normal systems, written in an orthonormal basis of
-    the shared design, which matches a per-scan SVD solve to ~1e-13 rad.
+    their 3x3 weighted normal systems in an orthonormal basis of the shared
+    design, inverted in closed form (the adjugate): within 1e-12 of LAPACK's
+    inverse while max w / min w < 4500, and eps * max w / min w beyond.
 
     Returns phi wrapped to (-pi, pi], its 1-sigma uncertainty propagated
     from the coefficient covariance (delta method), and the visibility
@@ -209,22 +214,29 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
                     "singular fringe-fit normal matrix; residuals: {}", resid)
     # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
     w = 1.0 / np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0)
-    # (U^T W U) b = U^T W c per scan, coef = V S^-1 b; covariance of b is (U^T W U)^-1
-    cov = np.linalg.inv(np.einsum("...p,pij->...ij", w, u[:, :, None] * u[:, None, :]))
-    b = np.einsum("...ij,...j->...i", cov, (w * counts) @ u)
-    coef = (b / s) @ vt
-    a0, a1, a2 = coef[..., 0], coef[..., 1], coef[..., 2]
+    # M b = U^T W c per scan (M = U^T W U, coef = V S^-1 b); b's covariance M^-1 = adj M / det M
+    # exactly, from M's six entries. M's eigenvalues lie in [min w, max w] (U orthonormal), so
+    # like LAPACK's inverse it loses up to log10(max w / min w) digits. adj(adj M) = det(M) M
+    # gives det = sum(2x2 principal minors of adj M) / trace M; a row expansion lost 500x more
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = np.tensordot(u.T[:, None] * u.T, w, (2, -1))
+    c00, c01, c02 = m11 * m22 - m12 * m12, m02 * m12 - m01 * m22, m01 * m12 - m02 * m11
+    c11, c12, c22 = m00 * m22 - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01
+    adj = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    det = (c00 * c11 - c01**2 + c00 * c22 - c02**2 + c11 * c22 - c12**2) / (m00 + m11 + m22)
+    b = (adj * np.tensordot(u, w * counts, (0, -1))).sum(axis=1) / det  # (3, ...)
+    a0, a1, a2 = np.tensordot(vt / s[:, None], b, (0, 0))
     reject_scan(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
     amp2 = a1 * a1 + a2 * a2
     vis_hat = np.sqrt(amp2) / a0
     reject_scan(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
                 f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
     # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2), taken to the basis of b
-    grad = (a2[..., None] * vt[:, 1] - a1[..., None] * vt[:, 2]) / (amp2[..., None] * s)
-    sigma_phi = np.sqrt(np.einsum("...i,...ij,...j->...", grad, cov, grad))
-    reject_scan(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
-                "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
-                counts - b @ u.T)
+    g = (np.multiply.outer(vt[:, 1] / s, a2) - np.multiply.outer(vt[:, 2] / s, a1)) / amp2
+    sigma_phi = np.sqrt((g * (adj * g).sum(axis=1)).sum(axis=0) / det)
+    unusable = ~(np.isfinite(sigma_phi) & (sigma_phi > 0.0))
+    if unusable.any():  # the residuals are formed only for the message
+        reject_scan(unusable, FitDiverged, "fit covariance unusable: sigma_phi = {}; "
+                    "residuals: {}", sigma_phi, counts - np.tensordot(b, u, (0, 1)))
     # [()] turns the 0-d results of a single scan into scalars
     return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 

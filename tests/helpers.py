@@ -1,16 +1,20 @@
 """Test-only helpers that the program itself never calls: a non-moving
 platform for controlled geometries, the stack-based rotation that the
-kinematics kernels must match bit for bit, synthetic pass measurements for
-the regression, and qubit amplitudes and unitary evolution for the spin
+kinematics kernels must match bit for bit, the LAPACK fringe fit that the
+closed-form one must match, synthetic pass measurements for the
+regression, and qubit amplitudes and unitary evolution for the spin
 tests."""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from gravlink.constants import HBAR
+from gravlink.errors import DegenerateVisibility, FitDiverged, reject
+from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap_phase
 from gravlink.kinematics import LinkGeometry, StateVector
 from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
 
@@ -37,6 +41,47 @@ def rotate_z_oracle(angle, vectors) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     x, y, z = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
     return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+
+
+def inv_fit_oracle(scan: FringeScan, first: int = 0) -> PhaseFit:
+    """fit_phase as it was before its closed-form 3x3 solve: the same weighted normal
+    systems in the orthonormal basis of the shared design, inverted by a batched
+    np.linalg.inv (LAPACK). fit_phase must match its results and its errors."""
+    reject_scan = partial(reject, what="scan", first=first)
+    offsets = scan.offsets
+    counts = scan.counts[..., 1].astype(float)
+    reject_scan(counts.sum(axis=-1) <= 0, DegenerateVisibility,
+                "no central-peak counts; phase unidentifiable")
+
+    # every scan shares the design D = U S V^T, so one SVD of it finds a singular
+    # one, and solving in the orthonormal basis U leaves only the weights'
+    # spread in the normal matrices, not the conditioning of a clustered scan
+    design = np.stack([np.ones_like(offsets), np.cos(offsets), np.sin(offsets)], axis=-1)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
+        resid = counts - counts @ (design @ np.linalg.pinv(design))
+        reject_scan(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
+                    "singular fringe-fit normal matrix; residuals: {}", resid)
+    # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
+    w = 1.0 / np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0)
+    # (U^T W U) b = U^T W c per scan, coef = V S^-1 b; covariance of b is (U^T W U)^-1
+    cov = np.linalg.inv(np.einsum("...p,pij->...ij", w, u[:, :, None] * u[:, None, :]))
+    b = np.einsum("...ij,...j->...i", cov, (w * counts) @ u)
+    coef = (b / s) @ vt
+    a0, a1, a2 = coef[..., 0], coef[..., 1], coef[..., 2]
+    reject_scan(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
+    amp2 = a1 * a1 + a2 * a2
+    vis_hat = np.sqrt(amp2) / a0
+    reject_scan(vis_hat < _MIN_VISIBILITY, DegenerateVisibility,
+                f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
+    # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2), taken to the basis of b
+    grad = (a2[..., None] * vt[:, 1] - a1[..., None] * vt[:, 2]) / (amp2[..., None] * s)
+    sigma_phi = np.sqrt(np.einsum("...i,...ij,...j->...", grad, cov, grad))
+    reject_scan(~(np.isfinite(sigma_phi) & (sigma_phi > 0.0)), FitDiverged,
+                "fit covariance unusable: sigma_phi = {}; residuals: {}", sigma_phi,
+                counts - b @ u.T)
+    # [()] turns the 0-d results of a single scan into scalars
+    return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 
 
 def synthesize_measurements(

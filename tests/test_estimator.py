@@ -1,7 +1,10 @@
 """Violation-parameter regression and Monte Carlo forecasting."""
 
+import contextlib
+import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from gravlink.interferometer import _wrap_phase, fit_phase, fringe_scan
 from gravlink.kinematics import CircularOrbit, GroundStation, LinkGeometry
 from gravlink.link_model import phase_pair, phase_scale, velocity_terms
 
-from helpers import synthesize_measurements
+from helpers import inv_fit_oracle, synthesize_measurements
 
 U_SURFACE = 6.961274586591855e-10
 SCALE = phase_scale(800e-9, 2.0014e-5)
@@ -360,6 +363,27 @@ class TestBlockedForecast:
         assert lost // trials_per_block(25) >= 2
         with pytest.raises(SingularFit, match=rf"no leverage \(0\.0\): .* at trial \[{lost}\]$"):
             forecast(16000000, 30, 1, n_epochs=25)
+
+    def test_shipped_forecast_moves_only_by_rounding_against_the_lapack_fit(
+            self, tmp_path, monkeypatch):
+        # the shipped alpha_forecast.yaml run twice: as is, and with the fit that
+        # inverted each normal matrix by LAPACK
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "alpha_forecast.yaml"
+
+        def run(name):
+            monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / name))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", str(scenario)]) == 0
+            return np.loadtxt(tmp_path / name / "forecast_trials.txt")
+
+        closed = run("closed")
+        monkeypatch.setattr(estimator, "fit_phase", inv_fit_oracle)
+        lapack = run("lapack")
+        np.testing.assert_array_equal(closed[:, 0], lapack[:, 0])
+        _, alpha_hat, sigma_alpha, chi2 = closed.T
+        assert np.all(np.abs(alpha_hat - lapack[:, 1]) <= 1e-9 * sigma_alpha)
+        np.testing.assert_allclose(sigma_alpha, lapack[:, 2], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(chi2, lapack[:, 3], rtol=1e-10, atol=0.0)
 
 
 NOISELESS_FORECAST = """

@@ -1,7 +1,10 @@
 """Three-peak cascade intensities, photon counting, and fringe fitting."""
 
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +14,14 @@ from gravlink.cli import _table, main
 from gravlink.errors import DegenerateVisibility, FitDiverged, InsufficientScan
 from gravlink.interferometer import (
     FringeScan,
+    _wrap_phase,
     cascade_intensities,
     draw_counts,
     fit_phase,
     fringe_scan,
     outcome_probabilities,
 )
+from helpers import inv_fit_oracle
 
 FULL_SCAN = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 EIGHT_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -76,6 +81,28 @@ def svd_fit_oracle(offsets, counts, n_sent):
     grad = (vt[:, 1] * a2 - vt[:, 2] * a1) / (amp * amp * s)
     phi = math.remainder(math.atan2(-a2, a1), 2.0 * math.pi)
     return (math.pi if phi <= -math.pi else phi), math.sqrt(float(grad @ grad)), amp / a0
+
+
+def weight_spread(scan):
+    """max w / min w over each scan's fit weights: the bound on the condition
+    number of its normal matrix in the orthonormal basis."""
+    _, root_w = binomial_root_weights(scan)
+    return (root_w.max(axis=-1) / root_w.min(axis=-1)) ** 2
+
+
+def exact_fit(offsets, counts, n_sent):
+    """(phi_hat, sigma_phi, visibility_hat) of one scan's weighted fit, its normal
+    equations solved in 50-digit arithmetic from the double inputs."""
+    with mpmath.workdps(50):
+        design = mpmath.matrix([[1, mpmath.cos(o), mpmath.sin(o)] for o in offsets.tolist()])
+        c = [mpmath.mpf(int(x)) for x in counts]
+        w = mpmath.diag([1 / max(x * (1 - x / n_sent), mpmath.mpf(1)) for x in c])
+        cov = (design.T * w * design) ** -1
+        a0, a1, a2 = cov * (design.T * w * mpmath.matrix(c))
+        amp2 = a1 * a1 + a2 * a2
+        grad = mpmath.matrix([0, a2 / amp2, -a1 / amp2])
+        return (float(mpmath.atan2(-a2, a1)), float(mpmath.sqrt((grad.T * cov * grad)[0])),
+                float(mpmath.sqrt(amp2) / a0))
 
 
 class TestCascadeIntensities:
@@ -145,6 +172,28 @@ class TestFringeScanCounts:
     def test_offsets_checked(self):
         with pytest.raises(InsufficientScan):
             FringeScan([0.0, 1.0, 2.0], np.zeros((3, 3), dtype=int), n_sent=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30, np.uint64(2**63)],
+                             ids=["nan", "inf", "-inf", "1e30", "uint64_2**63"])
+    def test_counts_past_int64_rejected_without_a_warning(self, bad):
+        # the cast to int64 warns on these ("invalid value encountered in cast"), so
+        # they must be refused before it
+        counts = np.zeros((4, 3), dtype=np.asarray(bad).dtype)
+        counts[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
+                FringeScan(FOUR_POINT_SCAN, counts, n_sent=10)
+
+    def test_int64_counts_kept_and_others_cast_exactly(self):
+        counts = np.tile([1, 5, 2], (4, 1)).astype(np.int64)
+        assert FringeScan(FOUR_POINT_SCAN, counts, n_sent=10).counts is counts
+        for dtype in (np.float64, np.int32, np.uint64):
+            scan = FringeScan(FOUR_POINT_SCAN, counts.astype(dtype), n_sent=10)
+            assert scan.counts.dtype == np.int64
+            np.testing.assert_array_equal(scan.counts, counts)
+        with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
+            FringeScan(FOUR_POINT_SCAN, counts + 0.5, n_sent=10)
 
 
 class TestSimulateCounts:
@@ -394,6 +443,21 @@ class TestFitPhase:
             assert one.sigma_phi == pytest.approx(fit.sigma_phi[index], rel=1e-14)
             assert one.visibility_hat == pytest.approx(fit.visibility_hat[index], rel=1e-14)
 
+    def test_unusable_covariance_names_its_scan_with_residuals(self):
+        # FringeScan refuses a nan count, so one is set past its checks: the nan
+        # reaches sigma_phi, and the message forms the residuals of that scan alone
+        scan = fringe_scan(EIGHT_POINT_SCAN, np.zeros(3), 1.0, 5000, 1.0, seed=3)
+        counts = scan.counts.astype(float)
+        counts[1, 2, 1] = np.nan
+        object.__setattr__(scan, "counts", counts)
+        with pytest.raises(FitDiverged) as raised:
+            fit_phase(scan, first=4)
+        assert re.fullmatch(r"fit covariance unusable: sigma_phi = nan; residuals: \[(nan, ){7}nan\]"
+                            r" at scan \[5\]", str(raised.value))
+        with pytest.raises(FitDiverged) as oracle:
+            inv_fit_oracle(scan, first=4)
+        assert str(raised.value) == str(oracle.value)
+
     def test_dead_scan_in_a_batch_is_named(self):
         scan = fringe_scan(EIGHT_POINT_SCAN, np.zeros((4, 2)), 1.0, 5000, 1.0, seed=3)
         counts = scan.counts.copy()
@@ -450,6 +514,62 @@ class TestFitPhase:
         assert abs(math.remainder(fit.phi_hat - phi, 2.0 * math.pi)) <= 1e-12
         assert fit.sigma_phi == pytest.approx(sigma, rel=1e-10)
         assert fit.visibility_hat == pytest.approx(vis, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        points=st.integers(4, 16),
+        jitter=st.floats(0.0, 0.45),
+        log2_pulses=st.floats(math.log2(10.0), 40.0),
+        log_efficiency=st.floats(-3.0, 0.0),
+        visibility=st.floats(0.3, 1.0),
+        dark_rate=st.sampled_from([0.0, 1e-4]),
+        batch=st.sampled_from([(), (3,), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_lapack_oracle(self, points, jitter, log2_pulses, log_efficiency,
+                                       visibility, dark_rate, batch, seed):
+        # offsets on an even grid, each moved by up to jitter of a spacing (so uneven
+        # ones, whose gaps stay below pi), turned by a random angle
+        rng = np.random.default_rng(seed)
+        grid = np.arange(points) + rng.uniform(-jitter, jitter, points)
+        offsets = np.mod(grid * 2.0 * math.pi / points + rng.uniform(0.0, 2.0 * math.pi),
+                         2.0 * math.pi)
+        n_sent = int(round(2.0**log2_pulses))
+        scan = fringe_scan(offsets, rng.uniform(-math.pi, math.pi, batch), visibility, n_sent,
+                           10.0**log_efficiency, seed, dark_rate=dark_rate)
+        try:
+            want = inv_fit_oracle(scan)
+        except (DegenerateVisibility, FitDiverged) as exc:
+            with pytest.raises(type(exc)) as raised:
+                fit_phase(scan)
+            assert str(raised.value) == str(exc)
+            return
+        fit = fit_phase(scan)
+        assert np.shape(fit.phi_hat) == batch
+        # both solve the same normal systems, whose condition number is at most the
+        # weights' spread: past a spread of ~4500 the bound grows with it (see
+        # test_ill_conditioned_fits_stay_near_the_exact_solve)
+        tol = np.maximum(1e-12, np.finfo(float).eps * weight_spread(scan))
+        assert np.all(np.abs(_wrap_phase(fit.phi_hat - want.phi_hat)) <= tol)
+        assert np.all(np.abs(fit.sigma_phi / want.sigma_phi - 1.0) <= tol)
+        assert np.all(np.abs(fit.visibility_hat / want.visibility_hat - 1.0) <= tol)
+
+    def test_ill_conditioned_fits_stay_near_the_exact_solve(self):
+        # 2^40 pulses at full visibility with one point next to the dark fringe: a
+        # central count near 0 has weight 1, the bright ones ~4e-12, so each normal
+        # system loses up to log10(spread) digits, and the LAPACK oracle with it
+        base = math.pi - EIGHT_POINT_SCAN[3] + np.array([1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3])
+        scan = fringe_scan(EIGHT_POINT_SCAN, base, 1.0, 2**40, 1.0, seed=5)
+        spread = weight_spread(scan)
+        assert spread.min() > 1e6
+        fit, oracle = fit_phase(scan), inv_fit_oracle(scan)
+        for k in range(len(base)):
+            phi, sigma, vis = exact_fit(scan.offsets, scan.counts[k, :, 1], scan.n_sent)
+            bound = np.finfo(float).eps * spread[k]
+            for got in (fit, oracle):
+                assert abs(got.phi_hat[k] - phi) <= bound
+                assert abs(got.sigma_phi[k] / sigma - 1.0) <= bound
+                assert abs(got.visibility_hat[k] / vis - 1.0) <= bound
 
 
 FRINGE_DEMO = """
