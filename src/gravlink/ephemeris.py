@@ -200,27 +200,54 @@ def serialize_cpf(table: EphemerisTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lagrange_basis(t: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange basis values and first derivatives at t (N,) over node windows (N, w).
+def _lagrange_basis(t: np.ndarray, nodes: np.ndarray, derivatives: bool = True):
+    """Lagrange basis values and first derivatives (or None) at t (N,) over windows (N, w).
 
     First barycentric form L_j(t) = w_j prod_{k != j} (t - x_k) with weights
     w_j = 1 / prod_{k != j} (x_j - x_k) (Berrut & Trefethen, SIAM Review 46,
     501, 2004), and L_j' by the product rule. Nothing divides by t - x_j, so
     a query next to a node keeps full accuracy; on a node x_j the two
     products of L_j are the same, so the basis is exactly the unit vector.
-    Step k updates every column but k over the whole window; column k is
-    multiplied by 1.0, which is exact.
+    Step k updates every column in place and then restores column k, zeroed first so
+    that it never forms the product of all w offsets, which may overflow where L_j do not.
     """
     offsets = t[:, None] - nodes
     values = np.ones_like(offsets)
-    derivs = np.zeros_like(offsets)
+    derivs = np.zeros_like(offsets) if derivatives else None
     denoms = np.ones_like(offsets)
-    for k, on_k in enumerate(np.eye(nodes.shape[1], dtype=bool)):
-        factor = np.where(on_k, 1.0, offsets[:, k, None])
-        derivs = np.where(on_k, derivs, derivs * factor + values)
-        values *= factor
-        denoms *= np.where(on_k, 1.0, nodes - nodes[:, k, None])
-    return values / denoms, derivs / denoms
+    for k in range(nodes.shape[1]):
+        if derivatives:
+            keep, derivs[:, k] = derivs[:, k].copy(), 0.0
+            derivs *= offsets[:, k, None]
+            derivs += values
+            derivs[:, k] = keep
+        for product, factor in ((values, offsets[:, k, None]), (denoms, nodes - nodes[:, k, None])):
+            keep, product[:, k] = product[:, k].copy(), 0.0
+            product *= factor
+            product[:, k] = keep
+    return values / denoms, derivs / denoms if derivatives else None
+
+
+def _interpolate(table: EphemerisTable, t, velocities: bool):
+    """Positions, velocities (or None) and epochs (N,) at t: interpolate_state's method."""
+    if table.n_records < 4:
+        raise InsufficientRecords(f"interpolation needs >= 4 records, table has {table.n_records}")
+    t_rel = _epochs(t)
+    epochs = table.relative_epochs
+    reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
+           f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
+    n = table.n_records
+    width = min(_MAX_WINDOW, n)
+    start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
+    window = start[:, None] + np.arange(width)
+    values, derivs = _lagrange_basis(t_rel, epochs[window], velocities)
+    coords = table.positions[window]
+    theta = OMEGA_EARTH * t_rel
+    pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
+    if velocities:  # the polynomial's derivative and the frame-rotation term
+        vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
+        vel += _cross(EARTH_ROTATION, pos)
+    return pos, vel if velocities else None, t_rel
 
 
 def interpolate_state(table: EphemerisTable, t) -> StateVector:
@@ -255,25 +282,7 @@ def interpolate_state(table: EphemerisTable, t) -> StateVector:
     Velocity is the analytic derivative of the same polynomial plus the
     frame-rotation term.
     """
-    if table.n_records < 4:
-        raise InsufficientRecords(
-            f"interpolation needs >= 4 records, table has {table.n_records}"
-        )
-    t_rel = _epochs(t)
-    epochs = table.relative_epochs
-    reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
-           f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
-    n = table.n_records
-    width = min(_MAX_WINDOW, n)
-    start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
-    window = start[:, None] + np.arange(width)
-    values, derivs = _lagrange_basis(t_rel, epochs[window])
-    coords = table.positions[window]
-    theta = OMEGA_EARTH * t_rel
-    pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
-    vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
-    vel += _cross(EARTH_ROTATION, pos)
-    return StateVector(position=pos, velocity=vel, epoch=t_rel)
+    return StateVector(*_interpolate(table, t, velocities=True))
 
 
 class EphemerisTrajectory:
@@ -281,15 +290,16 @@ class EphemerisTrajectory:
 
     Scenario time t = 0 is pinned to the table's first record, where the
     inertial and Earth-fixed frames coincide. Implements the trajectory
-    protocol of the analytic classes: ``states(t)`` only.
+    protocol of the analytic classes: ``positions(t)`` and ``states(t)``.
     """
 
     def __init__(self, table: EphemerisTable):
         if table.n_records < 4:
-            raise InsufficientRecords(
-                f"trajectory needs >= 4 records, table has {table.n_records}"
-            )
+            raise InsufficientRecords(f"trajectory needs >= 4 records, table has {table.n_records}")
         self.table = table
+
+    def positions(self, t) -> np.ndarray:
+        return _interpolate(self.table, t, velocities=False)[0]
 
     def states(self, t) -> StateVector:
         return interpolate_state(self.table, t)

@@ -72,14 +72,16 @@ class FringeScan:
         counts = np.asarray(self.counts)
         if counts.shape[-2:] != (offsets.size, 3):
             raise ValueError(f"counts of shape {counts.shape} must end in ({offsets.size}, 3)")
-        # int64 (every draw) is kept; nan, inf or a float past int64 is refused before the cast
-        exact = counts.dtype == np.int64 or (
-            (counts.dtype.kind != "f" or (np.abs(counts) < 2.0**63).all())
-            and (counts.astype(np.int64) == counts).all())
-        if not exact or (counts < 0).any():
+        try:  # int64 (every draw) is kept, other dtypes cast exactly; nan, inf or a float
+            # past int64 is refused before the cast would warn, an object int past int64 by it
+            ints = counts if counts.dtype == np.int64 else counts.astype(np.int64) if (
+                counts.dtype.kind != "f" or (np.abs(counts) < 2.0**63).all()) else None
+        except (OverflowError, TypeError, ValueError):
+            ints = None
+        if ints is None or not (ints is counts or (ints == counts).all()) or (ints < 0).any():
             raise ValueError("counts must be non-negative integers")
-        ints = counts.astype(np.int64, copy=False)
-        total = int(ints.sum(axis=-1).max(initial=0))
+        wide = ints.max(initial=0) >= 2**63 // 3  # three such counts may wrap an int64 sum
+        total = int((ints.astype(object) if wide else ints).sum(axis=-1).max(initial=0))
         if total > self.n_sent:
             raise ValueError(f"total counts {total} exceed n_sent {self.n_sent}")
         object.__setattr__(self, "offsets", offsets)

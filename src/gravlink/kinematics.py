@@ -10,12 +10,12 @@ Conventions used throughout:
 
 Everything works on batches of epochs: a float or a sequence of floats is
 read as epochs t (N,) [s]. A trajectory (CircularOrbit, GroundStation,
-ephemeris.EphemerisTrajectory) implements ``states(t)`` -> StateVector with
-positions (N, 3) [m] and velocities (N, 3) [m/s]; nothing else. The
-StateVector constructor checks the batch once against the radius floor and
-speed ceiling, and an error names the first failing epoch, as in
-"... at epoch [3] (t = 5 s)". LinkGeometry holds (N, 3) vectors and (N,)
-scalars.
+ephemeris.EphemerisTrajectory) implements ``positions(t)`` -> (N, 3) [m] and
+``states(t)`` -> StateVector, adding velocities (N, 3) [m/s]; nothing else.
+StateVector checks the batch once against the radius floor and speed
+ceiling, the light-time loop its positions against the floor; an error names
+the first failing epoch, as in "... at epoch [3] (t = 5 s)". LinkGeometry
+holds (N, 3) vectors and (N,) scalars.
 """
 
 from __future__ import annotations
@@ -76,6 +76,14 @@ def _epochs(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, dtype=float))
 
 
+def _above_floor(position, epochs) -> np.ndarray:
+    """position (N, 3), once BadAltitude names the first row not above the radius floor."""
+    r = _norm(position)
+    reject(~(r > _MIN_RADIUS), BadAltitude,
+           f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", r, times=epochs)
+    return position
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Inertial positions/velocities of a platform at a batch of scenario epochs.
@@ -94,9 +102,7 @@ class StateVector:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "epoch", _epochs(self.epoch))
-        r = _norm(pos)
-        reject(~(r > _MIN_RADIUS), BadAltitude,
-               f"|position| = {{:.4e}} m is below {_MIN_RADIUS:.1e} m", r, times=self.epoch)
+        _above_floor(pos, self.epoch)
         v = _norm(vel)
         reject(~(v < _MAX_SPEED), ValueError,
                f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=self.epoch)
@@ -126,15 +132,18 @@ class CircularOrbit:
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
         self._plane_to_inertial = rotate_z(self.raan, rot_x.T)
 
+    def _in_plane(self, t, scale, ahead=False):
+        """scale times the in-plane unit vector at u(t) (ahead: u + pi/2), made inertial."""
+        u = self.phase + self._mean_motion * t
+        x, y, z = scale * np.cos(u), scale * np.sin(u), np.zeros_like(u)
+        return np.stack([-y, x, z] if ahead else [x, y, z], axis=-1) @ self._plane_to_inertial
+
+    def positions(self, t) -> np.ndarray:
+        return self._in_plane(_epochs(t), self.semi_major_axis)
+
     def states(self, t) -> StateVector:
-        t = _epochs(t)
-        a, n = self.semi_major_axis, self._mean_motion
-        u = self.phase + n * t
-        cos_u, sin_u = np.cos(u), np.sin(u)
-        zero = np.zeros_like(u)
-        pos = np.stack([a * cos_u, a * sin_u, zero], axis=-1) @ self._plane_to_inertial
-        vel = np.stack([-a * n * sin_u, a * n * cos_u, zero], axis=-1) @ self._plane_to_inertial
-        return StateVector(position=pos, velocity=vel, epoch=t)
+        t, speed = _epochs(t), self.semi_major_axis * self._mean_motion
+        return StateVector(self.positions(t), self._in_plane(t, speed, ahead=True), t)
 
 
 class GroundStation:
@@ -156,10 +165,12 @@ class GroundStation:
         ])
         self.states(np.zeros(1))
 
+    def positions(self, t) -> np.ndarray:
+        return rotate_z(OMEGA_EARTH * _epochs(t), self._body)
+
     def states(self, t) -> StateVector:
-        t = _epochs(t)
-        pos = rotate_z(OMEGA_EARTH * t, self._body)
-        return StateVector(position=pos, velocity=_cross(EARTH_ROTATION, pos), epoch=t)
+        pos = self.positions(t)
+        return StateVector(position=pos, velocity=_cross(EARTH_ROTATION, pos), epoch=_epochs(t))
 
 
 def newtonian_potential(position):
@@ -175,8 +186,9 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory):
     """Propagation times and arrival directions from emitter to a moving receiver.
 
     Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c over every
-    epoch of emit_state at once, t_emit being emit_state.epoch; an epoch
-    stops once its update is below 1e-12 s, and the others go on.
+    epoch of emit_state at once, t_emit being emit_state.epoch and r_recv
+    receiver_trajectory.positions (BadAltitude below the StateVector radius
+    floor); an epoch stops once its update is below 1e-12 s, and the others go on.
 
     Returns
     -------
@@ -197,8 +209,9 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory):
     n_hat = np.empty_like(r_emit)
     todo = slice(None)   # epochs still iterating: all of them until one settles
     for _ in range(_LIGHT_TIME_MAX_ITER):
-        received = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
-        separation = received.position - r_emit[todo]
+        t_recv = t_emit[todo] + t_flight[todo]
+        received = _above_floor(receiver_trajectory.positions(t_recv), t_recv)
+        separation = received - r_emit[todo]
         rng = _norm(separation)
         if np.any(rng < _COINCIDENT_RANGE):
             ranges = np.full(n, np.inf)

@@ -1,9 +1,9 @@
 """Test-only helpers that the program itself never calls: a non-moving
-platform for controlled geometries, the stack-based rotation that the
-kinematics kernels must match bit for bit, the LAPACK fringe fit that the
-closed-form one must match, synthetic pass measurements for the
-regression, and qubit amplitudes and unitary evolution for the spin
-tests."""
+platform for controlled geometries, the stack-based rotation and the
+light-time loop on full states that the kinematics code must match bit for
+bit, the LAPACK fringe fit that the closed-form one must match, synthetic
+pass measurements for the regression, and qubit amplitudes and unitary
+evolution for the spin tests."""
 
 from __future__ import annotations
 
@@ -12,27 +12,65 @@ from functools import partial
 
 import numpy as np
 
-from gravlink.constants import HBAR
-from gravlink.errors import DegenerateVisibility, FitDiverged, reject
+from gravlink.constants import C_LIGHT, HBAR
+from gravlink.errors import (DegenerateGeometry, DegenerateVisibility, FitDiverged,
+                             NoConvergence, reject)
 from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap_phase
-from gravlink.kinematics import LinkGeometry, StateVector
+from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT_TIME_TOL,
+                                 LinkGeometry, StateVector, _norm)
 from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
 
 
 class StaticPlatform:
-    """Non-moving platform, a trajectory with states(t) only; its position is
-    checked on construction."""
+    """Non-moving platform, a trajectory with positions(t) and states(t); its
+    position is checked on construction."""
 
     def __init__(self, position):
         self.position = np.asarray(position, dtype=float)
         self.states(np.zeros(1))
 
+    def positions(self, t) -> np.ndarray:
+        return np.broadcast_to(self.position, (np.size(t), 3))
+
     def states(self, t) -> StateVector:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        pos = np.broadcast_to(self.position, (t.size, 3))
-        return StateVector(position=pos, velocity=np.zeros((t.size, 3)), epoch=t)
+        return StateVector(position=self.positions(t), velocity=np.zeros((t.size, 3)), epoch=t)
+
+
+def solve_light_time_oracle(emit_state: StateVector, receiver_trajectory):
+    """kinematics.solve_light_time as it was before it read positions only: the same
+    fixed-point loop on the receiver's full states, so that every state it evaluates
+    is checked for both radius and speed. The positions loop must give these bits."""
+    r_emit = emit_state.position
+    n = len(r_emit)
+    t_emit = np.broadcast_to(emit_state.epoch, n)
+    t_flight = np.zeros(n)
+    n_hat = np.empty_like(r_emit)
+    todo = slice(None)   # epochs still iterating: all of them until one settles
+    for _ in range(_LIGHT_TIME_MAX_ITER):
+        received = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
+        separation = received.position - r_emit[todo]
+        rng = _norm(separation)
+        if np.any(rng < _COINCIDENT_RANGE):
+            ranges = np.full(n, np.inf)
+            ranges[todo] = rng
+            reject(ranges < _COINCIDENT_RANGE, DegenerateGeometry,
+                   "emitter and receiver separated by {:.3e} m; direction undefined", ranges,
+                   times=t_emit)
+        t_new = rng / C_LIGHT
+        settled = np.abs(t_new - t_flight[todo]) < _LIGHT_TIME_TOL
+        t_flight[todo] = t_new
+        if settled.all():
+            n_hat[todo] = separation / rng[:, None]
+            return t_flight, n_hat
+        if settled.any():
+            live = np.arange(n)[todo]
+            n_hat[live[settled]] = separation[settled] / rng[settled, None]
+            todo = live[~settled]
+    reject(np.isin(np.arange(n), np.arange(n)[todo]), NoConvergence,
+           f"light-time iteration did not settle in {_LIGHT_TIME_MAX_ITER} steps", times=t_emit)
 
 
 def rotate_z_oracle(angle, vectors) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gravlink.ephemeris import (
     EphemerisTrajectory,
     _bulk,
     _by_line,
+    _interpolate,
     _lagrange_basis,
     interpolate_state,
     parse_cpf,
@@ -588,5 +590,35 @@ def test_basis_matches_masked_loop_bit_for_bit(width):
     on_node = nodes[np.arange(len(nodes)), rng.integers(0, width, len(nodes))]
     inside = rng.uniform(nodes[:, 0], nodes[:, -1])
     t, windows = np.concatenate([on_node, inside]), np.concatenate([nodes, nodes])
-    for got, want in zip(_lagrange_basis(t, windows), masked_lagrange_basis(t, windows)):
-        np.testing.assert_array_equal(_bits(got), _bits(want))
+    want = masked_lagrange_basis(t, windows)
+    for got, expected in zip(_lagrange_basis(t, windows), want):
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+    # the positions path skips the derivative half of the same loop
+    values, derivs = _lagrange_basis(t, windows, derivatives=False)
+    assert derivs is None
+    np.testing.assert_array_equal(_bits(values), _bits(want[0]))
+
+
+def test_basis_forms_no_product_that_overflows_where_the_basis_does_not():
+    # nodes 2e77 s apart: the product of all four offsets at t = 3e77 s passes the float
+    # range, every product the basis is made of (three factors) stays well inside it
+    nodes, t = 2e77 * np.arange(4.0)[None, :], np.array([3e77])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for derivatives in (True, False):
+            got = _lagrange_basis(t, nodes, derivatives)
+            for values, want in zip(got, masked_lagrange_basis(t, nodes)[:1 + derivatives]):
+                np.testing.assert_array_equal(_bits(values), _bits(want))
+
+
+def test_positions_path_keeps_the_table_checks():
+    """The positions-only interpolation refuses what interpolate_state refuses, in the
+    same words."""
+    short = parse_cpf("10 0 58600 0.0 0 7000000.0 0.0 0.0\n10 0 58600 60.0 0 7000000.0 100.0 0.0\n")
+    for table, t, error in ((short, 30.0, InsufficientRecords),
+                            (parse_cpf(SAMPLE), np.array([0.0, 90.0, 200.0]), OutOfRange)):
+        with pytest.raises(error) as state_path:
+            interpolate_state(table, t)
+        with pytest.raises(error) as position_path:
+            _interpolate(table, t, velocities=False)
+        assert str(position_path.value) == str(state_path.value)

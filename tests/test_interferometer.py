@@ -173,11 +173,13 @@ class TestFringeScanCounts:
         with pytest.raises(InsufficientScan):
             FringeScan([0.0, 1.0, 2.0], np.zeros((3, 3), dtype=int), n_sent=10)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30, np.uint64(2**63)],
-                             ids=["nan", "inf", "-inf", "1e30", "uint64_2**63"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30, np.uint64(2**63),
+                                     2**70, -(2**70), None],
+                             ids=["nan", "inf", "-inf", "1e30", "uint64_2**63",
+                                  "object_2**70", "object_-2**70", "object_None"])
     def test_counts_past_int64_rejected_without_a_warning(self, bad):
-        # the cast to int64 warns on these ("invalid value encountered in cast"), so
-        # they must be refused before it
+        # the cast to int64 warns on the floats ("invalid value encountered in cast"), so
+        # they must be refused before it; an object entry past int64 makes it raise
         counts = np.zeros((4, 3), dtype=np.asarray(bad).dtype)
         counts[1, 1] = bad
         with warnings.catch_warnings():
@@ -188,12 +190,25 @@ class TestFringeScanCounts:
     def test_int64_counts_kept_and_others_cast_exactly(self):
         counts = np.tile([1, 5, 2], (4, 1)).astype(np.int64)
         assert FringeScan(FOUR_POINT_SCAN, counts, n_sent=10).counts is counts
-        for dtype in (np.float64, np.int32, np.uint64):
+        for dtype in (np.float64, np.int32, np.uint64, object):
             scan = FringeScan(FOUR_POINT_SCAN, counts.astype(dtype), n_sent=10)
             assert scan.counts.dtype == np.int64
             np.testing.assert_array_equal(scan.counts, counts)
         with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
             FringeScan(FOUR_POINT_SCAN, counts + 0.5, n_sent=10)
+        largest = counts.astype(object)
+        largest[0] = [2**63 - 1, 0, 0]  # the int64 maximum itself casts
+        assert FringeScan(FOUR_POINT_SCAN, largest, n_sent=2**63).counts[0, 0] == 2**63 - 1
+
+    def test_row_totals_past_int64_are_refused_unwrapped(self):
+        # three counts of 2^62 add to 3 * 2^62, which an int64 sum wraps to -4.6e18
+        counts = np.full((2, 4, 3), 2**62, dtype=np.int64)
+        with pytest.raises(ValueError,
+                           match=f"^total counts {3 * 2**62} exceed n_sent 10$"):
+            FringeScan(FOUR_POINT_SCAN, counts, n_sent=10)
+        counts[1] = 2**63 - 1
+        with pytest.raises(ValueError, match=f"^total counts {3 * (2**63 - 1)} exceed"):
+            FringeScan(FOUR_POINT_SCAN, counts, n_sent=2**62)
 
 
 class TestSimulateCounts:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravlink.constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
-from gravlink.ephemeris import EphemerisTrajectory
-from gravlink.errors import BadAltitude, DegenerateGeometry, NoConvergence
+from gravlink.ephemeris import EphemerisRecord, EphemerisTable, EphemerisTrajectory
+from gravlink.errors import BadAltitude, DegenerateGeometry, NoConvergence, OutOfRange
 from gravlink.kinematics import (
     EARTH_ROTATION,
     CircularOrbit,
@@ -21,13 +23,14 @@ from gravlink.kinematics import (
     _cross,
     _norm,
     build_link_geometry,
+    build_pass,
     newtonian_potential,
     rotate_z,
     solve_light_time,
 )
 from gravlink.link_model import phase_pair, phase_scale
 
-from helpers import StaticPlatform, rotate_z_oracle
+from helpers import StaticPlatform, rotate_z_oracle, solve_light_time_oracle
 from test_ephemeris import circular_orbit_table
 
 
@@ -159,33 +162,43 @@ class _LinearPlatform:
         self.p0 = np.asarray(position, dtype=float)
         self.v = np.asarray(velocity, dtype=float)
 
+    def positions(self, t):
+        return self.p0 + self.v * np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+
     def states(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return StateVector(position=self.p0 + self.v * t[:, None],
+        return StateVector(position=self.positions(t),
                            velocity=np.broadcast_to(self.v, (len(t), 3)), epoch=t)
 
 
 class _RunawayPlatform:
     """Position recedes near light speed; defeats the fixed-point iteration."""
 
+    def positions(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([6.5e6 + 0.99 * C_LIGHT * t, 0.0 * t, 0.0 * t], axis=-1)
+
     def states(self, t):
         t = np.asarray(t, dtype=float)
-        position = np.stack([6.5e6 + 0.99 * C_LIGHT * t, 0.0 * t, 0.0 * t], axis=-1)
-        return StateVector(position=position, velocity=np.zeros((len(t), 3)), epoch=t)
+        return StateVector(position=self.positions(t), velocity=np.zeros((len(t), 3)), epoch=t)
 
 
 class _ScriptedPlatform:
     """Positions from a function of the epochs, zero velocities; records the size of each
-    batch of epochs it is asked for."""
+    batch of epochs its positions are asked for (states build on positions)."""
 
     def __init__(self, position):
         self.position = position
         self.batch_sizes = []
 
-    def states(self, t):
+    def positions(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self.batch_sizes.append(len(t))
-        return StateVector(position=self.position(t), velocity=np.zeros((len(t), 3)), epoch=t)
+        return self.position(t)
+
+    def states(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return StateVector(position=self.positions(t), velocity=np.zeros((len(t), 3)), epoch=t)
 
 
 class TestLightTime:
@@ -597,3 +610,158 @@ class TestBatchPath:
                               velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
         with pytest.raises(DegenerateGeometry, match=r" at epoch \[1\] \(t = 1 s\)$"):
             solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]))
+
+
+def orbit_table(epochs, angle, radius=7.0e6, inc=0.5):
+    """Table of a circular path of the given radius [m] through the in-plane angles
+    angle(epochs) [rad], written Earth-fixed at the relative epochs [s] given. Built
+    directly, so neither a parser window nor an even spacing applies."""
+    u, ci, si = angle(epochs), math.cos(inc), math.sin(inc)
+    inertial = radius * np.stack([np.cos(u), np.sin(u) * ci, np.sin(u) * si], axis=-1)
+    fixed = rotate_z(-OMEGA_EARTH * epochs, inertial)
+    return EphemerisTable(records=[EphemerisRecord(61267, float(t), tuple(map(float, r)))
+                                   for t, r in zip(epochs, fixed)])
+
+
+@st.composite
+def ephemeris_tables(draw):
+    """4 to 12 records 60 s apart, or unevenly 5 to 200 s apart, of a LEO-like orbit."""
+    n = draw(st.integers(4, 12))
+    steps = draw(st.one_of(st.just([60.0] * (n - 1)),
+                           st.lists(st.floats(5.0, 200.0), min_size=n - 1, max_size=n - 1)))
+    epochs = np.concatenate([[0.0], np.cumsum(steps)])
+    rate, inc = draw(st.floats(5e-4, 1.3e-3)), draw(st.floats(0.0, math.pi))
+    return orbit_table(epochs, lambda t: rate * t, radius=draw(st.floats(6.6e6, 7.5e6)), inc=inc)
+
+
+@st.composite
+def table_epochs(draw, table):
+    """Epochs of a table's span: some nodes, both span ends and points between, shuffled."""
+    nodes = table.relative_epochs
+    picked = draw(st.lists(st.sampled_from(nodes.tolist()), max_size=len(nodes)))
+    inside = draw(st.lists(st.floats(0.0, float(nodes[-1])), max_size=8))
+    return np.asarray(draw(st.permutations([0.0, float(nodes[-1])] + picked + inside)))
+
+
+def assert_same_geometry(got, want):
+    for name in ("beta1", "beta2", "beta3", "n12", "n23", "U1", "U2", "a1", "t_up",
+                 "d1", "d2", "d3"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def oracle_geometry(gs, sc, t_emit):
+    """build_link_geometry with the light time solved on full receiver states."""
+    with mock.patch("gravlink.kinematics.solve_light_time", solve_light_time_oracle):
+        return build_link_geometry(gs, sc, t_emit)
+
+
+def raised(call):
+    """The exception call raises (type and message), for comparing two paths."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+class TestPositionsPath:
+    """The light-time loop reads receiver positions only: the bits, the checks and the
+    epoch naming of a loop on full states, but velocities only where the link uses them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), table=ephemeris_tables(),
+           lat=st.floats(-math.pi / 2, math.pi / 2), lon=st.floats(-math.pi, math.pi),
+           alt=st.floats(0.0, 3.0e3), a=st.floats(6.6e6, 4.2e7), inc=st.floats(0.0, math.pi),
+           raan=st.floats(0.0, 6.3), phase=st.floats(0.0, 6.3),
+           times=st.lists(st.floats(-1.0e5, 1.0e5), min_size=1, max_size=8))
+    def test_positions_are_the_states_positions(self, data, table, lat, lon, alt, a, inc,
+                                                 raan, phase, times):
+        ephemeris = EphemerisTrajectory(table)
+        for trajectory, t in ((ephemeris, data.draw(table_epochs(table))),
+                              (CircularOrbit(a, inc, raan, phase), times),
+                              (GroundStation(lat, lon, alt), times)):
+            assert_same_bits(trajectory.positions(t), trajectory.states(t).position)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["circular", "ephemeris"]),
+           lat=st.floats(-1.4, 1.4), lon=st.floats(-math.pi, math.pi), alt=st.floats(0.0, 3.0e3),
+           a=st.floats(6.6e6, 8.0e6), inc=st.floats(0.0, math.pi), raan=st.floats(0.0, 6.3),
+           phase=st.floats(0.0, 6.3), t_start=st.floats(300.0, 1500.0),
+           span=st.floats(0.0, 800.0), n=st.integers(1, 30))
+    def test_matches_the_states_loop(self, kind, lat, lon, alt, a, inc, raan, phase,
+                                     t_start, span, n):
+        gs = GroundStation(lat, lon, alt)
+        sc = (CircularOrbit(a, inc, raan, phase) if kind == "circular"
+              else EphemerisTrajectory(circular_orbit_table(a=a, inc=inc)))
+        epochs, geometry = build_pass(gs, sc, t_start, t_start + span, n)
+        assert_same_geometry(geometry, oracle_geometry(gs, sc, epochs))
+        up = gs.states(epochs)
+        down = sc.states(epochs + geometry.t_up)
+        for emitted, receiver in ((up, sc), (down, gs)):
+            for got, expected in zip(solve_light_time(emitted, receiver),
+                                     solve_light_time_oracle(emitted, receiver)):
+                assert_same_bits(got, expected)
+
+    def test_day_long_table_matches_the_states_loop(self):
+        # 1440 records at 60 s, as a day-long CPF, with 400 epochs across the day
+        table = orbit_table(60.0 * np.arange(1440), lambda t: 1.1e-3 * t, inc=0.9)
+        gs, sc = GroundStation(0.6, -1.2, 150.0), EphemerisTrajectory(table)
+        epochs, geometry = build_pass(gs, sc, 300.0, 86000.0, 400)
+        assert_same_geometry(geometry, oracle_geometry(gs, sc, epochs))
+
+    def test_overspeed_is_named_at_the_reception_state(self):
+        # 7 km/s up to t = 1200 s, then 17.5 km/s: the loop on states named the first
+        # fast epoch at emission, from the first guess; s2 now names it at reception
+        epochs = 60.0 * np.arange(41)
+        table = orbit_table(epochs, lambda t: 1e-3 * t + 1.5e-3 * np.maximum(t - 1200.0, 0.0))
+        gs, sc = GroundStation(0.0, 0.0), EphemerisTrajectory(table)
+        t_emit = np.array([300.0, 600.0, 1800.0, 2000.0])
+        error, message = raised(lambda: build_link_geometry(gs, sc, t_emit))
+        old_error, old_message = raised(lambda: oracle_geometry(gs, sc, t_emit))
+        t_up, _ = solve_light_time(gs.states(t_emit), sc)
+        assert error is old_error is ValueError
+        assert old_message.endswith(" m/s exceeds 1.1e+04 m/s at epoch [2] (t = 1800 s)")
+        assert message.startswith("|velocity| = ")
+        assert message.endswith(f" m/s exceeds 1.1e+04 m/s at epoch [2] "
+                                f"(t = {t_emit[2] + t_up[2]:.6g} s)")
+        assert f"{t_emit[2] + t_up[2]:.6g}" != "1800"  # the light time shows in the name
+
+    def test_receiver_below_the_floor_is_named_as_before(self):
+        # an ephemeris that dips to 6.2e6 m between t = 600 s and 900 s, built without the
+        # parser's position window
+        epochs = 60.0 * np.arange(41)
+        table = orbit_table(epochs, lambda t: 1.1e-3 * t)
+        dip = table.records.copy()
+        dip["position"][10:16] *= 6.2 / 7.0
+        sc, gs = EphemerisTrajectory(EphemerisTable(dip)), GroundStation(0.3, 0.2)
+        t_emit = np.array([100.0, 300.0, 700.0, 800.0])
+        new, old = (raised(lambda: build_link_geometry(gs, sc, t_emit)),
+                    raised(lambda: oracle_geometry(gs, sc, t_emit)))
+        assert new == old
+        assert new[0] is BadAltitude and new[1].endswith(" at epoch [2] (t = 700 s)")
+
+    def test_receiver_below_the_floor_after_a_partial_settle(self):
+        # epoch 0 settles on the first iteration; epoch 1's receiver is below the floor
+        # once t > 1 s, so the second, gathered iteration names it in a batch of one
+        def position(t):
+            x = np.where(t < 0.5, 7.0e6 + 1e-5, np.where(t <= 1.0, 7.4e6, 6.0e6))
+            return np.stack([x, 0.0 * t, 0.0 * t], axis=-1)
+
+        emitted = StateVector(position=[[7.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]],
+                              velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+        receiver = _ScriptedPlatform(position)
+        new = raised(lambda: solve_light_time(emitted, receiver))
+        assert new == raised(lambda: solve_light_time_oracle(emitted, _ScriptedPlatform(position)))
+        assert new == (BadAltitude, "|position| = 6.0000e+06 m is below 6.3e+06 m at epoch [0] "
+                                    f"(t = {1.0 + 4.0e5 / C_LIGHT:.6g} s)")
+        assert receiver.batch_sizes == [2, 1]
+
+    @pytest.mark.parametrize("t_emit, named", [
+        ([100.0, 2500.0, 3000.0], r"t = 2500\.000 s outside .* at epoch \[1\]$"),
+        # inside the span on the first guess, past its end at t_emit + T
+        ([100.0, 2400.0 - 1e-4], r"t = 2400\.0\d\d s outside .* at epoch \[1\]$"),
+    ], ids=["past_the_span", "leaves_it_in_flight"])
+    def test_out_of_span_epoch_is_named_as_before(self, t_emit, named):
+        sc = EphemerisTrajectory(orbit_table(60.0 * np.arange(41), lambda t: 1.1e-3 * t))
+        emitted = GroundStation(0.3, 0.2).states(t_emit)
+        new = raised(lambda: solve_light_time(emitted, sc))
+        assert new == raised(lambda: solve_light_time_oracle(emitted, sc))
+        assert new[0] is OutOfRange and re.search(named, new[1])
