@@ -9,7 +9,8 @@ position records are lines of exactly eight whitespace-separated tokens
 with coordinates in meters, Earth-fixed frame. Every other line is ignored.
 The records convert column by column with Python's int and float into one
 structured array; a text that fails is read again line by line, to name its
-first failing line. Interpolation is windowed Lagrange on position with the
+first failing line. EphemerisTrajectory interpolates a table: windowed
+Lagrange on position, whose window denominators it computes once, with the
 analytic derivative for velocity, rotated into the inertial frame that
 coincides with the Earth-fixed frame at the first record's epoch.
 """
@@ -37,7 +38,7 @@ from .kinematics import EARTH_ROTATION, StateVector, _cross, _epochs, rotate_z
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
 _POS_MAX = 5.0e8   # m, beyond cislunar range
-_MAX_WINDOW = 8    # interpolation nodes (see window note in interpolate_state)
+_MAX_WINDOW = 8    # interpolation nodes (see EphemerisTrajectory's window note)
 # mjd is held as a float: mjd * 86400.0 rounds it to one anyway
 _RECORD = np.dtype([("mjd", float), ("sod", float), ("position", float, 3)])
 
@@ -200,106 +201,95 @@ def serialize_cpf(table: EphemerisTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lagrange_basis(t: np.ndarray, nodes: np.ndarray, derivatives: bool = True):
-    """Lagrange basis values and first derivatives (or None) at t (N,) over windows (N, w).
+def _times_all_but(product: np.ndarray, factor, k: int) -> None:
+    """product[:, j] *= factor[:, j] for every j != k, in place; column k is zeroed first so
+    that it never forms the product of all w factors, which may overflow where L_j do not."""
+    keep, product[:, k] = product[:, k].copy(), 0.0
+    product *= factor
+    product[:, k] = keep
+
+
+def _lagrange_denominators(windows: np.ndarray) -> np.ndarray:
+    """prod_{k != j} (x_j - x_k) of each window row (M, w), k ascending."""
+    denoms = np.ones_like(windows)
+    for k in range(windows.shape[1]):
+        _times_all_but(denoms, windows - windows[:, k, None], k)
+    return denoms
+
+
+def _lagrange_basis(t: np.ndarray, nodes: np.ndarray, denoms: np.ndarray,
+                    derivatives: bool = True):
+    """Lagrange basis values and first derivatives (or None) at t (N,) over windows
+    (N, w) whose _lagrange_denominators are denoms (N, w).
 
     First barycentric form L_j(t) = w_j prod_{k != j} (t - x_k) with weights
-    w_j = 1 / prod_{k != j} (x_j - x_k) (Berrut & Trefethen, SIAM Review 46,
-    501, 2004), and L_j' by the product rule. Nothing divides by t - x_j, so
-    a query next to a node keeps full accuracy; on a node x_j the two
-    products of L_j are the same, so the basis is exactly the unit vector.
-    Step k updates every column in place and then restores column k, zeroed first so
-    that it never forms the product of all w offsets, which may overflow where L_j do not.
+    w_j = 1 / denoms_j (Berrut & Trefethen, SIAM Review 46, 501, 2004), and
+    L_j' by the product rule. Nothing divides by t - x_j, so a query next to
+    a node keeps full accuracy; on a node x_j the two products of L_j are the
+    same, so the basis is exactly the unit vector.
     """
     offsets = t[:, None] - nodes
     values = np.ones_like(offsets)
     derivs = np.zeros_like(offsets) if derivatives else None
-    denoms = np.ones_like(offsets)
     for k in range(nodes.shape[1]):
         if derivatives:
             keep, derivs[:, k] = derivs[:, k].copy(), 0.0
             derivs *= offsets[:, k, None]
             derivs += values
             derivs[:, k] = keep
-        for product, factor in ((values, offsets[:, k, None]), (denoms, nodes - nodes[:, k, None])):
-            keep, product[:, k] = product[:, k].copy(), 0.0
-            product *= factor
-            product[:, k] = keep
+        _times_all_but(values, offsets[:, k, None], k)
     return values / denoms, derivs / denoms if derivatives else None
-
-
-def _interpolate(table: EphemerisTable, t, velocities: bool):
-    """Positions, velocities (or None) and epochs (N,) at t: interpolate_state's method."""
-    if table.n_records < 4:
-        raise InsufficientRecords(f"interpolation needs >= 4 records, table has {table.n_records}")
-    t_rel = _epochs(t)
-    epochs = table.relative_epochs
-    reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
-           f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
-    n = table.n_records
-    width = min(_MAX_WINDOW, n)
-    start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
-    window = start[:, None] + np.arange(width)
-    values, derivs = _lagrange_basis(t_rel, epochs[window], velocities)
-    coords = table.positions[window]
-    theta = OMEGA_EARTH * t_rel
-    pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
-    if velocities:  # the polynomial's derivative and the frame-rotation term
-        vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
-        vel += _cross(EARTH_ROTATION, pos)
-    return pos, vel if velocities else None, t_rel
-
-
-def interpolate_state(table: EphemerisTable, t) -> StateVector:
-    """Interpolated inertial-frame states at epochs t.
-
-    Parameters
-    ----------
-    table : EphemerisTable
-    t : float or sequence of floats
-        Epochs in seconds relative to the first record.
-
-    Returns
-    -------
-    StateVector
-        Inertial-frame states, (N, 3) rows, one per epoch. The inertial
-        frame is aligned with the Earth-fixed frame at the first record's epoch;
-        `epoch` is seconds since that alignment.
-
-    Raises
-    ------
-    InsufficientRecords
-        Fewer than 4 records.
-    OutOfRange
-        An epoch outside the tabulated span (the first one is named).
-
-    Notes
-    -----
-    Interpolation uses a Lagrange polynomial over the nearest nodes. The
-    window is widened from the textbook 4 points to at most 8 because a
-    cubic over 60 s LEO samples leaves meter-level mid-interval error
-    (2.9 m on a 7.0e6 m circular orbit); 8 nodes bring it below 1 cm.
-    Velocity is the analytic derivative of the same polynomial plus the
-    frame-rotation term.
-    """
-    return StateVector(*_interpolate(table, t, velocities=True))
 
 
 class EphemerisTrajectory:
     """Time-parameterized state source backed by a parsed table.
 
     Scenario time t = 0 is pinned to the table's first record, where the
-    inertial and Earth-fixed frames coincide. Implements the trajectory
-    protocol of the analytic classes: ``positions(t)`` and ``states(t)``.
+    inertial and Earth-fixed frames coincide; epochs t are seconds since that
+    record, and one outside the table span raises OutOfRange (the first one
+    is named). Implements the trajectory protocol of the analytic classes:
+    ``positions(t)`` and ``states(t)``. A table of fewer than 4 records
+    raises InsufficientRecords.
+
+    Each epoch is interpolated by a Lagrange polynomial over the nearest
+    nodes. The window is widened from the textbook 4 points to at most 8
+    because a cubic over 60 s LEO samples leaves meter-level mid-interval
+    error (2.9 m on a 7.0e6 m circular orbit); 8 nodes bring it below 1 cm.
+    The denominators of every window are computed once, here. Velocity is the
+    analytic derivative of the same polynomial plus the frame-rotation term.
     """
 
     def __init__(self, table: EphemerisTable):
-        if table.n_records < 4:
-            raise InsufficientRecords(f"trajectory needs >= 4 records, table has {table.n_records}")
+        n = table.n_records
+        if n < 4:
+            raise InsufficientRecords(f"trajectory needs >= 4 records, table has {n}")
         self.table = table
+        self._width = min(_MAX_WINDOW, n)
+        windows = np.lib.stride_tricks.sliding_window_view(table.relative_epochs, self._width)
+        # a window no epoch falls in may hold an infinite epoch (an mjd past 2e303)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._denoms = _read_only(_lagrange_denominators(windows))
 
     def positions(self, t) -> np.ndarray:
-        return _interpolate(self.table, t, velocities=False)[0]
+        return self._interpolate(t, velocities=False)[0]
 
     def states(self, t) -> StateVector:
-        return interpolate_state(self.table, t)
+        return StateVector(*self._interpolate(t, velocities=True))
+
+    def _interpolate(self, t, velocities: bool):
+        """Positions, velocities (or None) and epochs (N,) at t."""
+        t_rel = _epochs(t)
+        epochs = self.table.relative_epochs
+        reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
+               f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
+        width = self._width
+        start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, len(epochs) - width)
+        window = start[:, None] + np.arange(width)
+        values, derivs = _lagrange_basis(t_rel, epochs[window], self._denoms[start], velocities)
+        coords = self.table.positions[window]
+        theta = OMEGA_EARTH * t_rel
+        pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))
+        if velocities:  # the polynomial's derivative and the frame-rotation term
+            vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs, coords))
+            vel += _cross(EARTH_ROTATION, pos)
+        return pos, vel if velocities else None, t_rel

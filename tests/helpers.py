@@ -1,9 +1,9 @@
 """Test-only helpers that the program itself never calls: a non-moving
-platform for controlled geometries, the stack-based rotation and the
-light-time loop on full states that the kinematics code must match bit for
-bit, the LAPACK fringe fit that the closed-form one must match, synthetic
-pass measurements for the regression, and qubit amplitudes and unitary
-evolution for the spin tests."""
+platform for controlled geometries, the per-call ephemeris interpolation, the
+stack-based rotation and the light-time loop on full states that the
+ephemeris and kinematics code must match bit for bit, the LAPACK fringe fit
+that the closed-form one must match, synthetic pass measurements for the
+regression, and qubit amplitudes and unitary evolution for the spin tests."""
 
 from __future__ import annotations
 
@@ -12,12 +12,14 @@ from functools import partial
 
 import numpy as np
 
-from gravlink.constants import C_LIGHT, HBAR
+from gravlink.constants import C_LIGHT, HBAR, OMEGA_EARTH
+from gravlink.ephemeris import _MAX_WINDOW, EphemerisTable
 from gravlink.errors import (DegenerateGeometry, DegenerateVisibility, FitDiverged,
-                             NoConvergence, reject)
+                             NoConvergence, OutOfRange, reject)
 from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap_phase
 from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT_TIME_TOL,
-                                 LinkGeometry, StateVector, _norm)
+                                 EARTH_ROTATION, LinkGeometry, StateVector, _cross, _epochs,
+                                 _norm, rotate_z)
 from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
@@ -37,6 +39,44 @@ class StaticPlatform:
     def states(self, t) -> StateVector:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return StateVector(position=self.positions(t), velocity=np.zeros((t.size, 3)), epoch=t)
+
+
+def interpolate_oracle(table: EphemerisTable, t, velocities: bool):
+    """Positions, velocities (or None) and epochs (N,) at t, interpolated as before
+    EphemerisTrajectory computed each window's denominators once: the same windows
+    and basis loop, with the denominator product formed on every call. The
+    trajectory's positions and states must give these bits."""
+    t_rel = _epochs(t)
+    epochs = table.relative_epochs
+    reject(~((epochs[0] <= t_rel) & (t_rel <= epochs[-1])), OutOfRange,
+           f"t = {{:.3f}} s outside table span [0, {epochs[-1]:.3f}] s", t_rel)
+    n = table.n_records
+    width = min(_MAX_WINDOW, n)
+    start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, n - width)
+    window = start[:, None] + np.arange(width)
+    nodes = epochs[window]
+    offsets = t_rel[:, None] - nodes
+    values = np.ones_like(offsets)
+    derivs = np.zeros_like(offsets) if velocities else None
+    denoms = np.ones_like(offsets)
+    for k in range(width):
+        if velocities:
+            keep, derivs[:, k] = derivs[:, k].copy(), 0.0
+            derivs *= offsets[:, k, None]
+            derivs += values
+            derivs[:, k] = keep
+        for product, factor in ((values, offsets[:, k, None]), (denoms, nodes - nodes[:, k, None])):
+            keep, product[:, k] = product[:, k].copy(), 0.0
+            product *= factor
+            product[:, k] = keep
+    coords = table.positions[window]
+    theta = OMEGA_EARTH * t_rel
+    pos = rotate_z(theta, np.einsum("nj,njk->nk", values / denoms, coords))
+    if not velocities:
+        return pos, None, t_rel
+    vel = rotate_z(theta, np.einsum("nj,njk->nk", derivs / denoms, coords))
+    vel += _cross(EARTH_ROTATION, pos)
+    return pos, vel, t_rel
 
 
 def solve_light_time_oracle(emit_state: StateVector, receiver_trajectory):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gravlink.constants import C_LIGHT, G_STD, R_EARTH
-from gravlink.ephemeris import parse_cpf, serialize_cpf, interpolate_state
+from gravlink.ephemeris import EphemerisTrajectory, parse_cpf, serialize_cpf
 from gravlink.errors import GravlinkError
 from gravlink.estimator import build_pass, estimate_alpha, precision_forecast
 from gravlink.interferometer import cascade_intensities, draw_counts, outcome_probabilities
@@ -319,10 +319,10 @@ def test_criterion_9_parser_robustness():
 
     # interpolation accuracy against the analytic-orbit oracle
     a, inc = 7.0e6, 0.6
-    table = circular_orbit_table(a=a, inc=inc, n_records=40)
+    trajectory = EphemerisTrajectory(circular_orbit_table(a=a, inc=inc, n_records=40))
     worst = 0.0
     for t in np.arange(310.0, 2000.0, 37.0):
-        state = interpolate_state(table, float(t))
+        state = trajectory.states(float(t))
         pos, _ = analytic_eci_state(a, inc, float(t))
         worst = max(worst, float(np.linalg.norm(state.position - pos)))
     assert worst < 1.0

@@ -988,6 +988,48 @@ class TestCliRuns:
         sweep = np.loadtxt(tmp_path / "out" / "pass_sweep.txt")
         assert sweep.shape == (60, 8)
 
+    @staticmethod
+    def infinite_epoch_pass(tmp_path, name, records, mjd):
+        """A [0, 200] s pass over the sample CPF's first records, the last one at mjd."""
+        lines = [line for line in SAMPLE_CPF.read_text(encoding="utf-8").splitlines()
+                 if line.startswith("10 ")][:records]
+        tokens = lines[-1].split()
+        lines[-1] = " ".join(tokens[:2] + [mjd] + tokens[3:])
+        (tmp_path / f"{name}.cpf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf=f"{name}.cpf", t_end="200.0")
+        return write_yaml(tmp_path, cfg.replace("t_start_s: 300.0", "t_start_s: 0.0"),
+                          f"{name}.yaml"), tmp_path / name
+
+    def test_infinite_epoch_in_a_window_the_pass_never_uses(self, tmp_path, monkeypatch):
+        # an mjd of 305 nines puts the last of 10 records at epoch inf; the sweep uses only
+        # the first 8-node window, so the trajectory's denominators of the window with the
+        # infinite epoch must not warn, and the pass is that over the finite table
+        for name, mjd in (("finite", "61267"), ("infinite", "9" * 305)):
+            path, out = self.infinite_epoch_pass(tmp_path, name, 10, mjd)
+            monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["validate", path]) == 0
+                assert main(["run", path]) == 0
+            assert [str(w.message) for w in caught] == []
+        for name in ("pass_sweep.txt", "summary.txt"):
+            assert ((tmp_path / "infinite" / name).read_bytes()
+                    == (tmp_path / "finite" / name).read_bytes())
+
+    def test_infinite_epoch_in_the_only_window(self, tmp_path, monkeypatch, capsys):
+        # with 5 records the one window holds the infinite epoch: the basis is nan and run
+        # names the first nan position; only the basis's own products warn
+        path, out = self.infinite_epoch_pass(tmp_path, "infinite", 5, "9" * 305)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", path]) == 0
+            assert main(["run", path]) == 3
+        assert capsys.readouterr().err == ("error[BadAltitude]: |position| = nan m is below "
+                                           "6.3e+06 m at epoch [0] (t = 0 s)\n")
+        assert {str(w.message) for w in caught} == {"invalid value encountered in multiply",
+                                                    "invalid value encountered in divide"}
+
     def test_alpha_forecast_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
         path = write_yaml(tmp_path, SMALL_FORECAST.format(out="ignored"))

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from gravlink.constants import GM_EARTH, OMEGA_EARTH, SECONDS_PER_DAY
 from gravlink.ephemeris import (
+    EphemerisRecord,
     EphemerisTable,
     EphemerisTrajectory,
     _bulk,
     _by_line,
-    _interpolate,
     _lagrange_basis,
-    interpolate_state,
+    _lagrange_denominators,
     parse_cpf,
     serialize_cpf,
 )
@@ -30,6 +30,9 @@ from gravlink.errors import (
     NonMonotonicTime,
     OutOfRange,
 )
+from gravlink.kinematics import rotate_z
+
+from helpers import interpolate_oracle
 
 SAMPLE_CPF = Path(__file__).resolve().parents[1] / "scenarios" / "leo_sample.cpf"
 
@@ -71,6 +74,43 @@ def analytic_eci_state(a, inc, t):
     pos = np.array([a * math.cos(u), a * math.sin(u) * ci, a * math.sin(u) * si])
     vel = a * n * np.array([-math.sin(u), math.cos(u) * ci, math.cos(u) * si])
     return pos, vel
+
+
+def orbit_table(epochs, angle, radius=7.0e6, inc=0.5):
+    """Table of a circular path of the given radius [m] through the in-plane angles
+    angle(epochs) [rad], written Earth-fixed at the relative epochs [s] given. Built
+    directly, so neither a parser window nor an even spacing applies."""
+    u, ci, si = angle(epochs), math.cos(inc), math.sin(inc)
+    inertial = radius * np.stack([np.cos(u), np.sin(u) * ci, np.sin(u) * si], axis=-1)
+    fixed = rotate_z(-OMEGA_EARTH * epochs, inertial)
+    return EphemerisTable(records=[EphemerisRecord(61267, float(t), tuple(map(float, r)))
+                                   for t, r in zip(epochs, fixed)])
+
+
+@st.composite
+def ephemeris_tables(draw):
+    """4 to 12 records 60 s apart, or unevenly 5 to 200 s apart, of a LEO-like orbit."""
+    n = draw(st.integers(4, 12))
+    steps = draw(st.one_of(st.just([60.0] * (n - 1)),
+                           st.lists(st.floats(5.0, 200.0), min_size=n - 1, max_size=n - 1)))
+    epochs = np.concatenate([[0.0], np.cumsum(steps)])
+    rate, inc = draw(st.floats(5e-4, 1.3e-3)), draw(st.floats(0.0, math.pi))
+    return orbit_table(epochs, lambda t: rate * t, radius=draw(st.floats(6.6e6, 7.5e6)), inc=inc)
+
+
+@st.composite
+def table_epochs(draw, table):
+    """Epochs of a table's span, shuffled: some nodes, both span ends, points between, and
+    at least one point each where the 8-node window is clipped to the first or last nodes."""
+    nodes = table.relative_epochs
+    half = min(8, len(nodes)) // 2
+    picked = draw(st.lists(st.sampled_from(nodes.tolist()), max_size=len(nodes)))
+    inside = draw(st.lists(st.floats(0.0, float(nodes[-1])), max_size=8))
+    first = draw(st.lists(st.floats(0.0, float(nodes[half])), min_size=1, max_size=3))
+    last = draw(st.lists(st.floats(float(nodes[-1 - half]), float(nodes[-1]), exclude_min=True),
+                         min_size=1, max_size=3))
+    return np.asarray(draw(st.permutations([0.0, float(nodes[-1])] + picked + inside
+                                           + first + last)))
 
 
 class TestParse:
@@ -168,7 +208,7 @@ class TestParse:
 class TestInterpolation:
     def test_node_reproduction(self):
         table = parse_cpf(SAMPLE)
-        state = interpolate_state(table, 0.0)
+        state = EphemerisTrajectory(table).states(0.0)
         # t = first epoch: inertial and Earth-fixed frames coincide
         np.testing.assert_allclose(state.position, [[7.0e6, 0.0, 0.0]], atol=1e-6)
         assert state.epoch == 0.0
@@ -176,44 +216,43 @@ class TestInterpolation:
     def test_node_reproduction_rotated(self):
         table = circular_orbit_table(n_records=12)
         t = 300.0
-        state = interpolate_state(table, t)
+        state = EphemerisTrajectory(table).states(t)
         pos, _ = analytic_eci_state(7.0e6, 0.0, t)
         np.testing.assert_allclose(state.position, [pos], atol=1e-5)
 
     @pytest.mark.parametrize("times", [[10.0, 20.0], (10.0, 20.0),
                                        [10.0, 20.0, 30.0], (10.0, 20.0, 30.0)])
     def test_sequences_are_epochs(self, times):
-        table = circular_orbit_table(n_records=8)
-        expected = interpolate_state(table, np.array(times))
-        state = interpolate_state(table, times)
+        trajectory = EphemerisTrajectory(circular_orbit_table(n_records=8))
+        expected = trajectory.states(np.array(times))
+        state = trajectory.states(times)
         assert state.position.shape == (len(times), 3)
         np.testing.assert_array_equal(state.position, expected.position)
         np.testing.assert_array_equal(state.velocity, expected.velocity)
         np.testing.assert_array_equal(state.epoch, times)
 
     def test_out_of_range(self):
-        table = parse_cpf(SAMPLE)  # spans [0, 180] s
+        trajectory = EphemerisTrajectory(parse_cpf(SAMPLE))  # spans [0, 180] s
         with pytest.raises(OutOfRange):
-            interpolate_state(table, 200.0)
+            trajectory.states(200.0)
         with pytest.raises(OutOfRange):
-            interpolate_state(table, -1.0)
+            trajectory.states(-1.0)
 
     def test_insufficient_records(self):
-        table = parse_cpf(
-            "10 0 58600 0.0 0 7000000.0 0.0 0.0\n"
-            "10 0 58600 60.0 0 7000000.0 100.0 0.0\n"
-        )
-        with pytest.raises(InsufficientRecords):
-            interpolate_state(table, 30.0)
+        # refused when the trajectory is built: three records, one short of a cubic
+        table = parse_cpf("\n".join(SAMPLE.splitlines()[:-1]))
+        with pytest.raises(InsufficientRecords, match="^trajectory needs >= 4 records, "
+                                                      "table has 3$"):
+            EphemerisTrajectory(table)
 
     def test_dense_table_meter_accuracy(self):
         # windowed interpolation on 60 s samples of a circular orbit must
         # stay below 1 m / 1e-3 m/s through the span interior
         a, inc = 7.0e6, 0.6
-        table = circular_orbit_table(a=a, inc=inc, n_records=40)
+        trajectory = EphemerisTrajectory(circular_orbit_table(a=a, inc=inc, n_records=40))
         worst_pos = worst_vel = 0.0
         for t in np.arange(310.0, 2000.0, 37.0):
-            state = interpolate_state(table, float(t))
+            state = trajectory.states(float(t))
             pos, vel = analytic_eci_state(a, inc, float(t))
             worst_pos = max(worst_pos, float(np.linalg.norm(state.position - pos)))
             worst_vel = max(worst_vel, float(np.linalg.norm(state.velocity - vel)))
@@ -224,7 +263,7 @@ class TestInterpolation:
         # with only 4 records the window degrades to a cubic, whose
         # mid-interval error on this orbit is meter-scale
         table = circular_orbit_table(n_records=4)
-        state = interpolate_state(table, 90.0)
+        state = EphemerisTrajectory(table).states(90.0)
         pos, vel = analytic_eci_state(7.0e6, 0.0, 90.0)
         assert float(np.linalg.norm(state.position - pos)) < 5.0
         assert float(np.linalg.norm(state.velocity - vel)) < 0.2
@@ -233,10 +272,24 @@ class TestInterpolation:
 class TestTrajectory:
     def test_state_matches_interpolant(self):
         table = circular_orbit_table(n_records=10)
-        traj = EphemerisTrajectory(table)
-        np.testing.assert_allclose(
-            traj.states(123.0).position, interpolate_state(table, 123.0).position
-        )
+        state = EphemerisTrajectory(table).states(123.0)
+        position, velocity, epoch = interpolate_oracle(table, 123.0, velocities=True)
+        for got, want in ((state.position, position), (state.velocity, velocity),
+                          (state.epoch, epoch)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), table=ephemeris_tables())
+    def test_matches_the_per_call_interpolation_bit_for_bit(self, data, table):
+        """Denominators computed once per table give the bits of the product formed on
+        every call, for positions and states alike."""
+        trajectory, t = EphemerisTrajectory(table), data.draw(table_epochs(table))
+        position, velocity, _ = interpolate_oracle(table, t, velocities=True)
+        state = trajectory.states(t)
+        np.testing.assert_array_equal(_bits(state.position), _bits(position))
+        np.testing.assert_array_equal(_bits(state.velocity), _bits(velocity))
+        np.testing.assert_array_equal(_bits(trajectory.positions(t)),
+                                      _bits(interpolate_oracle(table, t, velocities=False)[0]))
 
     def test_needs_four_records(self):
         table = parse_cpf("10 0 58600 0.0 0 7000000.0 0.0 0.0")
@@ -279,19 +332,20 @@ class TestBatchInterpolation:
             nodes[1:-1] + 1e-9, nodes[1:-1] - 1e-6,   # next to nodes
             [0.0, span, 0.5 * span],
         ])
-        batch = interpolate_state(table, times)
+        trajectory = EphemerisTrajectory(table)
+        batch = trajectory.states(times)
         assert batch.position.shape == batch.velocity.shape == (times.size, 3)
         for i, t in enumerate(times):
             pos, vel = _product_form_state(table, float(t))
             assert np.max(np.abs(batch.position[i] - pos)) <= 1e-6
             assert np.max(np.abs(batch.velocity[i] - vel)) <= 1e-7
-            one = interpolate_state(table, float(t))
+            one = trajectory.states(float(t))
             np.testing.assert_allclose(one.position[0], batch.position[i], rtol=0, atol=1e-9)
 
     def test_node_hits_are_exact(self):
         table = circular_orbit_table(n_records=12)
         nodes = table.relative_epochs
-        state = interpolate_state(table, nodes)
+        state = EphemerisTrajectory(table).states(nodes)
         np.testing.assert_array_equal(state.position[0], table.records["position"][0])
         c, s = np.cos(OMEGA_EARTH * nodes), np.sin(OMEGA_EARTH * nodes)
         x, y, z = table.positions.T
@@ -299,9 +353,9 @@ class TestBatchInterpolation:
                                       np.stack([c * x - s * y, s * x + c * y, z], axis=-1))
 
     def test_out_of_range_epoch_is_named(self):
-        table = parse_cpf(SAMPLE)  # spans [0, 180] s
+        trajectory = EphemerisTrajectory(parse_cpf(SAMPLE))  # spans [0, 180] s
         with pytest.raises(OutOfRange, match=r"t = 200\.000 s .* at epoch \[2\]$"):
-            interpolate_state(table, np.array([0.0, 90.0, 200.0, 300.0]))
+            trajectory.states(np.array([0.0, 90.0, 200.0, 300.0]))
 
     def test_nan_epoch_is_named(self):
         trajectory = EphemerisTrajectory(parse_cpf(SAMPLE))
@@ -591,10 +645,11 @@ def test_basis_matches_masked_loop_bit_for_bit(width):
     inside = rng.uniform(nodes[:, 0], nodes[:, -1])
     t, windows = np.concatenate([on_node, inside]), np.concatenate([nodes, nodes])
     want = masked_lagrange_basis(t, windows)
-    for got, expected in zip(_lagrange_basis(t, windows), want):
+    denoms = _lagrange_denominators(windows)
+    for got, expected in zip(_lagrange_basis(t, windows, denoms), want):
         np.testing.assert_array_equal(_bits(got), _bits(expected))
     # the positions path skips the derivative half of the same loop
-    values, derivs = _lagrange_basis(t, windows, derivatives=False)
+    values, derivs = _lagrange_basis(t, windows, denoms, derivatives=False)
     assert derivs is None
     np.testing.assert_array_equal(_bits(values), _bits(want[0]))
 
@@ -606,19 +661,16 @@ def test_basis_forms_no_product_that_overflows_where_the_basis_does_not():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for derivatives in (True, False):
-            got = _lagrange_basis(t, nodes, derivatives)
+            got = _lagrange_basis(t, nodes, _lagrange_denominators(nodes), derivatives)
             for values, want in zip(got, masked_lagrange_basis(t, nodes)[:1 + derivatives]):
                 np.testing.assert_array_equal(_bits(values), _bits(want))
 
 
 def test_positions_path_keeps_the_table_checks():
-    """The positions-only interpolation refuses what interpolate_state refuses, in the
-    same words."""
-    short = parse_cpf("10 0 58600 0.0 0 7000000.0 0.0 0.0\n10 0 58600 60.0 0 7000000.0 100.0 0.0\n")
-    for table, t, error in ((short, 30.0, InsufficientRecords),
-                            (parse_cpf(SAMPLE), np.array([0.0, 90.0, 200.0]), OutOfRange)):
-        with pytest.raises(error) as state_path:
-            interpolate_state(table, t)
-        with pytest.raises(error) as position_path:
-            _interpolate(table, t, velocities=False)
-        assert str(position_path.value) == str(state_path.value)
+    """positions refuses the epochs that states refuses, in the same words."""
+    trajectory, t = EphemerisTrajectory(parse_cpf(SAMPLE)), np.array([0.0, 90.0, 200.0])
+    with pytest.raises(OutOfRange) as state_path:
+        trajectory.states(t)
+    with pytest.raises(OutOfRange) as position_path:
+        trajectory.positions(t)
+    assert str(position_path.value) == str(state_path.value)

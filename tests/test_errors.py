@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gravlink.ephemeris import interpolate_state, parse_cpf
+from gravlink.ephemeris import EphemerisTrajectory, parse_cpf
 from gravlink.errors import (
     BadAltitude,
     DegenerateGeometry,
@@ -67,8 +67,8 @@ BATCHES = [
     pytest.param(geometry_batch, ValueError, " at epoch [2]", id="LinkGeometry"),
     pytest.param(lambda: _check_denominator(np.array([1.0, 0.9, 0.2]), "denominator"),
                  DegenerateGeometry, " at epoch [2]", id="_check_denominator"),
-    pytest.param(lambda: interpolate_state(parse_cpf(TABLE), np.array([0.0, 90.0, 200.0])),
-                 OutOfRange, " at epoch [2]", id="interpolate_state"),
+    pytest.param(lambda: EphemerisTrajectory(parse_cpf(TABLE)).states([0.0, 90.0, 200.0]),
+                 OutOfRange, " at epoch [2]", id="EphemerisTrajectory"),
     pytest.param(scan_batch, DegenerateVisibility, " at scan [1, 2]", id="fit_phase"),
     pytest.param(trial_batch, SingularFit, " at trial [1]", id="estimate_alpha"),
     pytest.param(lambda: amplification_scan([0.9273, np.pi / 2, 0.0], [1e-3], 1.0),

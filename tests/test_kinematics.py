@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gravlink.constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
-from gravlink.ephemeris import EphemerisRecord, EphemerisTable, EphemerisTrajectory
+from gravlink.ephemeris import (EphemerisRecord, EphemerisTable, EphemerisTrajectory, parse_cpf,
+                                serialize_cpf)
 from gravlink.errors import BadAltitude, DegenerateGeometry, NoConvergence, OutOfRange
 from gravlink.kinematics import (
+    _LIGHT_TIME_TOL,
     EARTH_ROTATION,
     CircularOrbit,
     GroundStation,
@@ -31,7 +33,7 @@ from gravlink.kinematics import (
 from gravlink.link_model import phase_pair, phase_scale
 
 from helpers import StaticPlatform, rotate_z_oracle, solve_light_time_oracle
-from test_ephemeris import circular_orbit_table
+from test_ephemeris import circular_orbit_table, ephemeris_tables, orbit_table, table_epochs
 
 
 def station_acceleration(station, t):
@@ -612,37 +614,6 @@ class TestBatchPath:
             solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]))
 
 
-def orbit_table(epochs, angle, radius=7.0e6, inc=0.5):
-    """Table of a circular path of the given radius [m] through the in-plane angles
-    angle(epochs) [rad], written Earth-fixed at the relative epochs [s] given. Built
-    directly, so neither a parser window nor an even spacing applies."""
-    u, ci, si = angle(epochs), math.cos(inc), math.sin(inc)
-    inertial = radius * np.stack([np.cos(u), np.sin(u) * ci, np.sin(u) * si], axis=-1)
-    fixed = rotate_z(-OMEGA_EARTH * epochs, inertial)
-    return EphemerisTable(records=[EphemerisRecord(61267, float(t), tuple(map(float, r)))
-                                   for t, r in zip(epochs, fixed)])
-
-
-@st.composite
-def ephemeris_tables(draw):
-    """4 to 12 records 60 s apart, or unevenly 5 to 200 s apart, of a LEO-like orbit."""
-    n = draw(st.integers(4, 12))
-    steps = draw(st.one_of(st.just([60.0] * (n - 1)),
-                           st.lists(st.floats(5.0, 200.0), min_size=n - 1, max_size=n - 1)))
-    epochs = np.concatenate([[0.0], np.cumsum(steps)])
-    rate, inc = draw(st.floats(5e-4, 1.3e-3)), draw(st.floats(0.0, math.pi))
-    return orbit_table(epochs, lambda t: rate * t, radius=draw(st.floats(6.6e6, 7.5e6)), inc=inc)
-
-
-@st.composite
-def table_epochs(draw, table):
-    """Epochs of a table's span: some nodes, both span ends and points between, shuffled."""
-    nodes = table.relative_epochs
-    picked = draw(st.lists(st.sampled_from(nodes.tolist()), max_size=len(nodes)))
-    inside = draw(st.lists(st.floats(0.0, float(nodes[-1])), max_size=8))
-    return np.asarray(draw(st.permutations([0.0, float(nodes[-1])] + picked + inside)))
-
-
 def assert_same_geometry(got, want):
     for name in ("beta1", "beta2", "beta3", "n12", "n23", "U1", "U2", "a1", "t_up",
                  "d1", "d2", "d3"):
@@ -765,3 +736,41 @@ class TestPositionsPath:
         new = raised(lambda: solve_light_time(emitted, sc))
         assert new == raised(lambda: solve_light_time_oracle(emitted, sc))
         assert new[0] is OutOfRange and re.search(named, new[1])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(lat=st.floats(-1.4, 1.4), lon=st.floats(-math.pi, math.pi), alt=st.floats(0.0, 3.0e3),
+       a=st.floats(6.6e6, 8.0e6), inc=st.floats(0.0, math.pi), raan=st.floats(0.0, 6.3),
+       phase=st.floats(0.0, 6.3))
+def test_pass_over_a_sampled_cpf_is_the_analytic_pass(lat, lon, alt, a, inc, raan, phase):
+    """A day-long CPF sampled from a circular orbit (1440 records at 60 s, rotated into the
+    Earth-fixed frame and written with serialize_cpf) gives that orbit's pass within the
+    interpolator's stated error at 60 s spacing: below dr = 1 cm and dv = 1e-3 m/s."""
+    orbit, gs = CircularOrbit(a, inc, raan, phase), GroundStation(lat, lon, alt)
+    t = 60.0 * np.arange(1440)
+    records = [EphemerisRecord(61267, float(sod), tuple(map(float, r)))
+               for sod, r in zip(t, rotate_z(-OMEGA_EARTH * t, orbit.positions(t)))]
+    text = serialize_cpf(EphemerisTable(records=records, source="H1 CPF 2 TST 2026 8 15 1 day"))
+    _, got = build_pass(gs, EphemerisTrajectory(parse_cpf(text)), 0.0, 86000.0, 1500)
+    _, want = build_pass(gs, orbit, 0.0, 86000.0, 1500)
+    dr, dv = 0.01, 1e-3
+    # a light time off by dr / c, and each solve settled within its tolerance, moves a
+    # reception epoch by dt; the spacecraft there by dr + speed * dt
+    dt = dr / C_LIGHT + 2.0 * _LIGHT_TIME_TOL
+    dr_sc = dr + math.sqrt(GM_EARTH / a) * dt
+    rounding = 8.0 * np.finfo(float).eps
+
+    def assert_within(name, bound):
+        got_value, want_value = getattr(got, name), getattr(want, name)
+        bound = np.reshape(bound, np.shape(bound) + (1,) * (want_value.ndim - np.ndim(bound)))
+        assert np.all(np.abs(got_value - want_value) <= bound + rounding * np.abs(want_value)), name
+
+    for name in ("beta1", "U1", "a1"):  # the station at emission: no interpolated epoch
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    assert_within("t_up", dt)
+    assert_within("beta2", (dv + GM_EARTH / a**2 * dt) / C_LIGHT)
+    assert_within("U2", want.U2 * dr_sc / a)        # U = GM / (c^2 r)
+    for name in ("n12", "n23"):                      # a unit vector over range c * t_up
+        assert_within(name, 2.0 * dr_sc / (C_LIGHT * want.t_up))
+    # the station at the final reception, moved by at most 2 dt at acceleration w^2 r
+    assert_within("beta3", OMEGA_EARTH**2 * (R_EARTH + alt) * 2.0 * dt / C_LIGHT)
