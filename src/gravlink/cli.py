@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -86,38 +85,34 @@ def _e12(x: np.ndarray, out: np.ndarray) -> None:
         np.uint32).reshape(-1, 5)
 
 
-def _table(header: str, row_fmt: str, rows: np.ndarray, footer: str = "") -> bytes:
-    """Columnar text as UTF-8 bytes: '# header', then row_fmt % row for each
-    row of the 2-D float array rows, then footer; with '%.12e' columns, byte
-    for byte the text of np.savetxt(fmt='%.12e', comments='# ').
+def _table(header: str, columns) -> bytes:
+    """Columnar text as UTF-8 bytes: '# header', then one line per row of the
+    equal-length 1-D arrays columns (a 2-D array's .T works too), entries
+    separated by one space. A column of integer dtype is written '%d' from
+    the integers themselves, every other column '%.12e'; with float columns
+    only, byte for byte the text of np.savetxt(fmt='%.12e', comments='# ').
+    No columns, no rows.
 
     A block of at most _BLOCK entries fills one zero-padded buffer of uint32
-    words: per row the leading literal, then per column a slot and the next
-    literal. The literals are written with the buffer, and one bytes.translate
-    drops the padding. _e12 fills every slot; '%' then formats the columns not
-    '%.12e', and each entry _e12 cannot prove exact: nan, inf, |x| < 1e-296,
-    values within 0.0025 of a rounding tie and some just below a power of ten."""
-    parts = re.split(r"(%[^a-zA-Z%]*[a-zA-Z])", row_fmt + "\n")  # literals and specs
-    specs, lits = parts[1::2], [np.frombuffer(b + bytes(-len(b) % 4), np.uint32)
-                                for b in map(str.encode, parts[::2])]
-    lead, tail = len(lits[0]), max(map(len, lits[1:]), default=0)
-    step, layout, texts = max(1, _BLOCK // max(1, len(specs))), None, [f"# {header}\n".encode()]
-    for block in (rows[i:i + step] for i in range(0, len(rows), step)):
-        other = {j: np.array([spec % v for v in block[:, j].tolist()], "S")
-                 for j, spec in enumerate(specs) if spec != "%.12e"}
-        slot = max([5] + [-(-text.itemsize // 4) for text in other.values()])
-        if slot != layout:  # a new buffer, its literals written once
-            layout, buf = slot, np.zeros((step, lead + len(specs) * (slot + tail)), np.uint32)
-            cells, buf[:, :lead] = buf[:, lead:].reshape(step, len(specs), slot + tail), lits[0]
-            for j, lit in enumerate(lits[1:]):
-                cells[:, j, slot:slot + len(lit)] = lit
+    words: per entry a slot of five words, the most either '%.12e' or the
+    '%d' text of a 64-bit integer takes, and a separator word, ' ' or '\n',
+    written once. _e12 fills every slot, integer columns then overwrite
+    theirs, and one bytes.translate per block drops the padding. '%' formats
+    each entry _e12 cannot prove exact: nan, inf, |x| < 1e-296, values within
+    0.0025 of a rounding tie and some just below a power of ten."""
+    step, texts = max(1, _BLOCK // max(1, len(columns))), [f"# {header}\n".encode()]
+    buf = np.zeros((step, len(columns), 6), np.uint32)
+    buf[:, :, 5], buf[:, -1:, 5] = ord(" "), ord("\n")
+    ints = [j for j, column in enumerate(columns) if column.dtype.kind in "iu"]
+    for i in range(0, len(columns[0]) if len(columns) else 0, step):
+        block = [column[i:i + step] for column in columns]
+        rows = buf[:len(block[0])]
         with np.errstate(all="ignore"):  # nan and inf go to '%'
-            _e12(block, cells[:len(block)])
-        for j, text in other.items():
-            cells[:len(block), j, :slot] = text.astype(f"S{4 * slot}").view(
-                np.uint32).reshape(-1, slot)
-        texts.append(buf[:len(block)].tobytes().translate(None, b"\0"))
-    return b"".join(texts + [footer.encode()])
+            _e12(np.stack(block, axis=1, dtype=float), rows)
+        for j in ints:
+            rows[:, j, :5] = block[j].astype("S20").view(np.uint32).reshape(-1, 5)
+        texts.append(rows.tobytes().translate(None, b"\0"))
+    return b"".join(texts)
 
 
 # Each mode's runner takes (cfg, config_path) and returns (columnar file name,
@@ -132,10 +127,9 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     doppler_phase = scale * first_order_doppler_shift(geom)
     expanded = scale * expanded_signal(geom, alpha)
     resid = pair.s_signal - expanded
-    columns = np.stack([epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal, doppler_phase,
-                        expanded, resid], axis=1)
     table = _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "
-                   "residual_rad", " ".join(["%.12e"] * 8), columns)
+                   "residual_rad", [epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal,
+                                    doppler_phase, expanded, resid])
 
     max_doppler = float(np.max(np.abs(doppler_phase)))
     max_gravity = float(np.max(np.abs(scale * du)))
@@ -174,12 +168,10 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
                              dark_rate=noise.dark_rate)
     empirical = float(np.std(est.alpha_hat, ddof=1))
     analytic = float(np.mean(est.sigma_alpha))
-    rows = np.column_stack([np.arange(cfg.forecast.trials), est.alpha_hat, est.sigma_alpha,
-                            est.chi2_per_dof])
-    footer = (f"# summary sigma_alpha_empirical={empirical:.12e} "
-              f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n")
-    table = _table("trial alpha_hat sigma_alpha chi2_per_dof", "%d %.12e %.12e %.12e", rows,
-                   footer)
+    table = _table("trial alpha_hat sigma_alpha chi2_per_dof", [
+        np.arange(cfg.forecast.trials), est.alpha_hat, est.sigma_alpha, est.chi2_per_dof])
+    table += (f"# summary sigma_alpha_empirical={empirical:.12e} "
+              f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n").encode()
 
     mean_alpha = float(np.mean(est.alpha_hat))
     summary = [
@@ -203,7 +195,7 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
 
 
 def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
-    from .interferometer import fit_phase, fringe_scan
+    from .interferometer import _wrap_phase, fit_phase, fringe_scan
 
     offsets = np.linspace(0.0, 2.0 * math.pi, cfg.fringe.scan_points, endpoint=False)
     scan = fringe_scan(
@@ -215,9 +207,8 @@ def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
         cfg.seed,
         dark_rate=cfg.noise.dark_rate,
     )
-    rows = np.column_stack([offsets, scan.counts, np.full(offsets.size, scan.n_sent)])
     table = _table("offset_rad counts_early counts_central counts_late n_sent",
-                   "%.12e %d %d %d %d", rows)
+                   [offsets, *scan.counts.T, np.full(offsets.size, scan.n_sent)])
 
     early, central, late = scan.counts[np.argmax(scan.counts[:, 1])]
     side = 0.5 * (early + late)
@@ -236,11 +227,10 @@ def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
     except GravlinkError as exc:  # a failed fit is reported, not fatal
         summary.append(f"[FAILED] fringe fit: {type(exc).__name__}: {exc}")
     else:
-        wrapped = math.remainder(cfg.fringe.base_phase, 2.0 * math.pi)
         summary.append(
             f"fitted phase: {fit.phi_hat:.6f} rad "
-            f"(true, wrapped: {wrapped:.6f}), sigma_phi: {fit.sigma_phi:.2e} rad, "
-            f"visibility_hat: {fit.visibility_hat:.4f}"
+            f"(true, wrapped: {_wrap_phase(cfg.fringe.base_phase):.6f}), "
+            f"sigma_phi: {fit.sigma_phi:.2e} rad, visibility_hat: {fit.visibility_hat:.4f}"
         )
     return "fringe_scan.txt", table, summary
 
@@ -254,7 +244,7 @@ def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
     rows = amplification_scan(spin.theta_grid, q_values, spin.meter_width)
     table = _table(
         "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
-        " ".join(["%.12e"] * 7), rows)
+        rows.T)
 
     q, re_aw, exact, weak = rows[:, [1, 2, 4, 5]].T
     max_aw = float(np.max(np.abs(re_aw)))

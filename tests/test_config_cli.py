@@ -848,48 +848,62 @@ SPECIAL_VALUES = np.array([[0.0, -0.0, 5e-324, -2.2250738585072e-308],
                            [-1.0, 1.0 / 3.0, 123456.789, -9.999999999995e-5]])
 
 
+@st.composite
+def mixed_columns(draw):
+    # 0 to 5 columns, each int64 or float64, of 0 to 12 rows; small and large integers,
+    # so that a '%d' column's text grows and shrinks between blocks
+    n = draw(st.integers(0, 12))
+    floats = st.floats(allow_subnormal=True) | st.sampled_from(
+        [0.0, -0.0, 1e12, 99.0, 9.9999999999995e-5, -2.5e-300])
+    ints = st.integers(-9, 9) | st.integers(-2**63, 2**63 - 1)
+    return [draw(hnp.arrays(np.int64, n, elements=ints) if draw(st.booleans())
+                 else hnp.arrays(np.float64, n, elements=floats))
+            for _ in range(draw(st.integers(0, 5)))]
+
+
+def percent_rows(columns):
+    # the reference: '%d' or '%.12e' per entry, joined by single spaces
+    specs = ["%d" if column.dtype.kind == "i" else "%.12e" for column in columns]
+    return "".join(" ".join(spec % v for spec, v in zip(specs, row)) + "\n"
+                   for row in zip(*(column.tolist() for column in columns)))
+
+
 class TestTable:
     @settings(max_examples=200, deadline=None)
     @example(rows=SPECIAL_VALUES)
     @example(rows=np.empty((0, 3)))
-    @given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
-                                                        max_side=12),
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 12)),
                            elements=st.floats(allow_nan=True, allow_infinity=True,
                                               allow_subnormal=True)))
     def test_matches_savetxt_byte_for_byte(self, rows):
         # negatives, zeros of both signs, subnormals, infinities and nan
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
-        row_fmt = " ".join(["%.12e"] * rows.shape[1])
-        assert _table("a b c", row_fmt, rows) == reference.getvalue().encode()
+        assert _table("a b c", rows.T) == reference.getvalue().encode()
 
-    def test_mixed_formats_and_footer(self):
-        rows = np.column_stack([np.arange(3), [0.5, -2.0, np.nan]])
-        text = _table("i x", "%d %.3e", rows, footer="# done\n")
-        assert text == b"# i x\n0 5.000e-01\n1 -2.000e+00\n2 nan\n# done\n"
+    def test_no_columns_no_rows(self):
+        # the rows come from the columns: with none, the header alone
+        assert _table("h", []) == _table("h", np.empty((3, 0)).T) == b"# h\n"
+
+    def test_integer_and_float_columns(self):
+        text = _table("i x", [np.arange(3), np.array([0.5, -2.0, np.nan])])
+        assert text == b"# i x\n0 5.000000000000e-01\n1 -2.000000000000e+00\n2 nan\n"
+
+    def test_integers_beyond_the_float_mantissa_are_exact(self):
+        # a float cast would print 2^53 + 1 as 9007199254740992
+        big = np.array([2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63 - 1), -2**63])
+        assert _table("n x", [big, np.zeros(5)]) == (
+            "# n x\n" + "".join(f"{v} 0.000000000000e+00\n" for v in big.tolist())).encode()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @example(specs=[], seps=[], ends=("", ""), rows=np.empty((3, 0)), block=1)
-    @example(specs=["%d", "%.12e"], seps=[" "], ends=("", ""), rows=np.empty((0, 2)), block=1)
-    @given(specs=st.lists(st.sampled_from(["%.12e", "%d", "%.3e", "%g"]), max_size=5),
-           seps=st.lists(st.sampled_from([" ", "\t", ", "]), min_size=4, max_size=4),
-           ends=st.tuples(st.sampled_from(["", "x="]), st.sampled_from(["", " ;"])),
-           rows=st.integers(0, 12).flatmap(lambda n: hnp.arrays(
-               np.float64, (n, 5), elements=st.floats(allow_subnormal=True) | st.sampled_from(
-                   [0.0, -0.0, 1e12, 99.0, 9.9999999999995e-5, -2.5e-300]))),
-           block=st.sampled_from([1, 2, 5, gravlink.cli._BLOCK]))
-    def test_matches_percent_row_by_row(self, specs, seps, ends, rows, block):
-        # any mix of specs and separators, 0 to 5 columns, 0 to 12 rows, and blocks of
-        # one row and up, so that a %d column's width changes between blocks
-        rows = rows[:, :len(specs)].copy()
-        for j, spec in enumerate(specs):
-            if spec == "%d":  # '%d' takes finite values only
-                rows[:, j] = np.where(np.isfinite(rows[:, j]), rows[:, j], 7.0)
-        gaps = seps[:len(specs) - 1] + [""]  # a separator between each two specs
-        row_fmt = ends[0] + "".join(spec + gap for spec, gap in zip(specs, gaps)) + ends[1]
-        expected = "# h\n" + "".join(row_fmt % tuple(row) + "\n" for row in rows.tolist())
+    @example(columns=[], block=1)
+    @example(columns=[np.empty(0, np.int64), np.empty(0)], block=1)
+    @example(columns=[np.array([1, -22, 4444, 10**18, 5, -2**63]), np.arange(6.0)], block=2)
+    @given(columns=mixed_columns(), block=st.sampled_from([1, 2, 5, gravlink.cli._BLOCK]))
+    def test_matches_percent_row_by_row(self, columns, block):
+        # any mix of integer and float columns, and blocks of one row and up
         with mock.patch.object(gravlink.cli, "_BLOCK", block):
-            assert _table("h", row_fmt, rows, footer="# end\n") == (expected + "# end\n").encode()
+            assert _table("h", columns) == ("# h\n" + percent_rows(columns)).encode()
 
     @staticmethod
     def assert_matches_savetxt(values):
@@ -898,7 +912,7 @@ class TestTable:
         assert rows.size > 3 * gravlink.cli._BLOCK
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
-        assert _table("a b c", "%.12e %.12e %.12e", rows) == reference.getvalue().encode()
+        assert _table("a b c", rows.T) == reference.getvalue().encode()
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(12)
@@ -932,14 +946,13 @@ class TestTable:
         self.assert_matches_savetxt(np.concatenate([np.tile(special, 300), subnormal, -subnormal]))
 
     def test_mixed_row_format_matches_percent(self):
+        # an integer and two float columns over several blocks
         rng = np.random.default_rng(15)
-        rows = np.column_stack([np.arange(5000), rng.standard_normal(5000) * 1e3,
-                                rng.standard_normal(5000) * 1e-3])
-        rows[::7, 1:] = [np.nan, np.inf]
-        rows[::11, 1:] = [-0.0, 0.0]
-        row_fmt = "%d %.12e %.3e"
-        expected = "# i x y\n" + "".join(row_fmt % tuple(row) + "\n" for row in rows.tolist())
-        assert _table("i x y", row_fmt, rows) == expected.encode()
+        x, y = rng.standard_normal(5000) * 1e3, rng.standard_normal(5000) * 1e-3
+        x[::7], y[::7] = np.nan, np.inf
+        x[::11], y[::11] = -0.0, 0.0
+        columns = [np.arange(5000), x, y]
+        assert _table("i x y", columns) == ("# i x y\n" + percent_rows(columns)).encode()
 
 
 class TestForecastStream:
@@ -1109,6 +1122,15 @@ class TestCliRuns:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "[FAILED] fringe fit: DegenerateVisibility" in summary
         assert (tmp_path / "out" / "fringe_scan.txt").exists()
+
+    @pytest.mark.parametrize("base", [-math.pi, 3.0 * math.pi])
+    def test_fringe_true_phase_is_wrapped_as_the_fit(self, tmp_path, monkeypatch, capsys, base):
+        # both wrap to pi in (-pi, pi], the range of fit_phase; [-pi, pi] gave -pi for both
+        path = write_yaml(tmp_path, SMALL_FRINGE.format(out="ignored", vis="1.0").replace(
+            "base_phase_rad: 0.7", f"base_phase_rad: {base!r}"))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", path]) == 0
+        assert "(true, wrapped: 3.141593)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("scenario", ["fringe_demo", "constants"])
     @pytest.mark.parametrize("under_a_file, error", [(False, "FileExistsError"),

@@ -618,10 +618,10 @@ class TestSerializeScan:
 
     def test_batch_rows_follow_c_order(self):
         scan = fringe_scan(FOUR_POINT_SCAN, np.zeros((2, 3)), 1.0, 500, 1.0, seed=6)
-        offsets = np.broadcast_to(scan.offsets, scan.counts.shape[:-1]).reshape(-1, 1)
-        rows = np.hstack([offsets, scan.counts.reshape(-1, 3), np.full((24, 1), scan.n_sent)])
+        offsets = np.broadcast_to(scan.offsets, scan.counts.shape[:-1]).ravel()
         data = np.loadtxt(_table("offset_rad counts_early counts_central counts_late n_sent",
-                                 "%.12e %d %d %d %d", rows).splitlines())
+                                 [offsets, *scan.counts.reshape(-1, 3).T,
+                                  np.full(24, scan.n_sent)]).splitlines())
         assert data.shape == (24, 5)
         np.testing.assert_allclose(data[:, 0], np.tile(FOUR_POINT_SCAN, 6), atol=1e-12)
         np.testing.assert_array_equal(data[:, 1:4], scan.counts.reshape(-1, 3))
