@@ -236,7 +236,7 @@ def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
 
 
 def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
-    from .spin_weak import (SpinCouplingParams, amplification_scan, constants_report,
+    from .spin_weak import (amplification_scan, constants_report, h_ext, h_sigma,
                             two_spin_hamiltonian)
 
     spin = cfg.spin
@@ -262,10 +262,10 @@ def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
             f"{weak_devs.max():.3e}"
         )
 
-    # validate's spin bounds mirror every SpinCouplingParams check
-    params = SpinCouplingParams(g=spin.gravity, omega=spin.rotation, k=spin.coupling_k,
-                                exchange=spin.exchange)
-    eigs = np.linalg.eigvalsh(two_spin_hamiltonian(params))
+    # validate has found every spin value finite, the couplings' only check; gravity is along z
+    acceleration = (0.0, 0.0, spin.gravity)
+    single = h_sigma(spin.rotation, acceleration) + h_ext(acceleration, spin.coupling_k)
+    eigs = np.linalg.eigvalsh(two_spin_hamiltonian(single, spin.exchange))
     summary.append("two-spin Hamiltonian eigenvalues [J]: " + " ".join(f"{e:.6e}" for e in eigs))
     for row in constants_report(spin.gravity):
         summary.append(

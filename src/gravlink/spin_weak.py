@@ -1,12 +1,15 @@
 """Spin-rotation/spin-acceleration couplings and weak-value amplification.
 
-Single spin: the rotation coupling -(hbar/2) w.sigma, a momentum-dependent
-acceleration term (hbar/4mc^2) sigma.(a x p), and the phenomenological
-uniform-acceleration coupling (hbar k/2c) a.sigma whose k = 1 point is the
-prediction of the standard low-energy reduction of the Dirac equation.
+Single spin, from numbers and 3-vectors: h_sigma(omega, acceleration, m, p) is
+the rotation coupling -(hbar/2) w.sigma plus a momentum-dependent acceleration
+term (hbar/4mc^2) sigma.(a x p) (Hehl & Ni, PRD 42, 2045, 1990), and
+h_ext(acceleration, k) the phenomenological uniform-acceleration coupling
+(hbar k/2c) a.sigma, whose k = 1 point is the prediction of the standard
+low-energy reduction of the Dirac equation.
 
-Two spins: an exchange term J sigma_x(x)sigma_x plus the single-spin
-coupling h_sigma + h_ext acting on each spin of the pair.
+Two spins: two_spin_hamiltonian(single, exchange) is an exchange term
+J sigma_x(x)sigma_x plus the one-spin matrix single = h_sigma + h_ext acting on
+each spin of the pair.
 
 Weak measurement, the textbook case: observable sigma_x, pre-selection |0>,
 post-selection cos(theta)|0> + sin(theta)|1>, and a Gaussian pointer of rms
@@ -22,7 +25,6 @@ which tends to q tan(theta) for q << w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,77 +57,42 @@ def pauli_dot(vector) -> np.ndarray:
     return v[0] * _PAULI[1] + v[1] * _PAULI[2] + v[2] * _PAULI[3]
 
 
-@dataclass(frozen=True)
-class SpinCouplingParams:
-    """Couplings for the spin Hamiltonians.
-
-    g : m/s^2, acceleration magnitude along a_axis.
-    omega : rad/s 3-vector, frame rotation.
-    k : dimensionless acceleration-coupling strength (1 = standard value).
-    m : kg, particle mass (only the momentum term uses it).
-    p : kg m/s 3-vector, particle momentum.
-    a_axis : unit direction of the acceleration (normalized on use).
-    exchange : J, two-spin exchange energy (the J of the pair coupling).
-    g and m must be positive, every field finite and a_axis of positive
-    length; h_vec is derived, read-only.
-    """
-
-    g: float = G_STD
-    omega: tuple = (0.0, 0.0, 0.0)
-    k: float = 1.0
-    m: float = 1.0
-    p: tuple = (0.0, 0.0, 0.0)
-    a_axis: tuple = (0.0, 0.0, 1.0)
-    exchange: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        axis = np.asarray(self.a_axis, dtype=float)
-        norm = float(np.linalg.norm(axis))
-        if not 0.0 < norm < math.inf:
-            raise BadAxis(f"acceleration axis length {norm} is not finite and positive")
-        object.__setattr__(self, "a_axis", axis / norm)
-        for name in ("m", "g"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("k", "exchange", "omega", "p"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-
-    @property
-    def h_vec(self) -> np.ndarray:
-        """Dimensionless rotation coupling h_i = -c*omega_i/g."""
-        return -C_LIGHT * self.omega / self.g
-
-    @property
-    def acceleration(self) -> np.ndarray:
-        """a = g * a_axis [m/s^2]."""
-        return self.g * self.a_axis
+def _check_finite(**values) -> None:
+    """ValueError naming the first argument with an entry that is not finite."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
-def h_sigma(params: SpinCouplingParams) -> np.ndarray:
+def h_sigma(omega, acceleration, m: float = 1.0, p=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Rotation + momentum-dependent acceleration coupling, 2x2 [J].
 
-    -(hbar/2) omega.sigma + (hbar/(4 m c^2)) sigma.(a x p).
+    -(hbar/2) omega.sigma + (hbar/(4 m c^2)) sigma.(a x p), with the frame rotation
+    omega [rad/s], the acceleration a [m/s^2] and the momentum p [kg m/s] 3-vectors
+    and the mass m [kg] positive.
     """
-    cross = np.cross(params.acceleration, params.p)
-    return (
-        -0.5 * HBAR * pauli_dot(params.omega)
-        + HBAR / (4.0 * params.m * C_LIGHT**2) * pauli_dot(cross)
-    )
+    _check_finite(omega=omega, acceleration=acceleration, p=p)
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m}")
+    return (-0.5 * HBAR * pauli_dot(omega)
+            + HBAR / (4.0 * m * C_LIGHT**2) * pauli_dot(np.cross(acceleration, p)))
 
 
-def h_ext(params: SpinCouplingParams) -> np.ndarray:
-    """Uniform-acceleration spin coupling (hbar k / 2c) a.sigma, 2x2 [J]."""
-    return 0.5 * HBAR * params.k / C_LIGHT * pauli_dot(params.acceleration)
+def h_ext(acceleration, k: float = 1.0) -> np.ndarray:
+    """Uniform-acceleration spin coupling (hbar k / 2c) a.sigma, 2x2 [J]; k = 1 is the
+    standard strength."""
+    _check_finite(acceleration=acceleration, k=k)
+    return 0.5 * HBAR * k / C_LIGHT * pauli_dot(acceleration)
 
 
-def two_spin_hamiltonian(params: SpinCouplingParams) -> np.ndarray:
+def two_spin_hamiltonian(single, exchange: float) -> np.ndarray:
     """4x4 pair Hamiltonian [J]: exchange * sigma_x(x)sigma_x + single(x)1 + 1(x)single,
-    with single = h_sigma + h_ext, the coupling of one spin."""
-    single = h_sigma(params) + h_ext(params)
-    return (params.exchange * np.kron(_PAULI[1], _PAULI[1])
+    with single the 2x2 coupling of one spin, h_sigma + h_ext."""
+    _check_finite(exchange=exchange)
+    single = np.asarray(single)
+    if single.shape != (2, 2):
+        raise ValueError(f"single must be a 2x2 matrix, got shape {single.shape}")
+    return (exchange * np.kron(_PAULI[1], _PAULI[1])
             + np.kron(single, _ID2) + np.kron(_ID2, single))
 
 

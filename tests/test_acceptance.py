@@ -27,7 +27,6 @@ from gravlink.link_model import (
     phase_scale,
 )
 from gravlink.spin_weak import (
-    SpinCouplingParams,
     amplification_scan,
     constants_report,
     h_ext,
@@ -241,15 +240,14 @@ def test_criterion_8_weak_value_suite():
     rng = np.random.default_rng(8)
     herm_worst = 0.0
     for _ in range(1000):
-        params = SpinCouplingParams(
-            g=float(rng.uniform(0.1, 20.0)),
-            omega=tuple(rng.normal(0.0, 1e-4, 3)),
-            k=float(rng.normal(1.0, 0.5)),
-            m=float(rng.uniform(0.5, 2.0)),
-            p=tuple(rng.normal(0.0, 1.0, 3)),
-            exchange=float(rng.normal(0.0, 1e-24)),
-        )
-        for h in (h_sigma(params), h_ext(params), two_spin_hamiltonian(params)):
+        acceleration = (0.0, 0.0, float(rng.uniform(0.1, 20.0)))
+        omega = rng.normal(0.0, 1e-4, 3)
+        k = float(rng.normal(1.0, 0.5))
+        m = float(rng.uniform(0.5, 2.0))
+        p = rng.normal(0.0, 1.0, 3)
+        exchange = float(rng.normal(0.0, 1e-24))
+        hs = (h_sigma(omega, acceleration, m=m, p=p), h_ext(acceleration, k=k))
+        for h in (*hs, two_spin_hamiltonian(hs[0] + hs[1], exchange)):
             scale = float(np.linalg.norm(h))
             if scale > 0.0:
                 defect = float(np.linalg.norm(h - h.conj().T)) / scale
@@ -276,13 +274,11 @@ def test_criterion_8_weak_value_suite():
     # the single-spin rotation + acceleration coupling at k = 1; the exchange
     # sits on the acceleration scale so that it does not swamp the couplings
     omega = 7.2921159e-5 * np.array([math.sin(0.7), 0.0, math.cos(0.7)])
-    params = SpinCouplingParams(g=G_STD, omega=tuple(omega), k=1.0,
-                                exchange=3.45e-42)
-    single = h_sigma(params) + h_ext(params)
-    expected = (params.exchange * np.kron(pauli(1), pauli(1))
+    single = h_sigma(omega, (0.0, 0.0, G_STD)) + h_ext((0.0, 0.0, G_STD), k=1.0)
+    expected = (3.45e-42 * np.kron(pauli(1), pauli(1))
                 + np.kron(single, np.eye(2)) + np.kron(np.eye(2), single))
     np.testing.assert_allclose(
-        two_spin_hamiltonian(params), expected, rtol=0.0,
+        two_spin_hamiltonian(single, 3.45e-42), expected, rtol=0.0,
         atol=1e-12 * float(np.linalg.norm(expected)),
     )
 

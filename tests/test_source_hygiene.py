@@ -1,0 +1,111 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+An import a module never uses and a private module-level name nothing in the package
+references are both dead code; each test names every offender with its file and line.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gravlink"
+MODULES = sorted(PACKAGE.glob("*.py"))
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def loaded_names(node):
+    """Every name read under node: bare names and the first name of each dotted chain."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            and not isinstance(n.ctx, ast.Store)}
+
+
+def unused_imports(path):
+    """(line, name) of each name an import binds that its enclosing function, or the
+    module for a top-level import, never reads; from __future__ imports and lines marked
+    noqa: F401 are skipped."""
+    tree = parse(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    scopes = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        scope = node
+        while not isinstance(scope, _SCOPES):
+            scope = scopes[scope]
+        used = loaded_names(scope)
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def references(tree):
+    """Every name tree reads, as a bare name, an attribute or a from-import."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def private_definitions(tree):
+    """(line, name) of each _name a module binds at its top level, dunders excluded."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = unused_imports(path)
+    assert not unused, ", ".join(f"{path.name}:{line} imports {name} and never uses it"
+                                 for line, name in unused)
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    referenced = set().union(*(references(tree) for tree in trees.values()))
+    dead = [f"{name}:{line} {private}" for name, tree in trees.items()
+            for line, private in private_definitions(tree) if private not in referenced]
+    assert not dead, "defined and never referenced in the package: " + ", ".join(dead)
+
+
+def test_the_checks_catch_what_they_look_for(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import math\n"
+                      "import os.path\n"
+                      "from dataclasses import dataclass\n"
+                      "from .errors import BadAxis, reject  # noqa: F401\n"
+                      "import numpy as np\n"
+                      "_USED = np.pi\n"
+                      "_DEAD, _ALSO = 1, _USED\n\n"
+                      "def f():\n"
+                      "    from json import dumps\n"
+                      "    return math.tau\n\n"
+                      "def _helper():\n"
+                      "    return dataclass, dumps\n")
+    assert unused_imports(module) == [(3, "os"), (11, "dumps")]
+    tree = parse(module)
+    assert [name for _, name in private_definitions(tree)
+            if name not in references(tree)] == ["_DEAD", "_ALSO", "_helper"]

@@ -1,6 +1,7 @@
 """Spin coupling Hamiltonians, evolution, and weak-value amplification."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gravlink.config import load_config
 from gravlink.constants import C_LIGHT, EV, G_STD, HBAR, OMEGA_EARTH
 from gravlink.errors import BadAxis, OrthogonalSelection
 from gravlink.spin_weak import (
-    SpinCouplingParams,
     amplification_scan,
     constants_report,
     h_ext,
@@ -26,6 +27,7 @@ from gravlink.spin_weak import (
 from helpers import evolve, qubit
 
 TAN_147 = 9.88737489198555  # math.tan(1.47), frozen
+REPO = Path(__file__).resolve().parents[1]
 
 
 def herm_defect(h):
@@ -64,98 +66,111 @@ class TestPauli:
             pauli_dot([1.0, 2.0])
 
 
-class TestSpinCouplingParams:
-    def test_h_vec_derived(self):
-        p = SpinCouplingParams(g=G_STD, omega=(0.0, 0.0, OMEGA_EARTH))
-        np.testing.assert_allclose(
-            p.h_vec, [0.0, 0.0, -C_LIGHT * OMEGA_EARTH / G_STD], rtol=1e-15
-        )
-        assert abs(p.h_vec[2]) == pytest.approx(2229.2234, rel=1e-6)
+G_Z = (0.0, 0.0, G_STD)  # standard gravity along z, the weak scan's acceleration
 
-    def test_axis_normalized(self):
-        p = SpinCouplingParams(a_axis=(0.0, 0.0, 2.0))
-        np.testing.assert_allclose(p.a_axis, [0.0, 0.0, 1.0], rtol=1e-15)
-        np.testing.assert_allclose(p.acceleration, [0.0, 0.0, G_STD], rtol=1e-15)
+
+def _calls(name, value):
+    """Every coupling that takes the argument name, each called with value for it."""
+    sigma = dict(omega=(0.0, 0.0, OMEGA_EARTH), acceleration=G_Z, m=1.0, p=(1.0, 0.0, 0.0))
+    calls = []
+    if name in sigma:
+        calls.append(lambda: h_sigma(**{**sigma, name: value}))
+    if name in ("acceleration", "k"):
+        calls.append(lambda: h_ext(**{"acceleration": G_Z, "k": 1.0, name: value}))
+    if name == "exchange":
+        calls.append(lambda: two_spin_hamiltonian(np.zeros((2, 2)), value))
+    return calls
+
+
+class TestSpinCouplingParams:
+    """The spin couplings' parameters, checked by the functions that take them."""
 
     def test_invalid_inputs(self):
-        with pytest.raises(BadAxis):
-            SpinCouplingParams(a_axis=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            SpinCouplingParams(m=0.0)
-        for bad in (dict(g=0.0), dict(g=math.nan), dict(m=math.nan)):
-            with pytest.raises(ValueError):
-                SpinCouplingParams(**bad)
+        # a non-finite m is among test_non_finite_field_rejected's cases
+        for m in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^m must be positive and finite, got"):
+                h_sigma((0.0, 0.0, OMEGA_EARTH), G_Z, m=m)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["g", "m", "k", "exchange", "omega", "p"])
+    @pytest.mark.parametrize("name", ["m", "k", "exchange", "omega", "p", "acceleration"])
     def test_non_finite_field_rejected(self, name, bad):
-        value = (0.0, bad, 0.0) if name in ("omega", "p") else bad
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            SpinCouplingParams(**{name: value})
+        value = (0.0, bad, 0.0) if name in ("omega", "p", "acceleration") else bad
+        text = "positive and finite" if name == "m" else "finite"
+        for call in _calls(name, value):
+            with pytest.raises(ValueError, match=f"^{name} must be {text}, got"):
+                call()
 
-    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0),
-                                      (0.0, 0.0, 0.0)])
-    def test_axis_length_must_be_finite_and_positive(self, axis):
-        with pytest.raises(BadAxis, match="is not finite and positive"):
-            SpinCouplingParams(a_axis=axis)
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (2,)])
+    def test_single_must_be_2x2(self, shape):
+        with pytest.raises(ValueError, match="^single must be a 2x2 matrix, got shape"):
+            two_spin_hamiltonian(np.zeros(shape), 1e-40)
 
-    def test_h_vec_is_read_only(self):
-        p = SpinCouplingParams(omega=(1e-5, 0.0, 0.0))
-        with pytest.raises(AttributeError):
-            p.h_vec = np.zeros(3)
-        with pytest.raises(TypeError):
-            SpinCouplingParams(h_vec=(0.0, 0.0, 1.0))
+    def test_zero_acceleration_allowed(self):
+        zero = (0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(h_ext(zero), np.zeros((2, 2)))
+        np.testing.assert_array_equal(h_sigma((0.0, 0.0, 2.0), zero, p=(3.0, 0.0, 0.0)),
+                                      -HBAR * pauli(3))
 
 
 class TestSingleSpinHamiltonians:
     def test_rotation_splitting(self):
         # pure rotation about z: -(hbar w / 2) sigma_z, symmetric level pair
         w = 11.0
-        h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, w), k=0.0))
+        h = h_sigma((0.0, 0.0, w), G_Z)
         np.testing.assert_allclose(h, -0.5 * HBAR * w * pauli(3), rtol=1e-15)
         vals = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(vals, [-0.5 * HBAR * w, 0.5 * HBAR * w], rtol=1e-12)
 
     def test_earth_rotation_scale(self):
-        h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, OMEGA_EARTH)))
+        h = h_sigma((0.0, 0.0, OMEGA_EARTH), G_Z)
         top = float(np.max(np.linalg.eigvalsh(h)))
         assert top / HBAR == pytest.approx(3.64605795e-5, rel=1e-8)
 
     def test_zero_rotation_zero_momentum(self):
-        h = h_sigma(SpinCouplingParams())
+        h = h_sigma((0.0, 0.0, 0.0), G_Z)
         np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
     def test_momentum_term(self):
         # a along z, p along x: a x p points along y
         p_mag = 2.5
-        params = SpinCouplingParams(m=1.0, p=(p_mag, 0.0, 0.0))
+        h = h_sigma((0.0, 0.0, 0.0), G_Z, m=1.0, p=(p_mag, 0.0, 0.0))
         expected = HBAR * G_STD * p_mag / (4.0 * C_LIGHT**2) * pauli(2)
-        np.testing.assert_allclose(h_sigma(params), expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(h, expected, rtol=1e-14, atol=0.0)
 
     def test_momentum_parallel_to_acceleration_vanishes(self):
-        h = h_sigma(SpinCouplingParams(p=(0.0, 0.0, 7.0)))
+        h = h_sigma((0.0, 0.0, 0.0), G_Z, p=(0.0, 0.0, 7.0))
         np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
     def test_acceleration_coupling(self):
-        h = h_ext(SpinCouplingParams(k=1.0))
+        h = h_ext(G_Z, k=1.0)
         expected = 0.5 * HBAR * G_STD / C_LIGHT * pauli(3)
         np.testing.assert_allclose(h, expected, rtol=1e-15)
-        assert h_ext(SpinCouplingParams(k=0.0)) == pytest.approx(np.zeros((2, 2)))
-        np.testing.assert_allclose(
-            h_ext(SpinCouplingParams(k=2.0)), 2.0 * h, rtol=1e-15
-        )
+        assert h_ext(G_Z, k=0.0) == pytest.approx(np.zeros((2, 2)))
+        np.testing.assert_allclose(h_ext(G_Z, k=2.0), 2.0 * h, rtol=1e-15)
 
     def test_acceleration_energy_scale(self):
-        h = h_ext(SpinCouplingParams(k=1.0))
+        h = h_ext(G_Z, k=1.0)
         splitting = float(np.ptp(np.linalg.eigvalsh(h)))
         assert splitting / EV == pytest.approx(2.1531076e-23, rel=1e-6)
 
 
-def pair_of(params):
-    """exchange * sigma_x(x)sigma_x plus h_sigma + h_ext on each spin, written out."""
-    single = h_sigma(params) + h_ext(params)
-    return (params.exchange * np.kron(pauli(1), pauli(1))
+def pair_of(single, exchange):
+    """exchange * sigma_x(x)sigma_x plus single on each spin, written out."""
+    return (exchange * np.kron(pauli(1), pauli(1))
             + np.kron(single, np.eye(2)) + np.kron(np.eye(2), single))
+
+
+def coupling_of(omega, acceleration, k=1.0, m=1.0, p=(0.0, 0.0, 0.0)):
+    """The one-spin matrix of the pair, h_sigma + h_ext."""
+    return h_sigma(omega, acceleration, m=m, p=p) + h_ext(acceleration, k=k)
+
+
+def parallel_pair_spectrum(b, j):
+    """The pair's eigenvalues, ascending, when the one-spin matrix is b n.sigma with n
+    perpendicular to x: n.sigma(x)1 + 1(x)n.sigma is 0 on the exchange-odd states, so they
+    keep +-J, and +-2b on the exchange-even pair that J sigma_x(x)sigma_x couples."""
+    root = math.hypot(j, 2.0 * b)  # sqrt(J^2 + 4 b^2), which squares would underflow
+    return np.sort([-root, -j, j, root])
 
 
 _UNIT = st.floats(-10.0, 10.0)
@@ -165,13 +180,13 @@ class TestTwoSpinHamiltonian:
     def test_pure_exchange_limit(self):
         # no rotation and no acceleration coupling: only the exchange is left
         j = 4.0e-25
-        h = two_spin_hamiltonian(SpinCouplingParams(k=0.0, exchange=j))
+        h = two_spin_hamiltonian(coupling_of((0.0, 0.0, 0.0), G_Z, k=0.0), j)
         np.testing.assert_array_equal(h, j * np.kron(pauli(1), pauli(1)))
         vals = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(vals, [-j, -j, j, j], rtol=1e-12)
 
     def test_pure_acceleration_spectrum(self):
-        h = two_spin_hamiltonian(SpinCouplingParams(k=1.0, exchange=0.0))
+        h = two_spin_hamiltonian(coupling_of((0.0, 0.0, 0.0), G_Z, k=1.0), 0.0)
         unit = HBAR * G_STD / C_LIGHT
         vals = np.sort(np.linalg.eigvalsh(h))
         np.testing.assert_allclose(vals, [-unit, 0.0, 0.0, unit], atol=1e-12 * unit)
@@ -180,13 +195,11 @@ class TestTwoSpinHamiltonian:
         # the exchange sits on the acceleration scale, as in the shipped
         # scenario, so that it does not swamp the couplings in the norm
         omega = OMEGA_EARTH * np.array([math.sin(0.7), 0.0, math.cos(0.7)])
-        params = SpinCouplingParams(
-            g=G_STD, omega=tuple(omega), k=1.0, a_axis=(0.0, 0.0, 1.0),
-            exchange=3.45e-42,
-        )
-        expected = pair_of(params)
+        single = coupling_of(omega, G_Z, k=1.0)
+        expected = pair_of(single, 3.45e-42)
         scale = float(np.linalg.norm(expected))
-        assert float(np.linalg.norm(two_spin_hamiltonian(params) - expected)) <= 1e-12 * scale
+        assert float(np.linalg.norm(two_spin_hamiltonian(single, 3.45e-42) - expected)) \
+            <= 1e-12 * scale
 
     @settings(max_examples=200, deadline=None)
     @given(axis=st.tuples(_UNIT, _UNIT, _UNIT).filter(lambda v: math.hypot(*v) > 1e-3),
@@ -199,29 +212,53 @@ class TestTwoSpinHamiltonian:
         # every coupling is drawn in units that put it on the acceleration
         # scale hbar*g/c, so none of them hides below another's rounding:
         # omega in g/c, p in m*c, exchange in hbar*g/c
-        params = SpinCouplingParams(
-            g=g, omega=tuple(np.array(w) * g / C_LIGHT), k=k, m=m,
-            p=tuple(np.array(u) * m * C_LIGHT), a_axis=axis, exchange=e * HBAR * g / C_LIGHT,
-        )
-        expected = pair_of(params)
-        diff = float(np.linalg.norm(two_spin_hamiltonian(params) - expected))
+        single = coupling_of(np.array(w) * g / C_LIGHT, g * np.array(axis) / math.hypot(*axis),
+                             k=k, m=m, p=np.array(u) * m * C_LIGHT)
+        exchange = e * HBAR * g / C_LIGHT
+        expected = pair_of(single, exchange)
+        diff = float(np.linalg.norm(two_spin_hamiltonian(single, exchange) - expected))
         assert diff <= 1e-12 * float(np.linalg.norm(expected))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(phi=st.floats(-math.pi, math.pi), g=st.floats(0.1, 20.0), w=_UNIT, k=_UNIT,
+           e=_UNIT)
+    @example(phi=0.0, g=G_STD, w=1.0, k=1.0, e=0.0)
+    @example(phi=math.pi / 2.0, g=G_STD, w=0.0, k=0.0, e=1.0)
+    def test_parallel_couplings_give_the_closed_form_spectrum(self, phi, g, w, k, e):
+        # omega and a along one axis n in the y-z plane, every coupling on the scale
+        # hbar*g/c: omega in g/c, exchange in hbar*g/c; b = (hbar/2)(k g/c - omega). The
+        # matrix rounds b's two terms apart, so where they cancel the larger one sets the floor
+        n = np.array([0.0, math.cos(phi), math.sin(phi)])
+        scale = HBAR * g / C_LIGHT
+        b, j = 0.5 * scale * (k - w), e * scale
+        single = coupling_of(w * g / C_LIGHT * n, g * n, k=k)
+        vals = np.linalg.eigvalsh(two_spin_hamiltonian(single, j))
+        expected = parallel_pair_spectrum(b, j)
+        floor = max(abs(j), expected[-1], 0.5 * scale * max(abs(k), abs(w)))
+        assert np.max(np.abs(vals - expected)) <= 1e-13 * floor
+
+    def test_shipped_summary_eigenvalues_match_the_closed_form(self):
+        # the shipped weak scan's rotation and gravity both lie along z, perpendicular to x
+        spin = load_config(str(REPO / "scenarios" / "weakvalue_scan.yaml")).spin
+        assert spin.rotation[:2] == (0.0, 0.0)
+        b = 0.5 * HBAR * (spin.coupling_k * spin.gravity / C_LIGHT - spin.rotation[2])
+        summary = (REPO / "out" / "weakvalue_scan" / "summary.txt").read_text().splitlines()
+        (line,) = [x for x in summary if x.startswith("two-spin Hamiltonian eigenvalues [J]: ")]
+        expected = parallel_pair_spectrum(b, spin.exchange)
+        assert line.partition(": ")[2].split() == [f"{e:.6e}" for e in expected]
 
     def test_hermitian_on_random_parameters(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            params = SpinCouplingParams(
-                g=float(rng.uniform(0.1, 20.0)),
-                omega=tuple(rng.normal(0.0, 1e-4, 3)),
-                k=float(rng.normal(1.0, 0.5)),
-                m=float(rng.uniform(0.5, 2.0)),
-                p=tuple(rng.normal(0.0, 1.0, 3)),
-                exchange=float(rng.normal(0.0, 1e-24)),
-            )
-            for h in (h_sigma(params), h_ext(params), two_spin_hamiltonian(params)):
+            g = float(rng.uniform(0.1, 20.0))
+            omega = rng.normal(0.0, 1e-4, 3)
+            k = float(rng.normal(1.0, 0.5))
+            m = float(rng.uniform(0.5, 2.0))
+            p = rng.normal(0.0, 1.0, 3)
+            exchange = float(rng.normal(0.0, 1e-24))
+            hs = (h_sigma(omega, (0.0, 0.0, g), m=m, p=p), h_ext((0.0, 0.0, g), k=k))
+            for h in (*hs, two_spin_hamiltonian(hs[0] + hs[1], exchange)):
                 assert herm_defect(h) <= 1e-15 * max(1e-300, float(np.linalg.norm(h)))
-
-
 
 
 class TestEvolve:
@@ -232,12 +269,12 @@ class TestEvolve:
 
     def test_zero_time_identity(self):
         state = qubit(0.4, 1.1)
-        h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, 5.0)))
+        h = h_sigma((0.0, 0.0, 5.0), G_Z)
         np.testing.assert_allclose(evolve(state, h, 0.0), state, atol=1e-12)
 
     def test_half_precession_period_flips_transverse_state(self):
         w = 3.0
-        h = h_sigma(SpinCouplingParams(omega=(0.0, 0.0, w)))
+        h = h_sigma((0.0, 0.0, w), G_Z)
         plus_x = np.array([1.0, 1.0]) / math.sqrt(2.0)
         minus_x = np.array([1.0, -1.0]) / math.sqrt(2.0)
         fidelity = abs(np.vdot(minus_x, evolve(plus_x, h, math.pi / w)))
@@ -471,6 +508,7 @@ class TestConstantsReport:
         assert field.units == "T"
         ratio = by_name["rotation_to_acceleration_ratio"]
         assert ratio.value == pytest.approx(2229.2234, rel=1e-6)
+        assert ratio.value == pytest.approx(C_LIGHT * OMEGA_EARTH / G_STD, rel=1e-15)
         for row in rows:
             assert row.rel_deviation < 0.03
 
