@@ -300,11 +300,10 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
     noise = specs.get("noise")
     if noise:
-        from .interferometer import cascade_intensities, outcome_probabilities
+        from .interferometer import outcome_probabilities
 
         try:  # the window probabilities at the fringe maximum, checked as the draws check them
-            outcome_probabilities(cascade_intensities(0.0, noise.visibility), noise.efficiency,
-                                  noise.dark_rate)
+            outcome_probabilities(0.0, noise.visibility, noise.efficiency, noise.dark_rate)
         except ValueError:
             problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate "
                             "must be <= 1")

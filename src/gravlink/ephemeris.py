@@ -123,14 +123,14 @@ def _bulk(rows: list) -> np.ndarray | None:
     mag = np.array(list(map(math.hypot, *xyz)))
     sod, epochs = records["sod"], _epoch_seconds(records)
     ok = ((0.0 <= sod) & (sod < SECONDS_PER_DAY) & (_POS_MIN <= mag) & (mag <= _POS_MAX)
-          & (epochs > np.append(-math.inf, epochs[:-1])))
+          & np.isfinite(epochs) & (epochs > np.append(-math.inf, epochs[:-1])))
     return _read_only(records) if ok.all() else None
 
 
 def _by_line(line_nos: list, rows: list) -> list:
     """The rows as (mjd, sod, position) records, read one line at a time. Raises
     the first failing line's error: field count, then conversions of mjd, sod,
-    flag, leap flag, x, y, z, then sod range, position window, monotonicity."""
+    flag, leap flag, x, y, z, then sod range, position window, finite epoch, monotonicity."""
     records, last = [], -math.inf
     for no, tokens in zip(line_nos, rows):
         if len(tokens) != _RECORD_FIELDS:
@@ -148,6 +148,8 @@ def _by_line(line_nos: list, rows: list) -> list:
             raise MalformedRecord(no, f"|position| = {mag:.3e} m outside "
                                   f"sanity window [{_POS_MIN:.1e}, {_POS_MAX:.1e}]")
         epoch = mjd * SECONDS_PER_DAY + sod
+        if not math.isfinite(epoch):
+            raise MalformedRecord(no, f"epoch mjd*86400 + sod = {epoch} s is not finite")
         if epoch <= last:
             raise NonMonotonicTime(no, "record epochs must strictly increase")
         records.append((mjd, sod, position))
@@ -171,8 +173,9 @@ def parse_cpf(text: str) -> EphemerisTable:
     ------
     MalformedRecord
         A "10" line with the wrong field count, a non-numeric field (or an
-        mjd past float range), seconds-of-day outside [0, 86400), or a
-        position magnitude outside the 6.4e6..5e8 m sanity window.
+        mjd past float range), seconds-of-day outside [0, 86400), a position
+        magnitude outside the 6.4e6..5e8 m sanity window, or an epoch
+        mjd*86400 + sod past float range.
     NonMonotonicTime
         Record epochs not strictly increasing.
     EmptyEphemeris

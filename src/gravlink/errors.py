@@ -82,7 +82,7 @@ class SingularFit(GravlinkError):
 # --- spin / weak measurement ---
 
 class BadAxis(GravlinkError):
-    """Raised only by pauli (an axis other than 1, 2 or 3) and pauli_dot (not a 3-vector)."""
+    """Raised only by pauli (an axis not 1, 2 or 3), pauli_dot and h_sigma (not a 3-vector)."""
 
 
 class OrthogonalSelection(GravlinkError):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFit, reject
-from .interferometer import (FringeScan, _wrap_phase, cascade_intensities, draw_counts,
-                             fit_phase, outcome_probabilities)
+from .interferometer import FringeScan, _wrap_phase, draw_counts, fit_phase, outcome_probabilities
 # build_pass and build_link_geometry are unused here but stay bound: perfbench's
 # tracer resolves estimator.build_pass in this module (the forecast's
 # estimator.pass_self_s), and its tracer test reads estimator.build_link_geometry
@@ -140,9 +139,8 @@ def precision_forecast(geometries: LinkGeometry, scale: float, alpha: float,
     model_phase = np.stack([model.phi_sc, model.phi_gs], axis=-1)
     offsets = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
     if n_per_point > 0:
-        pvals = outcome_probabilities(
-            cascade_intensities(true_phase[..., None] + offsets, visibility),
-            efficiency, dark_rate)
+        pvals = outcome_probabilities(true_phase[..., None] + offsets, visibility, efficiency,
+                                      dark_rate)
 
     block = max(1, _BLOCK_POINTS // pulses)
     estimates = np.empty((3, trials))

@@ -12,15 +12,19 @@ interfere with relative phase phi:
 
 The complementary port carries (1/8)(1 - V cos phi) in its central window,
 so both ports plus all windows add to 1/2; the remaining half leaves the
-preparation interferometer's unused port and is never detected.
+preparation interferometer's unused port and is never detected. With link
+efficiency eta and a dark-click probability d per window per sent pulse,
+outcome_probabilities gives each setting's early, central and late clicks,
+eta/16 + d, (eta/8)(1 + V cos phi) + d and eta/16 + d, then no detection.
 
 Everything works on batches of scans, as kinematics does on batches of
-epochs. Window probabilities and counts hold (early, central, late) on
-their last axis. A FringeScan holds a batch of scans over one set of phase
-offsets: offsets (P,) and counts (..., P, 3). fit_phase fits every scan of
-the batch at once and returns (...,) arrays; one scan, counts (P, 3), gives
-scalars. An error in a batch names the first failing scan, as in
-"... at scan [3, 1]"; one scan keeps the bare message.
+epochs. Outcome probabilities hold (early, central, late, none) on their
+last axis, and counts (early, central, late). A FringeScan holds a batch of
+scans over one set of phase offsets: offsets (P,) and counts (..., P, 3).
+fit_phase fits every scan of the batch at once and returns (...,) arrays;
+one scan, counts (P, 3), gives scalars. An error in a batch names the
+first failing scan, as in "... at scan [3, 1]"; one scan keeps the bare
+message.
 """
 
 from __future__ import annotations
@@ -95,33 +99,21 @@ class PhaseFit(NamedTuple):
     visibility_hat: np.ndarray  # (...,)
 
 
-def cascade_intensities(phi, visibility: float = 1.0) -> np.ndarray:
-    """Arrival-window probabilities (..., 3) at the monitored port for the
-    phase(s) phi (...,): early, central, late (not normalized across ports)."""
+def outcome_probabilities(phi, visibility: float, efficiency: float,
+                          dark_rate: float = 0.0) -> np.ndarray:
+    """Multinomial probabilities (..., 4) of the early, central and late windows and
+    of no detection at the fringe phase(s) phi (...,), as the module docstring gives
+    them. ValueError unless visibility and efficiency lie in [0, 1], dark_rate >= 0
+    and each setting's window probabilities sum to <= 1."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    central = 0.125 * (1.0 + visibility * np.cos(np.asarray(phi, dtype=float)))
-    side = np.full_like(central, 0.0625)
-    return np.stack([side, central, side], axis=-1)
-
-
-def outcome_probabilities(intensities, link_efficiency: float,
-                          dark_rate: float = 0.0) -> np.ndarray:
-    """Multinomial probabilities (..., 4) of each setting's outcomes for window
-    intensities (..., 3): the early, central and late windows, then no detection.
-
-    A window clicks with p = intensity * link_efficiency + dark_rate, where
-    dark_rate is the background click probability per window per sent pulse.
-    Intensities must lie in [0, 3/8] and each setting's p must sum to <= 1.
-    """
-    if not 0.0 <= link_efficiency <= 1.0:
-        raise ValueError(f"link_efficiency must lie in [0, 1], got {link_efficiency}")
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     if dark_rate < 0.0:
         raise ValueError("dark_rate must be non-negative")
-    inten = np.asarray(intensities, dtype=float)
-    if ((inten < 0.0) | (inten > 0.375)).any():
-        raise ValueError("window intensities must lie in [0, 3/8]")
-    probs = inten * link_efficiency + dark_rate
+    central = 0.125 * (1.0 + visibility * np.cos(np.asarray(phi, dtype=float)))
+    side = np.full_like(central, 0.0625)
+    probs = np.stack([side, central, side], axis=-1) * efficiency + dark_rate
     p_any = probs.sum(axis=-1, keepdims=True)
     if (p_any > 1.0).any():
         raise ValueError(f"window probabilities sum to {p_any.max():.3f} > 1")
@@ -160,7 +152,7 @@ def fringe_scan(
     """
     offsets = np.asarray(phi_offsets, dtype=float)
     phases = np.asarray(base_phase, dtype=float)[..., None] + offsets
-    pvals = outcome_probabilities(cascade_intensities(phases, visibility), efficiency, dark_rate)
+    pvals = outcome_probabilities(phases, visibility, efficiency, dark_rate)
     counts = draw_counts(pvals, n_per_point, seed)
     return FringeScan(offsets, counts, n_per_point)
 

@@ -74,6 +74,9 @@ def h_sigma(omega, acceleration, m: float = 1.0, p=(0.0, 0.0, 0.0)) -> np.ndarra
     _check_finite(omega=omega, acceleration=acceleration, p=p)
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be positive and finite, got {m}")
+    for vector in (acceleration, p):  # np.cross would read a 2-vector as (x, y, 0)
+        if np.shape(vector) != (3,):
+            raise BadAxis(f"expected a 3-vector, got shape {np.shape(vector)}")
     return (-0.5 * HBAR * pauli_dot(omega)
             + HBAR / (4.0 * m * C_LIGHT**2) * pauli_dot(np.cross(acceleration, p)))
 

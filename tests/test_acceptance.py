@@ -12,7 +12,7 @@ from gravlink.constants import C_LIGHT, G_STD, R_EARTH
 from gravlink.ephemeris import EphemerisTrajectory, parse_cpf, serialize_cpf
 from gravlink.errors import GravlinkError
 from gravlink.estimator import build_pass, estimate_alpha, precision_forecast
-from gravlink.interferometer import cascade_intensities, draw_counts, outcome_probabilities
+from gravlink.interferometer import draw_counts, outcome_probabilities
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
@@ -180,18 +180,17 @@ def test_criterion_5_alpha_recovery_and_scaling():
 
 def test_criterion_6_three_peak_pattern():
     start = time.monotonic()
-    early, central, late = cascade_intensities(0.0, 1.0)
+    early, central, late, _ = outcome_probabilities(0.0, 1.0, 1.0)
     assert central / early == pytest.approx(4.0, abs=1e-12)
     assert central / late == pytest.approx(4.0, abs=1e-12)
 
     # p(central) is exactly zero at phi = pi, so the 5-sigma binomial
     # window around it at n = 1e6 is the single value zero
-    _, dark, _ = draw_counts(outcome_probabilities(cascade_intensities(math.pi, 1.0), 1.0),
-                             10**6, 99)
+    _, dark, _ = draw_counts(outcome_probabilities(math.pi, 1.0, 1.0), 10**6, 99)
     assert dark == 0
 
     for vis in (0.7, 1.0):
-        peaks = cascade_intensities(np.linspace(0.0, 2.0 * math.pi, 97), vis)
+        peaks = outcome_probabilities(np.linspace(0.0, 2.0 * math.pi, 97), vis, 1.0)
         assert np.all(np.abs(peaks[:, 0] - 0.0625) <= 1e-12)
         assert np.all(np.abs(peaks[:, 2] - 0.0625) <= 1e-12)
 

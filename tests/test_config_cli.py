@@ -32,7 +32,10 @@ from gravlink import __version__
 from gravlink.cli import _table, main
 from gravlink.config import MODES, load_config, validate_config
 from gravlink.constants import C_LIGHT
-from gravlink.errors import ConfigInvalid, FileUnreadable
+from gravlink.ephemeris import EphemerisTable, EphemerisTrajectory, parse_cpf
+from gravlink.errors import BadAltitude, ConfigInvalid, FileUnreadable
+from gravlink.interferometer import outcome_probabilities
+from gravlink.kinematics import GroundStation, build_pass
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.yaml"))
@@ -286,6 +289,31 @@ spin:
         cfg = SMALL_FRINGE.format(out="out", vis="1.0") + f"  dark_rate: {dark_rate}\n"
         problems = validate_config(write_yaml(tmp_path, cfg))
         assert [p.split(":")[0] for p in problems] == ([] if valid else ["noise"])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(visibility=1.0, efficiency=0.9923887631356604, dark_rate=0.2092847379413758)
+    @given(visibility=st.floats(0.0, 1.0), efficiency=st.floats(0.0, 1.0),
+           dark_rate=st.one_of(st.floats(0.0, 0.4), st.integers(-4, 4)))
+    def test_noise_window_violation_is_what_the_draws_reject(self, visibility, efficiency,
+                                                             dark_rate):
+        # an integer k stands for the dark rate k ulps from where the window sum reaches 1
+        if isinstance(dark_rate, int):
+            edge = (1.0 - efficiency * (0.25 + 0.125 * visibility)) / 3.0
+            dark_rate = edge + dark_rate * math.ulp(edge)
+        try:
+            outcome_probabilities(0.0, visibility, efficiency, dark_rate)
+            rejected = []
+        except ValueError:
+            rejected = ["noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate must be <= 1"]
+        tree = {"mode": "fringe-demo", "seed": 7, "output_dir": "out",
+                "fringe": {"base_phase_rad": 0.7, "scan_points": 8, "n_per_point": 20000},
+                "noise": {"visibility": visibility, "efficiency": efficiency,
+                          "dark_rate": dark_rate}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(tree, fh)
+            assert validate_config(path) == rejected
 
     def test_window_sum_just_over_one_exits_two(self, tmp_path, monkeypatch, capsys):
         # 0.375 * efficiency + 3 * dark_rate rounds to <= 1 here, but the window probabilities
@@ -1013,33 +1041,52 @@ class TestCliRuns:
         return write_yaml(tmp_path, cfg.replace("t_start_s: 300.0", "t_start_s: 0.0"),
                           f"{name}.yaml"), tmp_path / name
 
-    def test_infinite_epoch_in_a_window_the_pass_never_uses(self, tmp_path, monkeypatch):
+    def test_infinite_epoch_is_a_malformed_record(self, tmp_path, monkeypatch, capsys):
+        # an mjd of 305 nines puts the last record at epoch inf, where no later record's
+        # monotonicity check catches it: validate once accepted it and run exited 3 with
+        # "|position| = nan", after two numpy warnings
+        path, out = self.infinite_epoch_pass(tmp_path, "infinite", 5, "9" * 305)
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", path]) == 2
+            assert main(["run", path]) == 3
+        problem = "line 5: epoch mjd*86400 + sod = inf s is not finite\n"
+        assert capsys.readouterr().err == (f"violation: orbit.ephemeris_path: MalformedRecord: "
+                                           f"{problem}error[MalformedRecord]: {problem}")
+        assert not out.exists()
+
+    @staticmethod
+    def infinite_epoch_pass_geometry(records, mjd):
+        """The link geometry of a [0, 200] s pass over the sample CPF's first records, the
+        last one at mjd: parse_cpf refuses an infinite epoch, so the table is built from
+        the records, which can still hold one."""
+        table = parse_cpf(SAMPLE_CPF.read_text(encoding="utf-8"))
+        rows = table.records[:records].copy()
+        rows["mjd"][-1] = mjd
+        trajectory = EphemerisTrajectory(EphemerisTable(rows))
+        return build_pass(GroundStation(0.0, 0.0), trajectory, 0.0, 200.0, 6)[1]
+
+    def test_infinite_epoch_in_a_window_the_pass_never_uses(self):
         # an mjd of 305 nines puts the last of 10 records at epoch inf; the sweep uses only
         # the first 8-node window, so the trajectory's denominators of the window with the
         # infinite epoch must not warn, and the pass is that over the finite table
-        for name, mjd in (("finite", "61267"), ("infinite", "9" * 305)):
-            path, out = self.infinite_epoch_pass(tmp_path, name, 10, mjd)
-            monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert main(["validate", path]) == 0
-                assert main(["run", path]) == 0
-            assert [str(w.message) for w in caught] == []
-        for name in ("pass_sweep.txt", "summary.txt"):
-            assert ((tmp_path / "infinite" / name).read_bytes()
-                    == (tmp_path / "finite" / name).read_bytes())
-
-    def test_infinite_epoch_in_the_only_window(self, tmp_path, monkeypatch, capsys):
-        # with 5 records the one window holds the infinite epoch: the basis is nan and run
-        # names the first nan position; only the basis's own products warn
-        path, out = self.infinite_epoch_pass(tmp_path, "infinite", 5, "9" * 305)
-        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["validate", path]) == 0
-            assert main(["run", path]) == 3
-        assert capsys.readouterr().err == ("error[BadAltitude]: |position| = nan m is below "
-                                           "6.3e+06 m at epoch [0] (t = 0 s)\n")
+            finite, infinite = (self.infinite_epoch_pass_geometry(10, mjd)
+                                for mjd in (61267.0, float("9" * 305)))
+        assert [str(w.message) for w in caught] == []
+        for name in (f.name for f in dataclasses.fields(finite)):
+            np.testing.assert_array_equal(getattr(infinite, name), getattr(finite, name))
+
+    def test_infinite_epoch_in_the_only_window(self):
+        # with 5 records the one window holds the infinite epoch: the basis is nan and the
+        # pass names the first nan position; only the basis's own products warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BadAltitude) as raised:
+                self.infinite_epoch_pass_geometry(5, float("9" * 305))
+        assert str(raised.value) == "|position| = nan m is below 6.3e+06 m at epoch [0] (t = 0 s)"
         assert {str(w.message) for w in caught} == {"invalid value encountered in multiply",
                                                     "invalid value encountered in divide"}
 

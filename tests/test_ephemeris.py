@@ -408,6 +408,8 @@ def reference_parse_cpf(text):
                 line_no, f"|position| = {mag:.3e} m outside sanity window [6.4e+06, 5.0e+08]"
             )
         epoch = mjd * SECONDS_PER_DAY + sod
+        if not math.isfinite(epoch):
+            raise MalformedRecord(line_no, f"epoch mjd*86400 + sod = {epoch} s is not finite")
         if epoch <= last_epoch:
             raise NonMonotonicTime(line_no, "record epochs must strictly increase")
         last_epoch = epoch
@@ -487,15 +489,21 @@ class TestReferenceParser:
         # two mjd beyond int64: 60 s is below the spacing of floats near 8.6e23 s
         (["10 0 10000000000000000001 0.0 0 7000000.0 0.0 0.0",
           "10 0 10000000000000000001 60.0 0 7000000.0 1.0 0.0"], NonMonotonicTime, 2),
+        # an mjd of 305 nines puts the epoch at inf, and its negative at -inf: each is named
+        # before the monotonicity rule could (or, as the last record, could not) catch it
+        ([GOOD.format(sod=0.0, y=0.0), "10 0 " + "9" * 305 + " 30.0 0 7000000.0 0.0 0.0"],
+         MalformedRecord, 2),
+        (["10 0 -" + "9" * 305 + " 30.0 0 7000000.0 0.0 0.0"], MalformedRecord, 1),
     ])
     def test_first_failing_line_is_named(self, lines, error, line_number):
         exc = assert_matches_reference("\n".join(lines))
         assert type(exc) is error
         assert exc.line_number == line_number
 
-    @pytest.mark.parametrize("mjd", ["10000000000000000001", "-9223372036854775809", "9" * 305])
+    @pytest.mark.parametrize("mjd", ["10000000000000000001", "-9223372036854775809", "9" * 303])
     def test_mjd_beyond_int64_parses_as_before(self, mjd):
-        # one record; an mjd past 2e303 puts the epoch at inf, and its relative epoch at nan
+        # one record; 303 nines keep the epoch (8.6e307 s) finite, while an mjd past 2e303
+        # puts it at inf, a malformed record (test_first_failing_line_is_named)
         table = assert_matches_reference(f"10 0 {mjd} 30.0 0 7000000.0 0.0 0.0")
         assert table.records["mjd"][0] == float(int(mjd))
 
@@ -514,9 +522,19 @@ def record_rows(text):
     return [no for no, _ in numbered], [tokens for _, tokens in numbered]
 
 
+def infinite_epoch_texts():
+    """The sample CPF with an mjd of 305 nines (epoch inf) on its last record, where no
+    later record's monotonicity check catches it, and with its negative on the first."""
+    lines = SAMPLE_CPF.read_text(encoding="utf-8").splitlines()
+    records = [no for no, line in enumerate(lines) if line.startswith("10 ")]
+    for no, mjd in ((records[-1], "9" * 305), (records[0], "-" + "9" * 305)):
+        tokens = lines[no].split()
+        yield "\n".join(lines[:no] + [" ".join(tokens[:2] + [mjd] + tokens[3:])] + lines[no + 1:])
+
+
 def test_bulk_accepts_exactly_what_the_line_pass_accepts():
     accepted = 0
-    for text in cpf_mutations():
+    for text in [*cpf_mutations(), *infinite_epoch_texts()]:
         line_nos, rows = record_rows(text)
         records = _bulk(rows)
         try:

@@ -1,4 +1,5 @@
-"""Three-peak cascade intensities, photon counting, and fringe fitting."""
+"""The detection model (outcome probabilities at fringe phases), photon counting,
+and fringe fitting."""
 
 import math
 import re
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravlink.cli import _table, main
 from gravlink.errors import DegenerateVisibility, FitDiverged, InsufficientScan
 from gravlink.interferometer import (
     FringeScan,
     _wrap_phase,
-    cascade_intensities,
     draw_counts,
     fit_phase,
     fringe_scan,
@@ -28,12 +29,18 @@ EIGHT_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 FOUR_POINT_SCAN = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
 
 
+def window_intensities(phi, visibility):
+    """The module docstring's early, central and late intensities (..., 3): the window
+    probabilities at efficiency 1 and no dark counts."""
+    return outcome_probabilities(phi, visibility, 1.0)[..., :3]
+
+
 def noiseless_scan(phi_offsets, base_phase, visibility, n_per_point, efficiency=1.0):
     """Expected counts rounded to integers, no shot noise; shapes as fringe_scan."""
     offsets = np.asarray(phi_offsets, dtype=float)
-    inten = cascade_intensities(np.asarray(base_phase, dtype=float)[..., None] + offsets,
-                                visibility)
-    return FringeScan(offsets, np.rint(inten * efficiency * n_per_point), n_per_point)
+    pvals = outcome_probabilities(np.asarray(base_phase, dtype=float)[..., None] + offsets,
+                                  visibility, efficiency)
+    return FringeScan(offsets, np.rint(pvals[..., :3] * n_per_point), n_per_point)
 
 
 def binomial_root_weights(scan):
@@ -107,23 +114,23 @@ def exact_fit(offsets, counts, n_sent):
 
 class TestCascadeIntensities:
     def test_bright_fringe(self):
-        early, central, late = cascade_intensities(0.0, 1.0)
+        early, central, late = window_intensities(0.0, 1.0)
         assert central == pytest.approx(0.25, abs=1e-15)
         assert early == pytest.approx(0.0625, abs=1e-15)
         assert late == pytest.approx(0.0625, abs=1e-15)
         assert central / early == pytest.approx(4.0, abs=1e-12)
 
     def test_dark_fringe(self):
-        early, central, _ = cascade_intensities(math.pi, 1.0)
+        early, central, _ = window_intensities(math.pi, 1.0)
         assert abs(central) < 1e-16
         assert early == pytest.approx(0.0625, abs=1e-15)
 
     def test_zero_visibility(self):
-        central = cascade_intensities(np.array([0.0, 1.0, 2.5]), 0.0)[:, 1]
+        central = window_intensities(np.array([0.0, 1.0, 2.5]), 0.0)[:, 1]
         np.testing.assert_allclose(central, 0.125, atol=1e-15)
 
     def test_side_peaks_phase_independent(self):
-        peaks = cascade_intensities(np.linspace(-4.0, 8.0, 97), 0.7)
+        peaks = window_intensities(np.linspace(-4.0, 8.0, 97), 0.7)
         assert np.ptp(peaks[:, 0]) < 1e-12
         assert np.ptp(peaks[:, 2]) < 1e-12
 
@@ -132,26 +139,42 @@ class TestCascadeIntensities:
         # the two monitored ports carry half the light, the rest exits
         # the preparation interferometer's unused port
         phi = np.linspace(0.0, 2.0 * math.pi, 23)
-        here = cascade_intensities(phi, 1.0).sum(axis=-1)
-        there = cascade_intensities(phi + math.pi, 1.0).sum(axis=-1)
+        here = window_intensities(phi, 1.0).sum(axis=-1)
+        there = window_intensities(phi + math.pi, 1.0).sum(axis=-1)
         np.testing.assert_allclose(here + there, 0.5, atol=1e-12)
 
     def test_central_capped_at_quarter(self):
-        central = cascade_intensities(np.linspace(0.0, 2.0 * math.pi, 50), 1.0)[:, 1]
+        central = window_intensities(np.linspace(0.0, 2.0 * math.pi, 50), 1.0)[:, 1]
         assert np.all((0.0 <= central) & (central <= 0.25))
 
     def test_batch_shape(self):
-        assert cascade_intensities(np.zeros((5, 2, 8)), 0.9).shape == (5, 2, 8, 3)
+        assert outcome_probabilities(np.zeros((5, 2, 8)), 0.9, 1.0).shape == (5, 2, 8, 4)
 
     def test_visibility_bound(self):
-        with pytest.raises(ValueError):
-            cascade_intensities(0.0, 1.5)
-        with pytest.raises(ValueError):
-            cascade_intensities(0.0, -0.1)
+        for visibility in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="^visibility must lie in"):
+                outcome_probabilities(0.0, visibility, 1.0)
 
-    def test_intensity_window(self):
-        with pytest.raises(ValueError):
-            draw_counts(outcome_probabilities(np.array([0.5, 0.1, 0.0625]), 1.0), 100, 1)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(phi=np.array([0.0, math.pi]), visibility=1.0, efficiency=1.0, dark_share=0.99)
+    @given(
+        phi=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                       elements=st.floats(-50.0, 50.0)),
+        visibility=st.floats(0.0, 1.0),
+        efficiency=st.floats(0.0, 1.0),
+        dark_share=st.floats(0.0, 0.99),
+    )
+    def test_matches_the_closed_forms(self, phi, visibility, efficiency, dark_share):
+        # dark_share of the largest dark rate that keeps every window sum <= 1
+        dark_rate = dark_share * (1.0 - 0.375 * efficiency) / 3.0
+        probs = outcome_probabilities(phi, visibility, efficiency, dark_rate)
+        assert probs.shape == (*phi.shape, 4)
+        side = efficiency / 16.0 + dark_rate
+        central = efficiency / 8.0 * (1.0 + visibility * np.cos(phi)) + dark_rate
+        want = np.stack([np.full_like(central, side), central, np.full_like(central, side)], -1)
+        want = np.concatenate([want, 1.0 - want.sum(axis=-1, keepdims=True)], axis=-1)
+        assert np.all(np.abs(probs - want) <= 4.0 * np.spacing(want))
+        assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-15)
 
 
 class TestFringeScanCounts:
@@ -215,56 +238,52 @@ class TestSimulateCounts:
     """Shot-noise counts: draw_counts(outcome_probabilities(...))."""
 
     def test_zero_efficiency(self):
-        counts = draw_counts(outcome_probabilities(cascade_intensities(0.0, 1.0), 0.0), 1000, 1)
+        counts = draw_counts(outcome_probabilities(0.0, 1.0, 0.0), 1000, 1)
         assert counts.tolist() == [0, 0, 0]
 
     def test_bright_fringe_statistics(self):
         n = 10**6
-        early, central, _ = draw_counts(
-            outcome_probabilities(cascade_intensities(0.0, 1.0), 1.0), n, 42)
+        early, central, _ = draw_counts(outcome_probabilities(0.0, 1.0, 1.0), n, 42)
         sigma = math.sqrt(0.25 * 0.75 * n)
         assert abs(central - 0.25 * n) < 5.0 * sigma
         sigma_side = math.sqrt(0.0625 * 0.9375 * n)
         assert abs(early - 0.0625 * n) < 5.0 * sigma_side
 
     def test_deterministic_under_seed(self):
-        peaks = cascade_intensities(0.7, 0.9)
-        a = draw_counts(outcome_probabilities(peaks, 0.3, 1e-4), 5000, 123)
-        b = draw_counts(outcome_probabilities(peaks, 0.3, 1e-4), 5000, 123)
+        a = draw_counts(outcome_probabilities(0.7, 0.9, 0.3, 1e-4), 5000, 123)
+        b = draw_counts(outcome_probabilities(0.7, 0.9, 0.3, 1e-4), 5000, 123)
         np.testing.assert_array_equal(a, b)
 
     def test_total_bounded_by_sent(self):
-        peaks = cascade_intensities(np.zeros(20), 1.0)
-        counts = draw_counts(outcome_probabilities(peaks, 1.0, 0.1), 200, 0)
+        counts = draw_counts(outcome_probabilities(np.zeros(20), 1.0, 1.0, 0.1), 200, 0)
         assert np.all(counts.sum(axis=-1) <= 200)
 
     def test_dark_counts_have_mean_rate(self):
         # efficiency 0 leaves only background clicks
         n, rate = 10**6, 1e-3
-        _, central, _ = draw_counts(
-            outcome_probabilities(cascade_intensities(0.0, 1.0), 0.0, rate), n, 7)
+        _, central, _ = draw_counts(outcome_probabilities(0.0, 1.0, 0.0, rate), n, 7)
         sigma = math.sqrt(rate * n)
         assert abs(central - rate * n) < 5.0 * sigma
 
     def test_overcommitted_probability_rejected(self):
-        peaks = cascade_intensities(0.0, 1.0)
         with pytest.raises(ValueError):
-            draw_counts(outcome_probabilities(peaks, 1.0, 0.4), 100, 1)
+            draw_counts(outcome_probabilities(0.0, 1.0, 1.0, 0.4), 100, 1)
         with pytest.raises(ValueError):
-            draw_counts(outcome_probabilities(peaks, 1.0, -0.1), 100, 1)
+            draw_counts(outcome_probabilities(0.0, 1.0, 1.0, -0.1), 100, 1)
         with pytest.raises(ValueError):
-            draw_counts(outcome_probabilities(peaks, 1.0), 0, 1)
+            draw_counts(outcome_probabilities(0.0, 1.0, 1.0), 0, 1)
 
     def test_generator_seed_accepted(self):
         rng = np.random.default_rng(5)
-        counts = draw_counts(outcome_probabilities(cascade_intensities(0.0, 1.0), 1.0), 1000, rng)
+        counts = draw_counts(outcome_probabilities(0.0, 1.0, 1.0), 1000, rng)
         assert counts.shape == (3,) and counts.sum() <= 1000
 
     def test_one_draw_in_c_order(self):
         # the batch is one multinomial call: the same Generator drawing the
         # settings one by one, in C order, gives the same counts
-        peaks = cascade_intensities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8)
-        batch = draw_counts(outcome_probabilities(peaks, 0.7, 1e-3), 5000, (4, 2))
+        phases = np.linspace(0.0, 3.0, 6).reshape(3, 2)
+        batch = draw_counts(outcome_probabilities(phases, 0.8, 0.7, 1e-3), 5000, (4, 2))
+        peaks = window_intensities(phases, 0.8)
         rng = np.random.default_rng((4, 2))
         for index in np.ndindex(3, 2):
             probs = peaks[index] * 0.7 + 1e-3
@@ -273,9 +292,8 @@ class TestSimulateCounts:
 
     def test_draw_counts_seeds_one_generator(self):
         # a forecast trial: its counts are what its own SeedSequence draws alone
-        peaks = cascade_intensities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8)
         seed = np.random.SeedSequence((7, 3))
-        pvals = outcome_probabilities(peaks, 0.7, 1e-3)
+        pvals = outcome_probabilities(np.linspace(0.0, 3.0, 6).reshape(3, 2), 0.8, 0.7, 1e-3)
         counts = draw_counts(pvals, 5000, seed)
         assert counts.shape == (3, 2, 3)
         np.testing.assert_array_equal(
@@ -321,15 +339,15 @@ class TestFringeScan:
         base = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
         scan = fringe_scan(EIGHT_POINT_SCAN, base, 0.9, 4000, 0.8, seed=(5, 1), dark_rate=1e-4)
         assert scan.counts.shape == (3, 2, 8, 3)
-        peaks = cascade_intensities(base[..., None] + EIGHT_POINT_SCAN, 0.9)
-        expected = draw_counts(outcome_probabilities(peaks, 0.8, 1e-4), 4000, (5, 1))
+        pvals = outcome_probabilities(base[..., None] + EIGHT_POINT_SCAN, 0.9, 0.8, 1e-4)
+        expected = draw_counts(pvals, 4000, (5, 1))
         np.testing.assert_array_equal(scan.counts, expected)
 
     def test_noiseless_scan_matches_expectation(self):
         scan = noiseless_scan(FULL_SCAN, 0.0, 1.0, 1600, efficiency=0.5)
         for central, offset in zip(scan.counts[:, 1], FULL_SCAN):
-            inten = cascade_intensities(float(offset), 1.0)[1]
-            assert central == round(inten * 0.5 * 1600)
+            central_p = outcome_probabilities(float(offset), 1.0, 0.5)[1]
+            assert central == round(central_p * 1600)
 
 
 class TestFitPhase:

@@ -105,6 +105,15 @@ class TestSpinCouplingParams:
         with pytest.raises(ValueError, match="^single must be a 2x2 matrix, got shape"):
             two_spin_hamiltonian(np.zeros(shape), 1e-40)
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), ()], ids=str)
+    @pytest.mark.parametrize("name", ["acceleration", "p"])
+    def test_vectors_must_have_three_entries(self, name, shape):
+        # np.cross would read a 2-vector as (x, y, 0) and refuse a 4-vector with its own error
+        for call in _calls(name, np.ones(shape)):
+            with pytest.raises(BadAxis) as raised:
+                call()
+            assert str(raised.value) == f"expected a 3-vector, got shape {shape}"
+
     def test_zero_acceleration_allowed(self):
         zero = (0.0, 0.0, 0.0)
         np.testing.assert_array_equal(h_ext(zero), np.zeros((2, 2)))
