@@ -28,7 +28,6 @@ from .errors import ConfigInvalid, FileUnreadable, GravlinkError
 from .kinematics import _norm, build_pass
 from .link_model import (
     expanded_signal,
-    first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
     phase_scale,
@@ -124,7 +123,7 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
                               cfg.sweep.n_epochs)
     pair = phase_pair(geom, scale, alpha)
     du = geom.U2 - geom.U1
-    doppler_phase = scale * first_order_doppler_shift(geom)
+    doppler_phase = scale * (geom.d1 - geom.d2)
     expanded = scale * expanded_signal(geom, alpha)
     resid = pair.s_signal - expanded
     table = _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "

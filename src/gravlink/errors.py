@@ -54,8 +54,7 @@ class NoConvergence(GravlinkError):
 
 
 class DegenerateGeometry(GravlinkError):
-    """Link endpoints coincide, a light direction is not a unit vector, or a
-    relativistic denominator fell below 0.5, so the ratio evaluation is unsafe."""
+    """Link endpoints coincide or a light direction is not a unit vector."""
 
 
 # --- photon counting and fringe fitting ---

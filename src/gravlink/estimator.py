@@ -81,7 +81,7 @@ def estimate_alpha(rows, geometries: LinkGeometry, scale: float,
         raise ValueError(f"{rows.shape[-2]} epochs of measurements must align with "
                          f"{len(geometries)} geometries")
     phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
-    if np.any(sig_sc <= 0.0) or np.any(sig_gs <= 0.0):
+    if not (np.all(sig_sc > 0.0) and np.all(sig_gs > 0.0)):
         raise ValueError("phase uncertainties must be positive")
     x = geometries.U2 - geometries.U1
     y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geometries)

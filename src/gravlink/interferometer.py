@@ -109,7 +109,7 @@ def outcome_probabilities(phi, visibility: float, efficiency: float,
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
-    if dark_rate < 0.0:
+    if not dark_rate >= 0.0:
         raise ValueError("dark_rate must be non-negative")
     central = 0.125 * (1.0 + visibility * np.cos(np.asarray(phi, dtype=float)))
     side = np.full_like(central, 0.0625)

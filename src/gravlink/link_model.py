@@ -12,11 +12,11 @@ and the combination s = phi_sc - phi_gs/2 cancels first-order Doppler,
 leaving the (1+alpha)-scaled potential difference plus small kinematic
 terms.
 
-Every function of the geometry takes a LinkGeometry batch and returns one
-value per epoch, (N,).
+phase_pair, velocity_terms and expanded_signal take a LinkGeometry batch
+and return one value per epoch, (N,).
 
-Numerical note: the ratios sit within ~1e-10 of unity, so every function
-here evaluates ratio - 1 from rearranged differences instead of forming
+Numerical note: the ratios sit within ~1e-10 of unity, so phase_pair
+evaluates each ratio - 1 from rearranged differences instead of forming
 the ratio and subtracting. Naive evaluation loses six digits, which is
 fatal at the 1e-15 tolerances the phase combination must hold.
 
@@ -33,11 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DegenerateGeometry, reject
 from .kinematics import LinkGeometry, _dot
 
 _TWO_PI = 2.0 * math.pi
-_MIN_DENOMINATOR = 0.5  # ratio denominators must stay near 1
 
 
 def phase_scale(lambda0: float, tau_l: float) -> float:
@@ -75,74 +73,37 @@ def gravitational_phase(scale: float, g: float, h: float, alpha: float = 0.0) ->
     for an 800 nm laser, a 6 km vacuum delay, and a 400 km orbit.
     """
     _check_alpha(alpha)
-    if h < 0.0:
+    if not 0.0 <= h < math.inf:
         raise ValueError("height must be non-negative")
-    if g <= 0.0:
+    if not 0.0 < g < math.inf:
         raise ValueError("g must be positive")
     return (1.0 + alpha) * scale * g * h / C_LIGHT**2
 
 
-def _check_denominator(value, label: str) -> None:
-    reject(np.asarray(value) < _MIN_DENOMINATOR, DegenerateGeometry,
-           f"{label} = {{:.6f}} below trusted region (>= {_MIN_DENOMINATOR})", value)
+def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePair:
+    """Exact fringe phases at both terminals and the combined signal; scale is
+    phase_scale's omega0 * tau_l.
 
-
-def _potential_term_minus_one(geom: LinkGeometry, alpha: float):
-    """(time-dilation factor ratio) - 1, alpha scaling the potential part."""
+    The uplink ratio is the time-dilation factor (alpha scaling its potential
+    part) times the uplink Doppler factor (1 - n12.beta2)/(1 - n12.beta1); the
+    round trip is that Doppler factor times the downlink one
+    (1 - n23.beta3)/(1 - n23.beta2), with no potential factor, because
+    emission and final detection both happen at the station (at U1). Each
+    factor - 1 (a, b, c) is formed once, and each ratio - 1 as x + b + x*b.
+    LinkGeometry's checks (|beta| < 4e-5, 0 < U < 1e-8, |n| = 1 +- 1e-9)
+    keep 1 - U2 - |beta2|^2/2 above 1 - 1.1e-8 and 1 - n12.beta1 and
+    1 - n23.beta2 above 1 - 4.0001e-5, so no denominator can approach zero.
+    """
     _check_alpha(alpha)
     b1_sq = _dot(geom.beta1, geom.beta1)
     b2_sq = _dot(geom.beta2, geom.beta2)
-    denominator = 1.0 - geom.U2 - 0.5 * b2_sq
-    _check_denominator(denominator, "time-dilation denominator")
-    numerator = (1.0 + alpha) * (geom.U2 - geom.U1) + 0.5 * (b2_sq - b1_sq)
-    return numerator / denominator
-
-
-def _uplink_doppler_minus_one(geom: LinkGeometry):
-    """((1 - n12.beta2)/(1 - n12.beta1)) - 1."""
-    denominator = 1.0 - geom.d1
-    _check_denominator(denominator, "uplink Doppler denominator")
-    return (geom.d1 - geom.d2) / denominator
-
-
-def _downlink_doppler_minus_one(geom: LinkGeometry):
-    """((1 - n23.beta3)/(1 - n23.beta2)) - 1."""
+    a = (((1.0 + alpha) * (geom.U2 - geom.U1) + 0.5 * (b2_sq - b1_sq))
+         / (1.0 - geom.U2 - 0.5 * b2_sq))
+    b = (geom.d1 - geom.d2) / (1.0 - geom.d1)
     e2 = _dot(geom.n23, geom.beta2)
-    denominator = 1.0 - e2
-    _check_denominator(denominator, "downlink Doppler denominator")
-    return (e2 - geom.d3) / denominator
-
-
-def uplink_fractional_shift(geom: LinkGeometry, alpha: float = 0.0):
-    """(uplink frequency ratio) - 1, evaluated without cancellation loss."""
-    a = _potential_term_minus_one(geom, alpha)
-    b = _uplink_doppler_minus_one(geom)
-    return a + b + a * b
-
-
-def roundtrip_fractional_shift(geom: LinkGeometry):
-    """(round-trip frequency ratio) - 1, evaluated without cancellation loss.
-
-    Potential factors are absent: emission and final detection happen at
-    the same potential, so the two gravitational shifts cancel exactly.
-    This assumes the ground station is the common endpoint of both legs.
-    """
-    c = _downlink_doppler_minus_one(geom)
-    b = _uplink_doppler_minus_one(geom)
-    return c + b + c * b
-
-
-def redshift_fraction(alpha: float, u1: float, u2: float):
-    """Fractional frequency shift (1 + alpha)(U2 - U1) of the bare red-shift."""
-    _check_alpha(alpha)
-    return (1.0 + alpha) * (u2 - u1)
-
-
-def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePair:
-    """Exact fringe phases at both terminals and the combined signal; scale is
-    phase_scale's omega0 * tau_l."""
-    phi_sc = scale * uplink_fractional_shift(geom, alpha)
-    phi_gs = scale * roundtrip_fractional_shift(geom)
+    c = (e2 - geom.d3) / (1.0 - e2)
+    phi_sc = scale * (a + b + a * b)
+    phi_gs = scale * (c + b + c * b)
     return PhasePair(phi_sc=phi_sc, phi_gs=phi_gs, s_signal=phi_sc - 0.5 * phi_gs)
 
 
@@ -166,9 +127,5 @@ def expanded_signal(geom: LinkGeometry, alpha: float = 0.0):
     (1 + alpha)(U2 - U1) + 0.5|beta1 - beta2|^2 - (d1 - d2)^2
     - T n12.a1/c. Agrees with the exact pipeline to O(beta^3).
     """
-    return redshift_fraction(alpha, geom.U1, geom.U2) + velocity_terms(geom)
-
-
-def first_order_doppler_shift(geom: LinkGeometry):
-    """Leading line-of-sight Doppler part of the uplink shift, d1 - d2."""
-    return geom.d1 - geom.d2
+    _check_alpha(alpha)
+    return (1.0 + alpha) * (geom.U2 - geom.U1) + velocity_terms(geom)

@@ -20,7 +20,7 @@ from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap
 from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT_TIME_TOL,
                                  EARTH_ROTATION, LinkGeometry, StateVector, _cross, _epochs,
                                  _norm, rotate_z)
-from gravlink.link_model import expanded_signal, phase_pair, roundtrip_fractional_shift
+from gravlink.link_model import expanded_signal, phase_pair
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
 
@@ -188,7 +188,7 @@ def synthesize_measurements(
     if model not in ("expanded", "exact"):
         raise ValueError(f"unknown synthesis model '{model}'")
     if model == "expanded":
-        phi_gs = scale * roundtrip_fractional_shift(geometries)
+        phi_gs = phase_pair(geometries, scale).phi_gs
         phi_sc = scale * expanded_signal(geometries, alpha) + 0.5 * phi_gs
     else:
         pair = phase_pair(geometries, scale, alpha)

@@ -1,4 +1,7 @@
-"""One batch check: every module names the first failing entry of a batch the same way."""
+"""One batch check: every module names the first failing entry of a batch the same way;
+and the argument checks refuse NaN as they refuse any other value out of range."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 from gravlink.ephemeris import EphemerisTrajectory, parse_cpf
 from gravlink.errors import (
     BadAltitude,
-    DegenerateGeometry,
     DegenerateVisibility,
     OrthogonalSelection,
     OutOfRange,
@@ -14,7 +16,7 @@ from gravlink.errors import (
     reject,
 )
 from gravlink.estimator import estimate_alpha
-from gravlink.interferometer import FringeScan, fit_phase
+from gravlink.interferometer import FringeScan, fit_phase, fringe_scan, outcome_probabilities
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
@@ -22,7 +24,7 @@ from gravlink.kinematics import (
     StateVector,
     build_link_geometry,
 )
-from gravlink.link_model import _check_denominator, phase_scale
+from gravlink.link_model import gravitational_phase, phase_scale
 from gravlink.spin_weak import amplification_scan
 from test_interferometer import noiseless_scan
 
@@ -54,19 +56,17 @@ def scan_batch():
     fit_phase(FringeScan(OFFSETS, counts, 1000))
 
 
-def trial_batch():
+def trial_batch(sigma=np.inf):
     epochs = np.array([-60.0, 0.0, 60.0])
     geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6), epochs)
     rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (4, 3, 1))
-    rows[1, :, 1] = np.inf   # trial 1 has no usable weight
+    rows[1, :, 1] = sigma   # an infinite sigma leaves trial 1 no usable weight
     estimate_alpha(rows, geoms, phase_scale(800e-9, 2.0e-5))
 
 
 BATCHES = [
     pytest.param(state_batch, BadAltitude, " at epoch [1] (t = 5 s)", id="StateVector"),
     pytest.param(geometry_batch, ValueError, " at epoch [2]", id="LinkGeometry"),
-    pytest.param(lambda: _check_denominator(np.array([1.0, 0.9, 0.2]), "denominator"),
-                 DegenerateGeometry, " at epoch [2]", id="_check_denominator"),
     pytest.param(lambda: EphemerisTrajectory(parse_cpf(TABLE)).states([0.0, 90.0, 200.0]),
                  OutOfRange, " at epoch [2]", id="EphemerisTrajectory"),
     pytest.param(scan_batch, DegenerateVisibility, " at scan [1, 2]", id="fit_phase"),
@@ -104,3 +104,22 @@ def test_reject_counts_the_leading_index_from_first_and_formats_the_entry():
     with pytest.raises(ValueError, match=r"^late at epoch \[1\] \(t = 2\.5 s\)$"):
         reject(np.array([False, True]), ValueError, "late", times=[1.0, 2.5])
     reject(np.zeros(3, dtype=bool), ValueError, "never raised")
+
+
+SCALE = phase_scale(800e-9, 2.0e-5)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: outcome_probabilities(0.0, 1.0, 1.0, math.nan), "dark_rate must be non-negative"),
+    (lambda: fringe_scan(OFFSETS, 0.0, 1.0, 100, 1.0, 0, dark_rate=math.nan),
+     "dark_rate must be non-negative"),
+    (lambda: gravitational_phase(SCALE, 9.8, math.nan), "height must be non-negative"),
+    (lambda: gravitational_phase(SCALE, 9.8, math.inf), "height must be non-negative"),
+    (lambda: gravitational_phase(SCALE, math.nan, 4.0e5), "g must be positive"),
+    (lambda: gravitational_phase(SCALE, math.inf, 4.0e5), "g must be positive"),
+    (lambda: trial_batch(sigma=math.nan), "phase uncertainties must be positive"),
+], ids=["outcome_probabilities", "fringe_scan", "height_nan", "height_inf", "g_nan", "g_inf",
+        "estimate_alpha"])
+def test_argument_checks_refuse_nan_and_inf(run, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()

@@ -128,7 +128,7 @@ class TestGroundStation:
                                                (-math.pi / 2, 0.3, 0.0)])
     def test_potential_is_constant(self, lat, lon, alt):
         # the station is the equal-potential endpoint of both legs that
-        # roundtrip_fractional_shift assumes
+        # phase_pair's round trip assumes
         u = newtonian_potential(GroundStation(lat, lon, alt).states(np.linspace(0.0, 86400.0, 97))
                                 .position)
         np.testing.assert_allclose(u, u[0], rtol=1e-15, atol=0.0)

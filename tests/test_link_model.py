@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravlink.constants import C_LIGHT, R_EARTH
-from gravlink.errors import DegenerateGeometry
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
@@ -20,15 +19,10 @@ from gravlink.kinematics import (
 )
 from gravlink.config import load_config
 from gravlink.link_model import (
-    _check_denominator,
     expanded_signal,
-    first_order_doppler_shift,
     gravitational_phase,
     phase_pair,
     phase_scale,
-    redshift_fraction,
-    roundtrip_fractional_shift,
-    uplink_fractional_shift,
     velocity_terms,
 )
 
@@ -54,6 +48,22 @@ def make_geometry(
         beta1=beta1, beta2=beta2, beta3=beta3, n12=n12, n23=n23,
         U1=u1, U2=u2, a1=a1, t_up=t_up,
     )
+
+
+def uplink(geom, alpha=0.0):
+    """(uplink frequency ratio) - 1: phase_pair's phi_sc at scale 1, which is exact."""
+    return phase_pair(geom, 1.0, alpha).phi_sc
+
+
+def roundtrip(geom):
+    """(round-trip frequency ratio) - 1: phase_pair's phi_gs at scale 1."""
+    return phase_pair(geom, 1.0).phi_gs
+
+
+def redshift(alpha, u1, u2):
+    """expanded_signal's (1 + alpha)(U2 - U1) on a static geometry, whose velocity
+    terms are exactly 0.0."""
+    return expanded_signal(make_geometry(u1=u1, u2=u2), alpha)
 
 
 def optical_section(tmp_path, monkeypatch, **optical):
@@ -112,7 +122,6 @@ class TestRedshiftParams:
         assert phase_pair(geom, SCALE, 0.99).phi_sc < 0.0
         for alpha in (1.0, -1.0, 1.5, math.nan):
             for reach in (lambda: phase_pair(geom, SCALE, alpha),
-                          lambda: redshift_fraction(alpha, U_SURFACE, U_SURFACE - DELTA_U_400KM),
                           lambda: expanded_signal(geom, alpha),
                           lambda: gravitational_phase(SCALE, 9.80665, 4.0e5, alpha)):
                 with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
@@ -153,11 +162,11 @@ class TestGravitationalPhase:
 class TestUplinkRatio:
     def test_identity_configuration(self):
         geom = make_geometry()
-        assert uplink_fractional_shift(geom) == 0.0
+        assert uplink(geom) == 0.0
 
     def test_pure_gravitational_redshift(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        shift = uplink_fractional_shift(geom)
+        shift = uplink(geom)
         # received frequency lower at altitude: shift = (U2-U1)/(1-U2)
         assert abs(shift - (-DELTA_U_400KM)) < 1e-15
         oracle = (geom.U2 - geom.U1) / (1.0 - geom.U2)
@@ -165,52 +174,45 @@ class TestUplinkRatio:
 
     def test_first_order_doppler_dominates(self):
         geom = make_geometry(beta2=(2.5e-5, 0.0, 0.0))
-        shift = uplink_fractional_shift(geom)
+        shift = uplink(geom)
         assert abs(shift - (-2.5e-5)) < 1e-9
 
     def test_alpha_injection(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        s0 = uplink_fractional_shift(geom, alpha=0.0)
-        s1 = uplink_fractional_shift(geom, alpha=1e-5)
+        s0 = uplink(geom, alpha=0.0)
+        s1 = uplink(geom, alpha=1e-5)
         assert s1 - s0 == pytest.approx(1e-5 * (geom.U2 - geom.U1), rel=1e-6)
 
 
 class TestRoundtripRatio:
     def test_static_is_shift_free(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        assert roundtrip_fractional_shift(geom) == 0.0
+        assert roundtrip(geom) == 0.0
 
     def test_two_way_doppler(self):
         d2 = 2.0e-5
         geom = make_geometry(beta2=(d2, 0.0, 0.0))
-        shift = roundtrip_fractional_shift(geom)
+        shift = roundtrip(geom)
         assert abs(shift - (-2.0 * d2)) <= 3.0 * d2**2
 
     def test_rigid_comotion_cancels_exactly(self):
         v = (1.1e-5, -0.7e-5, 0.5e-5)
         geom = make_geometry(beta1=v, beta2=v, beta3=v)
-        assert roundtrip_fractional_shift(geom) == 0.0
+        assert roundtrip(geom) == 0.0
 
     def test_transverse_comoving_endpoints_cancel_exactly(self):
         # station velocity perpendicular to the line of sight
         v = (0.0, 2.0e-5, 0.0)
         geom = make_geometry(beta1=v, beta3=v)
-        assert roundtrip_fractional_shift(geom) == 0.0
+        assert roundtrip(geom) == 0.0
 
     def test_comoving_endpoints_with_radial_component(self):
         # endpoint velocity along the line of sight does NOT cancel: the
         # round trip sees (1+d1)/(1-d1), a two-way shift of the endpoints
         v = (2.0e-5, 0.0, 0.0)
         geom = make_geometry(beta1=v, beta3=v)
-        shift = roundtrip_fractional_shift(geom)
+        shift = roundtrip(geom)
         assert shift == pytest.approx(2.0e-5 * 2.0, rel=1e-4)
-
-
-class TestDenominatorGuard:
-    def test_trip_point(self):
-        _check_denominator(0.6, "test")
-        with pytest.raises(DegenerateGeometry):
-            _check_denominator(0.4, "test")
 
 
 class TestPhasePair:
@@ -285,7 +287,7 @@ class TestCancellation:
 class TestExpandedSignal:
     def test_static_geometry_exact(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
-        assert expanded_signal(geom, 2e-4) == redshift_fraction(2e-4, geom.U1, geom.U2)
+        assert expanded_signal(geom, 2e-4) == (1.0 + 2e-4) * (geom.U2 - geom.U1)
         assert velocity_terms(geom) == 0.0
 
     def test_alpha_linearity(self):
@@ -312,28 +314,23 @@ class TestExpandedSignal:
 
 class TestRedshiftFraction:
     def test_equal_potentials(self):
-        assert redshift_fraction(0.3, 7e-10, 7e-10) == 0.0
+        assert redshift(0.3, 7e-10, 7e-10) == 0.0
 
     def test_leo_potential_difference(self):
-        value = redshift_fraction(0.0, U_SURFACE, U_SURFACE - DELTA_U_400KM)
+        value = redshift(0.0, U_SURFACE, U_SURFACE - DELTA_U_400KM)
         assert value == pytest.approx(-4.1124056e-11, rel=1e-6)
 
     def test_one_plus_alpha_scaling(self):
         # the shift is exactly linear in (1 + alpha), so it tends to zero
-        # toward the degenerate alpha = -1 endpoint that redshift_fraction
+        # toward the degenerate alpha = -1 endpoint that expanded_signal
         # itself rejects
         u1, u2 = U_SURFACE, U_SURFACE - DELTA_U_400KM
-        base = redshift_fraction(0.0, u1, u2)
+        base = redshift(0.0, u1, u2)
         for alpha in (-0.999999, -0.5, 0.5, 0.999999):
-            assert redshift_fraction(alpha, u1, u2) == \
+            assert redshift(alpha, u1, u2) == \
                 pytest.approx((1.0 + alpha) * base, rel=1e-12)
         with pytest.raises(ValueError):
-            redshift_fraction(-1.0, u1, u2)
-
-
-def test_first_order_doppler_shift_definition():
-    geom = make_geometry(beta1=(1e-5, 2e-6, 0.0), beta2=(-5e-6, 1e-6, 0.0))
-    assert first_order_doppler_shift(geom) == geom.d1 - geom.d2
+            redshift(-1.0, u1, u2)
 
 
 def test_one_epoch_geometry_gives_one_value_per_function():
@@ -341,7 +338,7 @@ def test_one_epoch_geometry_gives_one_value_per_function():
     assert geom.beta1.shape == (1, 3) and geom.U2.shape == (1,) and len(geom) == 1
     pair = phase_pair(geom, SCALE)
     assert pair.phi_sc.shape == pair.phi_gs.shape == pair.s_signal.shape == (1,)
-    assert uplink_fractional_shift(geom).shape == (1,)
+    assert uplink(geom).shape == (1,)
 
 
 
@@ -381,6 +378,20 @@ def assert_within_ulps(values, exact, ulps):
         assert err <= ulps * unit, f"epoch {k}: {value!r} is {err / unit:.1f} ulp off {ref}"
 
 
+def _vectors(norms):
+    """3-vectors of a drawn length in a drawn direction."""
+    return st.builds(lambda r, theta, phi: r * np.array([math.sin(theta) * math.cos(phi),
+                                                          math.sin(theta) * math.sin(phi),
+                                                          math.cos(theta)]),
+                     norms, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+# up to LinkGeometry's limits: |beta| < 4e-5, |n| = 1 +- 1e-9, 0 < U < 1e-8
+_BETA_NORMS = st.floats(0.0, 4.0e-5 * (1.0 - 1e-12))
+_UNIT_NORMS = st.floats(1.0 - 9.9e-10, 1.0 + 9.9e-10)
+_POTENTIALS = st.floats(0.0, 1.0e-8, exclude_min=True, exclude_max=True)
+
+
 class TestPinnedPrecision:
     """ratio - 1 on random LEO-to-GEO links against a 50-digit evaluation of the
     unrearranged ratios. The rearranged differences stay within about 2 ulp of the
@@ -403,8 +414,8 @@ class TestPinnedPrecision:
         pair = phase_pair(geom, SCALE, alpha)
         with mpmath.workdps(50):
             up, round_trip = exact_minus_one(geom, alpha)
-            assert_within_ulps(uplink_fractional_shift(geom, alpha), up, self.ULPS)
-            assert_within_ulps(roundtrip_fractional_shift(geom), round_trip, self.ULPS)
+            assert_within_ulps(uplink(geom, alpha), up, self.ULPS)
+            assert_within_ulps(roundtrip(geom), round_trip, self.ULPS)
             # the phases add the rounding of one product by the phase scale
             scale = mpmath.mpf(SCALE)
             phi_sc = [(scale * x, scale * size) for x, size in up]
@@ -415,3 +426,21 @@ class TestPinnedPrecision:
             s = [(sc - gs / 2, max(sc_size, gs_size))
                  for (sc, sc_size), (gs, gs_size) in zip(phi_sc, phi_gs)]
             assert_within_ulps(pair.s_signal, s, 2 * (self.ULPS + 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(beta1=_vectors(_BETA_NORMS), beta2=_vectors(_BETA_NORMS),
+           beta3=_vectors(_BETA_NORMS), n12=_vectors(_UNIT_NORMS), n23=_vectors(_UNIT_NORMS),
+           u1=_POTENTIALS, u2=_POTENTIALS, alpha=st.sampled_from([0.0, 3.0e-4, -0.5, 0.999999]))
+    def test_geometry_limits_bound_the_denominators(self, beta1, beta2, beta3, n12, n23,
+                                                    u1, u2, alpha):
+        """Anything LinkGeometry accepts keeps phase_pair's denominators within 4.1e-5 of 1,
+        and its ratio - 1 within ULPS spacings of the largest shift there, 8e-5."""
+        geom = make_geometry(beta1, beta2, beta3, n12, n23, u1, u2)
+        denominators = (1.0 - geom.U2 - 0.5 * _dot(geom.beta2, geom.beta2), 1.0 - geom.d1,
+                        1.0 - _dot(geom.n23, geom.beta2))
+        assert all(d[0] > 1.0 - 4.1e-5 for d in denominators), denominators
+        pair = phase_pair(geom, 1.0, alpha)
+        with mpmath.workdps(50):
+            up, round_trip = exact_minus_one(geom, alpha)
+            assert_within_ulps(pair.phi_sc, [(x, 8e-5) for x, _ in up], self.ULPS)
+            assert_within_ulps(pair.phi_gs, [(x, 8e-5) for x, _ in round_trip], self.ULPS)
