@@ -33,7 +33,7 @@ from .errors import (
     OutOfRange,
     reject,
 )
-from .kinematics import EARTH_ROTATION, StateVector, _cross, _epochs, rotate_z
+from .kinematics import EARTH_ROTATION, _cross, _epochs, _states, rotate_z
 
 _RECORD_FIELDS = 8
 _POS_MIN = 6.4e6   # m, below any tracked orbit
@@ -251,8 +251,8 @@ class EphemerisTrajectory:
     inertial and Earth-fixed frames coincide; epochs t are seconds since that
     record, and one outside the table span raises OutOfRange (the first one
     is named). Implements the trajectory protocol of the analytic classes:
-    ``positions(t)`` and ``states(t)``. A table of fewer than 4 records
-    raises InsufficientRecords.
+    ``positions(t)`` and ``states(t)`` -> (positions, velocities). A table
+    of fewer than 4 records raises InsufficientRecords.
 
     Each epoch is interpolated by a Lagrange polynomial over the nearest
     nodes. The window is widened from the textbook 4 points to at most 8
@@ -276,8 +276,8 @@ class EphemerisTrajectory:
     def positions(self, t) -> np.ndarray:
         return self._interpolate(t, velocities=False)[0]
 
-    def states(self, t) -> StateVector:
-        return StateVector(*self._interpolate(t, velocities=True))
+    def states(self, t):
+        return _states(*self._interpolate(t, velocities=True))
 
     def _interpolate(self, t, velocities: bool):
         """Positions, velocities (or None) and epochs (N,) at t."""

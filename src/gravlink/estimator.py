@@ -30,7 +30,7 @@ from .interferometer import FringeScan, _wrap_phase, draw_counts, fit_phase, out
 # tracer resolves estimator.build_pass in this module (the forecast's
 # estimator.pass_self_s), and its tracer test reads estimator.build_link_geometry
 from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F401
-from .link_model import phase_pair, velocity_terms
+from .link_model import _check_scale, phase_pair, velocity_terms
 
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
 # scan points a forecast draws and fits together; it sets the forecast's peak memory
@@ -68,11 +68,11 @@ def estimate_alpha(rows, geometries: LinkGeometry, scale: float,
     potential difference x = U2 - U1, giving the slope (1 + alpha).
 
     One set of rows gives floats; a batch gives (...,) arrays, one estimate
-    per set. Raises ValueError for rows of the wrong shape or a sigma that
-    is not positive, and SingularFit when a set has no leverage (every epoch
-    has U2 = U1, or no epoch a finite nonzero weight); in a batch the
-    message names the first such set, its leading index counted from first,
-    as in "... at trial [3]".
+    per set. Raises ValueError for rows of the wrong shape, a sigma that is
+    not positive or a scale phase_scale refuses, and SingularFit when a set
+    has no leverage (every epoch has U2 = U1, or no epoch a finite nonzero
+    weight); in a batch the message names the first such set, its leading
+    index counted from first, as in "... at trial [3]".
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim < 2 or rows.shape[-1] != 4:
@@ -83,6 +83,7 @@ def estimate_alpha(rows, geometries: LinkGeometry, scale: float,
     phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
     if not (np.all(sig_sc > 0.0) and np.all(sig_gs > 0.0)):
         raise ValueError("phase uncertainties must be positive")
+    _check_scale(scale)
     x = geometries.U2 - geometries.U1
     y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geometries)
     weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units

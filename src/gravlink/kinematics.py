@@ -11,9 +11,9 @@ Conventions used throughout:
 Everything works on batches of epochs: a float or a sequence of floats is
 read as epochs t (N,) [s]. A trajectory (CircularOrbit, GroundStation,
 ephemeris.EphemerisTrajectory) implements ``positions(t)`` -> (N, 3) [m] and
-``states(t)`` -> StateVector, adding velocities (N, 3) [m/s]; nothing else.
-StateVector checks the batch once against the radius floor and speed
-ceiling, the light-time loop its positions against the floor; an error names
+``states(t)`` -> (positions, velocities), the velocities (N, 3) [m/s]; nothing
+else. Every states batch is checked once against the radius floor and speed
+ceiling, and the light-time loop's positions against the floor; an error names
 the first failing epoch, as in "... at epoch [3] (t = 5 s)". LinkGeometry
 holds (N, 3) vectors and (N,) scalars.
 """
@@ -28,8 +28,8 @@ import numpy as np
 from .constants import C_LIGHT, GM_EARTH, OMEGA_EARTH, R_EARTH
 from .errors import BadAltitude, DegenerateGeometry, NoConvergence, reject
 
-_MIN_RADIUS = 6.3e6     # m, StateVector sanity floor
-_MAX_SPEED = 1.1e4      # m/s, StateVector sanity ceiling
+_MIN_RADIUS = 6.3e6     # m, radius floor of every state and light-time position
+_MAX_SPEED = 1.1e4      # m/s, speed ceiling of every state
 _MAX_BETA = 4.0e-5      # LinkGeometry sanity ceiling on |v|/c
 _LIGHT_TIME_TOL = 1e-12  # s
 _LIGHT_TIME_MAX_ITER = 50
@@ -84,28 +84,13 @@ def _above_floor(position, epochs) -> np.ndarray:
     return position
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Inertial positions/velocities of a platform at a batch of scenario epochs.
-
-    position : m, velocity : m/s, (N, 3); epoch : s, (N,). One 3-vector and
-    a float make a batch of one.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    epoch: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.position, dtype=float))
-        vel = np.atleast_2d(np.asarray(self.velocity, dtype=float))
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
-        object.__setattr__(self, "epoch", _epochs(self.epoch))
-        _above_floor(pos, self.epoch)
-        v = _norm(vel)
-        reject(~(v < _MAX_SPEED), ValueError,
-               f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=self.epoch)
+def _states(position, velocity, epochs):
+    """(position, velocity), (N, 3) each, held to the radius floor, then the speed ceiling."""
+    _above_floor(position, epochs)
+    v = _norm(velocity)
+    reject(~(v < _MAX_SPEED), ValueError,
+           f"|velocity| = {{:.4e}} m/s exceeds {_MAX_SPEED:.1e} m/s", v, times=epochs)
+    return position, velocity
 
 
 class CircularOrbit:
@@ -115,7 +100,7 @@ class CircularOrbit:
     angle about +z; phase is the in-plane angle at t = 0. |position| equals
     the semi-major axis exactly and speed is sqrt(GM/a).
 
-    Raises BadAltitude outside 6.5e6 <= a <= 5e7 m.
+    Raises BadAltitude outside 6.5e6 <= a <= 5e7 m, ValueError for an angle not finite.
     """
 
     def __init__(self, semi_major_axis: float, inclination: float = 0.0,
@@ -127,6 +112,8 @@ class CircularOrbit:
         self.inclination = float(inclination)
         self.raan = float(raan)
         self.phase = float(phase)
+        if not all(map(math.isfinite, (self.inclination, self.raan, self.phase))):
+            raise ValueError(f"orbit angle not finite: {inclination=!s}, {raan=!s}, {phase=!s}")
         self._mean_motion = math.sqrt(GM_EARTH / a**3)   # rad/s
         ci, si = math.cos(self.inclination), math.sin(self.inclination)
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
@@ -141,9 +128,9 @@ class CircularOrbit:
     def positions(self, t) -> np.ndarray:
         return self._in_plane(_epochs(t), self.semi_major_axis)
 
-    def states(self, t) -> StateVector:
+    def states(self, t):
         t, speed = _epochs(t), self.semi_major_axis * self._mean_motion
-        return StateVector(self.positions(t), self._in_plane(t, speed, ahead=True), t)
+        return _states(self.positions(t), self._in_plane(t, speed, ahead=True), t)
 
 
 class GroundStation:
@@ -158,7 +145,8 @@ class GroundStation:
         self.lat = float(lat)
         self.lon = float(lon)
         self.alt = float(alt)
-        self._body = (R_EARTH + self.alt) * np.array([
+        radius = R_EARTH + self.alt if math.isfinite(self.alt) else math.nan  # inf fails as NaN
+        self._body = radius * np.array([
             math.cos(self.lat) * math.cos(self.lon),
             math.cos(self.lat) * math.sin(self.lon),
             math.sin(self.lat),
@@ -168,9 +156,9 @@ class GroundStation:
     def positions(self, t) -> np.ndarray:
         return rotate_z(OMEGA_EARTH * _epochs(t), self._body)
 
-    def states(self, t) -> StateVector:
+    def states(self, t):
         pos = self.positions(t)
-        return StateVector(position=pos, velocity=_cross(EARTH_ROTATION, pos), epoch=_epochs(t))
+        return _states(pos, _cross(EARTH_ROTATION, pos), _epochs(t))
 
 
 def newtonian_potential(position):
@@ -182,13 +170,13 @@ def newtonian_potential(position):
     return GM_EARTH / (C_LIGHT**2 * r)
 
 
-def solve_light_time(emit_state: StateVector, receiver_trajectory):
+def solve_light_time(t_emit, r_emit, receiver_trajectory):
     """Propagation times and arrival directions from emitter to a moving receiver.
 
-    Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c over every
-    epoch of emit_state at once, t_emit being emit_state.epoch and r_recv
-    receiver_trajectory.positions (BadAltitude below the StateVector radius
-    floor); an epoch stops once its update is below 1e-12 s, and the others go on.
+    Fixed-point iteration T <- |r_recv(t_emit + T) - r_emit| / c over every emission
+    epoch t_emit (N,) at once (a float is a batch of one), r_emit (N, 3) and r_recv
+    receiver_trajectory.positions all held to the radius floor (BadAltitude); an epoch
+    stops once its update is below 1e-12 s, and the others go on.
 
     Returns
     -------
@@ -202,9 +190,9 @@ def solve_light_time(emit_state: StateVector, receiver_trajectory):
     NoConvergence
         An epoch still above the tolerance after 50 iterations.
     """
-    r_emit = emit_state.position
     n = len(r_emit)
-    t_emit = np.broadcast_to(emit_state.epoch, n)
+    t_emit = np.broadcast_to(_epochs(t_emit), n)
+    _above_floor(r_emit, t_emit)
     t_flight = np.zeros(n)
     n_hat = np.empty_like(r_emit)
     todo = slice(None)   # epochs still iterating: all of them until one settles
@@ -295,22 +283,22 @@ def build_link_geometry(gs_trajectory, sc_trajectory, t_emit) -> LinkGeometry:
     acceleration a1 = omega x v1 is then the centripetal omega x (omega x r1).
     """
     t1 = _epochs(t_emit)
-    s1 = gs_trajectory.states(t1)
-    t_up, n12 = solve_light_time(s1, sc_trajectory)
+    r1, v1 = gs_trajectory.states(t1)
+    t_up, n12 = solve_light_time(t1, r1, sc_trajectory)
     t2 = t1 + t_up
-    s2 = sc_trajectory.states(t2)
-    t_down, n23 = solve_light_time(s2, gs_trajectory)
-    s3 = gs_trajectory.states(t2 + t_down)
+    r2, v2 = sc_trajectory.states(t2)
+    t_down, n23 = solve_light_time(t2, r2, gs_trajectory)
+    _, v3 = gs_trajectory.states(t2 + t_down)
 
     return LinkGeometry(
-        beta1=s1.velocity / C_LIGHT,
-        beta2=s2.velocity / C_LIGHT,
-        beta3=s3.velocity / C_LIGHT,
+        beta1=v1 / C_LIGHT,
+        beta2=v2 / C_LIGHT,
+        beta3=v3 / C_LIGHT,
         n12=n12,
         n23=n23,
-        U1=newtonian_potential(s1.position),
-        U2=newtonian_potential(s2.position),
-        a1=_cross(EARTH_ROTATION, s1.velocity),
+        U1=newtonian_potential(r1),
+        U2=newtonian_potential(r2),
+        a1=_cross(EARTH_ROTATION, v1),
         t_up=t_up,
     )
 
@@ -320,5 +308,8 @@ def build_pass(gs_trajectory, sc_trajectory, t_start: float, t_end: float,
     """Link geometry batch on a uniform grid of emission epochs."""
     if n_epochs < 1:
         raise ValueError("n_epochs must be >= 1")
+    for name, bound in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(bound):
+            raise ValueError(f"sweep bound {name} = {bound} s must be finite")
     epochs = np.linspace(t_start, t_end, n_epochs)
     return epochs, build_link_geometry(gs_trajectory, sc_trajectory, epochs)

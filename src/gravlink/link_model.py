@@ -44,10 +44,13 @@ def phase_scale(lambda0: float, tau_l: float) -> float:
     lambda0 is the carrier wavelength [m] and tau_l the proper delay of both
     interferometers [s]. Raises ValueError unless the result is positive and finite.
     """
-    scale = _TWO_PI * C_LIGHT / lambda0 * tau_l if lambda0 else math.inf  # omega0 = 2 pi c / 0
+    return _check_scale(_TWO_PI * C_LIGHT / lambda0 * tau_l if lambda0 else math.inf)  # 2pi c/0
+
+
+def _check_scale(scale: float) -> float:
+    """scale, phase_scale's omega0 * tau_l; ValueError unless it is positive and finite."""
     if not 0.0 < scale < math.inf:
-        need = "positive" if scale <= 0.0 else "finite"
-        raise ValueError(f"omega0*tau_l = {scale} must be {need}")
+        raise ValueError(f"omega0*tau_l = {scale} must be {'positive' if scale <= 0 else 'finite'}")
     return scale
 
 
@@ -72,6 +75,7 @@ def gravitational_phase(scale: float, g: float, h: float, alpha: float = 0.0) ->
     every pass phase) for station-spacecraft height difference h. About 2 rad
     for an 800 nm laser, a 6 km vacuum delay, and a 400 km orbit.
     """
+    _check_scale(scale)
     _check_alpha(alpha)
     if not 0.0 <= h < math.inf:
         raise ValueError("height must be non-negative")
@@ -94,6 +98,7 @@ def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePai
     keep 1 - U2 - |beta2|^2/2 above 1 - 1.1e-8 and 1 - n12.beta1 and
     1 - n23.beta2 above 1 - 4.0001e-5, so no denominator can approach zero.
     """
+    _check_scale(scale)
     _check_alpha(alpha)
     b1_sq = _dot(geom.beta1, geom.beta1)
     b2_sq = _dot(geom.beta2, geom.beta2)

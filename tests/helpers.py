@@ -18,8 +18,8 @@ from gravlink.errors import (DegenerateGeometry, DegenerateVisibility, FitDiverg
                              NoConvergence, OutOfRange, reject)
 from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap_phase
 from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT_TIME_TOL,
-                                 EARTH_ROTATION, LinkGeometry, StateVector, _cross, _epochs,
-                                 _norm, rotate_z)
+                                 EARTH_ROTATION, LinkGeometry, _above_floor, _cross, _epochs,
+                                 _norm, _states, rotate_z)
 from gravlink.link_model import expanded_signal, phase_pair
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
@@ -36,9 +36,9 @@ class StaticPlatform:
     def positions(self, t) -> np.ndarray:
         return np.broadcast_to(self.position, (np.size(t), 3))
 
-    def states(self, t) -> StateVector:
+    def states(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return StateVector(position=self.positions(t), velocity=np.zeros((t.size, 3)), epoch=t)
+        return _states(self.positions(t), np.zeros((t.size, 3)), t)
 
 
 def interpolate_oracle(table: EphemerisTable, t, velocities: bool):
@@ -79,19 +79,19 @@ def interpolate_oracle(table: EphemerisTable, t, velocities: bool):
     return pos, vel, t_rel
 
 
-def solve_light_time_oracle(emit_state: StateVector, receiver_trajectory):
+def solve_light_time_oracle(t_emit, r_emit, receiver_trajectory):
     """kinematics.solve_light_time as it was before it read positions only: the same
     fixed-point loop on the receiver's full states, so that every state it evaluates
     is checked for both radius and speed. The positions loop must give these bits."""
-    r_emit = emit_state.position
     n = len(r_emit)
-    t_emit = np.broadcast_to(emit_state.epoch, n)
+    t_emit = np.broadcast_to(_epochs(t_emit), n)
+    _above_floor(r_emit, t_emit)
     t_flight = np.zeros(n)
     n_hat = np.empty_like(r_emit)
     todo = slice(None)   # epochs still iterating: all of them until one settles
     for _ in range(_LIGHT_TIME_MAX_ITER):
-        received = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
-        separation = received.position - r_emit[todo]
+        received, _ = receiver_trajectory.states(t_emit[todo] + t_flight[todo])
+        separation = received - r_emit[todo]
         rng = _norm(separation)
         if np.any(rng < _COINCIDENT_RANGE):
             ranges = np.full(n, np.inf)

@@ -283,6 +283,13 @@ spin:
         assert line.startswith(f"violation: spin.{key}: [150] = {bad} ")
         assert len(line) < 100
 
+    @pytest.mark.parametrize("key, bad", [("q_grid", "[]"), ("rotation_rad_per_s", "5")])
+    def test_a_number_list_is_a_non_empty_list(self, tmp_path, key, bad):
+        cfg = SMALL_WEAKVALUE.format(out="ignored") + f"  {key}: {bad}\n"
+        cfg = cfg.replace("  q_grid: [1.0e-3, 1.0e-1]\n", "", key == "q_grid")
+        assert validate_config(write_yaml(tmp_path, cfg)) == [
+            f"spin.{key}: expected a non-empty list of numbers, got {yaml.safe_load(bad)!r}"]
+
     @pytest.mark.parametrize("dark_rate, valid", [("0.2", True), ("0.21", False)])
     def test_noise_window_probability_at_most_one(self, tmp_path, dark_rate, valid):
         # efficiency 1, visibility 1: 0.375 + 3 * dark_rate must stay <= 1
@@ -846,6 +853,15 @@ class TestColdStart:
                 "    assert getattr(gravlink, name).__name__ == 'gravlink.' + name\n"
                 "assert not hasattr(gravlink, 'absent')")
         assert fresh_submodules(code) == set(PACKAGE_MODULES)
+
+    def test_an_attribute_loads_its_submodule_and_an_unknown_one_raises(self):
+        code = ("import sys\nimport gravlink\n"
+                "assert not [n for n in sys.modules if n.startswith('gravlink.')]\n"
+                "assert gravlink.spin_weak is sys.modules['gravlink.spin_weak']\n"
+                "try:\n    gravlink.nope\nexcept AttributeError as error:\n"
+                "    assert str(error) == \"module 'gravlink' has no attribute 'nope'\", error\n"
+                "else:\n    raise AssertionError('gravlink.nope resolved')")
+        assert fresh_submodules(code) == {"spin_weak", "constants", "errors"}
 
     @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_run_loads_only_what_its_mode_runs(self, tmp_path, path):

@@ -208,17 +208,16 @@ class TestParse:
 class TestInterpolation:
     def test_node_reproduction(self):
         table = parse_cpf(SAMPLE)
-        state = EphemerisTrajectory(table).states(0.0)
+        position, _ = EphemerisTrajectory(table).states(0.0)
         # t = first epoch: inertial and Earth-fixed frames coincide
-        np.testing.assert_allclose(state.position, [[7.0e6, 0.0, 0.0]], atol=1e-6)
-        assert state.epoch == 0.0
+        np.testing.assert_allclose(position, [[7.0e6, 0.0, 0.0]], atol=1e-6)
 
     def test_node_reproduction_rotated(self):
         table = circular_orbit_table(n_records=12)
         t = 300.0
-        state = EphemerisTrajectory(table).states(t)
+        position, _ = EphemerisTrajectory(table).states(t)
         pos, _ = analytic_eci_state(7.0e6, 0.0, t)
-        np.testing.assert_allclose(state.position, [pos], atol=1e-5)
+        np.testing.assert_allclose(position, [pos], atol=1e-5)
 
     @pytest.mark.parametrize("times", [[10.0, 20.0], (10.0, 20.0),
                                        [10.0, 20.0, 30.0], (10.0, 20.0, 30.0)])
@@ -226,10 +225,9 @@ class TestInterpolation:
         trajectory = EphemerisTrajectory(circular_orbit_table(n_records=8))
         expected = trajectory.states(np.array(times))
         state = trajectory.states(times)
-        assert state.position.shape == (len(times), 3)
-        np.testing.assert_array_equal(state.position, expected.position)
-        np.testing.assert_array_equal(state.velocity, expected.velocity)
-        np.testing.assert_array_equal(state.epoch, times)
+        assert state[0].shape == (len(times), 3)
+        np.testing.assert_array_equal(state[0], expected[0])
+        np.testing.assert_array_equal(state[1], expected[1])
 
     def test_out_of_range(self):
         trajectory = EphemerisTrajectory(parse_cpf(SAMPLE))  # spans [0, 180] s
@@ -252,10 +250,10 @@ class TestInterpolation:
         trajectory = EphemerisTrajectory(circular_orbit_table(a=a, inc=inc, n_records=40))
         worst_pos = worst_vel = 0.0
         for t in np.arange(310.0, 2000.0, 37.0):
-            state = trajectory.states(float(t))
+            position, velocity = trajectory.states(float(t))
             pos, vel = analytic_eci_state(a, inc, float(t))
-            worst_pos = max(worst_pos, float(np.linalg.norm(state.position - pos)))
-            worst_vel = max(worst_vel, float(np.linalg.norm(state.velocity - vel)))
+            worst_pos = max(worst_pos, float(np.linalg.norm(position - pos)))
+            worst_vel = max(worst_vel, float(np.linalg.norm(velocity - vel)))
         assert worst_pos < 1.0
         assert worst_vel < 1e-3
 
@@ -263,19 +261,18 @@ class TestInterpolation:
         # with only 4 records the window degrades to a cubic, whose
         # mid-interval error on this orbit is meter-scale
         table = circular_orbit_table(n_records=4)
-        state = EphemerisTrajectory(table).states(90.0)
+        position, velocity = EphemerisTrajectory(table).states(90.0)
         pos, vel = analytic_eci_state(7.0e6, 0.0, 90.0)
-        assert float(np.linalg.norm(state.position - pos)) < 5.0
-        assert float(np.linalg.norm(state.velocity - vel)) < 0.2
+        assert float(np.linalg.norm(position - pos)) < 5.0
+        assert float(np.linalg.norm(velocity - vel)) < 0.2
 
 
 class TestTrajectory:
     def test_state_matches_interpolant(self):
         table = circular_orbit_table(n_records=10)
         state = EphemerisTrajectory(table).states(123.0)
-        position, velocity, epoch = interpolate_oracle(table, 123.0, velocities=True)
-        for got, want in ((state.position, position), (state.velocity, velocity),
-                          (state.epoch, epoch)):
+        position, velocity, _ = interpolate_oracle(table, 123.0, velocities=True)
+        for got, want in zip(state, (position, velocity)):
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -286,8 +283,8 @@ class TestTrajectory:
         trajectory, t = EphemerisTrajectory(table), data.draw(table_epochs(table))
         position, velocity, _ = interpolate_oracle(table, t, velocities=True)
         state = trajectory.states(t)
-        np.testing.assert_array_equal(_bits(state.position), _bits(position))
-        np.testing.assert_array_equal(_bits(state.velocity), _bits(velocity))
+        np.testing.assert_array_equal(_bits(state[0]), _bits(position))
+        np.testing.assert_array_equal(_bits(state[1]), _bits(velocity))
         np.testing.assert_array_equal(_bits(trajectory.positions(t)),
                                       _bits(interpolate_oracle(table, t, velocities=False)[0]))
 
@@ -333,23 +330,23 @@ class TestBatchInterpolation:
             [0.0, span, 0.5 * span],
         ])
         trajectory = EphemerisTrajectory(table)
-        batch = trajectory.states(times)
-        assert batch.position.shape == batch.velocity.shape == (times.size, 3)
+        positions, velocities = trajectory.states(times)
+        assert positions.shape == velocities.shape == (times.size, 3)
         for i, t in enumerate(times):
             pos, vel = _product_form_state(table, float(t))
-            assert np.max(np.abs(batch.position[i] - pos)) <= 1e-6
-            assert np.max(np.abs(batch.velocity[i] - vel)) <= 1e-7
-            one = trajectory.states(float(t))
-            np.testing.assert_allclose(one.position[0], batch.position[i], rtol=0, atol=1e-9)
+            assert np.max(np.abs(positions[i] - pos)) <= 1e-6
+            assert np.max(np.abs(velocities[i] - vel)) <= 1e-7
+            one, _ = trajectory.states(float(t))
+            np.testing.assert_allclose(one[0], positions[i], rtol=0, atol=1e-9)
 
     def test_node_hits_are_exact(self):
         table = circular_orbit_table(n_records=12)
         nodes = table.relative_epochs
-        state = EphemerisTrajectory(table).states(nodes)
-        np.testing.assert_array_equal(state.position[0], table.records["position"][0])
+        position, _ = EphemerisTrajectory(table).states(nodes)
+        np.testing.assert_array_equal(position[0], table.records["position"][0])
         c, s = np.cos(OMEGA_EARTH * nodes), np.sin(OMEGA_EARTH * nodes)
         x, y, z = table.positions.T
-        np.testing.assert_array_equal(state.position,
+        np.testing.assert_array_equal(position,
                                       np.stack([c * x - s * y, s * x + c * y, z], axis=-1))
 
     def test_out_of_range_epoch_is_named(self):
@@ -366,9 +363,9 @@ class TestBatchInterpolation:
         """Each row of a batch equals the same epoch run as a batch of one."""
         traj = EphemerisTrajectory(circular_orbit_table(n_records=20))
         times = np.array([30.0, 300.0, 601.5, 1000.0])
-        pos = traj.states(times).position
+        pos, _ = traj.states(times)
         for i, t in enumerate(times):
-            np.testing.assert_allclose(traj.states(t).position[0], pos[i], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(traj.states(t)[0][0], pos[i], rtol=0, atol=1e-9)
 
 
 def reference_parse_cpf(text):

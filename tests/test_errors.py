@@ -15,16 +15,16 @@ from gravlink.errors import (
     SingularFit,
     reject,
 )
-from gravlink.estimator import estimate_alpha
+from gravlink.estimator import estimate_alpha, precision_forecast
 from gravlink.interferometer import FringeScan, fit_phase, fringe_scan, outcome_probabilities
 from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
     LinkGeometry,
-    StateVector,
+    _states,
     build_link_geometry,
 )
-from gravlink.link_model import gravitational_phase, phase_scale
+from gravlink.link_model import gravitational_phase, phase_pair, phase_scale
 from gravlink.spin_weak import amplification_scan
 from test_interferometer import noiseless_scan
 
@@ -38,7 +38,7 @@ TABLE = """10 0 61267 0.000 0 7000000.0 0.0 0.0
 
 def state_batch():
     pos = np.array([[7.0e6, 0.0, 0.0], [1.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]])
-    StateVector(position=pos, velocity=np.zeros((3, 3)), epoch=[0.0, 5.0, 9.0])
+    _states(pos, np.zeros((3, 3)), np.array([0.0, 5.0, 9.0]))
 
 
 def geometry_batch():
@@ -123,3 +123,25 @@ SCALE = phase_scale(800e-9, 2.0e-5)
 def test_argument_checks_refuse_nan_and_inf(run, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         run()
+
+
+@pytest.mark.parametrize("scale, need", [(math.nan, "finite"), (math.inf, "finite"),
+                                         (-math.inf, "positive"), (0.0, "positive"),
+                                         (-1.0, "positive")])
+def test_every_phase_function_refuses_the_scale_phase_scale_refuses(scale, need):
+    geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6),
+                                [-60.0, 0.0, 60.0])
+    rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (3, 1))
+    for run in (lambda: gravitational_phase(scale, 9.8, 4.0e5), lambda: phase_pair(geoms, scale),
+                lambda: estimate_alpha(rows, geoms, scale),
+                lambda: precision_forecast(geoms, scale, 0.0, 0, 10, 0)):
+        with pytest.raises(ValueError, match=rf"^omega0\*tau_l = {scale} must be {need}$"):
+            run()
+
+
+def test_a_tiny_scale_passes_the_check():
+    # omega0 * tau_l = 4e-296, a 1e300 m wavelength: positive and finite, so each phase is
+    # formed; what such a scale does to the regression weights is a separate question
+    geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6), [0.0])
+    assert 0.0 < gravitational_phase(4e-296, 9.8, 4.0e5) < 1e-300
+    assert np.all(np.isfinite(phase_pair(geoms, 4e-296)))

@@ -155,6 +155,12 @@ class TestCascadeIntensities:
             with pytest.raises(ValueError, match="^visibility must lie in"):
                 outcome_probabilities(0.0, visibility, 1.0)
 
+    def test_efficiency_bound(self):
+        for efficiency in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError,
+                               match=rf"^efficiency must lie in \[0, 1\], got {efficiency}$"):
+                outcome_probabilities(0.0, 1.0, efficiency)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @example(phi=np.array([0.0, math.pi]), visibility=1.0, efficiency=1.0, dark_share=0.99)
     @given(

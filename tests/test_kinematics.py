@@ -21,9 +21,9 @@ from gravlink.kinematics import (
     CircularOrbit,
     GroundStation,
     LinkGeometry,
-    StateVector,
     _cross,
     _norm,
+    _states,
     build_link_geometry,
     build_pass,
     newtonian_potential,
@@ -41,14 +41,24 @@ def station_acceleration(station, t):
     return build_link_geometry(station, CircularOrbit(6.9e6, inclination=1.2), t).a1
 
 
+def one_state(position, velocity, t=0.0):
+    """kinematics._states on a batch of one: position and velocity (3,), epoch t."""
+    return _states(np.array([position], dtype=float), np.array([velocity], dtype=float),
+                   np.array([t]))
+
+
 class TestStateVector:
+    """The one check of every states batch: the radius floor, then the speed ceiling."""
+
     def test_below_earth_rejected(self):
         with pytest.raises(BadAltitude):
-            StateVector(position=[1.0e6, 0, 0], velocity=[0, 0, 0], epoch=0.0)
+            one_state([1.0e6, 0, 0], [0, 0, 0])
+        with pytest.raises(BadAltitude, match=r"= 1\.3710e\+06 m .* at epoch \[0\] \(t = 0 s\)$"):
+            GroundStation(0.0, 0.0, -5.0e6)
 
     def test_overspeed_rejected(self):
         with pytest.raises(ValueError):
-            StateVector(position=[7.0e6, 0, 0], velocity=[2.0e4, 0, 0], epoch=0.0)
+            one_state([7.0e6, 0, 0], [2.0e4, 0, 0])
 
     @pytest.mark.parametrize("position, velocity, error", [
         ([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], BadAltitude),
@@ -56,21 +66,27 @@ class TestStateVector:
     ])
     def test_nan_rejected(self, position, velocity, error):
         with pytest.raises(error, match=r"= nan m.* at epoch \[0\] \(t = 0 s\)$"):
-            StateVector(position=position, velocity=velocity, epoch=0.0)
+            one_state(position, velocity)
 
     def test_arrays_coerced(self):
-        s = StateVector(position=(7.0e6, 0, 0), velocity=(0, 7.0e3, 0), epoch=1.0)
-        assert isinstance(s.position, np.ndarray)
-        assert s.position.dtype == float
+        trajectories = (CircularOrbit(7.0e6, 0.4), GroundStation(0.3, 0.2, 100.0),
+                        EphemerisTrajectory(circular_orbit_table()))
+        for trajectory, t in itertools.product(trajectories, (0, 60.0, [0, 60, 120],
+                                                              np.array([30.0, 90.0]))):
+            states = trajectory.states(t)
+            assert type(states) is tuple and len(states) == 2
+            for array in states:
+                assert isinstance(array, np.ndarray)
+                assert array.dtype == np.float64 and array.shape == (np.size(t), 3)
 
 
 class TestCircularOrbit:
     def test_construction_axes(self):
-        s = CircularOrbit(7.0e6, 0.0, 0.0, 0.0).states(0.0)
-        np.testing.assert_allclose(s.position, [[7.0e6, 0.0, 0.0]], atol=1e-9)
-        assert s.velocity[0, 0] == pytest.approx(0.0, abs=1e-9)
-        assert s.velocity[0, 1] > 0.0
-        assert s.velocity[0, 2] == pytest.approx(0.0, abs=1e-9)
+        position, velocity = CircularOrbit(7.0e6, 0.0, 0.0, 0.0).states(0.0)
+        np.testing.assert_allclose(position, [[7.0e6, 0.0, 0.0]], atol=1e-9)
+        assert velocity[0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert velocity[0, 1] > 0.0
+        assert velocity[0, 2] == pytest.approx(0.0, abs=1e-9)
 
     def test_altitude_bounds(self):
         with pytest.raises(BadAltitude):
@@ -81,26 +97,26 @@ class TestCircularOrbit:
     def test_energy_like_invariant(self):
         # vis-viva for a circular orbit: v^2 a / GM = 1
         orbit = CircularOrbit(6.9e6, inclination=1.1, raan=0.4, phase=2.2)
-        velocity = orbit.states(np.linspace(0.0, 6000.0, 17)).velocity
+        _, velocity = orbit.states(np.linspace(0.0, 6000.0, 17))
         v2 = np.einsum("ij,ij->i", velocity, velocity)
         assert np.max(np.abs(v2 * orbit.semi_major_axis / GM_EARTH - 1.0)) < 1e-12
 
     def test_radius_constant(self):
         orbit = CircularOrbit(7.1e6, inclination=0.7)
-        positions = orbit.states([0.0, 800.0, 3000.0]).position
+        positions, _ = orbit.states([0.0, 800.0, 3000.0])
         assert np.linalg.norm(positions, axis=1) == pytest.approx(7.1e6, rel=1e-12)
 
 
 class TestGroundStation:
     def test_equatorial_speed(self):
-        s = GroundStation(0.0, 0.0, 0.0).states(0.0)
-        speed = float(np.linalg.norm(s.velocity))
+        _, velocity = GroundStation(0.0, 0.0, 0.0).states(0.0)
+        speed = float(np.linalg.norm(velocity))
         assert abs(speed - OMEGA_EARTH * R_EARTH) < 0.1
         assert speed == pytest.approx(464.5807, abs=1e-3)
 
     def test_pole_is_stationary(self):
-        s = GroundStation(math.pi / 2, 0.0, 0.0).states(123.0)
-        assert float(np.linalg.norm(s.velocity)) == pytest.approx(0.0, abs=1e-9)
+        _, velocity = GroundStation(math.pi / 2, 0.0, 0.0).states(123.0)
+        assert float(np.linalg.norm(velocity)) == pytest.approx(0.0, abs=1e-9)
         acc = station_acceleration(GroundStation(math.pi / 2, 0.0, 0.0), 123.0)
         assert float(np.linalg.norm(acc)) == pytest.approx(0.0, abs=1e-12)
 
@@ -110,7 +126,7 @@ class TestGroundStation:
         assert mag == pytest.approx(OMEGA_EARTH**2 * R_EARTH, rel=0.01)
         assert mag == pytest.approx(3.387776e-2, rel=1e-5)
         # centripetal: anti-parallel to position
-        pos = GroundStation(0.0, 0.0, 0.0).states(0.0).position
+        pos, _ = GroundStation(0.0, 0.0, 0.0).states(0.0)
         assert float(acc[0] @ pos[0]) < 0.0
 
     def test_latitude_bound(self):
@@ -130,13 +146,13 @@ class TestGroundStation:
         # the station is the equal-potential endpoint of both legs that
         # phase_pair's round trip assumes
         u = newtonian_potential(GroundStation(lat, lon, alt).states(np.linspace(0.0, 86400.0, 97))
-                                .position)
+                                [0])
         np.testing.assert_allclose(u, u[0], rtol=1e-15, atol=0.0)
 
     def test_rotation_carries_station(self):
         gs = GroundStation(0.3, 1.1, 200.0)
         quarter_day = 0.5 * math.pi / OMEGA_EARTH
-        p0, p1 = gs.states([0.0, quarter_day]).position
+        p0, p1 = gs.states([0.0, quarter_day])[0]
         np.testing.assert_allclose(rotate_z(math.pi / 2, p0), p1, atol=1e-6)
 
 
@@ -169,8 +185,7 @@ class _LinearPlatform:
 
     def states(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return StateVector(position=self.positions(t),
-                           velocity=np.broadcast_to(self.v, (len(t), 3)), epoch=t)
+        return _states(self.positions(t), np.broadcast_to(self.v, (len(t), 3)), t)
 
 
 class _RunawayPlatform:
@@ -182,7 +197,7 @@ class _RunawayPlatform:
 
     def states(self, t):
         t = np.asarray(t, dtype=float)
-        return StateVector(position=self.positions(t), velocity=np.zeros((len(t), 3)), epoch=t)
+        return _states(self.positions(t), np.zeros((len(t), 3)), t)
 
 
 class _ScriptedPlatform:
@@ -200,37 +215,29 @@ class _ScriptedPlatform:
 
     def states(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return StateVector(position=self.positions(t), velocity=np.zeros((len(t), 3)), epoch=t)
+        return _states(self.positions(t), np.zeros((len(t), 3)), t)
 
 
 class TestLightTime:
     def test_static_range(self):
-        emitter = StateVector(
-            position=[7.0e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
-        )
         receiver = StaticPlatform([7.4e6, 0.0, 0.0])
-        t_flight, n_hat = solve_light_time(emitter, receiver)
+        t_flight, n_hat = solve_light_time(0.0, np.array([[7.0e6, 0.0, 0.0]]), receiver)
         assert abs(t_flight - 4.0e5 / C_LIGHT) < 1e-9
         assert t_flight == pytest.approx(1.3342564e-3, rel=1e-6)
         np.testing.assert_allclose(n_hat, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_coincident_raises(self):
-        emitter = StateVector(
-            position=[7.0e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
-        )
         receiver = StaticPlatform([7.0e6, 0.0, 0.0])
         with pytest.raises(DegenerateGeometry):
-            solve_light_time(emitter, receiver)
+            solve_light_time(0.0, np.array([[7.0e6, 0.0, 0.0]]), receiver)
 
     def test_receding_receiver_against_grid_search(self):
         # brute-force oracle: bisect f(T) = |r_recv(t+T) - r_emit| - cT
-        emitter = StateVector(
-            position=[7.0e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
-        )
+        r_emit = np.array([[7.0e6, 0.0, 0.0]])
         receiver = _LinearPlatform([7.4e6, 0.0, 0.0], [7.0e3, 0.0, 0.0])
 
         def miss(t_flight):
-            sep = receiver.states(t_flight).position - emitter.position
+            sep = receiver.states(t_flight)[0] - r_emit
             return float(np.linalg.norm(sep)) - C_LIGHT * t_flight
 
         lo, hi = 0.0, 1.0
@@ -242,7 +249,7 @@ class TestLightTime:
                 hi = mid
         t_oracle = 0.5 * (lo + hi)
 
-        t_flight, _ = solve_light_time(emitter, receiver)
+        t_flight, _ = solve_light_time(0.0, r_emit, receiver)
         t_static = 4.0e5 / C_LIGHT
         excess = t_flight - t_static
         assert excess == pytest.approx(t_static * 7.0e3 / C_LIGHT, rel=0.01)
@@ -253,48 +260,43 @@ class TestLightTime:
         # recomputing the range at the converged epoch reproduces cT
         gs = GroundStation(0.0, 0.0)
         orbit = CircularOrbit(6.778e6, inclination=0.9)
-        emit = gs.states(100.0)
-        t_flight, _ = solve_light_time(emit, orbit)
-        sep = orbit.states(100.0 + t_flight).position - emit.position
+        r_emit, _ = gs.states(100.0)
+        t_flight, _ = solve_light_time(100.0, r_emit, orbit)
+        sep = orbit.states(100.0 + t_flight)[0] - r_emit
         assert abs(float(np.linalg.norm(sep)) - C_LIGHT * t_flight) < 1e-3
 
     def test_emission_epoch_is_read_from_the_state(self):
-        # one station position, labelled t = 0 or t = 300 s: the state's epoch
+        # one station position, emitted at t = 0 or t = 300 s: the emission epoch
         # sets when the light leaves, so it meets the orbit elsewhere
         orbit = CircularOrbit(6.771e6)
-        now = GroundStation(0.0, 0.0).states(0.0)
-        relabelled = StateVector(position=now.position, velocity=now.velocity, epoch=300.0)
-        t_now, _ = solve_light_time(now, orbit)
-        t_later, _ = solve_light_time(relabelled, orbit)
+        r_now, _ = GroundStation(0.0, 0.0).states(0.0)
+        t_now, _ = solve_light_time(0.0, r_now, orbit)
+        t_later, _ = solve_light_time(300.0, r_now, orbit)
         assert t_now == pytest.approx(1.334e-3, rel=1e-3)
         assert t_later == pytest.approx(7.531e-3, rel=1e-3)
 
     def test_direction_reverses_on_swap(self):
         a = StaticPlatform([7.0e6, 1.0e5, 0.0])
         b = StaticPlatform([7.3e6, -2.0e5, 4.0e5])
-        _, n_ab = solve_light_time(a.states(0.0), b)
-        _, n_ba = solve_light_time(b.states(0.0), a)
+        _, n_ab = solve_light_time(0.0, a.states(0.0)[0], b)
+        _, n_ba = solve_light_time(0.0, b.states(0.0)[0], a)
         np.testing.assert_allclose(n_ab, -n_ba, atol=1e-12)
 
     def test_runaway_receiver_no_convergence(self):
-        emitter = StateVector(
-            position=[6.4e6, 0, 0], velocity=[0, 0, 0], epoch=0.0
-        )
         with pytest.raises(NoConvergence):
-            solve_light_time(emitter, _RunawayPlatform())
+            solve_light_time(0.0, np.array([[6.4e6, 0.0, 0.0]]), _RunawayPlatform())
 
     # Epoch 0 (t = 0 s) starts 1e-5 m from the receiver, so its first update, 3e-14 s, is
     # below the tolerance and it settles on the first iteration. Epoch 1 (t = 1 s) goes on
     # alone, so the second iteration runs on a gathered subset of the epochs.
-    _EMITTED = StateVector(position=[[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]],
-                           velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+    _EMITTED = np.array([0.0, 1.0]), np.array([[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]])
 
     def test_coincidence_after_a_partial_settle_names_the_original_epoch(self):
         # the receiver waits 4e5 m from epoch 1's emitter until t = 1 s, then sits on it
         stops = np.array([[7.0e6 + 1e-5, 0.0, 0.0], [7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]])
         receiver = _ScriptedPlatform(lambda t: stops[np.searchsorted([0.5, 1.0], t)])
         with pytest.raises(DegenerateGeometry) as raised:
-            solve_light_time(self._EMITTED, receiver)
+            solve_light_time(*self._EMITTED, receiver)
         assert str(raised.value) == ("emitter and receiver separated by 0.000e+00 m; direction "
                                      "undefined at epoch [1] (t = 1 s)")
         assert receiver.batch_sizes == [2, 1]
@@ -307,16 +309,13 @@ class TestLightTime:
             return np.where((t < 0.5)[:, None], [7.0e6 + 1e-5, 0.0, 0.0],
                             np.where((t < 1.5)[:, None], [7.0e6, 0.0, 0.0], moving))
 
-        emitted = StateVector(position=np.array([[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0],
-                                                 [7.4e6, 0.0, 0.0]]),
-                              velocity=np.zeros((3, 3)), epoch=np.array([0.0, 1.0, 2.0]))
+        t_emit = np.array([0.0, 1.0, 2.0])
+        r_emit = np.array([[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]])
         receiver = _ScriptedPlatform(position)
-        t_flight, n_hat = solve_light_time(emitted, receiver)
+        t_flight, n_hat = solve_light_time(t_emit, r_emit, receiver)
         assert receiver.batch_sizes[:3] == [3, 2, 1]
         for k in range(3):
-            one = StateVector(position=emitted.position[k], velocity=np.zeros(3),
-                              epoch=emitted.epoch[k])
-            t_one, n_one = solve_light_time(one, _ScriptedPlatform(position))
+            t_one, n_one = solve_light_time(t_emit[k], r_emit[k:k + 1], _ScriptedPlatform(position))
             assert t_flight[k] == t_one[0]
             np.testing.assert_array_equal(n_hat[k], n_one[0])
 
@@ -328,7 +327,7 @@ class TestLightTime:
 
         receiver = _ScriptedPlatform(position)
         with pytest.raises(NoConvergence, match=r"in 50 steps at epoch \[1\] \(t = 1 s\)$"):
-            solve_light_time(self._EMITTED, receiver)
+            solve_light_time(*self._EMITTED, receiver)
         assert receiver.batch_sizes == [2] + [1] * 49
 
 
@@ -443,7 +442,7 @@ class TestBuildLinkGeometry:
                  else EphemerisTrajectory(circular_orbit_table(inc=0.9)))
         t = np.linspace(300.0, 1500.0, 9)
         geom = build_link_geometry(GroundStation(0.4, 0.3), orbit, t)
-        radius = np.linalg.norm(orbit.states(t + geom.t_up).position, axis=-1)
+        radius = np.linalg.norm(orbit.states(t + geom.t_up)[0], axis=-1)
         np.testing.assert_allclose(GM_EARTH / (C_LIGHT**2 * geom.U2), radius, rtol=2e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -453,10 +452,35 @@ class TestBuildLinkGeometry:
     def test_station_acceleration_is_centripetal(self, lat, lon, alt, epochs):
         """a1 = omega x v1 of a co-rotating station is -omega^2 (x, y, 0)."""
         station = GroundStation(lat, lon, alt)
-        x, y, _ = station.states(epochs).position.T
+        x, y, _ = station.states(epochs)[0].T
         expected = -OMEGA_EARTH**2 * np.stack([x, y, np.zeros_like(x)], axis=-1)
         np.testing.assert_allclose(station_acceleration(station, epochs), expected,
                                    rtol=1e-15, atol=1e-30)
+
+
+_FLOOR_NAN = r"^\|position\| = nan m is below 6\.3e\+06 m at epoch \[0\] \(t = 0 s\)$"
+_SWEEP = GroundStation(0.0, 0.0), CircularOrbit(6.771e6)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CircularOrbit(6.9e6, inclination=math.inf), ValueError,
+     r"^orbit angle not finite: inclination=inf, raan=0\.0, phase=0\.0$"),
+    (lambda: CircularOrbit(6.9e6, raan=-math.inf), ValueError, r": .* raan=-inf, phase=0\.0$"),
+    (lambda: CircularOrbit(6.9e6, phase=math.nan), ValueError, r": .* phase=nan$"),
+    (lambda: GroundStation(0.3, 0.2, math.inf), BadAltitude, _FLOOR_NAN),
+    (lambda: GroundStation(0.0, 0.0, -math.inf), BadAltitude, _FLOOR_NAN),
+    (lambda: build_pass(*_SWEEP, math.inf, 60.0, 3), ValueError,
+     r"^sweep bound t_start = inf s must be finite$"),
+    (lambda: build_pass(*_SWEEP, 0.0, math.inf, 3), ValueError,
+     r"^sweep bound t_end = inf s must be finite$"),
+    (lambda: build_pass(*_SWEEP, -math.inf, math.inf, 0), ValueError, r"^n_epochs must be >= 1$"),
+], ids=["inclination", "raan", "phase", "alt_inf", "alt_minus_inf", "t_start", "t_end",
+        "n_epochs_first"])
+def test_non_finite_orbit_station_and_sweep_arguments_raise(build, error, message):
+    """Each raises its own error, where numpy once warned on the way to a NaN (the tests
+    turn warnings into errors)."""
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_earth_rotation_vector():
@@ -587,7 +611,7 @@ class TestBatchPath:
     def test_bad_epoch_in_a_state_batch_is_named(self):
         pos = np.array([[7.0e6, 0.0, 0.0], [1.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]])
         with pytest.raises(BadAltitude, match=r" at epoch \[1\] \(t = 5 s\)$"):
-            StateVector(position=pos, velocity=np.zeros((3, 3)), epoch=np.array([0.0, 5.0, 9.0]))
+            _states(pos, np.zeros((3, 3)), np.array([0.0, 5.0, 9.0]))
 
     def test_batch_of_one_names_epoch_0(self):
         with pytest.raises(BadAltitude) as raised:
@@ -608,10 +632,21 @@ class TestBatchPath:
             )
 
     def test_bad_epoch_in_a_light_time_batch_is_named(self):
-        emitter = StateVector(position=[[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]],
-                              velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+        r_emit = np.array([[7.0e6, 0.0, 0.0], [7.4e6, 0.0, 0.0]])
         with pytest.raises(DegenerateGeometry, match=r" at epoch \[1\] \(t = 1 s\)$"):
-            solve_light_time(emitter, StaticPlatform([7.4e6, 0.0, 0.0]))
+            solve_light_time(np.array([0.0, 1.0]), r_emit, StaticPlatform([7.4e6, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("t_emit", [np.array([0.0, 5.0]), 5.0], ids=["batch", "one_epoch"])
+    def test_emitter_below_the_floor_is_named(self, t_emit):
+        # positions no states call has checked: solve_light_time holds them to the floor,
+        # and a float epoch stands for every row
+        r_emit = np.array([[7.0e6, 0.0, 0.0], [6.0e6, 0.0, 0.0]])
+        receiver = _ScriptedPlatform(lambda t: np.tile([7.4e6, 0.0, 0.0], (len(t), 1)))
+        with pytest.raises(BadAltitude) as raised:
+            solve_light_time(t_emit, r_emit, receiver)
+        assert str(raised.value) == ("|position| = 6.0000e+06 m is below 6.3e+06 m"
+                                     " at epoch [1] (t = 5 s)")
+        assert receiver.batch_sizes == []
 
 
 def assert_same_geometry(got, want):
@@ -649,7 +684,7 @@ class TestPositionsPath:
         for trajectory, t in ((ephemeris, data.draw(table_epochs(table))),
                               (CircularOrbit(a, inc, raan, phase), times),
                               (GroundStation(lat, lon, alt), times)):
-            assert_same_bits(trajectory.positions(t), trajectory.states(t).position)
+            assert_same_bits(trajectory.positions(t), trajectory.states(t)[0])
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(["circular", "ephemeris"]),
@@ -664,11 +699,11 @@ class TestPositionsPath:
               else EphemerisTrajectory(circular_orbit_table(a=a, inc=inc)))
         epochs, geometry = build_pass(gs, sc, t_start, t_start + span, n)
         assert_same_geometry(geometry, oracle_geometry(gs, sc, epochs))
-        up = gs.states(epochs)
-        down = sc.states(epochs + geometry.t_up)
-        for emitted, receiver in ((up, sc), (down, gs)):
-            for got, expected in zip(solve_light_time(emitted, receiver),
-                                     solve_light_time_oracle(emitted, receiver)):
+        t_down = epochs + geometry.t_up
+        up, down = (epochs, gs.states(epochs)[0]), (t_down, sc.states(t_down)[0])
+        for (t_emit, r_emit), receiver in ((up, sc), (down, gs)):
+            for got, expected in zip(solve_light_time(t_emit, r_emit, receiver),
+                                     solve_light_time_oracle(t_emit, r_emit, receiver)):
                 assert_same_bits(got, expected)
 
     def test_day_long_table_matches_the_states_loop(self):
@@ -687,7 +722,7 @@ class TestPositionsPath:
         t_emit = np.array([300.0, 600.0, 1800.0, 2000.0])
         error, message = raised(lambda: build_link_geometry(gs, sc, t_emit))
         old_error, old_message = raised(lambda: oracle_geometry(gs, sc, t_emit))
-        t_up, _ = solve_light_time(gs.states(t_emit), sc)
+        t_up, _ = solve_light_time(t_emit, gs.states(t_emit)[0], sc)
         assert error is old_error is ValueError
         assert old_message.endswith(" m/s exceeds 1.1e+04 m/s at epoch [2] (t = 1800 s)")
         assert message.startswith("|velocity| = ")
@@ -716,11 +751,11 @@ class TestPositionsPath:
             x = np.where(t < 0.5, 7.0e6 + 1e-5, np.where(t <= 1.0, 7.4e6, 6.0e6))
             return np.stack([x, 0.0 * t, 0.0 * t], axis=-1)
 
-        emitted = StateVector(position=[[7.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]],
-                              velocity=np.zeros((2, 3)), epoch=np.array([0.0, 1.0]))
+        t_emit, r_emit = np.array([0.0, 1.0]), np.array([[7.0e6, 0.0, 0.0], [7.0e6, 0.0, 0.0]])
         receiver = _ScriptedPlatform(position)
-        new = raised(lambda: solve_light_time(emitted, receiver))
-        assert new == raised(lambda: solve_light_time_oracle(emitted, _ScriptedPlatform(position)))
+        new = raised(lambda: solve_light_time(t_emit, r_emit, receiver))
+        assert new == raised(lambda: solve_light_time_oracle(t_emit, r_emit,
+                                                             _ScriptedPlatform(position)))
         assert new == (BadAltitude, "|position| = 6.0000e+06 m is below 6.3e+06 m at epoch [0] "
                                     f"(t = {1.0 + 4.0e5 / C_LIGHT:.6g} s)")
         assert receiver.batch_sizes == [2, 1]
@@ -732,9 +767,9 @@ class TestPositionsPath:
     ], ids=["past_the_span", "leaves_it_in_flight"])
     def test_out_of_span_epoch_is_named_as_before(self, t_emit, named):
         sc = EphemerisTrajectory(orbit_table(60.0 * np.arange(41), lambda t: 1.1e-3 * t))
-        emitted = GroundStation(0.3, 0.2).states(t_emit)
-        new = raised(lambda: solve_light_time(emitted, sc))
-        assert new == raised(lambda: solve_light_time_oracle(emitted, sc))
+        r_emit, _ = GroundStation(0.3, 0.2).states(t_emit)
+        new = raised(lambda: solve_light_time(t_emit, r_emit, sc))
+        assert new == raised(lambda: solve_light_time_oracle(t_emit, r_emit, sc))
         assert new[0] is OutOfRange and re.search(named, new[1])
 
 
