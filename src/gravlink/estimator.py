@@ -1,14 +1,13 @@
 """Violation-parameter regression and Monte Carlo precision forecasting.
 
-The measured combination s = phi_sc - phi_gs/2 at each epoch, divided by
-omega0*tau_l and with the modeled kinematic terms (second-order Doppler,
-squared radial-projection difference, station-acceleration term)
-subtracted using the known geometry, leaves (1 + alpha)(U2 - U1). A
-weighted least-squares fit of that residual against the potential
-difference across a pass yields alpha and its uncertainty
-(estimate_alpha). The forecast (precision_forecast) is photon noise on one
-built pass: it takes the pass's LinkGeometry batch and returns one
-AlphaEstimate of per-trial arrays.
+The measured combination s = phi_sc - phi_gs/2 at each epoch, less the
+zero-violation model s(0) that phase_pair gives for the known geometry,
+is alpha times the model's exact derivative ds/dalpha (s is affine in
+alpha). A weighted least-squares fit of that residual against
+ds/dalpha across a pass yields alpha and its uncertainty
+(estimate_alpha): the matched-template estimator. The forecast
+(precision_forecast) is photon noise on one built pass: it takes the
+pass's LinkGeometry batch and returns one AlphaEstimate of per-trial arrays.
 
 Measured fringe phases are only defined modulo 2*pi while the underlying
 Doppler phases reach ~1e6 rad, so the forecast pipeline unwraps each
@@ -30,7 +29,7 @@ from .interferometer import FringeScan, _wrap_phase, draw_counts, fit_phase, out
 # tracer resolves estimator.build_pass in this module (the forecast's
 # estimator.pass_self_s), and its tracer test reads estimator.build_link_geometry
 from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F401
-from .link_model import _check_scale, phase_pair, velocity_terms
+from .link_model import PhasePair, phase_pair
 
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
 # scan points a forecast draws and fits together; it sets the forecast's peak memory
@@ -50,55 +49,53 @@ class AlphaEstimate:
             raise ValueError("sigma_alpha must be positive")
 
 
-def estimate_alpha(rows, geometries: LinkGeometry, scale: float,
-                   first: int = 0) -> AlphaEstimate:
+def estimate_alpha(rows, model: PhasePair, first: int = 0) -> AlphaEstimate:
     """Weighted least-squares estimate of the violation parameter over a pass.
 
     rows are the measurements (phi_sc, sigma_sc, phi_gs, sigma_gs) in
-    radians at each epoch of the LinkGeometry batch geometries, as an
-    (epochs, 4) array or a batch (..., epochs, 4) of repeated measurements
-    (a forecast's trials) of the same pass; phases must be unwrapped
-    (absolute), not fringe-wrapped, and every sigma positive. scale is the
-    phase_scale omega0 * tau_l that turned fractional shifts into phases.
+    radians at each epoch of a pass, as an (epochs, 4) array or a batch
+    (..., epochs, 4) of repeated measurements (a forecast's trials) of the
+    same pass; phases must be unwrapped (absolute), not fringe-wrapped, and
+    every sigma positive. model is the pass's zero-violation
+    phase_pair(geometries, scale).
 
     Per epoch: s = phi_sc - phi_gs/2 with variance sigma_sc^2 +
-    sigma_gs^2/4; the closed-form second-order kinematic terms
-    (velocity_terms) are subtracted using the true geometry (perfect orbit
-    knowledge); the residual y is regressed through the origin against the
-    potential difference x = U2 - U1, giving the slope (1 + alpha).
+    sigma_gs^2/4; the model's s_signal is subtracted using the true
+    geometry (perfect orbit knowledge), and the residual y is regressed
+    through the origin against x = model.ds_dalpha, all in phase units;
+    the slope is alpha.
 
     One set of rows gives floats; a batch gives (...,) arrays, one estimate
-    per set. Raises ValueError for rows of the wrong shape, a sigma that is
-    not positive or a scale phase_scale refuses, and SingularFit when a set
-    has no leverage (every epoch has U2 = U1, or no epoch a finite nonzero
-    weight); in a batch the message names the first such set, its leading
-    index counted from first, as in "... at trial [3]".
+    per set. Raises ValueError for rows of the wrong shape or a sigma that
+    is not positive, and SingularFit when a set has no leverage (every epoch
+    has U2 = U1, or no epoch a finite nonzero weight); in a batch the
+    message names the first such set, its leading index counted from first,
+    as in "... at trial [3]".
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim < 2 or rows.shape[-1] != 4:
         raise ValueError("measurement rows are (phi_sc, sig_sc, phi_gs, sig_gs)")
-    if rows.shape[-2] != len(geometries):
+    epochs = len(model.s_signal)
+    if rows.shape[-2] != epochs:
         raise ValueError(f"{rows.shape[-2]} epochs of measurements must align with "
-                         f"{len(geometries)} geometries")
+                         f"{epochs} geometries")
     phi_sc, sig_sc, phi_gs, sig_gs = np.moveaxis(rows, -1, 0)
     if not (np.all(sig_sc > 0.0) and np.all(sig_gs > 0.0)):
         raise ValueError("phase uncertainties must be positive")
-    _check_scale(scale)
-    x = geometries.U2 - geometries.U1
-    y = (phi_sc - 0.5 * phi_gs) / scale - velocity_terms(geometries)
-    weights = scale**2 / (sig_sc**2 + 0.25 * sig_gs**2)  # of y, in signal-fraction units
+    x = model.ds_dalpha
+    y = phi_sc - 0.5 * phi_gs - model.s_signal
+    weights = 1.0 / (sig_sc**2 + 0.25 * sig_gs**2)
 
     leverage = np.sum(weights * x * x, axis=-1)
     reject(~(np.isfinite(leverage) & (leverage > 0.0)), SingularFit,
            "no leverage ({}): every epoch has U2 = U1 or no usable weight", leverage,
            what="trial", first=first)
-    slope = np.sum(weights * x * y, axis=-1) / leverage
-    resid = y - slope[..., None] * x
-    dof = len(geometries) - 1
-    chi2_per_dof = (np.sum(weights * resid**2, axis=-1) / dof if dof > 0
-                    else np.zeros_like(slope))
+    alpha_hat = np.sum(weights * x * y, axis=-1) / leverage
+    resid = y - alpha_hat[..., None] * x
+    chi2_per_dof = (np.sum(weights * resid**2, axis=-1) / (epochs - 1) if epochs > 1
+                    else np.zeros_like(alpha_hat))
     # [()] turns the 0-d results of one set of rows into scalars
-    return AlphaEstimate(alpha_hat=(slope - 1.0)[()], sigma_alpha=(1.0 / np.sqrt(leverage))[()],
+    return AlphaEstimate(alpha_hat=alpha_hat[()], sigma_alpha=(1.0 / np.sqrt(leverage))[()],
                          chi2_per_dof=chi2_per_dof[()])
 
 
@@ -118,8 +115,8 @@ def precision_forecast(geometries: LinkGeometry, scale: float, alpha: float,
     Trial t draws from SeedSequence((seed, t)) alone, so its row does not
     depend on how many trials run. Trials are fitted in blocks of at most
     _BLOCK_POINTS scan points (at least one trial): one FringeScan, one
-    fit_phase call and one estimate_alpha call, with its own model terms, per
-    block, so memory does not grow with trials. A failed fit names its scan
+    fit_phase call and one estimate_alpha call, against the model the unwrap
+    uses, per block, so memory does not grow with trials. A failed fit names its scan
     as [trial, epoch, terminal], terminal 0 the spacecraft (phi_sc) and 1 the
     ground station (phi_gs).
 
@@ -160,6 +157,6 @@ def precision_forecast(geometries: LinkGeometry, scale: float, alpha: float,
             phase, sigma = true_phase, np.full_like(true_phase, _NOISELESS_SIGMA)
         # rows (phi_sc, sigma_sc, phi_gs, sigma_gs) of every trial of the block
         rows = np.stack([phase, sigma], axis=-1).reshape(-1, len(geometries), 4)
-        est = estimate_alpha(rows, geometries, scale, first=start)
+        est = estimate_alpha(rows, model, first=start)
         estimates[:, start:stop] = est.alpha_hat, est.sigma_alpha, est.chi2_per_dof
     return AlphaEstimate(*estimates)

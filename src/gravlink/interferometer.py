@@ -103,15 +103,18 @@ def outcome_probabilities(phi, visibility: float, efficiency: float,
                           dark_rate: float = 0.0) -> np.ndarray:
     """Multinomial probabilities (..., 4) of the early, central and late windows and
     of no detection at the fringe phase(s) phi (...,), as the module docstring gives
-    them. ValueError unless visibility and efficiency lie in [0, 1], dark_rate >= 0
-    and each setting's window probabilities sum to <= 1."""
+    them. ValueError unless every phase is finite, visibility and efficiency lie in
+    [0, 1], dark_rate >= 0 and each setting's window probabilities sum to <= 1."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("fringe phase must be finite")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     if not dark_rate >= 0.0:
         raise ValueError("dark_rate must be non-negative")
-    central = 0.125 * (1.0 + visibility * np.cos(np.asarray(phi, dtype=float)))
+    central = 0.125 * (1.0 + visibility * np.cos(phi))
     side = np.full_like(central, 0.0625)
     probs = np.stack([side, central, side], axis=-1) * efficiency + dark_rate
     p_any = probs.sum(axis=-1, keepdims=True)

@@ -144,6 +144,8 @@ class GroundStation:
             raise ValueError(f"latitude {lat} rad outside [-pi/2, pi/2]")
         self.lat = float(lat)
         self.lon = float(lon)
+        if math.isinf(self.lon):  # a NaN one fails as a NaN position, below
+            raise ValueError(f"station angle not finite: {lon=!s}")
         self.alt = float(alt)
         radius = R_EARTH + self.alt if math.isfinite(self.alt) else math.nan  # inf fails as NaN
         self._body = radius * np.array([

@@ -12,8 +12,8 @@ and the combination s = phi_sc - phi_gs/2 cancels first-order Doppler,
 leaving the (1+alpha)-scaled potential difference plus small kinematic
 terms.
 
-phase_pair, velocity_terms and expanded_signal take a LinkGeometry batch
-and return one value per epoch, (N,).
+phase_pair and expanded_signal take a LinkGeometry batch and return one
+value per epoch, (N,).
 
 Numerical note: the ratios sit within ~1e-10 of unity, so phase_pair
 evaluates each ratio - 1 from rearranged differences instead of forming
@@ -61,11 +61,13 @@ def _check_alpha(alpha: float) -> None:
 
 
 class PhasePair(NamedTuple):
-    """Fringe phases at the two terminals and their combination [rad], (N,) per epoch."""
+    """Fringe phases at the two terminals, their combination and its derivative in
+    alpha [rad], (N,) per epoch; s is affine in alpha, so ds_dalpha is exact."""
 
     phi_sc: np.ndarray
     phi_gs: np.ndarray
     s_signal: np.ndarray
+    ds_dalpha: np.ndarray
 
 
 def gravitational_phase(scale: float, g: float, h: float, alpha: float = 0.0) -> float:
@@ -93,7 +95,9 @@ def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePai
     round trip is that Doppler factor times the downlink one
     (1 - n23.beta3)/(1 - n23.beta2), with no potential factor, because
     emission and final detection both happen at the station (at U1). Each
-    factor - 1 (a, b, c) is formed once, and each ratio - 1 as x + b + x*b.
+    factor - 1 (a, b, c) is formed once, and each ratio - 1 as x + b + x*b;
+    only a holds alpha, so ds_dalpha = scale * (U2 - U1) * (1 + b) / den, den the
+    denominator of a.
     LinkGeometry's checks (|beta| < 4e-5, 0 < U < 1e-8, |n| = 1 +- 1e-9)
     keep 1 - U2 - |beta2|^2/2 above 1 - 1.1e-8 and 1 - n12.beta1 and
     1 - n23.beta2 above 1 - 4.0001e-5, so no denominator can approach zero.
@@ -102,35 +106,26 @@ def phase_pair(geom: LinkGeometry, scale: float, alpha: float = 0.0) -> PhasePai
     _check_alpha(alpha)
     b1_sq = _dot(geom.beta1, geom.beta1)
     b2_sq = _dot(geom.beta2, geom.beta2)
-    a = (((1.0 + alpha) * (geom.U2 - geom.U1) + 0.5 * (b2_sq - b1_sq))
-         / (1.0 - geom.U2 - 0.5 * b2_sq))
+    du, den = geom.U2 - geom.U1, 1.0 - geom.U2 - 0.5 * b2_sq
+    a = ((1.0 + alpha) * du + 0.5 * (b2_sq - b1_sq)) / den
     b = (geom.d1 - geom.d2) / (1.0 - geom.d1)
     e2 = _dot(geom.n23, geom.beta2)
     c = (e2 - geom.d3) / (1.0 - e2)
     phi_sc = scale * (a + b + a * b)
     phi_gs = scale * (c + b + c * b)
-    return PhasePair(phi_sc=phi_sc, phi_gs=phi_gs, s_signal=phi_sc - 0.5 * phi_gs)
-
-
-def velocity_terms(geom: LinkGeometry):
-    """Kinematic part of the second-order expansion of s/(omega0 tau_l).
-
-    0.5|beta1 - beta2|^2 - (d1 - d2)^2 - T n12.a1/c. These are the terms
-    an analysis subtracts using known orbit geometry, leaving the
-    potential difference.
-    """
-    db = geom.beta1 - geom.beta2
-    second_doppler = 0.5 * _dot(db, db)
-    aberration_sq = (geom.d1 - geom.d2) ** 2
-    acceleration = geom.t_up * _dot(geom.n12, geom.a1) / C_LIGHT
-    return second_doppler - aberration_sq - acceleration
+    return PhasePair(phi_sc=phi_sc, phi_gs=phi_gs, s_signal=phi_sc - 0.5 * phi_gs,
+                     ds_dalpha=scale * du * (1.0 + b) / den)
 
 
 def expanded_signal(geom: LinkGeometry, alpha: float = 0.0):
     """Second-order model of s/(omega0 tau_l).
 
-    (1 + alpha)(U2 - U1) + 0.5|beta1 - beta2|^2 - (d1 - d2)^2
-    - T n12.a1/c. Agrees with the exact pipeline to O(beta^3).
+    (1 + alpha)(U2 - U1) + 0.5|beta1 - beta2|^2 - (d1 - d2)^2 - T n12.a1/c:
+    the potential difference plus the kinematic terms an analysis subtracts
+    using known orbit geometry. Agrees with the exact pipeline to O(beta^3).
     """
     _check_alpha(alpha)
-    return (1.0 + alpha) * (geom.U2 - geom.U1) + velocity_terms(geom)
+    db = geom.beta1 - geom.beta2
+    kinematic = (0.5 * _dot(db, db) - (geom.d1 - geom.d2) ** 2
+                 - geom.t_up * _dot(geom.n12, geom.a1) / C_LIGHT)
+    return (1.0 + alpha) * (geom.U2 - geom.U1) + kinematic

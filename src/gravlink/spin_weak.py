@@ -115,8 +115,10 @@ def constants_report(g: float = G_STD) -> tuple[ConstantRow, ...]:
 
     The acceleration energy scale hbar*g/c, the magnetic field whose
     level splitting matches it, and how much stronger the Earth-rotation
-    coupling is than the acceleration one.
+    coupling is than the acceleration one. ValueError unless 0 < g < inf.
     """
+    if not 0.0 < g < math.inf:
+        raise ValueError("g must be positive")
     energy_ev = HBAR * g / C_LIGHT / EV
     return (
         ConstantRow(

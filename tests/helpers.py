@@ -20,7 +20,7 @@ from gravlink.interferometer import _MIN_VISIBILITY, FringeScan, PhaseFit, _wrap
 from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT_TIME_TOL,
                                  EARTH_ROTATION, LinkGeometry, _above_floor, _cross, _epochs,
                                  _norm, _states, rotate_z)
-from gravlink.link_model import expanded_signal, phase_pair
+from gravlink.link_model import phase_pair
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
 
@@ -169,30 +169,19 @@ def synthesize_measurements(
     sigma_sc: float = 0.0,
     sigma_gs: float = 0.0,
     seed=None,
-    model: str = "expanded",
 ) -> np.ndarray:
     """Per-epoch measurement rows (phi_sc, sigma_sc, phi_gs, sigma_gs), (epochs, 4),
     with Gaussian phase noise, as estimate_alpha takes them.
 
-    geometries is a LinkGeometry batch and scale its phase_scale. model =
-    "expanded" (default) builds the one-way phase from the second-order
-    signal model plus half the exact round-trip phase, so the regression
-    model inverts it exactly; "exact" uses the exact frequency ratios for
-    both phases, which leaves the O(beta^3) truncation visible to the
-    estimator. With a seed, noise is
-    drawn epoch by epoch, the one-way phase before the round-trip one.
+    geometries is a LinkGeometry batch and scale its phase_scale; both phases
+    are phase_pair's exact ones at alpha. With a seed, noise is drawn epoch by
+    epoch, the one-way phase before the round-trip one.
 
     Note the phases are ~1e6 rad, so reconstructing s = phi_sc - phi_gs/2
     from the stored doubles is good to ~1e-10 rad, not machine epsilon.
     """
-    if model not in ("expanded", "exact"):
-        raise ValueError(f"unknown synthesis model '{model}'")
-    if model == "expanded":
-        phi_gs = phase_pair(geometries, scale).phi_gs
-        phi_sc = scale * expanded_signal(geometries, alpha) + 0.5 * phi_gs
-    else:
-        pair = phase_pair(geometries, scale, alpha)
-        phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
+    pair = phase_pair(geometries, scale, alpha)
+    phi_sc, phi_gs = pair.phi_sc, pair.phi_gs
     if seed is not None:
         noise = np.random.default_rng(seed).normal(0.0, [sigma_sc, sigma_gs],
                                                    (len(geometries), 2))

@@ -140,6 +140,7 @@ def test_criterion_5_alpha_recovery_and_scaling():
 
     # unbiasedness: 50 epochs x 100 noise seeds at 1e-3 rad phase noise
     _, geoms = zenith_pass(50)
+    model = phase_pair(geoms, SCALE)
     hats = []
     sigma = None
     for seed in range(100):
@@ -147,7 +148,7 @@ def test_criterion_5_alpha_recovery_and_scaling():
             geoms, SCALE, truth,
             sigma_sc=1e-3, sigma_gs=1e-3, seed=seed,
         )
-        est = estimate_alpha(rows, geoms, SCALE)
+        est = estimate_alpha(rows, model)
         hats.append(est.alpha_hat)
         sigma = est.sigma_alpha
     bias = float(np.mean(hats)) - truth

@@ -25,7 +25,7 @@ from gravlink.kinematics import (
     build_link_geometry,
 )
 from gravlink.link_model import gravitational_phase, phase_pair, phase_scale
-from gravlink.spin_weak import amplification_scan
+from gravlink.spin_weak import amplification_scan, constants_report
 from test_interferometer import noiseless_scan
 
 OFFSETS = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
@@ -61,7 +61,7 @@ def trial_batch(sigma=np.inf):
     geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6), epochs)
     rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (4, 3, 1))
     rows[1, :, 1] = sigma   # an infinite sigma leaves trial 1 no usable weight
-    estimate_alpha(rows, geoms, phase_scale(800e-9, 2.0e-5))
+    estimate_alpha(rows, phase_pair(geoms, phase_scale(800e-9, 2.0e-5)))
 
 
 BATCHES = [
@@ -118,9 +118,21 @@ SCALE = phase_scale(800e-9, 2.0e-5)
     (lambda: gravitational_phase(SCALE, math.nan, 4.0e5), "g must be positive"),
     (lambda: gravitational_phase(SCALE, math.inf, 4.0e5), "g must be positive"),
     (lambda: trial_batch(sigma=math.nan), "phase uncertainties must be positive"),
+    (lambda: GroundStation(0.3, math.inf), "station angle not finite: lon=inf"),
+    (lambda: GroundStation(0.3, -math.inf), "station angle not finite: lon=-inf"),
+    (lambda: constants_report(0.0), "g must be positive"),
+    (lambda: constants_report(-1.0), "g must be positive"),
+    (lambda: constants_report(math.nan), "g must be positive"),
+    (lambda: constants_report(math.inf), "g must be positive"),
+    (lambda: outcome_probabilities(math.inf, 1.0, 1.0), "fringe phase must be finite"),
+    (lambda: outcome_probabilities([0.0, math.nan], 1.0, 1.0), "fringe phase must be finite"),
+    (lambda: fringe_scan(OFFSETS, math.nan, 1.0, 100, 1.0, 0), "fringe phase must be finite"),
 ], ids=["outcome_probabilities", "fringe_scan", "height_nan", "height_inf", "g_nan", "g_inf",
-        "estimate_alpha"])
+        "estimate_alpha", "station_lon_inf", "station_lon_minus_inf", "constants_g_zero",
+        "constants_g_negative", "constants_g_nan", "constants_g_inf", "phase_inf", "phase_nan",
+        "fringe_scan_phase_nan"])
 def test_argument_checks_refuse_nan_and_inf(run, message):
+    """The package's own ValueError, not another library's error, a warning or a NaN result."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         run()
 
@@ -131,9 +143,7 @@ def test_argument_checks_refuse_nan_and_inf(run, message):
 def test_every_phase_function_refuses_the_scale_phase_scale_refuses(scale, need):
     geoms = build_link_geometry(GroundStation(0.0, 0.0), CircularOrbit(6.771e6),
                                 [-60.0, 0.0, 60.0])
-    rows = np.tile([1.0, 1e-3, 2.0, 1e-3], (3, 1))
     for run in (lambda: gravitational_phase(scale, 9.8, 4.0e5), lambda: phase_pair(geoms, scale),
-                lambda: estimate_alpha(rows, geoms, scale),
                 lambda: precision_forecast(geoms, scale, 0.0, 0, 10, 0)):
         with pytest.raises(ValueError, match=rf"^omega0\*tau_l = {scale} must be {need}$"):
             run()

@@ -23,7 +23,6 @@ from gravlink.link_model import (
     gravitational_phase,
     phase_pair,
     phase_scale,
-    velocity_terms,
 )
 
 U_SURFACE = 6.961274586591855e-10
@@ -288,7 +287,6 @@ class TestExpandedSignal:
     def test_static_geometry_exact(self):
         geom = make_geometry(u1=U_SURFACE, u2=U_SURFACE - DELTA_U_400KM)
         assert expanded_signal(geom, 2e-4) == (1.0 + 2e-4) * (geom.U2 - geom.U1)
-        assert velocity_terms(geom) == 0.0
 
     def test_alpha_linearity(self):
         gs = GroundStation(0.0, 0.0)
@@ -392,6 +390,19 @@ _UNIT_NORMS = st.floats(1.0 - 9.9e-10, 1.0 + 9.9e-10)
 _POTENTIALS = st.floats(0.0, 1.0e-8, exclude_min=True, exclude_max=True)
 
 
+# three epochs of LEO-to-GEO links from a station up to 3 km high, as link(**drawn) builds them
+_LINKS = dict(lat=st.floats(-1.5, 1.5), lon=st.floats(-math.pi, math.pi),
+              alt=st.floats(0.0, 3000.0), radius=st.floats(R_EARTH + 3.0e5, 4.2164e7),
+              inclination=st.floats(0.0, math.pi), raan=st.floats(0.0, 2.0 * math.pi),
+              phase=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-3000.0, 3000.0))
+
+
+def link(lat, lon, alt, radius, inclination, raan, phase, t0):
+    return build_link_geometry(GroundStation(lat, lon, alt),
+                               CircularOrbit(radius, inclination, raan, phase),
+                               t0 + np.array([0.0, 1.0, 60.0]))
+
+
 class TestPinnedPrecision:
     """ratio - 1 on random LEO-to-GEO links against a 50-digit evaluation of the
     unrearranged ratios. The rearranged differences stay within about 2 ulp of the
@@ -401,16 +412,9 @@ class TestPinnedPrecision:
     ULPS = 4
 
     @settings(max_examples=60, deadline=None)
-    @given(lat=st.floats(-1.5, 1.5), lon=st.floats(-math.pi, math.pi),
-           alt=st.floats(0.0, 3000.0), radius=st.floats(R_EARTH + 3.0e5, 4.2164e7),
-           inclination=st.floats(0.0, math.pi), raan=st.floats(0.0, 2.0 * math.pi),
-           phase=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-3000.0, 3000.0),
-           alpha=st.sampled_from([0.0, 3.0e-4, -0.5]))
-    def test_ratio_minus_one_within_a_few_ulp(self, lat, lon, alt, radius, inclination,
-                                               raan, phase, t0, alpha):
-        geom = build_link_geometry(GroundStation(lat, lon, alt),
-                                   CircularOrbit(radius, inclination, raan, phase),
-                                   t0 + np.array([0.0, 1.0, 60.0]))
+    @given(**_LINKS, alpha=st.sampled_from([0.0, 3.0e-4, -0.5]))
+    def test_ratio_minus_one_within_a_few_ulp(self, alpha, **drawn):
+        geom = link(**drawn)
         pair = phase_pair(geom, SCALE, alpha)
         with mpmath.workdps(50):
             up, round_trip = exact_minus_one(geom, alpha)
@@ -426,6 +430,20 @@ class TestPinnedPrecision:
             s = [(sc - gs / 2, max(sc_size, gs_size))
                  for (sc, sc_size), (gs, gs_size) in zip(phi_sc, phi_gs)]
             assert_within_ulps(pair.s_signal, s, 2 * (self.ULPS + 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_LINKS)
+    def test_ds_dalpha_is_the_exact_derivative(self, **drawn):
+        """s is affine in alpha, so the 50-digit difference quotient of s between two
+        alphas is its derivative; phase_pair's closed form stays within ULPS of it."""
+        geom = link(**drawn)
+        pair = phase_pair(geom, SCALE)
+        with mpmath.workdps(50):
+            (up_0, round_trip), (up_1, _) = exact_minus_one(geom, 0.0), exact_minus_one(geom, 0.5)
+            scale = mpmath.mpf(SCALE)
+            derivative = [(scale * (x_1 - gs / 2) - scale * (x_0 - gs / 2)) / mpmath.mpf(0.5)
+                          for (x_0, _), (x_1, _), (gs, _) in zip(up_0, up_1, round_trip)]
+            assert_within_ulps(pair.ds_dalpha, [(d, abs(d)) for d in derivative], self.ULPS)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(beta1=_vectors(_BETA_NORMS), beta2=_vectors(_BETA_NORMS),
