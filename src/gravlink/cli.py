@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, load_config, trajectories, validate_config
+from .config import MAX_COUNT, ScenarioConfig, load_config, trajectories, validate_config
 from .constants import C_LIGHT, G_STD, GM_EARTH, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
 from .kinematics import _norm, build_pass
@@ -34,9 +35,10 @@ from .link_model import (
 )
 
 
-def _write(out_dir: Path, name: str, data: bytes) -> None:
+def _write(out_dir: Path, name: str, chunks: list) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_bytes(data)
+    with open(out_dir / name, "wb") as fh:
+        fh.writelines(chunks)
 
 
 # The '%.12e' text of a number is five uint32 words, "-d.d" "dddd" "dddd"
@@ -79,43 +81,69 @@ def _e12(x: np.ndarray, out: np.ndarray) -> None:
     out[..., 2] = _QUAD.take(quad, mode="clip")
     out[..., 3] = _TRIPLE_E.take(lo - quad * 1000, mode="clip")
     out[..., 4] = _EXP.take(e + (d == 10**13), mode="clip")
-    i, j = np.nonzero(~keep)  # '%' formats nan, inf, tiny and near-tie entries
-    out[i, j, :5] = np.array(["%.12e" % v for v in x[i, j].tolist()], "S20").view(
-        np.uint32).reshape(-1, 5)
+    if not keep.all():  # '%' formats nan, inf, tiny and near-tie entries
+        i, j = np.nonzero(~keep)
+        out[i, j, :5] = np.array(["%.12e" % v for v in x[i, j].tolist()], "S20").view(
+            np.uint32).reshape(-1, 5)
 
 
-def _table(header: str, columns) -> bytes:
-    """Columnar text as UTF-8 bytes: '# header', then one line per row of the
-    equal-length 1-D arrays columns (a 2-D array's .T works too), entries
-    separated by one space. A column of integer dtype is written '%d' from
-    the integers themselves, every other column '%.12e'; with float columns
-    only, byte for byte the text of np.savetxt(fmt='%.12e', comments='# ').
-    No columns, no rows.
+def _table(header: str, columns) -> list:
+    """Columnar text as UTF-8 byte chunks: '# header', then one line per row of
+    the arrays columns broadcast to (n,) or (n, m), in C order (a 2-D array's
+    .T works too), entries separated by one space. A column of integer dtype
+    is written '%d' from the integers themselves, every other column '%.12e';
+    with float columns only, byte for byte the text of np.savetxt(fmt='%.12e',
+    comments='# '). No columns, no rows.
 
-    A block of at most _BLOCK entries fills one zero-padded buffer of uint32
-    words: per entry a slot of five words, the most either '%.12e' or the
-    '%d' text of a 64-bit integer takes, and a separator word, ' ' or '\n',
-    written once. _e12 fills every slot, integer columns then overwrite
-    theirs, and one bytes.translate per block drops the padding. '%' formats
-    each entry _e12 cannot prove exact: nan, inf, |x| < 1e-296, values within
-    0.0025 of a rounding tie and some just below a power of ten."""
-    step, texts = max(1, _BLOCK // max(1, len(columns))), [f"# {header}\n".encode()]
+    A block of at most _BLOCK entries, whole rows or part of one, fills one
+    zero-padded buffer of uint32 words: per entry a slot of five words, the
+    most either '%.12e' or the '%d' text of a 64-bit integer takes, and a
+    separator word, ' ' or '\n', written once. _e12 fills the slots of each
+    run of adjacent full-size columns, integer columns then overwrite theirs,
+    the slots of a smaller column, formatted once, are broadcast in, and one
+    bytes.translate per block drops the padding. '%' formats each entry _e12
+    cannot prove exact: nan, inf, |x| < 1e-296, values within 0.0025 of a
+    rounding tie and some just below a power of ten."""
+    texts = [f"# {header}\n".encode()]
+    shape = np.broadcast(*columns).shape
+    n, m = shape + (1,) * (2 - len(shape))
+    if not len(columns) or n * m == 0:
+        return texts
+    step = max(1, _BLOCK // len(columns))
     buf = np.zeros((step, len(columns), 6), np.uint32)
     buf[:, :, 5], buf[:, -1:, 5] = ord(" "), ord("\n")
-    ints = [j for j, column in enumerate(columns) if column.dtype.kind in "iu"]
-    for i in range(0, len(columns[0]) if len(columns) else 0, step):
-        block = [column[i:i + step] for column in columns]
-        rows = buf[:len(block[0])]
-        with np.errstate(all="ignore"):  # nan and inf go to '%'
-            _e12(np.stack(block, axis=1, dtype=float), rows)
-        for j in ints:
-            rows[:, j, :5] = block[j].astype("S20").view(np.uint32).reshape(-1, 5)
-        texts.append(rows.tobytes().translate(None, b"\0"))
-    return b"".join(texts)
+    full, fixed = {}, []  # full-size columns raveled, by index; (index, slots at (n, m, 5))
+    for j, column in enumerate(columns):
+        if column.size == n * m:
+            full[j] = column.reshape(-1)
+            continue
+        slots = np.empty((column.size, 1, 5), np.uint32)
+        with np.errstate(all="ignore"):
+            _e12(column.reshape(-1, 1).astype(float), slots)
+        if column.dtype.kind in "iu":
+            slots[:, 0] = column.reshape(-1).astype("S20").view(np.uint32).reshape(-1, 5)
+        fixed.append((j, np.broadcast_to(slots.reshape(column.shape + (5,)), (n, m, 5))))
+    runs = [list(g) for is_full, g in groupby(range(len(columns)), full.__contains__) if is_full]
+    ints = [j for j in full if columns[j].dtype.kind in "iu"]
+    per, width = max(1, step // m), min(m, step)  # a block: per rows of width entries each
+    for o in range(0, n, per):
+        for a in range(0, m, width):
+            k, w = min(per, n - o), min(width, m - a)
+            span, rows = slice(o * m + a, o * m + a + k * w), buf[:k * w]
+            with np.errstate(all="ignore"):  # nan and inf go to '%'
+                for run in runs:
+                    _e12(np.stack([full[j][span] for j in run], axis=1, dtype=float),
+                         rows[:, run[0]:run[-1] + 1])
+            for j in ints:
+                rows[:, j, :5] = full[j][span].astype("S20").view(np.uint32).reshape(-1, 5)
+            for j, slots in fixed:
+                rows.reshape(k, w, -1, 6)[:, :, j, :5] = slots[o:o + k, a:a + w]
+            texts.append(rows.tobytes().translate(None, b"\0"))
+    return texts
 
 
 # Each mode's runner takes (cfg, config_path) and returns (columnar file name,
-# its bytes, summary lines); _run writes both files and prints the summary.
+# its byte chunks, summary lines); _run writes both files and prints the summary.
 def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     station, orbit = trajectories(cfg, config_path)
     scale, alpha = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l), cfg.redshift.alpha
@@ -169,8 +197,8 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
     analytic = float(np.mean(est.sigma_alpha))
     table = _table("trial alpha_hat sigma_alpha chi2_per_dof", [
         np.arange(cfg.forecast.trials), est.alpha_hat, est.sigma_alpha, est.chi2_per_dof])
-    table += (f"# summary sigma_alpha_empirical={empirical:.12e} "
-              f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n").encode()
+    table.append(f"# summary sigma_alpha_empirical={empirical:.12e} "
+                 f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n".encode())
 
     mean_alpha = float(np.mean(est.alpha_hat))
     summary = [
@@ -185,9 +213,11 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
     if budget > 0:  # validate made the target positive and finite
         ratio = analytic / target
         # 1/sqrt(N) scaling; inf past the float range, where ** would raise
-        summary.append(f"photon budget for sigma_alpha = {target:.1e}: "
-                       f"{budget * (ratio * ratio):.3e} "
-                       f"(1/sqrt(N) extrapolation; target precision is ~1e-5)")
+        needed = budget * (ratio * ratio)
+        summary.append(f"photon budget for sigma_alpha = {target:.1e}: {needed:.3e} "
+                       f"(1/sqrt(N) extrapolation; target precision is ~1e-5)"
+                       + (f"; above {MAX_COUNT}, the largest noise.photon_budget that "
+                          f"validate accepts" if needed > MAX_COUNT else ""))
     else:
         summary.append("noiseless run: budget extrapolation skipped")
     return "forecast_trials.txt", table, summary
@@ -240,12 +270,12 @@ def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
 
     spin = cfg.spin
     q_values = [q * spin.meter_width for q in spin.q_grid]
-    rows = amplification_scan(spin.theta_grid, q_values, spin.meter_width)
+    columns = amplification_scan(spin.theta_grid, q_values, spin.meter_width)
     table = _table(
         "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
-        rows.T)
+        columns)
 
-    q, re_aw, exact, weak = rows[:, [1, 2, 4, 5]].T
+    _, q, re_aw, _, exact, weak, _ = columns
     max_aw = float(np.max(np.abs(re_aw)))
     small = (weak != 0.0) & (q <= 1e-2 * spin.meter_width)
     weak_devs = np.abs(exact[small] - weak[small]) / np.abs(weak[small])
@@ -286,7 +316,7 @@ def _run_constants(cfg: ScenarioConfig | None) -> int:
         f"{row.name} {row.value:.6e} {row.units or '-'} {row.reference:.6e} "
         f"{row.rel_deviation:.3e}\n" for row in constants_report()])
     if cfg is not None:
-        _write(Path(cfg.output_dir), "constants.txt", table.encode())
+        _write(Path(cfg.output_dir), "constants.txt", [table.encode()])
     sys.stdout.write(table)
     return 0
 
@@ -298,7 +328,7 @@ def _run(config_path: str) -> int:
     name, table, summary = _RUNNERS[cfg.mode](cfg, config_path)
     text = "\n".join(summary + [f"columnar output: {name}"]) + "\n"
     _write(Path(cfg.output_dir), name, table)
-    _write(Path(cfg.output_dir), "summary.txt", text.encode())
+    _write(Path(cfg.output_dir), "summary.txt", [text.encode()])
     sys.stdout.write(text)
     return 0
 

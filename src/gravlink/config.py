@@ -32,6 +32,7 @@ from .link_model import phase_scale
 
 MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
 STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
+MAX_COUNT = 2**31 - 1  # the largest integer size a config may give
 
 _SECTION_BY_MODE = {
     "redshift-pass": ("orbit", "station", "optical", "sweep"),
@@ -83,6 +84,8 @@ _integer, _text = _typed(int, "an integer"), _typed(str, "a non-empty string")
 
 def _numbers(value, name) -> tuple:
     if isinstance(value, list) and value:
+        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
+            return tuple(value)
         return tuple(_number(v, name) for v in value)
     raise ConfigInvalid([f"{name}: expected a non-empty list of numbers, got {value!r}"])
 
@@ -94,14 +97,14 @@ def _theta_grid(value, name) -> tuple:
         if problems:
             raise ConfigInvalid(problems)
         value = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
-    return tuple(math.radians(v) for v in _numbers(value, name))
+    return tuple(map(math.radians, _numbers(value, name)))
 
 
 def _at_least(lo):
     return (lambda x: x >= lo, f"must be >= {lo}")
 
 
-def _count(lo, hi=2**31 - 1):
+def _count(lo, hi=MAX_COUNT):
     """Bound of an integer size: sizes past hi would only exhaust memory or time."""
     return (lambda x: lo <= x <= hi, f"must be in [{lo}, {hi}]")
 
@@ -228,7 +231,8 @@ def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
     return values, problems
 
 
-_FLOAT, _DECIMAL = "tag:yaml.org,2002:float", re.compile(r"[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)?")
+# resolve's tag of a plain decimal: not a string, so that no document can write it
+_DECIMAL_TAG, _DECIMAL = object(), re.compile(r"[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)?")
 
 
 class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -238,12 +242,11 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     def resolve(self, kind, value, implicit):
         if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
-            return _FLOAT
+            return _DECIMAL_TAG
         return super().resolve(kind, value, implicit)
 
     def construct_object(self, node, deep=False):
-        if (node.tag == _FLOAT and type(node) is yaml.ScalarNode
-                and _DECIMAL.fullmatch(node.value)):
+        if node.tag is _DECIMAL_TAG:
             return float(node.value)
         return super().construct_object(node, deep)
 
@@ -320,7 +323,7 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     if spin:  # the scan's kicks are q * meter_width, as the runner multiplies them, and its
         # largest weak shifts a kick times max|A_w|, with A_w = tan(theta) its weak value
         kicks = [q * spin.meter_width for q in spin.q_grid]
-        a_w = max(abs(math.tan(theta)) for theta in spin.theta_grid)
+        a_w = max(map(abs, map(math.tan, spin.theta_grid)))
         weak = np.array([not math.isfinite(k) or math.isfinite(k * a_w) for k in kicks])
         for ok, times in ((np.isfinite(kicks), ""), (weak, f" times max|tan theta| {a_w:g}")):
             if not ok.all():  # an infinite kick is named once, by the first

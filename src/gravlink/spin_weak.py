@@ -148,12 +148,13 @@ def orthogonal_selections(theta_values) -> np.ndarray:
     return np.abs(np.cos(np.asarray(theta_values, dtype=float))) < _ORTHOGONALITY_TOL
 
 
-def amplification_scan(theta_values, q_values, width: float) -> np.ndarray:
+def amplification_scan(theta_values, q_values, width: float) -> tuple:
     """Weak-value amplification sweep for the textbook example, in closed form.
 
-    Returns a float array (len(theta_values) * len(q_values), 7) with rows
-    (theta, q, Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob),
-    theta major, a float theta counting as one: A_w = tan(theta),
+    Returns the float columns (theta, q, Re A_w, Im A_w, shift_exact, shift_weak,
+    postselection_prob) for n thetas (a float theta counts as one) and m kicks,
+    at shapes that broadcast to (n, m), rows theta major: theta and Re A_w
+    (n, 1), q (m,), Im A_w a 0-d zero, the rest (n, m). A_w = tan(theta),
     shift_weak = q tan(theta), shift_exact = q sin(theta) cos(theta) / P and
     P = cos^2(theta) + cos(2 theta) expm1(-(q/w)^2/2) / 2, the module's
     (1 + cos(2 theta) exp(-q^2/2w^2)) / 2 written so that it does not cancel
@@ -170,5 +171,4 @@ def amplification_scan(theta_values, q_values, width: float) -> np.ndarray:
     cos, sin, tan = np.cos(theta), np.sin(theta), np.tan(theta)
     with np.errstate(over="ignore"):  # a kick past the float range gives expm1(-inf) = -1, exact
         prob = cos * cos + 0.5 * np.cos(2.0 * theta) * np.expm1(-0.5 * (q / width) ** 2)
-    columns = (theta, q, tan, 0.0, q * (sin * cos) / prob, q * tan, prob)
-    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)
+    return theta, q, tan, np.zeros(()), q * (sin * cos) / prob, q * tan, prob

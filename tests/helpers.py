@@ -3,7 +3,8 @@ platform for controlled geometries, the per-call ephemeris interpolation, the
 stack-based rotation and the light-time loop on full states that the
 ephemeris and kinematics code must match bit for bit, the LAPACK fringe fit
 that the closed-form one must match, synthetic pass measurements for the
-regression, and qubit amplitudes and unitary evolution for the spin tests."""
+regression, qubit amplitudes and unitary evolution for the spin tests, and the
+weak scan's columns laid out as table rows."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from gravlink.kinematics import (_COINCIDENT_RANGE, _LIGHT_TIME_MAX_ITER, _LIGHT
                                  EARTH_ROTATION, LinkGeometry, _above_floor, _cross, _epochs,
                                  _norm, _states, rotate_z)
 from gravlink.link_model import phase_pair
+from gravlink.spin_weak import amplification_scan
 
 _SIGMA_FLOOR = 1e-15  # rad, keeps noiseless datasets within the sigma > 0 contract
 
@@ -208,3 +210,11 @@ def evolve(amplitudes, hamiltonian: np.ndarray, t: float) -> np.ndarray:
     energies, vectors = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * t / HBAR)
     return (amps @ vectors.conj() * phases) @ vectors.T
+
+
+def scan_rows(theta_values, q_values, width: float) -> np.ndarray:
+    """amplification_scan's seven columns broadcast to the (n * m, 7) table rows
+    (theta, q, Re A_w, Im A_w, shift_exact, shift_weak, postselection_prob),
+    theta major, as the writer lays them out."""
+    columns = np.broadcast_arrays(*amplification_scan(theta_values, q_values, width))
+    return np.stack(columns, axis=-1).reshape(-1, 7)

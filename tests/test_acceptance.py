@@ -26,7 +26,6 @@ from gravlink.link_model import (
     phase_scale,
 )
 from gravlink.spin_weak import (
-    amplification_scan,
     constants_report,
     h_ext,
     h_sigma,
@@ -34,7 +33,7 @@ from gravlink.spin_weak import (
     two_spin_hamiltonian,
 )
 
-from helpers import StaticPlatform, evolve, synthesize_measurements
+from helpers import StaticPlatform, evolve, scan_rows, synthesize_measurements
 from test_ephemeris import analytic_eci_state, circular_orbit_table, cpf_mutations
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -223,12 +222,12 @@ def test_criterion_7_coupling_constants():
 def test_criterion_8_weak_value_suite():
     start = time.monotonic()
     thetas = (0.1, 0.5, 0.9, 1.2, 1.44, 1.47)
-    for theta, _, re_aw, im_aw, *_ in amplification_scan(thetas, [1e-3], 1.0):
+    for theta, _, re_aw, im_aw, *_ in scan_rows(thetas, [1e-3], 1.0):
         assert abs(re_aw - math.tan(theta)) < 1e-12
         assert abs(im_aw) < 1e-12
 
     def rel_err(q):
-        *_, exact, weak, _ = amplification_scan([1.47], [q], 1.0)[0]
+        *_, exact, weak, _ = scan_rows([1.47], [q], 1.0)[0]
         return abs(exact - weak) / abs(weak)
 
     err_weak = rel_err(1e-3)

@@ -210,6 +210,26 @@ DEFECTS = [
 ]
 
 
+def _long_list(key, entry, at):
+    """A 101-decimal list for key with entry at index at, and the list it replaces."""
+    values = [f"{0.5 * k + 0.25}" for k in range(101)]
+    values[at] = entry
+    old = "[1.0e-3, 1.0e-1]" if key == "q_grid" else "[30.0, 84.0]"
+    return f"{key}: {old}", f"{key}: [{', '.join(values)}]"
+
+
+# A list of decimals is read in one step; one entry that is not a finite number, first,
+# in the middle or last, still gets the violation of the entry-by-entry check
+DEFECTS += [
+    (f"{key}_{name}_{where}", SMALL_WEAKVALUE, *_long_list(key, entry, at),
+     f"spin.{key}: expected a finite number, got {shown}\n")
+    for key in ("q_grid", "theta_grid_deg")
+    for name, entry, shown in (("nan", ".nan", "nan"), ("inf", ".inf", "inf"),
+                               ("bool", "true", "True"), ("string", "'0.5'", "'0.5'"))
+    for where, at in (("first", 0), ("middle", 50), ("last", 100))
+]
+
+
 class TestValidateConfig:
     @pytest.mark.parametrize(
         "scenario", SCENARIO_FILES, ids=lambda p: p.name
@@ -723,6 +743,20 @@ class TestLoadConfig:
         )
         assert cfg.spin.q_grid == (1e-3, 1e-1)
 
+    @pytest.mark.parametrize("key", ["q_grid", "theta_grid_deg"])
+    @pytest.mark.parametrize("at", [0, 50, 100], ids=["first", "middle", "last"])
+    def test_an_int_in_a_long_number_list_reads_as_a_float(self, tmp_path, monkeypatch, key,
+                                                           at):
+        # the list is no longer all floats, so each entry goes through _number
+        monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
+        old, new = _long_list(key, "3", at)
+        cfg = load_config(write_yaml(tmp_path, SMALL_WEAKVALUE.format(out="out").replace(old, new)))
+        values = [0.5 * k + 0.25 for k in range(101)]
+        values[at] = 3.0
+        got = getattr(cfg.spin, "q_grid" if key == "q_grid" else "theta_grid")
+        assert all(type(v) is float for v in got)
+        assert got == (tuple(values) if key == "q_grid" else tuple(map(math.radians, values)))
+
     @pytest.mark.parametrize("mode", MODES)
     def test_minimal_config_pins_every_default(self, tmp_path, monkeypatch, mode):
         monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
@@ -894,15 +928,20 @@ SPECIAL_VALUES = np.array([[0.0, -0.0, 5e-324, -2.2250738585072e-308],
 
 @st.composite
 def mixed_columns(draw):
-    # 0 to 5 columns, each int64 or float64, of 0 to 12 rows; small and large integers,
-    # so that a '%d' column's text grows and shrinks between blocks
-    n = draw(st.integers(0, 12))
+    # 0 to 5 columns, each int64 or float64, that broadcast to a table of n rows or of
+    # n x m rows: full size, (n, 1), (m,) or 0-d. Small and large integers, so that a '%d'
+    # column's text grows and shrinks between blocks; nan, infinities, subnormals, near-ties
+    # and powers of ten among the floats
+    n, m = draw(st.integers(0, 12)), draw(st.none() | st.integers(0, 6))
+    shapes = [(n,), ()] if m is None else [(n, m), (n, 1), (m,), ()]
     floats = st.floats(allow_subnormal=True) | st.sampled_from(
-        [0.0, -0.0, 1e12, 99.0, 9.9999999999995e-5, -2.5e-300])
-    ints = st.integers(-9, 9) | st.integers(-2**63, 2**63 - 1)
-    return [draw(hnp.arrays(np.int64, n, elements=ints) if draw(st.booleans())
-                 else hnp.arrays(np.float64, n, elements=floats))
-            for _ in range(draw(st.integers(0, 5)))]
+        [0.0, -0.0, 1e12, 99.0, 9.9999999999995e-5, -2.5e-300, 1.0000000000005, -2.5e-7,
+         1e22, 1e-296, np.nan, -np.inf])
+    ints = st.integers(-9, 9) | st.integers(-2**63, 2**63 - 1) | st.sampled_from(
+        [2**53 + 1, -(2**53 + 1), -2**63])
+    return [draw(hnp.arrays(np.int64, shape, elements=ints) if draw(st.booleans())
+                 else hnp.arrays(np.float64, shape, elements=floats))
+            for shape in (draw(st.sampled_from(shapes)) for _ in range(draw(st.integers(0, 5))))]
 
 
 def percent_rows(columns):
@@ -910,6 +949,10 @@ def percent_rows(columns):
     specs = ["%d" if column.dtype.kind == "i" else "%.12e" for column in columns]
     return "".join(" ".join(spec % v for spec, v in zip(specs, row)) + "\n"
                    for row in zip(*(column.tolist() for column in columns)))
+
+
+def table_bytes(header, columns):
+    return b"".join(_table(header, columns))
 
 
 class TestTable:
@@ -923,31 +966,37 @@ class TestTable:
         # negatives, zeros of both signs, subnormals, infinities and nan
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
-        assert _table("a b c", rows.T) == reference.getvalue().encode()
+        assert table_bytes("a b c", rows.T) == reference.getvalue().encode()
 
     def test_no_columns_no_rows(self):
         # the rows come from the columns: with none, the header alone
-        assert _table("h", []) == _table("h", np.empty((3, 0)).T) == b"# h\n"
+        assert table_bytes("h", []) == table_bytes("h", np.empty((3, 0)).T) == b"# h\n"
 
     def test_integer_and_float_columns(self):
-        text = _table("i x", [np.arange(3), np.array([0.5, -2.0, np.nan])])
+        text = table_bytes("i x", [np.arange(3), np.array([0.5, -2.0, np.nan])])
         assert text == b"# i x\n0 5.000000000000e-01\n1 -2.000000000000e+00\n2 nan\n"
 
     def test_integers_beyond_the_float_mantissa_are_exact(self):
         # a float cast would print 2^53 + 1 as 9007199254740992
         big = np.array([2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63 - 1), -2**63])
-        assert _table("n x", [big, np.zeros(5)]) == (
+        assert table_bytes("n x", [big, np.zeros(5)]) == (
             "# n x\n" + "".join(f"{v} 0.000000000000e+00\n" for v in big.tolist())).encode()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @example(columns=[], block=1)
     @example(columns=[np.empty(0, np.int64), np.empty(0)], block=1)
     @example(columns=[np.array([1, -22, 4444, 10**18, 5, -2**63]), np.arange(6.0)], block=2)
+    @example(columns=[np.array([[0.5], [np.inf], [-0.0]]), np.array([2**53 + 1, -7]),
+                      np.array(np.nan), np.full((3, 2), 1e22)], block=5)
+    @example(columns=[np.arange(4)[:, None], np.linspace(-1.0, 1.0, 7)], block=2)
     @given(columns=mixed_columns(), block=st.sampled_from([1, 2, 5, gravlink.cli._BLOCK]))
     def test_matches_percent_row_by_row(self, columns, block):
-        # any mix of integer and float columns, and blocks of one row and up
+        # any mix of integer and float columns at full size or broadcast, blocks of one
+        # row and up: the text of the materialized columns, and of '%' row by row
+        flat = [column.ravel() for column in np.broadcast_arrays(*columns)]
         with mock.patch.object(gravlink.cli, "_BLOCK", block):
-            assert _table("h", columns) == ("# h\n" + percent_rows(columns)).encode()
+            text = table_bytes("h", columns)
+            assert text == table_bytes("h", flat) == ("# h\n" + percent_rows(flat)).encode()
 
     @staticmethod
     def assert_matches_savetxt(values):
@@ -956,7 +1005,7 @@ class TestTable:
         assert rows.size > 3 * gravlink.cli._BLOCK
         reference = io.StringIO()
         np.savetxt(reference, rows, fmt="%.12e", comments="# ", header="a b c")
-        assert _table("a b c", rows.T) == reference.getvalue().encode()
+        assert table_bytes("a b c", rows.T) == reference.getvalue().encode()
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(12)
@@ -996,7 +1045,7 @@ class TestTable:
         x[::7], y[::7] = np.nan, np.inf
         x[::11], y[::11] = -0.0, 0.0
         columns = [np.arange(5000), x, y]
-        assert _table("i x y", columns) == ("# i x y\n" + percent_rows(columns)).encode()
+        assert table_bytes("i x y", columns) == ("# i x y\n" + percent_rows(columns)).encode()
 
 
 class TestForecastStream:
@@ -1127,6 +1176,27 @@ class TestCliRuns:
         assert main(["run", path]) == 0
         assert "photon budget for sigma_alpha = 1.0e-300: inf " in capsys.readouterr().out
         assert (tmp_path / "out" / "forecast_trials.txt").exists()
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01], ids=["below_the_cap", "above_the_cap"])
+    def test_budget_line_past_the_cap_says_so(self, tmp_path, monkeypatch, capsys, factor):
+        # a recommended budget above photon_budget's cap is one that no config can run;
+        # the target moves the recommendation to factor * (2^31 - 1), and not the trials
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        text = SMALL_FORECAST.format(out="ignored")
+        assert main(["run", write_yaml(tmp_path, text)]) == 0
+        footer = (tmp_path / "out" / "forecast_trials.txt").read_text().splitlines()[-1]
+        analytic = float(re.search(r"sigma_alpha_analytic=(\S+)", footer)[1])
+        target = analytic * math.sqrt(96000 / (factor * (2**31 - 1)))
+        text = text.replace("scan_points: 8", f"scan_points: 8\n  target_sigma_alpha: {target:.17e}")
+        capsys.readouterr()
+        assert main(["run", write_yaml(tmp_path, text)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("photon budget for sigma_alpha")]
+        assert line.endswith("(1/sqrt(N) extrapolation; target precision is ~1e-5)"
+                             + ("; above 2147483647, the largest noise.photon_budget that "
+                                "validate accepts" if factor > 1 else ""))
+        needed = float(re.search(r": (\S+) \(", line)[1])
+        assert needed == pytest.approx(factor * (2**31 - 1), rel=1e-3)
 
     def test_weakvalue_scan_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))

@@ -641,11 +641,12 @@ class TestSerializeScan:
         assert all(int(v) == 3000 for v in data[:, 4])
 
     def test_batch_rows_follow_c_order(self):
+        # six scans of four points: the offsets and n_sent broadcast against the counts
         scan = fringe_scan(FOUR_POINT_SCAN, np.zeros((2, 3)), 1.0, 500, 1.0, seed=6)
-        offsets = np.broadcast_to(scan.offsets, scan.counts.shape[:-1]).ravel()
-        data = np.loadtxt(_table("offset_rad counts_early counts_central counts_late n_sent",
-                                 [offsets, *scan.counts.reshape(-1, 3).T,
-                                  np.full(24, scan.n_sent)]).splitlines())
+        chunks = _table("offset_rad counts_early counts_central counts_late n_sent",
+                        [scan.offsets, *np.moveaxis(scan.counts.reshape(6, 4, 3), -1, 0),
+                         np.array(scan.n_sent)])
+        data = np.loadtxt(b"".join(chunks).splitlines())
         assert data.shape == (24, 5)
         np.testing.assert_allclose(data[:, 0], np.tile(FOUR_POINT_SCAN, 6), atol=1e-12)
         np.testing.assert_array_equal(data[:, 1:4], scan.counts.reshape(-1, 3))

@@ -24,7 +24,7 @@ from gravlink.spin_weak import (
     two_spin_hamiltonian,
 )
 
-from helpers import evolve, qubit
+from helpers import evolve, qubit, scan_rows
 
 TAN_147 = 9.88737489198555  # math.tan(1.47), frozen
 REPO = Path(__file__).resolve().parents[1]
@@ -367,11 +367,11 @@ def assert_matches_oracle(rows, ref, rel):
 class TestWeakValue:
     def test_eigenstate_gives_eigenvalue(self):
         # theta = +-45 degrees post-selects |+> or |->, the sigma_x eigenstates
-        rows = amplification_scan([math.pi / 4, -math.pi / 4], [1e-3], 1.0)
+        rows = scan_rows([math.pi / 4, -math.pi / 4], [1e-3], 1.0)
         np.testing.assert_allclose(rows[:, 2], [1.0, -1.0], rtol=0.0, atol=1e-15)
 
     def test_tangent_amplification(self):
-        rows = amplification_scan([0.1, 0.7, 1.2, 1.44, 1.47], [1e-3], 1.0)
+        rows = scan_rows([0.1, 0.7, 1.2, 1.44, 1.47], [1e-3], 1.0)
         for theta, _, re_aw, im_aw, *_ in rows:
             assert re_aw == pytest.approx(math.tan(theta), rel=1e-12)
             assert im_aw == 0.0
@@ -386,7 +386,7 @@ class TestWeakValue:
         # the weak value is a property of the selections alone: every q of a theta
         # carries the same tan(theta)
         thetas = np.linspace(-1.5, 1.5, 6)
-        rows = amplification_scan(thetas, [0.0, 1e-3, 0.5, 40.0], 0.8)
+        rows = scan_rows(thetas, [0.0, 1e-3, 0.5, 40.0], 0.8)
         weak = rows[:, 2].reshape(6, 4)
         np.testing.assert_array_equal(weak, np.repeat(np.tan(thetas)[:, None], 4, axis=1))
         np.testing.assert_array_equal(rows[:, 3], 0.0)
@@ -404,7 +404,7 @@ def gaussian_wave(x, width):
 
 def shift_of(theta, q, width):
     """The scan's one row (theta, q, Re A_w, Im A_w, shift_exact, shift_weak, prob)."""
-    return amplification_scan([theta], [q], width)[0]
+    return scan_rows([theta], [q], width)[0]
 
 
 class TestMeterShift:
@@ -433,7 +433,7 @@ class TestMeterShift:
         assert abs(exact - weak) / abs(weak) < 1e-2
 
     def test_relative_error_quadratic_in_kick(self):
-        rows = amplification_scan([1.47], [1e-3, 2e-3], 1.0)
+        rows = scan_rows([1.47], [1e-3, 2e-3], 1.0)
         rel_err = np.abs(rows[:, 4] - rows[:, 5]) / np.abs(rows[:, 5])
         assert 3.5 < rel_err[1] / rel_err[0] < 4.5
 
@@ -445,7 +445,7 @@ class TestMeterShift:
         # bigger weak values cost post-selection probability; in the weak
         # regime prob*|A_w|^2 tracks sin^2(theta) and never exceeds the
         # squared top eigenvalue of sigma_x
-        rows = amplification_scan(np.linspace(0.1, 1.55, 25), [1e-4], 1.0)
+        rows = scan_rows(np.linspace(0.1, 1.55, 25), [1e-4], 1.0)
         amps, probs = np.abs(rows[:, 2]), rows[:, 6]
         assert np.all(probs * amps**2 <= 1.0)
         assert np.all(np.diff(amps) > 0.0)
@@ -476,23 +476,23 @@ class TestMeterShift:
         # no kick: the pointer stays put and the post-selection probability
         # is |<f|i>|^2 = cos^2(theta)
         thetas = np.array([0.0, 0.4, 1.2, 1.5707])
-        rows = amplification_scan(thetas, [0.0], 0.5)
+        rows = scan_rows(thetas, [0.0], 0.5)
         np.testing.assert_array_equal(rows[:, 4:6], 0.0)
         np.testing.assert_allclose(rows[:, 6], np.cos(thetas) ** 2, rtol=1e-12)
 
     def test_q_array_matches_scalar_calls(self):
         thetas = [0.1, 0.9, 1.5]
         q = np.array([0.0, 1e-6, 1e-3, 0.2, 1.0, 4.0, -0.5, 30.0])
-        rows = amplification_scan(thetas, q, 1.3).reshape(3, q.size, 7)
+        rows = scan_rows(thetas, q, 1.3).reshape(3, q.size, 7)
         for j, k in enumerate(q):
-            np.testing.assert_array_equal(rows[:, j], amplification_scan(thetas, [k], 1.3))
+            np.testing.assert_array_equal(rows[:, j], scan_rows(thetas, [k], 1.3))
 
     def test_batch_of_selections_broadcasts_against_q(self):
         thetas = np.array([-0.4, 0.3, 1.2])
         q = np.array([1e-4, 0.3, 2.0, 25.0])
-        rows = amplification_scan(thetas, q, 0.9).reshape(3, 4, 7)
+        rows = scan_rows(thetas, q, 0.9).reshape(3, 4, 7)
         for row, theta in zip(rows, thetas):
-            np.testing.assert_array_equal(row, amplification_scan([theta], q, 0.9))
+            np.testing.assert_array_equal(row, scan_rows([theta], q, 0.9))
 
     def test_orthogonal_selection_raises_for_a_q_array(self):
         with pytest.raises(OrthogonalSelection):
@@ -530,10 +530,14 @@ class TestConstantsReport:
 
 class TestAmplificationScan:
     def test_rows_structure(self):
+        # seven float columns at the shapes they broadcast from, rows theta major
         width = 1.0
-        rows = amplification_scan([0.3, 1.47], [1e-3, 1e-2], width)
+        columns = amplification_scan([0.3, 1.47], [1e-3, 1e-2], width)
+        assert [column.shape for column in columns] == [(2, 1), (2,), (2, 1), (), (2, 2),
+                                                        (2, 2), (2, 2)]
+        assert all(column.dtype == np.float64 for column in columns)
+        rows = scan_rows([0.3, 1.47], [1e-3, 1e-2], width)
         assert rows.shape == (4, 7)
-        assert rows.dtype == np.float64
         # theta major: every q for the first theta, then the next theta
         np.testing.assert_array_equal(rows[:, 0], [0.3, 0.3, 1.47, 1.47])
         np.testing.assert_array_equal(rows[:, 1], [1e-3, 1e-2, 1e-3, 1e-2])
@@ -557,7 +561,7 @@ class TestScanAgainstLoop:
     # near 90 degrees a small kick leaves prob ~ cos(theta)^2 after cancellation
     @example(thetas=[0.0, math.radians(89.9)], q=np.array([-3e-4, 0.0, 1e-9, 35.0]), width=0.02)
     def test_matches_the_per_theta_loop(self, thetas, q, width):
-        rows = amplification_scan(thetas, q, width)
+        rows = scan_rows(thetas, q, width)
         assert rows.shape == (len(thetas) * q.size, 7)
         assert_matches_oracle(rows, oracle_scan(thetas, q, width), rel=2e-15)
 
@@ -566,7 +570,7 @@ class TestScanAgainstLoop:
         rng = np.random.default_rng(91)
         thetas = np.radians(np.sort(rng.uniform(0.0, 89.0, 720)))
         q = np.geomspace(1e-4, 30.0, 10) * 0.7
-        rows = amplification_scan(thetas, q, 0.7)
+        rows = scan_rows(thetas, q, 0.7)
         assert_matches_oracle(rows, oracle_scan(thetas, q, 0.7), rel=2e-15)
 
     def test_orthogonal_selection_in_the_grid_raises(self):
@@ -589,5 +593,5 @@ class TestScanPrecision:
     @example(theta=math.radians(89.9999999), ratio=1e-4, width=0.7)
     def test_shift_and_probability_within_2e_15_of_the_pair_sums(self, theta, ratio, width):
         q = ratio * width
-        rows = amplification_scan([theta], [q], width)
+        rows = scan_rows([theta], [q], width)
         assert_matches_oracle(rows, oracle_scan([theta], [q], width), rel=2e-15)
