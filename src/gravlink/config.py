@@ -96,7 +96,9 @@ def _theta_grid(value, name) -> tuple:
         grid, problems = _walk(value, name)
         if problems:
             raise ConfigInvalid(problems)
-        value = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
+        if not math.isfinite(grid["stop"] - grid["start"]):  # linspace would warn and give nan
+            raise ConfigInvalid([f"{name}: stop - start is past the float range"])
+        value = np.linspace(grid["start"], grid["stop"], grid["num"]).tolist()
     return tuple(map(math.radians, _numbers(value, name)))
 
 

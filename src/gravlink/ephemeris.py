@@ -7,17 +7,18 @@ position records are lines of exactly eight whitespace-separated tokens
     10 <flag> <mjd> <seconds-of-day> <leap-flag> <x> <y> <z>
 
 with coordinates in meters, Earth-fixed frame. Every other line is ignored.
-The records convert column by column with Python's int and float into one
-structured array; a text that fails is read again line by line, to name its
-first failing line. EphemerisTrajectory interpolates a table: windowed
-Lagrange on position, whose window denominators it computes once, with the
-analytic derivative for velocity, rotated into the inertial frame that
-coincides with the Earth-fixed frame at the first record's epoch.
+numpy's C text reader converts the record lines into one structured array; a
+text it refuses is read again by Python's int and float, which also take 1_0,
+line by line to name its first failing line. EphemerisTrajectory interpolates
+a table: windowed Lagrange on position, whose window denominators it computes
+once, with the analytic derivative for velocity, rotated into the inertial
+frame that coincides with the Earth-fixed frame at the first record's epoch.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,6 +42,8 @@ _POS_MAX = 5.0e8   # m, beyond cislunar range
 _MAX_WINDOW = 8    # interpolation nodes (see EphemerisTrajectory's window note)
 # mjd is held as a float: mjd * 86400.0 rounds it to one anyway
 _RECORD = np.dtype([("mjd", float), ("sod", float), ("position", float, 3)])
+_LINE = np.dtype([("tag", "i8"), ("flag", "i8"), ("mjd", "i8"), ("sod", "f8"), ("leap", "i8"),
+                  ("position", "f8", 3)])  # a record line as numpy's reader takes it
 
 
 class EphemerisRecord(NamedTuple):
@@ -101,38 +104,35 @@ def _epoch_seconds(records: np.ndarray) -> np.ndarray:
         return records["mjd"] * SECONDS_PER_DAY + records["sod"]
 
 
-def _ints(column: tuple) -> list[int]:
-    """int of each token; each distinct token converts once (mjd and flags repeat)."""
-    values = {token: int(token) for token in set(column)}
-    return list(map(values.__getitem__, column))
-
-
-def _bulk(rows: list) -> np.ndarray | None:
-    """The rows' records converted column by column, or None on a wrong field
-    count, a failed conversion or a failed check; it formats no message."""
-    records = np.empty(len(rows), _RECORD)
-    try:  # ValueError also on any field count but eight; OverflowError: mjd past float range
-        _, flag, mjd, sod, leap, x, y, z = zip(*rows, strict=True)
-        records["mjd"] = list(map(float, _ints(mjd)))
-        records["sod"] = list(map(float, sod))
-        _ints(flag), _ints(leap)  # parsed then dropped
-        xyz = [list(map(float, column)) for column in (x, y, z)]
-    except (ValueError, OverflowError):
+def _bulk(lines: list) -> np.ndarray | None:
+    """The lines' records as numpy's reader converts them, or None on a wrong field count, a
+    failed conversion or check, a token that is not ASCII (numpy reads some characters past
+    U+00FF as digits) or a reader warning (older numpy read an int field 1.0 with one)."""
+    if not lines or len(lines[-1].split()) != _RECORD_FIELDS:  # none, or a file cut short
         return None
-    records["position"] = np.transpose(xyz)
-    mag = np.array(list(map(math.hypot, *xyz)))
+    if not all(map(str.isascii, lines)) and not "".join("".join(lines).split()).isascii():
+        return None
+    try:
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            fields = np.loadtxt(lines, _LINE, comments=None, ndmin=1)
+            mag = np.hypot.reduce(fields["position"], axis=1)  # _by_line decides near an edge
+    except (ValueError, Warning):  # ValueError also on an int past int64
+        return None
+    records = fields[["mjd", "sod", "position"]].astype(_RECORD)
     sod, epochs = records["sod"], _epoch_seconds(records)
-    ok = ((0.0 <= sod) & (sod < SECONDS_PER_DAY) & (_POS_MIN <= mag) & (mag <= _POS_MAX)
-          & np.isfinite(epochs) & (epochs > np.append(-math.inf, epochs[:-1])))
+    ok = ((0.0 <= sod) & (sod < SECONDS_PER_DAY) & np.isfinite(epochs)
+          & (_POS_MIN * (1 + 1e-9) <= mag) & (mag <= _POS_MAX * (1 - 1e-9))
+          & (epochs > np.append(-math.inf, epochs[:-1])))
     return _read_only(records) if ok.all() else None
 
 
-def _by_line(line_nos: list, rows: list) -> list:
-    """The rows as (mjd, sod, position) records, read one line at a time. Raises
+def _by_line(line_nos: list, lines: list) -> list:
+    """The record lines as (mjd, sod, position) records, read one at a time. Raises
     the first failing line's error: field count, then conversions of mjd, sod,
     flag, leap flag, x, y, z, then sod range, position window, finite epoch, monotonicity."""
     records, last = [], -math.inf
-    for no, tokens in zip(line_nos, rows):
+    for no, tokens in zip(line_nos, map(str.split, lines)):
         if len(tokens) != _RECORD_FIELDS:
             raise MalformedRecord(no, f"expected {_RECORD_FIELDS} fields, got {len(tokens)}")
         try:
@@ -185,11 +185,11 @@ def parse_cpf(text: str) -> EphemerisTable:
     by line (_by_line), which names the first failing line and check.
     """
     lines = text.splitlines()
-    split = [raw.split() for raw in lines]
-    headers = [raw.strip() for raw, tokens in zip(lines, split) if tokens
-               and tokens[0][0] in "Hh" and len(tokens[0]) == 2 and tokens[0][1].isdigit()]
-    line_nos = [no for no, tokens in enumerate(split, 1) if tokens and tokens[0] == "10"]
-    rows = [split[no - 1] for no in line_nos]
+    tags = [raw.lstrip()[:3].rstrip() for raw in lines]  # a first token of 2 characters
+    headers = [raw.strip() for raw, tag in zip(lines, tags)
+               if len(tag) == 2 and tag[0] in "Hh" and tag[1].isdigit()]
+    line_nos = [no for no, tag in enumerate(tags, 1) if tag == "10"]
+    rows = [lines[no - 1] for no in line_nos]
     records = _bulk(rows)
     return EphemerisTable(records=_by_line(line_nos, rows) if records is None else records,
                           source="\n".join(headers))

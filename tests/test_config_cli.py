@@ -177,6 +177,10 @@ DEFECTS = [
     ("theta_num_beyond_int64", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
      "theta_grid_deg: {start: 0.0, stop: 85.0, num: 9223372036854775807}",
      "spin.theta_grid_deg.num:"),
+    # the span overflows: np.linspace once printed two RuntimeWarnings, then "got np.float64(nan)"
+    ("theta_span_past_float_range", SMALL_WEAKVALUE, "theta_grid_deg: [30.0, 84.0]",
+     "theta_grid_deg: {start: -1.0e+308, stop: 1.0e+308, num: 3}",
+     "spin.theta_grid_deg: stop - start is past the float range\n"),
     ("unknown_section_key", SMALL_FRINGE, "visibility: 1.0",
      "visibility: 1.0\n  dark_rte: 0.6", "noise.dark_rte: unknown key"),
     ("unknown_top_level_key", SMALL_PASS, "sweep:", "sweeps: {}\nsweep:", "sweeps: unknown key"),

@@ -512,11 +512,39 @@ class TestReferenceParser:
             parse_cpf(text)
 
 
-def record_rows(text):
-    """Line numbers and tokens of the "10" lines, as parse_cpf selects them."""
-    numbered = [(no, raw.split()) for no, raw in enumerate(text.splitlines(), 1)]
-    numbered = [(no, tokens) for no, tokens in numbered if tokens and tokens[0] == "10"]
-    return [no for no, _ in numbered], [tokens for _, tokens in numbered]
+def record_lines(text):
+    """Line numbers and text of the "10" lines, as parse_cpf selects them."""
+    lines = text.splitlines()
+    line_nos = [no for no, raw in enumerate(lines, 1) if raw.split()[:1] == ["10"]]
+    return line_nos, [lines[no - 1] for no in line_nos]
+
+
+def bulk_refusal_classes(rows):
+    """Why _bulk may refuse record lines that the line pass accepts: a token spelled
+    with "_", which numpy's reader does not take, or an int field past int64."""
+    tokens = [raw.split() for raw in rows]
+    classes = {"_"} if any("_" in token for line in tokens for token in line) else set()
+    if any(not -2**63 <= int(line[i]) < 2**63 for line in tokens for i in (1, 2, 4)):
+        classes.add("int64")
+    return classes
+
+
+def assert_bulk_keeps_its_contract(text, allowed):
+    """_bulk refuses every text that the reference rejects. Where it accepts, it holds
+    _by_line's records bit for bit; it refuses a text the reference accepts only for
+    one of the allowed refusal classes. Returns whether it accepted."""
+    line_nos, rows = record_lines(text)
+    records = _bulk(rows)
+    try:
+        reference_parse_cpf(text)
+    except (GravlinkError, OverflowError):
+        assert records is None
+        return False
+    if records is None:
+        assert bulk_refusal_classes(rows) & allowed, text
+        return False
+    assert records.tobytes() == EphemerisTable(_by_line(line_nos, rows)).records.tobytes()
+    return True
 
 
 def infinite_epoch_texts():
@@ -530,19 +558,43 @@ def infinite_epoch_texts():
 
 
 def test_bulk_accepts_exactly_what_the_line_pass_accepts():
-    accepted = 0
-    for text in [*cpf_mutations(), *infinite_epoch_texts()]:
-        line_nos, rows = record_rows(text)
-        records = _bulk(rows)
-        try:
-            reference_parse_cpf(text)
-        except (GravlinkError, OverflowError):
-            assert records is None
-            continue
-        assert records is not None
-        assert records.tobytes() == EphemerisTable(_by_line(line_nos, rows)).records.tobytes()
-        accepted += 1
+    accepted = sum(assert_bulk_keeps_its_contract(text, allowed={"_"})
+                   for text in [*cpf_mutations(), *infinite_epoch_texts()])
     assert accepted > 0
+
+
+@pytest.mark.parametrize("record, bulk_reads", [
+    ("10 1.0 61267 60.0 0 7000000.0 0.0 0.0", False),  # an int field spelled as a float
+    ("10 0 9223372036854775808 60.0 0 7000000.0 0.0 0.0", False),  # an mjd past int64
+    ("10 0 586\u01fe00 60.0 0 7000000.0 0.0 0.0", False),  # numpy reads it as 632200
+    ("10 0 61267\xa060.0 0 7000000.0\xa00.0 0.0", True),
+    ("10 0 61267 60.0 0\x0b7000000.0 0.0 0.0", False),  # a line break: five fields
+    ("10 0 61267 60.0 0 7000000.0 0.0 0.0 # note", False),  # ten fields
+    ("10\t0\t61267\t60.0\t0\t7000000.0\t0.0\t0.0", True),
+    # |position| by math.hypot is 6399999.999999999 and 500000000.00000006, outside the
+    # window, where numpy's hypot of a hypot reads 6.4e6 and 5e8 here
+    ("10 0 61267 60.0 0 -5308831.7647387525 -256521.02603566428 -3565179.133914932", False),
+    ("10 0 61267 60.0 0 321112692.8473657 383240941.57176 -3608212.2310468857", False),
+])
+def test_bulk_reads_these_records_or_leaves_them_to_the_line_pass(record, bulk_reads):
+    text = "H1 targeted\n10 0 61267 0.0 0 7000000.0 1.0 0.0\n" + record + "\n"
+    assert_matches_reference(text)
+    assert assert_bulk_keeps_its_contract(text, allowed={"int64"}) == bulk_reads
+
+
+def test_a_reader_warning_leaves_the_text_to_the_line_pass(monkeypatch):
+    # older numpy read an int field spelled 1.0 with a DeprecationWarning and went on
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    loadtxt, lines = np.loadtxt, SAMPLE.splitlines()[2:]
+    assert _bulk(lines) is not None
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as outside the tests, which make every warning an error
+        assert _bulk(lines) is None
 
 
 def spell_int(rng, value):
@@ -634,6 +686,13 @@ def cpf_tables(draw):
 @given(text=cpf_tables())
 def test_generated_tables_match_reference(text):
     assert_matches_reference(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=cpf_tables())
+def test_bulk_keeps_its_contract_on_generated_tables(text):
+    # the tables spell tokens with "_", and the huge_mjd fault writes an mjd past int64
+    assert_bulk_keeps_its_contract(text, allowed={"_", "int64"})
 
 
 def masked_lagrange_basis(t, nodes):
