@@ -32,8 +32,9 @@ from .kinematics import LinkGeometry, build_link_geometry, build_pass  # noqa: F
 from .link_model import PhasePair, phase_pair
 
 _NOISELESS_SIGMA = 1e-12  # rad, reported uncertainty when the photon budget is off
-# scan points a forecast draws and fits together; it sets the forecast's peak memory
-_BLOCK_POINTS = 4096
+# scan points a forecast draws and fits together, which sets its peak memory: 61 trials of
+# 25 epochs x 8 points x 2 terminals, chosen from the block sizes README measures
+_BLOCK_POINTS = 24576
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,14 @@ _MIN_SCAN_SPAN = math.pi - 1e-9
 _MIN_VISIBILITY = 0.05
 
 
+def _check_n_sent(n_sent) -> int:
+    """n_sent as an int: a positive integer (int or numpy integer, not bool) below 2**63."""
+    if isinstance(n_sent, bool) or not isinstance(n_sent, (int, np.integer)) \
+            or not 0 < int(n_sent) < 2**63:
+        raise ValueError(f"n_sent must be a positive integer below 2**63, got {n_sent!r}")
+    return int(n_sent)
+
+
 def _check_scan_offsets(phi_offsets: Sequence[float]) -> np.ndarray:
     offsets = np.asarray(phi_offsets, dtype=float)
     if offsets.ndim != 1 or offsets.size < _MIN_SCAN_POINTS:
@@ -62,8 +70,8 @@ def _check_scan_offsets(phi_offsets: Sequence[float]) -> np.ndarray:
 class FringeScan:
     """Window counts of a batch of fringe scans over shared phase offsets.
 
-    offsets : rad, (P,); counts : (..., P, 3) non-negative integers in the
-    early, central and late windows; n_sent : pulses sent per scan point.
+    offsets : rad, (P,); counts : (..., P, 3) non-negative integers in the early, central
+    and late windows; n_sent : pulses sent per scan point, a positive integer below 2**63.
     Raises InsufficientScan for fewer than 4 offsets or a circle coverage below pi.
     """
 
@@ -73,6 +81,7 @@ class FringeScan:
 
     def __post_init__(self):
         offsets = _check_scan_offsets(self.offsets)
+        n_sent = _check_n_sent(self.n_sent)
         counts = np.asarray(self.counts)
         if counts.shape[-2:] != (offsets.size, 3):
             raise ValueError(f"counts of shape {counts.shape} must end in ({offsets.size}, 3)")
@@ -85,12 +94,14 @@ class FringeScan:
         if ints is None or not (ints is counts or (ints == counts).all()) or (ints < 0).any():
             raise ValueError("counts must be non-negative integers")
         wide = ints.max(initial=0) >= 2**63 // 3  # three such counts may wrap an int64 sum
-        total = int((ints.astype(object) if wide else ints).sum(axis=-1).max(initial=0))
-        if total > self.n_sent:
-            raise ValueError(f"total counts {total} exceed n_sent {self.n_sent}")
+        # added window by window: a sum over the 3-long last axis takes ten times as long
+        early, central, late = np.moveaxis(ints.astype(object) if wide else ints, -1, 0)
+        total = int((early + central + late).max(initial=0))
+        if total > n_sent:
+            raise ValueError(f"total counts {total} exceed n_sent {n_sent}")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "counts", ints)
-        object.__setattr__(self, "n_sent", int(self.n_sent))
+        object.__setattr__(self, "n_sent", n_sent)
 
 
 class PhaseFit(NamedTuple):
@@ -126,15 +137,13 @@ def outcome_probabilities(phi, visibility: float, efficiency: float,
 def draw_counts(pvals, n_sent: int, rng) -> np.ndarray:
     """Window counts (..., 3) of n_sent pulses per setting, outcome probabilities (..., 4).
 
-    Each setting's three windows and its no-detection outcome are one
-    multinomial, so each window's count is binomial(n_sent, p) and no
-    setting's total can exceed n_sent. rng is a numpy Generator or anything
-    default_rng takes (an int, a tuple of ints, a SeedSequence); one
-    multinomial call draws every setting in C order.
+    Each setting's three windows and its no-detection outcome are one multinomial, so
+    each window's count is binomial(n_sent, p) and no setting's total can exceed n_sent,
+    a positive integer below 2**63 (ValueError otherwise). rng is a numpy Generator or
+    anything default_rng takes (an int, a tuple of ints, a SeedSequence); one multinomial
+    call draws every setting in C order.
     """
-    if n_sent <= 0:
-        raise ValueError("n_sent must be positive")
-    return np.random.default_rng(rng).multinomial(n_sent, pvals)[..., :3]
+    return np.random.default_rng(rng).multinomial(_check_n_sent(n_sent), pvals)[..., :3]
 
 
 def fringe_scan(
@@ -196,8 +205,10 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     """
     reject_scan = partial(reject, what="scan", first=first)
     offsets = scan.offsets
-    counts = scan.counts[..., 1].astype(float)
-    reject_scan(counts.sum(axis=-1) <= 0, DegenerateVisibility,
+    central = scan.counts[..., 1]
+    # points first, C order: both contractions below then read the weights in place
+    counts = np.moveaxis(central, -1, 0).astype(float, order="C")
+    reject_scan(~(counts > 0.0).any(axis=0), DegenerateVisibility,
                 "no central-peak counts; phase unidentifiable")
 
     # every scan shares the design D = U S V^T, so one SVD of it finds a singular
@@ -206,21 +217,26 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
     design = np.stack([np.ones_like(offsets), np.cos(offsets), np.sin(offsets)], axis=-1)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= s[0] * offsets.size * np.finfo(float).eps:
-        resid = counts - counts @ (design @ np.linalg.pinv(design))
-        reject_scan(np.ones(counts.shape[:-1], dtype=bool), FitDiverged,
+        resid = central - central.astype(float) @ (design @ np.linalg.pinv(design))
+        reject_scan(np.ones(central.shape[:-1], dtype=bool), FitDiverged,
                     "singular fringe-fit normal matrix; residuals: {}", resid)
     # each count is binomial(n_sent, p): variance c (1 - c / n_sent)
-    w = 1.0 / np.maximum(counts * (1.0 - counts / scan.n_sent), 1.0)
+    w = counts * (1.0 - counts / scan.n_sent)
+    w = np.divide(1.0, np.maximum(w, 1.0, out=w), out=w)
     # M b = U^T W c per scan (M = U^T W U, coef = V S^-1 b); b's covariance M^-1 = adj M / det M
     # exactly, from M's six entries. M's eigenvalues lie in [min w, max w] (U orthonormal), so
     # like LAPACK's inverse it loses up to log10(max w / min w) digits. adj(adj M) = det(M) M
     # gives det = sum(2x2 principal minors of adj M) / trace M; a row expansion lost 500x more
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = np.tensordot(u.T[:, None] * u.T, w, (2, -1))
+    counts *= w  # W c; each (points, ...) array, and then M, is deleted once it is used
+    x0, x1, x2 = np.tensordot(u, counts, (0, 0))
+    del counts
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = np.tensordot(u.T[:, None] * u.T, w, (2, 0))
     c00, c01, c02 = m11 * m22 - m12 * m12, m02 * m12 - m01 * m22, m01 * m12 - m02 * m11
     c11, c12, c22 = m00 * m22 - m02 * m02, m01 * m02 - m00 * m12, m00 * m11 - m01 * m01
-    adj = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    adj = ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22))
     det = (c00 * c11 - c01**2 + c00 * c22 - c02**2 + c11 * c22 - c12**2) / (m00 + m11 + m22)
-    b = (adj * np.tensordot(u, w * counts, (0, -1))).sum(axis=1) / det  # (3, ...)
+    del w, m00, m01, m02, m11, m12, m22, _
+    b = np.stack([r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in adj]) / det  # (3, ...)
     a0, a1, a2 = np.tensordot(vt / s[:, None], b, (0, 0))
     reject_scan(a0 <= 0.0, DegenerateVisibility, "non-positive fringe baseline {:.3g}", a0)
     amp2 = a1 * a1 + a2 * a2
@@ -229,11 +245,12 @@ def fit_phase(scan: FringeScan, first: int = 0) -> PhaseFit:
                 f"fitted visibility {{:.3f}} < {_MIN_VISIBILITY}; phase unidentifiable", vis_hat)
     # d phi / d(a0, a1, a2) = (0, a2, -a1) / (a1^2 + a2^2), taken to the basis of b
     g = (np.multiply.outer(vt[:, 1] / s, a2) - np.multiply.outer(vt[:, 2] / s, a1)) / amp2
-    sigma_phi = np.sqrt((g * (adj * g).sum(axis=1)).sum(axis=0) / det)
+    q0, q1, q2 = (r0 * g[0] + r1 * g[1] + r2 * g[2] for r0, r1, r2 in adj)
+    sigma_phi = np.sqrt((g[0] * q0 + g[1] * q1 + g[2] * q2) / det)
     unusable = ~(np.isfinite(sigma_phi) & (sigma_phi > 0.0))
     if unusable.any():  # the residuals are formed only for the message
         reject_scan(unusable, FitDiverged, "fit covariance unusable: sigma_phi = {}; "
-                    "residuals: {}", sigma_phi, counts - np.tensordot(b, u, (0, 1)))
+                    "residuals: {}", sigma_phi, central - np.tensordot(b, u, (0, 1)))
     # [()] turns the 0-d results of a single scan into scalars
     return PhaseFit(_wrap_phase(np.arctan2(-a2, a1))[()], sigma_phi[()], vis_hat[()])
 

@@ -1056,11 +1056,35 @@ class TestForecastStream:
     def test_more_trials_only_append_rows(self, tmp_path, monkeypatch):
         # trial k draws from SeedSequence((seed, k)) alone, whichever block fits it;
         # a trial is 25 epochs x 8 scan points x 2 terminals, so twenty span two blocks
+        monkeypatch.setattr(gravlink.estimator, "_BLOCK_POINTS", 4096)  # ten trials a block
         assert gravlink.estimator._BLOCK_POINTS // 400 < 20
         ten = run_shipped_forecast(tmp_path, monkeypatch, 10)
         twenty = run_shipped_forecast(tmp_path, monkeypatch, 20)
         assert ten[0].startswith(b"# trial") and len(ten) == 12 and len(twenty) == 22
         assert ten[:11] == twenty[:11]
+
+    def test_blocks_bound_the_memory_of_a_forecast(self, tmp_path):
+        # the shipped forecast at 10^3 and 10^4 trials, each in a fresh interpreter that
+        # prints its peak RSS in KiB: one block of every trial would hold 96 MB of counts
+        # at 10^4, so ten times the trials may add only the rows the run keeps
+        text = (SCENARIOS / "alpha_forecast.yaml").read_text(encoding="utf-8")
+        run = ("import contextlib, io, resource, sys\n"
+               "from gravlink.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main(['run', sys.argv[1]]) == 0\n"
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(gravlink.__file__).resolve().parents[1])
+        peak_mib = []
+        for trials in (1000, 10000):
+            path = write_yaml(tmp_path, text.replace("  trials: 12\n", f"  trials: {trials}\n"),
+                              f"forecast_{trials}.yaml")
+            result = subprocess.run(
+                [sys.executable, "-c", run, path], capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src,
+                     "GRAVLINK_OUTPUT_DIR": str(tmp_path / f"out_{trials}")})
+            assert result.returncode == 0, result.stderr
+            peak_mib.append(int(result.stdout.split()[-1]) / 1024.0)
+        assert abs(peak_mib[1] - peak_mib[0]) < 4.0, peak_mib
 
     def test_thousand_trials_are_calibrated(self, tmp_path, monkeypatch):
         lines = run_shipped_forecast(tmp_path, monkeypatch, 1000)

@@ -370,8 +370,9 @@ class TestBlockedForecast:
         forecast(budget, trials, 1, n_epochs=25)
         assert calls == [0, block, 2 * block, 3 * block]
 
-    def test_failed_fit_names_the_global_trial(self):
+    def test_failed_fit_names_the_global_trial(self, monkeypatch):
         # 8 pulses per scan point: with this seed, trial 30's fit is the first to fail
+        monkeypatch.setattr(estimator, "_BLOCK_POINTS", 4096)  # ten trials a block
         budget, seed = 3200, 6
         trial = 0  # the trials the loop finished before one failed
         with pytest.raises(GravlinkError) as failed:
@@ -396,9 +397,33 @@ class TestBlockedForecast:
             return fit._replace(sigma_phi=sigma)
 
         monkeypatch.setattr(estimator, "fit_phase", fit_losing_a_trial)
+        monkeypatch.setattr(estimator, "_BLOCK_POINTS", 4096)  # ten trials a block
         assert lost // trials_per_block(25) >= 2
         with pytest.raises(SingularFit, match=rf"no leverage \(0\.0\): .* at trial \[{lost}\]$"):
             forecast(16000000, 30, 1, n_epochs=25)
+
+    @pytest.mark.parametrize("budget, seed, noise", [
+        (16000000, 20260815, {}),
+        (0, 20260815, {}),
+        (2400000, 20260815, {"visibility": 0.9, "efficiency": 0.8, "dark_rate": 1e-4}),
+        (3200, 6, {}),  # 8 pulses per scan point: trial 30's fit is the first to fail
+    ])
+    def test_same_bits_at_any_block_size(self, monkeypatch, budget, seed, noise):
+        # blocks of one trial, of seven (40 trials end in a block of five), and one block
+        outcomes = []
+        for trials_per_block in (1, 7, 40):
+            monkeypatch.setattr(estimator, "_BLOCK_POINTS", trials_per_block * 2 * 25 * 8)
+            try:
+                est = forecast(budget, 40, seed, n_epochs=25, **noise)
+            except DegenerateVisibility as failed:
+                outcomes.append(str(failed))
+            else:
+                outcomes.append([getattr(est, field).tobytes()
+                                 for field in ("alpha_hat", "sigma_alpha", "chi2_per_dof")])
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        failed = isinstance(outcomes[0], str)
+        assert failed == (budget == 3200)
+        assert not failed or re.search(r" at scan \[30, \d+, [01]\]$", outcomes[0])
 
     def test_shipped_forecast_moves_only_by_rounding_against_the_lapack_fit(
             self, tmp_path, monkeypatch):

@@ -227,7 +227,7 @@ class TestFringeScanCounts:
             FringeScan(FOUR_POINT_SCAN, counts + 0.5, n_sent=10)
         largest = counts.astype(object)
         largest[0] = [2**63 - 1, 0, 0]  # the int64 maximum itself casts
-        assert FringeScan(FOUR_POINT_SCAN, largest, n_sent=2**63).counts[0, 0] == 2**63 - 1
+        assert FringeScan(FOUR_POINT_SCAN, largest, n_sent=2**63 - 1).counts[0, 0] == 2**63 - 1
 
     def test_row_totals_past_int64_are_refused_unwrapped(self):
         # three counts of 2^62 add to 3 * 2^62, which an int64 sum wraps to -4.6e18
@@ -238,6 +238,34 @@ class TestFringeScanCounts:
         counts[1] = 2**63 - 1
         with pytest.raises(ValueError, match=f"^total counts {3 * (2**63 - 1)} exceed"):
             FringeScan(FOUR_POINT_SCAN, counts, n_sent=2**62)
+
+
+# every n_sent that is not a positive integer below 2**63, with Python's own error for
+# each before draw_counts and FringeScan shared one check
+BAD_N_SENT = pytest.mark.parametrize("bad", [
+    2.5, 100.0, True, np.float64(8.0), np.nan, np.inf, "100", None, 0, -3, np.int64(-1),
+    2**63, np.uint64(2**63), 2**70,
+], ids=["2.5", "float_100", "True", "float64_8", "nan", "inf", "str", "None", "0", "-3",
+        "int64_-1", "2**63", "uint64_2**63", "2**70"])
+
+
+@BAD_N_SENT
+def test_draw_counts_refuses_an_n_sent_that_is_not_a_positive_int64(bad):
+    with pytest.raises(ValueError, match="^n_sent must be a positive integer below 2\\*\\*63"):
+        draw_counts(outcome_probabilities(0.0, 1.0, 1.0), bad, 1)
+
+
+@BAD_N_SENT
+def test_fringe_scan_refuses_an_n_sent_that_is_not_a_positive_int64(bad):
+    with pytest.raises(ValueError, match="^n_sent must be a positive integer below 2\\*\\*63"):
+        FringeScan(FOUR_POINT_SCAN, np.zeros((4, 3), dtype=np.int64), n_sent=bad)
+
+
+@pytest.mark.parametrize("good", [1, np.int32(7), np.uint64(2**63 - 1), 2**63 - 1])
+def test_every_positive_int64_n_sent_is_an_int(good):
+    assert draw_counts(outcome_probabilities(0.0, 1.0, 0.0), good, 1).tolist() == [0, 0, 0]
+    scan = FringeScan(FOUR_POINT_SCAN, np.zeros((4, 3), dtype=np.int64), n_sent=good)
+    assert type(scan.n_sent) is int and scan.n_sent == int(good)
 
 
 class TestSimulateCounts:
