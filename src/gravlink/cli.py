@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 
@@ -341,7 +342,8 @@ def _validate(config_path: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravlink",
         description="Satellite optical-link red-shift and spin-gravity "
@@ -354,8 +356,11 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="list config violations")
     val_p.add_argument("config", help="path to the YAML scenario file")
     sub.add_parser("constants", help="print the coupling benchmark table")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "constants":
         return _run_constants(None)

@@ -13,6 +13,7 @@ which are degrees (converted to radians here).
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
@@ -241,6 +242,8 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """PyYAML's safe loader, on libyaml's parser when PyYAML has it, that reads a plain
     scalar matching _DECIMAL in one step: YAML 1.1 resolves these only to a float, and
     float(text) is construct_yaml_float's value. Other nodes go to PyYAML unchanged."""
+    # the composer calls both per node; with no path resolver registered, PyYAML's do nothing
+    descend_resolver = ascend_resolver = lambda self, node=None, index=None: None
 
     def resolve(self, kind, value, implicit):
         if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
@@ -262,7 +265,9 @@ _MAX_DEPTH = 100
 def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     """Read, parse and walk the config once; the config is None on any violation."""
     text = _read_text(path)
+    collecting = gc.isenabled()  # the cyclic collector pauses while YAML is composed (README)
     try:
+        gc.disable()
         steps = (isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
                  for e in yaml.parse(text, Loader=_LOADER))
         if sum(map(text.count, "-?:[{")) > _MAX_DEPTH and any(
@@ -271,6 +276,9 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         tree = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: impossible dates
         return None, [f"config is not valid YAML: {exc}"]
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(tree, dict):
         return None, [f"config top level must be a mapping, got {type(tree).__name__}"]
     top, problems = _walk(tree, None)

@@ -119,18 +119,20 @@ class CircularOrbit:
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
         self._plane_to_inertial = rotate_z(self.raan, rot_x.T)
 
-    def _in_plane(self, t, scale, ahead=False):
-        """scale times the in-plane unit vector at u(t) (ahead: u + pi/2), made inertial."""
+    def _in_plane(self, t, *scales):
+        """Each scale times the inertial in-plane unit vector at u(t), then a quarter turn on."""
         u = self.phase + self._mean_motion * t
-        x, y, z = scale * np.cos(u), scale * np.sin(u), np.zeros_like(u)
-        return np.stack([-y, x, z] if ahead else [x, y, z], axis=-1) @ self._plane_to_inertial
+        cos, sin, z = np.cos(u), np.sin(u), np.zeros_like(u)
+        for scale in scales:  # scale * -sin is -(scale * sin) to the bit
+            yield np.stack([scale * cos, scale * sin, z], axis=-1) @ self._plane_to_inertial
+            cos, sin = -sin, cos
 
     def positions(self, t) -> np.ndarray:
-        return self._in_plane(_epochs(t), self.semi_major_axis)
+        return next(self._in_plane(_epochs(t), self.semi_major_axis))
 
     def states(self, t):
-        t, speed = _epochs(t), self.semi_major_axis * self._mean_motion
-        return _states(self.positions(t), self._in_plane(t, speed, ahead=True), t)
+        t, a = _epochs(t), self.semi_major_axis
+        return _states(*self._in_plane(t, a, a * self._mean_motion), t)
 
 
 class GroundStation:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import itertools
 import math
@@ -624,6 +625,16 @@ class TestYamlLoader:
         assert repr(yaml.load(text, Loader=gravlink.config._LOADER)) == repr(
             yaml.load(text, Loader=yaml.SafeLoader))
 
+    def test_no_path_resolver_so_the_resolver_steps_may_do_nothing(self):
+        # _LOADER's descend_resolver and ascend_resolver do nothing, as PyYAML's own do
+        # only while no path resolver is registered
+        assert gravlink.config._LOADER.yaml_path_resolvers == {}
+        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        for path in SCENARIO_FILES:
+            text = path.read_text(encoding="utf-8")
+            assert repr(yaml.load(text, Loader=gravlink.config._LOADER)) == repr(
+                yaml.load(text, Loader=base)), path.name
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(scalars=st.lists(st.tuples(_LOADER_SCALARS, st.booleans(), st.integers(0, 5)),
                             min_size=1, max_size=12))
@@ -678,6 +689,73 @@ class TestYamlLoader:
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 2, result.stderr
         assert result.stderr == "violation: config nests deeper than 100 levels\n"
+
+
+def _angles_text(n: int) -> str:
+    """A weak-value scan config that lists n selection angles."""
+    angles = ", ".join(f"{10.0 + 70.0 * k / n:.6f}" for k in range(n))
+    return f"mode: weakvalue-scan\nspin:\n  theta_grid_deg: [{angles}]\n  q_grid: [1.0e-3]\n"
+
+
+RECURSIVE_ALIAS = ("mode: weakvalue-scan\nspin:\n  theta_grid_deg: &a [10.0, *a]\n"
+                   "  q_grid: [1.0e-3]\n")
+
+
+class _RaisingLoader(gravlink.config._LOADER):
+    def construct_document(self, node):
+        raise RuntimeError("raised while constructing")
+
+
+class TestCollectorPause:
+    """_load pauses the cyclic garbage collector while PyYAML composes the config, and
+    leaves it as it found it."""
+
+    def test_a_long_angle_list_loads_without_a_collection(self, tmp_path):
+        path = write_yaml(tmp_path, _angles_text(10**4))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()  # every generation's count starts from 0, wherever the suite stands
+        gc.callbacks.append(record)
+        try:
+            cfg = load_config(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(cfg.spin.theta_grid) == 10**4
+        assert starts == []
+
+    @pytest.mark.parametrize("text, raised", [
+        (_angles_text(720), []),
+        ("mode: [unterminated\n", [ConfigInvalid]),
+        (RECURSIVE_ALIAS, [ConfigInvalid]),
+        (None, [RuntimeError, RuntimeError]),
+    ], ids=["valid", "not_yaml", "recursive_alias", "raises_inside_pyyaml"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+    def test_the_collector_is_left_as_it_was(self, tmp_path, monkeypatch, text, raised,
+                                             enabled):
+        if text is None:
+            monkeypatch.setattr(gravlink.config, "_LOADER", _RaisingLoader)
+        path = write_yaml(tmp_path, text or _angles_text(3))
+        seen, before = [], gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for load in (load_config, validate_config):
+                try:
+                    load(path)
+                except (ConfigInvalid, RuntimeError) as exc:
+                    seen.append(type(exc))
+                assert gc.isenabled() is enabled, load.__name__
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == raised
+
+    def test_a_recursive_alias_is_still_a_violation(self, tmp_path):
+        path = write_yaml(tmp_path, RECURSIVE_ALIAS)
+        assert validate_config(path) == [
+            "spin.theta_grid_deg: expected a finite number, got [10.0, [...]]"]
 
 
 # The required keys of each mode, and every attribute each then reads, defaults included.
@@ -812,6 +890,25 @@ class TestCliBasics:
             main(["--version"])
         assert err.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_repeated_calls_in_one_process_answer_alike(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser on the first call and reuses it
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        scenario = str(SCENARIOS / "weakvalue_scan.yaml")
+        gravlink.cli._parser.cache_clear()
+        for argv, code in ((["--version"], ("exit", 0)), ([], ("exit", 2)),
+                           (["bogus"], ("exit", 2)), (["constants"], 0),
+                           (["validate", scenario], 0), (["run", scenario], 0)):
+            answers = []
+            for _ in range(3):
+                try:
+                    answer = main(argv)
+                except SystemExit as exc:
+                    answer = ("exit", exc.code)
+                answers.append((answer, *capsys.readouterr()))
+            assert answers[0][0] == code, argv
+            assert answers[1:] == answers[:1] * 2, argv
+        assert gravlink.cli._parser.cache_info().misses == 1
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit) as err:

@@ -106,6 +106,20 @@ class TestCircularOrbit:
         positions, _ = orbit.states([0.0, 800.0, 3000.0])
         assert np.linalg.norm(positions, axis=1) == pytest.approx(7.1e6, rel=1e-12)
 
+    @pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (1.1, 0.4, 2.2), (3.0, -2.5, 1.0e3)])
+    def test_states_are_the_rotated_plane_vectors_bit_for_bit(self, angles):
+        # states takes cos and sin once; each half is the plane vector it stands for
+        orbit = CircularOrbit(6.9e6, *angles)
+        t = np.concatenate([np.linspace(-9.0e4, 9.0e4, 301), [0.0, -0.0, 1.0e9]])
+        u = orbit.phase + orbit._mean_motion * t
+        a, speed = orbit.semi_major_axis, orbit.semi_major_axis * orbit._mean_motion
+        rotation, zero = orbit._plane_to_inertial, np.zeros_like(u)
+        position = np.stack([a * np.cos(u), a * np.sin(u), zero], axis=-1) @ rotation
+        velocity = np.stack([-(speed * np.sin(u)), speed * np.cos(u), zero], axis=-1) @ rotation
+        states = orbit.states(t)
+        for got, want in zip((*states, orbit.positions(t)), (position, velocity, position)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestGroundStation:
     def test_equatorial_speed(self):
