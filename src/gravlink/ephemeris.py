@@ -184,7 +184,7 @@ def parse_cpf(text: str) -> EphemerisTable:
     The records convert in bulk (_bulk); a text that fails is read again line
     by line (_by_line), which names the first failing line and check.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()  # str.strip keeps a byte-order mark
     tags = [raw.lstrip()[:3].rstrip() for raw in lines]  # a first token of 2 characters
     headers = [raw.strip() for raw, tag in zip(lines, tags)
                if len(tag) == 2 and tag[0] in "Hh" and tag[1].isdigit()]

@@ -1219,6 +1219,23 @@ class TestCliRuns:
         sweep = np.loadtxt(tmp_path / "out" / "pass_sweep.txt")
         assert sweep.shape == (60, 8)
 
+    def test_byte_order_mark_before_the_first_record(self, tmp_path, monkeypatch):
+        # the mark once hid the first record: run exited 0 with the sweep pinned to the
+        # 60 s record, and phi_sc at t = 0 read -8.22e5 rad against -14.4 rad
+        lines = SAMPLE_CPF.read_text(encoding="utf-8").splitlines(keepends=True)
+        records_first = "".join(lines[2:] + lines[:2])
+        sweeps = []
+        for mark in ("", "\ufeff"):
+            directory = tmp_path / f"mark{len(mark)}"
+            directory.mkdir()
+            (directory / "leo_sample.cpf").write_text(mark + records_first, encoding="utf-8")
+            path = write_yaml(directory, (SCENARIOS / "ephemeris_pass.yaml").read_text())
+            monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(directory / "out"))
+            assert main(["run", path]) == 0
+            sweeps.append((directory / "out" / "pass_sweep.txt").read_bytes())
+        shipped = SCENARIOS.parent / "out" / "ephemeris_pass" / "pass_sweep.txt"
+        assert sweeps[1] == sweeps[0] == shipped.read_bytes()
+
     @staticmethod
     def infinite_epoch_pass(tmp_path, name, records, mjd):
         """A [0, 200] s pass over the sample CPF's first records, the last one at mjd."""

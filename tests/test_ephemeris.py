@@ -192,6 +192,15 @@ class TestParse:
         with pytest.raises(EmptyEphemeris):
             parse_cpf("H1 CPF only headers here\nsome noise\n")
 
+    @pytest.mark.parametrize("text", [SAMPLE, SAMPLE.split("\n", 2)[2]],
+                             ids=["header first", "records first"])
+    def test_byte_order_mark_is_skipped(self, text):
+        # str.strip keeps U+FEFF, so the first line's tag once read neither 10 nor H1 and
+        # the line was dropped: a header from source, or the first record
+        plain, marked = parse_cpf(text), parse_cpf("\ufeff" + text)
+        assert np.array_equal(marked.records, plain.records)
+        assert marked.source == plain.source
+
     def test_roundtrip_identity(self):
         table = parse_cpf(SAMPLE)
         again = parse_cpf(serialize_cpf(table))
