@@ -110,7 +110,7 @@ def _table(header: str, columns) -> list:
     n, m = shape + (1,) * (2 - len(shape))
     if not len(columns) or n * m == 0:
         return texts
-    step = max(1, _BLOCK // len(columns))
+    step = min(max(1, _BLOCK // len(columns)), n * m)
     buf = np.zeros((step, len(columns), 6), np.uint32)
     buf[:, :, 5], buf[:, -1:, 5] = ord(" "), ord("\n")
     full, fixed = {}, []  # full-size columns raveled, by index; (index, slots at (n, m, 5))

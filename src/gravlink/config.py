@@ -1,10 +1,10 @@
-"""Scenario configuration: YAML loading, validation, typed views.
+"""Scenario configuration: YAML loading, validation, read-only views.
 
 One walk over one field table (_FIELDS) collects every violation instead of
-stopping at the first and builds the typed config. The table is the schema:
-each row holds a field's key, attribute, parser, bound and default, and the
-frozen section classes and ScenarioConfig are built from its rows, a
-section's class the first time a config holds that section. The checks
+stopping at the first and builds the config. The table is the schema: each
+row holds a field's key, attribute, parser, bound and default, and the only
+home of that default. The config and each of its sections are views of one
+read-only type, ScenarioConfig, whose attributes are their rows. The checks
 borrowed from ephemeris, interferometer and spin_weak import them only when
 a config reaches them.
 Units in config files are SI with the unit in the key name, except angles,
@@ -18,9 +18,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import make_dataclass, replace
-from functools import cache
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -179,24 +178,17 @@ _FIELDS = (
 )
 
 
-def _frozen(name: str, section: Optional[str], extra: tuple = ()) -> type:
-    """Frozen keyword-only dataclass of a section's rows (plus extra fields); a
-    REQUIRED row gets no default."""
-    fields = [(attr, object) if default is REQUIRED else (attr, object, default)
-              for sec, _, attr, _, _, default in _FIELDS if sec == section]
-    return make_dataclass(name, [*fields, *extra], frozen=True, kw_only=True,
-                          namespace={"__module__": __name__})
-
-
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _FIELDS if row[0] and "." not in row[0]))
-ScenarioConfig = _frozen("ScenarioConfig", None, tuple(
-    (section, object, None) for section in _SECTIONS))
 
 
-@cache
-def _spec(section: str) -> type:
-    """The frozen class of a section, built the first time a config holds that section."""
-    return _frozen(f"{section.title()}Spec", section)
+class ScenarioConfig(SimpleNamespace):
+    """A loaded config or one of its sections: its rows' attributes, read-only."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _shown(raw, ok: np.ndarray) -> str:
@@ -212,13 +204,15 @@ def _shown(raw, ok: np.ndarray) -> str:
 
 
 def _walk(tree: dict, section: Optional[str]) -> tuple[dict, list[str]]:
-    """({attribute: value}, violations) of one section; absent optional keys are left out."""
+    """({attribute: value}, violations) of one section; absent optional keys at defaults."""
     values, problems = {}, []
     for key, attr, parse, bound, default in (row[1:] for row in _FIELDS if row[0] == section):
         name = f"{section}.{key}" if section else key
         if key not in tree:
             if default is REQUIRED:
                 problems.append(f"{name}: required field missing")
+            else:
+                values[attr] = default
             continue
         try:
             value = parse(tree[key], name)
@@ -285,22 +279,22 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     mode = top.get("mode")
     if mode in STOCHASTIC_MODES and "seed" not in tree:
         problems.append(f"seed: required for stochastic mode '{mode}'")
-    values, specs = {}, {}
+    values, specs = {}, dict.fromkeys(_SECTIONS)
     for section in _SECTIONS:
         raw = tree.get(section, {} if section == "redshift" else None)  # absent: alpha 0, GR
         if isinstance(raw, dict):
             values[section], found = _walk(raw, section)
             problems += found
             if not found:
-                specs[section] = _spec(section)(**values[section])
+                specs[section] = ScenarioConfig(**values[section])
         elif section in tree or section in _SECTION_BY_MODE.get(mode, ()):
             problems.append(f"{section}: expected a mapping" if section in tree
                             else f"{section}: section required for mode '{mode}'")
     optical = specs.get("optical")
     if optical:
         if optical.tau_l is None:  # the delay line's proper delay
-            specs["optical"] = optical = replace(
-                optical, tau_l=optical.delay_length * optical.group_index / C_LIGHT)
+            specs["optical"] = optical = ScenarioConfig(**{
+                **vars(optical), "tau_l": optical.delay_length * optical.group_index / C_LIGHT})
         try:
             phase_scale(optical.lambda0, optical.tau_l)
         except ValueError as exc:
@@ -321,7 +315,7 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
             problems.append("noise: efficiency*(0.25 + 0.125*visibility) + 3*dark_rate "
                             "must be <= 1")
     forecast = specs.get("forecast")
-    if mode == "alpha-forecast" and noise and forecast and "sweep" in specs:
+    if mode == "alpha-forecast" and noise and forecast and specs["sweep"]:
         pulses = 2 * specs["sweep"].n_epochs * forecast.scan_points  # one pulse per scan point
         if 0 < noise.photon_budget < pulses:
             problems.append(f"noise.photon_budget: {noise.photon_budget} must be 0 (noiseless) "

@@ -288,7 +288,8 @@ class EphemerisTrajectory:
         width = self._width
         start = np.clip(np.searchsorted(epochs, t_rel) - width // 2, 0, len(epochs) - width)
         window = start[:, None] + np.arange(width)
-        values, derivs = _lagrange_basis(t_rel, epochs[window], self._denoms[start], velocities)
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf epoch gives nan: BadAltitude
+            values, derivs = _lagrange_basis(t_rel, epochs[window], self._denoms[start], velocities)
         coords = self.table.positions[window]
         theta = OMEGA_EARTH * t_rel
         pos = rotate_z(theta, np.einsum("nj,njk->nk", values, coords))

@@ -844,15 +844,30 @@ class TestLoadConfig:
         monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
         keys, values = MINIMAL[mode]
         cfg = load_config(write_yaml(tmp_path, yaml.safe_dump({"mode": mode, **keys})))
-        assert dataclasses.asdict(cfg) == {
+
+        def nested(view):  # the config as dicts, its sections included
+            return {k: nested(v) if isinstance(v, type(cfg)) else v for k, v in vars(view).items()}
+
+        assert nested(cfg) == {
             "mode": mode, "seed": None, "output_dir": "gravlink-out", "redshift": {"alpha": 0.0},
             **dict.fromkeys(SECTIONS), **values}
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             cfg.seed = 1
+        with pytest.raises(AttributeError):
+            del cfg.seed
         for name in ("redshift", *(s for s in SECTIONS if s in values)):
             section = getattr(cfg, name)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(section, dataclasses.fields(section)[0].name, 0.0)
+            with pytest.raises(AttributeError):
+                setattr(section, next(iter(vars(section))), 0.0)
+            with pytest.raises(AttributeError):
+                delattr(section, next(iter(vars(section))))
+
+    @pytest.mark.parametrize("scenario", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_the_config_and_its_sections_share_one_type(self, monkeypatch, scenario):
+        monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
+        cfg = load_config(str(scenario))
+        sections = (getattr(cfg, name) for name in ("redshift", *SECTIONS))
+        assert {type(section) for section in sections if section is not None} == {type(cfg)}
 
     def test_invalid_raises_with_violation_list(self, tmp_path):
         with pytest.raises(ConfigInvalid) as err:
@@ -1288,14 +1303,13 @@ class TestCliRuns:
 
     def test_infinite_epoch_in_the_only_window(self):
         # with 5 records the one window holds the infinite epoch: the basis is nan and the
-        # pass names the first nan position; only the basis's own products warn
+        # pass names the first nan position, and numpy warns of none of the basis's products
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BadAltitude) as raised:
                 self.infinite_epoch_pass_geometry(5, float("9" * 305))
         assert str(raised.value) == "|position| = nan m is below 6.3e+06 m at epoch [0] (t = 0 s)"
-        assert {str(w.message) for w in caught} == {"invalid value encountered in multiply",
-                                                    "invalid value encountered in divide"}
+        assert [str(w.message) for w in caught] == []
 
     def test_alpha_forecast_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))

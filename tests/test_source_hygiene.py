@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
 An import a module never uses and a private module-level name nothing in the package
-references are both dead code; each test names every offender with its file and line.
+references are both dead code, and a class built while the package runs is a type each
+process makes again; each test names every offender with its file and line.
 """
 
 import ast
@@ -75,6 +76,21 @@ def private_definitions(tree):
             if name.startswith("_") and not name.startswith("__")]
 
 
+def classes_built_at_run_time(tree):
+    """(line, form) of each class tree builds while it runs: a make_dataclass call, a
+    three-argument type(...) or a class statement inside a function, in line order."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "make_dataclass" or (name == "type" and len(node.args) == 3):
+                found.add((node.lineno, f"{name}(...)"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((n.lineno, f"class {n.name}") for n in ast.walk(node)
+                         if isinstance(n, ast.ClassDef))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = unused_imports(path)
@@ -88,6 +104,13 @@ def test_every_private_module_name_is_referenced():
     dead = [f"{name}:{line} {private}" for name, tree in trees.items()
             for line, private in private_definitions(tree) if private not in referenced]
     assert not dead, "defined and never referenced in the package: " + ", ".join(dead)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_is_built_at_run_time(path):
+    built = classes_built_at_run_time(parse(path))
+    assert not built, ", ".join(f"{path.name}:{line} builds a class with {form}"
+                                for line, form in built)
 
 
 def test_the_checks_catch_what_they_look_for(tmp_path):
@@ -104,8 +127,15 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
                       "    from json import dumps\n"
                       "    return math.tau\n\n"
                       "def _helper():\n"
-                      "    return dataclass, dumps\n")
+                      "    return dataclass, dumps\n\n"
+                      "def g(name):\n"
+                      "    from dataclasses import make_dataclass\n"
+                      "    class Local:\n"
+                      "        pass\n"
+                      "    return type(name, (Local,), {}), make_dataclass(name, []), type(name)\n")
     assert unused_imports(module) == [(3, "os"), (11, "dumps")]
     tree = parse(module)
     assert [name for _, name in private_definitions(tree)
             if name not in references(tree)] == ["_DEAD", "_ALSO", "_helper"]
+    assert classes_built_at_run_time(tree) == [
+        (19, "class Local"), (21, "make_dataclass(...)"), (21, "type(...)")]
