@@ -301,6 +301,18 @@ def test_malformed_cpf_line_is_named_without_a_traceback(tmp_path, line, old, ne
         assert error in validate_err and error in run_err
 
 
+def test_nul_in_the_ephemeris_path_is_a_violation(tmp_path):
+    # validate once exited 3 with "error[ValueError]: embedded null byte", and so did run
+    path = scenario("ephemeris_pass", {"orbit.ephemeris_path": "leo\0sample.cpf"}, tmp_path)
+    env = {"GRAVLINK_OUTPUT_DIR": str(tmp_path / "out")}
+    (validated, _, validate_err), (ran, _, run_err) = run("validate", path, env=env), run(
+        "run", path, env=env)
+    assert (validated, ran) == (2, 2)
+    for err in (validate_err, run_err):
+        assert err.startswith("violation: orbit.ephemeris_path: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_weak_shift_past_the_float_range_is_a_violation(tmp_path):
     # q * meter_width * tan(theta) = 1e300 * 5.7e9 overflows: run once warned, exited 0
     # and wrote shift_weak = inf

@@ -30,17 +30,15 @@ from .errors import ConfigInvalid, FileUnreadable, GravlinkError, OutOfRange
 from .kinematics import CircularOrbit, GroundStation
 from .link_model import phase_scale
 
-MODES = ("redshift-pass", "alpha-forecast", "fringe-demo", "weakvalue-scan", "constants")
-STOCHASTIC_MODES = ("alpha-forecast", "fringe-demo")
-MAX_COUNT = 2**31 - 1  # the largest integer size a config may give
-
-_SECTION_BY_MODE = {
+_SECTION_BY_MODE = {  # a mode draws photon noise exactly when it has a noise section
     "redshift-pass": ("orbit", "station", "optical", "sweep"),
     "alpha-forecast": ("orbit", "station", "optical", "sweep", "noise", "forecast"),
     "fringe-demo": ("fringe", "noise"),
     "weakvalue-scan": ("spin",),
     "constants": (),
 }
+MODES = tuple(_SECTION_BY_MODE)
+MAX_COUNT = 2**31 - 1  # the largest integer size a config may give
 
 
 def _read_text(path: str) -> str:
@@ -70,16 +68,17 @@ def _degrees(value, name) -> float:
     return math.radians(_number(value, name))
 
 
-def _typed(kind: type, what: str):
-    """Parser that passes an instance of kind through; bools and "" are rejected."""
+def _typed(kind: type, what: str, ok=lambda value: value != ""):
+    """Parser that passes an instance of kind that ok accepts; bools and "" are rejected."""
     def parse(value, name):
-        if isinstance(value, kind) and not isinstance(value, bool) and value != "":
+        if isinstance(value, kind) and not isinstance(value, bool) and ok(value):
             return value
         raise ConfigInvalid([f"{name}: expected {what}, got {value!r}"])
     return parse
 
 
 _integer, _text = _typed(int, "an integer"), _typed(str, "a non-empty string")
+_path = _typed(str, "a non-empty string with no NUL character", lambda p: p and "\0" not in p)
 
 
 def _numbers(value, name) -> tuple:
@@ -130,13 +129,13 @@ _FIELDS = (
     (None, "mode", "mode", _text, (lambda m: m in MODES, f"not one of {', '.join(MODES)}"),
      REQUIRED),
     (None, "seed", "seed", _integer, _at_least(0), None),
-    (None, "output_dir", "output_dir", _text, None, "gravlink-out"),
+    (None, "output_dir", "output_dir", _path, None, "gravlink-out"),
     ("orbit", "semi_major_axis_m", "semi_major_axis", _number,
      (lambda a: 6.5e6 <= a <= 5.0e7, "outside [6.5e6, 5e7] m"), None),
     ("orbit", "inclination_deg", "inclination", _degrees, None, 0.0),
     ("orbit", "raan_deg", "raan", _degrees, None, 0.0),
     ("orbit", "phase_deg", "phase", _degrees, None, 0.0),
-    ("orbit", "ephemeris_path", "ephemeris_path", _text, None, None),
+    ("orbit", "ephemeris_path", "ephemeris_path", _path, None, None),
     ("station", "latitude_deg", "latitude", _degrees,
      (lambda x: abs(x) <= math.radians(90.0), "outside [-90, 90]"), REQUIRED),
     ("station", "longitude_deg", "longitude", _degrees, None, REQUIRED),
@@ -277,7 +276,7 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
         return None, [f"config top level must be a mapping, got {type(tree).__name__}"]
     top, problems = _walk(tree, None)
     mode = top.get("mode")
-    if mode in STOCHASTIC_MODES and "seed" not in tree:
+    if "noise" in _SECTION_BY_MODE.get(mode, ()) and "seed" not in tree:
         problems.append(f"seed: required for stochastic mode '{mode}'")
     values, specs = {}, dict.fromkeys(_SECTIONS)
     for section in _SECTIONS:

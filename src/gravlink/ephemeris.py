@@ -7,12 +7,11 @@ position records are lines of exactly eight whitespace-separated tokens
     10 <flag> <mjd> <seconds-of-day> <leap-flag> <x> <y> <z>
 
 with coordinates in meters, Earth-fixed frame. Every other line is ignored.
-numpy's C text reader converts the record lines into one structured array; a
-text it refuses is read again by Python's int and float, which also take 1_0,
-line by line to name its first failing line. EphemerisTrajectory interpolates
-a table: windowed Lagrange on position, whose window denominators it computes
-once, with the analytic derivative for velocity, rotated into the inertial
-frame that coincides with the Earth-fixed frame at the first record's epoch.
+Record lines convert once, by numpy's C text reader or by Python's int and float
+(1_0 too), and one mask per rule names the first failing line. EphemerisTrajectory
+interpolates a table: windowed Lagrange on position, whose window denominators it
+computes once, with the analytic derivative for velocity, rotated into the
+inertial frame that coincides with the Earth-fixed frame at the first record's epoch.
 """
 
 from __future__ import annotations
@@ -44,6 +43,11 @@ _MAX_WINDOW = 8    # interpolation nodes (see EphemerisTrajectory's window note)
 _RECORD = np.dtype([("mjd", float), ("sod", float), ("position", float, 3)])
 _LINE = np.dtype([("tag", "i8"), ("flag", "i8"), ("mjd", "i8"), ("sod", "f8"), ("leap", "i8"),
                   ("position", "f8", 3)])  # a record line as numpy's reader takes it
+_FAULTS = ((MalformedRecord, "seconds-of-day {sod} outside [0, 86400)"),  # parse_cpf's rules
+           (MalformedRecord, f"|position| = {{mag:.3e}} m outside sanity window "
+                             f"[{_POS_MIN:.1e}, {_POS_MAX:.1e}]"),
+           (MalformedRecord, "epoch mjd*86400 + sod = {epoch} s is not finite"),
+           (NonMonotonicTime, "record epochs must strictly increase"))
 
 
 class EphemerisRecord(NamedTuple):
@@ -104,59 +108,34 @@ def _epoch_seconds(records: np.ndarray) -> np.ndarray:
         return records["mjd"] * SECONDS_PER_DAY + records["sod"]
 
 
-def _bulk(lines: list) -> np.ndarray | None:
-    """The lines' records as numpy's reader converts them, or None on a wrong field count, a
-    failed conversion or check, a token that is not ASCII (numpy reads some characters past
-    U+00FF as digits) or a reader warning (older numpy read an int field 1.0 with one)."""
-    if not lines or len(lines[-1].split()) != _RECORD_FIELDS:  # none, or a file cut short
-        return None
-    if not all(map(str.isascii, lines)) and not "".join("".join(lines).split()).isascii():
+def _loadtxt(lines: list) -> tuple | None:
+    """(records, None), shaped as _convert's result, from numpy's reader; None on a wrong field
+    count, a failed conversion, a non-ASCII token (numpy reads some as digits) or a warning."""
+    if (not lines or len(lines[-1].split()) != _RECORD_FIELDS  # none, or a file cut short
+            or not all(map(str.isascii, lines)) and not "".join("".join(lines).split()).isascii()):
         return None
     try:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             fields = np.loadtxt(lines, _LINE, comments=None, ndmin=1)
-            mag = np.hypot.reduce(fields["position"], axis=1)  # _by_line decides near an edge
     except (ValueError, Warning):  # ValueError also on an int past int64
         return None
-    records = fields[["mjd", "sod", "position"]].astype(_RECORD)
-    sod, epochs = records["sod"], _epoch_seconds(records)
-    ok = ((0.0 <= sod) & (sod < SECONDS_PER_DAY) & np.isfinite(epochs)
-          & (_POS_MIN * (1 + 1e-9) <= mag) & (mag <= _POS_MAX * (1 - 1e-9))
-          & (epochs > np.append(-math.inf, epochs[:-1])))
-    return _read_only(records) if ok.all() else None
+    return fields[["mjd", "sod", "position"]].astype(_RECORD), None
 
 
-def _by_line(line_nos: list, lines: list) -> list:
-    """The record lines as (mjd, sod, position) records, read one at a time. Raises
-    the first failing line's error: field count, then conversions of mjd, sod,
-    flag, leap flag, x, y, z, then sod range, position window, finite epoch, monotonicity."""
-    records, last = [], -math.inf
+def _convert(line_nos: list, lines: list) -> tuple:
+    """(records, error): the records that Python's int and float (also 1_0, ints past int64) convert
+    before the first line whose field count or conversion fails, and its (number, text) or None."""
+    records = []
     for no, tokens in zip(line_nos, map(str.split, lines)):
         if len(tokens) != _RECORD_FIELDS:
-            raise MalformedRecord(no, f"expected {_RECORD_FIELDS} fields, got {len(tokens)}")
+            return records, (no, f"expected {_RECORD_FIELDS} fields, got {len(tokens)}")
         try:
-            mjd, sod = float(int(tokens[2])), float(tokens[3])
-            int(tokens[1]), int(tokens[4])
-            position = tuple(map(float, tokens[5:]))
+            mjd, sod, _, _ = float(int(tokens[2])), float(tokens[3]), int(tokens[1]), int(tokens[4])
+            records.append((mjd, sod, tuple(map(float, tokens[5:]))))
         except (ValueError, OverflowError) as exc:
-            raise MalformedRecord(no, f"non-numeric field: {exc}") from None
-        if not 0.0 <= sod < SECONDS_PER_DAY:
-            raise MalformedRecord(no, f"seconds-of-day {sod} outside [0, 86400)")
-        mag = math.hypot(*position)
-        if not _POS_MIN <= mag <= _POS_MAX:
-            raise MalformedRecord(no, f"|position| = {mag:.3e} m outside "
-                                  f"sanity window [{_POS_MIN:.1e}, {_POS_MAX:.1e}]")
-        epoch = mjd * SECONDS_PER_DAY + sod
-        if not math.isfinite(epoch):
-            raise MalformedRecord(no, f"epoch mjd*86400 + sod = {epoch} s is not finite")
-        if epoch <= last:
-            raise NonMonotonicTime(no, "record epochs must strictly increase")
-        records.append((mjd, sod, position))
-        last = epoch
-    if not records:
-        raise EmptyEphemeris("no valid position records in input")
-    return records
+            return records, (no, f"non-numeric field: {exc}")
+    return records, None
 
 
 def parse_cpf(text: str) -> EphemerisTable:
@@ -181,8 +160,7 @@ def parse_cpf(text: str) -> EphemerisTable:
     EmptyEphemeris
         No valid position record found.
 
-    The records convert in bulk (_bulk); a text that fails is read again line
-    by line (_by_line), which names the first failing line and check.
+    The error names the first failing line and the first of these checks that it fails.
     """
     lines = text.removeprefix("\ufeff").splitlines()  # str.strip keeps a byte-order mark
     tags = [raw.lstrip()[:3].rstrip() for raw in lines]  # a first token of 2 characters
@@ -190,9 +168,26 @@ def parse_cpf(text: str) -> EphemerisTable:
                if len(tag) == 2 and tag[0] in "Hh" and tag[1].isdigit()]
     line_nos = [no for no, tag in enumerate(tags, 1) if tag == "10"]
     rows = [lines[no - 1] for no in line_nos]
-    records = _bulk(rows)
-    return EphemerisTable(records=_by_line(line_nos, rows) if records is None else records,
-                          source="\n".join(headers))
+    records, error = _loadtxt(rows) or _convert(line_nos, rows)
+    records = np.asarray(records, _RECORD)
+    sod, epochs, position = records["sod"], _epoch_seconds(records), records["position"]
+    with np.errstate(over="ignore"):
+        mag = np.hypot.reduce(position, axis=1)
+    for margin in (1e-9, 0.0):  # np.hypot decides |position| off the edges, math.hypot near
+        ok = np.array(((0.0 <= sod) & (sod < SECONDS_PER_DAY),
+                       (_POS_MIN * (1 + margin) <= mag) & (mag <= _POS_MAX * (1 - margin)),
+                       np.isfinite(epochs), epochs > np.append(-math.inf, epochs[:-1])))
+        if ok[1].all():
+            break
+        mag[~ok[1]] = [math.hypot(*p) for p in position[~ok[1]].tolist()]
+    if not ok.all():  # the first failing record's first failing rule
+        i, rule = np.argwhere(~ok.T)[0]
+        fault, message = _FAULTS[rule]
+        raise fault(line_nos[i], message.format(sod=sod[i], mag=mag[i], epoch=epochs[i]))
+    if error or not len(records):  # made here, so that no frame of its traceback holds it
+        raise MalformedRecord(*error) if error else EmptyEphemeris(
+            "no valid position records in input")
+    return EphemerisTable(records=_read_only(records), source="\n".join(headers))
 
 
 def serialize_cpf(table: EphemerisTable) -> str:

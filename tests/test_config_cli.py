@@ -212,6 +212,15 @@ DEFECTS = [
     # a redshift section that is not a mapping was ignored, and alpha silently 0
     ("redshift_not_a_mapping", SMALL_PASS, "sweep:", "redshift: 3.0e-4\nsweep:",
      "redshift: expected a mapping\n"),
+    # a NUL in a path: validate passed it and run exited 3, or validate itself exited 3, with
+    # "error[ValueError]: embedded null byte"
+    ("output_dir_nul", SMALL_PASS, "output_dir: ignored", 'output_dir: "out\\0dir"',
+     "output_dir: expected a non-empty string with no NUL character, got 'out\\x00dir'\n"),
+    ("constants_output_dir_nul", "mode: constants\noutput_dir: {out}\n", "output_dir: ignored",
+     'output_dir: "out\\0dir"', "output_dir: expected a non-empty string with no NUL character"),
+    ("ephemeris_path_nul", SMALL_PASS, "semi_major_axis_m: 6.771e+6",
+     'ephemeris_path: "leo\\0sample.cpf"', "orbit.ephemeris_path: expected a non-empty string "
+     "with no NUL character, got 'leo\\x00sample.cpf'\n"),
 ]
 
 

@@ -15,10 +15,10 @@ from gravlink.ephemeris import (
     EphemerisRecord,
     EphemerisTable,
     EphemerisTrajectory,
-    _bulk,
-    _by_line,
+    _convert,
     _lagrange_basis,
     _lagrange_denominators,
+    _loadtxt,
     parse_cpf,
     serialize_cpf,
 )
@@ -185,6 +185,25 @@ class TestParse:
             parse_cpf("10 0 58600 0.0 0 9.9e8 0.0 0.0")
         with pytest.raises(MalformedRecord):
             parse_cpf("10 0 58600 0.0 0 nan 0.0 0.0")
+
+    @pytest.mark.parametrize("x", ["7000000.0", "7_000_000.0"], ids=["numpy", "python"])
+    @pytest.mark.parametrize("position, mag, error", [
+        # math.hypot reads 6399999.999999999 and 500000000.00000006, outside the window,
+        # where numpy's hypot of a hypot reads 6.4e6 and 5e8
+        ("-5308831.7647387525 -256521.02603566428 -3565179.133914932", 6.4e6, True),
+        ("321112692.8473657 383240941.57176 -3608212.2310468857", 5e8, True),
+        ("6400000.0 0.0 0.0", 6.4e6, False),  # on an edge, inside
+        ("0.0 -500000000.0 0.0", 5e8, False),
+    ], ids=["below_by_math_hypot", "above_by_math_hypot", "lower_edge", "upper_edge"])
+    def test_a_magnitude_at_a_window_edge_is_decided_by_math_hypot(self, x, position, mag,
+                                                                  error):
+        # both conversions (the first record's x spelled with "_" leaves numpy's reader)
+        text = f"H1 targeted\n10 0 61267 0.0 0 {x} 1.0 0.0\n10 0 61267 60.0 0 {position}\n"
+        assert np.hypot.reduce([float(c) for c in position.split()]) == mag
+        got = assert_matches_reference(text)
+        assert isinstance(got, MalformedRecord) == error
+        if error:
+            assert got.line_number == 3 and "|position| =" in str(got)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyEphemeris):
@@ -529,8 +548,9 @@ def record_lines(text):
 
 
 def bulk_refusal_classes(rows):
-    """Why _bulk may refuse record lines that the line pass accepts: a token spelled
-    with "_", which numpy's reader does not take, or an int field past int64."""
+    """Why numpy's reader (_loadtxt) may refuse record lines that Python's conversion
+    (_convert) takes: a token spelled with "_", which numpy does not take, or an int
+    field past int64."""
     tokens = [raw.split() for raw in rows]
     classes = {"_"} if any("_" in token for line in tokens for token in line) else set()
     if any(not -2**63 <= int(line[i]) < 2**63 for line in tokens for i in (1, 2, 4)):
@@ -539,20 +559,22 @@ def bulk_refusal_classes(rows):
 
 
 def assert_bulk_keeps_its_contract(text, allowed):
-    """_bulk refuses every text that the reference rejects. Where it accepts, it holds
-    _by_line's records bit for bit; it refuses a text the reference accepts only for
-    one of the allowed refusal classes. Returns whether it accepted."""
+    """The two conversions of parse_cpf agree. numpy's reader (_loadtxt, in bulk) refuses
+    every text with no record line or with a line that Python's int and float (_convert,
+    line by line) fail to convert. Where both convert every line, they hold the same records
+    bit for bit; numpy refuses a text that Python converts only for one of the allowed
+    refusal classes. Returns whether numpy converted the text."""
     line_nos, rows = record_lines(text)
-    records = _bulk(rows)
-    try:
-        reference_parse_cpf(text)
-    except (GravlinkError, OverflowError):
-        assert records is None
+    read = _loadtxt(rows)
+    records, error = _convert(line_nos, rows)
+    if error is not None or not rows:
+        assert read is None, text
         return False
-    if records is None:
+    if read is None:
         assert bulk_refusal_classes(rows) & allowed, text
         return False
-    assert records.tobytes() == EphemerisTable(_by_line(line_nos, rows)).records.tobytes()
+    assert read[1] is None
+    assert read[0].tobytes() == np.array(records, read[0].dtype).tobytes()
     return True
 
 
@@ -567,9 +589,11 @@ def infinite_epoch_texts():
 
 
 def test_bulk_accepts_exactly_what_the_line_pass_accepts():
-    accepted = sum(assert_bulk_keeps_its_contract(text, allowed={"_"})
-                   for text in [*cpf_mutations(), *infinite_epoch_texts()])
+    accepted = sum(assert_bulk_keeps_its_contract(text, allowed={"_"}) for text in cpf_mutations())
     assert accepted > 0
+    for text in infinite_epoch_texts():  # Python converts the mjd, and the epoch rule names it
+        assert not assert_bulk_keeps_its_contract(text, allowed={"int64"})
+        assert isinstance(assert_matches_reference(text), MalformedRecord)
 
 
 @pytest.mark.parametrize("record, bulk_reads", [
@@ -580,10 +604,6 @@ def test_bulk_accepts_exactly_what_the_line_pass_accepts():
     ("10 0 61267 60.0 0\x0b7000000.0 0.0 0.0", False),  # a line break: five fields
     ("10 0 61267 60.0 0 7000000.0 0.0 0.0 # note", False),  # ten fields
     ("10\t0\t61267\t60.0\t0\t7000000.0\t0.0\t0.0", True),
-    # |position| by math.hypot is 6399999.999999999 and 500000000.00000006, outside the
-    # window, where numpy's hypot of a hypot reads 6.4e6 and 5e8 here
-    ("10 0 61267 60.0 0 -5308831.7647387525 -256521.02603566428 -3565179.133914932", False),
-    ("10 0 61267 60.0 0 321112692.8473657 383240941.57176 -3608212.2310468857", False),
 ])
 def test_bulk_reads_these_records_or_leaves_them_to_the_line_pass(record, bulk_reads):
     text = "H1 targeted\n10 0 61267 0.0 0 7000000.0 1.0 0.0\n" + record + "\n"
@@ -598,12 +618,13 @@ def test_a_reader_warning_leaves_the_text_to_the_line_pass(monkeypatch):
                       DeprecationWarning, stacklevel=2)
         return loadtxt(*args, **kwargs)
 
-    loadtxt, lines = np.loadtxt, SAMPLE.splitlines()[2:]
-    assert _bulk(lines) is not None
+    loadtxt, lines, table = np.loadtxt, SAMPLE.splitlines()[2:], parse_cpf(SAMPLE)
+    assert _loadtxt(lines) is not None
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # as outside the tests, which make every warning an error
-        assert _bulk(lines) is None
+        assert _loadtxt(lines) is None
+        assert parse_cpf(SAMPLE).records.tobytes() == table.records.tobytes()
 
 
 def spell_int(rng, value):
