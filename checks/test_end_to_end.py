@@ -325,6 +325,25 @@ def test_weak_shift_past_the_float_range_is_a_violation(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, edits, violation", [
+    # the sweep's span overflows: run once printed numpy's overflow and invalid-value
+    # warnings and exited 3 with BadAltitude at t = nan s, and 1 with a traceback here
+    ("redshift_pass", {"sweep.t_start_s": -1.0e308, "sweep.t_end_s": 1.0e308},
+     "sweep: t_end_s - t_start_s is past the float range"),
+    # the pair Hamiltonian overflows: run once warned three times and exited 3 with
+    # "error[LinAlgError]: Eigenvalues did not converge", and 1 with a traceback here
+    ("weakvalue_scan", {"spin.coupling_k": 1.0e300, "spin.gravity_mps2": 1.0e300},
+     "spin: rotation_rad_per_s, gravity_mps2, coupling_k and exchange_joule take the pair "
+     "Hamiltonian past the float range"),
+], ids=["sweep-span", "pair-hamiltonian"])
+def test_input_past_the_float_range_is_a_violation(tmp_path, name, edits, violation):
+    path = scenario(name, edits, tmp_path)
+    for command in ("validate", "run"):
+        status, _, err = run(command, path, env=strict(tmp_path / "out"))
+        assert (status, err) == (2, f"violation: {violation}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_directory_that_is_a_file_is_reported(tmp_path):
     (tmp_path / "taken").touch()
     status, _, err = run("run", SCENARIOS / "fringe_demo.yaml",

@@ -6,10 +6,10 @@ Commands:
     gravlink constants               print the coupling benchmark table
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime (pipeline) error.
-Each run writes a machine-readable columnar file plus summary.txt into the
-output directory (config output_dir, overridden by GRAVLINK_OUTPUT_DIR),
-and prints the summary. Identical config and seed give byte-identical
-columnar outputs.
+A run reads the loaded config alone and writes a machine-readable columnar
+file plus summary.txt into the output directory (config output_dir,
+overridden by GRAVLINK_OUTPUT_DIR), and prints the summary. Identical
+config and seed give byte-identical columnar outputs.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from .config import MAX_COUNT, ScenarioConfig, load_config, trajectories, valida
 from .constants import C_LIGHT, G_STD, GM_EARTH, R_EARTH
 from .errors import ConfigInvalid, FileUnreadable, GravlinkError
 from .kinematics import _norm, build_pass
-from .link_model import (
-    expanded_signal,
-    gravitational_phase,
-    phase_pair,
-    phase_scale,
-)
+from .link_model import expanded_signal, gravitational_phase, phase_pair
 
 
 def _write(out_dir: Path, name: str, chunks: list) -> None:
@@ -143,11 +138,11 @@ def _table(header: str, columns) -> list:
     return texts
 
 
-# Each mode's runner takes (cfg, config_path) and returns (columnar file name,
+# Each mode's runner takes the loaded config alone and returns (columnar file name,
 # its byte chunks, summary lines); _run writes both files and prints the summary.
-def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
-    station, orbit = trajectories(cfg, config_path)
-    scale, alpha = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l), cfg.redshift.alpha
+def _run_redshift_pass(cfg: ScenarioConfig) -> tuple:
+    station, orbit = trajectories(cfg)
+    scale, alpha = cfg.optical.scale, cfg.redshift.alpha
     epochs, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end,
                               cfg.sweep.n_epochs)
     pair = phase_pair(geom, scale, alpha)
@@ -183,15 +178,14 @@ def _run_redshift_pass(cfg: ScenarioConfig, config_path: str) -> tuple:
     return "pass_sweep.txt", table, summary
 
 
-def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
+def _run_alpha_forecast(cfg: ScenarioConfig) -> tuple:
     from .estimator import precision_forecast
 
-    station, orbit = trajectories(cfg, config_path)
+    station, orbit = trajectories(cfg)
     _, geom = build_pass(station, orbit, cfg.sweep.t_start, cfg.sweep.t_end, cfg.sweep.n_epochs)
     noise, budget = cfg.noise, cfg.noise.photon_budget
-    scale = phase_scale(cfg.optical.lambda0, cfg.optical.tau_l)
-    est = precision_forecast(geom, scale, cfg.redshift.alpha, budget, cfg.forecast.trials,
-                             cfg.seed, scan_points=cfg.forecast.scan_points,
+    est = precision_forecast(geom, cfg.optical.scale, cfg.redshift.alpha, budget,
+                             cfg.forecast.trials, cfg.seed, scan_points=cfg.forecast.scan_points,
                              visibility=noise.visibility, efficiency=noise.efficiency,
                              dark_rate=noise.dark_rate)
     empirical = float(np.std(est.alpha_hat, ddof=1))
@@ -224,7 +218,7 @@ def _run_alpha_forecast(cfg: ScenarioConfig, config_path: str) -> tuple:
     return "forecast_trials.txt", table, summary
 
 
-def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
+def _run_fringe_demo(cfg: ScenarioConfig) -> tuple:
     from .interferometer import _wrap_phase, fit_phase, fringe_scan
 
     offsets = np.linspace(0.0, 2.0 * math.pi, cfg.fringe.scan_points, endpoint=False)
@@ -265,13 +259,11 @@ def _run_fringe_demo(cfg: ScenarioConfig, config_path: str) -> tuple:
     return "fringe_scan.txt", table, summary
 
 
-def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
-    from .spin_weak import (amplification_scan, constants_report, h_ext, h_sigma,
-                            two_spin_hamiltonian)
+def _run_weakvalue_scan(cfg: ScenarioConfig) -> tuple:
+    from .spin_weak import amplification_scan, constants_report
 
     spin = cfg.spin
-    q_values = [q * spin.meter_width for q in spin.q_grid]
-    columns = amplification_scan(spin.theta_grid, q_values, spin.meter_width)
+    columns = amplification_scan(spin.theta_grid, spin.kicks, spin.meter_width)
     table = _table(
         "theta_rad q re_weak_value im_weak_value shift_exact shift_weak postselection_prob",
         columns)
@@ -291,11 +283,7 @@ def _run_weakvalue_scan(cfg: ScenarioConfig, config_path: str) -> tuple:
             f"max |exact - weak| relative deviation at q <= 0.01*width: "
             f"{weak_devs.max():.3e}"
         )
-
-    # validate has found every spin value finite, the couplings' only check; gravity is along z
-    acceleration = (0.0, 0.0, spin.gravity)
-    single = h_sigma(spin.rotation, acceleration) + h_ext(acceleration, spin.coupling_k)
-    eigs = np.linalg.eigvalsh(two_spin_hamiltonian(single, spin.exchange))
+    eigs = np.linalg.eigvalsh(spin.hamiltonian)
     summary.append("two-spin Hamiltonian eigenvalues [J]: " + " ".join(f"{e:.6e}" for e in eigs))
     for row in constants_report(spin.gravity):
         summary.append(
@@ -326,7 +314,7 @@ def _run(config_path: str) -> int:
     cfg = load_config(config_path)
     if cfg.mode == "constants":
         return _run_constants(cfg)
-    name, table, summary = _RUNNERS[cfg.mode](cfg, config_path)
+    name, table, summary = _RUNNERS[cfg.mode](cfg)
     text = "\n".join(summary + [f"columnar output: {name}"]) + "\n"
     _write(Path(cfg.output_dir), name, table)
     _write(Path(cfg.output_dir), "summary.txt", [text.encode()])
@@ -367,20 +355,17 @@ def main(argv=None) -> int:
 
     try:
         return _validate(args.config) if args.command == "validate" else _run(args.config)
-    except (ConfigInvalid, FileUnreadable) as exc:
-        if isinstance(exc, ConfigInvalid):
-            for p in exc.violations:
-                print(f"violation: {p}", file=sys.stderr)
-        else:
-            print(f"error[FileUnreadable]: {exc}", file=sys.stderr)
+    except ConfigInvalid as exc:
+        for p in exc.violations:
+            print(f"violation: {p}", file=sys.stderr)
         return 2
     except (GravlinkError, ValueError, OverflowError, MemoryError, OSError) as exc:
-        # ValueError: library argument checks and numpy's LinAlgError;
-        # OverflowError: integers beyond numpy's int64; MemoryError: an epoch
-        # batch too large to allocate; OSError: an output directory that
-        # cannot be made or written
+        # FileUnreadable, exit 2: a file that cannot be read; ValueError: library
+        # argument checks and numpy's LinAlgError; OverflowError: integers beyond
+        # numpy's int64; MemoryError: an epoch batch too large to allocate;
+        # OSError: an output directory that cannot be made or written
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, FileUnreadable) else 3
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ One walk over one field table (_FIELDS) collects every violation instead of
 stopping at the first and builds the config. The table is the schema: each
 row holds a field's key, attribute, parser, bound and default, and the only
 home of that default. The config and each of its sections are views of one
-read-only type, ScenarioConfig, whose attributes are their rows. The checks
-borrowed from ephemeris, interferometer and spin_weak import them only when
-a config reaches them.
+read-only type, ScenarioConfig, whose attributes are their rows and the inputs a
+run derives from them, each computed once, where _load checks it: the ephemeris
+path resolved against the config's directory, optical.scale, spin.kicks and the
+read-only matrix spin.hamiltonian. The checks borrowed from ephemeris,
+interferometer and spin_weak import them only when a config reaches them.
 Units in config files are SI with the unit in the key name, except angles,
 which are degrees (converted to radians here).
 """
@@ -291,11 +293,10 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
                             else f"{section}: section required for mode '{mode}'")
     optical = specs.get("optical")
     if optical:
-        if optical.tau_l is None:  # the delay line's proper delay
-            specs["optical"] = optical = ScenarioConfig(**{
-                **vars(optical), "tau_l": optical.delay_length * optical.group_index / C_LIGHT})
+        tau_l = optical.tau_l or optical.delay_length * optical.group_index / C_LIGHT
         try:
-            phase_scale(optical.lambda0, optical.tau_l)
+            specs["optical"] = ScenarioConfig(**vars(optical) | {
+                "tau_l": tau_l, "scale": phase_scale(optical.lambda0, tau_l)})
         except ValueError as exc:
             problems.append(f"optical: {exc}")
     orbit = tree.get("orbit")
@@ -304,6 +305,8 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     sweep = values.get("sweep", {})
     if sweep.get("t_start", -math.inf) >= sweep.get("t_end", math.inf):
         problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
+    elif not math.isfinite(sweep.get("t_end", 0.0) - sweep.get("t_start", 0.0)):
+        problems.append("sweep: t_end_s - t_start_s is past the float range")
     noise = specs.get("noise")
     if noise:
         from .interferometer import outcome_probabilities
@@ -323,16 +326,30 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
             problems.append("noise.efficiency: 0 detects no photon; set photon_budget: 0 "
                             "for a noiseless forecast")
     spin = specs.get("spin")
-    if spin:  # the scan's kicks are q * meter_width, as the runner multiplies them, and its
-        # largest weak shifts a kick times max|A_w|, with A_w = tan(theta) its weak value
-        kicks = [q * spin.meter_width for q in spin.q_grid]
+    if spin:  # the scan's kicks are q * meter_width, and its largest weak shifts a kick
+        # times max|A_w|, with A_w = tan(theta) its weak value
+        from .spin_weak import h_ext, h_sigma, two_spin_hamiltonian
+
+        kicks = tuple(q * spin.meter_width for q in spin.q_grid)
         a_w = max(map(abs, map(math.tan, spin.theta_grid)))
         weak = np.array([not math.isfinite(k) or math.isfinite(k * a_w) for k in kicks])
         for ok, times in ((np.isfinite(kicks), ""), (weak, f" times max|tan theta| {a_w:g}")):
             if not ok.all():  # an infinite kick is named once, by the first
                 problems.append(f"spin.q_grid: {_shown(tree['spin']['q_grid'], ok)} times "
                                 f"meter_width {spin.meter_width:g}{times} must be finite")
+        acceleration = (0.0, 0.0, spin.gravity)  # the pair Hamiltonian, gravity along z
+        with np.errstate(all="ignore"):  # |eigenvalues| <= the largest row sum of |entries|
+            pair = two_spin_hamiltonian(h_sigma(spin.rotation, acceleration)
+                                        + h_ext(acceleration, spin.coupling_k), spin.exchange)
+            if not np.isfinite(abs(pair).sum(axis=1)).all():
+                problems.append("spin: rotation_rad_per_s, gravity_mps2, coupling_k and "
+                                "exchange_joule take the pair Hamiltonian past the float range")
+        pair.flags.writeable = False
+        specs["spin"] = ScenarioConfig(**vars(spin), kicks=kicks, hamiltonian=pair)
     orbit, station = specs.get("orbit"), specs.get("station")
+    if orbit and orbit.ephemeris_path:  # the file the run opens, from the config's directory
+        specs["orbit"] = ScenarioConfig(**vars(orbit) | {"ephemeris_path": os.path.join(
+            os.path.dirname(os.path.abspath(path)), orbit.ephemeris_path)})
     if (orbit and orbit.semi_major_axis and station
             and station.altitude >= orbit.semi_major_axis - R_EARTH):
         problems.append(f"station.altitude_m: {station.altitude} must be below the orbit")
@@ -346,10 +363,9 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     return ScenarioConfig(**top, **specs), []
 
 
-def trajectories(cfg: ScenarioConfig, config_path: str) -> tuple:
-    """(station, orbit) of a config with an orbit: a GroundStation, and a
-    CircularOrbit or the trajectory in the config's ephemeris file (relative
-    to the config), read and checked once.
+def trajectories(cfg: ScenarioConfig) -> tuple:
+    """(station, orbit) of a config with an orbit: a GroundStation, and a CircularOrbit
+    or the trajectory in the config's ephemeris file, read and checked once.
 
     Raises FileUnreadable, the parse_cpf errors, InsufficientRecords,
     OutOfRange when the sweep plus the longest light time leaves the table,
@@ -362,8 +378,7 @@ def trajectories(cfg: ScenarioConfig, config_path: str) -> tuple:
     else:
         from .ephemeris import EphemerisTrajectory, parse_cpf
 
-        path = os.path.join(os.path.dirname(os.path.abspath(config_path)), orbit.ephemeris_path)
-        orbit = EphemerisTrajectory(parse_cpf(_read_text(path)))
+        orbit = EphemerisTrajectory(parse_cpf(_read_text(orbit.ephemeris_path)))
         radii = np.linalg.norm(orbit.table.positions, axis=1)
         reach = (radii.max() + R_EARTH + station.altitude) / C_LIGHT
         sweep, end, span = cfg.sweep, orbit.table.span_seconds, None
@@ -389,7 +404,7 @@ def validate_config(path: str) -> list[str]:
     cfg, problems = _load(path)
     if cfg and "orbit" in _SECTION_BY_MODE[cfg.mode]:
         try:
-            trajectories(cfg, path)
+            trajectories(cfg)
         except ConfigInvalid as exc:
             problems += exc.violations
         except GravlinkError as exc:  # only an ephemeris orbit raises these

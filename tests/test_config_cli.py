@@ -32,11 +32,12 @@ import gravlink.spin_weak
 from gravlink import __version__
 from gravlink.cli import _table, main
 from gravlink.config import MODES, load_config, validate_config
-from gravlink.constants import C_LIGHT
+from gravlink.constants import C_LIGHT, G_STD, HBAR, OMEGA_EARTH
 from gravlink.ephemeris import EphemerisTable, EphemerisTrajectory, parse_cpf
 from gravlink.errors import BadAltitude, ConfigInvalid, FileUnreadable
 from gravlink.interferometer import outcome_probabilities
 from gravlink.kinematics import GroundStation, build_pass
+from gravlink.link_model import phase_scale
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.yaml"))
@@ -221,6 +222,23 @@ DEFECTS = [
     ("ephemeris_path_nul", SMALL_PASS, "semi_major_axis_m: 6.771e+6",
      'ephemeris_path: "leo\\0sample.cpf"', "orbit.ephemeris_path: expected a non-empty string "
      "with no NUL character, got 'leo\\x00sample.cpf'\n"),
+    # the sweep's span overflowed: run printed numpy's overflow and invalid-value warnings,
+    # then exited 3 with "BadAltitude: ... at epoch [0] (t = nan s)"
+    ("sweep_span_past_float_range", SMALL_PASS, "t_start_s: -60.0\n  t_end_s: 60.0",
+     "t_start_s: -1.0e+308\n  t_end_s: 1.0e+308",
+     "sweep: t_end_s - t_start_s is past the float range\n"),
+    # the pair Hamiltonian overflowed: run warned three times, then exited 3 with
+    # "error[LinAlgError]: Eigenvalues did not converge"
+    ("pair_hamiltonian_overflow", SMALL_WEAKVALUE, "q_grid:",
+     "gravity_mps2: 1.0e+300\n  coupling_k: 1.0e+300\n  q_grid:", "spin: rotation_rad_per_s, "
+     "gravity_mps2, coupling_k and exchange_joule take the pair Hamiltonian past the float "
+     "range\n"),
+    # every entry finite, but a row sum of |entries|, which bounds the eigenvalues, is not:
+    # run exited 0 and printed eigenvalues of -inf and inf
+    ("pair_eigenvalues_overflow", SMALL_WEAKVALUE, "q_grid:",
+     "gravity_mps2: 2.8e+50\n  coupling_k: 1.0e+300\n  exchange_joule: 1.7e+308\n  q_grid:",
+     "spin: rotation_rad_per_s, gravity_mps2, coupling_k and exchange_joule take the pair "
+     "Hamiltonian past the float range\n"),
 ]
 
 
@@ -779,7 +797,7 @@ PASS_VALUES = {
               "ephemeris_path": None},
     "station": {"latitude": 0.0, "longitude": 0.0, "altitude": 0.0},
     "optical": {"lambda0": 800.0e-9, "delay_length": 6000.0, "group_index": 1.0,
-                "tau_l": 6000.0 / C_LIGHT},
+                "tau_l": 6000.0 / C_LIGHT, "scale": phase_scale(800.0e-9, 6000.0 / C_LIGHT)},
     "sweep": {"t_start": -60.0, "t_end": 60.0, "n_epochs": 12},
 }
 NOISE_VALUES = {"photon_budget": 0, "efficiency": 1.0, "dark_rate": 0.0, "visibility": 1.0}
@@ -797,7 +815,7 @@ MINIMAL = {
         {"spin": {"theta_grid_deg": [30.0], "q_grid": [1.0e-3]}},
         {"spin": {"gravity": 9.80665, "rotation": (0.0, 0.0, 7.2921159e-5), "coupling_k": 1.0,
                   "exchange": 0.0, "duration": 1.0, "theta_grid": (math.radians(30.0),),
-                  "q_grid": (1.0e-3,), "meter_width": 1.0}}),
+                  "q_grid": (1.0e-3,), "meter_width": 1.0, "kicks": (1.0e-3,)}}),
     "constants": ({}, {}),
 }
 SECTIONS = ("orbit", "station", "optical", "sweep", "noise", "forecast", "fringe", "spin")
@@ -815,6 +833,17 @@ class TestLoadConfig:
         assert cfg.sweep.n_epochs == 100
         assert cfg.redshift.alpha == 0.0
         assert cfg.output_dir == "out/redshift_pass"
+
+    def test_the_ephemeris_path_is_resolved_at_load(self, tmp_path, monkeypatch, capsys):
+        # from another working directory, the view holds the file the run opens
+        monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        config = str(SCENARIOS / "ephemeris_pass.yaml")
+        assert load_config(config).orbit.ephemeris_path == str(SAMPLE_CPF)
+        assert main(["run", config]) == 0
+        written, tracked = (root / "out" / "ephemeris_pass" / "pass_sweep.txt"
+                            for root in (tmp_path, SCENARIOS.parent))
+        assert written.read_bytes() == tracked.read_bytes()
 
     def test_angles_arrive_in_radians(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GRAVLINK_OUTPUT_DIR", raising=False)
@@ -857,7 +886,13 @@ class TestLoadConfig:
         def nested(view):  # the config as dicts, its sections included
             return {k: nested(v) if isinstance(v, type(cfg)) else v for k, v in vars(view).items()}
 
-        assert nested(cfg) == {
+        got = nested(cfg)
+        if cfg.spin:  # dict == cannot compare arrays; single = (hbar/2)(g/c - omega) sigma_z
+            s = 0.5 * HBAR * (G_STD / C_LIGHT - OMEGA_EARTH)
+            np.testing.assert_allclose(got["spin"].pop("hamiltonian"),
+                                       np.diag([2.0 * s, 0.0, 0.0, -2.0 * s]), rtol=1e-14)
+            assert not cfg.spin.hamiltonian.flags.writeable
+        assert got == {
             "mode": mode, "seed": None, "output_dir": "gravlink-out", "redshift": {"alpha": 0.0},
             **dict.fromkeys(SECTIONS), **values}
         with pytest.raises(AttributeError):

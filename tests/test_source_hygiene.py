@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-An import a module never uses and a private module-level name nothing in the package
-references are both dead code, and a class built while the package runs is a type each
-process makes again; each test names every offender with its file and line.
+An import a module never uses, a private module-level name nothing in the package
+references and a config field nothing reads are dead code, and a class built while the
+package runs is a type each process makes again; each test names every offender with its
+file and line.
 """
 
 import ast
@@ -91,6 +92,44 @@ def classes_built_at_run_time(tree):
     return sorted(found)
 
 
+def field_table(tree):
+    """The module's top-level _FIELDS assignment, or None."""
+    return next((node for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_FIELDS" for t in node.targets)), None)
+
+
+def config_fields(tree):
+    """(line, attribute) of each row of the module's _FIELDS table: its third entry."""
+    table = field_table(tree)
+    return [] if table is None else [(row.lineno, row.elts[2].value) for row in table.value.elts]
+
+
+def field_reads(tree):
+    """Every name tree reads as a field outside its _FIELDS table: an attribute it loads, and
+    a string key it subscripts or passes to .get, as the dict-held sweep and grid values."""
+    table = field_table(tree)
+    inside = set() if table is None else {id(n) for n in ast.walk(table)}
+    names, keys = set(), []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Subscript):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args:
+            keys.append(node.args[0])
+    return names | {key.value for key in keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+
+
+# Fields that nothing reads, each with the reason it stays in the schema
+UNREAD_FIELDS = {
+    # perfbench's weak_scan generator writes duration_s; ROADMAP item 1 removes it
+    "duration",
+}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = unused_imports(path)
@@ -113,6 +152,16 @@ def test_no_class_is_built_at_run_time(path):
                                 for line, form in built)
 
 
+def test_every_config_field_is_read():
+    reads = set().union(*(field_reads(parse(path)) for path in MODULES))
+    fields = config_fields(parse(PACKAGE / "config.py"))
+    assert {name for _, name in fields} >= UNREAD_FIELDS, "an allowlisted field left the table"
+    assert not reads & UNREAD_FIELDS, "an allowlisted field is read now"
+    unread = [f"config.py:{line} {name}" for line, name in fields
+              if name not in reads | UNREAD_FIELDS]
+    assert not unread, "a config field nothing in the package reads: " + ", ".join(unread)
+
+
 def test_the_checks_catch_what_they_look_for(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("from __future__ import annotations\n"
@@ -132,10 +181,20 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
                       "    from dataclasses import make_dataclass\n"
                       "    class Local:\n"
                       "        pass\n"
-                      "    return type(name, (Local,), {}), make_dataclass(name, []), type(name)\n")
+                      "    return type(name, (Local,), {}), make_dataclass(name, []), type(name)\n"
+                      "\n_FIELDS = ((None, 'kept', 'kept', None),\n"
+                      "           ('grid', 'start', 'start', None),\n"
+                      "           ('grid', 'stop', 'stop', None),\n"
+                      "           (None, 'dead', 'dead', lambda v: v.dead))\n\n"
+                      "def h(cfg, grid):\n"
+                      "    cfg.dead = grid['start'] + grid.get('stop')\n"
+                      "    return cfg.kept, _FIELDS\n")
     assert unused_imports(module) == [(3, "os"), (11, "dumps")]
     tree = parse(module)
     assert [name for _, name in private_definitions(tree)
             if name not in references(tree)] == ["_DEAD", "_ALSO", "_helper"]
     assert classes_built_at_run_time(tree) == [
         (19, "class Local"), (21, "make_dataclass(...)"), (21, "type(...)")]
+    # dead is only stored, and read only inside the table
+    assert config_fields(tree) == [(23, "kept"), (24, "start"), (25, "stop"), (26, "dead")]
+    assert {"kept", "start", "stop"} <= field_reads(tree) and "dead" not in field_reads(tree)
