@@ -1,14 +1,17 @@
 """End-to-end checks of the gravlink command: every shipped scenario against `out/`, the
 north-star scales (a 10^5-epoch pass, a day-long CPF, 10^3- and 10^4-trial forecasts, a
-3*10^5-row weak scan), and inputs that must be refused by name, without a traceback.
+3*10^5-row weak scan), inputs that must be refused by name, without a traceback, outputs
+that are whole or absent, and every benchmark workload, untraced and traced.
 
 Run from the repository root with `python -m pytest checks`; gravlink must be installed or
 on `PYTHONPATH=src`. The checks call the `gravlink` on PATH when there is one, the installed
 console script, and `python -m gravlink.cli` otherwise."""
 
 import io
+import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -50,11 +53,14 @@ def scenario(name, edits, directory):
     return path
 
 
-def run(*args, env=None):
-    """Run gravlink with args from the repository root, with env over the environment; return
-    its exit status, stdout and stderr, and fail if it printed a traceback."""
+def run(*args, env=None, file_size=None):
+    """Run gravlink with args from the repository root, with env over the environment and no
+    file it writes past file_size bytes (RLIMIT_FSIZE) when that is given; return its exit
+    status, stdout and stderr, and fail if it printed a traceback."""
+    limit = None if file_size is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size)))
     done = subprocess.run([*GRAVLINK, *map(str, args)], capture_output=True, text=True,
-                          cwd=REPO, env={**os.environ, **(env or {})})
+                          cwd=REPO, env={**os.environ, **(env or {})}, preexec_fn=limit)
     print(done.stdout + done.stderr)
     assert "Traceback" not in done.stderr
     return done.returncode, done.stdout, done.stderr
@@ -177,6 +183,20 @@ def test_pass_of_1e5_epochs_holds_its_bound_and_writes_savetxt_bytes(tmp_path):
     assert status == 0 and out.startswith("mode: redshift-pass (100000 epochs")
     assert_residual_within_bound(out)
     assert_savetxt_bytes(tmp_path / "out" / "pass_sweep.txt")
+
+
+def test_a_run_past_the_file_size_limit_leaves_the_earlier_pair(tmp_path):
+    # the 10^5-epoch table, 16 MB, meets a 1 MiB cap on file size: the run exits 3, and the
+    # shipped 100-epoch run's table and summary beside it stay as they were. A run once left
+    # the new table's first MiB beside the earlier summary
+    out = tmp_path / "out"
+    assert run("run", SCENARIOS / "redshift_pass.yaml", env=strict(out))[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["pass_sweep.txt", "summary.txt"]
+    path = scenario("redshift_pass", {"sweep.n_epochs": 100000}, tmp_path)
+    status, _, err = run("run", path, env=strict(out), file_size=2**20)
+    assert status == 3 and err.startswith("error[OSError]: [Errno 27] File too large"), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_weak_scan_of_1e4_angles_by_30_couplings_writes_savetxt_bytes(tmp_path):
@@ -349,3 +369,22 @@ def test_output_directory_that_is_a_file_is_reported(tmp_path):
     status, _, err = run("run", SCENARIOS / "fringe_demo.yaml",
                          env={"GRAVLINK_OUTPUT_DIR": str(tmp_path / "taken")})
     assert status == 3 and "error[FileExistsError]" in err
+
+
+@pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
+@pytest.mark.parametrize("workload", ["pass_analytic", "pass_ephemeris", "forecast", "weak_scan"])
+def test_every_benchmark_workload_runs_correctly(workload, trace):
+    # two seconds of each workload: every run's output check passes and no operation fails.
+    # A traced forecast must time its regression, and a traced weak scan its closed-form
+    # kernel: a run that goes around estimate_alpha or amplification_scan reads 0 there
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "0", "--seconds", "2", "--trace", str(trace)],
+                          capture_output=True, text=True, cwd=REPO)
+    print(done.stdout + done.stderr)
+    assert done.returncode == 0
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    layer = {("forecast", 1): "estimator.regression_self_s",
+             ("weak_scan", 1): "spin_weak.scan_self_s"}.get((workload, trace))
+    if layer:
+        assert result["metrics"][layer]["value"] > 0, f"{layer} is 0"

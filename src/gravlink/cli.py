@@ -6,19 +6,20 @@ Commands:
     gravlink constants               print the coupling benchmark table
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime (pipeline) error.
-A run reads the loaded config alone and writes a machine-readable columnar
-file plus summary.txt into the output directory (config output_dir,
-overridden by GRAVLINK_OUTPUT_DIR), and prints the summary. Identical
-config and seed give byte-identical columnar outputs.
+A run reads the loaded config alone and writes a machine-readable columnar file plus
+summary.txt into the output directory (config output_dir, overridden by GRAVLINK_OUTPUT_DIR),
+and prints the summary. Each file is whole or absent, and summary.txt, written last, describes
+the table beside it. Identical config and seed give byte-identical columnar outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,18 @@ from .kinematics import _norm, build_pass
 from .link_model import expanded_signal, gravitational_phase, phase_pair
 
 
-def _write(out_dir: Path, name: str, chunks: list) -> None:
+def _write(out_dir: Path, name: str, chunks, stale=()) -> None:
+    """Format chunks into a temporary sibling, remove the files in stale, rename it to name."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "wb") as fh:
-        fh.writelines(chunks)
+    temporary = out_dir / f".{name}.{os.getpid()}"  # "wb": a killed run's leftover is reused
+    try:
+        with open(temporary, "wb") as fh:
+            fh.writelines(chunks)
+        for other in stale:
+            (out_dir / other).unlink(missing_ok=True)
+        os.replace(temporary, out_dir / name)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 # The '%.12e' text of a number is five uint32 words, "-d.d" "dddd" "dddd"
@@ -83,13 +92,13 @@ def _e12(x: np.ndarray, out: np.ndarray) -> None:
             np.uint32).reshape(-1, 5)
 
 
-def _table(header: str, columns) -> list:
-    """Columnar text as UTF-8 byte chunks: '# header', then one line per row of
-    the arrays columns broadcast to (n,) or (n, m), in C order (a 2-D array's
-    .T works too), entries separated by one space. A column of integer dtype
-    is written '%d' from the integers themselves, every other column '%.12e';
-    with float columns only, byte for byte the text of np.savetxt(fmt='%.12e',
-    comments='# '). No columns, no rows.
+def _table(header: str, columns):
+    """Columnar text as UTF-8 byte chunks, yielded block by block: '# header', then one
+    line per row of the arrays columns broadcast to (n,) or (n, m), in C order (a 2-D
+    array's .T works too), entries separated by one space. A column of integer dtype is
+    written '%d' from the integers themselves, every other column '%.12e'; with float
+    columns only, byte for byte the text of np.savetxt(fmt='%.12e', comments='# ').
+    No columns, no rows.
 
     A block of at most _BLOCK entries, whole rows or part of one, fills one
     zero-padded buffer of uint32 words: per entry a slot of five words, the
@@ -100,11 +109,11 @@ def _table(header: str, columns) -> list:
     bytes.translate per block drops the padding. '%' formats each entry _e12
     cannot prove exact: nan, inf, |x| < 1e-296, values within 0.0025 of a
     rounding tie and some just below a power of ten."""
-    texts = [f"# {header}\n".encode()]
+    yield f"# {header}\n".encode()
     shape = np.broadcast(*columns).shape
     n, m = shape + (1,) * (2 - len(shape))
     if not len(columns) or n * m == 0:
-        return texts
+        return
     step = min(max(1, _BLOCK // len(columns)), n * m)
     buf = np.zeros((step, len(columns), 6), np.uint32)
     buf[:, :, 5], buf[:, -1:, 5] = ord(" "), ord("\n")
@@ -134,12 +143,11 @@ def _table(header: str, columns) -> list:
                 rows[:, j, :5] = full[j][span].astype("S20").view(np.uint32).reshape(-1, 5)
             for j, slots in fixed:
                 rows.reshape(k, w, -1, 6)[:, :, j, :5] = slots[o:o + k, a:a + w]
-            texts.append(rows.tobytes().translate(None, b"\0"))
-    return texts
+            yield rows.tobytes().translate(None, b"\0")
 
 
-# Each mode's runner takes the loaded config alone and returns (columnar file name,
-# its byte chunks, summary lines); _run writes both files and prints the summary.
+# Each mode's runner takes the loaded config alone and returns (columnar file name, its byte
+# chunks, yet to be formatted from the columns alone, summary lines); _run writes both files.
 def _run_redshift_pass(cfg: ScenarioConfig) -> tuple:
     station, orbit = trajectories(cfg)
     scale, alpha = cfg.optical.scale, cfg.redshift.alpha
@@ -152,7 +160,7 @@ def _run_redshift_pass(cfg: ScenarioConfig) -> tuple:
     resid = pair.s_signal - expanded
     table = _table("t_s dU phi_sc_rad phi_gs_rad s_rad doppler_phase_rad expanded_s_rad "
                    "residual_rad", [epochs, du, pair.phi_sc, pair.phi_gs, pair.s_signal,
-                                    doppler_phase, expanded, resid])
+                                    doppler_phase, expanded, resid])  # formatted once geom is freed
 
     max_doppler = float(np.max(np.abs(doppler_phase)))
     max_gravity = float(np.max(np.abs(scale * du)))
@@ -190,10 +198,10 @@ def _run_alpha_forecast(cfg: ScenarioConfig) -> tuple:
                              dark_rate=noise.dark_rate)
     empirical = float(np.std(est.alpha_hat, ddof=1))
     analytic = float(np.mean(est.sigma_alpha))
-    table = _table("trial alpha_hat sigma_alpha chi2_per_dof", [
-        np.arange(cfg.forecast.trials), est.alpha_hat, est.sigma_alpha, est.chi2_per_dof])
-    table.append(f"# summary sigma_alpha_empirical={empirical:.12e} "
-                 f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n".encode())
+    table = chain(_table("trial alpha_hat sigma_alpha chi2_per_dof", [
+        np.arange(cfg.forecast.trials), est.alpha_hat, est.sigma_alpha, est.chi2_per_dof]),
+        [f"# summary sigma_alpha_empirical={empirical:.12e} "
+         f"sigma_alpha_analytic={analytic:.12e} photon_budget={budget}\n".encode()])
 
     mean_alpha = float(np.mean(est.alpha_hat))
     summary = [
@@ -316,7 +324,7 @@ def _run(config_path: str) -> int:
         return _run_constants(cfg)
     name, table, summary = _RUNNERS[cfg.mode](cfg)
     text = "\n".join(summary + [f"columnar output: {name}"]) + "\n"
-    _write(Path(cfg.output_dir), name, table)
+    _write(Path(cfg.output_dir), name, table, stale=["summary.txt"])
     _write(Path(cfg.output_dir), "summary.txt", [text.encode()])
     sys.stdout.write(text)
     return 0

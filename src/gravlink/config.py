@@ -119,6 +119,15 @@ def _selectable(thetas) -> np.ndarray:
     return ~orthogonal_selections(thetas)
 
 
+def _unresolved(sweep, altitude: float, radii: np.ndarray) -> list[str]:
+    """The epoch rule's violation, if any (README), for t_start < t_end and orbit radii (m) above
+    the station: doubles near the last epoch a pass reaches lie <= 2^-20 light time apart."""
+    epoch = max(-sweep.t_start, sweep.t_end) + 2 * (radii.max() + R_EARTH + altitude) / C_LIGHT
+    light_time, gap = (radii.min() - R_EARTH - altitude) / C_LIGHT, math.ulp(epoch)
+    return [f"sweep: epochs near {epoch:.6g} s lie {gap:.3g} s apart, over 2^-20 of the "
+            f"{light_time:.3g} s light time to the orbit"] if 0 < light_time < 2**20 * gap else []
+
+
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")
 _FRACTION = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
 
@@ -302,11 +311,13 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
     orbit = tree.get("orbit")
     if isinstance(orbit, dict) and ("semi_major_axis_m" in orbit) == ("ephemeris_path" in orbit):
         problems.append("orbit: semi_major_axis_m and ephemeris_path are exclusive; set one")
-    sweep = values.get("sweep", {})
+    sweep, orbit, station = values.get("sweep", {}), specs.get("orbit"), specs.get("station")
     if sweep.get("t_start", -math.inf) >= sweep.get("t_end", math.inf):
         problems.append(f"sweep: t_start_s {sweep['t_start']} must be < t_end_s {sweep['t_end']}")
     elif not math.isfinite(sweep.get("t_end", 0.0) - sweep.get("t_start", 0.0)):
         problems.append("sweep: t_end_s - t_start_s is past the float range")
+    elif specs["sweep"] and orbit and orbit.semi_major_axis and station:  # a circle of radius a
+        problems += _unresolved(specs["sweep"], station.altitude, np.array([orbit.semi_major_axis]))
     noise = specs.get("noise")
     if noise:
         from .interferometer import outcome_probabilities
@@ -346,7 +357,6 @@ def _load(path: str) -> tuple[Optional[ScenarioConfig], list[str]]:
                                 "exchange_joule take the pair Hamiltonian past the float range")
         pair.flags.writeable = False
         specs["spin"] = ScenarioConfig(**vars(spin), kicks=kicks, hamiltonian=pair)
-    orbit, station = specs.get("orbit"), specs.get("station")
     if orbit and orbit.ephemeris_path:  # the file the run opens, from the config's directory
         specs["orbit"] = ScenarioConfig(**vars(orbit) | {"ephemeris_path": os.path.join(
             os.path.dirname(os.path.abspath(path)), orbit.ephemeris_path)})
@@ -369,8 +379,8 @@ def trajectories(cfg: ScenarioConfig) -> tuple:
 
     Raises FileUnreadable, the parse_cpf errors, InsufficientRecords,
     OutOfRange when the sweep plus the longest light time leaves the table,
-    or ConfigInvalid when the station is not below every record (listing
-    the span problem first when there is one too).
+    or ConfigInvalid when the station is not below every record or the sweep
+    breaks the epoch rule (listing the span problem first when there is one too).
     """
     orbit, station = cfg.orbit, cfg.station
     if orbit.ephemeris_path is None:
@@ -385,11 +395,13 @@ def trajectories(cfg: ScenarioConfig) -> tuple:
         if sweep.t_start < 0.0 or sweep.t_end + reach > end:
             span = OutOfRange(f"sweep [{sweep.t_start:g}, {sweep.t_end:g}] s plus {reach:.3f} s "
                               f"of light time leaves the table span [0, {end:g}] s")
-        floor = radii.min() - R_EARTH
+        problems = [f"orbit.ephemeris_path: OutOfRange: {span}"] if span else []
+        floor, rules = radii.min() - R_EARTH, _unresolved(sweep, station.altitude, radii)
         if station.altitude >= floor:
-            problems = [f"orbit.ephemeris_path: OutOfRange: {span}"] if span else []
-            raise ConfigInvalid(problems + [f"station.altitude_m: {station.altitude} must be "
-                                            f"below the orbit (lowest record {floor:.6g} m up)"])
+            rules.append(f"station.altitude_m: {station.altitude} must be below the orbit "
+                         f"(lowest record {floor:.6g} m up)")
+        if rules:  # a span problem alone is an OutOfRange
+            raise ConfigInvalid(problems + rules)
         if span:
             raise span
     return GroundStation(station.latitude, station.longitude, station.altitude), orbit

@@ -227,6 +227,12 @@ DEFECTS = [
     ("sweep_span_past_float_range", SMALL_PASS, "t_start_s: -60.0\n  t_end_s: 60.0",
      "t_start_s: -1.0e+308\n  t_end_s: 1.0e+308",
      "sweep: t_end_s - t_start_s is past the float range\n"),
+    # epochs too large for a light time: t + T rounded back to t, and run exited 0 with a
+    # signal residual of 1.744 rad against its own printed bound of 7.9e-3 rad
+    ("sweep_epochs_past_the_light_time", SMALL_PASS, "t_start_s: -60.0\n  t_end_s: 60.0",
+     "t_start_s: -8.0e+307\n  t_end_s: 8.0e+307",
+     "sweep: epochs near 8e+307 s lie 9.98e+291 s apart, over 2^-20 of the 0.00133 s light "
+     "time to the orbit\n"),
     # the pair Hamiltonian overflowed: run warned three times, then exited 3 with
     # "error[LinAlgError]: Eigenvalues did not converge"
     ("pair_hamiltonian_overflow", SMALL_WEAKVALUE, "q_grid:",
@@ -489,6 +495,42 @@ spin:
         assert err.count("violation: orbit.ephemeris_path: OutOfRange") == 2
         assert err.count("violation: station.altitude_m:") == 2
         assert not (tmp_path / "out").exists()
+
+    def test_ephemeris_epochs_past_the_light_time_exit_two(self, tmp_path, monkeypatch, capsys):
+        # four records 2e77 s apart: t + T rounded back to t, so the station's emission and
+        # return states coincided, and run exited 0 with a Doppler-to-gravity ratio of 7.7e-12
+        records = [line.split() for line in SAMPLE_CPF.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("10 ")][:4]
+        step = 2 * 10**77 // 86400  # days
+        (tmp_path / "huge.cpf").write_text("".join(
+            f"10 0 {61267 + k * step} 0.000 0 {' '.join(r[5:])}\n" for k, r in enumerate(records)),
+            encoding="utf-8")
+        cfg = SMALL_EPHEMERIS.format(out="ignored", cpf="huge.cpf", t_end="3.1e+77").replace(
+            "t_start_s: 300.0", "t_start_s: 2.9e+77")
+        path = write_yaml(tmp_path, cfg)
+        assert validate_config(path) == [
+            "sweep: epochs near 3.1e+77 s lie 5.14e+61 s apart, over 2^-20 of the 0.00133 s "
+            "light time to the orbit"]
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.startswith("violation: sweep: epochs near 3.1e+77 s")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("t_end, valid", [
+        (5184000.0, True),  # 60 days of a 400 km orbit
+        (2.0**23 - 0.1, True),  # two light times (0.0877 s) on, still below 2^23 s
+        (2.0**23 - 0.05, False),  # past 2^23 s, where doubles lie 2^-29 s apart
+    ])
+    def test_epoch_rule_edge(self, tmp_path, t_end, valid):
+        # the shortest light time to a 400 km orbit is 4e5 m / c = 1.334e-3 s, and 2^20
+        # spacings of doubles are 9.8e-4 s below 2^23 s and 1.95e-3 s from there to 2^24 s
+        cfg = SMALL_PASS.format(out="out").replace(
+            "t_start_s: -60.0\n  t_end_s: 60.0", f"t_start_s: 0.0\n  t_end_s: {t_end!r}")
+        problems = validate_config(write_yaml(tmp_path, cfg))
+        assert problems == ([] if valid else [
+            f"sweep: epochs near {t_end + 0.0877:.6g} s lie 1.86e-09 s apart, over 2^-20 of "
+            "the 0.00133 s light time to the orbit"])
 
     def test_exponent_without_dot_names_the_yaml_rule(self, tmp_path):
         cfg = SMALL_PASS.format(out="out").replace("6.771e+6", "6.771e6")
@@ -819,6 +861,8 @@ MINIMAL = {
     "constants": ({}, {}),
 }
 SECTIONS = ("orbit", "station", "optical", "sweep", "noise", "forecast", "fringe", "spin")
+REQUIRED_SECTIONS = [(mode, section) for mode, (keys, _) in MINIMAL.items() for section in keys
+                     if section != "seed"]
 
 
 class TestLoadConfig:
@@ -905,6 +949,19 @@ class TestLoadConfig:
                 setattr(section, next(iter(vars(section))), 0.0)
             with pytest.raises(AttributeError):
                 delattr(section, next(iter(vars(section))))
+
+    @pytest.mark.parametrize("mode, section", REQUIRED_SECTIONS,
+                             ids=[f"{mode}-{section}" for mode, section in REQUIRED_SECTIONS])
+    def test_a_missing_section_is_named(self, tmp_path, monkeypatch, capsys, mode, section):
+        keys = {key: value for key, value in MINIMAL[mode][0].items() if key != section}
+        path = write_yaml(tmp_path, yaml.safe_dump({"mode": mode, **keys}))
+        monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(tmp_path / "out"))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert f"violation: {section}: section required for mode '{mode}'\n" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_the_config_and_its_sections_share_one_type(self, monkeypatch, scenario):
@@ -1568,6 +1625,75 @@ class TestCliRuns:
         assert sorted(f.name for f in tmp_path.iterdir()) == names
         for name in names:
             assert (tmp_path / name).read_bytes() == (tracked_dir / name).read_bytes(), name
+
+
+def earlier_pass(tmp_path, monkeypatch, n_epochs):
+    """Write a 12-epoch pass into tmp_path/out and return (its files' bytes by name, the
+    config of an n_epochs pass into the same directory)."""
+    out = tmp_path / "out"
+    monkeypatch.setenv("GRAVLINK_OUTPUT_DIR", str(out))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", write_yaml(tmp_path, SMALL_PASS.format(out="ignored"), "a.yaml")]) == 0
+    later = SMALL_PASS.format(out="ignored").replace("n_epochs: 12", f"n_epochs: {n_epochs}")
+    return {f.name: f.read_bytes() for f in out.iterdir()}, write_yaml(tmp_path, later, "b.yaml")
+
+
+def failing_table(after, exc):
+    """A cli._table that yields its first `after` chunks, then raises exc."""
+    table = gravlink.cli._table
+
+    def chunks(header, columns):
+        yield from itertools.islice(table(header, columns), after)
+        raise exc
+    return chunks
+
+
+class TestWholeOrAbsent:
+    # 10^4 epochs of 8 columns are ten blocks of the writer
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["OSError", "KeyboardInterrupt"])
+    def test_a_failure_mid_table_leaves_the_earlier_pair(self, tmp_path, monkeypatch, capsys,
+                                                         exc):
+        before, path = earlier_pass(tmp_path, monkeypatch, 10000)
+        assert sorted(before) == ["pass_sweep.txt", "summary.txt"]
+        monkeypatch.setattr(gravlink.cli, "_table", failing_table(5, exc))
+        if isinstance(exc, OSError):
+            assert main(["run", path]) == 3
+            assert "error[OSError]: [Errno 28] No space left on device" in capsys.readouterr().err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(["run", path])
+        assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
+
+    def test_the_summary_goes_last_and_only_beside_its_table(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the earlier summary is gone before the new table goes in, and a summary that then
+        # fails to go in leaves the new table alone
+        before, path = earlier_pass(tmp_path, monkeypatch, 30)
+        out, replace, renames = tmp_path / "out", os.replace, []
+
+        def record(source, target):
+            renames.append((Path(target).name, (out / "summary.txt").exists()))
+            if Path(target).name == "summary.txt":
+                raise PermissionError(13, "Permission denied")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", record)
+        assert main(["run", path]) == 3
+        assert "error[PermissionError]" in capsys.readouterr().err
+        assert renames == [("pass_sweep.txt", False), ("summary.txt", False)]
+        assert [f.name for f in out.iterdir()] == ["pass_sweep.txt"]
+        assert np.loadtxt(out / "pass_sweep.txt").shape == (30, 8)
+
+    def test_a_killed_runs_temporary_does_not_block_the_next_run(self, tmp_path, monkeypatch):
+        # a run killed mid-table leaves its temporary; a later run of the same process id
+        # writes over it, renames it into place and leaves nothing else behind
+        before, path = earlier_pass(tmp_path, monkeypatch, 12)
+        stale = tmp_path / "out" / f".pass_sweep.txt.{os.getpid()}"
+        stale.write_bytes(b"# a table cut short\n1.0 2.0")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", path]) == 0
+        assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
 
 
 def _leaves(node, path=()):
